@@ -3,15 +3,15 @@ GO ?= go
 # Repetitions of the race-soak suite; CI trims this for wall time.
 RACE_SOAK_COUNT ?= 3
 
-.PHONY: check vet lint lint-concurrency test race race-soak fuzz chaos bench bench-transport bench-scale bench-obs bench-dataplane telemetry-guard codec-guard
+.PHONY: check vet lint lint-concurrency test race race-soak fuzz chaos bench bench-diff telemetry-guard codec-guard
 
-# The gate used before every commit: static checks (determinism and
-# concurrency lint suites), the full suite under the race detector (the
-# parallel figure harness and the live stack make -race meaningful), the
-# telemetry and codec zero-overhead guards (alloc counts need a non-race
-# run), and a short coverage-guided fuzz of the chaos schedule decoder +
-# oracles.
-check: vet lint lint-concurrency race telemetry-guard codec-guard fuzz
+# The gate used before every commit: static checks (`lint` runs both the
+# determinism and the concurrency analyzers), the full suite under the
+# race detector (the parallel figure harness and the live stack make -race
+# meaningful), the telemetry and codec zero-overhead guards (alloc counts
+# need a non-race run), and a short coverage-guided fuzz of the chaos
+# schedule decoder + oracles.
+check: vet lint race telemetry-guard codec-guard fuzz
 
 vet:
 	$(GO) vet ./...
@@ -78,39 +78,16 @@ fuzz:
 chaos:
 	$(GO) run ./cmd/mdrfuzz -n 200 -des
 
-# Hot-path micro-benchmarks (event queue, link pipeline) plus the figure
-# regeneration benchmarks. Compare against BENCH_parallel.json.
+# The one benchmark (BENCHMARK.json, cmd/mdrbench/README.md): every
+# workload's end-to-end metrics plus the per-layer ledger, as one report.
+# The previous report is kept so two runs (say, parent and change) can be
+# compared. `go run ./cmd/mdrbench -quick` is the ~20 s smoke CI runs.
 bench:
-	$(GO) test -run xxx -bench 'PushPop|Cancel|PortThroughput|LinkPipeline' -benchmem ./internal/eventq/ ./internal/des/
-	$(GO) test -run xxx -bench Fig -benchtime 1x .
+	@if [ -f BENCH.json ]; then mv BENCH.json BENCH.prev.json; fi
+	$(GO) run ./cmd/mdrbench -out BENCH.json
 
-# Live-path micro-benchmarks: frame codec ns/op and transport msgs/sec
-# (in-memory pipe, TCP loopback, UDP+ARQ loopback). Compare against
-# BENCH_transport.json.
-bench-transport:
-	$(GO) test -run xxx -bench 'Encode|Decode' -benchmem ./internal/wire/
-	$(GO) test -run xxx -bench Throughput -benchmem ./internal/transport/
-
-# Sharded single-sim scaling: wall time and events/sec vs shard count on a
-# 240-router scale-free topology, oracles armed (loop-free + byte-identical
-# report vs serial). Overwrites the checked-in snapshot; SCALE_ARGS adds or
-# overrides flags (CI smoke passes a tiny topology, see check.yml).
-bench-scale:
-	$(GO) run ./cmd/mdrscale -out BENCH_scale.json $(SCALE_ARGS)
-
-# Observability-plane benchmarks: endpoint scrape latency against a live
-# converged mesh, the Prometheus exposition encode path, and the atomic
-# instrument write costs. Overwrites the checked-in snapshot; compare
-# against BENCH_obs.json. CI runs the same driver to a scratch path as a
-# smoke (see check.yml).
-bench-obs:
-	$(GO) run ./cmd/mdrwatch -bench -out BENCH_obs.json
-
-# Data-plane benchmarks: forwarding-table lookup/compile/rebalance micro
-# costs, the data-frame codec path, end-to-end packet rates through real
-# forwarders on the in-memory fabric, and the worst-case bucket
-# quantization error of the weighted splitter. Overwrites the checked-in
-# snapshot; compare against BENCH_dataplane.json. CI runs the same driver
-# to a scratch path as a smoke (see check.yml).
-bench-dataplane:
-	$(GO) run ./cmd/mdrwatch -bench-dataplane -out BENCH_dataplane.json
+# Verdict per (workload, metric) of the last two `make bench` reports
+# against BENCHMARK.json's bounds; exits 1 on a worse metric or more
+# failed operations.
+bench-diff:
+	$(GO) run ./cmd/mdrbench -diff BENCH.prev.json BENCH.json

@@ -1,8 +1,8 @@
 // Command mdrtopo inspects the paper's topologies (Fig. 8): node and link
 // counts, degrees, diameter, the configured flows, and the full link list.
 // It also generates large synthetic topologies (scale-free or grid, hundreds
-// of routers) in the scenario text format, which feed the sharded-execution
-// scaling benchmarks (make bench-scale) and mdrsim -topo-file.
+// of routers) in the scenario text format, which feed sharded runs
+// (mdrsim -scenario big.topo -shards N).
 //
 // Usage:
 //

@@ -11,12 +11,6 @@
 // or list the base URLs directly:
 //
 //	mdrwatch -targets http://127.0.0.1:40001,http://127.0.0.1:40002
-//
-// Bench mode boots its own in-process mesh and measures the plane's
-// cost — scrape latency, exposition encode allocations, instrument
-// overhead — writing a JSON report in the BENCH_*.json idiom:
-//
-//	mdrwatch -bench -out BENCH_obs.json
 package main
 
 import (
@@ -40,29 +34,12 @@ func main() {
 		targets  = flag.String("targets", "", "comma-separated observability base URLs (alternative to -manifest)")
 		interval = flag.Float64("interval", 0.1, "poll period, seconds")
 		timeout  = flag.Float64("timeout", 30, "give up after this many seconds (counted in polls)")
-		bench    = flag.Bool("bench", false, "benchmark the observability plane against an in-process mesh instead of watching")
-		benchDP  = flag.Bool("bench-dataplane", false, "benchmark the data plane (table compile/lookup, codec, end-to-end forwarding) instead of watching")
-		out      = flag.String("out", "BENCH_obs.json", "bench mode: report output path")
 	)
 	flag.Parse()
 
-	var err error
-	switch {
-	case *bench && *benchDP:
-		err = fmt.Errorf("-bench and -bench-dataplane are mutually exclusive")
-	case *bench:
-		err = runBench(*out)
-	case *benchDP:
-		if *out == "BENCH_obs.json" {
-			*out = "BENCH_dataplane.json"
-		}
-		err = runBenchData(*out)
-	default:
-		var urls []string
-		urls, err = resolveTargets(*manifest, *targets)
-		if err == nil {
-			err = runWatch(os.Stdout, urls, *interval, *timeout)
-		}
+	urls, err := resolveTargets(*manifest, *targets)
+	if err == nil {
+		err = runWatch(os.Stdout, urls, *interval, *timeout)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mdrwatch: %v\n", err)

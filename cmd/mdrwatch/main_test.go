@@ -10,8 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"minroute/internal/graph"
 	"minroute/internal/leaktest"
 	"minroute/internal/node"
 	"minroute/internal/obs"
@@ -147,6 +147,9 @@ func TestRunWatchUnreachable(t *testing.T) {
 	}
 }
 
+// protoCost mirrors the shared live/sim cost model (the mdrnode idiom).
+func protoCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
+
 // TestWatchLiveMesh is the end-to-end path: a lossy UDP ring with the
 // observability plane on, watched to convergence exactly as CI does.
 func TestWatchLiveMesh(t *testing.T) {
@@ -188,38 +191,5 @@ func TestWatchLiveMesh(t *testing.T) {
 	}
 	if converged != 3 {
 		t.Errorf("want 3 converged rows, got %d:\n%s", converged, out.String())
-	}
-}
-
-// TestSummarize pins the latency reducer on a known distribution.
-func TestSummarize(t *testing.T) {
-	samples := make([]time.Duration, 100)
-	for i := range samples {
-		samples[i] = time.Duration(i+1) * time.Microsecond
-	}
-	s := summarize(samples)
-	if s.Samples != 100 || s.MeanNS != 50500 || s.P50NS != 51000 || s.P99NS != 100000 {
-		t.Fatalf("summarize = %+v", s)
-	}
-}
-
-// TestBenchRegistryShape keeps the synthetic exposition workload honest:
-// it must gather the same instrument mix a live node exports.
-func TestBenchRegistryShape(t *testing.T) {
-	ms := benchRegistry().Gather()
-	var counters, gauges, hists int
-	for _, m := range ms {
-		switch m.Inst.String() {
-		case "counter":
-			counters++
-		case "gauge":
-			gauges++
-		case "hist":
-			hists++
-		}
-	}
-	if counters != 10 || gauges != 5 || hists != 1 {
-		t.Fatalf("benchRegistry gathered %d counters, %d gauges, %d hists; want 10/5/1",
-			counters, gauges, hists)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"minroute/internal/oracle"
 	"minroute/internal/router"
 	"minroute/internal/telemetry"
+	"minroute/internal/topo"
 )
 
 // desConfig is the router configuration chaos runs use: the paper's MP mode
@@ -39,16 +40,9 @@ func RunDES(s *Scenario) (*Result, error) { return RunDESWith(s, nil) }
 // core.Build: the run's full event timeline (control and data planes plus
 // the injected faults) lands in tel for export.
 func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	tn, err := s.Network()
+	tn, dur, err := desNetwork(s)
 	if err != nil {
 		return nil, err
-	}
-	dur := s.Duration
-	if dur <= 0 {
-		dur = 10
 	}
 	n := core.Build(tn, core.Options{
 		Router:    desConfig(),
@@ -78,14 +72,7 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 
 	checkLoopFree := func() {
 		log.Record(oracle.CheckLoopFreeName)
-		views := make(map[graph.NodeID]lfi.RouterView, len(n.Nodes))
-		//lint:maporder-ok distinct-key inserts of live router views commute
-		for id, node := range n.Nodes {
-			if !node.Down() {
-				views[id] = node.Protocol()
-			}
-		}
-		if err := oracle.LoopFree(tn.Graph.NumNodes(), views); err != nil {
+		if err := liveLoopFree(n); err != nil {
 			log.Violate(oracle.CheckLoopFreeName, err.Error(), n.Eng.EventsFired(), n.Eng.Now())
 		}
 	}
@@ -103,25 +90,13 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 		}
 	}
 
-	// Fault schedule. Explicitly failed links must survive a node restart
-	// (core.RestartNode brings every adjacent port up), so the state is
-	// reconciled after each apply.
-	failed := make(map[[2]graph.NodeID]bool)
-	baseCap := make(map[[2]graph.NodeID]float64)
-	for _, l := range tn.Graph.Links() {
-		baseCap[[2]graph.NodeID{l.From, l.To}] = l.Capacity
-	}
-	acts := append([]Action(nil), s.Actions...)
-	sort.SliceStable(acts, func(i, j int) bool { return acts[i].At < acts[j].At })
-	for _, act := range acts {
+	// Fault schedule: each action is an engine event at its At coordinate.
+	faults := newDESFaults(n)
+	for _, act := range dueActions(s, dur, &trace) {
 		act := act
-		if act.At > dur {
-			fmt.Fprintf(&trace, "skip %s at=%g beyond duration\n", act, act.At)
-			continue
-		}
 		n.Eng.Schedule(act.At, func() {
 			fmt.Fprintf(&trace, "apply %s t=%.6f event=%d\n", act, n.Eng.Now(), n.Eng.EventsFired())
-			applyDES(n, act, failed, baseCap)
+			faults.apply(act)
 		})
 	}
 
@@ -140,32 +115,21 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	return res, nil
 }
 
-// RunDESSharded executes the scenario in the packet simulator partitioned
-// across the given number of engine shards (see internal/despart). The
-// always-on oracles move from per-event cadence to the conservative window
-// barriers — the only moments all shard clocks agree — so the trace hash
-// differs from the serial RunDES hash by design. What the sharded runner
-// pins instead is partition-independence: the trace (and any telemetry
-// capture) is byte-identical at every shard count, because the barrier
-// cadence is derived from the global minimum propagation delay rather than
-// the partition's cross-shard minimum, and fault actions apply at barriers
-// with deterministic merged event counts.
-func RunDESSharded(s *Scenario, shards int) (*Result, error) {
-	return RunDESShardedWith(s, shards, nil)
-}
-
-// RunDESShardedWith is RunDESSharded with an optional telemetry capture.
+// RunDESShardedWith executes the scenario in the packet simulator partitioned
+// across the given number of engine shards (see internal/despart), with an
+// optional telemetry capture as in RunDESWith. The always-on oracles move
+// from per-event cadence to the conservative window barriers — the only
+// moments all shard clocks agree — so the trace hash differs from the serial
+// RunDES hash by design. What the sharded runner pins instead is
+// partition-independence: the trace (and any telemetry capture) is
+// byte-identical at every shard count, because the barrier cadence is derived
+// from the global minimum propagation delay rather than the partition's
+// cross-shard minimum, and fault actions apply at barriers with deterministic
+// merged event counts.
 func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	tn, err := s.Network()
+	tn, dur, err := desNetwork(s)
 	if err != nil {
 		return nil, err
-	}
-	dur := s.Duration
-	if dur <= 0 {
-		dur = 10
 	}
 	// Pin the window to the global minimum propagation delay over ALL links,
 	// not just cross-shard ones: it is a valid lookahead for every partition,
@@ -239,14 +203,7 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 
 	checkLoopFree := func(t float64) {
 		log.Record(oracle.CheckLoopFreeName)
-		views := make(map[graph.NodeID]lfi.RouterView, len(n.Nodes))
-		//lint:maporder-ok distinct-key inserts of live router views commute
-		for id, node := range n.Nodes {
-			if !node.Down() {
-				views[id] = node.Protocol()
-			}
-		}
-		if err := oracle.LoopFree(tn.Graph.NumNodes(), views); err != nil {
+		if err := liveLoopFree(n); err != nil {
 			log.Violate(oracle.CheckLoopFreeName, err.Error(), events(), t)
 		}
 	}
@@ -279,22 +236,8 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 
 	// Fault schedule: actions apply at the first barrier at or past their At
 	// coordinate, single-threaded with every shard clock equal.
-	failed := make(map[[2]graph.NodeID]bool)
-	baseCap := make(map[[2]graph.NodeID]float64)
-	for _, l := range tn.Graph.Links() {
-		baseCap[[2]graph.NodeID{l.From, l.To}] = l.Capacity
-	}
-	acts := append([]Action(nil), s.Actions...)
-	sort.SliceStable(acts, func(i, j int) bool { return acts[i].At < acts[j].At })
-	due := acts[:0]
-	for _, act := range acts {
-		if act.At > dur {
-			fmt.Fprintf(&trace, "skip %s at=%g beyond duration\n", act, act.At)
-			continue
-		}
-		due = append(due, act)
-	}
-	acts = due
+	faults := newDESFaults(n)
+	acts := dueActions(s, dur, &trace)
 	ai := 0
 	applyDue := func(t float64) {
 		for ai < len(acts) && acts[ai].At <= t {
@@ -302,7 +245,7 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 			ai++
 			actionsFired++
 			fmt.Fprintf(&trace, "apply %s t=%.6f event=%d\n", act, t, events())
-			applyDES(n, act, failed, baseCap)
+			faults.apply(act)
 		}
 	}
 
@@ -333,14 +276,81 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 	return res, nil
 }
 
-func applyDES(n *core.Network, act Action, failed map[[2]graph.NodeID]bool, baseCap map[[2]graph.NodeID]float64) {
+// desNetwork validates the scenario and returns its network and run length
+// (10 s when the scenario names none).
+func desNetwork(s *Scenario) (*topo.Network, float64, error) {
+	if err := s.Validate(); err != nil {
+		return nil, 0, err
+	}
+	tn, err := s.Network()
+	if err != nil {
+		return nil, 0, err
+	}
+	dur := s.Duration
+	if dur <= 0 {
+		dur = 10
+	}
+	return tn, dur, nil
+}
+
+// liveLoopFree audits the successor graph of the routers that are up.
+func liveLoopFree(n *core.Network) error {
+	views := make(map[graph.NodeID]lfi.RouterView, len(n.Nodes))
+	//lint:maporder-ok distinct-key inserts of live router views commute
+	for id, node := range n.Nodes {
+		if !node.Down() {
+			views[id] = node.Protocol()
+		}
+	}
+	return oracle.LoopFree(n.Graph.NumNodes(), views)
+}
+
+// dueActions returns the scenario's actions in stable At order, leaving out
+// (and noting in the trace) those past the end of the run.
+func dueActions(s *Scenario, dur float64, trace *strings.Builder) []Action {
+	acts := append([]Action(nil), s.Actions...)
+	sort.SliceStable(acts, func(i, j int) bool { return acts[i].At < acts[j].At })
+	due := acts[:0]
+	for _, act := range acts {
+		if act.At > dur {
+			fmt.Fprintf(trace, "skip %s at=%g beyond duration\n", act, act.At)
+			continue
+		}
+		due = append(due, act)
+	}
+	return due
+}
+
+// desFaults applies scenario actions to a simulated network. Explicitly
+// failed links must survive a node restart (core.RestartNode brings every
+// adjacent port up), so the failed set is reconciled after each apply.
+type desFaults struct {
+	n       *core.Network
+	failed  map[[2]graph.NodeID]bool
+	baseCap map[[2]graph.NodeID]float64
+}
+
+func newDESFaults(n *core.Network) *desFaults {
+	f := &desFaults{
+		n:       n,
+		failed:  make(map[[2]graph.NodeID]bool),
+		baseCap: make(map[[2]graph.NodeID]float64),
+	}
+	for _, l := range n.Graph.Links() {
+		f.baseCap[[2]graph.NodeID{l.From, l.To}] = l.Capacity
+	}
+	return f
+}
+
+func (f *desFaults) apply(act Action) {
+	n := f.n
 	down := func(v graph.NodeID) bool { return n.Nodes[v].Down() }
 	switch act.Kind {
 	case KindFail:
 		n.FailLink(act.A, act.B)
-		failed[linkKey(act.A, act.B)] = true
+		f.failed[linkKey(act.A, act.B)] = true
 	case KindRestore:
-		failed[linkKey(act.A, act.B)] = false
+		f.failed[linkKey(act.A, act.B)] = false
 		if !down(act.A) && !down(act.B) {
 			n.RestoreLink(act.A, act.B)
 		}
@@ -351,7 +361,7 @@ func applyDES(n *core.Network, act Action, failed map[[2]graph.NodeID]bool, base
 		n.MarkFault(true, fmt.Sprintf("cost %d-%d x%g", act.A, act.B, act.Factor))
 		for _, pair := range [][2]graph.NodeID{{act.A, act.B}, {act.B, act.A}} {
 			if p, ok := n.Ports[pair]; ok {
-				p.Capacity = baseCap[pair] / act.Factor
+				p.Capacity = f.baseCap[pair] / act.Factor
 			}
 		}
 	case KindCrash:
@@ -362,7 +372,7 @@ func applyDES(n *core.Network, act Action, failed map[[2]graph.NodeID]bool, base
 		}
 		n.RestartNode(act.Node)
 		for _, k := range n.Graph.Neighbors(act.Node) {
-			if failed[linkKey(act.Node, k)] {
+			if f.failed[linkKey(act.Node, k)] {
 				n.FailLink(act.Node, k)
 			}
 		}

@@ -192,10 +192,6 @@ func (p *Port) BindReceiver(rEng *Engine) {
 	p.xshard = rEng != p.eng
 }
 
-// CrossShard reports whether delivery runs on a different engine than
-// transmission.
-func (p *Port) CrossShard() bool { return p.xshard }
-
 // FlipMail publishes the window's finished transmissions to the receiver.
 // The coordinator calls it inside the barrier (single-threaded), which is
 // the only moment both mailbox halves may be touched by one goroutine.

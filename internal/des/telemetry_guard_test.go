@@ -39,7 +39,8 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 
 // BenchmarkLinkPipelineTelemetry is BenchmarkLinkPipeline with a full link
 // probe installed (events plus queue/throughput metrics), quantifying the
-// enabled-path cost per packet. Compare in BENCH_telemetry.json.
+// enabled-path cost per packet (mdrbench reports the same difference as
+// telemetry.link_probe_ns).
 func BenchmarkLinkPipelineTelemetry(b *testing.B) {
 	e := NewEngine(1)
 	l := mkLink(b, 1e9, 0.0001)

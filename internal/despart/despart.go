@@ -75,12 +75,6 @@ func New(engines []*des.Engine, window float64) *Coordinator {
 	}
 }
 
-// Shards reports the number of engine shards.
-func (c *Coordinator) Shards() int { return len(c.engines) }
-
-// Window reports the conservative window width Δ.
-func (c *Coordinator) Window() float64 { return c.window }
-
 // AddInbound registers a cross-shard port delivering into shard s. Ports
 // must be registered in ascending global link order (the drain order is
 // part of the deterministic schedule). The port's propagation delay must

@@ -55,15 +55,6 @@ func (h Handle) Scheduled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.index >= 0 && h.ev.fn != nil
 }
 
-// Time returns the absolute fire time of the handle's event, or 0 when the
-// handle is no longer scheduled.
-func (h Handle) Time() float64 {
-	if !h.Scheduled() {
-		return 0
-	}
-	return h.ev.time
-}
-
 // Queue is a min-heap of events ordered by (time, origin priority,
 // insertion sequence). The zero value is ready for use. Queue is not safe
 // for concurrent use: each simulation shard is single-threaded by design,

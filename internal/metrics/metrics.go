@@ -153,45 +153,3 @@ func (s *DelayStats) String() string {
 	return fmt.Sprintf("n=%d mean=%.3fms p95=%.3fms max=%.3fms",
 		s.count, s.Mean()*1e3, s.Percentile(95)*1e3, s.Max()*1e3)
 }
-
-// Series is an append-only (time, value) sequence, e.g. instantaneous
-// delays or link utilizations over the run.
-type Series struct {
-	T []float64
-	V []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(t, v float64) {
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.T) }
-
-// MeanAfter averages the values with timestamps >= t0, or NaN when none.
-func (s *Series) MeanAfter(t0 float64) float64 {
-	sum, n := 0.0, 0
-	for i, t := range s.T {
-		if t >= t0 {
-			sum += s.V[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
-// Window returns the points with t0 <= t < t1.
-func (s *Series) Window(t0, t1 float64) *Series {
-	out := &Series{}
-	for i, t := range s.T {
-		if t >= t0 && t < t1 {
-			out.Add(t, s.V[i])
-		}
-	}
-	return out
-}

@@ -109,24 +109,3 @@ func TestPropertyVarianceNonNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Add(float64(i), float64(i*i))
-	}
-	if s.Len() != 10 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	// MeanAfter(8): values 64, 81 -> 72.5.
-	if m := s.MeanAfter(8); m != 72.5 {
-		t.Fatalf("MeanAfter = %v", m)
-	}
-	if !math.IsNaN(s.MeanAfter(100)) {
-		t.Fatal("MeanAfter beyond data not NaN")
-	}
-	w := s.Window(2, 5)
-	if w.Len() != 3 || w.T[0] != 2 || w.T[2] != 4 {
-		t.Fatalf("window = %+v", w)
-	}
-}

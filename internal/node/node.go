@@ -64,15 +64,6 @@ func (t *Trace) Emit(ev telemetry.Event) {
 	t.mu.Unlock()
 }
 
-// Tracer returns the wrapped tracer for export once the runtime is done
-// emitting.
-func (t *Trace) Tracer() *telemetry.Tracer {
-	if t == nil {
-		return nil
-	}
-	return t.tr
-}
-
 // Emitted returns the total number of events ever emitted on the bus
 // (zero for a nil Trace). Safe while the runtime is still emitting.
 func (t *Trace) Emitted() uint64 {
@@ -884,23 +875,8 @@ func (q *frameQueue) push(f *wire.Frame) bool {
 	return true
 }
 
-func (q *frameQueue) pop() (*wire.Frame, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 {
-		if q.closed {
-			return nil, transport.ErrClosed
-		}
-		q.cond.Wait()
-	}
-	f := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	return f, nil
-}
-
 // popAll blocks for at least one frame, then drains everything queued in
-// one call (still drain-then-fail after close, like pop).
+// one call (still drain-then-fail after close).
 func (q *frameQueue) popAll() ([]*wire.Frame, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -175,21 +175,6 @@ func NewARQ(p Packet, cfg ARQConfig, clk Clock) *ARQConn {
 	return c
 }
 
-// DialUDP builds the production UDP transport: bind local, aim at remote,
-// ARQ on top. Both addresses must be concrete because UDP has no
-// connection handshake to discover the peer.
-func DialUDP(local, remote string, cfg ARQConfig, clk Clock) (Conn, error) {
-	p, err := BindUDP(local)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Connect(remote); err != nil {
-		p.Close()
-		return nil, err
-	}
-	return NewARQ(p, cfg, clk), nil
-}
-
 // seqLE is wraparound-safe serial comparison: a ≤ b on the sequence circle.
 func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 

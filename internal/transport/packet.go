@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 )
 
@@ -33,7 +34,7 @@ type UDPPacket struct {
 	conn *net.UDPConn
 
 	mu     sync.Mutex
-	remote *net.UDPAddr
+	remote netip.AddrPort // zero until Connect
 }
 
 // BindUDP binds a UDP socket on local (e.g. "127.0.0.1:0").
@@ -56,35 +57,56 @@ func BindUDP(local string) (*UDPPacket, error) {
 // LocalAddr returns the bound socket address.
 func (u *UDPPacket) LocalAddr() string { return u.conn.LocalAddr().String() }
 
-// Connect aims subsequent writes at remote.
+// Connect aims subsequent writes at remote and, from then on, makes
+// reads drop datagrams from any other source.
 func (u *UDPPacket) Connect(remote string) error {
 	addr, err := net.ResolveUDPAddr("udp", remote)
 	if err != nil {
 		return err
 	}
 	u.mu.Lock()
-	u.remote = addr
+	u.remote = unmapped(addr.AddrPort())
 	u.mu.Unlock()
 	return nil
 }
 
+// unmapped strips the IPv4-in-IPv6 form so that one peer compares equal
+// however the resolver or a dual-stack socket spelled its address.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+func (u *UDPPacket) peer() netip.AddrPort {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.remote
+}
+
 // WritePacket sends one datagram to the connected remote.
 func (u *UDPPacket) WritePacket(b []byte) error {
-	u.mu.Lock()
-	remote := u.remote
-	u.mu.Unlock()
-	if remote == nil {
+	remote := u.peer()
+	if !remote.IsValid() {
 		return fmt.Errorf("transport: UDP packet not connected")
 	}
-	_, err := u.conn.WriteToUDP(b, remote)
+	_, err := u.conn.WriteToUDPAddrPort(b, remote)
 	return err
 }
 
-// ReadPacket blocks for the next datagram from anyone; the ARQ's CRC and
-// sequence checks reject strays and corruption.
+// ReadPacket blocks for the next datagram from the connected remote (from
+// anyone until Connect). The source check is what rejects strays: a frame
+// another ARQ session wrote — a closed mesh's late BYE or retransmit
+// reaching a re-bound port — carries a valid CRC and a plausible sequence
+// number, so nothing above this layer can tell it from the peer's.
 func (u *UDPPacket) ReadPacket(b []byte) (int, error) {
-	n, _, err := u.conn.ReadFromUDP(b)
-	return n, err
+	for {
+		n, src, err := u.conn.ReadFromUDPAddrPort(b)
+		if err != nil {
+			return n, err
+		}
+		if remote := u.peer(); !remote.IsValid() || unmapped(src) == remote {
+			return n, nil
+		}
+	}
 }
 
 // Close closes the socket, unblocking reads.

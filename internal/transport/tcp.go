@@ -37,12 +37,6 @@ func DialTCP(addr string) (Conn, error) {
 	return NewStreamConn(c), nil
 }
 
-// TCPDialer implements Dialer over DialTCP.
-type TCPDialer struct{}
-
-// Dial implements Dialer.
-func (TCPDialer) Dial(addr string) (Conn, error) { return DialTCP(addr) }
-
 // Send writes one frame to the stream.
 func (t *tcpConn) Send(f *wire.Frame) error {
 	t.wmu.Lock()

@@ -38,12 +38,6 @@ type Conn interface {
 	Close() error
 }
 
-// Dialer opens connections to peer addresses — the piece a node runtime
-// needs to reach its configured neighbors without knowing the transport.
-type Dialer interface {
-	Dial(addr string) (Conn, error)
-}
-
 // Timer is a pending clock callback; Stop cancels it, reporting whether it
 // was still pending.
 type Timer interface {

@@ -372,15 +372,6 @@ func NewSack(cum uint32, bitmap []byte) *Frame {
 	return &Frame{Type: TypeSack, Seq: cum, Payload: bitmap}
 }
 
-// SackBit reports whether bit i is set in a Sack bitmap (bits beyond the
-// bitmap are unset).
-func SackBit(bitmap []byte, i int) bool {
-	if i < 0 || i/8 >= len(bitmap) {
-		return false
-	}
-	return bitmap[i/8]&(1<<(uint(i)%8)) != 0
-}
-
 // DataPacket is the header of one data-plane packet. The forwarding plane
 // carries the packet's emulated size (SizeBits) instead of padding bytes,
 // and charges each hop's link latency arithmetically into Accum: the
