@@ -181,10 +181,6 @@ func resolveTopo(name string) (*topo.Network, error) {
 	return nil, fmt.Errorf("unknown topology %q (want cairn, net1, or ring:<n>)", name)
 }
 
-// protoCost is the shared live/sim cost model: propagation delay plus a
-// small hop bias (the internal/chaos idiom).
-func protoCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
-
 // newCapture builds the telemetry capture and its Trace front when an
 // export directory was requested.
 func newCapture(dir string, numRouters int) (*telemetry.Capture, *node.Trace, error) {
@@ -219,7 +215,7 @@ func runMesh(topoName, fabric string, loss, dup, reorder float64, seed uint64, t
 	mc := node.MeshConfig{
 		Fabric:         node.Fabric(fabric),
 		Clock:          node.NewWallClock(),
-		CostOf:         protoCost,
+		CostOf:         topo.PropCost,
 		Fault:          transport.Fault{Seed: seed, LossProb: loss, DupProb: dup, ReorderProb: reorder},
 		ARQ:            transport.ARQConfig{RTO: 0.01, MaxRTO: 0.2},
 		HeartbeatEvery: hb, DeadAfter: dead,

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"minroute/internal/graph"
 	"minroute/internal/leaktest"
 	"minroute/internal/node"
 	"minroute/internal/obs"
@@ -147,9 +146,6 @@ func TestRunWatchUnreachable(t *testing.T) {
 	}
 }
 
-// protoCost mirrors the shared live/sim cost model (the mdrnode idiom).
-func protoCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
-
 // TestWatchLiveMesh is the end-to-end path: a lossy UDP ring with the
 // observability plane on, watched to convergence exactly as CI does.
 func TestWatchLiveMesh(t *testing.T) {
@@ -160,7 +156,7 @@ func TestWatchLiveMesh(t *testing.T) {
 	m, err := node.NewMesh(topo.Ring(3, 1.5*topo.Mb, 0.01), node.MeshConfig{
 		Fabric:         node.FabricUDP,
 		Clock:          node.NewWallClock(),
-		CostOf:         protoCost,
+		CostOf:         topo.PropCost,
 		Fault:          transport.Fault{Seed: 1, LossProb: 0.02},
 		ARQ:            transport.ARQConfig{RTO: 0.01, MaxRTO: 0.2},
 		HeartbeatEvery: 0.2,

@@ -9,7 +9,6 @@ import (
 	"minroute/internal/alloc"
 	"minroute/internal/core"
 	"minroute/internal/graph"
-	"minroute/internal/lfi"
 	"minroute/internal/oracle"
 	"minroute/internal/router"
 	"minroute/internal/telemetry"
@@ -70,12 +69,6 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 		}
 	}
 
-	checkLoopFree := func() {
-		log.Record(oracle.CheckLoopFreeName)
-		if err := liveLoopFree(n); err != nil {
-			log.Violate(oracle.CheckLoopFreeName, err.Error(), n.Eng.EventsFired(), n.Eng.Now())
-		}
-	}
 	checkConservation := func() {
 		log.Record(oracle.CheckConservationName)
 		if err := oracle.Conservation(ledger(n)); err != nil {
@@ -86,17 +79,17 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 		checkConservation()
 		if dirty {
 			dirty = false
-			checkLoopFree()
+			checkLoopFree(n, log, n.Eng.EventsFired(), n.Eng.Now())
 		}
 	}
 
 	// Fault schedule: each action is an engine event at its At coordinate.
-	faults := newDESFaults(n)
 	for _, act := range dueActions(s, dur, &trace) {
 		act := act
 		n.Eng.Schedule(act.At, func() {
 			fmt.Fprintf(&trace, "apply %s t=%.6f event=%d\n", act, n.Eng.Now(), n.Eng.EventsFired())
-			faults.apply(act)
+			applyDES(n, act)
+			checkAdjacency(n, log, n.Eng.EventsFired(), n.Eng.Now())
 		})
 	}
 
@@ -104,9 +97,10 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	n.BeginMeasurement()
 	n.Eng.Run(dur)
 
-	// Final sweep: the loop-freedom audit regardless of the dirty mark, and
-	// the conservation ledger one last time.
-	checkLoopFree()
+	// Final sweep: the loop-freedom audit regardless of the dirty mark, the
+	// adjacency audit, and the conservation ledger one last time.
+	checkLoopFree(n, log, n.Eng.EventsFired(), n.Eng.Now())
+	checkAdjacency(n, log, n.Eng.EventsFired(), n.Eng.Now())
 	checkConservation()
 
 	writeDESReport(&trace, n, n.Eng.EventsFired())
@@ -201,12 +195,6 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 		}
 	}
 
-	checkLoopFree := func(t float64) {
-		log.Record(oracle.CheckLoopFreeName)
-		if err := liveLoopFree(n); err != nil {
-			log.Violate(oracle.CheckLoopFreeName, err.Error(), events(), t)
-		}
-	}
 	barrier := func(t float64) {
 		ev := events()
 		for id := 0; id < numNodes; id++ {
@@ -230,13 +218,12 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 			}
 		}
 		if wasDirty {
-			checkLoopFree(t)
+			checkLoopFree(n, log, ev, t)
 		}
 	}
 
 	// Fault schedule: actions apply at the first barrier at or past their At
 	// coordinate, single-threaded with every shard clock equal.
-	faults := newDESFaults(n)
 	acts := dueActions(s, dur, &trace)
 	ai := 0
 	applyDue := func(t float64) {
@@ -245,7 +232,8 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 			ai++
 			actionsFired++
 			fmt.Fprintf(&trace, "apply %s t=%.6f event=%d\n", act, t, events())
-			faults.apply(act)
+			applyDES(n, act)
+			checkAdjacency(n, log, events(), t)
 		}
 	}
 
@@ -263,8 +251,9 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 	}
 
 	// Final sweep, mirroring the serial runner: loop freedom regardless of
-	// the dirty marks, and the conservation ledger one last time.
-	checkLoopFree(dur)
+	// the dirty marks, adjacency, and the conservation ledger one last time.
+	checkLoopFree(n, log, events(), dur)
+	checkAdjacency(n, log, events(), dur)
 	log.Record(oracle.CheckConservationName)
 	if err := oracle.Conservation(ledger(n)); err != nil {
 		log.Violate(oracle.CheckConservationName, err.Error(), events(), dur)
@@ -293,16 +282,29 @@ func desNetwork(s *Scenario) (*topo.Network, float64, error) {
 	return tn, dur, nil
 }
 
-// liveLoopFree audits the successor graph of the routers that are up.
-func liveLoopFree(n *core.Network) error {
-	views := make(map[graph.NodeID]lfi.RouterView, len(n.Nodes))
-	//lint:maporder-ok distinct-key inserts of live router views commute
-	for id, node := range n.Nodes {
-		if !node.Down() {
-			views[id] = node.Protocol()
+// checkLoopFree audits the successor graph of the routers that are up.
+func checkLoopFree(n *core.Network, log *oracle.Log, event int64, t float64) {
+	log.Record(oracle.CheckLoopFreeName)
+	if err := oracle.LoopFree(n.Graph.NumNodes(), n.LiveViews()); err != nil {
+		log.Violate(oracle.CheckLoopFreeName, err.Error(), event, t)
+	}
+}
+
+// checkAdjacency audits every live router's adjacent-link table against
+// core's effective link state. It runs after each applied action and once
+// at the end of the run: link events reach both endpoints synchronously,
+// so nothing in between can break the agreement.
+func checkAdjacency(n *core.Network, log *oracle.Log, event int64, t float64) {
+	var live []oracle.AdjacencyView
+	for _, id := range n.Graph.Nodes() {
+		if node := n.Nodes[id]; !node.Down() {
+			live = append(live, node.Protocol().Tables())
 		}
 	}
-	return oracle.LoopFree(n.Graph.NumNodes(), views)
+	log.Record(oracle.CheckAdjacencyName)
+	if err := oracle.Adjacency(live, n.LinkUp); err != nil {
+		log.Violate(oracle.CheckAdjacencyName, err.Error(), event, t)
+	}
 }
 
 // dueActions returns the scenario's actions in stable At order, leaving out
@@ -321,61 +323,29 @@ func dueActions(s *Scenario, dur float64, trace *strings.Builder) []Action {
 	return due
 }
 
-// desFaults applies scenario actions to a simulated network. Explicitly
-// failed links must survive a node restart (core.RestartNode brings every
-// adjacent port up), so the failed set is reconciled after each apply.
-type desFaults struct {
-	n       *core.Network
-	failed  map[[2]graph.NodeID]bool
-	baseCap map[[2]graph.NodeID]float64
-}
-
-func newDESFaults(n *core.Network) *desFaults {
-	f := &desFaults{
-		n:       n,
-		failed:  make(map[[2]graph.NodeID]bool),
-		baseCap: make(map[[2]graph.NodeID]float64),
-	}
-	for _, l := range n.Graph.Links() {
-		f.baseCap[[2]graph.NodeID{l.From, l.To}] = l.Capacity
-	}
-	return f
-}
-
-func (f *desFaults) apply(act Action) {
-	n := f.n
-	down := func(v graph.NodeID) bool { return n.Nodes[v].Down() }
+// applyDES applies one scenario action to a simulated network. core.Network
+// keeps the effective link state itself (core.LinkUp), so any action order
+// is valid as given.
+func applyDES(n *core.Network, act Action) {
 	switch act.Kind {
 	case KindFail:
 		n.FailLink(act.A, act.B)
-		f.failed[linkKey(act.A, act.B)] = true
 	case KindRestore:
-		f.failed[linkKey(act.A, act.B)] = false
-		if !down(act.A) && !down(act.B) {
-			n.RestoreLink(act.A, act.B)
-		}
+		n.RestoreLink(act.A, act.B)
 	case KindCost:
-		// In the packet simulator a cost spike is a capacity drop: the
-		// protocol sees it through its own measured link costs. Core never
-		// originates this fault, so mark it here.
+		// In the packet simulator a cost spike is a capacity drop below the
+		// topology's figure: the protocol sees it through its own measured
+		// link costs. Core never originates this fault, so mark it here.
 		n.MarkFault(true, fmt.Sprintf("cost %d-%d x%g", act.A, act.B, act.Factor))
 		for _, pair := range [][2]graph.NodeID{{act.A, act.B}, {act.B, act.A}} {
-			if p, ok := n.Ports[pair]; ok {
-				p.Capacity = f.baseCap[pair] / act.Factor
+			if l, ok := n.Graph.Link(pair[0], pair[1]); ok {
+				n.Ports[pair].Capacity = l.Capacity / act.Factor
 			}
 		}
 	case KindCrash:
 		n.CrashNode(act.Node)
 	case KindRestart:
-		if !down(act.Node) {
-			return
-		}
 		n.RestartNode(act.Node)
-		for _, k := range n.Graph.Neighbors(act.Node) {
-			if f.failed[linkKey(act.Node, k)] {
-				n.FailLink(act.Node, k)
-			}
-		}
 	case KindPerturb:
 		// No-op: the simulator's control band is lossless by construction,
 		// implementing the paper's reliable-delivery assumption. The

@@ -13,6 +13,7 @@ import (
 	"minroute/internal/oracle"
 	"minroute/internal/protonet"
 	"minroute/internal/telemetry"
+	"minroute/internal/topo"
 )
 
 // protoBudget bounds delivery attempts per scenario; exceeding it is a
@@ -36,6 +37,13 @@ func (r *Result) Failed() bool { return r.Log.Failed() }
 
 func finishTrace(b *strings.Builder, log *oracle.Log) (string, string) {
 	for _, c := range log.Counts() {
+		// The adjacency oracle runs once per applied action plus once at the
+		// end, so its count restates the schedule. It stays out of the hashed
+		// transcript (Result.Log carries it): the checked-in fixture hashes
+		// pin protocol behavior, not the oracle roster.
+		if c.Check == oracle.CheckAdjacencyName {
+			continue
+		}
 		fmt.Fprintf(b, "check %s ran %d\n", c.Check, c.Count)
 	}
 	for _, v := range log.Violations {
@@ -46,12 +54,8 @@ func finishTrace(b *strings.Builder, log *oracle.Log) (string, string) {
 	return trace, hex.EncodeToString(sum[:])
 }
 
-// protoCost is the protocol-level link cost (the mpda test idiom:
-// propagation delay plus a small per-hop charge).
-func protoCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
-
 type linkParams struct {
-	capacity, prop float64
+	capacity, prop, cost float64
 }
 
 func linkKey(a, b graph.NodeID) [2]graph.NodeID {
@@ -116,6 +120,27 @@ func (st *protoState) emitFault(k telemetry.Kind, label string) {
 
 func (st *protoState) costOf(a, b graph.NodeID) float64 { return st.cost[linkKey(a, b)] }
 
+// linkUp is the effective link state: not explicitly failed, neither
+// endpoint crashed.
+func (st *protoState) linkUp(a, b graph.NodeID) bool {
+	return !st.failed[linkKey(a, b)] && !st.crashed[a] && !st.crashed[b]
+}
+
+// checkAdjacency audits every live router's adjacent-link table against
+// linkUp (see the DES runner's checkAdjacency for the cadence).
+func (st *protoState) checkAdjacency(log *oracle.Log) {
+	var live []oracle.AdjacencyView
+	for _, id := range st.g.Nodes() {
+		if !st.crashed[id] {
+			live = append(live, st.routers[id].Tables())
+		}
+	}
+	log.Record(oracle.CheckAdjacencyName)
+	if err := oracle.Adjacency(live, st.linkUp); err != nil {
+		log.Violate(oracle.CheckAdjacencyName, err.Error(), int64(st.net.Attempts()), 0)
+	}
+}
+
 func (st *protoState) apply(act Action) {
 	switch act.Kind {
 	case KindFail:
@@ -133,7 +158,7 @@ func (st *protoState) apply(act Action) {
 	case KindCost:
 		st.emitFault(telemetry.KindFaultStart, fmt.Sprintf("cost %d-%d x%g", act.A, act.B, act.Factor))
 		key := linkKey(act.A, act.B)
-		st.cost[key] = (st.base[key].prop + 1e-4) * act.Factor
+		st.cost[key] = st.base[key].cost * act.Factor
 		if _, up := st.g.Link(act.A, act.B); up {
 			st.net.ChangeCost(act.A, act.B, st.cost[key])
 			st.net.ChangeCost(act.B, act.A, st.cost[key])
@@ -178,7 +203,7 @@ func (st *protoState) apply(act Action) {
 // restoreIfDue brings key back up when the effective state says it should
 // be: not explicitly failed, neither endpoint crashed, not already present.
 func (st *protoState) restoreIfDue(key [2]graph.NodeID) {
-	if st.failed[key] || st.crashed[key[0]] || st.crashed[key[1]] {
+	if !st.linkUp(key[0], key[1]) {
 		return
 	}
 	if _, up := st.g.Link(key[0], key[1]); up {
@@ -238,8 +263,8 @@ func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	for _, l := range g.Links() {
 		if l.From < l.To {
 			key := linkKey(l.From, l.To)
-			st.base[key] = linkParams{capacity: l.Capacity, prop: l.PropDelay}
-			st.cost[key] = protoCost(l)
+			st.base[key] = linkParams{capacity: l.Capacity, prop: l.PropDelay, cost: topo.PropCost(l)}
+			st.cost[key] = st.base[key].cost
 		}
 	}
 	for _, id := range g.Nodes() {
@@ -264,6 +289,7 @@ func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	st.net.BringUpAll(func(l *graph.Link) float64 { return st.costOf(l.From, l.To) })
 
 	quiesced := runProtoSchedule(st, s, &trace, log)
+	st.checkAdjacency(log)
 
 	if quiesced {
 		activeViews := make(map[graph.NodeID]oracle.ActiveView, len(st.routers))
@@ -317,6 +343,7 @@ func runProtoSchedule(st *protoState, s *Scenario, trace *strings.Builder, log *
 		}
 		fmt.Fprintf(trace, "apply %s at attempts=%d delivered=%d\n", act, st.net.Attempts(), st.net.Delivered())
 		st.apply(act)
+		st.checkAdjacency(log)
 	}
 	for st.net.Step() {
 		if st.net.Attempts() > protoBudget {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"minroute/internal/graph"
+	"minroute/internal/oracle"
 	"minroute/internal/simpool"
 )
 
@@ -85,16 +86,34 @@ func TestScrambledSchedulesAreSafe(t *testing.T) {
 			{Kind: KindRestore, Steps: 20, At: 2, A: 0, B: 1}, // endpoint still crashed
 			{Kind: KindRestart, Steps: 40, At: 3, Node: 0},    // now the restore is due
 		},
+		{
+			// Restart beside a crashed neighbor: link 0-1 cannot carry LSUs, so
+			// the reborn router 0 must not announce it (the DES once did, and
+			// sat ACTIVE for the rest of the run; the adjacency oracle fires).
+			{Kind: KindCrash, Steps: 20, At: 1, Node: 0},
+			{Kind: KindCrash, Steps: 20, At: 1.5, Node: 1},
+			{Kind: KindRestart, Steps: 40, At: 3, Node: 0},
+		},
+	}
+	runners := map[string]func(*Scenario) (*Result, error){
+		"proto": RunProto, "des": RunDES,
+		"des-sharded": func(s *Scenario) (*Result, error) { return RunDESShardedWith(s, 2, nil) },
 	}
 	for i, actions := range scrambles {
 		s := &Scenario{Name: "scramble", Topo: TopoNET1, Seed: uint64(i + 1), Flows: 3, Duration: 6, Actions: actions}
-		for name, fn := range map[string]func(*Scenario) (*Result, error){"proto": RunProto, "des": RunDES} {
+		for name, fn := range runners {
 			res, err := fn(s)
 			if err != nil {
 				t.Fatalf("scramble %d %s: %v", i, name, err)
 			}
 			if res.Failed() {
 				t.Fatalf("scramble %d %s: %v", i, name, res.Log.Violations)
+			}
+			// The adjacency oracle audits after every action and at the end.
+			for _, c := range res.Log.Counts() {
+				if c.Check == oracle.CheckAdjacencyName && c.Count != int64(len(actions)+1) {
+					t.Fatalf("scramble %d %s: adjacency oracle ran %d times for %d actions", i, name, c.Count, len(actions))
+				}
 			}
 		}
 	}

@@ -124,6 +124,9 @@ type Network struct {
 	flowMaxSerial []uint64
 	flowLate      []int64
 	flowArrived   []int64
+	// failed holds the explicitly failed duplex links (see LinkUp), under
+	// both directed keys like Ports.
+	failed map[[2]graph.NodeID]bool
 }
 
 // ControlMessages returns the LSU transmissions since the run began,
@@ -179,6 +182,7 @@ func Build(net *topo.Network, opt Options) *Network {
 		opt:         opt,
 		engines:     make([]*des.Engine, shards),
 		shardOf:     make([]int, numNodes),
+		failed:      make(map[[2]graph.NodeID]bool),
 	}
 	// Every shard engine is seeded identically. That is deliberate: nothing
 	// ever draws from a root RNG directly — routers and sources derive
@@ -365,7 +369,7 @@ func Build(net *topo.Network, opt Options) *Network {
 		stream := eng.RNG().Split(0x7afc + uint64(x))
 		node := n.Nodes[f.Src]
 		eng.WithOrigin(des.PriSource(uint64(x)), func() {
-			src.Start(eng, stream, func(bits float64) {
+			src.Start(func(d float64, fn func()) { eng.After(d, fn) }, stream, func(bits float64) {
 				if n.warmupDone {
 					n.SentPackets[x]++
 				}
@@ -493,6 +497,23 @@ func (n *Network) BeginMeasurement() {
 	n.warmupDone = true
 }
 
+// LinkUp reports the effective state of the duplex link a↔b: up iff it is
+// not explicitly failed and neither endpoint is crashed — the rule chaos's
+// protocol-level runner applies. The fault entry points below reconcile
+// ports and routers against it, so any action order is valid as given.
+func (n *Network) LinkUp(a, b graph.NodeID) bool {
+	return !n.failed[[2]graph.NodeID{a, b}] && !n.Nodes[a].Down() && !n.Nodes[b].Down()
+}
+
+// setPorts takes both directions of a↔b down or up.
+func (n *Network) setPorts(a, b graph.NodeID, down bool) {
+	for _, pair := range [][2]graph.NodeID{{a, b}, {b, a}} {
+		if p, ok := n.Ports[pair]; ok {
+			p.SetDown(down)
+		}
+	}
+}
+
 // CrashNode takes router v down hard at the current simulation time: its
 // ports stop carrying traffic in both directions, every neighbor sees the
 // adjacent link fail, and the router itself loses all protocol state (see
@@ -505,56 +526,60 @@ func (n *Network) CrashNode(v graph.NodeID) {
 	n.emitFault(telemetry.KindFaultStart, fmt.Sprintf("crash %d", v), v, graph.None)
 	node.Crash()
 	for _, k := range n.Graph.Neighbors(v) {
-		for _, pair := range [][2]graph.NodeID{{v, k}, {k, v}} {
-			if p, ok := n.Ports[pair]; ok {
-				p.SetDown(true)
-			}
-		}
+		n.setPorts(v, k, true)
 		n.Nodes[k].LinkFailed(v)
 	}
 }
 
-// RestartNode boots a crashed router from scratch and brings its adjacent
-// links back up on both sides.
+// RestartNode boots a crashed router from scratch and brings back, on both
+// sides, the adjacent links LinkUp allows; the rest stay down (router.Start
+// announces only neighbors whose port is up).
 func (n *Network) RestartNode(v graph.NodeID) {
 	node, ok := n.Nodes[v]
 	if !ok || !node.Down() {
 		return
 	}
 	n.emitFault(telemetry.KindFaultStop, fmt.Sprintf("restart %d", v), v, graph.None)
+	var up []graph.NodeID
 	for _, k := range n.Graph.Neighbors(v) {
-		for _, pair := range [][2]graph.NodeID{{v, k}, {k, v}} {
-			if p, ok := n.Ports[pair]; ok {
-				p.SetDown(false)
-			}
+		// v itself still reads Down until Restart, so apply the rest of the
+		// LinkUp rule by hand.
+		if !n.failed[[2]graph.NodeID{v, k}] && !n.Nodes[k].Down() {
+			n.setPorts(v, k, false)
+			up = append(up, k)
 		}
 	}
 	node.Restart()
-	for _, k := range n.Graph.Neighbors(v) {
+	for _, k := range up {
 		n.Nodes[k].LinkRecovered(v)
 	}
 }
 
-// FailLink takes the duplex link a↔b down at the current simulation time.
+// FailLink takes the duplex link a↔b down at the current simulation time;
+// it stays down, across crashes and restarts of its endpoints, until
+// RestoreLink.
 func (n *Network) FailLink(a, b graph.NodeID) {
 	n.emitFault(telemetry.KindFaultStart, fmt.Sprintf("link-fail %d-%d", a, b), a, b)
-	for _, pair := range [][2]graph.NodeID{{a, b}, {b, a}} {
-		if p, ok := n.Ports[pair]; ok {
-			p.SetDown(true)
-		}
-	}
+	n.failed[[2]graph.NodeID{a, b}], n.failed[[2]graph.NodeID{b, a}] = true, true
+	n.setPorts(a, b, true)
 	n.Nodes[a].LinkFailed(b)
 	n.Nodes[b].LinkFailed(a)
 }
 
-// RestoreLink brings the duplex link a↔b back up.
+// RestoreLink repairs an explicitly failed link. The link comes back now
+// if both endpoints are up, and otherwise when the crashed one restarts;
+// restoring a link that is not failed does nothing.
 func (n *Network) RestoreLink(a, b graph.NodeID) {
-	n.emitFault(telemetry.KindFaultStop, fmt.Sprintf("link-restore %d-%d", a, b), a, b)
-	for _, pair := range [][2]graph.NodeID{{a, b}, {b, a}} {
-		if p, ok := n.Ports[pair]; ok {
-			p.SetDown(false)
-		}
+	if !n.failed[[2]graph.NodeID{a, b}] {
+		return
 	}
+	delete(n.failed, [2]graph.NodeID{a, b})
+	delete(n.failed, [2]graph.NodeID{b, a})
+	if !n.LinkUp(a, b) {
+		return
+	}
+	n.emitFault(telemetry.KindFaultStop, fmt.Sprintf("link-restore %d-%d", a, b), a, b)
+	n.setPorts(a, b, false)
 	n.Nodes[a].LinkRecovered(b)
 	n.Nodes[b].LinkRecovered(a)
 }
@@ -619,20 +644,25 @@ func (n *Network) ExportTelemetry(dir, prefix string) error {
 	return n.tel.Export(dir, prefix)
 }
 
-// CheckLoopFree audits the instantaneous successor graph of every
-// destination (Theorem 3) — callable at any simulation time.
-func (n *Network) CheckLoopFree() error {
+// LiveViews returns the protocol state of every router that is up, keyed
+// by ID — the view set the loop-freedom oracles audit. A crashed router
+// forwards nothing; its abandoned successor sets are not part of the live
+// routing graph.
+func (n *Network) LiveViews() map[graph.NodeID]lfi.RouterView {
 	views := make(map[graph.NodeID]lfi.RouterView, len(n.Nodes))
 	//lint:maporder-ok distinct-key inserts of a pure accessor's result commute
 	for id, node := range n.Nodes {
-		if node.Down() {
-			// A crashed router forwards nothing; its abandoned successor
-			// sets are not part of the live routing graph.
-			continue
+		if !node.Down() {
+			views[id] = node.Protocol()
 		}
-		views[id] = node.Protocol()
 	}
-	return lfi.CheckAllDestinations(n.Graph.NumNodes(), views)
+	return views
+}
+
+// CheckLoopFree audits the instantaneous successor graph of every
+// destination (Theorem 3) — callable at any simulation time.
+func (n *Network) CheckLoopFree() error {
+	return lfi.CheckAllDestinations(n.Graph.NumNodes(), n.LiveViews())
 }
 
 // Report summarizes a run.

@@ -8,6 +8,7 @@ import (
 	"minroute/internal/gallager"
 	"minroute/internal/graph"
 	"minroute/internal/router"
+	"minroute/internal/telemetry"
 	"minroute/internal/topo"
 	"minroute/internal/traffic"
 )
@@ -144,16 +145,29 @@ func TestLinkFailureRerouting(t *testing.T) {
 }
 
 func TestOnOffSources(t *testing.T) {
-	net := topo.NET1()
-	o := quickOptions(router.ModeMP, 11)
-	o.Source = func(f topo.Flow) traffic.Source {
-		return traffic.OnOff{RateBits: f.Rate, MeanPacketBits: 8000, PeakFactor: 4, MeanOn: 0.2}
-	}
-	rep := Build(net, o).Run()
-	for x := range rep.FlowNames {
-		if rep.Delivered[x] == 0 {
-			t.Fatalf("bursty flow %d delivered nothing", x)
-		}
+	for name, src := range map[string]func(f topo.Flow) traffic.Source{
+		"onoff": func(f topo.Flow) traffic.Source {
+			return traffic.OnOff{RateBits: f.Rate, MeanPacketBits: 8000, PeakFactor: 4, MeanOn: 0.2}
+		},
+		// The lock-step adversary, once live-only, through the same option.
+		"adversary": func(f topo.Flow) traffic.Source {
+			return traffic.Adversary{RateBits: f.Rate, PacketBits: 8000, PeakFactor: 4, OnLen: 0.2}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := quickOptions(router.ModeMP, 11)
+			o.Source = src
+			n := Build(topo.NET1(), o)
+			rep := n.Run()
+			for x := range rep.FlowNames {
+				if rep.Delivered[x] == 0 {
+					t.Fatalf("bursty flow %d delivered nothing", x)
+				}
+			}
+			if err := n.CheckLoopFree(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -385,5 +399,103 @@ func TestFlowletSwitchingCutsReordering(t *testing.T) {
 		if fl.Delivered[x] == 0 {
 			t.Fatalf("flow %d starved under flowlets", x)
 		}
+	}
+}
+
+// ringNet is the chaos harness's ring:6 with one flow across it.
+func ringNet() *topo.Network {
+	return &topo.Network{
+		Graph: topo.Ring(6, 5e6, 1e-3),
+		Flows: []topo.Flow{{Name: "f0:2->5", Src: 2, Dst: 5, Rate: 150e3}},
+	}
+}
+
+// believesLink reports whether router a holds an adjacent cost for b.
+func believesLink(n *Network, a, b graph.NodeID) bool {
+	_, ok := n.Nodes[a].Protocol().Tables().AdjCost(b)
+	return ok
+}
+
+// TestRestartBesideCrashedNeighbor: crash 0, crash 1, restart 0. Link 0–1
+// cannot carry an LSU while 1 is down, so the restarted router 0 must not
+// announce it — otherwise it floods 1, waits for an ACK that cannot come,
+// and sits ACTIVE for the rest of the run. The link comes back when 1
+// restarts.
+func TestRestartBesideCrashedNeighbor(t *testing.T) {
+	o := quickOptions(router.ModeMP, 3)
+	n := Build(ringNet(), o)
+	n.Start()
+	n.RunUntil(1)
+	n.CrashNode(0)
+	n.RunUntil(1.5)
+	n.CrashNode(1)
+	n.RunUntil(3)
+	n.RestartNode(0)
+	if n.LinkUp(0, 1) || !n.LinkUp(0, 5) {
+		t.Fatalf("LinkUp(0,1)=%v LinkUp(0,5)=%v after restart beside a crashed neighbor", n.LinkUp(0, 1), n.LinkUp(0, 5))
+	}
+	n.RunUntil(10)
+	if believesLink(n, 0, 1) {
+		t.Fatal("router 0 believes link 0-1 up while router 1 is down")
+	}
+	for _, k := range n.Nodes[0].Protocol().Successors(1) {
+		if k == 1 {
+			t.Fatal("router 0 routes to crashed router 1 over the dead link")
+		}
+	}
+	if n.Nodes[0].Protocol().Active() {
+		t.Fatal("router 0 stuck ACTIVE waiting on a crashed neighbor")
+	}
+	if !n.Ports[[2]graph.NodeID{0, 1}].Down() || n.Ports[[2]graph.NodeID{0, 5}].Down() {
+		t.Fatal("restart raised the port toward the crashed neighbor, or left the live one down")
+	}
+
+	n.RestartNode(1)
+	n.RunUntil(14)
+	if !believesLink(n, 0, 1) || !believesLink(n, 1, 0) {
+		t.Fatal("link 0-1 did not come back when router 1 restarted")
+	}
+	if err := n.CheckLoopFree(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedLinkSurvivesRestart: an explicitly failed link stays down across
+// a crash and restart of an endpoint — with one fault marker, not a second
+// one for a re-failure nobody injected — comes back on RestoreLink, and a
+// restore while an endpoint is down takes effect at that endpoint's restart.
+func TestFailedLinkSurvivesRestart(t *testing.T) {
+	o := quickOptions(router.ModeMP, 4)
+	o.Telemetry = telemetry.NewCapture(6)
+	n := Build(ringNet(), o)
+	n.Start()
+	n.RunUntil(1)
+	n.FailLink(0, 1)
+	n.CrashNode(0)
+	n.RunUntil(2)
+	n.RestartNode(0)
+	n.RunUntil(4)
+	if believesLink(n, 0, 1) || believesLink(n, 1, 0) || n.LinkUp(0, 1) {
+		t.Fatal("explicitly failed link 0-1 came back with the restart of router 0")
+	}
+	fails := 0
+	for _, ev := range o.Telemetry.Trace.Events() {
+		if ev.Kind == telemetry.KindFaultStart && ev.Label == "link-fail 0-1" {
+			fails++
+		}
+	}
+	if fails != 1 {
+		t.Fatalf("%d link-fail 0-1 markers, want the one injected", fails)
+	}
+
+	n.CrashNode(1)
+	n.RestoreLink(0, 1) // repaired while 1 is down: nothing to raise yet
+	if n.LinkUp(0, 1) || believesLink(n, 0, 1) {
+		t.Fatal("restore raised a link whose endpoint is crashed")
+	}
+	n.RestartNode(1)
+	n.RunUntil(8)
+	if !believesLink(n, 0, 1) || !believesLink(n, 1, 0) {
+		t.Fatal("repaired link 0-1 did not come up when router 1 restarted")
 	}
 }

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -10,25 +9,6 @@ import (
 	"minroute/internal/leaktest"
 	"minroute/internal/transport"
 )
-
-// testClock is a settable manual clock: forwarder tests pin Now so the
-// emulated Accum term is the whole measured delay.
-type testClock struct {
-	mu  sync.Mutex
-	now float64
-}
-
-func (c *testClock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *testClock) AfterFunc(d float64, fn func()) transport.Timer { return noopTimer{} }
-
-type noopTimer struct{}
-
-func (noopTimer) Stop() bool { return false }
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -75,7 +55,7 @@ func line3(t *testing.T, clk transport.Clock, hopLatency float64, ttl uint8) []*
 // the sink's flow stats carry the exact arithmetic delay.
 func TestForwarderDelivery(t *testing.T) {
 	leaktest.Check(t)
-	clk := &testClock{}
+	clk := transport.NewVirtualClock()
 	fs := line3(t, clk, 0.001, 0)
 
 	const flow = 42
@@ -103,7 +83,7 @@ func TestForwarderDelivery(t *testing.T) {
 // TestForwarderSelfDelivery: a packet to self sinks immediately, no hops.
 func TestForwarderSelfDelivery(t *testing.T) {
 	leaktest.Check(t)
-	clk := &testClock{}
+	clk := transport.NewVirtualClock()
 	fs := line3(t, clk, 0.001, 0)
 	if err := fs[1].Send(1, 7, 100); err != nil {
 		t.Fatal(err)
@@ -121,7 +101,7 @@ func TestForwarderSelfDelivery(t *testing.T) {
 // mid-relay and counts as ttl_expired, not delivery.
 func TestForwarderTTLExpiry(t *testing.T) {
 	leaktest.Check(t)
-	clk := &testClock{}
+	clk := transport.NewVirtualClock()
 	fs := line3(t, clk, 0, 2) // needs 2 hops: TTL 2 dies at node 2? No — dies where TTL<=1 on relay.
 	// TTL=2: node 1 decrements to 1 and forwards; node 2 is the
 	// destination, so this delivers. Route 0->1 with TTL exhausted en
@@ -147,7 +127,7 @@ func TestForwarderTTLExpiry(t *testing.T) {
 // reaching its destination is a loop-freedom violation — counted, dropped.
 func TestForwarderLoopDetection(t *testing.T) {
 	leaktest.Check(t)
-	clk := &testClock{}
+	clk := transport.NewVirtualClock()
 	fs := line3(t, clk, 0, 0)
 	// Sabotage: nodes 0 and 1 both claim the other is the way to 3.
 	fs[0].Publish([]Entry{{Dst: 3, Hops: []graph.NodeID{1}, Weights: []float64{1}}})
@@ -165,7 +145,7 @@ func TestForwarderLoopDetection(t *testing.T) {
 // and count.
 func TestForwarderNoRoute(t *testing.T) {
 	leaktest.Check(t)
-	clk := &testClock{}
+	clk := transport.NewVirtualClock()
 	mn := transport.NewMemNet()
 	f := New(Config{Self: 0, Nodes: 2, Conn: mn.Bind(), Clock: clk})
 	defer f.Close()
@@ -191,7 +171,7 @@ func TestForwarderNoRoute(t *testing.T) {
 // population's hash spread).
 func TestForwarderWeightedSplit(t *testing.T) {
 	leaktest.Check(t)
-	clk := &testClock{}
+	clk := transport.NewVirtualClock()
 	mn := transport.NewMemNet()
 	f := New(Config{Self: 0, Nodes: 4, Conn: mn.Bind(), Clock: clk})
 	defer f.Close()

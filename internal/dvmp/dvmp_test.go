@@ -14,8 +14,6 @@ import (
 	"minroute/internal/topo"
 )
 
-func propCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
-
 func buildNet(t *testing.T, g *graph.Graph, seed uint64, costOf func(l *graph.Link) float64) (*protonet.Net, map[graph.NodeID]*Router) {
 	t.Helper()
 	net := protonet.New(g, seed)
@@ -82,30 +80,30 @@ func checkConverged(t *testing.T, g *graph.Graph, routers map[graph.NodeID]*Rout
 
 func TestDVMPConvergesRing(t *testing.T) {
 	g := topo.Ring(6, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 1, propCost)
+	net, routers := buildNet(t, g, 1, topo.PropCost)
 	net.Run(200000)
-	checkConverged(t, g, routers, propCost)
+	checkConverged(t, g, routers, topo.PropCost)
 }
 
 func TestDVMPConvergesGrid(t *testing.T) {
 	g := topo.Grid(3, 3, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 2, propCost)
+	net, routers := buildNet(t, g, 2, topo.PropCost)
 	net.Run(500000)
-	checkConverged(t, g, routers, propCost)
+	checkConverged(t, g, routers, topo.PropCost)
 }
 
 func TestDVMPConvergesNET1(t *testing.T) {
 	n := topo.NET1()
-	net, routers := buildNet(t, n.Graph, 3, propCost)
+	net, routers := buildNet(t, n.Graph, 3, topo.PropCost)
 	net.Run(1000000)
-	checkConverged(t, n.Graph, routers, propCost)
+	checkConverged(t, n.Graph, routers, topo.PropCost)
 }
 
 func TestDVMPConvergesCAIRN(t *testing.T) {
 	n := topo.CAIRN()
-	net, routers := buildNet(t, n.Graph, 4, propCost)
+	net, routers := buildNet(t, n.Graph, 4, topo.PropCost)
 	net.Run(3000000)
-	checkConverged(t, n.Graph, routers, propCost)
+	checkConverged(t, n.Graph, routers, topo.PropCost)
 }
 
 func TestDVMPUnequalCostMultipath(t *testing.T) {
@@ -126,7 +124,7 @@ func TestDVMPReconvergesAfterCostChange(t *testing.T) {
 		if c, ok := costs[[2]graph.NodeID{l.From, l.To}]; ok {
 			return c
 		}
-		return propCost(l)
+		return topo.PropCost(l)
 	}
 	net, routers := buildNet(t, g, 6, costOf)
 	net.Run(200000)
@@ -138,14 +136,14 @@ func TestDVMPReconvergesAfterCostChange(t *testing.T) {
 
 func TestDVMPLoopFreeUnderFailures(t *testing.T) {
 	g := topo.Grid(3, 3, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 7, propCost)
+	net, routers := buildNet(t, g, 7, topo.PropCost)
 	net.Run(500000)
 	net.FailLink(0, 1)
 	for i := 0; i < 40 && net.Step(); i++ {
 	}
 	net.FailLink(4, 5)
 	net.Run(500000)
-	checkConverged(t, g, routers, propCost)
+	checkConverged(t, g, routers, topo.PropCost)
 }
 
 func TestDVMPPartitionNoCountToInfinity(t *testing.T) {
@@ -153,7 +151,7 @@ func TestDVMPPartitionNoCountToInfinity(t *testing.T) {
 	// unreachable side become infinite (via the hop-count horizon) with the
 	// protocol quiescing.
 	g := topo.Ring(4, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 8, propCost)
+	net, routers := buildNet(t, g, 8, topo.PropCost)
 	net.Run(200000)
 	net.FailLink(1, 2)
 	net.FailLink(3, 0)
@@ -165,14 +163,14 @@ func TestDVMPPartitionNoCountToInfinity(t *testing.T) {
 		t.Fatal("successors survive partition")
 	}
 	// Heal and reconverge.
-	net.RestoreLink(1, 2, 1e6, 1e-3, propCost(&graph.Link{PropDelay: 1e-3}))
+	net.RestoreLink(1, 2, 1e6, 1e-3, topo.PropCost(&graph.Link{PropDelay: 1e-3}))
 	net.Run(200000)
-	checkConverged(t, g, routers, propCost)
+	checkConverged(t, g, routers, topo.PropCost)
 }
 
 func TestDVMPBestSuccessorAchievesDistance(t *testing.T) {
 	n := topo.NET1()
-	net, routers := buildNet(t, n.Graph, 9, propCost)
+	net, routers := buildNet(t, n.Graph, 9, topo.PropCost)
 	net.Run(1000000)
 	for _, i := range n.Graph.Nodes() {
 		r := routers[i]
@@ -212,12 +210,12 @@ func TestDVMPPropertyRandomGraphs(t *testing.T) {
 				ok = false
 			}
 		}
-		net.BringUpAll(propCost)
+		net.BringUpAll(topo.PropCost)
 		net.Run(3000000)
 		if !ok {
 			return false
 		}
-		view := dijkstra.GraphView{G: g, Cost: propCost}
+		view := dijkstra.GraphView{G: g, Cost: topo.PropCost}
 		for _, id := range g.Nodes() {
 			truth := dijkstra.Run(view, id)
 			for j := 0; j < n; j++ {
@@ -248,7 +246,7 @@ func TestDVMPNilSenderPanics(t *testing.T) {
 
 func TestDVMPIgnoresStaleMessages(t *testing.T) {
 	g := topo.Ring(3, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 10, propCost)
+	net, routers := buildNet(t, g, 10, topo.PropCost)
 	net.Run(100000)
 	r := routers[0]
 	r.LinkDown(1)

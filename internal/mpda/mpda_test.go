@@ -14,8 +14,6 @@ import (
 	"minroute/internal/topo"
 )
 
-func propCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
-
 // buildNet wires one MPDA router per node into a protonet harness with the
 // loop-freedom and FD-ordering invariants checked after every delivery.
 func buildNet(t *testing.T, g *graph.Graph, seed uint64, costOf func(l *graph.Link) float64) (*protonet.Net, map[graph.NodeID]*Router) {
@@ -87,30 +85,30 @@ func checkTheorem4(t *testing.T, g *graph.Graph, routers map[graph.NodeID]*Route
 
 func TestMPDAConvergesRing(t *testing.T) {
 	g := topo.Ring(6, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 1, propCost)
+	net, routers := buildNet(t, g, 1, topo.PropCost)
 	net.Run(100000)
-	checkTheorem4(t, g, routers, propCost)
+	checkTheorem4(t, g, routers, topo.PropCost)
 }
 
 func TestMPDAConvergesGrid(t *testing.T) {
 	g := topo.Grid(3, 3, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 2, propCost)
+	net, routers := buildNet(t, g, 2, topo.PropCost)
 	net.Run(100000)
-	checkTheorem4(t, g, routers, propCost)
+	checkTheorem4(t, g, routers, topo.PropCost)
 }
 
 func TestMPDAConvergesCAIRN(t *testing.T) {
 	n := topo.CAIRN()
-	net, routers := buildNet(t, n.Graph, 3, propCost)
+	net, routers := buildNet(t, n.Graph, 3, topo.PropCost)
 	net.Run(2000000)
-	checkTheorem4(t, n.Graph, routers, propCost)
+	checkTheorem4(t, n.Graph, routers, topo.PropCost)
 }
 
 func TestMPDAConvergesNET1(t *testing.T) {
 	n := topo.NET1()
-	net, routers := buildNet(t, n.Graph, 4, propCost)
+	net, routers := buildNet(t, n.Graph, 4, topo.PropCost)
 	net.Run(1000000)
-	checkTheorem4(t, n.Graph, routers, propCost)
+	checkTheorem4(t, n.Graph, routers, topo.PropCost)
 }
 
 // TestMPDAUnequalCostMultipath demonstrates the headline capability: NET1
@@ -147,7 +145,7 @@ func TestMPDAUnequalCostMultipath(t *testing.T) {
 
 func TestMPDABestSuccessorMatchesPreferred(t *testing.T) {
 	n := topo.NET1()
-	net, routers := buildNet(t, n.Graph, 7, propCost)
+	net, routers := buildNet(t, n.Graph, 7, topo.PropCost)
 	net.Run(1000000)
 	for _, i := range n.Graph.Nodes() {
 		r := routers[i]
@@ -177,7 +175,7 @@ func TestMPDALoopFreeUnderCostChurn(t *testing.T) {
 		if c, ok := costs[[2]graph.NodeID{l.From, l.To}]; ok {
 			return c
 		}
-		return propCost(l)
+		return topo.PropCost(l)
 	}
 	net, routers := buildNet(t, g, 8, costOf)
 	net.Run(500000)
@@ -199,19 +197,19 @@ func TestMPDALoopFreeUnderCostChurn(t *testing.T) {
 
 func TestMPDALoopFreeUnderLinkFailures(t *testing.T) {
 	g := topo.Grid(3, 3, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 9, propCost)
+	net, routers := buildNet(t, g, 9, topo.PropCost)
 	net.Run(500000)
 	net.FailLink(0, 1)
 	for i := 0; i < 30 && net.Step(); i++ {
 	}
 	net.FailLink(4, 5)
 	net.Run(500000)
-	checkTheorem4(t, g, routers, propCost)
+	checkTheorem4(t, g, routers, topo.PropCost)
 }
 
 func TestMPDARecoversAfterPartitionHeals(t *testing.T) {
 	g := topo.Ring(4, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 10, propCost)
+	net, routers := buildNet(t, g, 10, topo.PropCost)
 	net.Run(100000)
 	// Partition the ring: nodes {0,1} vs {2,3} by cutting 1-2 and 3-0.
 	net.FailLink(1, 2)
@@ -220,9 +218,9 @@ func TestMPDARecoversAfterPartitionHeals(t *testing.T) {
 	if !math.IsInf(routers[0].Dist(2), 1) {
 		t.Fatalf("node 0 still has finite distance to 2 after partition: %v", routers[0].Dist(2))
 	}
-	net.RestoreLink(1, 2, 1e6, 1e-3, propCost(&graph.Link{PropDelay: 1e-3}))
+	net.RestoreLink(1, 2, 1e6, 1e-3, topo.PropCost(&graph.Link{PropDelay: 1e-3}))
 	net.Run(100000)
-	checkTheorem4(t, g, routers, propCost)
+	checkTheorem4(t, g, routers, topo.PropCost)
 }
 
 func TestMPDAPropertyRandomGraphsRandomSchedules(t *testing.T) {
@@ -245,13 +243,13 @@ func TestMPDAPropertyRandomGraphsRandomSchedules(t *testing.T) {
 				ok = false
 			}
 		}
-		net.BringUpAll(propCost)
+		net.BringUpAll(topo.PropCost)
 		net.Run(2000000)
 		if !ok {
 			return false
 		}
 		// Liveness spot check: distances correct at every router.
-		view := dijkstra.GraphView{G: g, Cost: propCost}
+		view := dijkstra.GraphView{G: g, Cost: topo.PropCost}
 		for _, id := range g.Nodes() {
 			truth := dijkstra.Run(view, id)
 			for j := 0; j < n; j++ {
@@ -283,7 +281,7 @@ func TestMPDANilSenderPanics(t *testing.T) {
 func TestMPDAIsolatedRouter(t *testing.T) {
 	// A router whose only link fails must stay passive and harmless.
 	g := topo.Ring(3, 1e6, 1e-3)
-	net, routers := buildNet(t, g, 11, propCost)
+	net, routers := buildNet(t, g, 11, topo.PropCost)
 	net.Run(100000)
 	r := routers[0]
 	r.LinkDown(1)

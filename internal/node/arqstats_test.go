@@ -5,13 +5,14 @@ import (
 
 	"minroute/internal/graph"
 	"minroute/internal/telemetry"
+	"minroute/internal/transport"
 )
 
 // TestARQStatsDisabledNil pins the fully-disabled path: with neither a
 // trace nor any instrument the observer is nil, which is the one-branch
 // zero-cost configuration the transport's own guard benchmarks rely on.
 func TestARQStatsDisabledNil(t *testing.T) {
-	if s := arqStats(0, 1, linkInstruments{}, MeshConfig{Clock: NewVirtualClock()}); s != nil {
+	if s := arqStats(0, 1, linkInstruments{}, MeshConfig{Clock: transport.NewVirtualClock()}); s != nil {
 		t.Fatal("arqStats with no sinks should be nil")
 	}
 }
@@ -26,7 +27,7 @@ func TestARQStatsEnabledZeroAlloc(t *testing.T) {
 		retx: reg.Counter("arq.retransmits.0-1"),
 		win:  reg.Gauge("arq.window.0-1"),
 	}
-	stats := arqStats(0, 1, li, MeshConfig{Clock: NewVirtualClock()})
+	stats := arqStats(0, 1, li, MeshConfig{Clock: transport.NewVirtualClock()})
 	if stats == nil {
 		t.Fatal("arqStats with instruments should be non-nil")
 	}
@@ -52,7 +53,7 @@ func TestARQStatsEnabledZeroAlloc(t *testing.T) {
 // through the ARQ callback is visible in both and on the node's /peers
 // handles.
 func TestLinkInstrumentsAliasing(t *testing.T) {
-	clk := NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	shared := telemetry.NewRegistry(0)
 	n0, err := New(Config{ID: 0, Nodes: 2, Clock: clk})
 	if err != nil {

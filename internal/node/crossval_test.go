@@ -24,7 +24,7 @@ func crossValidate(t *testing.T, g *graph.Graph, changes []costChange) {
 	m, err := node.NewMesh(g, node.MeshConfig{
 		Fabric: node.FabricUDP,
 		Clock:  node.NewWallClock(),
-		CostOf: protoCost,
+		CostOf: topo.PropCost,
 		Fault:  transport.Fault{Seed: 7, LossProb: 0.2, DupProb: 0.2, ReorderProb: 0.2},
 		ARQ:    transport.ARQConfig{RTO: 0.01, MaxRTO: 0.2},
 		// The dead timer must ride out fault-induced silence: a link that
@@ -83,7 +83,7 @@ func changeSet(g *graph.Graph) []costChange {
 	for i := 0; i < len(pairs); i += 1 + len(pairs)/4 {
 		a, b := pairs[i][0], pairs[i][1]
 		l, _ := g.Link(a, b)
-		out = append(out, costChange{a: a, b: b, cost: 3 * protoCost(l)})
+		out = append(out, costChange{a: a, b: b, cost: 3 * topo.PropCost(l)})
 	}
 	return out
 }

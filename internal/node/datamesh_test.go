@@ -23,7 +23,7 @@ func dataMesh(t *testing.T, cfg node.MeshConfig) *node.Mesh {
 	t.Helper()
 	g := topo.NET1().Graph
 	cfg.Clock = node.NewWallClock()
-	cfg.CostOf = protoCost
+	cfg.CostOf = topo.PropCost
 	cfg.Data = true
 	m, err := node.NewMesh(g, cfg)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestTrafficModelsOffer(t *testing.T) {
 	m, err := node.NewMesh(g, node.MeshConfig{
 		Fabric: node.FabricInmem,
 		Clock:  node.NewWallClock(),
-		CostOf: protoCost,
+		CostOf: topo.PropCost,
 		Data:   true,
 	})
 	if err != nil {

@@ -70,9 +70,6 @@ type MeshConfig struct {
 	// independent of the control plane's Fault: the ARQ recovers control
 	// loss, while a lost data packet is simply lost. Requires Data.
 	DataFault transport.Fault
-	// DataTTL overrides the hop budget stamped on originated data packets
-	// (dataplane.DefaultTTL if 0).
-	DataTTL uint8
 }
 
 // Mesh is a full topology of live nodes running in one process, each
@@ -116,8 +113,7 @@ func (m *Mesh) dataForwarder(id graph.NodeID, nn int, dir map[[2]graph.NodeID]*g
 		reg = m.regs[id]
 	}
 	fc := dataplane.Config{
-		Self: id, Nodes: nn, Conn: conn, Clock: cfg.Clock,
-		TTL: cfg.DataTTL, Metrics: reg,
+		Self: id, Nodes: nn, Conn: conn, Clock: cfg.Clock, Metrics: reg,
 		LatencyOf: func(next graph.NodeID, sizeBits uint32) float64 {
 			l := dir[[2]graph.NodeID{id, next}]
 			if l == nil {

@@ -13,11 +13,6 @@ import (
 	"minroute/internal/transport"
 )
 
-// protoCost is the control-plane cost model shared by the live meshes and
-// the protonet reference: propagation delay plus a small hop bias (the
-// same shape internal/chaos uses).
-func protoCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
-
 // protoReference drives the same mpda.Router code over protonet's
 // emulated reliable-FIFO queues to quiescence and returns the canonical
 // per-router summaries. changes, applied after initial convergence,
@@ -32,7 +27,7 @@ func protoReference(t *testing.T, g *graph.Graph, changes []costChange) []string
 		routers[i] = mpda.NewRouter(id, nn, net.Sender(id))
 		net.Attach(id, routers[i])
 	}
-	net.BringUpAll(protoCost)
+	net.BringUpAll(topo.PropCost)
 	net.Run(1 << 22)
 	for _, c := range changes {
 		net.ChangeCost(c.a, c.b, c.cost)
@@ -84,7 +79,7 @@ func TestMeshFabricsAgreeNET1(t *testing.T) {
 			m, err := node.NewMesh(g, node.MeshConfig{
 				Fabric: fabric,
 				Clock:  node.NewWallClock(),
-				CostOf: protoCost,
+				CostOf: topo.PropCost,
 				ARQ:    transport.ARQConfig{RTO: 0.01, MaxRTO: 0.2},
 				// Generous dead timer: convergence here is driven by
 				// traffic, and a -race scheduler stall must not fail links.

@@ -16,9 +16,11 @@
 //
 // Concurrency model: one mutex per Node guards the router and peer
 // table. Peer read loops apply frames to the router under the lock;
-// outbound frames go through per-peer unbounded queues drained by writer
+// outbound frames go through per-peer queues drained by writer
 // goroutines, so the router never blocks on a transport while holding
-// the lock (and no cross-node lock cycle can form).
+// the lock (and no cross-node lock cycle can form). A queue that reaches
+// maxWriteQueue frames means the peer has stopped reading; the session
+// ends as a dead link rather than growing memory without limit.
 package node
 
 import (
@@ -107,7 +109,8 @@ type Config struct {
 	ID    graph.NodeID
 	Nodes int
 	// Clock drives heartbeats, dead timers, and telemetry timestamps:
-	// NewWallClock for live runs, NewVirtualClock for deterministic tests.
+	// NewWallClock for live runs, transport.NewVirtualClock for deterministic
+	// tests.
 	Clock transport.Clock
 	// HeartbeatEvery is the keepalive period in seconds (default 0.25).
 	HeartbeatEvery float64
@@ -158,7 +161,7 @@ type peer struct {
 	id   graph.NodeID
 	cost float64
 	conn transport.Conn
-	out  *frameQueue
+	out  *transport.Queue
 	hb   transport.Timer
 	dead transport.Timer
 	// deadGen invalidates dead timers that fired concurrently with the
@@ -166,7 +169,15 @@ type peer struct {
 	// already blocked on the node lock).
 	deadGen uint64
 	down    bool
+	// overflowed latches once the writer queue hits maxWriteQueue: nothing
+	// more is queued (a gap in the stream would break reliable delivery).
+	overflowed bool
 }
+
+// maxWriteQueue bounds a peer's writer queue in frames. The writer drains
+// whole bursts per wakeup, so a cold-start flood sits far below this; only
+// a peer whose transport has stopped accepting frames gets here.
+const maxWriteQueue = 1 << 14
 
 // nodeStats is the node's session-instrument handle set, resolved once
 // at construction so no per-event path touches the registry maps. With a
@@ -176,6 +187,9 @@ type nodeStats struct {
 	peerDowns *telemetry.Counter
 	lsusSent  *telemetry.Counter
 	lsusRecv  *telemetry.Counter
+	// wqOverflows counts sessions ended because the peer's writer queue
+	// hit maxWriteQueue.
+	wqOverflows *telemetry.Counter
 	// evEmitted/evDropped mirror the event bus's totals (bus-wide: the
 	// Trace is typically shared across a mesh) on each /metrics refresh.
 	evEmitted *telemetry.Counter
@@ -236,13 +250,14 @@ func New(cfg Config) (*Node, error) {
 	// Resolve instrument handles once: the registry's maps are unlocked,
 	// so every name lookup must happen before concurrent use.
 	n.stats = nodeStats{
-		peerUps:   cfg.Metrics.Counter("session.peer_ups"),
-		peerDowns: cfg.Metrics.Counter("session.peer_downs"),
-		lsusSent:  cfg.Metrics.Counter("session.lsus_sent"),
-		lsusRecv:  cfg.Metrics.Counter("session.lsus_received"),
-		evEmitted: cfg.Metrics.Counter("telemetry.events.emitted"),
-		evDropped: cfg.Metrics.Counter("telemetry.events.dropped"),
-		peersUp:   cfg.Metrics.Gauge("session.peers"),
+		peerUps:     cfg.Metrics.Counter("session.peer_ups"),
+		peerDowns:   cfg.Metrics.Counter("session.peer_downs"),
+		lsusSent:    cfg.Metrics.Counter("session.lsus_sent"),
+		lsusRecv:    cfg.Metrics.Counter("session.lsus_received"),
+		wqOverflows: cfg.Metrics.Counter("session.writeq_overflows"),
+		evEmitted:   cfg.Metrics.Counter("telemetry.events.emitted"),
+		evDropped:   cfg.Metrics.Counter("telemetry.events.dropped"),
+		peersUp:     cfg.Metrics.Gauge("session.peers"),
 	}
 	n.r = mpda.NewRouter(cfg.ID, cfg.Nodes, n.sendLSU)
 	n.r.OnPhase = n.onPhase
@@ -309,7 +324,29 @@ func (n *Node) sendLSU(to graph.NodeID, m *lsu.Msg) {
 	}
 	n.stats.lsusSent.Inc()
 	n.emit(telemetry.KindLSUSend, to, float64(f.EncodedBytes()*8), "")
-	p.out.push(f)
+	n.enqueueLocked(p, f)
+}
+
+// enqueueLocked hands f to p's writer. A full queue ends the session: the
+// frame cannot be dropped silently (MPDA assumes reliable delivery on every
+// link it believes up), so the link is declared dead instead. The teardown
+// runs from a zero-delay timer, not here — sendLSU is called from inside
+// the router, which must not see a re-entrant LinkDown.
+func (n *Node) enqueueLocked(p *peer, f *wire.Frame) {
+	if p.overflowed {
+		return
+	}
+	if p.out.Depth() < maxWriteQueue {
+		p.out.Push(f)
+		return
+	}
+	p.overflowed = true
+	n.stats.wqOverflows.Inc()
+	n.clk.AfterFunc(0, func() {
+		n.peerDown(p, "overflow")
+		// The writer is wedged inside Send; closing the conn frees it.
+		p.conn.Close()
+	})
 }
 
 // SetPeerStats installs the instrument handles for the link to peer: ARQ
@@ -371,7 +408,7 @@ func (n *Node) session(conn transport.Conn, costOf func(peer graph.NodeID) (floa
 		return
 	}
 
-	p := &peer{id: pid, cost: cost, conn: conn, out: newFrameQueue()}
+	p := &peer{id: pid, cost: cost, conn: conn, out: transport.NewQueue()}
 	n.mu.Lock()
 	delete(n.handshakes, conn)
 	if n.closed || n.peers[pid] != nil {
@@ -401,7 +438,7 @@ func (n *Node) writeLoop(p *peer) {
 		// Drain the whole burst in one lock round-trip and hand the frames
 		// to the transport back-to-back — on the ARQ that lets a flood of
 		// small LSUs coalesce into MTU-sized datagrams.
-		fs, err := p.out.popAll()
+		fs, err := p.out.PopAll()
 		if err != nil {
 			p.conn.Close()
 			return
@@ -461,7 +498,7 @@ func (n *Node) armHeartbeatLocked(p *peer) {
 		if p.down {
 			return
 		}
-		p.out.push(wire.NewHeartbeat())
+		n.enqueueLocked(p, wire.NewHeartbeat())
 		n.armHeartbeatLocked(p)
 	})
 }
@@ -501,7 +538,7 @@ func (n *Node) peerDownLocked(p *peer, reason string) {
 	n.emit(telemetry.KindPeerDown, p.id, 0, reason)
 	n.r.LinkDown(p.id)
 	n.publishDataLocked()
-	p.out.close()
+	p.out.Close()
 }
 
 // ChangeCost applies a new cost for the adjacent link to peer k, as a
@@ -584,6 +621,10 @@ func (n *Node) PeerCount() int {
 func (n *Node) Peers() []graph.NodeID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.peerIDsLocked()
+}
+
+func (n *Node) peerIDsLocked() []graph.NodeID {
 	ids := make([]graph.NodeID, 0, len(n.peers))
 	//lint:maporder-ok keys are collected and sorted before use
 	for id := range n.peers {
@@ -632,8 +673,8 @@ func (n *Node) Close() {
 		p.hb.Stop()
 		p.dead.Stop()
 		delete(n.peers, id)
-		p.out.push(wire.NewBye())
-		p.out.close()
+		p.out.Push(wire.NewBye())
+		p.out.Close()
 	}
 	// Reap sessions still mid-handshake: closing the conn errors out their
 	// pending Send/Recv, and the session exits through abortHandshake.
@@ -679,13 +720,7 @@ func (n *Node) obsSample() obs.Sample {
 		MinPeers: n.cfg.ExpectPeers,
 		Summary:  RouterSummary(n.r),
 	}
-	ids := make([]graph.NodeID, 0, len(n.peers))
-	//lint:maporder-ok keys are collected and sorted before use
-	for id := range n.peers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range n.peerIDsLocked() {
 		p := n.peers[id]
 		pi := obs.Peer{ID: int(id), Cost: p.cost}
 		if o, ok := p.conn.(interface{ Outstanding() int }); ok {
@@ -698,25 +733,12 @@ func (n *Node) obsSample() obs.Sample {
 		inst := n.peerStats[id]
 		pi.Retransmits = inst.retx.Value()
 		pi.Window = inst.win.Value()
-		pi.Queue = p.out.depth()
+		pi.Queue = p.out.Depth()
 		s.Peers = append(s.Peers, pi)
 	}
-	for j := 0; j < n.cfg.Nodes; j++ {
-		d := n.r.Dist(graph.NodeID(j))
-		if math.IsInf(d, 1) {
-			continue
-		}
-		fd := n.r.FD(graph.NodeID(j))
-		if math.IsInf(fd, 1) {
-			fd = -1 // +Inf has no JSON encoding; -1 marks "not established"
-		}
-		rt := obs.Route{
-			Dst:  j,
-			Dist: d,
-			FD:   fd,
-			Best: int(n.r.BestSuccessor(graph.NodeID(j))),
-		}
-		for _, k := range n.r.Successors(graph.NodeID(j)) {
+	for _, d := range n.destRowsLocked() {
+		rt := obs.Route{Dst: int(d.Dst), Dist: d.Dist, FD: d.FD, Best: int(d.Best)}
+		for _, k := range d.Successors {
 			rt.Successors = append(rt.Successors, int(k))
 		}
 		s.Routes = append(s.Routes, rt)
@@ -770,7 +792,7 @@ func (n *Node) refreshObsMetrics() {
 	//lint:maporder-ok independent per-peer gauge writes; order cannot show
 	for id, p := range n.peers {
 		if inst := n.peerStats[id]; inst.wq != nil {
-			inst.wq.Set(float64(p.out.depth()))
+			inst.wq.Set(float64(p.out.Depth()))
 		}
 	}
 }
@@ -799,23 +821,29 @@ type State struct {
 func (n *Node) State() State {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := State{ID: n.id}
+	return State{ID: n.id, Dests: n.destRowsLocked()}
+}
+
+// destRowsLocked renders one row per reachable destination — the single
+// walk behind both State and the observability plane's /routes.
+func (n *Node) destRowsLocked() []DestState {
+	var rows []DestState
 	for j := 0; j < n.cfg.Nodes; j++ {
-		d := n.r.Dist(graph.NodeID(j))
+		jid := graph.NodeID(j)
+		d := n.r.Dist(jid)
 		if math.IsInf(d, 1) {
 			continue
 		}
-		succ := append([]graph.NodeID{}, n.r.Successors(graph.NodeID(j))...)
-		fd := n.r.FD(graph.NodeID(j))
+		fd := n.r.FD(jid)
 		if math.IsInf(fd, 1) {
-			fd = -1
+			fd = -1 // +Inf has no JSON encoding; -1 marks "not established"
 		}
-		st.Dests = append(st.Dests, DestState{
-			Dst: graph.NodeID(j), Dist: d, FD: fd,
-			Best: n.r.BestSuccessor(graph.NodeID(j)), Successors: succ,
+		rows = append(rows, DestState{
+			Dst: jid, Dist: d, FD: fd, Best: n.r.BestSuccessor(jid),
+			Successors: append([]graph.NodeID{}, n.r.Successors(jid)...),
 		})
 	}
-	return st
+	return rows
 }
 
 // RouterSummary renders a router's converged state in the canonical
@@ -846,61 +874,4 @@ func HashState(summaries ...string) string {
 		h.Write([]byte(s))
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// frameQueue is an unbounded closable FIFO of frames: push never blocks,
-// pop drains remaining items after close before failing — so a final BYE
-// still flushes.
-type frameQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []*wire.Frame
-	closed bool
-}
-
-func newFrameQueue() *frameQueue {
-	q := &frameQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *frameQueue) push(f *wire.Frame) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.items = append(q.items, f)
-	q.cond.Signal()
-	return true
-}
-
-// popAll blocks for at least one frame, then drains everything queued in
-// one call (still drain-then-fail after close).
-func (q *frameQueue) popAll() ([]*wire.Frame, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 {
-		if q.closed {
-			return nil, transport.ErrClosed
-		}
-		q.cond.Wait()
-	}
-	items := q.items
-	q.items = nil
-	return items, nil
-}
-
-// depth returns the number of queued frames (the writer-queue gauge).
-func (q *frameQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-func (q *frameQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }

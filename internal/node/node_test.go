@@ -34,7 +34,7 @@ func fixedCost(c float64) func(graph.NodeID) (float64, bool) {
 // distance.
 func TestHandshakeBringsLinkUp(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	a, err := node.New(node.Config{ID: 0, Nodes: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestHandshakeBringsLinkUp(t *testing.T) {
 // must keep resetting the dead timer across many DeadAfter periods.
 func TestHeartbeatKeepsSessionAlive(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	cfg := node.Config{Nodes: 2, Clock: clk, HeartbeatEvery: 0.25, DeadAfter: 1.0}
 	cfg.ID = 0
 	a, err := node.New(cfg)
@@ -111,7 +111,7 @@ func TestHeartbeatKeepsSessionAlive(t *testing.T) {
 // routing table, with peer_up/peer_down telemetry bracketing the session.
 func TestDeadTimerDropsSilentPeer(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	tr := node.NewTrace(telemetry.NewTracer(2, 0))
 	a, err := node.New(node.Config{ID: 0, Nodes: 2, Clock: clk, DeadAfter: 1.0, Trace: tr})
 	if err != nil {
@@ -156,7 +156,7 @@ func TestDeadTimerDropsSilentPeer(t *testing.T) {
 // waiting out the dead timer.
 func TestByeDropsPeerImmediately(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	a, err := node.New(node.Config{ID: 0, Nodes: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestByeDropsPeerImmediately(t *testing.T) {
 // disowns never comes up.
 func TestCostOfRejectsUnknownPeer(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	a, err := node.New(node.Config{ID: 0, Nodes: 3, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestCostOfRejectsUnknownPeer(t *testing.T) {
 // the new distance.
 func TestChangeCost(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	a, _ := node.New(node.Config{ID: 0, Nodes: 2, Clock: clk})
 	b, _ := node.New(node.Config{ID: 1, Nodes: 2, Clock: clk})
 	defer a.Close()
@@ -235,7 +235,7 @@ func TestChangeCost(t *testing.T) {
 // leaked past Close. leaktest arms the actual leak check.
 func TestCloseReapsPendingHandshake(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	n, err := node.New(node.Config{ID: 0, Nodes: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestCloseReapsPendingHandshake(t *testing.T) {
 // released immediately, not parked in a handshake goroutine forever.
 func TestAddPeerAfterCloseClosesConn(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	n, err := node.New(node.Config{ID: 0, Nodes: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestMeshObservability(t *testing.T) {
 	m, err := node.NewMesh(g, node.MeshConfig{
 		Fabric:         node.FabricUDP,
 		Clock:          node.NewWallClock(),
-		CostOf:         protoCost,
+		CostOf:         topo.PropCost,
 		Fault:          transport.Fault{Seed: 1, LossProb: 0.05},
 		ARQ:            transport.ARQConfig{RTO: 0.01, MaxRTO: 0.2},
 		HeartbeatEvery: 0.2,
@@ -160,7 +160,7 @@ func TestMeshWithoutObsHasNoURLs(t *testing.T) {
 	leaktest.Check(t)
 	m, err := node.NewMesh(topo.Ring(3, 1.5*topo.Mb, 0.01), node.MeshConfig{
 		Clock:  node.NewWallClock(),
-		CostOf: protoCost,
+		CostOf: topo.PropCost,
 	})
 	if err != nil {
 		t.Fatal(err)

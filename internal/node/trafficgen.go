@@ -8,13 +8,13 @@ import (
 	"minroute/internal/graph"
 	"minroute/internal/rng"
 	"minroute/internal/topo"
+	"minroute/internal/traffic"
 	"minroute/internal/transport"
 )
 
-// TrafficModel selects the arrival process a TrafficGen replays against
-// the live mesh. The first three mirror internal/traffic's simulator
-// sources (same formulas, same rng idiom) so a live run and a DES run of
-// one scenario offer statistically matched load; Adversary is live-only.
+// TrafficModel names the internal/traffic source a TrafficGen hosts on the
+// mesh clock. The simulator runs the very same sources, so a live run and
+// a DES run of one scenario and seed offer the same arrival process.
 type TrafficModel string
 
 const (
@@ -28,10 +28,10 @@ const (
 	// the average rate with OFF periods sized for the duty cycle
 	// (traffic.OnOff).
 	TrafficOnOff TrafficModel = "onoff"
-	// TrafficAdversary is a worst-case pattern for a weighted-multipath
-	// plane: every subflow of every commodity bursts in lockstep — same
-	// phase, no jitter — at PeakFactor times the average rate, so entire
-	// burst fronts land on the same buckets at the same instant.
+	// TrafficAdversary bursts every subflow of every commodity in lockstep
+	// — same phase, no jitter — at PeakFactor times the average rate, so
+	// entire burst fronts land on the same buckets at the same instant
+	// (traffic.Adversary).
 	TrafficAdversary TrafficModel = "adversary"
 )
 
@@ -49,8 +49,8 @@ type TrafficConfig struct {
 	// PacketBits is the fixed (cbr/adversary) or mean (poisson/onoff)
 	// packet size in bits (default 8192).
 	PacketBits float64
-	// PeakFactor and MeanOn tune the onoff and adversary bursts
-	// (defaults 2 and 0.5, as in traffic.OnOff).
+	// PeakFactor and MeanOn tune the onoff and adversary bursts (zero
+	// selects the traffic package's defaults, 2 and 0.5).
 	PeakFactor float64
 	MeanOn     float64
 	// Seed feeds the per-subflow rng streams.
@@ -67,13 +67,23 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	if c.PacketBits <= 0 {
 		c.PacketBits = 8192
 	}
-	if c.PeakFactor <= 1 {
-		c.PeakFactor = 2
-	}
-	if c.MeanOn <= 0 {
-		c.MeanOn = 0.5
-	}
 	return c
+}
+
+// source builds the configured model at one subflow's rate (nil for an
+// unknown model name).
+func (c TrafficConfig) source(rate float64) traffic.Source {
+	switch c.Model {
+	case TrafficCBR:
+		return traffic.CBR{RateBits: rate, PacketBits: c.PacketBits}
+	case TrafficPoisson:
+		return traffic.Poisson{RateBits: rate, MeanPacketBits: c.PacketBits}
+	case TrafficOnOff:
+		return traffic.OnOff{RateBits: rate, MeanPacketBits: c.PacketBits, PeakFactor: c.PeakFactor, MeanOn: c.MeanOn}
+	case TrafficAdversary:
+		return traffic.Adversary{RateBits: rate, PacketBits: c.PacketBits, PeakFactor: c.PeakFactor, OnLen: c.MeanOn}
+	}
+	return nil
 }
 
 // FlowID composes the data-plane flow ID of one commodity subflow:
@@ -106,6 +116,9 @@ type TrafficGen struct {
 // enabled). It does not start sending.
 func NewTrafficGen(m *Mesh, cfg TrafficConfig) (*TrafficGen, error) {
 	cfg = cfg.withDefaults()
+	if cfg.source(0) == nil {
+		return nil, fmt.Errorf("node: unknown traffic model %q", cfg.Model)
+	}
 	for _, f := range cfg.Flows {
 		if int(f.Src) >= len(m.Nodes) || int(f.Dst) >= len(m.Nodes) {
 			return nil, fmt.Errorf("node: flow %s outside mesh", f.Name)
@@ -124,23 +137,17 @@ func NewTrafficGen(m *Mesh, cfg TrafficConfig) (*TrafficGen, error) {
 	}, nil
 }
 
-// Start arms every subflow's first arrival.
+// Start arms every subflow's first arrival: each subflow is one
+// traffic.Source scheduling through arm and emitting through send.
 func (g *TrafficGen) Start() {
 	for ci, f := range g.cfg.Flows {
-		perSub := f.Rate / float64(g.cfg.Subflows)
+		src := g.cfg.source(f.Rate / float64(g.cfg.Subflows))
 		for sub := 0; sub < g.cfg.Subflows; sub++ {
 			id := FlowID(ci, sub)
-			r := rng.New(g.cfg.Seed).Split(id)
-			switch g.cfg.Model {
-			case TrafficCBR:
-				g.startCBR(ci, f, id, perSub, r)
-			case TrafficPoisson:
-				g.startPoisson(ci, f, id, perSub, r)
-			case TrafficOnOff:
-				g.startOnOff(ci, f, id, perSub, r)
-			case TrafficAdversary:
-				g.startAdversary(ci, f, id, perSub)
-			}
+			src.Start(
+				func(d float64, fn func()) { g.arm(id, d, fn) },
+				rng.New(g.cfg.Seed).Split(id),
+				func(bits float64) { g.send(ci, f, id, bits) })
 		}
 	}
 }
@@ -168,98 +175,6 @@ func (g *TrafficGen) send(ci int, f topo.Flow, id uint64, bits float64) {
 	// Best effort by design: a noroute during convergence is the drop
 	// counter's business, not the generator's.
 	_ = g.mesh.Nodes[f.Src].DataPlane().Send(f.Dst, id, uint32(bits))
-}
-
-// startCBR mirrors traffic.CBR: fixed gap, random initial phase.
-func (g *TrafficGen) startCBR(ci int, f topo.Flow, id uint64, rate float64, r *rng.Source) {
-	if rate <= 0 {
-		return
-	}
-	gap := g.cfg.PacketBits / rate
-	var arrive func()
-	arrive = func() {
-		g.send(ci, f, id, g.cfg.PacketBits)
-		g.arm(id, gap, arrive)
-	}
-	g.arm(id, r.Float64()*gap, arrive)
-}
-
-// startPoisson mirrors traffic.Poisson: exponential gaps and sizes.
-func (g *TrafficGen) startPoisson(ci int, f topo.Flow, id uint64, rate float64, r *rng.Source) {
-	if rate <= 0 {
-		return
-	}
-	meanGap := g.cfg.PacketBits / rate
-	var arrive func()
-	arrive = func() {
-		g.send(ci, f, id, r.Exp(g.cfg.PacketBits))
-		g.arm(id, r.Exp(meanGap), arrive)
-	}
-	g.arm(id, r.Exp(meanGap), arrive)
-}
-
-// startOnOff mirrors traffic.OnOff: exponential ON bursts at peak rate,
-// OFF periods sized so the long-run average matches the commodity rate.
-func (g *TrafficGen) startOnOff(ci int, f topo.Flow, id uint64, rate float64, r *rng.Source) {
-	if rate <= 0 {
-		return
-	}
-	peak := g.cfg.PeakFactor
-	meanOn := g.cfg.MeanOn
-	meanOff := meanOn * (peak - 1)
-	peakGap := g.cfg.PacketBits / (rate * peak)
-
-	var onPhase func(remaining float64)
-	var offPhase func()
-	onPhase = func(remaining float64) {
-		gap := r.Exp(peakGap)
-		if gap >= remaining {
-			g.arm(id, remaining, offPhase)
-			return
-		}
-		g.arm(id, gap, func() {
-			g.send(ci, f, id, r.Exp(g.cfg.PacketBits))
-			onPhase(remaining - gap)
-		})
-	}
-	offPhase = func() {
-		g.arm(id, r.Exp(meanOff), func() { onPhase(r.Exp(meanOn)) })
-	}
-	if r.Float64() < 1/peak {
-		onPhase(r.Exp(meanOn))
-	} else {
-		offPhase()
-	}
-}
-
-// startAdversary is the lockstep burst: deterministic CBR at peak rate
-// for MeanOn seconds, silent for MeanOn*(PeakFactor-1), no phase jitter
-// anywhere — every subflow everywhere fires the same schedule.
-func (g *TrafficGen) startAdversary(ci int, f topo.Flow, id uint64, rate float64) {
-	if rate <= 0 {
-		return
-	}
-	peak := g.cfg.PeakFactor
-	onLen := g.cfg.MeanOn
-	offLen := onLen * (peak - 1)
-	gap := g.cfg.PacketBits / (rate * peak)
-
-	var onPhase func(remaining float64)
-	var offPhase func()
-	onPhase = func(remaining float64) {
-		if gap >= remaining {
-			g.arm(id, remaining, offPhase)
-			return
-		}
-		g.arm(id, gap, func() {
-			g.send(ci, f, id, g.cfg.PacketBits)
-			onPhase(remaining - gap)
-		})
-	}
-	offPhase = func() {
-		g.arm(id, offLen, func() { onPhase(onLen) })
-	}
-	onPhase(onLen)
 }
 
 // Stop quiesces the generator: no timer fires or re-arms after it

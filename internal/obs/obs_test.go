@@ -11,9 +11,9 @@ import (
 	"testing"
 
 	"minroute/internal/leaktest"
-	"minroute/internal/node"
 	"minroute/internal/obs"
 	"minroute/internal/telemetry"
+	"minroute/internal/transport"
 )
 
 // fakeNode is a concurrency-safe stand-in for a live node's Sample
@@ -62,7 +62,7 @@ func get(t *testing.T, c *http.Client, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func newTestServer(t *testing.T, clk *node.VirtualClock, fn *fakeNode, reg *telemetry.Registry, refresh func()) *obs.Server {
+func newTestServer(t *testing.T, clk *transport.VirtualClock, fn *fakeNode, reg *telemetry.Registry, refresh func()) *obs.Server {
 	t.Helper()
 	s, err := obs.NewServer(obs.Config{
 		Addr:        "127.0.0.1:0",
@@ -86,17 +86,17 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := obs.NewServer(obs.Config{Addr: "127.0.0.1:0", Sample: func() obs.Sample { return obs.Sample{} }}); err == nil {
 		t.Fatal("want error without Clock")
 	}
-	if _, err := obs.NewServer(obs.Config{Addr: "127.0.0.1:0", Clock: node.NewVirtualClock()}); err == nil {
+	if _, err := obs.NewServer(obs.Config{Addr: "127.0.0.1:0", Clock: transport.NewVirtualClock()}); err == nil {
 		t.Fatal("want error without Sample")
 	}
-	if _, err := obs.NewServer(obs.Config{Addr: "256.0.0.1:bogus", Clock: node.NewVirtualClock(), Sample: func() obs.Sample { return obs.Sample{} }}); err == nil {
+	if _, err := obs.NewServer(obs.Config{Addr: "256.0.0.1:bogus", Clock: transport.NewVirtualClock(), Sample: func() obs.Sample { return obs.Sample{} }}); err == nil {
 		t.Fatal("want error for unbindable address")
 	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	reg := telemetry.NewRegistry(1)
 	reg.Counter("control.msgs").Set(42)
 	reg.Counter("arq.retransmits.0-1").Set(3)
@@ -135,7 +135,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestHealthAndStateEndpoints(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	fn := &fakeNode{sample: obs.Sample{
 		ID:       3,
 		MinPeers: 2,
@@ -194,7 +194,7 @@ func TestHealthAndStateEndpoints(t *testing.T) {
 
 func TestReadinessStreak(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	fn := &fakeNode{sample: obs.Sample{ID: 0, MinPeers: 1, Summary: "router 0\n"}}
 	s := newTestServer(t, clk, fn, nil, nil)
 	c := client(t)
@@ -247,7 +247,7 @@ func TestReadinessStreak(t *testing.T) {
 
 func TestCloseIdempotentAndStopsPolling(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	var calls int
 	var mu sync.Mutex
 	s, err := obs.NewServer(obs.Config{
@@ -286,7 +286,7 @@ func TestCloseIdempotentAndStopsPolling(t *testing.T) {
 // under -race the usual way this package's locking discipline is proven.
 func TestConcurrentScrape(t *testing.T) {
 	leaktest.Check(t)
-	clk := node.NewVirtualClock()
+	clk := transport.NewVirtualClock()
 	reg := telemetry.NewRegistry(1)
 	ctr := reg.Counter("arq.retransmits.0-1")
 	fn := &fakeNode{sample: obs.Sample{ID: 0, Passive: true, Summary: "router 0\n"}}

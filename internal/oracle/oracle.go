@@ -17,6 +17,8 @@
 //     link/node failure, or still in flight.
 //   - Convergence (Theorem 4): once the control plane quiesces, distances
 //     equal the true shortest paths and S_ij = {k : D_kj < D_ij}.
+//   - Adjacency agreement (the Section 2 link model): a router believes an
+//     adjacent link up only while that link can carry its LSUs.
 package oracle
 
 import (
@@ -38,6 +40,7 @@ const (
 	CheckConservationName = "conservation"
 	CheckQuiescenceName   = "quiescence"
 	CheckConvergenceName  = "convergence"
+	CheckAdjacencyName    = "adjacency"
 )
 
 // Violation is one recorded invariant breach.
@@ -181,6 +184,31 @@ func Conservation(led Ledger) error {
 		return fmt.Errorf(
 			"oracle: packet ledger unbalanced: offered %d != delivered %d + dropped %d + lost %d + in-flight %d (= %d)",
 			led.Offered, led.Delivered, led.RouterDrops, led.PortLost, led.InFlight, accounted)
+	}
+	return nil
+}
+
+// AdjacencyView is the slice of protocol state the adjacency oracle reads:
+// the neighbors a router currently holds an adjacent-link cost for.
+// pda.Tables satisfies it.
+type AdjacencyView interface {
+	ID() graph.NodeID
+	Neighbors() []graph.NodeID
+}
+
+// Adjacency verifies that every live router's adjacent-link table agrees
+// with the harness's effective link state (linkUp): no router holds a cost
+// for a neighbor that is crashed or across an explicitly failed link — it
+// would send LSUs that cannot arrive and sit ACTIVE waiting for the ACK.
+// Both harnesses notify link events synchronously, so this holds after
+// every fault action. routers must contain live routers only.
+func Adjacency(routers []AdjacencyView, linkUp func(a, b graph.NodeID) bool) error {
+	for _, r := range routers {
+		for _, k := range r.Neighbors() {
+			if !linkUp(r.ID(), k) {
+				return fmt.Errorf("oracle: router %d holds an adjacent cost for %d, but link %d-%d is down", r.ID(), k, r.ID(), k)
+			}
+		}
 	}
 	return nil
 }

@@ -139,12 +139,37 @@ func TestQuiescentCatchesStuckActive(t *testing.T) {
 	}
 }
 
+// adjTable is a hand-built AdjacencyView.
+type adjTable struct {
+	id   graph.NodeID
+	nbrs []graph.NodeID
+}
+
+func (a adjTable) ID() graph.NodeID          { return a.id }
+func (a adjTable) Neighbors() []graph.NodeID { return a.nbrs }
+
+// TestAdjacencyCatchesDeadLinkBelief: router 0 still holds a cost for
+// neighbor 1 after the harness took link 0-1 down.
+func TestAdjacencyCatchesDeadLinkBelief(t *testing.T) {
+	down := map[[2]graph.NodeID]bool{}
+	linkUp := func(a, b graph.NodeID) bool { return !down[[2]graph.NodeID{a, b}] }
+	live := []AdjacencyView{adjTable{0, []graph.NodeID{1, 5}}, adjTable{5, []graph.NodeID{0, 4}}}
+	if err := Adjacency(live, linkUp); err != nil {
+		t.Fatalf("agreeing tables flagged: %v", err)
+	}
+	down[[2]graph.NodeID{0, 1}] = true
+	err := Adjacency(live, linkUp)
+	if err == nil || !strings.Contains(err.Error(), "router 0") || !strings.Contains(err.Error(), "0-1") {
+		t.Fatalf("adjacency oracle missed a belief in dead link 0-1: %v", err)
+	}
+}
+
 // convergedNet runs MPDA to quiescence on a ring and returns the pieces the
 // convergence oracle needs.
 func convergedNet(t *testing.T) (*graph.Graph, func(l *graph.Link) float64, map[graph.NodeID]*mpda.Router) {
 	t.Helper()
 	g := topo.Ring(5, 1e6, 1e-3)
-	cost := func(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
+	cost := topo.PropCost
 	net := protonet.New(g, 7)
 	routers := make(map[graph.NodeID]*mpda.Router)
 	for _, id := range g.Nodes() {

@@ -337,8 +337,8 @@ func (n *Node) emitDrop(k telemetry.Kind, pkt *des.Packet) {
 	n.tel.Tracer.Emit(ev)
 }
 
-// Start brings up all adjacent links at their idle costs and schedules the
-// measurement timers with random phases.
+// Start brings up the adjacent links whose port is up at their idle costs
+// and schedules the measurement timers with random phases.
 func (n *Node) Start() {
 	// The whole boot sequence runs under the router's own origin priority:
 	// Start runs from harness context (boot, or a chaos Restart), and
@@ -354,7 +354,11 @@ func (n *Node) Start() {
 			sm := linkcost.NewSmoother(n.cfg.CostSmoothing)
 			sm.Update(c)
 			n.longCost[k] = sm
-			n.proto.LinkUp(k, quantizeCost(c))
+			// A restart can find a neighbor crashed or the link failed;
+			// MPDA must not believe a link that cannot carry its LSUs.
+			if !p.Down() {
+				n.proto.LinkUp(k, quantizeCost(c))
+			}
 		}
 		n.refreshAllocations()
 		if n.cfg.Ts > 0 {

@@ -360,6 +360,12 @@ func SynthFlows(seed uint64, g *graph.Graph, count int, minRate, maxRate float64
 	return flows
 }
 
+// PropCost is the protocol-level cost of a link nobody is measuring:
+// propagation delay plus a small per-hop charge. The protocol harnesses,
+// the chaos runner and the live mesh all announce links at this cost, so
+// their converged tables are comparable.
+func PropCost(l *graph.Link) float64 { return l.PropDelay + 1e-4 }
+
 // ScaleFlows returns a copy of flows with every rate multiplied by factor.
 // Used for load sweeps.
 func ScaleFlows(flows []Flow, factor float64) []Flow {

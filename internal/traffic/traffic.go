@@ -1,22 +1,25 @@
-// Package traffic generates offered load for the simulator: Poisson
-// sources (the stationary experiments of Section 5.1), on-off bursty
-// sources (the dynamic-traffic experiments), and constant-bit-rate sources
-// (calibration tests). All sources draw from explicit RNG streams so runs
-// are reproducible.
+// Package traffic generates offered load: Poisson sources (the stationary
+// experiments of Section 5.1), on-off bursty sources (the dynamic-traffic
+// experiments), constant-bit-rate sources (calibration tests), and a
+// lock-step adversary (worst-case bursts). All sources draw from explicit
+// RNG streams so runs are reproducible, and none knows its clock: the host
+// supplies the scheduling function, so the simulator (core.Build) and the
+// live mesh (node.TrafficGen) replay one arrival process draw for draw.
 package traffic
 
-import (
-	"minroute/internal/des"
-	"minroute/internal/rng"
-)
+import "minroute/internal/rng"
 
 // Emit delivers one generated packet of the given size in bits.
 type Emit func(bits float64)
 
-// Source generates packets once started. Start schedules the first arrival;
-// generation then continues for the lifetime of the engine.
+// After schedules fn to run d seconds from now on the host's clock. A host
+// that has stopped may drop the call; the source then simply goes quiet.
+type After func(d float64, fn func())
+
+// Source generates packets once started. Start schedules the first arrival
+// through after; generation continues while the host keeps honouring it.
 type Source interface {
-	Start(eng *des.Engine, r *rng.Source, emit Emit)
+	Start(after After, r *rng.Source, emit Emit)
 }
 
 // Poisson is a stationary source: exponential interarrival times and
@@ -29,7 +32,7 @@ type Poisson struct {
 }
 
 // Start implements Source.
-func (p Poisson) Start(eng *des.Engine, r *rng.Source, emit Emit) {
+func (p Poisson) Start(after After, r *rng.Source, emit Emit) {
 	if p.RateBits <= 0 || p.MeanPacketBits <= 0 {
 		return
 	}
@@ -37,9 +40,9 @@ func (p Poisson) Start(eng *des.Engine, r *rng.Source, emit Emit) {
 	var arrive func()
 	arrive = func() {
 		emit(r.Exp(p.MeanPacketBits))
-		eng.After(r.Exp(meanGap), arrive)
+		after(r.Exp(meanGap), arrive)
 	}
-	eng.After(r.Exp(meanGap), arrive)
+	after(r.Exp(meanGap), arrive)
 }
 
 // OnOff is a bursty source alternating exponential ON and OFF periods.
@@ -59,41 +62,83 @@ type OnOff struct {
 }
 
 // Start implements Source.
-func (o OnOff) Start(eng *des.Engine, r *rng.Source, emit Emit) {
+func (o OnOff) Start(after After, r *rng.Source, emit Emit) {
 	if o.RateBits <= 0 || o.MeanPacketBits <= 0 {
 		return
 	}
-	peak := o.PeakFactor
+	peak, meanOn, meanOff := burstShape(o.PeakFactor, o.MeanOn)
+	peakGap := o.MeanPacketBits / (o.RateBits * peak)
+	// Start in a random phase of the cycle.
+	startOn := r.Float64() < 1/peak
+	bursts(after, emit, startOn,
+		func() float64 { return r.Exp(peakGap) },
+		func() float64 { return r.Exp(o.MeanPacketBits) },
+		func() float64 { return r.Exp(meanOn) },
+		func() float64 { return r.Exp(meanOff) })
+}
+
+// Adversary is a worst-case pattern for a weighted-multipath plane:
+// deterministic fixed-size packets at PeakFactor times the average rate for
+// OnLen seconds, then silence for OnLen*(PeakFactor-1), with no phase
+// jitter anywhere — it never draws from its rng, so every Adversary source
+// of one run fires the same schedule and entire burst fronts land on the
+// same next hops at the same instant.
+type Adversary struct {
+	// RateBits is the long-run average offered load in bits per second.
+	RateBits   float64
+	PacketBits float64
+	// PeakFactor is the burst rate divided by RateBits; must be > 1.
+	PeakFactor float64
+	// OnLen is the burst length in seconds.
+	OnLen float64
+}
+
+// Start implements Source.
+func (a Adversary) Start(after After, _ *rng.Source, emit Emit) {
+	if a.RateBits <= 0 || a.PacketBits <= 0 {
+		return
+	}
+	peak, onLen, offLen := burstShape(a.PeakFactor, a.OnLen)
+	fixed := func(v float64) func() float64 { return func() float64 { return v } }
+	bursts(after, emit, true,
+		fixed(a.PacketBits/(a.RateBits*peak)), fixed(a.PacketBits), fixed(onLen), fixed(offLen))
+}
+
+// burstShape fills in the burst defaults (peak 2, 0.5 s ON) and derives the
+// OFF length: the duty cycle d satisfies d*peak = 1, so off = on*(peak-1).
+func burstShape(peak, on float64) (p, onLen, offLen float64) {
 	if peak <= 1 {
 		peak = 2
 	}
-	meanOn := o.MeanOn
-	if meanOn <= 0 {
-		meanOn = 0.5
+	if on <= 0 {
+		on = 0.5
 	}
-	// Duty cycle d satisfies d*peak = 1, so meanOff = meanOn*(peak-1).
-	meanOff := meanOn * (peak - 1)
-	peakGap := o.MeanPacketBits / (o.RateBits * peak)
+	return peak, on, on * (peak - 1)
+}
 
+// bursts is the two-state machine behind OnOff and Adversary: ON periods of
+// on() seconds carrying a packet of size() bits every gap() seconds,
+// separated by OFF periods of off() seconds. Each function is called at
+// the moment its value is needed, which fixes the order of random draws.
+func bursts(after After, emit Emit, startOn bool, gap, size, on, off func() float64) {
 	var onPhase func(remaining float64)
 	var offPhase func()
 	onPhase = func(remaining float64) {
-		gap := r.Exp(peakGap)
-		if gap >= remaining {
-			eng.After(remaining, offPhase)
+		g := gap()
+		if g >= remaining {
+			after(remaining, offPhase)
 			return
 		}
-		eng.After(gap, func() {
-			emit(r.Exp(o.MeanPacketBits))
-			onPhase(remaining - gap)
+		after(g, func() {
+			emit(size())
+			onPhase(remaining - g)
 		})
 	}
 	offPhase = func() {
-		eng.After(r.Exp(meanOff), func() { onPhase(r.Exp(meanOn)) })
+		after(off(), func() { onPhase(on()) })
 	}
-	// Start in a random phase of the cycle.
-	if r.Float64() < 1/peak {
-		onPhase(r.Exp(meanOn))
+	if startOn {
+		onPhase(on())
 	} else {
 		offPhase()
 	}
@@ -107,7 +152,7 @@ type CBR struct {
 }
 
 // Start implements Source.
-func (c CBR) Start(eng *des.Engine, r *rng.Source, emit Emit) {
+func (c CBR) Start(after After, r *rng.Source, emit Emit) {
 	if c.RateBits <= 0 || c.PacketBits <= 0 {
 		return
 	}
@@ -115,8 +160,8 @@ func (c CBR) Start(eng *des.Engine, r *rng.Source, emit Emit) {
 	var arrive func()
 	arrive = func() {
 		emit(c.PacketBits)
-		eng.After(gap, arrive)
+		after(gap, arrive)
 	}
 	// Random initial phase avoids lockstep between CBR sources.
-	eng.After(r.Float64()*gap, arrive)
+	after(r.Float64()*gap, arrive)
 }

@@ -118,7 +118,7 @@ type ARQConn struct {
 	p     Packet
 	clk   Clock
 	cfg   ARQConfig
-	recvQ *queue
+	recvQ *Queue
 
 	mu        sync.Mutex
 	sendSpace *sync.Cond // window occupancy dropped, or closed
@@ -162,7 +162,7 @@ func NewARQ(p Packet, cfg ARQConfig, clk Clock) *ARQConn {
 		p:       p,
 		clk:     clk,
 		cfg:     cfg,
-		recvQ:   newQueue(),
+		recvQ:   NewQueue(),
 		nextSeq: 1,
 		win:     make([]sendSlot, cfg.Window),
 		rto:     cfg.RTO,
@@ -591,7 +591,7 @@ func (c *ARQConn) readLoop() {
 			c.onData(&frames[i])
 		}
 		if len(c.deliverBuf) > 0 {
-			c.recvQ.pushAll(c.deliverBuf)
+			c.recvQ.PushAll(c.deliverBuf)
 		}
 		// Every data-bearing datagram — including pure duplicates — is
 		// answered, so a lost SACK is repaired by the retransmission it
@@ -708,11 +708,11 @@ func (c *ARQConn) teardown() {
 	c.sendSpace.Broadcast()
 	c.work.Broadcast()
 	c.mu.Unlock()
-	c.recvQ.close()
+	c.recvQ.Close()
 }
 
 // Recv blocks for the next in-order frame.
-func (c *ARQConn) Recv() (*wire.Frame, error) { return c.recvQ.pop() }
+func (c *ARQConn) Recv() (*wire.Frame, error) { return c.recvQ.Pop() }
 
 // Outstanding reports the number of frames awaiting cumulative
 // acknowledgment — zero means every Send so far has provably reached the
@@ -770,6 +770,6 @@ func (c *ARQConn) Close() error {
 		_ = c.p.WritePacket(d)
 	}
 	err := c.p.Close()
-	c.recvQ.close()
+	c.recvQ.Close()
 	return err
 }

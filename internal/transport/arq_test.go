@@ -44,7 +44,7 @@ func mustRecv(t *testing.T, c Conn) *wire.Frame {
 // retransmission timers can fire; the ARQ's write loop runs on goroutines,
 // so timer deadlines are stamped asynchronously and a single up-front
 // Advance can race past them.
-func driveRecv(t *testing.T, clk *fakeClock, c Conn) *wire.Frame {
+func driveRecv(t *testing.T, clk *VirtualClock, c Conn) *wire.Frame {
 	t.Helper()
 	type res struct {
 		f   *wire.Frame
@@ -88,7 +88,7 @@ func helloID(t *testing.T, f *wire.Frame) int {
 func TestARQInOrderDelivery(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	a := NewARQ(pa, ARQConfig{}, clk)
 	b := NewARQ(pb, ARQConfig{}, clk)
 	defer a.Close()
@@ -143,7 +143,7 @@ func (d *dropFirstPacket) WritePacket(b []byte) error {
 func TestARQRetransmitRecoversLoss(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	// First transmission and first retransmission both drop; the second
 	// retransmission (per-frame backoff doubling) gets through.
 	lossy := &dropFirstPacket{Packet: pa, drop: 2}
@@ -205,7 +205,7 @@ func (c *countingPacket) waitCount(t *testing.T, want int) {
 func TestARQPerFrameBackoffDoubles(t *testing.T) {
 	leaktest.Check(t)
 	pa, _ := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	cp := &countingPacket{Packet: pa}
 	a := NewARQ(cp, ARQConfig{RTO: 0.1, MaxRTO: 0.4}, clk)
 	defer a.Close()
@@ -280,7 +280,7 @@ func (r *retxRecorder) distinct() []uint32 {
 func TestARQSelectiveRetransmit(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	rec := &retxRecorder{}
 	lossy := &dropFirstPacket{Packet: pa, drop: 1}
 	a := NewARQ(lossy, ARQConfig{RTO: 1000, MTU: helloMTU, Stats: rec.stats()}, clk)
@@ -318,7 +318,7 @@ func TestARQSelectiveRetransmit(t *testing.T) {
 func TestARQFastRetransmit(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	rec := &retxRecorder{}
 	lossy := &dropFirstPacket{Packet: pa, drop: 1}
 	// RTO far beyond the test horizon: only fast retransmit can recover.
@@ -355,7 +355,7 @@ func TestARQFastRetransmit(t *testing.T) {
 func TestARQCoalescing(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	gate := make(chan struct{})
 	cp := &countingPacket{Packet: pa, gate: gate}
 	a := NewARQ(cp, ARQConfig{}, clk)
@@ -435,7 +435,7 @@ func TestARQRTOEstimator(t *testing.T) {
 func TestARQWindowBlocks(t *testing.T) {
 	leaktest.Check(t)
 	pa, _ := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	a := NewARQ(pa, ARQConfig{RTO: 1000, Window: 4}, clk)
 
 	for i := 0; i < 4; i++ {
@@ -464,7 +464,7 @@ func TestARQWindowBlocks(t *testing.T) {
 func TestARQSendTooLarge(t *testing.T) {
 	leaktest.Check(t)
 	pa, _ := PacketPipe()
-	a := NewARQ(pa, ARQConfig{}, newFakeClock())
+	a := NewARQ(pa, ARQConfig{}, NewVirtualClock())
 	defer a.Close()
 	// Oversize relative to the coalescing MTU is fine (ships alone); only a
 	// frame that cannot fit any datagram is rejected.
@@ -477,7 +477,7 @@ func TestARQSendTooLarge(t *testing.T) {
 func TestARQDedup(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	// Duplicate every datagram on the wire; the receiver must still
 	// deliver each frame exactly once. One-frame MTU so every frame is
 	// individually duplicated.
@@ -511,7 +511,7 @@ func TestARQDedup(t *testing.T) {
 func TestARQReorder(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	// Swap every pair of datagrams; delivery order must be restored by
 	// the reorder buffer without any retransmission. One-frame MTU so
 	// datagram reordering is frame reordering.
@@ -541,7 +541,7 @@ func TestARQSurvivesHeavyFaults(t *testing.T) {
 	const n = 400
 	fault := Fault{LossProb: 0.2, DupProb: 0.2, ReorderProb: 0.2}
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	fault.Seed = 11
 	a := NewARQ(WithFaults(pa, fault), ARQConfig{RTO: 0.02, MTU: helloMTU}, clk)
 	fault.Seed = 22
@@ -596,7 +596,7 @@ func TestARQSurvivesHeavyFaults(t *testing.T) {
 func TestARQSendAckReserved(t *testing.T) {
 	leaktest.Check(t)
 	pa, _ := PacketPipe()
-	a := NewARQ(pa, ARQConfig{}, newFakeClock())
+	a := NewARQ(pa, ARQConfig{}, NewVirtualClock())
 	defer a.Close()
 	if err := a.Send(wire.NewAck(3)); err == nil {
 		t.Fatalf("Send(TypeAck) succeeded, want error")
@@ -609,7 +609,7 @@ func TestARQSendAckReserved(t *testing.T) {
 func TestARQClose(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
-	clk := newFakeClock()
+	clk := NewVirtualClock()
 	a := NewARQ(pa, ARQConfig{}, clk)
 	b := NewARQ(pb, ARQConfig{}, clk)
 

@@ -11,8 +11,8 @@ import (
 // event loop can Send from within its own Recv processing without
 // deadlock — the same property protonet's queues have.
 type memConn struct {
-	recv *queue
-	peer *queue
+	recv *Queue
+	peer *Queue
 
 	mu     sync.Mutex
 	closed bool
@@ -24,7 +24,7 @@ type memConn struct {
 // implementation for the conformance suite and the transport of choice
 // for deterministic node tests under a virtual clock.
 func Pipe() (Conn, Conn) {
-	qa, qb := newQueue(), newQueue()
+	qa, qb := NewQueue(), NewQueue()
 	a := &memConn{recv: qa, peer: qb}
 	b := &memConn{recv: qb, peer: qa}
 	return a, b
@@ -38,14 +38,14 @@ func (c *memConn) Send(f *wire.Frame) error {
 	if closed {
 		return ErrClosed
 	}
-	if !c.peer.push(cloneFrame(f)) {
+	if !c.peer.Push(cloneFrame(f)) {
 		return ErrClosed
 	}
 	return nil
 }
 
 // Recv blocks for the next frame.
-func (c *memConn) Recv() (*wire.Frame, error) { return c.recv.pop() }
+func (c *memConn) Recv() (*wire.Frame, error) { return c.recv.Pop() }
 
 // Close tears down both directions: our pending frames drain on the peer,
 // then both sides observe ErrClosed.
@@ -57,7 +57,7 @@ func (c *memConn) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.recv.close()
-	c.peer.close()
+	c.recv.Close()
+	c.peer.Close()
 	return nil
 }

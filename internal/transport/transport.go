@@ -47,32 +47,35 @@ type Timer interface {
 // Clock abstracts the timebase of the live stack. Now returns seconds
 // since an arbitrary epoch; AfterFunc schedules fn after d seconds. The
 // wall implementation lives in internal/node (the single sanctioned
-// wall-clock boundary — see the nowall lint check); virtual
-// implementations drive deterministic tests.
+// wall-clock boundary — see the nowall lint check); VirtualClock drives
+// deterministic tests.
 type Clock interface {
 	Now() float64
 	AfterFunc(d float64, fn func()) Timer
 }
 
-// queue is an unbounded, closable FIFO of frames — the receive buffer
-// shared by the in-memory and ARQ transports. After Close, pops drain the
-// remaining frames and then report ErrClosed (the TCP FIN model: data
-// already sent is still delivered).
-type queue struct {
+// Queue is an unbounded, closable FIFO of frames: the receive buffer of the
+// in-memory and ARQ transports, and the per-peer writer queue of
+// internal/node (which bounds it by policy, watching Depth). Push never
+// blocks. After Close, pops drain the remaining frames and then report
+// ErrClosed (the TCP FIN model: data already sent is still delivered — so
+// a final BYE still flushes).
+type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	frames []*wire.Frame
 	closed bool
 }
 
-func newQueue() *queue {
-	q := &queue{}
+// NewQueue returns an empty open queue.
+func NewQueue() *Queue {
+	q := &Queue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push appends f, reporting false when the queue is closed.
-func (q *queue) push(f *wire.Frame) bool {
+// Push appends f, reporting false when the queue is closed.
+func (q *Queue) Push(f *wire.Frame) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -83,10 +86,10 @@ func (q *queue) push(f *wire.Frame) bool {
 	return true
 }
 
-// pushAll appends a batch of frames under one lock acquisition — the ARQ
+// PushAll appends a batch of frames under one lock acquisition — the ARQ
 // receive path delivers every frame decoded from a coalesced datagram in
 // one call. Reports false when the queue is closed.
-func (q *queue) pushAll(fs []*wire.Frame) bool {
+func (q *Queue) PushAll(fs []*wire.Frame) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -97,9 +100,9 @@ func (q *queue) pushAll(fs []*wire.Frame) bool {
 	return true
 }
 
-// pop blocks for the next frame; it returns ErrClosed once the queue is
+// Pop blocks for the next frame; it returns ErrClosed once the queue is
 // closed and drained.
-func (q *queue) pop() (*wire.Frame, error) {
+func (q *Queue) Pop() (*wire.Frame, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.frames) == 0 && !q.closed {
@@ -114,8 +117,31 @@ func (q *queue) pop() (*wire.Frame, error) {
 	return f, nil
 }
 
-// close marks the queue closed and wakes all waiters.
-func (q *queue) close() {
+// PopAll is Pop for everything queued: it blocks for at least one frame,
+// then drains the queue in one call (the writer's burst path).
+func (q *Queue) PopAll() ([]*wire.Frame, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.frames) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if len(q.frames) == 0 {
+		return nil, ErrClosed
+	}
+	fs := q.frames
+	q.frames = nil
+	return fs, nil
+}
+
+// Depth returns the number of queued frames.
+func (q *Queue) Depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.frames)
+}
+
+// Close marks the queue closed and wakes all waiters.
+func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
