@@ -37,17 +37,41 @@ type Result struct {
 	Parent []graph.NodeID
 }
 
-// Run computes shortest paths from src over the view.
-func Run(v View, src graph.NodeID) *Result {
+// Scratch is the reusable working memory of one Dijkstra caller: the heap,
+// the finalized set, and the result vectors. The zero value is ready. The
+// Result a Scratch returns — and its Dist and Parent vectors — belong to
+// the Scratch and are overwritten by its next Run; a caller that keeps
+// distances across runs copies them out.
+type Scratch struct {
+	res   Result
+	heap  distHeap
+	done  []bool
+	u     graph.NodeID // node being expanded; read by relax
+	relax func(to graph.NodeID, cost float64)
+}
+
+// Run computes shortest paths from src over the view into fresh vectors the
+// caller owns.
+func Run(v View, src graph.NodeID) *Result { return new(Scratch).Run(v, src) }
+
+// Run computes shortest paths from src over the view. See Scratch for who
+// owns the result.
+func (s *Scratch) Run(v View, src graph.NodeID) *Result {
 	n := v.NumNodes()
-	res := &Result{
-		Src:    src,
-		Dist:   make([]float64, n),
-		Parent: make([]graph.NodeID, n),
+	if cap(s.done) < n {
+		s.res.Dist = make([]float64, n)
+		s.res.Parent = make([]graph.NodeID, n)
+		s.done = make([]bool, n)
 	}
+	if s.relax == nil {
+		s.relax = s.relaxLink // bound once: a per-node closure would allocate
+	}
+	res := &s.res
+	res.Src, res.Dist, res.Parent, s.done = src, res.Dist[:n], res.Parent[:n], s.done[:n]
 	for i := range res.Dist {
 		res.Dist[i] = Inf
 		res.Parent[i] = graph.None
+		s.done[i] = false
 	}
 	if int(src) < 0 || int(src) >= n {
 		return res
@@ -55,39 +79,41 @@ func Run(v View, src graph.NodeID) *Result {
 	res.Dist[src] = 0
 
 	// Lazy-deletion binary heap: duplicates allowed, finalized nodes skipped.
-	h := &distHeap{}
+	h := &s.heap
+	h.items = h.items[:0]
 	h.push(item{node: src, dist: 0})
-	done := make([]bool, n)
 	for h.len() > 0 {
-		it := h.pop()
-		u := it.node
-		if done[u] {
+		s.u = h.pop().node
+		if s.done[s.u] {
 			continue
 		}
-		done[u] = true
-		du := res.Dist[u]
-		v.VisitOut(u, func(to graph.NodeID, cost float64) {
-			if cost < 0 {
-				panic("dijkstra: negative link cost")
-			}
-			if done[to] {
-				return
-			}
-			nd := du + cost
-			switch {
-			case nd < res.Dist[to]:
-				res.Dist[to] = nd
-				res.Parent[to] = u
-				h.push(item{node: to, dist: nd})
-			//lint:floateq-ok exact FP tie only; a tolerant tie here would re-parent across genuinely different path sums
-			case nd == res.Dist[to] && u < res.Parent[to]:
-				// Equal-cost path through a lower-address parent wins;
-				// the distance is unchanged so no re-push is needed.
-				res.Parent[to] = u
-			}
-		})
+		s.done[s.u] = true
+		v.VisitOut(s.u, s.relax)
 	}
 	return res
+}
+
+// relaxLink offers the link s.u→to to the tentative tree.
+func (s *Scratch) relaxLink(to graph.NodeID, cost float64) {
+	if cost < 0 {
+		panic("dijkstra: negative link cost")
+	}
+	if s.done[to] {
+		return
+	}
+	res, u := &s.res, s.u
+	nd := res.Dist[u] + cost
+	switch {
+	case nd < res.Dist[to]:
+		res.Dist[to] = nd
+		res.Parent[to] = u
+		s.heap.push(item{node: to, dist: nd})
+	//lint:floateq-ok exact FP tie only; a tolerant tie here would re-parent across genuinely different path sums
+	case nd == res.Dist[to] && u < res.Parent[to]:
+		// Equal-cost path through a lower-address parent wins; the
+		// distance is unchanged so no re-push is needed.
+		res.Parent[to] = u
+	}
 }
 
 // Reachable reports whether id has a finite distance.

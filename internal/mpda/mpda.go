@@ -46,10 +46,10 @@ type Router struct {
 
 	// active is true while the router waits for ACKs to its last LSU.
 	active bool
-	// awaiting counts outstanding ACKs per neighbor. Every entry-bearing
-	// LSU sent — floods and the LinkUp full-table sync alike — increments
-	// the neighbor's counter, and every ACK received decrements it; a
-	// neighbor is removed when its counter reaches zero. Counting every
+	// awaiting[k] counts outstanding ACKs from neighbor k, and waiting the
+	// neighbors whose count is not zero. Every entry-bearing LSU sent —
+	// floods and the LinkUp full-table sync alike — increments the
+	// neighbor's counter, and every ACK received decrements it. Counting every
 	// entry-bearing LSU is what makes the bookkeeping exact: the receiver
 	// acknowledges each such LSU, and over a reliable FIFO link ACKs arrive
 	// in the order the LSUs were sent, so a zero counter proves the most
@@ -57,11 +57,16 @@ type Router struct {
 	// Tracking only the flood would let the sync's ACK act as a stale
 	// credit that releases a later ACTIVE phase before the neighbor has
 	// seen the flooded change, breaking the LFI.
-	awaiting map[graph.NodeID]int
+	awaiting []int32
+	waiting  int
 	// fd[j] is the feasible distance FD_j.
 	fd []float64
 	// succ[j] is the successor set S_j, ascending by neighbor ID.
 	succ [][]graph.NodeID
+	// succVersion is the tables' Version when the S_j were last derived.
+	succVersion uint64
+	// temp is the ACTIVE→PASSIVE step's scratch copy of D.
+	temp []float64
 }
 
 // NewRouter returns an MPDA router for node id over an ID space of n nodes.
@@ -73,7 +78,7 @@ func NewRouter(id graph.NodeID, n int, send Sender) *Router {
 	r := &Router{
 		t:        pda.NewTables(id, n),
 		send:     send,
-		awaiting: make(map[graph.NodeID]int),
+		awaiting: make([]int32, n),
 		fd:       make([]float64, n),
 		succ:     make([][]graph.NodeID, n),
 	}
@@ -134,7 +139,7 @@ func (r *Router) BestSuccessor(j graph.NodeID) graph.NodeID {
 func (r *Router) LinkUp(k graph.NodeID, cost float64) {
 	r.t.SetAdjacent(k, cost)
 	if full := r.t.Main().Entries(); len(full) > 0 {
-		r.awaiting[k]++
+		r.expectAck(k)
 		r.send(k, &lsu.Msg{From: r.ID(), Entries: full})
 	}
 	r.process(graph.None)
@@ -154,7 +159,10 @@ func (r *Router) LinkCostChange(k graph.NodeID, cost float64) {
 // as received".
 func (r *Router) LinkDown(k graph.NodeID) {
 	r.t.RemoveAdjacent(k)
-	delete(r.awaiting, k)
+	if r.awaiting[k] > 0 {
+		r.awaiting[k] = 0
+		r.waiting--
+	}
 	r.process(graph.None)
 }
 
@@ -166,7 +174,7 @@ func (r *Router) HandleLSU(m *lsu.Msg) {
 	r.t.ApplyLSU(m.From, m.Entries)
 	if m.Ack && r.awaiting[m.From] > 0 {
 		if r.awaiting[m.From]--; r.awaiting[m.From] == 0 {
-			delete(r.awaiting, m.From)
+			r.waiting--
 		}
 	}
 	ackTo := graph.None
@@ -183,6 +191,11 @@ func (r *Router) HandleLSU(m *lsu.Msg) {
 // when the event was not such an LSU).
 func (r *Router) process(ackTo graph.NodeID) {
 	var diff []lsu.Entry
+	// S_j = {k | D_jk < FD_j} moves only with N and the D_jk — both counted
+	// by the tables' version — or with FD. Step 2 moves FD only when D
+	// moved, which takes an MTU with changed inputs: the same version.
+	// Step 3 may raise FD to an unchanged D, so it always counts.
+	moved := r.t.Version() != r.succVersion
 	switch {
 	case !r.active:
 		// Step 2: PASSIVE — update T and lower FD toward the new D.
@@ -190,22 +203,26 @@ func (r *Router) process(ackTo graph.NodeID) {
 		for j := range r.fd {
 			r.fd[j] = math.Min(r.fd[j], r.t.Dist(graph.NodeID(j)))
 		}
-	case len(r.awaiting) == 0:
+	case r.waiting == 0:
 		// Step 3: ACTIVE and the last ACK has arrived. temp captures the
 		// distances that were reported in the just-acknowledged LSU (MTU was
 		// deferred during the ACTIVE phase, so D is unchanged since then).
-		temp := append([]float64(nil), r.t.Dists()...)
+		r.temp = append(r.temp[:0], r.t.Dists()...)
 		r.setActive(false)
 		diff = r.t.RunMTU()
 		for j := range r.fd {
-			r.fd[j] = math.Min(temp[j], r.t.Dist(graph.NodeID(j)))
+			r.fd[j] = math.Min(r.temp[j], r.t.Dist(graph.NodeID(j)))
 		}
+		moved = true
 	default:
 		// ACTIVE with ACKs outstanding: NTU only; the MTU is deferred.
 	}
 
 	// Step 4: recompute the successor sets S_j = {k | D_jk < FD_j}.
-	r.recomputeSuccessors()
+	if moved {
+		r.recomputeSuccessors()
+		r.succVersion = r.t.Version()
+	}
 
 	// Steps 5-8: flood changes (becoming ACTIVE) and acknowledge.
 	if len(diff) > 0 {
@@ -218,7 +235,7 @@ func (r *Router) process(ackTo graph.NodeID) {
 		}
 		r.setActive(true)
 		for _, k := range nbrs {
-			r.awaiting[k]++
+			r.expectAck(k)
 			r.send(k, &lsu.Msg{From: r.ID(), Entries: diff, Ack: k == ackTo})
 			if k == ackTo {
 				ackTo = graph.None
@@ -232,6 +249,14 @@ func (r *Router) process(ackTo graph.NodeID) {
 			r.send(ackTo, &lsu.Msg{From: r.ID(), Ack: true})
 		}
 	}
+}
+
+// expectAck counts one more entry-bearing LSU sent to k.
+func (r *Router) expectAck(k graph.NodeID) {
+	if r.awaiting[k] == 0 {
+		r.waiting++
+	}
+	r.awaiting[k]++
 }
 
 // setActive flips the phase flag, notifying OnPhase on real transitions.

@@ -2,6 +2,7 @@ package mpda
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -346,5 +347,55 @@ func TestMPDAAckPerEntryBearingLSU(t *testing.T) {
 	r.HandleLSU(&lsu.Msg{From: 2, Ack: true})
 	if r.Active() {
 		t.Fatal("router should be PASSIVE once every entry-bearing LSU is acknowledged")
+	}
+}
+
+// TestMPDAPureAckEndingActivePhaseRaisesFD drives the one event whose
+// successor sets move although no table input did: the pure ACK that ends an
+// ACTIVE phase. Its NTU and MTU are no-ops, yet step 3 of Fig. 4 may raise
+// FD_j to the distance already in D — and S_j = {k | D_jk < FD_j} grows
+// with it. Skipping the re-derivation because "the tables are clean" would
+// leave the router without a route it is entitled to.
+func TestMPDAPureAckEndingActivePhaseRaisesFD(t *testing.T) {
+	owed := make(map[graph.NodeID]int) // entry-bearing LSUs not yet acknowledged
+	r := NewRouter(0, 4, func(to graph.NodeID, m *lsu.Msg) {
+		if len(m.Entries) > 0 {
+			owed[to]++
+		}
+	})
+	ackAll := func() {
+		for _, k := range []graph.NodeID{1, 2} {
+			for ; owed[k] > 0; owed[k]-- {
+				r.HandleLSU(&lsu.Msg{From: k, Ack: true})
+			}
+		}
+	}
+	r.LinkUp(1, 1)
+	ackAll()
+	r.LinkUp(2, 1)
+	ackAll()
+	// Destination 3 sits behind both neighbors: 1 hop past 1, 5 past 2.
+	r.HandleLSU(&lsu.Msg{From: 1, Entries: []lsu.Entry{{Op: lsu.OpAdd, Head: 1, Tail: 3, Cost: 1}}})
+	ackAll()
+	r.HandleLSU(&lsu.Msg{From: 2, Entries: []lsu.Entry{{Op: lsu.OpAdd, Head: 2, Tail: 3, Cost: 5}}})
+	ackAll()
+	if r.Active() || r.FD(3) != 2 || !slices.Equal(r.Successors(3), []graph.NodeID{1}) {
+		t.Fatalf("before the change: active=%v FD_3=%v S_3=%v, want passive, 2, [1]", r.Active(), r.FD(3), r.Successors(3))
+	}
+
+	// 1's path to 3 degrades to 10: D_3 becomes 6 through 2, but FD_3 must
+	// stay at 2 until the neighbors have acknowledged — so S_3 is empty.
+	r.HandleLSU(&lsu.Msg{From: 1, Entries: []lsu.Entry{{Op: lsu.OpChange, Head: 1, Tail: 3, Cost: 10}}})
+	if !r.Active() || r.Dist(3) != 6 || r.FD(3) != 2 || len(r.Successors(3)) != 0 {
+		t.Fatalf("after the change: active=%v D_3=%v FD_3=%v S_3=%v, want active, 6, 2, []", r.Active(), r.Dist(3), r.FD(3), r.Successors(3))
+	}
+	r.HandleLSU(&lsu.Msg{From: 1, Ack: true})
+	if !r.Active() || len(r.Successors(3)) != 0 {
+		t.Fatalf("one ACK of two: active=%v S_3=%v, want active, []", r.Active(), r.Successors(3))
+	}
+	// The last ACK carries no entries: T_k, l_ik, T and D all stay put.
+	r.HandleLSU(&lsu.Msg{From: 2, Ack: true})
+	if r.Active() || r.FD(3) != 6 || !slices.Equal(r.Successors(3), []graph.NodeID{2}) {
+		t.Fatalf("after the last ACK: active=%v FD_3=%v S_3=%v, want passive, 6, [2]", r.Active(), r.FD(3), r.Successors(3))
 	}
 }

@@ -398,7 +398,7 @@ func (n *Node) session(conn transport.Conn, costOf func(peer graph.NodeID) (floa
 		return
 	}
 	pid, err := wire.HelloNode(f)
-	if err != nil || int(pid) >= n.cfg.Nodes || pid == n.id {
+	if err != nil || int(pid) < 0 || int(pid) >= n.cfg.Nodes || pid == n.id {
 		n.abortHandshake(conn)
 		return
 	}
@@ -470,7 +470,9 @@ func (n *Node) readLoop(p *peer) {
 		n.armDeadLocked(p)
 		switch f.Type {
 		case wire.TypeLSU:
-			if m, err := wire.LSUMsg(f); err == nil {
+			// An LSU reports its sender's own table: one that names another
+			// origin would be written into that neighbor's T_k.
+			if m, err := wire.LSUMsg(f); err == nil && m.From == p.id {
 				n.stats.lsusRecv.Inc()
 				n.emit(telemetry.KindLSURecv, p.id, float64(len(m.Entries)), "")
 				if m.Ack {

@@ -1,11 +1,13 @@
 package node_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"minroute/internal/graph"
 	"minroute/internal/leaktest"
+	"minroute/internal/lsu"
 	"minroute/internal/node"
 	"minroute/internal/telemetry"
 	"minroute/internal/transport"
@@ -279,4 +281,114 @@ func TestAddPeerAfterCloseClosesConn(t *testing.T) {
 		_, err := cb.Recv()
 		return err != nil
 	})
+}
+
+// playPeer joins a as router id over an in-memory pipe, played by hand: it
+// handshakes, then acknowledges every entry-bearing LSU a sends (an
+// unacknowledged flood would hold a ACTIVE, its MTU deferred) until the
+// conn closes. The returned end is for the test's own LSUs.
+func playPeer(t *testing.T, a *node.Node, id graph.NodeID, cost float64) transport.Conn {
+	t.Helper()
+	ca, cb := transport.Pipe()
+	before := a.PeerCount()
+	a.AddPeer(ca, fixedCost(cost))
+	if err := cb.Send(wire.NewHello(id)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "session up", func() bool { return a.PeerCount() == before+1 })
+	go func() {
+		for {
+			f, err := cb.Recv()
+			if err != nil {
+				return
+			}
+			if m, err := wire.LSUMsg(f); err == nil && len(m.Entries) > 0 {
+				// Errors dropped: a's Close races this ACK, and the test
+				// may be over by the time Send fails.
+				if ack, err := wire.NewLSU(&lsu.Msg{From: id, Ack: true}); err == nil {
+					_ = cb.Send(ack)
+				}
+			}
+		}
+	}()
+	return cb
+}
+
+func sendLSU(t *testing.T, c transport.Conn, m *lsu.Msg) {
+	f, err := wire.NewLSU(m)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if err := c.Send(f); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLSUNamingAnotherOriginDropped: the session a frame arrives on says
+// who sent it. An LSU whose From names a different neighbor used to be
+// applied to that neighbor's T_k — peer 1 could announce routes in peer 2's
+// name. It is dropped; the honest LSU behind it on the same conn applies.
+func TestLSUNamingAnotherOriginDropped(t *testing.T) {
+	leaktest.Check(t)
+	a, err := node.New(node.Config{ID: 0, Nodes: 4, Clock: transport.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	c1 := playPeer(t, a, 1, 1)
+	playPeer(t, a, 2, 1)
+
+	sendLSU(t, c1, &lsu.Msg{From: 2, Entries: []lsu.Entry{{Op: lsu.OpAdd, Head: 2, Tail: 3, Cost: 1}}})
+	sendLSU(t, c1, &lsu.Msg{From: 1, Entries: []lsu.Entry{{Op: lsu.OpAdd, Head: 1, Tail: 3, Cost: 5}}})
+	// Forged route: D_3 = 1+1 through 2. Honest route: D_3 = 1+5 through 1.
+	waitUntil(t, "dst 3 reached through 1 only", func() bool {
+		return a.Passive() && strings.Contains(a.Summary(), " dst 3 D=6 S=[1]\n")
+	})
+}
+
+// TestLSUEntryOutsideIDSpaceDropped: an entry naming a router outside
+// [0, Nodes) used to index past the receiver's tables and kill the process.
+// It is dropped; the in-space entry of the same LSU applies.
+func TestLSUEntryOutsideIDSpaceDropped(t *testing.T) {
+	leaktest.Check(t)
+	a, err := node.New(node.Config{ID: 0, Nodes: 4, Clock: transport.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	c1 := playPeer(t, a, 1, 1)
+
+	sendLSU(t, c1, &lsu.Msg{From: 1, Entries: []lsu.Entry{
+		{Op: lsu.OpAdd, Head: 1, Tail: 9, Cost: 1},
+		{Op: lsu.OpAdd, Head: 9, Tail: 3, Cost: 1},
+		{Op: lsu.OpAdd, Head: 1, Tail: 3, Cost: 5},
+	}})
+	waitUntil(t, "dst 3 reached", func() bool {
+		return a.Passive() && strings.Contains(a.Summary(), " dst 3 D=6 S=[1]\n")
+	})
+}
+
+// TestHelloOutsideIDSpaceRejected: a HELLO whose ID has the top bit set
+// decodes to a negative NodeID, which used to pass the upper-bound check
+// and index the router's tables at LinkUp. The session is refused.
+func TestHelloOutsideIDSpaceRejected(t *testing.T) {
+	leaktest.Check(t)
+	a, err := node.New(node.Config{ID: 0, Nodes: 4, Clock: transport.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ca, cb := transport.Pipe()
+	a.AddPeer(ca, fixedCost(1))
+	if err := cb.Send(wire.NewHello(-3)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "connection rejected", func() bool {
+		_, err := cb.Recv()
+		return err != nil
+	})
+	if a.PeerCount() != 0 {
+		t.Fatalf("PeerCount = %d, want 0", a.PeerCount())
+	}
 }

@@ -2,7 +2,7 @@ package pda
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"minroute/internal/dijkstra"
 	"minroute/internal/graph"
@@ -18,30 +18,38 @@ type Tables struct {
 	id graph.NodeID
 	n  int
 
-	// adj holds l_ik for each up adjacent link.
-	adj map[graph.NodeID]float64
-	// nbrTopo holds T_k, the time-delayed copy of neighbor k's main table.
-	nbrTopo map[graph.NodeID]*Topology
-	// nbrDist[k][j] is D_jk: the distance from k to j in T_k.
-	nbrDist map[graph.NodeID][]float64
-	// main is T, the router's own shortest-path tree.
-	main *Topology
+	// nbrs lists the up adjacent neighbors ascending; adj, nbrTopo and
+	// nbrDist are parallel to it, and pos[k] is k's index in all four
+	// (-1 when k is not an up neighbor). pos, main and spare are sized by
+	// the ID space and wait for first use: a network builds all its routers
+	// before any has a neighbor, and a router that never gets one needs none.
+	nbrs []graph.NodeID
+	pos  []int32
+	// adj[i] is l_ik for k = nbrs[i].
+	adj []float64
+	// nbrTopo[i] is T_k, the time-delayed copy of neighbor k's main table.
+	nbrTopo []*Topology
+	// nbrDist[i][j] is D_jk: the distance from k to j in T_k.
+	nbrDist [][]float64
+	// main is T, the router's own shortest-path tree; spare is the buffer
+	// the next RunMTU builds into before the two swap.
+	main, spare *Topology
 	// dist[j] is D_j, the distance from id to j in T.
 	dist []float64
+
+	// version counts changes to the MTU's inputs — an adj cost or
+	// membership, any T_k entry; mtuVersion is its value when RunMTU last
+	// rebuilt T. T is a function of those inputs alone, so while the two
+	// are equal another RunMTU would rebuild the same T and report an
+	// empty diff: it is skipped.
+	version, mtuVersion uint64
+	sp                  dijkstra.Scratch
 }
 
 // NewTables returns fresh tables for router id over an ID space of n nodes.
 // All distances start at infinity except D_id = 0 (paper INIT-PDA).
 func NewTables(id graph.NodeID, n int) *Tables {
-	t := &Tables{
-		id:      id,
-		n:       n,
-		adj:     make(map[graph.NodeID]float64),
-		nbrTopo: make(map[graph.NodeID]*Topology),
-		nbrDist: make(map[graph.NodeID][]float64),
-		main:    NewTopology(n),
-		dist:    infSlice(n),
-	}
+	t := &Tables{id: id, n: n, dist: infSlice(n)}
 	t.dist[id] = 0
 	return t
 }
@@ -60,81 +68,143 @@ func (t *Tables) ID() graph.NodeID { return t.id }
 // NumNodes returns the ID-space size.
 func (t *Tables) NumNodes() int { return t.n }
 
-// Neighbors returns the up adjacent neighbors in ascending order.
-func (t *Tables) Neighbors() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(t.adj))
-	//lint:maporder-ok keys are collected and sorted ascending before any use
-	for k := range t.adj {
-		out = append(out, k)
+// Neighbors returns the up adjacent neighbors in ascending order (not a
+// copy; callers must not mutate it, and it is only valid until the next
+// SetAdjacent or RemoveAdjacent).
+func (t *Tables) Neighbors() []graph.NodeID { return t.nbrs }
+
+// Version counts the changes made so far to the inputs of MTU and of the
+// successor sets: adjacent links and neighbor tables. Equal values mean
+// nothing changed in between.
+func (t *Tables) Version() uint64 { return t.version }
+
+// index returns k's position in the neighbor-parallel slices.
+func (t *Tables) index(k graph.NodeID) (int, bool) {
+	if int(k) < 0 || int(k) >= len(t.pos) {
+		return 0, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	i := t.pos[k]
+	return int(i), i >= 0
 }
 
 // AdjCost returns l_ik for neighbor k.
 func (t *Tables) AdjCost(k graph.NodeID) (float64, bool) {
-	c, ok := t.adj[k]
-	return c, ok
+	i, ok := t.index(k)
+	if !ok {
+		return 0, false
+	}
+	return t.adj[i], true
 }
 
 // Dist returns D_j, the router's distance to j in T.
 func (t *Tables) Dist(j graph.NodeID) float64 { return t.dist[j] }
 
 // Dists returns the full distance vector (not a copy; callers must not
-// mutate it).
+// mutate it, and the next RunMTU overwrites it).
 func (t *Tables) Dists() []float64 { return t.dist }
 
 // NbrDist returns D_jk, the distance from neighbor k to destination j in the
 // router's copy of k's topology. Infinite when unknown.
 func (t *Tables) NbrDist(j, k graph.NodeID) float64 {
-	d, ok := t.nbrDist[k]
+	i, ok := t.index(k)
 	if !ok {
 		return math.Inf(1)
 	}
-	return d[j]
+	return t.nbrDist[i][j]
 }
 
-// Main exposes the main topology table T (read-only by convention).
-func (t *Tables) Main() *Topology { return t.main }
+// Main exposes the main topology table T (read-only by convention; the
+// RunMTU after next reuses its storage).
+func (t *Tables) Main() *Topology {
+	if t.main == nil {
+		t.main = NewTopology(t.n)
+	}
+	return t.main
+}
 
 // NeighborTopo exposes T_k (read-only by convention), or nil when k is not
 // an up neighbor.
-func (t *Tables) NeighborTopo(k graph.NodeID) *Topology { return t.nbrTopo[k] }
+func (t *Tables) NeighborTopo(k graph.NodeID) *Topology {
+	i, ok := t.index(k)
+	if !ok {
+		return nil
+	}
+	return t.nbrTopo[i]
+}
 
 // SetAdjacent records that the adjacent link to k is up with cost l_ik
 // (NTU steps 2 and 3).
 func (t *Tables) SetAdjacent(k graph.NodeID, cost float64) {
-	if _, known := t.adj[k]; !known {
-		t.nbrTopo[k] = NewTopology(t.n)
-		d := infSlice(t.n)
-		d[k] = 0
-		t.nbrDist[k] = d
+	t.version++
+	if i, known := t.index(k); known {
+		t.adj[i] = cost
+		return
 	}
-	t.adj[k] = cost
+	if t.pos == nil {
+		t.pos = make([]int32, t.n)
+		for j := range t.pos {
+			t.pos[j] = -1
+		}
+	}
+	i, _ := slices.BinarySearch(t.nbrs, k)
+	d := infSlice(t.n)
+	d[k] = 0
+	t.nbrs = slices.Insert(t.nbrs, i, k)
+	t.adj = slices.Insert(t.adj, i, cost)
+	t.nbrTopo = slices.Insert(t.nbrTopo, i, NewTopology(t.n))
+	t.nbrDist = slices.Insert(t.nbrDist, i, d)
+	t.reindex(i)
 }
 
 // RemoveAdjacent handles failure of the adjacent link to k (NTU step 4):
 // l_ik is removed and T_k is cleared.
 func (t *Tables) RemoveAdjacent(k graph.NodeID) {
-	delete(t.adj, k)
-	delete(t.nbrTopo, k)
-	delete(t.nbrDist, k)
+	i, known := t.index(k)
+	if !known {
+		return
+	}
+	t.version++
+	t.nbrs = slices.Delete(t.nbrs, i, i+1)
+	t.adj = slices.Delete(t.adj, i, i+1)
+	t.nbrTopo = slices.Delete(t.nbrTopo, i, i+1)
+	t.nbrDist = slices.Delete(t.nbrDist, i, i+1)
+	t.pos[k] = -1
+	t.reindex(i)
+}
+
+// reindex restores pos for the neighbors at positions from and up.
+func (t *Tables) reindex(from int) {
+	for i := from; i < len(t.nbrs); i++ {
+		t.pos[t.nbrs[i]] = int32(i)
+	}
 }
 
 // ApplyLSU implements NTU step 1: it applies the entries of an LSU received
 // from neighbor k to T_k and recomputes the distances D_jk from k over the
-// updated T_k. LSUs from unknown (down) neighbors are ignored.
+// updated T_k. LSUs from unknown (down) neighbors are ignored, and so are
+// entries naming a node outside the ID space — LSUs arrive from the
+// network. An LSU that leaves no entry to apply (a pure ACK) changes
+// nothing and costs nothing.
 func (t *Tables) ApplyLSU(k graph.NodeID, entries []lsu.Entry) {
-	topo, ok := t.nbrTopo[k]
+	i, ok := t.index(k)
 	if !ok {
 		return
 	}
+	applied := false
 	for _, e := range entries {
-		topo.Apply(e)
+		if t.inSpace(e.Head) && t.inSpace(e.Tail) {
+			t.nbrTopo[i].Apply(e)
+			applied = true
+		}
 	}
-	res := dijkstra.Run(topo, k)
-	t.nbrDist[k] = res.Dist
+	if !applied {
+		return
+	}
+	t.version++
+	copy(t.nbrDist[i], t.sp.Run(t.nbrTopo[i], k).Dist)
 }
+
+func (t *Tables) inSpace(id graph.NodeID) bool { return int(id) >= 0 && int(id) < t.n }
 
 // RunMTU implements the MTU procedure (paper Fig. 3): rebuild the main
 // table T by merging the neighbor topologies — resolving conflicting link
@@ -142,79 +212,69 @@ func (t *Tables) ApplyLSU(k graph.NodeID, entries []lsu.Entry) {
 // head of the link, ties to the lowest address — overriding adjacent links
 // with local knowledge, pruning to the shortest-path tree, and updating the
 // distance table. It returns the LSU entries describing the difference from
-// the previous T (step 8); an empty result means T did not change.
+// the previous T (step 8); an empty result means T did not change. When no
+// input changed since the last run, T is left alone (see version).
 func (t *Tables) RunMTU() []lsu.Entry {
-	oldT := t.main
-	newT := NewTopology(t.n)
-	nbrs := t.Neighbors()
+	if t.version == t.mtuVersion {
+		return nil
+	}
+	t.mtuVersion = t.version
+	oldT, newT := t.Main(), t.spare
+	if newT == nil {
+		newT = NewTopology(t.n)
+	}
+	newT.Clear()
 
-	// Steps 2-3: the node set is the union over all T_k; each node j gets a
-	// preferred neighbor p minimizing D_jk + l_ik (ties to lowest address,
-	// which the ascending neighbor iteration provides).
-	nodes := make(map[graph.NodeID]bool)
-	for _, k := range nbrs {
-		nodes[k] = true
-		for _, j := range t.nbrTopo[k].Nodes() {
-			nodes[j] = true
-		}
-	}
-	// Ascending node order: the paper resolves conflicting link reports
-	// "ties to the lowest address", and the merge below must visit nodes in
-	// the same order every run for T to be reproducible.
-	ids := make([]graph.NodeID, 0, len(nodes))
-	//lint:maporder-ok keys are collected and sorted ascending before any use
-	for j := range nodes {
-		ids = append(ids, j)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, j := range ids {
-		if j == t.id {
+	// Steps 2-4: each node j gets a preferred neighbor p minimizing
+	// D_jk + l_ik (ties to lowest address, which the ascending neighbor
+	// order provides), and T takes all links with head j from T_p. The
+	// paper's node set is the union over all T_k; a node outside it is
+	// unreachable in every T_k, so scanning the whole ID space visits the
+	// same nodes, in the same ascending order.
+	for j := range newT.rows {
+		if graph.NodeID(j) == t.id {
 			continue // local links are handled in step 5
 		}
-		best := math.Inf(1)
-		preferred := graph.None
-		for _, k := range nbrs {
-			d := t.nbrDist[k][j] + t.adj[k]
-			if d < best {
-				best = d
-				preferred = k
-			}
+		if p := t.preferred(graph.NodeID(j)); p >= 0 {
+			src := t.nbrTopo[p].rows[j]
+			newT.rows[j] = append(newT.rows[j], src...)
+			newT.links += len(src)
 		}
-		if preferred == graph.None {
-			continue
-		}
-		// Step 4: copy all links with head j from T_preferred.
-		t.nbrTopo[preferred].VisitOut(j, func(tail graph.NodeID, cost float64) {
-			newT.Set(j, tail, cost)
-		})
 	}
 
 	// Step 5: adjacent links override anything reported by neighbors.
-	for _, k := range nbrs {
-		newT.Set(t.id, k, t.adj[k])
+	for i, k := range t.nbrs {
+		newT.rows[t.id] = append(newT.rows[t.id], link{k, t.adj[i]})
 	}
+	newT.links += len(t.nbrs)
 
 	// Steps 6-7: prune to the shortest-path tree and refresh distances.
-	res := newT.SPT(t.id)
-	t.main = newT
-	t.dist = res.Dist
+	copy(t.dist, newT.SPT(t.id, &t.sp).Dist)
+	t.main, t.spare = newT, oldT
 
 	// Step 8: report differences.
 	return newT.Diff(oldT)
+}
+
+// preferred returns the position of the neighbor minimizing D_jk + l_ik
+// toward j, lowest address among equals, or -1 when j is unreachable
+// through every neighbor.
+func (t *Tables) preferred(j graph.NodeID) int {
+	best, p := math.Inf(1), -1
+	for i, l := range t.adj {
+		if d := t.nbrDist[i][j] + l; d < best {
+			best, p = d, i
+		}
+	}
+	return p
 }
 
 // PreferredNeighbor returns the neighbor minimizing D_jk + l_ik toward j
 // (the next hop single-path routing would use), or graph.None when j is
 // unreachable through every neighbor.
 func (t *Tables) PreferredNeighbor(j graph.NodeID) graph.NodeID {
-	best := math.Inf(1)
-	preferred := graph.None
-	for _, k := range t.Neighbors() {
-		d := t.nbrDist[k][j] + t.adj[k]
-		if d < best {
-			best = d
-			preferred = k
-		}
+	if p := t.preferred(j); p >= 0 {
+		return t.nbrs[p]
 	}
-	return preferred
+	return graph.None
 }

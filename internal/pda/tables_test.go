@@ -2,10 +2,12 @@ package pda
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
+	"minroute/internal/rng"
 )
 
 // TestMTUConflictResolution exercises the paper's conflict rule directly:
@@ -148,5 +150,126 @@ func TestTablesApplyLSUFromUnknownNeighborIgnored(t *testing.T) {
 	tb.RunMTU()
 	if !math.IsInf(tb.Dist(2), 1) {
 		t.Fatal("LSU from unknown neighbor was processed")
+	}
+}
+
+// TestApplyLSUDropsOutOfSpaceEntries is the regression test for a remote
+// crash: LSUs arrive from the network, and an entry naming a node outside
+// [0, NumNodes) used to reach Dijkstra and index past its vectors. Such
+// entries are dropped; the rest of the message still applies.
+func TestApplyLSUDropsOutOfSpaceEntries(t *testing.T) {
+	tb := NewTables(0, 4)
+	tb.SetAdjacent(1, 1)
+	tb.ApplyLSU(1, []lsu.Entry{
+		{Op: lsu.OpAdd, Head: 1, Tail: 9, Cost: 1},
+		{Op: lsu.OpAdd, Head: 9, Tail: 1, Cost: 1},
+		{Op: lsu.OpAdd, Head: 1, Tail: -1, Cost: 1},
+		{Op: lsu.OpDelete, Head: -2, Tail: 1},
+		{Op: lsu.OpAdd, Head: 1, Tail: 2, Cost: 3},
+	})
+	tb.RunMTU()
+	if got := tb.NeighborTopo(1).Entries(); len(got) != 1 || got[0].Head != 1 || got[0].Tail != 2 {
+		t.Fatalf("T_1 = %v, want only 1->2", got)
+	}
+	if tb.Dist(2) != 4 {
+		t.Fatalf("D_2 = %v, want 4: the in-space entry of the same LSU must apply", tb.Dist(2))
+	}
+}
+
+// TestRunMTUCleanIsNoOp: with no input changed since the last run, RunMTU
+// reports nothing and leaves T — the very table, not a rebuilt equal — and
+// D alone; an entry-less LSU does not count as a change.
+func TestRunMTUCleanIsNoOp(t *testing.T) {
+	tb := NewTables(0, 4)
+	tb.SetAdjacent(1, 1)
+	tb.ApplyLSU(1, []lsu.Entry{{Op: lsu.OpAdd, Head: 1, Tail: 2, Cost: 1}})
+	if diff := tb.RunMTU(); len(diff) != 2 {
+		t.Fatalf("first MTU diff = %v, want 0->1 and 1->2", diff)
+	}
+	main, before, dists := tb.Main(), tb.Main().Clone(), slices.Clone(tb.Dists())
+	tb.ApplyLSU(1, nil)
+	for i := 0; i < 2; i++ {
+		if diff := tb.RunMTU(); diff != nil {
+			t.Fatalf("clean MTU reported %v", diff)
+		}
+	}
+	if tb.Main() != main || !tb.Main().Equal(before) || !slices.Equal(tb.Dists(), dists) {
+		t.Fatalf("clean MTU touched T: %v (was %v), D %v (was %v)", tb.Main(), before, tb.Dists(), dists)
+	}
+}
+
+// rebuilt returns fresh tables given the same inputs tb holds now: every
+// adjacent cost, and every T_k replayed as one full LSU.
+func rebuilt(tb *Tables) *Tables {
+	fresh := NewTables(tb.ID(), tb.NumNodes())
+	for _, k := range tb.Neighbors() {
+		cost, _ := tb.AdjCost(k)
+		fresh.SetAdjacent(k, cost)
+		fresh.ApplyLSU(k, tb.NeighborTopo(k).Entries())
+	}
+	return fresh
+}
+
+// TestTablesMatchFreshRebuild is the proof obligation of the incremental
+// rules: T, D and the D_jk are functions of the current l_ik and T_k alone,
+// so after any history of events — with MTUs skipped when clean, Dijkstra
+// skipped on entry-less LSUs, several events piling up behind a deferred
+// MTU as in MPDA's ACTIVE phase, and the node scan running over the whole
+// ID space rather than the union of mentioned nodes — the tables must equal
+// ones built from scratch from those inputs, and the reported diff must be
+// exactly what separates the new T from the previous one. Costs are small
+// integers so equal-cost paths, and with them every tie-break, are common.
+func TestTablesMatchFreshRebuild(t *testing.T) {
+	const n = 10
+	for seed := uint64(1); seed <= 30; seed++ {
+		r := rng.New(seed)
+		node := func() graph.NodeID { return graph.NodeID(r.Intn(n)) }
+		cost := func() float64 { return float64(1 + r.Intn(3)) }
+		tb := NewTables(node(), n)
+		for step := 0; step < 400; step++ {
+			switch r.Intn(10) {
+			case 0, 1:
+				if k := node(); k != tb.ID() {
+					tb.SetAdjacent(k, cost())
+				}
+			case 2:
+				tb.RemoveAdjacent(node())
+			case 3:
+				tb.ApplyLSU(node(), nil) // a pure ACK
+			case 4:
+				tb.ApplyLSU(node(), []lsu.Entry{{Op: lsu.OpAdd, Head: node(), Tail: n + node(), Cost: 1}})
+			case 5:
+				// No event: the MTU below runs on clean tables.
+			default:
+				es := make([]lsu.Entry, 1+r.Intn(4))
+				for i := range es {
+					es[i] = lsu.Entry{Op: lsu.Op(1 + r.Intn(3)), Head: node(), Tail: node(), Cost: cost()}
+				}
+				tb.ApplyLSU(node(), es)
+			}
+			if r.Intn(4) == 0 {
+				continue // MTU deferred: the next one sees several events
+			}
+			prev := tb.Main().Clone()
+			diff := tb.RunMTU()
+			want := rebuilt(tb)
+			want.RunMTU()
+			if !tb.Main().Equal(want.Main()) {
+				t.Fatalf("seed %d step %d: T = %v\nrebuilt  %v", seed, step, tb.Main(), want.Main())
+			}
+			if !slices.Equal(tb.Dists(), want.Dists()) {
+				t.Fatalf("seed %d step %d: D = %v\nrebuilt  %v", seed, step, tb.Dists(), want.Dists())
+			}
+			if wantDiff := want.Main().Diff(prev); !slices.Equal(diff, wantDiff) {
+				t.Fatalf("seed %d step %d: diff = %v\nwant %v", seed, step, diff, wantDiff)
+			}
+			for _, k := range tb.Neighbors() {
+				for j := graph.NodeID(0); j < n; j++ {
+					if tb.NbrDist(j, k) != want.NbrDist(j, k) {
+						t.Fatalf("seed %d step %d: D_%d,%d = %v, rebuilt %v", seed, step, j, k, tb.NbrDist(j, k), want.NbrDist(j, k))
+					}
+				}
+			}
+		}
 	}
 }

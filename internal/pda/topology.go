@@ -9,7 +9,7 @@ package pda
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"minroute/internal/dijkstra"
@@ -17,96 +17,95 @@ import (
 	"minroute/internal/lsu"
 )
 
+// link is one stored triplet, keyed by its row (the head).
+type link struct {
+	tail graph.NodeID
+	cost float64
+}
+
 // Topology is a router's view of a set of directed links with costs: the
 // main topology table T and the neighbor tables T_k of the paper. Entries
-// are triplets [head, tail, cost].
+// are triplets [head, tail, cost], held as one row per head over the dense
+// NodeID space, each row ascending by tail — so every traversal is already
+// in the (head, tail) order the protocol's tie-breaking and LSU contents
+// depend on, and none of them allocates or sorts.
 type Topology struct {
-	n   int // dense NodeID space size
-	out map[graph.NodeID]map[graph.NodeID]float64
+	rows  [][]link
+	links int
 }
 
 // NewTopology returns an empty topology over an ID space of n nodes.
 func NewTopology(n int) *Topology {
-	return &Topology{n: n, out: make(map[graph.NodeID]map[graph.NodeID]float64)}
+	return &Topology{rows: make([][]link, n)}
 }
 
 // NumNodes implements dijkstra.View.
-func (t *Topology) NumNodes() int { return t.n }
+func (t *Topology) NumNodes() int { return len(t.rows) }
 
-// VisitOut implements dijkstra.View.
+// VisitOut implements dijkstra.View: ascending tail ID.
 func (t *Topology) VisitOut(u graph.NodeID, visit func(graph.NodeID, float64)) {
-	row := t.out[u]
-	if len(row) == 0 {
-		return
+	for _, l := range t.rows[u] {
+		visit(l.tail, l.cost)
 	}
-	// Deterministic iteration order: ascending tail ID.
-	tails := make([]graph.NodeID, 0, len(row))
-	//lint:maporder-ok keys are collected and sorted ascending before any use
-	for tail := range row {
-		tails = append(tails, tail)
-	}
-	sort.Slice(tails, func(i, j int) bool { return tails[i] < tails[j] })
-	for _, tail := range tails {
-		visit(tail, row[tail])
-	}
+}
+
+// find returns the position of tail in head's row, or where it would go.
+func (t *Topology) find(head, tail graph.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(t.rows[head], tail, func(l link, tail graph.NodeID) int {
+		return int(l.tail) - int(tail)
+	})
 }
 
 // Set records link head→tail with the given cost, replacing any previous
 // entry.
 func (t *Topology) Set(head, tail graph.NodeID, cost float64) {
-	row := t.out[head]
-	if row == nil {
-		row = make(map[graph.NodeID]float64)
-		t.out[head] = row
+	i, found := t.find(head, tail)
+	if found {
+		t.rows[head][i].cost = cost
+		return
 	}
-	row[tail] = cost
+	t.rows[head] = slices.Insert(t.rows[head], i, link{tail, cost})
+	t.links++
 }
 
 // Delete removes link head→tail, reporting whether it was present.
 func (t *Topology) Delete(head, tail graph.NodeID) bool {
-	row := t.out[head]
-	if _, ok := row[tail]; !ok {
+	i, found := t.find(head, tail)
+	if !found {
 		return false
 	}
-	delete(row, tail)
-	if len(row) == 0 {
-		delete(t.out, head)
-	}
+	t.rows[head] = slices.Delete(t.rows[head], i, i+1)
+	t.links--
 	return true
 }
 
 // Cost looks up the cost of link head→tail.
 func (t *Topology) Cost(head, tail graph.NodeID) (float64, bool) {
-	c, ok := t.out[head][tail]
-	return c, ok
+	i, found := t.find(head, tail)
+	if !found {
+		return 0, false
+	}
+	return t.rows[head][i].cost, true
 }
 
 // NumLinks returns the number of links in the table.
-func (t *Topology) NumLinks() int {
-	n := 0
-	for _, row := range t.out {
-		n += len(row)
-	}
-	return n
-}
+func (t *Topology) NumLinks() int { return t.links }
 
-// Clear removes every link (used when an adjacent link to the neighbor that
-// reported this table fails).
+// Clear removes every link, keeping the rows' storage.
 func (t *Topology) Clear() {
-	t.out = make(map[graph.NodeID]map[graph.NodeID]float64)
+	for h := range t.rows {
+		t.rows[h] = t.rows[h][:0]
+	}
+	t.links = 0
 }
 
 // Clone deep-copies the table.
 func (t *Topology) Clone() *Topology {
-	c := NewTopology(t.n)
-	//lint:maporder-ok distinct-key deep copy; every row lands in its own entry
-	for head, row := range t.out {
-		nr := make(map[graph.NodeID]float64, len(row))
-		for tail, cost := range row {
-			nr[tail] = cost
-		}
-		c.out[head] = nr
+	c := NewTopology(len(t.rows))
+	for h, row := range t.rows {
+		c.rows[h] = slices.Clone(row)
 	}
+	c.links = t.links
 	return c
 }
 
@@ -120,119 +119,92 @@ func (t *Topology) Apply(e lsu.Entry) {
 	}
 }
 
-// Diff returns the LSU entries that transform old into t: adds, changes and
-// deletes, in deterministic (head, tail) order.
+// Diff returns the LSU entries that transform old into t, both over the
+// same ID space: adds and changes in (head, tail) order, then deletes in
+// (head, tail) order. Equal tables yield nil without allocating.
 func (t *Topology) Diff(old *Topology) []lsu.Entry {
 	var out []lsu.Entry
-	visitSorted(t, func(h, tl graph.NodeID, cost float64) {
-		if oc, ok := old.Cost(h, tl); !ok {
-			out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: h, Tail: tl, Cost: cost})
-			//lint:floateq-ok change detection: any bit-level cost change must be flooded
-		} else if oc != cost {
-			out = append(out, lsu.Entry{Op: lsu.OpChange, Head: h, Tail: tl, Cost: cost})
-		}
-	})
-	visitSorted(old, func(h, tl graph.NodeID, cost float64) {
-		if _, ok := t.Cost(h, tl); !ok {
-			out = append(out, lsu.Entry{Op: lsu.OpDelete, Head: h, Tail: tl})
-		}
-	})
-	return out
-}
-
-// Entries returns every link as an add entry, in deterministic order. Used
-// for the full-table LSU sent when an adjacent link comes up.
-func (t *Topology) Entries() []lsu.Entry {
-	var out []lsu.Entry
-	visitSorted(t, func(h, tl graph.NodeID, cost float64) {
-		out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: h, Tail: tl, Cost: cost})
-	})
-	return out
-}
-
-// Nodes returns the IDs mentioned by any link, ascending.
-func (t *Topology) Nodes() []graph.NodeID {
-	seen := make(map[graph.NodeID]bool)
-	//lint:maporder-ok set union via idempotent inserts
-	for head, row := range t.out {
-		seen[head] = true
-		for tail := range row {
-			seen[tail] = true
-		}
-	}
-	out := make([]graph.NodeID, 0, len(seen))
-	//lint:maporder-ok keys are collected and sorted ascending before any use
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Equal reports whether two tables contain identical links and costs.
-func (t *Topology) Equal(o *Topology) bool {
-	if t.NumLinks() != o.NumLinks() {
-		return false
-	}
-	//lint:maporder-ok existence check; the boolean verdict is visit-order independent
-	for head, row := range t.out {
-		//lint:maporder-ok existence check; the boolean verdict is visit-order independent
-		for tail, cost := range row {
-			//lint:floateq-ok equality of verbatim stored costs, not arithmetic results
-			if oc, ok := o.Cost(head, tail); !ok || oc != cost {
-				return false
+	for h, row := range t.rows {
+		was, i, found := old.rows[h], 0, false
+		for _, l := range row {
+			if i, found = seek(was, i, l.tail); !found {
+				out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: graph.NodeID(h), Tail: l.tail, Cost: l.cost})
+				//lint:floateq-ok change detection: any bit-level cost change must be flooded
+			} else if was[i].cost != l.cost {
+				out = append(out, lsu.Entry{Op: lsu.OpChange, Head: graph.NodeID(h), Tail: l.tail, Cost: l.cost})
 			}
 		}
 	}
-	return true
+	for h, was := range old.rows {
+		row, i, found := t.rows[h], 0, false
+		for _, l := range was {
+			if i, found = seek(row, i, l.tail); !found {
+				out = append(out, lsu.Entry{Op: lsu.OpDelete, Head: graph.NodeID(h), Tail: l.tail})
+			}
+		}
+	}
+	return out
+}
+
+// seek is one step of an ordered merge: it advances i past the links of row
+// below tail and reports whether row[i] is the link to tail.
+func seek(row []link, i int, tail graph.NodeID) (int, bool) {
+	for i < len(row) && row[i].tail < tail {
+		i++
+	}
+	return i, i < len(row) && row[i].tail == tail
+}
+
+// Entries returns every link as an add entry, in (head, tail) order. Used
+// for the full-table LSU sent when an adjacent link comes up.
+func (t *Topology) Entries() []lsu.Entry {
+	if t.links == 0 {
+		return nil
+	}
+	out := make([]lsu.Entry, 0, t.links)
+	for h, row := range t.rows {
+		for _, l := range row {
+			out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: graph.NodeID(h), Tail: l.tail, Cost: l.cost})
+		}
+	}
+	return out
+}
+
+// Equal reports whether two tables over the same ID space contain identical
+// links and costs.
+func (t *Topology) Equal(o *Topology) bool {
+	// Costs compare exactly: they are stored verbatim, not computed.
+	return t.links == o.links && slices.EqualFunc(t.rows, o.rows, slices.Equal[[]link])
 }
 
 // String renders the table for debugging.
 func (t *Topology) String() string {
 	var b strings.Builder
-	visitSorted(t, func(h, tl graph.NodeID, cost float64) {
-		fmt.Fprintf(&b, "[%d->%d %.6g] ", h, tl, cost)
-	})
+	for h, row := range t.rows {
+		for _, l := range row {
+			fmt.Fprintf(&b, "[%d->%d %.6g] ", h, l.tail, l.cost)
+		}
+	}
 	return strings.TrimSpace(b.String())
 }
 
-func visitSorted(t *Topology, fn func(h, tl graph.NodeID, cost float64)) {
-	heads := make([]graph.NodeID, 0, len(t.out))
-	//lint:maporder-ok keys are collected and sorted ascending before any use
-	for h := range t.out {
-		heads = append(heads, h)
+// SPT runs Dijkstra from src and prunes the table in place down to the
+// shortest-path tree, returning the distance result (owned by sp, see
+// dijkstra.Scratch). Links not on the tree are removed, implementing step 6
+// of MTU ("remove those links in T that are not part of the shortest path
+// tree").
+func (t *Topology) SPT(src graph.NodeID, sp *dijkstra.Scratch) *dijkstra.Result {
+	res := sp.Run(t, src)
+	t.links = 0
+	for h, row := range t.rows {
+		kept := row[:0]
+		for _, l := range row {
+			if res.Parent[l.tail] == graph.NodeID(h) {
+				kept = append(kept, l)
+			}
+		}
+		t.rows[h] = kept
+		t.links += len(kept)
 	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	for _, h := range heads {
-		row := t.out[h]
-		tails := make([]graph.NodeID, 0, len(row))
-		//lint:maporder-ok keys are collected and sorted ascending before any use
-		for tl := range row {
-			tails = append(tails, tl)
-		}
-		sort.Slice(tails, func(i, j int) bool { return tails[i] < tails[j] })
-		for _, tl := range tails {
-			fn(h, tl, row[tl])
-		}
-	}
-}
-
-// SPT runs Dijkstra from src and prunes the table down to the shortest-path
-// tree, returning the distance result. Links not on the tree are removed,
-// implementing step 6 of MTU ("remove those links in T that are not part of
-// the shortest path tree").
-func (t *Topology) SPT(src graph.NodeID) *dijkstra.Result {
-	res := dijkstra.Run(t, src)
-	pruned := NewTopology(t.n)
-	for id := 0; id < t.n; id++ {
-		p := res.Parent[id]
-		if p == graph.None {
-			continue
-		}
-		if cost, ok := t.Cost(p, graph.NodeID(id)); ok {
-			pruned.Set(p, graph.NodeID(id), cost)
-		}
-	}
-	t.out = pruned.out
 	return res
 }

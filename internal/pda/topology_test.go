@@ -1,8 +1,10 @@
 package pda
 
 import (
+	"slices"
 	"testing"
 
+	"minroute/internal/dijkstra"
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
 )
@@ -102,22 +104,6 @@ func TestTopologyCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestTopologyNodes(t *testing.T) {
-	topo := NewTopology(10)
-	topo.Set(3, 7, 1)
-	topo.Set(7, 2, 1)
-	nodes := topo.Nodes()
-	want := []graph.NodeID{2, 3, 7}
-	if len(nodes) != len(want) {
-		t.Fatalf("nodes = %v", nodes)
-	}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("nodes = %v, want %v", nodes, want)
-		}
-	}
-}
-
 func TestTopologySPTPrunes(t *testing.T) {
 	topo := NewTopology(4)
 	// Diamond: 0->1 (1), 0->2 (1), 1->3 (1), 2->3 (5). SPT keeps 1->3, drops 2->3.
@@ -125,7 +111,7 @@ func TestTopologySPTPrunes(t *testing.T) {
 	topo.Set(0, 2, 1)
 	topo.Set(1, 3, 1)
 	topo.Set(2, 3, 5)
-	res := topo.SPT(0)
+	res := topo.SPT(0, new(dijkstra.Scratch))
 	if res.Dist[3] != 2 {
 		t.Fatalf("dist[3] = %v", res.Dist[3])
 	}
@@ -175,5 +161,92 @@ func TestTopologyEntries(t *testing.T) {
 		if e.Op != lsu.OpAdd {
 			t.Fatalf("entry op = %v", e.Op)
 		}
+	}
+}
+
+// visited returns head's row as VisitOut walks it.
+func visited(topo *Topology, head graph.NodeID) []lsu.Entry {
+	var out []lsu.Entry
+	topo.VisitOut(head, func(tail graph.NodeID, cost float64) {
+		out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: head, Tail: tail, Cost: cost})
+	})
+	return out
+}
+
+// TestTopologyRowOrder pins the row invariant everything else leans on:
+// whatever order links arrive in — Set, Apply or Delete, on the table or on
+// its clone — every traversal walks heads ascending and, within a head,
+// tails ascending, and NumLinks counts exactly the links walked.
+func TestTopologyRowOrder(t *testing.T) {
+	add := func(h, tl graph.NodeID, c float64) lsu.Entry {
+		return lsu.Entry{Op: lsu.OpAdd, Head: h, Tail: tl, Cost: c}
+	}
+	topo := NewTopology(8)
+	topo.Set(5, 6, 56)
+	topo.Set(2, 7, 27)
+	topo.Set(2, 0, 20)
+	topo.Apply(add(2, 4, 24))
+	topo.Apply(add(2, 3, 99))
+	topo.Set(0, 1, 1)
+	topo.Apply(lsu.Entry{Op: lsu.OpChange, Head: 2, Tail: 3, Cost: 23})
+	topo.Set(2, 5, 25)
+	topo.Delete(2, 4)
+	topo.Apply(lsu.Entry{Op: lsu.OpDelete, Head: 2, Tail: 6}) // absent: no-op
+
+	want := []lsu.Entry{add(0, 1, 1), add(2, 0, 20), add(2, 3, 23), add(2, 5, 25), add(2, 7, 27), add(5, 6, 56)}
+	check := func(name string, tp *Topology) {
+		t.Helper()
+		if got := tp.Entries(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Entries = %v, want %v", name, got, want)
+		}
+		if got := visited(tp, 2); !slices.Equal(got, want[1:5]) {
+			t.Fatalf("%s: VisitOut(2) = %v, want %v", name, got, want[1:5])
+		}
+		if tp.NumLinks() != len(want) {
+			t.Fatalf("%s: NumLinks = %d, want %d", name, tp.NumLinks(), len(want))
+		}
+	}
+	check("table", topo)
+	clone := topo.Clone()
+	check("clone", clone)
+
+	// A row of the clone shares no storage with the original's.
+	clone.Delete(2, 0)
+	clone.Set(2, 1, 21)
+	check("table after clone edits", topo)
+
+	// Diff: adds and changes in (head, tail) order, then deletes in
+	// (head, tail) order.
+	old := NewTopology(8)
+	old.Set(7, 0, 70)
+	old.Set(2, 6, 26)
+	old.Set(2, 3, 23)
+	old.Set(2, 5, 52)
+	old.Set(0, 1, 1)
+	old.Set(1, 0, 10)
+	wantDiff := []lsu.Entry{
+		add(2, 0, 20),
+		{Op: lsu.OpChange, Head: 2, Tail: 5, Cost: 25},
+		add(2, 7, 27),
+		add(5, 6, 56),
+		{Op: lsu.OpDelete, Head: 1, Tail: 0},
+		{Op: lsu.OpDelete, Head: 2, Tail: 6},
+		{Op: lsu.OpDelete, Head: 7, Tail: 0},
+	}
+	if got := topo.Diff(old); !slices.Equal(got, wantDiff) {
+		t.Fatalf("Diff = %v\nwant   %v", got, wantDiff)
+	}
+	if got := topo.Diff(topo.Clone()); got != nil {
+		t.Fatalf("Diff against an equal table = %v, want nil", got)
+	}
+
+	topo.Clear()
+	if topo.NumLinks() != 0 || topo.Entries() != nil || visited(topo, 2) != nil {
+		t.Fatalf("Clear left %v", topo)
+	}
+	topo.Set(2, 4, 1)
+	topo.Set(2, 1, 1)
+	if got := visited(topo, 2); len(got) != 2 || got[0].Tail != 1 || got[1].Tail != 4 {
+		t.Fatalf("row reused after Clear walks %v", got)
 	}
 }

@@ -149,7 +149,7 @@ func TestLazyAllocationOnFirstPacket(t *testing.T) {
 	startAll(eng, nodes, 5)
 	n0 := nodes[0]
 	n0.phi[2] = nil
-	n0.succSig[2] = ""
+	n0.phiSucc[2] = nil
 	allocs := 0
 	n0.OnAlloc = func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) { allocs++ }
 	n0.HandleData(&des.Packet{FlowID: 0, Src: 0, Dst: 2, Bits: 8000, Created: eng.Now()})

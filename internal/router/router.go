@@ -22,6 +22,7 @@ package router
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"minroute/internal/alloc"
 	"minroute/internal/des"
@@ -176,8 +177,8 @@ type Node struct {
 
 	// phi[j] holds the current routing parameters for destination j.
 	phi []alloc.Params
-	// succSig[j] fingerprints the successor set used to build phi[j].
-	succSig []string
+	// phiSucc[j] is a copy of the successor set phi[j] was built from.
+	phiSucc [][]graph.NodeID
 
 	// staticPhi, in ModeStatic, holds the externally installed parameters.
 	staticPhi []alloc.Params
@@ -245,7 +246,7 @@ func New(eng *des.Engine, id graph.NodeID, numNodes int, cfg Config, sendLSU mpd
 		tsSnap:    make(map[graph.NodeID]portSnap),
 		tlSnap:    make(map[graph.NodeID]portSnap),
 		phi:       make([]alloc.Params, numNodes),
-		succSig:   make([]string, numNodes),
+		phiSucc:   make([][]graph.NodeID, numNodes),
 		flowlets:  make(map[int]*flowletState),
 	}
 	return n
@@ -397,7 +398,7 @@ func (n *Node) Restart() {
 	n.proto = mpda.NewRouter(n.id, n.numNodes, n.send)
 	n.installProtoHooks()
 	n.phi = make([]alloc.Params, n.numNodes)
-	n.succSig = make([]string, n.numNodes)
+	n.phiSucc = make([][]graph.NodeID, n.numNodes)
 	n.flowlets = make(map[int]*flowletState)
 	n.shortCost = make(map[graph.NodeID]float64)
 	n.longCost = make(map[graph.NodeID]*linkcost.Smoother)
@@ -679,11 +680,10 @@ func (n *Node) refreshAllocations() {
 			continue
 		}
 		succ := n.proto.Successors(jid)
-		sig := succSignature(succ)
-		if sig == n.succSig[j] {
+		if slices.Equal(succ, n.phiSucc[j]) {
 			continue
 		}
-		n.succSig[j] = sig
+		n.phiSucc[j] = append(n.phiSucc[j][:0], succ...)
 		if len(succ) == 0 {
 			n.phi[j] = nil
 		} else {
@@ -694,17 +694,6 @@ func (n *Node) refreshAllocations() {
 		}
 		n.emitAlloc(telemetry.KindAllocInit, jid, n.phi[j])
 	}
-}
-
-func succSignature(succ []graph.NodeID) string {
-	if len(succ) == 0 {
-		return ""
-	}
-	b := make([]byte, 0, len(succ)*4)
-	for _, k := range succ {
-		b = append(b, byte(k), byte(k>>8), byte(k>>16), byte(k>>24))
-	}
-	return string(b)
 }
 
 // HandleData forwards (or delivers) a data packet. The node takes ownership:
@@ -817,7 +806,7 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 				return graph.None
 			}
 			n.phi[j] = alloc.Initial(succ, n.shortDist(j))
-			n.succSig[j] = succSignature(succ)
+			n.phiSucc[j] = append(n.phiSucc[j][:0], succ...)
 			phi = n.phi[j]
 			if n.OnAlloc != nil {
 				n.OnAlloc(j, phi, succ)

@@ -291,18 +291,6 @@ func TestOnlineEstimatorMode(t *testing.T) {
 	}
 }
 
-func TestSuccSignature(t *testing.T) {
-	if succSignature(nil) != "" {
-		t.Fatal("empty signature not empty")
-	}
-	a := succSignature([]graph.NodeID{1, 2})
-	b := succSignature([]graph.NodeID{1, 3})
-	c := succSignature([]graph.NodeID{1, 2})
-	if a == b || a != c {
-		t.Fatalf("signature collision/instability: %q %q %q", a, b, c)
-	}
-}
-
 func TestECMPModeEqualSplit(t *testing.T) {
 	cfg := Defaults()
 	cfg.Mode = ModeECMP
