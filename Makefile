@@ -3,15 +3,16 @@ GO ?= go
 # Repetitions of the race-soak suite; CI trims this for wall time.
 RACE_SOAK_COUNT ?= 3
 
-.PHONY: check vet lint lint-concurrency test race race-soak fuzz chaos bench bench-diff telemetry-guard codec-guard
+.PHONY: check vet lint lint-concurrency test goldens race race-soak fuzz chaos bench bench-diff telemetry-guard codec-guard
 
 # The gate used before every commit: static checks (`lint` runs both the
-# determinism and the concurrency analyzers), the full suite under the
-# race detector (the parallel figure harness and the live stack make -race
-# meaningful), the telemetry and codec zero-overhead guards (alloc counts
-# need a non-race run), and a short coverage-guided fuzz of the chaos
-# schedule decoder + oracles.
-check: vet lint race telemetry-guard codec-guard fuzz
+# determinism and the concurrency analyzers), the pinned outputs (`goldens`,
+# ahead of the long race run so a moved golden fails fast), the full suite
+# under the race detector (the parallel figure harness and the live stack
+# make -race meaningful), the telemetry and codec zero-overhead guards
+# (alloc counts need a non-race run), and a short coverage-guided fuzz of
+# the chaos schedule decoder + oracles.
+check: vet lint goldens race telemetry-guard codec-guard fuzz
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +32,13 @@ lint-concurrency:
 
 test:
 	$(GO) test ./...
+
+# Every pinned output in one command — chaos fixture hashes, the telemetry
+# and flood goldens, figure and shard determinism, the router's cost
+# trajectory, live-vs-DES cross-validation: what a refactor runs to show
+# nothing observable moved.
+goldens:
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestCostTrajectoryPinned|TestCrossValidation' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node
 
 # go's default per-package limit is 10 minutes; internal/experiments needs
 # about 17 under -race on a 2-core host (992 s measured), so the gate sets

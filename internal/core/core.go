@@ -30,7 +30,8 @@ const framingBits = 24 * 8
 
 // Options configures a simulation.
 type Options struct {
-	// Router is the per-node configuration (mode, Tl, Ts, ...).
+	// Router is the per-node configuration (mode, Tl, Ts, ...). The zero
+	// value selects router.Defaults(); anything else must start from it.
 	Router router.Config
 	// Seed drives every random choice in the run.
 	Seed uint64
@@ -42,7 +43,7 @@ type Options struct {
 	// the router's mean packet size.
 	Source func(f topo.Flow) traffic.Source
 	// TraceCapacity, when positive, records the forwarding path of the most
-	// recent packets (Network.Tracer).
+	// recent packets (Network.Tracer). Serial runs only: see Shards.
 	TraceCapacity int
 	// Telemetry, when non-nil, instruments the whole network — control and
 	// data planes — into the capture's event bus and metrics registry. Nil
@@ -52,8 +53,9 @@ type Options struct {
 	// executed in conservative lockstep windows (internal/despart); 0 or 1
 	// runs the classic single-engine simulation. Every artifact — figures,
 	// JSONL event logs, metrics snapshots — is byte-identical at any shard
-	// count. TraceCapacity (the path recorder) is the one feature silently
-	// disabled when Shards > 1: its single shared map is not worth sharding.
+	// count. TraceCapacity (the path recorder) is the one feature a sharded
+	// run does not have — its single shared map is not worth sharding — and
+	// asking for both panics at build.
 	Shards int
 	// ShardWindow overrides the conservative window width Δ in seconds
 	// (0 selects the minimum cross-shard propagation delay). Harnesses
@@ -105,7 +107,7 @@ type Network struct {
 	controlMsgs []int64
 	controlBits []float64
 	// Tracer records packet paths when Options.TraceCapacity > 0 (serial
-	// runs only).
+	// runs only; Build refuses the combination with Shards > 1).
 	Tracer *trace.Recorder
 	// tel and its derived probes are nil unless Options.Telemetry was set.
 	// tracers[s]/nodeProbes[s] are shard s's event-bus lane; index 0 is the
@@ -161,8 +163,11 @@ func (n *Network) EngineOf(id graph.NodeID) *des.Engine { return n.engines[n.sha
 
 // Build wires the network described by net under the given options.
 func Build(net *topo.Network, opt Options) *Network {
-	if opt.Router.MeanPacketBits <= 0 {
+	if opt.Router == (router.Config{}) {
 		opt.Router = router.Defaults()
+	}
+	if opt.Router.MeanPacketBits <= 0 {
+		panic("core: Options.Router sets some fields but leaves MeanPacketBits at zero; start from router.Defaults() and change what differs")
 	}
 	numNodes := net.Graph.NumNodes()
 	shards := opt.Shards
@@ -204,7 +209,10 @@ func Build(net *topo.Network, opt Options) *Network {
 	n.flowMaxSerial = make([]uint64, len(net.Flows))
 	n.flowLate = make([]int64, len(net.Flows))
 	n.flowArrived = make([]int64, len(net.Flows))
-	if opt.TraceCapacity > 0 && shards == 1 {
+	if opt.TraceCapacity > 0 {
+		if shards > 1 {
+			panic("core: Options.TraceCapacity needs a serial run: the path recorder is one shared map, so Network.Tracer does not exist when Shards > 1")
+		}
 		n.Tracer = trace.NewRecorder(opt.TraceCapacity)
 	}
 	if opt.Telemetry != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"minroute/internal/gallager"
@@ -375,30 +376,47 @@ func TestAsymmetricLinkCosts(t *testing.T) {
 	}
 }
 
-func TestFlowletSwitchingCutsReordering(t *testing.T) {
-	base := quickOptions(router.ModeMP, 71)
-	plain := Build(topo.NET1(), base).Run()
-	withFlowlets := base
-	withFlowlets.Router.FlowletTimeout = 0.05 // 50 ms idle gap re-picks
-	fl := Build(topo.NET1(), withFlowlets).Run()
+// mustPanic runs fn and returns the message it panicked with.
+func mustPanic(t *testing.T, fn func()) string {
+	t.Helper()
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		fn()
+		t.Fatal("no panic")
+	}()
+	return msg
+}
 
-	var plainSum, flSum float64
-	for x := range plain.Reordered {
-		plainSum += plain.Reordered[x]
-		flSum += fl.Reordered[x]
+// TestBuildRouterConfigFallback: only the all-zero router.Config selects
+// the defaults. A partly filled one used to be replaced wholesale — Mode and
+// Tl silently gone — because MeanPacketBits was zero; now it is refused.
+func TestBuildRouterConfigFallback(t *testing.T) {
+	n := Build(topo.NET1(), Options{Seed: 1})
+	if n.opt.Router != router.Defaults() {
+		t.Fatalf("zero router config built as %+v, want router.Defaults()", n.opt.Router)
 	}
-	if !(flSum < plainSum*0.5) {
-		t.Fatalf("flowlets did not cut reordering: %v vs %v", flSum, plainSum)
+	msg := mustPanic(t, func() {
+		Build(topo.NET1(), Options{Router: router.Config{Mode: router.ModeSP, Tl: 20}})
+	})
+	if !strings.Contains(msg, "router.Defaults()") {
+		t.Fatalf("panic %q does not name router.Defaults()", msg)
 	}
-	// Load balancing must survive: delays stay in the same regime.
-	if fl.AvgMeanDelayMs() > plain.AvgMeanDelayMs()*2 {
-		t.Fatalf("flowlets destroyed balancing: %v vs %v ms",
-			fl.AvgMeanDelayMs(), plain.AvgMeanDelayMs())
+}
+
+// TestBuildRefusesTraceWithShards: the path recorder does not exist in a
+// sharded run, so asking for it must fail at Build, not as a nil Tracer
+// dereference later.
+func TestBuildRefusesTraceWithShards(t *testing.T) {
+	opt := quickOptions(router.ModeMP, 1)
+	opt.TraceCapacity = 16
+	opt.Shards = 2
+	if msg := mustPanic(t, func() { Build(topo.NET1(), opt) }); !strings.Contains(msg, "TraceCapacity") {
+		t.Fatalf("panic %q does not name TraceCapacity", msg)
 	}
-	for x := range fl.FlowNames {
-		if fl.Delivered[x] == 0 {
-			t.Fatalf("flow %d starved under flowlets", x)
-		}
+	opt.Shards = 1
+	if Build(topo.NET1(), opt).Tracer == nil {
+		t.Fatal("serial run with TraceCapacity has no Tracer")
 	}
 }
 

@@ -221,8 +221,11 @@ func TestPortMeterCountsDataOnly(t *testing.T) {
 	p.Send(&Packet{Bits: 8000})
 	p.Send(&Packet{Bits: 400, Control: "lsu"})
 	e.Run(1)
-	if p.DataMeter.Packets() != 1 {
-		t.Fatalf("meter counted %d packets, want 1 (data only)", p.DataMeter.Packets())
+	if p.DataPackets != 1 || p.DataBits != 8000 {
+		t.Fatalf("data counters at %d packets / %v bits, want 1 / 8000 (data only)", p.DataPackets, p.DataBits)
+	}
+	if p.SentPackets != 2 {
+		t.Fatalf("SentPackets = %d, want 2 (data and control)", p.SentPackets)
 	}
 }
 

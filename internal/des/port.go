@@ -66,9 +66,6 @@ type Port struct {
 	mailIn   []mailEntry
 	mailOut  []mailEntry
 
-	// DataMeter counts transmitted data packets; routers read-and-reset it
-	// at measurement boundaries to estimate the link flow f_ik.
-	DataMeter linkcost.Meter
 	// Estimator, when non-nil, receives (sojourn, service) observations for
 	// every transmitted data packet (the PA-style online estimator input).
 	Estimator *linkcost.OnlineEstimator
@@ -288,7 +285,6 @@ func (p *Port) finishTransmission() {
 	if !pkt.IsControl() {
 		p.DataPackets++
 		p.DataBits += pkt.Bits
-		p.DataMeter.Add(pkt.Bits)
 		if p.Estimator != nil {
 			p.Estimator.Observe(p.eng.Now()-it.enq, p.txService)
 		}

@@ -140,17 +140,6 @@ func (r *Result) PathTo(id graph.NodeID) []graph.NodeID {
 	return rev
 }
 
-// TreeLinks returns the (parent, child) pairs of the shortest-path tree.
-func (r *Result) TreeLinks() [][2]graph.NodeID {
-	var out [][2]graph.NodeID
-	for id, p := range r.Parent {
-		if p != graph.None {
-			out = append(out, [2]graph.NodeID{p, graph.NodeID(id)})
-		}
-	}
-	return out
-}
-
 // NextHop returns the first hop from src toward id along the tree, or
 // graph.None when unreachable or id == src.
 func (r *Result) NextHop(id graph.NodeID) graph.NodeID {

@@ -129,25 +129,6 @@ func TestNegativeCostPanics(t *testing.T) {
 	Run(mkView(2, [3]float64{0, 1, -1}), 0)
 }
 
-func TestTreeLinksFormTree(t *testing.T) {
-	v := mkView(5,
-		[3]float64{0, 1, 1}, [3]float64{0, 2, 4},
-		[3]float64{1, 2, 1}, [3]float64{1, 3, 6},
-		[3]float64{2, 3, 1}, [3]float64{3, 4, 1})
-	r := Run(v, 0)
-	links := r.TreeLinks()
-	if len(links) != 4 { // 4 reachable non-root nodes
-		t.Fatalf("tree has %d links, want 4", len(links))
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, l := range links {
-		if seen[l[1]] {
-			t.Fatalf("node %d has two parents", l[1])
-		}
-		seen[l[1]] = true
-	}
-}
-
 func TestGraphView(t *testing.T) {
 	g := graph.New()
 	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")

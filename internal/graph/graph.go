@@ -292,9 +292,6 @@ func (g *Graph) bfs(src NodeID) []int {
 	return dist
 }
 
-// HopDistances returns BFS hop counts from src (-1 when unreachable).
-func (g *Graph) HopDistances(src NodeID) []int { return g.bfs(src) }
-
 // String renders a compact multi-line description, useful in logs and the
 // topology inspection tool.
 func (g *Graph) String() string {

@@ -262,23 +262,3 @@ func TestPropertyRandomGraphsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPropertyHopDistancesTriangleInequality(t *testing.T) {
-	check := func(seed uint64, n8 uint8) bool {
-		n := int(n8%10) + 3
-		g := randomConnected(seed, n)
-		// BFS distances over each link can differ by at most 1 hop.
-		for s := 0; s < n; s++ {
-			dist := g.HopDistances(NodeID(s))
-			for _, l := range g.Links() {
-				if dist[l.To] > dist[l.From]+1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

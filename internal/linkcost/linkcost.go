@@ -86,36 +86,6 @@ func MM1Marginal(lambda, mu, tau float64) float64 {
 	return base + slope*(lambda-lc) + tau
 }
 
-// Meter accumulates packet arrivals on a link over a measurement window.
-// The router reads-and-resets it at every short-term (Ts) or long-term (Tl)
-// boundary. The zero value is ready for use.
-type Meter struct {
-	packets int64
-	bits    float64
-}
-
-// Add records one packet of the given size in bits.
-func (m *Meter) Add(bits float64) {
-	m.packets++
-	m.bits += bits
-}
-
-// Packets returns the packets accumulated since the last Take.
-func (m *Meter) Packets() int64 { return m.packets }
-
-// Take returns the packet rate (packets/s) and bit rate (bits/s) over a
-// window of the given length, then resets the meter. A non-positive elapsed
-// returns zeros.
-func (m *Meter) Take(elapsed float64) (pktRate, bitRate float64) {
-	if elapsed > 0 {
-		pktRate = float64(m.packets) / elapsed
-		bitRate = m.bits / elapsed
-	}
-	m.packets = 0
-	m.bits = 0
-	return pktRate, bitRate
-}
-
 // Smoother maintains an exponentially weighted moving average of a rate,
 // used to stabilize long-term link costs between Tl updates.
 type Smoother struct {
@@ -248,73 +218,4 @@ func MM1Curvature(lambda, mu float64) float64 {
 	}
 	d := mu - lambda
 	return 2 * mu / (d * d * d)
-}
-
-// --- M/G/1 generalizations (Pollaczek-Khinchine) ---
-//
-// The paper assumes M/M/1 links because its sources use exponential packet
-// sizes. Real traffic has other size distributions; the M/G/1 forms below
-// support sensitivity studies. cs2 is the squared coefficient of variation
-// of the service time: 1 recovers M/M/1 exactly, 0 is M/D/1 (fixed-size
-// packets).
-
-// MG1Delay returns the expected per-packet sojourn of an M/G/1 link:
-// T = 1/μ + λ(1+cs²)/(2μ(μ−λ)) + τ, clamped above MaxUtilization.
-func MG1Delay(lambda, mu, cs2, tau float64) float64 {
-	if mu <= 0 {
-		panic("linkcost: non-positive service rate")
-	}
-	if cs2 < 0 {
-		panic("linkcost: negative squared coefficient of variation")
-	}
-	if lambda < 0 {
-		lambda = 0
-	}
-	lc := MaxUtilization * mu
-	if lambda <= lc {
-		return 1/mu + lambda*(1+cs2)/(2*mu*(mu-lambda)) + tau
-	}
-	base := 1/mu + lc*(1+cs2)/(2*mu*(mu-lc))
-	slope := (1 + cs2) / (2 * (mu - lc) * (mu - lc)) // dT/dλ at the clamp
-	return base + slope*(lambda-lc) + tau
-}
-
-// MG1Marginal returns the M/G/1 marginal delay
-// D′(λ) = T(λ) + λ·T′(λ) + τ with T′ = (1+cs²)/(2(μ−λ)²), clamped.
-// With cs2 = 1 it equals MM1Marginal exactly.
-func MG1Marginal(lambda, mu, cs2, tau float64) float64 {
-	if mu <= 0 {
-		panic("linkcost: non-positive service rate")
-	}
-	if cs2 < 0 {
-		panic("linkcost: negative squared coefficient of variation")
-	}
-	if lambda < 0 {
-		lambda = 0
-	}
-	lc := MaxUtilization * mu
-	marginalAt := func(l float64) float64 {
-		d := mu - l
-		return 1/mu + l*(1+cs2)/(2*mu*d) + l*(1+cs2)/(2*d*d)
-	}
-	if lambda <= lc {
-		return marginalAt(lambda) + tau
-	}
-	// Linear extension with the numerical slope at the clamp point.
-	h := mu * 1e-9
-	slope := (marginalAt(lc) - marginalAt(lc-h)) / h
-	return marginalAt(lc) + slope*(lambda-lc) + tau
-}
-
-// MG1Total returns D(λ) = λ·T(λ) + τλ for an M/G/1 link, clamped.
-func MG1Total(lambda, mu, cs2, tau float64) float64 {
-	if lambda < 0 {
-		lambda = 0
-	}
-	lc := MaxUtilization * mu
-	if lambda <= lc {
-		return lambda * MG1Delay(lambda, mu, cs2, tau)
-	}
-	base := lc * MG1Delay(lc, mu, cs2, tau)
-	return base + MG1Marginal(lambda, mu, cs2, tau)*(lambda-lc)
 }

@@ -114,36 +114,6 @@ func TestPropertyMarginalConvex(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	var m Meter
-	m.Add(8000)
-	m.Add(4000)
-	if m.Packets() != 2 {
-		t.Fatalf("packets = %d", m.Packets())
-	}
-	pk, br := m.Take(2)
-	if pk != 1 || br != 6000 {
-		t.Fatalf("Take = %v,%v, want 1,6000", pk, br)
-	}
-	// Reset happened.
-	pk, br = m.Take(2)
-	if pk != 0 || br != 0 {
-		t.Fatalf("meter not reset: %v,%v", pk, br)
-	}
-}
-
-func TestMeterZeroElapsed(t *testing.T) {
-	var m Meter
-	m.Add(100)
-	pk, br := m.Take(0)
-	if pk != 0 || br != 0 {
-		t.Fatalf("zero-elapsed Take = %v,%v", pk, br)
-	}
-	if m.Packets() != 0 {
-		t.Fatal("meter not reset on zero-elapsed Take")
-	}
-}
-
 func TestSmoother(t *testing.T) {
 	s := NewSmoother(0.5)
 	if s.Update(10) != 10 {
@@ -273,76 +243,4 @@ func TestMM1CurvaturePanics(t *testing.T) {
 		}
 	}()
 	MM1Curvature(1, 0)
-}
-
-func TestMG1ReducesToMM1(t *testing.T) {
-	const mu, tau = 1250.0, 0.0004
-	for _, lam := range []float64{0, 100, 600, 1100} {
-		if got, want := MG1Delay(lam, mu, 1, tau), MM1Delay(lam, mu, tau); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("MG1Delay(cs2=1) = %v, MM1 = %v at lam=%v", got, want, lam)
-		}
-		if got, want := MG1Marginal(lam, mu, 1, tau), MM1Marginal(lam, mu, tau); math.Abs(got-want)/want > 1e-9 {
-			t.Fatalf("MG1Marginal(cs2=1) = %v, MM1 = %v at lam=%v", got, want, lam)
-		}
-	}
-}
-
-func TestMD1BelowMM1(t *testing.T) {
-	// Deterministic service halves the queueing delay component.
-	const mu = 1000.0
-	lam := 800.0
-	md1 := MG1Delay(lam, mu, 0, 0) - 1/mu
-	mm1 := MM1Delay(lam, mu, 0) - 1/mu
-	if !(md1 < mm1) {
-		t.Fatalf("M/D/1 queueing %v not below M/M/1 %v", md1, mm1)
-	}
-	if rel := math.Abs(md1-mm1/2) / (mm1 / 2); rel > 1e-9 {
-		t.Fatalf("M/D/1 queueing %v, want half of M/M/1 (%v)", md1, mm1/2)
-	}
-}
-
-func TestMG1MarginalAgainstNumericalDerivative(t *testing.T) {
-	const mu, tau, cs2 = 1250.0, 0.0002, 0.4
-	for _, lam := range []float64{1, 200, 700, 1150} {
-		h := 1e-3
-		numeric := (MG1Total(lam+h, mu, cs2, tau) - MG1Total(lam-h, mu, cs2, tau)) / (2 * h)
-		analytic := MG1Marginal(lam, mu, cs2, tau)
-		if rel := math.Abs(numeric-analytic) / analytic; rel > 1e-4 {
-			t.Fatalf("lam=%v: numeric %v vs analytic %v", lam, numeric, analytic)
-		}
-	}
-}
-
-func TestMG1ClampFinite(t *testing.T) {
-	for _, cs2 := range []float64{0, 0.5, 1, 3} {
-		for lam := 0.0; lam <= 3000; lam += 100 {
-			for _, v := range []float64{
-				MG1Delay(lam, 1000, cs2, 0),
-				MG1Marginal(lam, 1000, cs2, 0),
-				MG1Total(lam, 1000, cs2, 0),
-			} {
-				if math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
-					t.Fatalf("cs2=%v lam=%v: value %v", cs2, lam, v)
-				}
-			}
-		}
-	}
-}
-
-func TestMG1Panics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { MG1Delay(1, 0, 1, 0) },
-		func() { MG1Delay(1, 10, -1, 0) },
-		func() { MG1Marginal(1, 0, 1, 0) },
-		func() { MG1Marginal(1, 10, -0.5, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			fn()
-		}()
-	}
 }

@@ -7,7 +7,6 @@ package netsvg
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"minroute/internal/graph"
@@ -195,25 +194,6 @@ func Layout(g *graph.Graph, seed uint64, iterations int) map[graph.NodeID][2]flo
 		}
 	}
 	return pos
-}
-
-// SortedUtilization converts port counters into the map Render consumes;
-// exposed as a helper for callers holding per-link bit counts.
-func SortedUtilization(g *graph.Graph, bits func(from, to graph.NodeID) float64, elapsed float64) map[[2]graph.NodeID]float64 {
-	out := make(map[[2]graph.NodeID]float64, g.NumLinks())
-	links := g.Links()
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].From != links[j].From {
-			return links[i].From < links[j].From
-		}
-		return links[i].To < links[j].To
-	})
-	for _, l := range links {
-		if elapsed > 0 && l.Capacity > 0 {
-			out[[2]graph.NodeID{l.From, l.To}] = bits(l.From, l.To) / elapsed / l.Capacity
-		}
-	}
-	return out
 }
 
 func esc(s string) string {

@@ -102,23 +102,6 @@ func TestUtilColorRamp(t *testing.T) {
 	}
 }
 
-func TestSortedUtilization(t *testing.T) {
-	g := topo.Ring(3, 1e6, 0)
-	bits := func(from, to graph.NodeID) float64 {
-		if from == 0 && to == 1 {
-			return 5e5 * 10 // half utilization over 10 s
-		}
-		return 0
-	}
-	u := SortedUtilization(g, bits, 10)
-	if got := u[[2]graph.NodeID{0, 1}]; math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("util = %v", got)
-	}
-	if got := u[[2]graph.NodeID{1, 0}]; got != 0 {
-		t.Fatalf("reverse util = %v", got)
-	}
-}
-
 func TestRenderSingleNode(t *testing.T) {
 	g := graph.New()
 	g.AddNode("solo")

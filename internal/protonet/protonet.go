@@ -47,13 +47,11 @@ type Perturb struct {
 	// DupProb is the per-delivery probability that the frame arrives twice;
 	// the receiver's ARQ layer discards the second copy.
 	DupProb float64
-	// MaxAttempts caps delivery attempts per message (loss count + the final
-	// delivery); <= 0 selects DefaultMaxAttempts. The cap bounds how long a
-	// message can be delayed, so perturbed runs still quiesce.
-	MaxAttempts int
 }
 
-// DefaultMaxAttempts bounds per-message delivery attempts under Perturb.
+// DefaultMaxAttempts caps delivery attempts per message under Perturb (loss
+// count + the final delivery). The cap bounds how long a message can be
+// delayed, so perturbed runs still quiesce.
 const DefaultMaxAttempts = 4
 
 // Net connects protocol instances over a topology.
@@ -73,7 +71,7 @@ type Net struct {
 	attempts  int
 	perturb   Perturb
 	// headLoss counts how many times the head message of each link queue has
-	// been lost, enforcing Perturb.MaxAttempts.
+	// been lost, enforcing DefaultMaxAttempts.
 	headLoss map[[2]graph.NodeID]int
 }
 
@@ -148,11 +146,7 @@ func (n *Net) Step() bool {
 	m := q[0]
 	n.attempts++
 	if n.perturb.LossProb > 0 {
-		max := n.perturb.MaxAttempts
-		if max <= 0 {
-			max = DefaultMaxAttempts
-		}
-		if n.headLoss[key]+1 < max && n.r.Float64() < n.perturb.LossProb {
+		if n.headLoss[key]+1 < DefaultMaxAttempts && n.r.Float64() < n.perturb.LossProb {
 			// Frame lost. The message stays at the head of its queue and will
 			// be retried on a later round — the ARQ retransmission, seen from
 			// above as a bounded extra delay. FIFO order is untouched.

@@ -189,7 +189,7 @@ func TestPerturbLossDelaysButDelivers(t *testing.T) {
 			t.Fatalf("retransmission broke FIFO: message %d has tail %d", i, m.Entries[0].Tail)
 		}
 	}
-	// Each message burns MaxAttempts-1 losses plus the forced delivery.
+	// Each message burns DefaultMaxAttempts-1 losses plus the forced delivery.
 	if want := 3 * DefaultMaxAttempts; net.Attempts() != want {
 		t.Fatalf("attempts = %d, want %d", net.Attempts(), want)
 	}
@@ -211,16 +211,6 @@ func TestPerturbDupNeverReachesProtocol(t *testing.T) {
 	}
 	if net.Attempts() != 4 {
 		t.Fatalf("attempts = %d, want 4 (each frame + its duplicate)", net.Attempts())
-	}
-}
-
-func TestPerturbMaxAttemptsOverride(t *testing.T) {
-	net, recs := ring3(t)
-	net.SetPerturb(Perturb{LossProb: 1, MaxAttempts: 2})
-	net.Sender(0)(1, &lsu.Msg{From: 0, Ack: true})
-	net.Run(100)
-	if len(recs[1].received) != 1 || net.Attempts() != 2 {
-		t.Fatalf("received=%d attempts=%d, want 1 message in 2 attempts", len(recs[1].received), net.Attempts())
 	}
 }
 

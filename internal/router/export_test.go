@@ -1,0 +1,19 @@
+package router
+
+import (
+	"minroute/internal/eventq"
+	"minroute/internal/graph"
+)
+
+// TickTimers returns the handles of the pending Ts and Tl ticks; each tick
+// re-arms its own, so a changed handle means that tick ran.
+func (n *Node) TickTimers() (ts, tl eventq.Handle) { return n.tsTimer, n.tlTimer }
+
+// VisitLinkCosts calls visit for every attached neighbor in ascending
+// order with its short-term cost and its long-term (pre-quantization
+// advertised) cost.
+func (n *Node) VisitLinkCosts(visit func(k graph.NodeID, short, long float64)) {
+	for _, l := range n.links {
+		visit(l.to, l.short, l.long.Value())
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"minroute/internal/alloc"
 	"minroute/internal/des"
 	"minroute/internal/graph"
+	"minroute/internal/linkcost"
 	"minroute/internal/rng"
 )
 
@@ -164,20 +165,6 @@ func TestLazyAllocationOnFirstPacket(t *testing.T) {
 	}
 }
 
-func TestFlowletNoRouteReturnsNone(t *testing.T) {
-	cfg := Defaults()
-	cfg.FlowletTimeout = 1
-	eng, nodes, _ := line3(t, cfg)
-	startAll(eng, nodes, 5)
-	nodes[0].LinkFailed(1)
-	nodes[1].LinkFailed(0)
-	eng.Run(eng.Now() + 2)
-	nodes[0].HandleData(&des.Packet{FlowID: 7, Src: 0, Dst: 2, Bits: 800})
-	if nodes[0].DroppedNoRoute != 1 {
-		t.Fatalf("DroppedNoRoute = %d, want 1", nodes[0].DroppedNoRoute)
-	}
-}
-
 func TestWeightedPickFPRemainderFallback(t *testing.T) {
 	r := rng.New(3)
 	// The accumulated weight is far below any plausible draw, so the main
@@ -198,25 +185,37 @@ func TestShortDistUnknownNeighborInfinite(t *testing.T) {
 	}
 }
 
-// TestShortCostSmoothingAndUtilizationCap exercises the smoothed short-term
-// cost path and the utilization cap under sustained load.
+// TestShortCostSmoothingAndUtilizationCap saturates one link: every full Ts
+// window then samples exactly the utilizationCap ceiling, and each tick must
+// move the short-term cost shortSmoothing of the way there — approaching the
+// ceiling, never passing it.
 func TestShortCostSmoothingAndUtilizationCap(t *testing.T) {
-	cfg := Defaults()
-	cfg.ShortCostSmoothing = 0.5
-	cfg.CostUtilizationCap = 0.9
-	eng, nodes, _ := line3(t, cfg)
+	eng, nodes, _ := line3(t, Defaults())
 	startAll(eng, nodes, 1)
-	for i := 0; i < 500; i++ {
-		at := eng.Now() + float64(i)*0.01
-		eng.Schedule(at, func() {
-			nodes[0].HandleData(&des.Packet{FlowID: 0, Src: 0, Dst: 2, Bits: 8000, Created: eng.Now()})
-		})
+	n0 := nodes[0]
+	l := n0.link(1)
+	mu := linkcost.KnownMu(l.port.Capacity, n0.cfg.MeanPacketBits)
+	ceil := linkcost.MM1Marginal(utilizationCap*mu, mu, l.port.Prop)
+	// 200 packets/s against a service rate of 125: saturated for 20 s.
+	cbr(eng, n0, 2, 4000, 0.005)
+	prev, ticks := l.short, 0
+	onTsTick(eng, n0, func() {
+		// The first window is partly idle; every later one is saturated.
+		if ticks++; ticks > 1 {
+			if want := prev + shortSmoothing*(ceil-prev); l.short != want {
+				t.Errorf("tick %d: short cost %v, want %v (EWMA toward the ceiling %v)", ticks, l.short, want, ceil)
+			}
+		}
+		if l.short > ceil {
+			t.Errorf("tick %d: short cost %v above the ceiling %v", ticks, l.short, ceil)
+		}
+		prev = l.short
+	})
+	eng.Run(20)
+	if ticks < 8 {
+		t.Fatalf("only %d short-term ticks in 20 s", ticks)
 	}
-	eng.Run(30)
-	if nodes[0].Protocol().Dist(2) == math.Inf(1) {
-		t.Fatal("routing lost under smoothing + utilization cap")
-	}
-	if nodes[0].ForwardedPackets == 0 {
-		t.Fatal("no traffic forwarded")
+	if l.short < 0.99*ceil {
+		t.Fatalf("short cost %v did not approach the ceiling %v", l.short, ceil)
 	}
 }

@@ -11,6 +11,11 @@
 // randomly phased long-term updates "because of the problems that would
 // result due to synchronization of updates".
 //
+// Per-neighbor state is one link record in a slice ascending by neighbor
+// ID, and both clocks price a window through the one measure routine. The
+// control half touches the simulator only through des.Engine (clock,
+// origin, RNG) and the ports' DataPackets counters.
+//
 // Three forwarding modes reproduce the paper's three schemes:
 //
 //	ModeMP     multipath over S_j with IH/AH routing parameters
@@ -23,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"minroute/internal/alloc"
 	"minroute/internal/des"
@@ -67,7 +73,25 @@ func (m Mode) String() string {
 	}
 }
 
-// Config tunes a Node. The zero value is not valid; use Defaults.
+// The cost-estimation constants no experiment varies (DESIGN.md §6).
+const (
+	// longSmoothing is the EWMA weight folding each Tl window's measured
+	// marginal into the advertised long-term cost.
+	longSmoothing = 0.5
+	// shortSmoothing is the EWMA weight for each Ts window's sample.
+	shortSmoothing = 0.5
+	// utilizationCap bounds the utilization used when computing link costs.
+	// The raw M/M/1 marginal explodes near saturation (seconds per packet
+	// against an idle cost under a millisecond), which turns any momentarily
+	// hot link infinitely repulsive and induces the classic delay-metric
+	// route oscillation; the revised-ARPANET-metric line of work the paper
+	// cites ([18], [13]) bounds the metric's dynamic range for exactly this
+	// reason. 0.9 caps the advertised marginal at ~100x idle.
+	utilizationCap = 0.9
+)
+
+// Config tunes a Node: what the commands and experiments actually vary.
+// The zero value is not valid; use Defaults.
 type Config struct {
 	Mode Mode
 	// Tl is the long-term (routing path) update interval in seconds.
@@ -78,20 +102,11 @@ type Config struct {
 	MeanPacketBits float64
 	// QueueBits bounds each output port's data band.
 	QueueBits float64
-	// CostSmoothing is the EWMA weight folding each Tl window's measured
-	// marginal into the advertised long-term cost.
-	CostSmoothing float64
 	// UseOnlineEstimator selects the PA-style estimator (measured sojourn
 	// and service times) instead of the closed-form M/M/1 marginal.
 	UseOnlineEstimator bool
 	// HopLimit drops packets that exceed this many forwarding steps.
 	HopLimit int
-	// FlowletTimeout, when positive, pins each flow to its current next hop
-	// and re-randomizes only after the flow pauses for at least this long
-	// (flowlet switching). Bursts within a flowlet stay on one path, which
-	// eliminates almost all reordering while idle gaps still re-balance
-	// load. Applies to ModeMP only.
-	FlowletTimeout float64
 	// AdaptiveTimers lets the measurement intervals vary with congestion,
 	// as the paper suggests ("Tl and Ts need not be static constants and
 	// can be made to vary according to congestion at the router"): when
@@ -103,23 +118,11 @@ type Config struct {
 	// alloc.AdjustDamped). Zero or negative selects the literal Fig. 7
 	// rule (alloc.Adjust), kept for ablation.
 	AHDamping float64
-	// ShortCostSmoothing is the EWMA weight for short-term cost samples;
-	// 1 uses each Ts window's measurement raw.
-	ShortCostSmoothing float64
 	// CostMeasureWindow, when positive and smaller than Tl, measures the
 	// long-term link flow over only the trailing window of each Tl period
 	// instead of the whole period (ARPANET-style fixed measurement window:
 	// the update period then controls staleness only, not averaging).
 	CostMeasureWindow float64
-	// CostUtilizationCap bounds the utilization used when computing link
-	// costs. The raw M/M/1 marginal explodes near saturation (seconds per
-	// packet against an idle cost under a millisecond), which turns any
-	// momentarily hot link infinitely repulsive and induces the classic
-	// delay-metric route oscillation; the revised-ARPANET-metric line of
-	// work the paper cites ([18], [13]) bounds the metric's dynamic range
-	// for exactly this reason. 0.9 caps the advertised marginal at ~100x
-	// idle. Set >= linkcost.MaxUtilization to disable.
-	CostUtilizationCap float64
 }
 
 // Defaults returns the configuration used by the paper's headline runs:
@@ -131,49 +134,47 @@ func Defaults() Config {
 		Ts:             2,
 		MeanPacketBits: 8000,
 		QueueBits:      des.DefaultQueueBits,
-		CostSmoothing:  0.5,
 		HopLimit:       64,
 		AHDamping:      0.5,
-
-		ShortCostSmoothing: 0.5,
-		CostUtilizationCap: 0.9,
 	}
+}
+
+// link is everything a node keeps about one attached neighbor.
+type link struct {
+	to   graph.NodeID
+	port *des.Port
+	// short is the short-term marginal cost, refreshed every Ts.
+	short float64
+	// long is the long-term cost EWMA, advertised to MPDA every Tl.
+	long *linkcost.Smoother
+	// tsSnap and tlSnap are the port's DataPackets count when the current
+	// short-term and long-term measurement windows opened.
+	tsSnap, tlSnap int64
 }
 
 // Node is one simulated router.
 type Node struct {
-	id       graph.NodeID
-	eng      *des.Engine
-	cfg      Config
-	prng     *rng.Source
-	numNodes int
-	send     mpda.Sender
+	id   graph.NodeID
+	eng  *des.Engine
+	cfg  Config
+	prng *rng.Source
+	send mpda.Sender
 
 	proto *mpda.Router
-	ports map[graph.NodeID]*des.Port
+	// links holds the attached neighbors in ascending ID order; all periodic
+	// work iterates it in that order so FP effects are deterministic.
+	links []link
 	// down is true between Crash and Restart: the node forwards nothing,
 	// processes no control traffic, and its timers are disarmed.
 	down bool
 	// Pending timer handles, canceled on Crash so a restarted node never
 	// runs two timer chains.
 	tsTimer, tlTimer, tlSnapTimer eventq.Handle
-	// nbrs lists attached neighbors in ascending order; all periodic work
-	// iterates it (never the port map) so FP effects are deterministic.
-	nbrs []graph.NodeID
-
-	// Short-term marginal link costs, refreshed every Ts.
-	shortCost map[graph.NodeID]float64
-	// Long-term cost EWMAs, advertised to MPDA every Tl.
-	longCost map[graph.NodeID]*linkcost.Smoother
-	// Snapshots of cumulative port counters for windowed rates.
-	tsSnap map[graph.NodeID]portSnap
-	tlSnap map[graph.NodeID]portSnap
-	// lastTl is when the previous long-term measurement window started.
+	// tsWindow is the interval the pending short-term tick was armed with —
+	// the length of the window it will measure.
+	tsWindow float64
+	// lastTl is when the current long-term measurement window opened.
 	lastTl float64
-	// lastTsChurn / lastTlChurn record the largest relative cost change in
-	// the previous measurement round (adaptive-timer input).
-	lastTsChurn float64
-	lastTlChurn float64
 
 	// phi[j] holds the current routing parameters for destination j.
 	phi []alloc.Params
@@ -182,10 +183,6 @@ type Node struct {
 
 	// staticPhi, in ModeStatic, holds the externally installed parameters.
 	staticPhi []alloc.Params
-
-	// flowlets tracks, per flow ID, the pinned next hop and last-seen time
-	// for flowlet switching.
-	flowlets map[int]*flowletState
 
 	// OnArrive is invoked for every data packet whose destination is this
 	// node (set by the network assembly).
@@ -220,36 +217,18 @@ type Node struct {
 	DroppedDown int64
 }
 
-type portSnap struct {
-	packets int64
-	bits    float64
-}
-
-type flowletState struct {
-	next graph.NodeID
-	last float64
-}
-
 // New constructs a node. Ports must be attached before Start.
 func New(eng *des.Engine, id graph.NodeID, numNodes int, cfg Config, sendLSU mpda.Sender) *Node {
-	n := &Node{
-		id:        id,
-		eng:       eng,
-		cfg:       cfg,
-		prng:      eng.RNG().Split(uint64(id) + 1000),
-		numNodes:  numNodes,
-		send:      sendLSU,
-		proto:     mpda.NewRouter(id, numNodes, sendLSU),
-		ports:     make(map[graph.NodeID]*des.Port),
-		shortCost: make(map[graph.NodeID]float64),
-		longCost:  make(map[graph.NodeID]*linkcost.Smoother),
-		tsSnap:    make(map[graph.NodeID]portSnap),
-		tlSnap:    make(map[graph.NodeID]portSnap),
-		phi:       make([]alloc.Params, numNodes),
-		phiSucc:   make([][]graph.NodeID, numNodes),
-		flowlets:  make(map[int]*flowletState),
+	return &Node{
+		id:      id,
+		eng:     eng,
+		cfg:     cfg,
+		prng:    eng.RNG().Split(uint64(id) + 1000),
+		send:    sendLSU,
+		proto:   mpda.NewRouter(id, numNodes, sendLSU),
+		phi:     make([]alloc.Params, numNodes),
+		phiSucc: make([][]graph.NodeID, numNodes),
 	}
-	return n
 }
 
 // ID returns the node's address.
@@ -258,22 +237,33 @@ func (n *Node) ID() graph.NodeID { return n.id }
 // Protocol exposes the MPDA instance (for invariant checks and inspection).
 func (n *Node) Protocol() *mpda.Router { return n.proto }
 
-// AttachPort registers the outgoing port toward neighbor k.
+// AttachPort registers the outgoing port toward neighbor k (replacing the
+// port of an already attached k).
 func (n *Node) AttachPort(k graph.NodeID, p *des.Port) {
-	if _, dup := n.ports[k]; !dup {
-		i := 0
-		for i < len(n.nbrs) && n.nbrs[i] < k {
-			i++
-		}
-		n.nbrs = append(n.nbrs, 0)
-		copy(n.nbrs[i+1:], n.nbrs[i:])
-		n.nbrs[i] = k
+	i, dup := n.linkIndex(k)
+	if !dup {
+		n.links = slices.Insert(n.links, i, link{to: k})
 	}
-	n.ports[k] = p
+	n.links[i].port = p
 	if n.cfg.UseOnlineEstimator {
 		mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
 		p.Estimator = linkcost.NewOnlineEstimator(p.Prop, 1/mu)
 	}
+}
+
+// linkIndex finds neighbor k in links: its position and true, or where it
+// would be inserted and false.
+func (n *Node) linkIndex(k graph.NodeID) (int, bool) {
+	i := sort.Search(len(n.links), func(i int) bool { return n.links[i].to >= k })
+	return i, i < len(n.links) && n.links[i].to == k
+}
+
+// link returns the record of neighbor k, nil when no port leads there.
+func (n *Node) link(k graph.NodeID) *link {
+	if i, ok := n.linkIndex(k); ok {
+		return &n.links[i]
+	}
+	return nil
 }
 
 // InstallStatic installs fixed routing parameters for ModeStatic. phi[j]
@@ -314,32 +304,26 @@ func (n *Node) installProtoHooks() {
 	}
 }
 
-// emitAlloc traces one routing-parameter step for destination j; Value is
-// the allocation spread (0 = single path).
-func (n *Node) emitAlloc(k telemetry.Kind, j graph.NodeID, phi alloc.Params) {
+// allocStep reports one routing-parameter step for destination j — an IH
+// build or an AH adjustment, over successor set succ — to the OnAlloc
+// observer and the telemetry trace, where Value is the allocation spread
+// (0 = single path).
+func (n *Node) allocStep(k telemetry.Kind, j graph.NodeID, succ []graph.NodeID) {
+	if n.OnAlloc != nil {
+		n.OnAlloc(j, n.phi[j], succ)
+	}
 	if n.tel == nil {
 		return
 	}
 	ev := telemetry.NewEvent(n.eng.Now(), k, n.id)
 	ev.Dst = j
-	ev.Value = alloc.Spread(phi)
+	ev.Value = alloc.Spread(n.phi[j])
 	n.tel.Tracer.Emit(ev)
 }
 
-// emitDrop traces one dropped data packet.
-func (n *Node) emitDrop(k telemetry.Kind, pkt *des.Packet) {
-	if n.tel == nil {
-		return
-	}
-	ev := telemetry.NewEvent(n.eng.Now(), k, n.id)
-	ev.Dst = pkt.Dst
-	ev.Flow = int32(pkt.FlowID)
-	ev.Value = 1
-	n.tel.Tracer.Emit(ev)
-}
-
-// Start brings up the adjacent links whose port is up at their idle costs
-// and schedules the measurement timers with random phases.
+// Start brings up the adjacent links whose port is up at their idle costs,
+// opens both measurement windows at the current instant, and schedules the
+// measurement timers with random phases.
 func (n *Node) Start() {
 	// The whole boot sequence runs under the router's own origin priority:
 	// Start runs from harness context (boot, or a chaos Restart), and
@@ -348,21 +332,28 @@ func (n *Node) Start() {
 	// and on which shard's tracer recorded it — rather than on the node
 	// itself.
 	n.eng.WithOrigin(des.PriRouter(uint64(n.id)), func() {
-		for _, k := range n.nbrs {
-			p := n.ports[k]
-			c := n.idleCost(p)
-			n.shortCost[k] = c
-			sm := linkcost.NewSmoother(n.cfg.CostSmoothing)
-			sm.Update(c)
-			n.longCost[k] = sm
+		// After an outage the windows must not straddle it: both start from
+		// the port counters as they stand.
+		n.openTlWindow()
+		for i := range n.links {
+			l := &n.links[i]
+			l.tsSnap = l.port.DataPackets
+			c := n.costAt(l.port, 0)
+			l.short = c
+			l.long = linkcost.NewSmoother(longSmoothing)
+			l.long.Update(c)
 			// A restart can find a neighbor crashed or the link failed;
 			// MPDA must not believe a link that cannot carry its LSUs.
-			if !p.Down() {
-				n.proto.LinkUp(k, quantizeCost(c))
+			if !l.port.Down() {
+				n.proto.LinkUp(l.to, quantizeCost(c))
 			}
 		}
 		n.refreshAllocations()
 		if n.cfg.Ts > 0 {
+			// The randomly phased first window is shorter than Ts but is
+			// still priced as a full one: dividing by its true length would
+			// move every DES golden for one tick per boot.
+			n.tsWindow = n.cfg.Ts
 			n.tsTimer = n.eng.After(n.cfg.Ts*n.prng.Float64(), n.tsTick)
 		}
 		if n.cfg.Tl > 0 {
@@ -395,49 +386,50 @@ func (n *Node) Restart() {
 		return
 	}
 	n.down = false
-	n.proto = mpda.NewRouter(n.id, n.numNodes, n.send)
+	n.proto = mpda.NewRouter(n.id, len(n.phi), n.send)
 	n.installProtoHooks()
-	n.phi = make([]alloc.Params, n.numNodes)
-	n.phiSucc = make([][]graph.NodeID, n.numNodes)
-	n.flowlets = make(map[int]*flowletState)
-	n.shortCost = make(map[graph.NodeID]float64)
-	n.longCost = make(map[graph.NodeID]*linkcost.Smoother)
-	// Measurement windows must not straddle the outage: snapshot the port
-	// counters as they stand so the first post-restart window is clean.
-	n.lastTl = n.eng.Now()
-	n.lastTsChurn, n.lastTlChurn = 0, 0
-	for _, k := range n.nbrs {
-		p := n.ports[k]
-		snap := portSnap{packets: p.DataPackets, bits: p.DataBits}
-		n.tsSnap[k] = snap
-		n.tlSnap[k] = snap
-	}
+	clear(n.phi)
+	clear(n.phiSucc)
 	n.Start()
 }
 
 // Down reports whether the node is crashed.
 func (n *Node) Down() bool { return n.down }
 
-// armTlSnapshot schedules the pre-measurement snapshot when a fixed cost
-// window is configured, so tlTick sees only the trailing window of the
-// period of the given length.
-func (n *Node) armTlSnapshot(period float64) {
-	w := n.cfg.CostMeasureWindow
-	if w <= 0 || w >= period {
-		return
+// costAt is the M/M/1 marginal cost of port p at a flow of lambda packets
+// per second, with the utilization held at utilizationCap: 0 gives the idle
+// cost, +Inf the ceiling the cap allows.
+func (n *Node) costAt(p *des.Port, lambda float64) float64 {
+	mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
+	if lambda > utilizationCap*mu {
+		lambda = utilizationCap * mu
 	}
-	n.tlSnapTimer = n.eng.After(period-w, func() {
-		n.lastTl = n.eng.Now()
-		for _, k := range n.nbrs {
-			p := n.ports[k]
-			n.tlSnap[k] = portSnap{packets: p.DataPackets, bits: p.DataBits}
-		}
-	})
+	return linkcost.MM1Marginal(lambda, mu, p.Prop)
 }
 
-func (n *Node) idleCost(p *des.Port) float64 {
-	mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
-	return linkcost.MM1Marginal(0, mu, p.Prop)
+// measure prices port p after it carried the given number of data packets
+// over a window of the given length in seconds — the one cost measurement
+// both clocks use. ok is false for a window of no length: nothing was
+// measured and the caller keeps the cost it has.
+func (n *Node) measure(p *des.Port, packets int64, window float64) (c float64, ok bool) {
+	if window <= 0 {
+		return 0, false
+	}
+	return n.costAt(p, float64(packets)/window), true
+}
+
+// adapt is the AdaptiveTimers rule for either clock: half the base interval
+// after a round whose largest relative cost change was above 20 %, twice it
+// after one below 5 %, the base interval otherwise (and always, when
+// adaptation is off).
+func (n *Node) adapt(base, churn float64) float64 {
+	switch {
+	case n.cfg.AdaptiveTimers && churn > 0.2:
+		return base / 2
+	case n.cfg.AdaptiveTimers && churn < 0.05:
+		return base * 2
+	}
+	return base
 }
 
 // quantizeCost rounds to 0.1 µs so identical loads advertise identical
@@ -447,118 +439,61 @@ func quantizeCost(c float64) float64 { return math.Round(c*1e7) / 1e7 }
 // tsTick performs the short-term measurement and runs heuristic AH.
 func (n *Node) tsTick() {
 	churn := 0.0
-	for _, k := range n.nbrs {
-		p := n.ports[k]
-		prev := n.tsSnap[k]
-		cur := portSnap{packets: p.DataPackets, bits: p.DataBits}
-		n.tsSnap[k] = cur
-		lambda := float64(cur.packets-prev.packets) / n.cfg.Ts
-		mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
+	for i := range n.links {
+		l := &n.links[i]
+		cur := l.port.DataPackets
+		packets := cur - l.tsSnap
+		l.tsSnap = cur
 		var c float64
-		if n.cfg.UseOnlineEstimator && p.Estimator != nil {
-			c = p.Estimator.Take()
-			if cap := n.costCap(mu, p.Prop); c > cap {
-				c = cap
-			}
+		if n.cfg.UseOnlineEstimator {
+			c = math.Min(l.port.Estimator.Take(), n.costAt(l.port, math.Inf(1)))
 		} else {
-			if cap := n.cfg.CostUtilizationCap; cap > 0 && lambda > cap*mu {
-				lambda = cap * mu
-			}
-			c = linkcost.MM1Marginal(lambda, mu, p.Prop)
-		}
-		if old, ok := n.shortCost[k]; ok && old > 0 {
-			if rel := math.Abs(c-old) / old; rel > churn {
-				churn = rel
+			var ok bool
+			if c, ok = n.measure(l.port, packets, n.tsWindow); !ok {
+				continue
 			}
 		}
-		if a := n.cfg.ShortCostSmoothing; a > 0 && a < 1 {
-			if prev, ok := n.shortCost[k]; ok {
-				c = prev + a*(c-prev)
-			}
+		if l.short > 0 {
+			churn = math.Max(churn, math.Abs(c-l.short)/l.short)
 		}
-		n.shortCost[k] = c
+		l.short += shortSmoothing * (c - l.short)
 		if n.cfg.UseOnlineEstimator {
 			// The estimator consumes its window here; fold it into the
 			// long-term EWMA since tlTick cannot re-measure it.
-			n.longCost[k].Update(c)
+			l.long.Update(l.short)
 		}
 	}
-	n.lastTsChurn = churn
 	if n.cfg.Mode == ModeMP {
 		for j := range n.phi {
 			if len(n.phi[j]) == 0 {
 				continue
 			}
-			succ := n.proto.Successors(graph.NodeID(j))
+			jid := graph.NodeID(j)
+			succ := n.proto.Successors(jid)
 			if len(succ) < 2 {
 				continue
 			}
 			if n.cfg.AHDamping > 0 {
-				alloc.AdjustDamped(n.phi[j], succ, n.shortDist(graph.NodeID(j)), n.cfg.AHDamping)
+				alloc.AdjustDamped(n.phi[j], succ, n.shortDist(jid), n.cfg.AHDamping)
 			} else {
-				alloc.Adjust(n.phi[j], succ, n.shortDist(graph.NodeID(j)))
+				alloc.Adjust(n.phi[j], succ, n.shortDist(jid))
 			}
-			if n.OnAlloc != nil {
-				n.OnAlloc(graph.NodeID(j), n.phi[j], succ)
-			}
-			n.emitAlloc(telemetry.KindAllocAdjust, graph.NodeID(j), n.phi[j])
+			n.allocStep(telemetry.KindAllocAdjust, jid, succ)
 		}
 	}
-	n.tsTimer = n.eng.After(n.nextTs(), n.tsTick)
-}
-
-// nextTs returns the interval to the next short-term tick, adapting it to
-// the measured cost churn when AdaptiveTimers is on.
-func (n *Node) nextTs() float64 {
-	if !n.cfg.AdaptiveTimers {
-		return n.cfg.Ts
-	}
-	churn := n.lastTsChurn
-	switch {
-	case churn > 0.2:
-		return n.cfg.Ts / 2
-	case churn < 0.05:
-		return n.cfg.Ts * 2
-	default:
-		return n.cfg.Ts
-	}
-}
-
-// nextTl adapts the long-term interval to route-affecting cost changes.
-func (n *Node) nextTl() float64 {
-	if !n.cfg.AdaptiveTimers {
-		return n.cfg.Tl
-	}
-	churn := n.lastTlChurn
-	switch {
-	case churn > 0.2:
-		return n.cfg.Tl / 2
-	case churn < 0.05:
-		return n.cfg.Tl * 2
-	default:
-		return n.cfg.Tl
-	}
-}
-
-// costCap returns the maximum cost the utilization cap allows for a link
-// with service rate mu and propagation delay tau.
-func (n *Node) costCap(mu, tau float64) float64 {
-	cap := n.cfg.CostUtilizationCap
-	if cap <= 0 {
-		return math.Inf(1)
-	}
-	return linkcost.MM1Marginal(cap*mu, mu, tau)
+	n.tsWindow = n.adapt(n.cfg.Ts, churn)
+	n.tsTimer = n.eng.After(n.tsWindow, n.tsTick)
 }
 
 // shortDist is the AH distance function: D_jk + l_ik with the short-term
 // link cost.
 func (n *Node) shortDist(j graph.NodeID) alloc.DistFunc {
 	return func(k graph.NodeID) float64 {
-		c, ok := n.shortCost[k]
-		if !ok {
+		l := n.link(k)
+		if l == nil {
 			return math.Inf(1)
 		}
-		return n.proto.Tables().NbrDist(j, k) + c
+		return n.proto.Tables().NbrDist(j, k) + l.short
 	}
 }
 
@@ -568,37 +503,41 @@ func (n *Node) shortDist(j graph.NodeID) alloc.DistFunc {
 // and feeds any changes into MPDA.
 func (n *Node) tlTick() {
 	elapsed := n.eng.Now() - n.lastTl
-	n.lastTl = n.eng.Now()
 	churn := 0.0
-	for _, k := range n.nbrs {
-		p := n.ports[k]
-		prev := n.tlSnap[k]
-		cur := portSnap{packets: p.DataPackets, bits: p.DataBits}
-		n.tlSnap[k] = cur
-		if !n.cfg.UseOnlineEstimator && elapsed > 0 {
-			lambda := float64(cur.packets-prev.packets) / elapsed
-			mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
-			if cap := n.cfg.CostUtilizationCap; cap > 0 && lambda > cap*mu {
-				lambda = cap * mu
+	for i := range n.links {
+		l := &n.links[i]
+		if !n.cfg.UseOnlineEstimator {
+			if c, ok := n.measure(l.port, l.port.DataPackets-l.tlSnap, elapsed); ok {
+				l.long.Update(c)
 			}
-			n.longCost[k].Update(linkcost.MM1Marginal(lambda, mu, p.Prop))
 		}
-		c := quantizeCost(n.longCost[k].Value())
+		c := quantizeCost(l.long.Value())
 		//lint:floateq-ok change detection between quantized costs; quantization makes equality exact
-		if cur, ok := n.proto.Tables().AdjCost(k); !ok || cur != c {
+		if cur, ok := n.proto.Tables().AdjCost(l.to); !ok || cur != c {
 			if ok && cur > 0 {
-				if rel := math.Abs(c-cur) / cur; rel > churn {
-					churn = rel
-				}
+				churn = math.Max(churn, math.Abs(c-cur)/cur)
 			}
-			n.proto.LinkCostChange(k, c)
+			n.proto.LinkCostChange(l.to, c)
 		}
 	}
-	n.lastTlChurn = churn
+	n.openTlWindow()
 	n.refreshAllocations()
-	next := n.nextTl()
+	next := n.adapt(n.cfg.Tl, churn)
 	n.tlTimer = n.eng.After(next, n.tlTick)
-	n.armTlSnapshot(next)
+	// With a fixed cost window configured, re-open the window that much
+	// before the next tick so it sees only the trailing part of the period.
+	if w := n.cfg.CostMeasureWindow; w > 0 && w < next {
+		n.tlSnapTimer = n.eng.After(next-w, n.openTlWindow)
+	}
+}
+
+// openTlWindow starts the long-term measurement window at the current
+// instant and port counters.
+func (n *Node) openTlWindow() {
+	n.lastTl = n.eng.Now()
+	for i := range n.links {
+		n.links[i].tlSnap = n.links[i].port.DataPackets
+	}
 }
 
 // HandleControl processes a received control packet (a marshaled LSU).
@@ -650,17 +589,14 @@ func (n *Node) LinkFailed(k graph.NodeID) {
 
 // LinkRecovered tells the protocol an adjacent link came back.
 func (n *Node) LinkRecovered(k graph.NodeID) {
-	if n.down {
-		return
-	}
-	p, ok := n.ports[k]
-	if !ok {
+	l := n.link(k)
+	if n.down || l == nil {
 		return
 	}
 	n.eng.WithOrigin(des.PriRouter(uint64(n.id)), func() {
-		c := n.idleCost(p)
-		n.shortCost[k] = c
-		n.longCost[k].Update(c)
+		c := n.costAt(l.port, 0)
+		l.short = c
+		l.long.Update(c)
 		n.proto.LinkUp(k, quantizeCost(c))
 		n.refreshAllocations()
 	})
@@ -679,21 +615,22 @@ func (n *Node) refreshAllocations() {
 		if jid == n.id {
 			continue
 		}
-		succ := n.proto.Successors(jid)
-		if slices.Equal(succ, n.phiSucc[j]) {
-			continue
+		if succ := n.proto.Successors(jid); !slices.Equal(succ, n.phiSucc[j]) {
+			n.buildIH(jid, succ)
 		}
-		n.phiSucc[j] = append(n.phiSucc[j][:0], succ...)
-		if len(succ) == 0 {
-			n.phi[j] = nil
-		} else {
-			n.phi[j] = alloc.Initial(succ, n.shortDist(jid))
-		}
-		if n.OnAlloc != nil {
-			n.OnAlloc(jid, n.phi[j], succ)
-		}
-		n.emitAlloc(telemetry.KindAllocInit, jid, n.phi[j])
 	}
+}
+
+// buildIH distributes destination j's traffic afresh over succ by heuristic
+// IH (no parameters for an empty set) and records the set they were built
+// from.
+func (n *Node) buildIH(j graph.NodeID, succ []graph.NodeID) {
+	n.phiSucc[j] = append(n.phiSucc[j][:0], succ...)
+	n.phi[j] = nil
+	if len(succ) > 0 {
+		n.phi[j] = alloc.Initial(succ, n.shortDist(j))
+	}
+	n.allocStep(telemetry.KindAllocInit, j, succ)
 }
 
 // HandleData forwards (or delivers) a data packet. The node takes ownership:
@@ -701,9 +638,7 @@ func (n *Node) refreshAllocations() {
 // (observers like OnArrive must not retain the pointer past their return).
 func (n *Node) HandleData(pkt *des.Packet) {
 	if n.down {
-		n.DroppedDown++
-		n.emitDrop(telemetry.KindDropDown, pkt)
-		n.eng.FreePacket(pkt)
+		n.drop(&n.DroppedDown, telemetry.KindDropDown, pkt)
 		return
 	}
 	if pkt.Dst == n.id {
@@ -714,69 +649,38 @@ func (n *Node) HandleData(pkt *des.Packet) {
 		return
 	}
 	if pkt.Hops >= n.cfg.HopLimit {
-		n.DroppedHopLimit++
-		n.emitDrop(telemetry.KindDropHopLimit, pkt)
-		n.eng.FreePacket(pkt)
+		n.drop(&n.DroppedHopLimit, telemetry.KindDropHopLimit, pkt)
 		return
 	}
-	var k graph.NodeID
-	if n.cfg.Mode == ModeMP && n.cfg.FlowletTimeout > 0 && pkt.FlowID >= 0 {
-		k = n.pickFlowletHop(pkt)
-	} else {
-		k = n.pickNextHop(pkt.Dst)
-	}
-	if k == graph.None {
-		n.DroppedNoRoute++
-		n.emitDrop(telemetry.KindDropNoRoute, pkt)
-		n.eng.FreePacket(pkt)
-		return
-	}
-	p, ok := n.ports[k]
-	if !ok {
-		n.DroppedNoRoute++
-		n.emitDrop(telemetry.KindDropNoRoute, pkt)
-		n.eng.FreePacket(pkt)
+	// No successor, or (static routes only) one no port leads to.
+	l := n.link(n.pickNextHop(pkt.Dst))
+	if l == nil {
+		n.drop(&n.DroppedNoRoute, telemetry.KindDropNoRoute, pkt)
 		return
 	}
 	pkt.Hops++
 	if n.OnForward != nil {
-		n.OnForward(pkt, k)
+		n.OnForward(pkt, l.to)
 	}
-	if !p.Send(pkt) {
-		n.DroppedQueue++
-		n.emitDrop(telemetry.KindDropQueue, pkt)
-		n.eng.FreePacket(pkt)
+	if !l.port.Send(pkt) {
+		n.drop(&n.DroppedQueue, telemetry.KindDropQueue, pkt)
 		return
 	}
 	n.ForwardedPackets++
 }
 
-// pickFlowletHop implements flowlet switching: reuse the pinned next hop
-// while the flow's inter-packet gap stays under FlowletTimeout; otherwise
-// re-pick from the current routing parameters. A pinned hop that left the
-// successor set is replaced immediately.
-func (n *Node) pickFlowletHop(pkt *des.Packet) graph.NodeID {
-	now := n.eng.Now()
-	st := n.flowlets[pkt.FlowID]
-	if st != nil && now-st.last <= n.cfg.FlowletTimeout {
-		if phi := n.phi[pkt.Dst]; phi != nil {
-			if v, ok := phi[st.next]; ok && v > 0 {
-				st.last = now
-				return st.next
-			}
-		}
+// drop counts, traces and recycles one data packet the node will not
+// forward.
+func (n *Node) drop(counter *int64, k telemetry.Kind, pkt *des.Packet) {
+	*counter++
+	if n.tel != nil {
+		ev := telemetry.NewEvent(n.eng.Now(), k, n.id)
+		ev.Dst = pkt.Dst
+		ev.Flow = int32(pkt.FlowID)
+		ev.Value = 1
+		n.tel.Tracer.Emit(ev)
 	}
-	k := n.pickNextHop(pkt.Dst)
-	if k == graph.None {
-		return k
-	}
-	if st == nil {
-		st = &flowletState{}
-		n.flowlets[pkt.FlowID] = st
-	}
-	st.next = k
-	st.last = now
-	return k
+	n.eng.FreePacket(pkt)
 }
 
 // pickNextHop chooses the outgoing neighbor for destination j under the
@@ -797,26 +701,16 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 		}
 		return weightedPick(n.prng, n.staticPhi[j])
 	default: // ModeMP
-		phi := n.phi[j]
-		if len(phi) == 0 {
+		if len(n.phi[j]) == 0 {
 			// Routes may exist before parameters do (e.g. first packet
 			// between refreshes); build them lazily.
 			succ := n.proto.Successors(j)
 			if len(succ) == 0 {
 				return graph.None
 			}
-			n.phi[j] = alloc.Initial(succ, n.shortDist(j))
-			n.phiSucc[j] = append(n.phiSucc[j][:0], succ...)
-			phi = n.phi[j]
-			if n.OnAlloc != nil {
-				n.OnAlloc(j, phi, succ)
-			}
-			n.emitAlloc(telemetry.KindAllocInit, j, phi)
-			if len(phi) == 0 {
-				return graph.None
-			}
+			n.buildIH(j, succ)
 		}
-		return weightedPick(n.prng, phi)
+		return weightedPick(n.prng, n.phi[j])
 	}
 }
 
@@ -824,9 +718,6 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 // the best one (OSPF-style equal-cost multipath).
 func (n *Node) equalCostSuccessors(j graph.NodeID) []graph.NodeID {
 	succ := n.proto.Successors(j)
-	if len(succ) == 0 {
-		return nil
-	}
 	best := math.Inf(1)
 	for _, k := range succ {
 		if d := n.proto.SuccessorDistance(j, k); d < best {

@@ -379,25 +379,19 @@ func TestNextTsBounds(t *testing.T) {
 	cfg.AdaptiveTimers = true
 	_, nodes, _ := line3(t, cfg)
 	n := nodes[0]
-	n.lastTsChurn = 1.0
-	if got := n.nextTs(); got != cfg.Ts/2 {
-		t.Fatalf("high churn Ts = %v, want %v", got, cfg.Ts/2)
+	for _, tc := range []struct{ base, churn, want float64 }{
+		{cfg.Ts, 1.0, cfg.Ts / 2},
+		{cfg.Ts, 0.0, cfg.Ts * 2},
+		{cfg.Ts, 0.1, cfg.Ts},
+		{cfg.Tl, 1.0, cfg.Tl / 2},
+		{cfg.Tl, 0.01, cfg.Tl * 2},
+	} {
+		if got := n.adapt(tc.base, tc.churn); got != tc.want {
+			t.Errorf("adapt(%v, churn %v) = %v, want %v", tc.base, tc.churn, got, tc.want)
+		}
 	}
-	n.lastTsChurn = 0.0
-	if got := n.nextTs(); got != cfg.Ts*2 {
-		t.Fatalf("quiet Ts = %v, want %v", got, cfg.Ts*2)
-	}
-	n.lastTsChurn = 0.1
-	if got := n.nextTs(); got != cfg.Ts {
-		t.Fatalf("moderate churn Ts = %v, want %v", got, cfg.Ts)
-	}
-	n.lastTlChurn = 1.0
-	if got := n.nextTl(); got != cfg.Tl/2 {
-		t.Fatalf("high churn Tl = %v", got)
-	}
-	cfg2 := Defaults()
-	_, nodes2, _ := line3(t, cfg2)
-	if got := nodes2[0].nextTs(); got != cfg2.Ts {
+	_, static, _ := line3(t, Defaults())
+	if got := static[0].adapt(cfg.Ts, 1.0); got != cfg.Ts {
 		t.Fatalf("static Ts = %v", got)
 	}
 }
@@ -406,72 +400,6 @@ func TestNodeID(t *testing.T) {
 	_, nodes, _ := line3(t, Defaults())
 	if nodes[1].ID() != 1 {
 		t.Fatalf("ID = %v", nodes[1].ID())
-	}
-}
-
-func TestFlowletPinningAndRelease(t *testing.T) {
-	cfg := Defaults()
-	cfg.FlowletTimeout = 0.5
-	g := topo.Ring(4, 1e7, 1e-3)
-	eng, nodes, _ := wire(t, g, cfg)
-	startAll(eng, nodes, 5)
-	// Node 0 toward 2 has two successors on the uniform ring. Back-to-back
-	// packets of one flow must all take the pinned next hop.
-	firstHop := map[graph.NodeID]int{}
-	n0 := nodes[0]
-	orig := n0.OnForward
-	_ = orig
-	n0.OnForward = func(pkt *des.Packet, next graph.NodeID) { firstHop[next]++ }
-	for i := 0; i < 50; i++ {
-		n0.HandleData(&des.Packet{FlowID: 3, Src: 0, Dst: 2, Bits: 800, Created: eng.Now()})
-		eng.Run(eng.Now() + 0.001) // gaps well under the flowlet timeout
-	}
-	if len(firstHop) != 1 {
-		t.Fatalf("flowlet used %d next hops within one burst: %v", len(firstHop), firstHop)
-	}
-	// After an idle gap longer than the timeout, a re-pick happens (it may
-	// legitimately land on the same hop; just assert no panic and a pick).
-	eng.Run(eng.Now() + 1)
-	n0.HandleData(&des.Packet{FlowID: 3, Src: 0, Dst: 2, Bits: 800, Created: eng.Now()})
-	total := 0
-	for _, c := range firstHop {
-		total += c
-	}
-	if total != 51 {
-		t.Fatalf("forwarded %d packets, want 51", total)
-	}
-}
-
-func TestFlowletFallsBackWhenPinnedHopGone(t *testing.T) {
-	cfg := Defaults()
-	cfg.FlowletTimeout = 10
-	g := topo.Ring(4, 1e7, 1e-3)
-	eng, nodes, _ := wire(t, g, cfg)
-	startAll(eng, nodes, 5)
-	n0 := nodes[0]
-	var used []graph.NodeID
-	n0.OnForward = func(pkt *des.Packet, next graph.NodeID) { used = append(used, next) }
-	n0.HandleData(&des.Packet{FlowID: 1, Src: 0, Dst: 2, Bits: 800, Created: eng.Now()})
-	if len(used) != 1 {
-		t.Fatal("no forward")
-	}
-	pinned := used[0]
-	// Kill the pinned neighbor's link; the next packet must take the other.
-	n0.LinkFailed(pinned)
-	nodes[pinned].LinkFailed(0)
-	eng.Run(eng.Now() + 2)
-	n0.HandleData(&des.Packet{FlowID: 1, Src: 0, Dst: 2, Bits: 800, Created: eng.Now()})
-	if len(used) != 2 || used[1] == pinned {
-		t.Fatalf("flowlet did not fall back: %v", used)
-	}
-}
-
-func TestCostCapDisabled(t *testing.T) {
-	cfg := Defaults()
-	cfg.CostUtilizationCap = 0
-	_, nodes, _ := line3(t, cfg)
-	if !math.IsInf(nodes[0].costCap(1000, 0), 1) {
-		t.Fatal("disabled cap not infinite")
 	}
 }
 
