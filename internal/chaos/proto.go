@@ -83,6 +83,8 @@ type protoState struct {
 	// The protocol harness has no simulation clock, so event timestamps are
 	// the delivery-attempt count — still monotone and deterministic.
 	tel *telemetry.Capture
+	// host is what the harness attaches for a router (see runProto).
+	host func(*mpda.Router) protonet.Node
 }
 
 // now is the protocol harness's timebase: delivery attempts so far.
@@ -187,10 +189,12 @@ func (st *protoState) apply(act Action) {
 		st.installHooks(v, r)
 		st.routers[v] = r
 		st.views[v] = r
-		st.net.Attach(v, r)
-		//lint:maporder-ok per-key reconciliation of independent links commutes
-		for key := range st.base {
-			if key[0] == v || key[1] == v {
+		st.net.Attach(v, st.host(r))
+		// Ascending by neighbor, which is ascending by link key: the order of
+		// the LinkUps decides the order of the LSUs they cause.
+		for k := 0; k < st.numNode; k++ {
+			key := linkKey(v, graph.NodeID(k))
+			if _, adjacent := st.base[key]; adjacent {
 				st.restoreIfDue(key)
 			}
 		}
@@ -227,6 +231,12 @@ func RunProto(s *Scenario) (*Result, error) { return RunProtoWith(s, nil) }
 // has no simulation clock). mdrfuzz ships this timeline alongside shrunk
 // reproducers.
 func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
+	return runProto(s, tel, func(r *mpda.Router) protonet.Node { return r })
+}
+
+// runProto is RunProtoWith with the harness reaching each router through
+// host(r): tests interpose a per-event check there.
+func runProto(s *Scenario, tel *telemetry.Capture, host func(*mpda.Router) protonet.Node) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,6 +256,7 @@ func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 		crashed: make(map[graph.NodeID]bool),
 		numNode: g.NumNodes(),
 		tel:     tel,
+		host:    host,
 	}
 	if tel != nil {
 		st.net.OnMessage = func(from, to graph.NodeID, entries int, ack bool) {
@@ -272,7 +283,7 @@ func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 		st.installHooks(id, r)
 		st.routers[id] = r
 		st.views[id] = r
-		st.net.Attach(id, r)
+		st.net.Attach(id, st.host(r))
 	}
 
 	log := oracle.NewLog()

@@ -189,3 +189,38 @@ func TestRunnersRejectInvalidScenario(t *testing.T) {
 		t.Fatal("RunDES accepted an invalid scenario")
 	}
 }
+
+// TestProtoRunnerRunTwiceIdentical is the run-twice test over mdrfuzz's
+// seed range: every generated scenario, through both runners, twice in one
+// process, must report the same event count and trace hash. The scenarios
+// the hand-written one above does not resemble are the ones that found the
+// unordered restart (a map range deciding the order of a node's LinkUps).
+func TestProtoRunnerRunTwiceIdentical(t *testing.T) {
+	type outcome struct {
+		events int64
+		hash   string
+	}
+	runners := []struct {
+		name string
+		fn   func(*Scenario) (*Result, error)
+	}{{"proto", RunProto}, {"des", RunDES}}
+	var first [200][2]outcome
+	for pass := 0; pass < 2; pass++ {
+		for seed := range first {
+			s := Generate(uint64(seed))
+			for i, r := range runners {
+				res, err := r.fn(s)
+				if err != nil {
+					t.Fatalf("seed %d (%s): %v", seed, r.name, err)
+				}
+				got := outcome{res.Events, res.TraceHash}
+				if pass == 0 {
+					first[seed][i] = got
+				} else if got != first[seed][i] {
+					t.Errorf("seed %d (%s): second run %d events/%s, first %d/%s",
+						seed, r.name, got.events, got.hash, first[seed][i].events, first[seed][i].hash)
+				}
+			}
+		}
+	}
+}

@@ -17,10 +17,15 @@
 // Theorem 3 (safety): the successor graph implied by all S_j is loop-free
 // at every instant. Theorem 4 (liveness): after the last change, D_j are
 // the correct shortest distances and S_j = {k : D_j^k < D_j}.
+//
+// An event re-derives S_j only for the destinations whose D_jk, FD_j or
+// neighbor set it moved, and Router.TakeMoved hands exactly those to the
+// host, ascending, so per-destination state built from S_j follows suit.
 package mpda
 
 import (
 	"math"
+	"slices"
 
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
@@ -63,8 +68,9 @@ type Router struct {
 	fd []float64
 	// succ[j] is the successor set S_j, ascending by neighbor ID.
 	succ [][]graph.NodeID
-	// succVersion is the tables' Version when the S_j were last derived.
-	succVersion uint64
+	// rederived collects the destinations whose S_j an event re-derived, for
+	// the host to take (TakeMoved).
+	rederived pda.DestSet
 	// temp is the ACTIVE→PASSIVE step's scratch copy of D.
 	temp []float64
 }
@@ -107,6 +113,18 @@ func (r *Router) Dist(j graph.NodeID) float64 { return r.t.Dist(j) }
 // Successors returns S_j. The returned slice is owned by the router; do not
 // mutate it.
 func (r *Router) Successors(j graph.NodeID) []graph.NodeID { return r.succ[j] }
+
+// TakeMoved returns, ascending, the destinations whose S_j was re-derived
+// since the previous call — every j whose S_j changed is among them — and
+// forgets them. Whatever a host builds per destination from S_j (routing
+// parameters, forwarding entries) it need only rebuild for these. The slice
+// is the router's and valid until its next event.
+func (r *Router) TakeMoved() []graph.NodeID {
+	moved := r.rederived.List()
+	slices.Sort(moved)
+	r.rederived.Reset()
+	return moved
+}
 
 // SuccessorDistance returns D_jk + l_ik, the marginal distance to j through
 // neighbor k, as used by the allocation heuristics. It is +Inf when k's
@@ -191,38 +209,43 @@ func (r *Router) HandleLSU(m *lsu.Msg) {
 // when the event was not such an LSU).
 func (r *Router) process(ackTo graph.NodeID) {
 	var diff []lsu.Entry
-	// S_j = {k | D_jk < FD_j} moves only with N and the D_jk — both counted
-	// by the tables' version — or with FD. Step 2 moves FD only when D
-	// moved, which takes an MTU with changed inputs: the same version.
-	// Step 3 may raise FD to an unchanged D, so it always counts.
-	moved := r.t.Version() != r.succVersion
+	// S_j = {k | D_jk < FD_j} moves only with N, the D_jk or FD_j. The
+	// tables' Moved set has the destinations of the first two; steps 2 and
+	// 3 add those of the third, and step 4 re-derives S_j for the set alone.
+	moved := r.t.Moved()
 	switch {
 	case !r.active:
-		// Step 2: PASSIVE — update T and lower FD toward the new D.
+		// Step 2: PASSIVE — update T and lower FD toward the new D. FD_j ≤
+		// D_j held before the MTU (both steps leave it so, and only an MTU
+		// moves D), so FD_j can fall only where D_j just moved.
 		diff = r.t.RunMTU()
-		for j := range r.fd {
-			r.fd[j] = math.Min(r.fd[j], r.t.Dist(graph.NodeID(j)))
+		for _, j := range moved.List() {
+			r.fd[j] = math.Min(r.fd[j], r.t.Dist(j))
 		}
 	case r.waiting == 0:
 		// Step 3: ACTIVE and the last ACK has arrived. temp captures the
 		// distances that were reported in the just-acknowledged LSU (MTU was
 		// deferred during the ACTIVE phase, so D is unchanged since then).
+		// FD_j may rise here, to a D_j that did not move.
 		r.temp = append(r.temp[:0], r.t.Dists()...)
 		r.setActive(false)
 		diff = r.t.RunMTU()
-		for j := range r.fd {
+		for j, was := range r.fd {
 			r.fd[j] = math.Min(r.temp[j], r.t.Dist(graph.NodeID(j)))
+			if math.Float64bits(r.fd[j]) != math.Float64bits(was) {
+				moved.Add(graph.NodeID(j), len(r.fd))
+			}
 		}
-		moved = true
 	default:
 		// ACTIVE with ACKs outstanding: NTU only; the MTU is deferred.
 	}
 
 	// Step 4: recompute the successor sets S_j = {k | D_jk < FD_j}.
-	if moved {
-		r.recomputeSuccessors()
-		r.succVersion = r.t.Version()
+	for _, j := range moved.List() {
+		r.deriveSuccessors(j)
+		r.rederived.Add(j, len(r.fd))
 	}
+	moved.Reset()
 
 	// Steps 5-8: flood changes (becoming ACTIVE) and acknowledge.
 	if len(diff) > 0 {
@@ -270,20 +293,15 @@ func (r *Router) setActive(a bool) {
 	}
 }
 
-func (r *Router) recomputeSuccessors() {
-	nbrs := r.t.Neighbors()
-	for j := range r.succ {
-		jid := graph.NodeID(j)
-		if jid == r.ID() {
-			r.succ[j] = nil
-			continue
-		}
-		set := r.succ[j][:0]
-		for _, k := range nbrs {
-			if numeric.Closer(r.t.NbrDist(jid, k), r.fd[j]) {
+// deriveSuccessors sets S_j from the D_jk and FD_j as they stand.
+func (r *Router) deriveSuccessors(j graph.NodeID) {
+	set := r.succ[j][:0]
+	if j != r.ID() {
+		for _, k := range r.t.Neighbors() {
+			if numeric.Closer(r.t.NbrDist(j, k), r.fd[j]) {
 				set = append(set, k)
 			}
 		}
-		r.succ[j] = set
 	}
+	r.succ[j] = set
 }

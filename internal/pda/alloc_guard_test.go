@@ -11,7 +11,8 @@ import (
 // TestTablesAllocBudget pins the per-LSU table work at zero steady-state
 // allocations, on the converged tables of the hub of a 48-router scale-free
 // network: the dense rows, the Dijkstra scratch and the double-buffered T
-// exist so that handling an LSU reuses storage. The one thing RunMTU must
+// exist so that handling an LSU reuses storage, and the tree walk's scratch
+// and the Moved set wait for first use and are kept. The one thing RunMTU must
 // allocate is the diff it returns when T changed (the LSUs that flood it
 // keep it); the guarded event changes a link that is not on the router's
 // tree, so here even that is absent. With map-backed tables the same event
@@ -56,6 +57,10 @@ func TestTablesAllocBudget(t *testing.T) {
 		if diff := tb.RunMTU(); diff != nil {
 			t.Fatalf("off-tree change moved T: %v", diff)
 		}
+		if len(tb.Moved().List()) == 0 {
+			t.Fatal("a changed cost in T_k moved no D_jk")
+		}
+		tb.Moved().Reset()
 	}
 	flip() // both buffers of T have held the rows once
 	flip()

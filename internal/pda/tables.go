@@ -44,6 +44,46 @@ type Tables struct {
 	// empty diff: it is skipped.
 	version, mtuVersion uint64
 	sp                  dijkstra.Scratch
+
+	// moved collects the destinations j whose D_j or some D_jk changed —
+	// bit-wise, or with the neighbor set — until its owner Resets it.
+	moved DestSet
+	// walk and stack are the working memory of treeDistances; walked counts
+	// the links it examined.
+	walk   []float64
+	stack  []graph.NodeID
+	walked int
+}
+
+// DestSet is a set of destinations over a dense ID space, built to cost
+// nothing while empty and one flag test per Add. The zero value is an empty
+// set; storage waits for the first Add.
+type DestSet struct {
+	list []graph.NodeID
+	in   []bool
+}
+
+// Add puts j, below the ID-space size n, in the set.
+func (s *DestSet) Add(j graph.NodeID, n int) {
+	if s.in == nil {
+		s.list, s.in = make([]graph.NodeID, 0, n), make([]bool, n)
+	}
+	if !s.in[j] {
+		s.in[j] = true
+		s.list = append(s.list, j)
+	}
+}
+
+// List returns the members, in the order added unless the caller sorted
+// them: the set's own slice, which Add and Reset invalidate.
+func (s *DestSet) List() []graph.NodeID { return s.list }
+
+// Reset empties the set, keeping its storage.
+func (s *DestSet) Reset() {
+	for _, j := range s.list {
+		s.in[j] = false
+	}
+	s.list = s.list[:0]
 }
 
 // NewTables returns fresh tables for router id over an ID space of n nodes.
@@ -73,10 +113,31 @@ func (t *Tables) NumNodes() int { return t.n }
 // SetAdjacent or RemoveAdjacent).
 func (t *Tables) Neighbors() []graph.NodeID { return t.nbrs }
 
-// Version counts the changes made so far to the inputs of MTU and of the
-// successor sets: adjacent links and neighbor tables. Equal values mean
-// nothing changed in between.
-func (t *Tables) Version() uint64 { return t.version }
+// Moved is the set of destinations j whose D_j or D_jk, for some up
+// neighbor k, may differ from what they were when the set was last Reset:
+// ApplyLSU adds j when D_jk changed bit-wise for the sender, RunMTU when D_j
+// did, and a neighbor joining or leaving adds every j. Everything derived
+// per destination from the distance tables — MPDA's S_j first — is current
+// outside this set. The caller owns emptying it, and may add to it.
+func (t *Tables) Moved() *DestSet { return &t.moved }
+
+// update stores the distances d over old and adds to Moved every j where the
+// two differed.
+func (t *Tables) update(old, d []float64) {
+	for j, v := range d {
+		if math.Float64bits(v) != math.Float64bits(old[j]) {
+			old[j] = v
+			t.moved.Add(graph.NodeID(j), t.n)
+		}
+	}
+}
+
+// moveAll adds every destination to Moved: the neighbor set changed.
+func (t *Tables) moveAll() {
+	for j := 0; j < t.n; j++ {
+		t.moved.Add(graph.NodeID(j), t.n)
+	}
+}
 
 // index returns k's position in the neighbor-parallel slices.
 func (t *Tables) index(k graph.NodeID) (int, bool) {
@@ -154,6 +215,7 @@ func (t *Tables) SetAdjacent(k graph.NodeID, cost float64) {
 	t.nbrTopo = slices.Insert(t.nbrTopo, i, NewTopology(t.n))
 	t.nbrDist = slices.Insert(t.nbrDist, i, d)
 	t.reindex(i)
+	t.moveAll()
 }
 
 // RemoveAdjacent handles failure of the adjacent link to k (NTU step 4):
@@ -170,6 +232,7 @@ func (t *Tables) RemoveAdjacent(k graph.NodeID) {
 	t.nbrDist = slices.Delete(t.nbrDist, i, i+1)
 	t.pos[k] = -1
 	t.reindex(i)
+	t.moveAll()
 }
 
 // reindex restores pos for the neighbors at positions from and up.
@@ -201,7 +264,44 @@ func (t *Tables) ApplyLSU(k graph.NodeID, entries []lsu.Entry) {
 		return
 	}
 	t.version++
-	copy(t.nbrDist[i], t.sp.Run(t.nbrTopo[i], k).Dist)
+	t.update(t.nbrDist[i], t.treeDistances(t.nbrTopo[i], k))
+}
+
+// treeDistances returns the distances from src over topo, in a vector the
+// next call overwrites. A neighbor reports its shortest-path tree, and in a
+// tree every node has one path from the root: labelling each link's tail
+// with dist[head] + cost once, in any order, performs the additions Dijkstra
+// would and yields the same bits without its heap. That the links reachable
+// from src form a tree is observed, not assumed (an inconsistent or hostile
+// peer breaks it): the walk gives way to Dijkstra at the first link whose
+// tail has a label already, or whose cost Dijkstra would not relax over —
+// at most one link after the last new label, so never more than n visited.
+func (t *Tables) treeDistances(topo *Topology, src graph.NodeID) []float64 {
+	if t.walk == nil {
+		t.walk = make([]float64, t.n)
+	}
+	d, inf := t.walk, math.Inf(1)
+	for j := range d {
+		d[j] = inf
+	}
+	d[src] = 0
+	stack := append(t.stack[:0], src)
+	for len(stack) > 0 {
+		h := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, l := range topo.rows[h] {
+			t.walked++
+			nd := d[h] + l.cost
+			if d[l.tail] < inf || !(l.cost >= 0 && nd < inf) {
+				t.stack = stack
+				return t.sp.Run(topo, src).Dist
+			}
+			d[l.tail] = nd
+			stack = append(stack, l.tail)
+		}
+	}
+	t.stack = stack
+	return d
 }
 
 func (t *Tables) inSpace(id graph.NodeID) bool { return int(id) >= 0 && int(id) < t.n }
@@ -249,7 +349,7 @@ func (t *Tables) RunMTU() []lsu.Entry {
 	newT.links += len(t.nbrs)
 
 	// Steps 6-7: prune to the shortest-path tree and refresh distances.
-	copy(t.dist, newT.SPT(t.id, &t.sp).Dist)
+	t.update(t.dist, newT.SPT(t.id, &t.sp).Dist)
 	t.main, t.spare = newT, oldT
 
 	// Step 8: report differences.

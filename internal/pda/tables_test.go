@@ -1,6 +1,7 @@
 package pda
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -213,12 +214,15 @@ func rebuilt(tb *Tables) *Tables {
 // TestTablesMatchFreshRebuild is the proof obligation of the incremental
 // rules: T, D and the D_jk are functions of the current l_ik and T_k alone,
 // so after any history of events — with MTUs skipped when clean, Dijkstra
-// skipped on entry-less LSUs, several events piling up behind a deferred
-// MTU as in MPDA's ACTIVE phase, and the node scan running over the whole
-// ID space rather than the union of mentioned nodes — the tables must equal
-// ones built from scratch from those inputs, and the reported diff must be
-// exactly what separates the new T from the previous one. Costs are small
-// integers so equal-cost paths, and with them every tie-break, are common.
+// skipped on entry-less LSUs and replaced by the tree walk on the others,
+// several events piling up behind a deferred MTU as in MPDA's ACTIVE phase,
+// and the node scan running over the whole ID space rather than the union
+// of mentioned nodes — the tables must equal ones built from scratch from
+// those inputs (the D_jk by a fresh Dijkstra over T_k, bit for bit), the
+// reported diff must be exactly what separates the new T from the previous
+// one, and Moved must name every destination whose D_j or D_jk differs
+// from before the event. Costs are small integers so equal-cost paths, and
+// with them every tie-break, are common.
 func TestTablesMatchFreshRebuild(t *testing.T) {
 	const n = 10
 	for seed := uint64(1); seed <= 30; seed++ {
@@ -227,6 +231,11 @@ func TestTablesMatchFreshRebuild(t *testing.T) {
 		cost := func() float64 { return float64(1 + r.Intn(3)) }
 		tb := NewTables(node(), n)
 		for step := 0; step < 400; step++ {
+			wasNbrs, wasD := slices.Clone(tb.Neighbors()), slices.Clone(tb.Dists())
+			wasNbrD := make([][]float64, len(wasNbrs))
+			for i := range wasNbrD {
+				wasNbrD[i] = slices.Clone(tb.nbrDist[i])
+			}
 			switch r.Intn(10) {
 			case 0, 1:
 				if k := node(); k != tb.ID() {
@@ -247,29 +256,39 @@ func TestTablesMatchFreshRebuild(t *testing.T) {
 				}
 				tb.ApplyLSU(node(), es)
 			}
-			if r.Intn(4) == 0 {
-				continue // MTU deferred: the next one sees several events
-			}
-			prev := tb.Main().Clone()
-			diff := tb.RunMTU()
-			want := rebuilt(tb)
-			want.RunMTU()
-			if !tb.Main().Equal(want.Main()) {
-				t.Fatalf("seed %d step %d: T = %v\nrebuilt  %v", seed, step, tb.Main(), want.Main())
-			}
-			if !slices.Equal(tb.Dists(), want.Dists()) {
-				t.Fatalf("seed %d step %d: D = %v\nrebuilt  %v", seed, step, tb.Dists(), want.Dists())
-			}
-			if wantDiff := want.Main().Diff(prev); !slices.Equal(diff, wantDiff) {
-				t.Fatalf("seed %d step %d: diff = %v\nwant %v", seed, step, diff, wantDiff)
-			}
 			for _, k := range tb.Neighbors() {
-				for j := graph.NodeID(0); j < n; j++ {
-					if tb.NbrDist(j, k) != want.NbrDist(j, k) {
-						t.Fatalf("seed %d step %d: D_%d,%d = %v, rebuilt %v", seed, step, j, k, tb.NbrDist(j, k), want.NbrDist(j, k))
-					}
+				sameDistances(t, tb, k, fmt.Sprintf("seed %d step %d", seed, step))
+			}
+			if r.Intn(4) != 0 { // else the MTU is deferred: the next one sees several events
+				prev := tb.Main().Clone()
+				diff := tb.RunMTU()
+				want := rebuilt(tb)
+				want.RunMTU()
+				if !tb.Main().Equal(want.Main()) {
+					t.Fatalf("seed %d step %d: T = %v\nrebuilt  %v", seed, step, tb.Main(), want.Main())
+				}
+				if !slices.Equal(tb.Dists(), want.Dists()) {
+					t.Fatalf("seed %d step %d: D = %v\nrebuilt  %v", seed, step, tb.Dists(), want.Dists())
+				}
+				if wantDiff := want.Main().Diff(prev); !slices.Equal(diff, wantDiff) {
+					t.Fatalf("seed %d step %d: diff = %v\nwant %v", seed, step, diff, wantDiff)
 				}
 			}
+			moved := tb.Moved().List()
+			slices.Sort(moved)
+			if len(slices.Compact(slices.Clone(moved))) != len(moved) {
+				t.Fatalf("seed %d step %d: Moved = %v repeats a destination", seed, step, moved)
+			}
+			for j := graph.NodeID(0); j < n; j++ {
+				changed := !slices.Equal(wasNbrs, tb.Neighbors()) || wasD[j] != tb.Dist(j)
+				for i := 0; i < len(wasNbrD) && !changed; i++ {
+					changed = wasNbrD[i][j] != tb.nbrDist[i][j]
+				}
+				if changed && !slices.Contains(moved, j) {
+					t.Fatalf("seed %d step %d: destination %d moved, Moved = %v", seed, step, j, moved)
+				}
+			}
+			tb.Moved().Reset()
 		}
 	}
 }

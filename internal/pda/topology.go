@@ -5,6 +5,11 @@
 // preferring the neighbor offering the shortest distance to the head of the
 // link (not by sequence numbers), and converges to correct shortest paths a
 // finite time after the last change (the paper's Theorem 2).
+//
+// An event costs what it moved: the MTU runs only when one of its inputs
+// changed, D_·k comes from a walk of the tree neighbor k reported (Dijkstra
+// only when it is not one), and Tables.Moved names the destinations whose
+// distances changed, for whatever is derived from them (DESIGN.md §17).
 package pda
 
 import (

@@ -17,3 +17,7 @@ func (n *Node) VisitLinkCosts(visit func(k graph.NodeID, short, long float64)) {
 		visit(l.to, l.short, l.long.Value())
 	}
 }
+
+// BuiltFrom returns the successor set destination j's routing parameters
+// were last built from.
+func (n *Node) BuiltFrom(j graph.NodeID) []graph.NodeID { return n.phiSucc[j] }

@@ -605,18 +605,15 @@ func (n *Node) LinkRecovered(k graph.NodeID) {
 // refreshAllocations re-runs IH for every destination whose successor set
 // changed since its parameters were last built (paper: "When S_j is
 // computed for the first time or recomputed again due to long-term route
-// changes, traffic should be freshly distributed" by IH).
+// changes, traffic should be freshly distributed" by IH). Only a set the
+// protocol re-derived since the last refresh can have; they come ascending.
 func (n *Node) refreshAllocations() {
 	if n.cfg.Mode != ModeMP {
 		return
 	}
-	for j := range n.phi {
-		jid := graph.NodeID(j)
-		if jid == n.id {
-			continue
-		}
-		if succ := n.proto.Successors(jid); !slices.Equal(succ, n.phiSucc[j]) {
-			n.buildIH(jid, succ)
+	for _, j := range n.proto.TakeMoved() {
+		if succ := n.proto.Successors(j); j != n.id && !slices.Equal(succ, n.phiSucc[j]) {
+			n.buildIH(j, succ)
 		}
 	}
 }

@@ -52,9 +52,12 @@ func BindUDPDatagram(local string) (*UDPDatagram, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Best effort: a traffic burst fanning into one node can outrun the
-	// platform default socket buffers.
-	_ = conn.SetReadBuffer(1 << 20)
+	// Best effort (the kernel clamps to net.core.rmem_max without an error).
+	// Nothing retransmits or counts a datagram the receive queue drops, and
+	// an open-loop sender that was stalled sends its whole backlog back to
+	// back: 4 MiB holds about 10 k small data frames, one stall of 0.5 s at
+	// the benchmark's 20 k packets per second.
+	_ = conn.SetReadBuffer(4 << 20)
 	_ = conn.SetWriteBuffer(1 << 20)
 	return &UDPDatagram{conn: conn, addrs: make(map[string]*net.UDPAddr)}, nil
 }
