@@ -38,10 +38,11 @@ test:
 # trajectory, live-vs-DES cross-validation: what a refactor runs to show
 # nothing observable moved. With them, the differential tests the
 # incremental control plane answers to (successor sets against a full
-# recompute, neighbor distances against Dijkstra) and the run-twice test of
-# both chaos runners over mdrfuzz's seed range.
+# recompute, neighbor distances and the repaired tree against Dijkstra, the
+# maintained T against a rebuild) and the run-twice test of both chaos
+# runners over mdrfuzz's seed range.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra
 
 # go's default per-package limit is 10 minutes; internal/experiments needs
 # about 17 under -race on a 2-core host (992 s measured), so the gate sets
@@ -81,13 +82,14 @@ codec-guard:
 
 # Ten seconds of coverage-guided fuzzing over random chaos schedules with
 # every invariant oracle armed, plus ten over the wire-format decoder (the
-# live transport's parse boundary); the checked-in corpora replay
-# regardless.
+# live transport's parse boundary) and ten over graph edits against the
+# shortest-path tree repair; the checked-in corpora replay regardless.
 fuzz:
 	$(GO) test -run FuzzChaosSchedule -fuzz FuzzChaosSchedule -fuzztime 10s ./internal/chaos
 	$(GO) test -run FuzzFrameRoundTrip -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzShardSchedule -fuzz FuzzShardSchedule -fuzztime 10s ./internal/despart
 	$(GO) test -run FuzzDataFrame -fuzz FuzzDataFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run FuzzRepair -fuzz FuzzRepair -fuzztime 10s ./internal/dijkstra
 
 # Longer randomized sweep: 200 seed-derived scenarios through both runners.
 chaos:

@@ -8,6 +8,10 @@
 // The algorithm consumes an abstract adjacency view so that it can run both
 // on the ground-truth topology (internal/graph) and on the partial topology
 // tables routers assemble from LSU messages (internal/pda).
+//
+// Run computes a tree from nothing; Scratch.Repair keeps one (Labels) current
+// while its graph changes, for the price of the subtrees a change touched:
+// same heap, same tie rule, same bits.
 package dijkstra
 
 import (
@@ -46,8 +50,14 @@ type Scratch struct {
 	res   Result
 	heap  distHeap
 	done  []bool
-	u     graph.NodeID // node being expanded; read by relax
+	u     graph.NodeID // node being expanded; read by the link visitors
 	relax func(to graph.NodeID, cost float64)
+
+	// Repair's: the labels under repair, its link visitors (bound once, like
+	// relax), the times it gave the job to Run.
+	l                   *Labels
+	unlabel, seed, mend func(to graph.NodeID, cost float64)
+	fallbacks           int
 }
 
 // Run computes shortest paths from src over the view into fresh vectors the
@@ -101,19 +111,25 @@ func (s *Scratch) relaxLink(to graph.NodeID, cost float64) {
 	if s.done[to] {
 		return
 	}
-	res, u := &s.res, s.u
-	nd := res.Dist[u] + cost
-	switch {
-	case nd < res.Dist[to]:
-		res.Dist[to] = nd
-		res.Parent[to] = u
+	nd := s.res.Dist[s.u] + cost
+	if offer(s.res.Dist, s.res.Parent, to, s.u, nd) {
 		s.heap.push(item{node: to, dist: nd})
-	//lint:floateq-ok exact FP tie only; a tolerant tie here would re-parent across genuinely different path sums
-	case nd == res.Dist[to] && u < res.Parent[to]:
-		// Equal-cost path through a lower-address parent wins; the
-		// distance is unchanged so no re-push is needed.
-		res.Parent[to] = u
 	}
+}
+
+// offer is the one relaxation rule: node to, reachable at distance nd through
+// u, takes that label when nd is shorter than its distance (reported: its
+// own links must be looked at again), or equal and u the lower-address parent.
+func offer(dist []float64, parent []graph.NodeID, to, u graph.NodeID, nd float64) bool {
+	switch {
+	case nd < dist[to]:
+		dist[to], parent[to] = nd, u
+		return true
+	//lint:floateq-ok exact FP tie only; a tolerant tie here would re-parent across genuinely different path sums
+	case nd == dist[to] && u < parent[to]:
+		parent[to] = u
+	}
+	return false
 }
 
 // Reachable reports whether id has a finite distance.

@@ -105,7 +105,11 @@ func TestJitterMPSmoother(t *testing.T) {
 	}
 }
 
-func TestAblationAdaptiveHelpsUnderBursts(t *testing.T) {
+// TestAblationAdaptiveNotWorseThanStatic holds congestion-adaptive Ts/Tl to
+// within 10 % of static timers under bursts at Quick. It does not ask for a
+// gain: at full settings adaptive reads 126.8 ms against 107.9 ms static
+// (EXPERIMENTS.md, "no consistent gain").
+func TestAblationAdaptiveNotWorseThanStatic(t *testing.T) {
 	fig, err := AblationAdaptive(Quick)
 	if err != nil {
 		t.Fatal(err)

@@ -10,14 +10,14 @@ import (
 
 // TestTablesAllocBudget pins the per-LSU table work at zero steady-state
 // allocations, on the converged tables of the hub of a 48-router scale-free
-// network: the dense rows, the Dijkstra scratch and the double-buffered T
+// network: the dense rows, the kept merge and tree and the repair's scratch
 // exist so that handling an LSU reuses storage, and the tree walk's scratch
-// and the Moved set wait for first use and are kept. The one thing RunMTU must
-// allocate is the diff it returns when T changed (the LSUs that flood it
-// keep it); the guarded event changes a link that is not on the router's
-// tree, so here even that is absent. With map-backed tables the same event
-// cost 1,505 allocations on a 160-router table (pda.run_mtu_allocs_n160).
-// Like the telemetry and codec guards this needs a build without -race.
+// and the destination sets wait for first use and are kept. The one thing
+// RunMTU allocates is the diff it returns when T changed (the LSUs that
+// flood it keep it) — one slice for adds and deletes together. With
+// map-backed tables a one-entry event cost 1,505 allocations on a 160-router
+// table (pda.run_mtu_allocs_n160). Like the telemetry and codec guards this
+// needs a build without -race.
 func TestTablesAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under the race detector")
@@ -62,8 +62,32 @@ func TestTablesAllocBudget(t *testing.T) {
 		}
 		tb.Moved().Reset()
 	}
-	flip() // both buffers of T have held the rows once
+	flip() // the scratch has grown to what the event needs
 	flip()
+
+	// A link of T, from the neighbor whose report of it T took: re-pricing
+	// it moves T, and the diff is the one allocation.
+	var from graph.NodeID
+	var onTree lsu.Entry
+	for _, c := range tb.Main().Entries() {
+		if c.Head != hub {
+			from, onTree = tb.PreferredNeighbor(c.Head), lsu.Entry{Op: lsu.OpChange, Head: c.Head, Tail: c.Tail, Cost: c.Cost}
+		}
+	}
+	if onTree.Op == 0 {
+		t.Fatal("the router's tree is one hop deep")
+	}
+	two := []lsu.Entry{onTree}
+	reprice := func() {
+		two[0].Cost = onTree.Cost + onTree.Cost/1024 - (two[0].Cost - onTree.Cost) // c <-> c + c/1024
+		tb.ApplyLSU(from, two)
+		if diff := tb.RunMTU(); len(diff) == 0 {
+			t.Fatal("re-pricing a tree link left T alone")
+		}
+		tb.Moved().Reset()
+	}
+	reprice()
+	reprice()
 
 	for _, c := range []struct {
 		name string
@@ -77,5 +101,8 @@ func TestTablesAllocBudget(t *testing.T) {
 		if got := testing.AllocsPerRun(100, c.op); got != 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", c.name, got)
 		}
+	}
+	if got := testing.AllocsPerRun(100, reprice); got != 1 {
+		t.Errorf("one-entry ApplyLSU + RunMTU, T changed: %.1f allocs/op, want 1 (the diff)", got)
 	}
 }

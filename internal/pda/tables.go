@@ -20,9 +20,9 @@ type Tables struct {
 
 	// nbrs lists the up adjacent neighbors ascending; adj, nbrTopo and
 	// nbrDist are parallel to it, and pos[k] is k's index in all four
-	// (-1 when k is not an up neighbor). pos, main and spare are sized by
-	// the ID space and wait for first use: a network builds all its routers
-	// before any has a neighbor, and a router that never gets one needs none.
+	// (-1 when k is not an up neighbor). pos, merged, main and tree.Parent are
+	// sized by the ID space and wait for the first neighbor: a network builds
+	// all its routers before any has one.
 	nbrs []graph.NodeID
 	pos  []int32
 	// adj[i] is l_ik for k = nbrs[i].
@@ -31,19 +31,23 @@ type Tables struct {
 	nbrTopo []*Topology
 	// nbrDist[i][j] is D_jk: the distance from k to j in T_k.
 	nbrDist [][]float64
-	// main is T, the router's own shortest-path tree; spare is the buffer
-	// the next RunMTU builds into before the two swap.
-	main, spare *Topology
-	// dist[j] is D_j, the distance from id to j in T.
-	dist []float64
-
-	// version counts changes to the MTU's inputs — an adj cost or
-	// membership, any T_k entry; mtuVersion is its value when RunMTU last
-	// rebuilt T. T is a function of those inputs alone, so while the two
-	// are equal another RunMTU would rebuild the same T and report an
-	// empty diff: it is skipped.
-	version, mtuVersion uint64
-	sp                  dijkstra.Scratch
+	// merged is the MTU's merge of the T_k, kept between runs: row j is row j
+	// of T_p for j's preferred neighbor p, row id the adjacent links. tree is
+	// the shortest-path tree over it (tree.Dist[j] is D_j) and main is T, the
+	// links of merged on that tree. stale collects the rows j whose p, row j
+	// of T_p or l_ik may have changed since RunMTU last made merged current.
+	merged, main *Topology
+	tree         dijkstra.Labels
+	stale        DestSet
+	sp           dijkstra.Scratch
+	// RunMTU's working memory: the tails whose tree link a re-merged row lost
+	// or re-priced, the rows of T to derive again, one row being put
+	// together, the diff's halves; repairs counts the runs past the merge.
+	cut        []graph.NodeID
+	dirty      DestSet
+	kept       []link
+	adds, dels []lsu.Entry
+	repairs    int
 
 	// moved collects the destinations j whose D_j or some D_jk changed —
 	// bit-wise, or with the neighbor set — until its owner Resets it.
@@ -89,8 +93,8 @@ func (s *DestSet) Reset() {
 // NewTables returns fresh tables for router id over an ID space of n nodes.
 // All distances start at infinity except D_id = 0 (paper INIT-PDA).
 func NewTables(id graph.NodeID, n int) *Tables {
-	t := &Tables{id: id, n: n, dist: infSlice(n)}
-	t.dist[id] = 0
+	t := &Tables{id: id, n: n, tree: dijkstra.Labels{Dist: infSlice(n)}}
+	t.tree.Dist[id] = 0
 	return t
 }
 
@@ -121,21 +125,10 @@ func (t *Tables) Neighbors() []graph.NodeID { return t.nbrs }
 // outside this set. The caller owns emptying it, and may add to it.
 func (t *Tables) Moved() *DestSet { return &t.moved }
 
-// update stores the distances d over old and adds to Moved every j where the
-// two differed.
-func (t *Tables) update(old, d []float64) {
-	for j, v := range d {
-		if math.Float64bits(v) != math.Float64bits(old[j]) {
-			old[j] = v
-			t.moved.Add(graph.NodeID(j), t.n)
-		}
-	}
-}
-
-// moveAll adds every destination to Moved: the neighbor set changed.
-func (t *Tables) moveAll() {
+// addAll puts every destination in s.
+func (t *Tables) addAll(s *DestSet) {
 	for j := 0; j < t.n; j++ {
-		t.moved.Add(graph.NodeID(j), t.n)
+		s.Add(graph.NodeID(j), t.n)
 	}
 }
 
@@ -158,11 +151,11 @@ func (t *Tables) AdjCost(k graph.NodeID) (float64, bool) {
 }
 
 // Dist returns D_j, the router's distance to j in T.
-func (t *Tables) Dist(j graph.NodeID) float64 { return t.dist[j] }
+func (t *Tables) Dist(j graph.NodeID) float64 { return t.tree.Dist[j] }
 
 // Dists returns the full distance vector (not a copy; callers must not
-// mutate it, and the next RunMTU overwrites it).
-func (t *Tables) Dists() []float64 { return t.dist }
+// mutate it, and the next RunMTU writes into it).
+func (t *Tables) Dists() []float64 { return t.tree.Dist }
 
 // NbrDist returns D_jk, the distance from neighbor k to destination j in the
 // router's copy of k's topology. Infinite when unknown.
@@ -174,8 +167,8 @@ func (t *Tables) NbrDist(j, k graph.NodeID) float64 {
 	return t.nbrDist[i][j]
 }
 
-// Main exposes the main topology table T (read-only by convention; the
-// RunMTU after next reuses its storage).
+// Main exposes the main topology table T (read-only by convention; a RunMTU
+// that reports a difference has edited it in place).
 func (t *Tables) Main() *Topology {
 	if t.main == nil {
 		t.main = NewTopology(t.n)
@@ -196,16 +189,17 @@ func (t *Tables) NeighborTopo(k graph.NodeID) *Topology {
 // SetAdjacent records that the adjacent link to k is up with cost l_ik
 // (NTU steps 2 and 3).
 func (t *Tables) SetAdjacent(k graph.NodeID, cost float64) {
-	t.version++
+	t.addAll(&t.stale) // l_ik decides every preferred neighbor
 	if i, known := t.index(k); known {
 		t.adj[i] = cost
 		return
 	}
 	if t.pos == nil {
-		t.pos = make([]int32, t.n)
+		t.pos, t.tree.Parent = make([]int32, t.n), make([]graph.NodeID, t.n)
 		for j := range t.pos {
-			t.pos[j] = -1
+			t.pos[j], t.tree.Parent[j] = -1, graph.None
 		}
+		t.merged = NewTopology(t.n)
 	}
 	i, _ := slices.BinarySearch(t.nbrs, k)
 	d := infSlice(t.n)
@@ -215,7 +209,7 @@ func (t *Tables) SetAdjacent(k graph.NodeID, cost float64) {
 	t.nbrTopo = slices.Insert(t.nbrTopo, i, NewTopology(t.n))
 	t.nbrDist = slices.Insert(t.nbrDist, i, d)
 	t.reindex(i)
-	t.moveAll()
+	t.addAll(&t.moved)
 }
 
 // RemoveAdjacent handles failure of the adjacent link to k (NTU step 4):
@@ -225,14 +219,14 @@ func (t *Tables) RemoveAdjacent(k graph.NodeID) {
 	if !known {
 		return
 	}
-	t.version++
 	t.nbrs = slices.Delete(t.nbrs, i, i+1)
 	t.adj = slices.Delete(t.adj, i, i+1)
 	t.nbrTopo = slices.Delete(t.nbrTopo, i, i+1)
 	t.nbrDist = slices.Delete(t.nbrDist, i, i+1)
 	t.pos[k] = -1
 	t.reindex(i)
-	t.moveAll()
+	t.addAll(&t.moved)
+	t.addAll(&t.stale)
 }
 
 // reindex restores pos for the neighbors at positions from and up.
@@ -257,14 +251,21 @@ func (t *Tables) ApplyLSU(k graph.NodeID, entries []lsu.Entry) {
 	for _, e := range entries {
 		if t.inSpace(e.Head) && t.inSpace(e.Tail) {
 			t.nbrTopo[i].Apply(e)
+			t.stale.Add(e.Head, t.n)
 			applied = true
 		}
 	}
 	if !applied {
 		return
 	}
-	t.version++
-	t.update(t.nbrDist[i], t.treeDistances(t.nbrTopo[i], k))
+	old := t.nbrDist[i]
+	for j, d := range t.treeDistances(t.nbrTopo[i], k) {
+		if math.Float64bits(d) != math.Float64bits(old[j]) {
+			old[j] = d
+			t.moved.Add(graph.NodeID(j), t.n)
+			t.stale.Add(graph.NodeID(j), t.n) // j may prefer another neighbor now
+		}
+	}
 }
 
 // treeDistances returns the distances from src over topo, in a vector the
@@ -306,54 +307,105 @@ func (t *Tables) treeDistances(topo *Topology, src graph.NodeID) []float64 {
 
 func (t *Tables) inSpace(id graph.NodeID) bool { return int(id) >= 0 && int(id) < t.n }
 
-// RunMTU implements the MTU procedure (paper Fig. 3): rebuild the main
-// table T by merging the neighbor topologies — resolving conflicting link
-// reports in favor of the neighbor offering the shortest distance to the
-// head of the link, ties to the lowest address — overriding adjacent links
-// with local knowledge, pruning to the shortest-path tree, and updating the
-// distance table. It returns the LSU entries describing the difference from
-// the previous T (step 8); an empty result means T did not change. When no
-// input changed since the last run, T is left alone (see version).
+// RunMTU implements the MTU procedure (paper Fig. 3): the main table T is
+// the merge of the neighbor topologies — conflicting link reports resolved in
+// favor of the neighbor offering the shortest distance to the head of the
+// link, ties to the lowest address — with adjacent links overridden by local
+// knowledge, pruned to the shortest-path tree; the distance table follows. It
+// returns the LSU entries describing the difference from the previous T
+// (step 8); an empty result means T did not change. The merge, the tree and
+// T are kept between runs, each brought up to date from what changed in the
+// one before it.
 func (t *Tables) RunMTU() []lsu.Entry {
-	if t.version == t.mtuVersion {
+	// Steps 2-5: each stale node j gets its preferred neighbor p (ties to the
+	// lowest address, by the ascending neighbor order) and merged takes all
+	// links with head j from T_p; adjacent links override anything reported
+	// by neighbors. The paper's node set is the union over all T_k; a node
+	// outside it has no preferred neighbor, hence an empty row.
+	t.cut = t.cut[:0]
+	for _, j := range t.stale.List() {
+		var src []link
+		if j == t.id {
+			t.kept = t.kept[:0]
+			for i, k := range t.nbrs {
+				t.kept = append(t.kept, link{k, t.adj[i]})
+			}
+			src = t.kept
+		} else if p := t.preferred(j); p >= 0 {
+			src = t.nbrTopo[p].rows[j]
+		}
+		if t.remerge(j, src) {
+			t.dirty.Add(j, t.n)
+		}
+	}
+	t.stale.Reset()
+	if len(t.dirty.List()) == 0 {
 		return nil
 	}
-	t.mtuVersion = t.version
-	oldT, newT := t.Main(), t.spare
-	if newT == nil {
-		newT = NewTopology(t.n)
-	}
-	newT.Clear()
 
-	// Steps 2-4: each node j gets a preferred neighbor p minimizing
-	// D_jk + l_ik (ties to lowest address, which the ascending neighbor
-	// order provides), and T takes all links with head j from T_p. The
-	// paper's node set is the union over all T_k; a node outside it is
-	// unreachable in every T_k, so scanning the whole ID space visits the
-	// same nodes, in the same ascending order.
-	for j := range newT.rows {
-		if graph.NodeID(j) == t.id {
-			continue // local links are handled in step 5
+	// Steps 6-7: the shortest-path tree and the distances.
+	t.repairs++
+	t.sp.Repair(t.merged, t.id, &t.tree, t.cut, t.dirty.List())
+	for i, j := range t.tree.Moved {
+		if math.Float64bits(t.tree.WasDist[i]) != math.Float64bits(t.tree.Dist[j]) {
+			t.moved.Add(j, t.n)
 		}
-		if p := t.preferred(graph.NodeID(j)); p >= 0 {
-			src := t.nbrTopo[p].rows[j]
-			newT.rows[j] = append(newT.rows[j], src...)
-			newT.links += len(src)
+		// T's row h is what of merged's row h names h Parent: beyond the
+		// re-merged rows, it changes where a node left or joined h's children.
+		if was, now := t.tree.WasParent[i], t.tree.Parent[j]; was != now {
+			if was != graph.None {
+				t.dirty.Add(was, t.n)
+			}
+			if now != graph.None {
+				t.dirty.Add(now, t.n)
+			}
 		}
 	}
 
-	// Step 5: adjacent links override anything reported by neighbors.
-	for i, k := range t.nbrs {
-		newT.rows[t.id] = append(newT.rows[t.id], link{k, t.adj[i]})
+	// Step 8: derive those rows of T again and report the differences.
+	dirty, main := t.dirty.List(), t.Main()
+	slices.Sort(dirty)
+	t.adds, t.dels = t.adds[:0], t.dels[:0]
+	for _, h := range dirty {
+		t.kept = t.kept[:0]
+		for _, l := range t.merged.rows[h] {
+			if t.tree.Parent[l.tail] == h {
+				t.kept = append(t.kept, l)
+			}
+		}
+		was := main.rows[h]
+		t.adds = appendSet(t.adds, h, t.kept, was)
+		t.dels = appendGone(t.dels, h, was, t.kept)
+		main.links += len(t.kept) - len(was)
+		main.rows[h] = append(was[:0], t.kept...)
 	}
-	newT.links += len(t.nbrs)
+	t.dirty.Reset()
+	if len(t.adds)+len(t.dels) == 0 {
+		return nil
+	}
+	return append(append(make([]lsu.Entry, 0, len(t.adds)+len(t.dels)), t.adds...), t.dels...)
+}
 
-	// Steps 6-7: prune to the shortest-path tree and refresh distances.
-	t.update(t.dist, newT.SPT(t.id, &t.sp).Dist)
-	t.main, t.spare = newT, oldT
-
-	// Step 8: report differences.
-	return newT.Diff(oldT)
+// remerge makes row j of merged a copy of src and reports whether it was not
+// one already; the tails whose link from j was T's and is gone or re-priced
+// go to cut.
+func (t *Tables) remerge(j graph.NodeID, src []link) bool {
+	row, same := t.merged.rows[j], true
+	i, found := 0, false
+	for _, was := range row {
+		if i, found = seek(src, i, was.tail); !found || math.Float64bits(src[i].cost) != math.Float64bits(was.cost) {
+			same = false
+			if t.tree.Parent[was.tail] == j {
+				t.cut = append(t.cut, was.tail)
+			}
+		}
+	}
+	if same && len(row) == len(src) {
+		return false
+	}
+	t.merged.links += len(src) - len(row)
+	t.merged.rows[j] = append(row[:0], src...)
+	return true
 }
 
 // preferred returns the position of the neighbor minimizing D_jk + l_ik

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"minroute/internal/dijkstra"
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
 	"minroute/internal/rng"
@@ -177,22 +178,37 @@ func TestApplyLSUDropsOutOfSpaceEntries(t *testing.T) {
 	}
 }
 
-// TestRunMTUCleanIsNoOp: with no input changed since the last run, RunMTU
-// reports nothing and leaves T — the very table, not a rebuilt equal — and
-// D alone; an entry-less LSU does not count as a change.
+// TestRunMTUCleanIsNoOp: RunMTU looks only at the rows of its merge that an
+// event made stale, and when none of them differs from its source it reports
+// nothing, runs no shortest-path computation, and leaves T — the very table
+// — and D alone. So it is after an entry-less LSU, after no event at all,
+// and after an LSU from a neighbor that is preferred for none of the heads
+// it names and whose new distances change no preference.
 func TestRunMTUCleanIsNoOp(t *testing.T) {
-	tb := NewTables(0, 4)
+	tb := NewTables(0, 5)
 	tb.SetAdjacent(1, 1)
-	tb.ApplyLSU(1, []lsu.Entry{{Op: lsu.OpAdd, Head: 1, Tail: 2, Cost: 1}})
-	if diff := tb.RunMTU(); len(diff) != 2 {
-		t.Fatalf("first MTU diff = %v, want 0->1 and 1->2", diff)
+	tb.SetAdjacent(2, 5)
+	tb.ApplyLSU(1, []lsu.Entry{{Op: lsu.OpAdd, Head: 1, Tail: 3, Cost: 1}, {Op: lsu.OpAdd, Head: 3, Tail: 4, Cost: 1}})
+	tb.ApplyLSU(2, []lsu.Entry{{Op: lsu.OpAdd, Head: 2, Tail: 3, Cost: 1}, {Op: lsu.OpAdd, Head: 3, Tail: 4, Cost: 2}})
+	if diff := tb.RunMTU(); len(diff) != 4 {
+		t.Fatalf("first MTU diff = %v, want 0->1, 0->2, 1->3 and 3->4", diff)
 	}
-	main, before, dists := tb.Main(), tb.Main().Clone(), slices.Clone(tb.Dists())
-	tb.ApplyLSU(1, nil)
-	for i := 0; i < 2; i++ {
+	main, before, dists, repairs := tb.Main(), tb.Main().Clone(), slices.Clone(tb.Dists()), tb.repairs
+	for _, event := range []func(){
+		func() { tb.ApplyLSU(1, nil) },
+		func() {},
+		func() { tb.ApplyLSU(2, []lsu.Entry{{Op: lsu.OpChange, Head: 3, Tail: 4, Cost: 3}}) },
+	} {
+		event()
 		if diff := tb.RunMTU(); diff != nil {
 			t.Fatalf("clean MTU reported %v", diff)
 		}
+	}
+	if tb.NbrDist(4, 2) != 4 {
+		t.Fatalf("D_4,2 = %v, want 4: the last LSU must have moved it", tb.NbrDist(4, 2))
+	}
+	if tb.repairs != repairs {
+		t.Fatalf("%d clean MTUs went on to the shortest-path tree", tb.repairs-repairs)
 	}
 	if tb.Main() != main || !tb.Main().Equal(before) || !slices.Equal(tb.Dists(), dists) {
 		t.Fatalf("clean MTU touched T: %v (was %v), D %v (was %v)", tb.Main(), before, tb.Dists(), dists)
@@ -211,24 +227,52 @@ func rebuilt(tb *Tables) *Tables {
 	return fresh
 }
 
+// fromScratch is the MTU as the paper states it (Fig. 3), with nothing kept:
+// merge the T_k by preferred neighbor, override the adjacent links, run
+// Dijkstra, prune to its tree. It returns T and D.
+func fromScratch(tb *Tables) (*Topology, []float64) {
+	merged := NewTopology(tb.NumNodes())
+	for j := graph.NodeID(0); int(j) < tb.NumNodes(); j++ {
+		if p := tb.PreferredNeighbor(j); p != graph.None && j != tb.ID() {
+			tb.NeighborTopo(p).VisitOut(j, func(tail graph.NodeID, cost float64) { merged.Set(j, tail, cost) })
+		}
+	}
+	for _, k := range tb.Neighbors() {
+		cost, _ := tb.AdjCost(k)
+		merged.Set(tb.ID(), k, cost)
+	}
+	res := dijkstra.Run(merged, tb.ID())
+	for _, e := range merged.Entries() {
+		if res.Parent[e.Tail] != e.Head {
+			merged.Delete(e.Head, e.Tail)
+		}
+	}
+	return merged, res.Dist
+}
+
 // TestTablesMatchFreshRebuild is the proof obligation of the incremental
 // rules: T, D and the D_jk are functions of the current l_ik and T_k alone,
-// so after any history of events — with MTUs skipped when clean, Dijkstra
-// skipped on entry-less LSUs and replaced by the tree walk on the others,
-// several events piling up behind a deferred MTU as in MPDA's ACTIVE phase,
-// and the node scan running over the whole ID space rather than the union
-// of mentioned nodes — the tables must equal ones built from scratch from
-// those inputs (the D_jk by a fresh Dijkstra over T_k, bit for bit), the
-// reported diff must be exactly what separates the new T from the previous
-// one, and Moved must name every destination whose D_j or D_jk differs
-// from before the event. Costs are small integers so equal-cost paths, and
-// with them every tie-break, are common.
+// so after any history of events — the merge redone only at stale rows, the
+// tree repaired from the rows that changed, T re-derived only where the
+// merge or a parent moved, Dijkstra skipped on entry-less LSUs and replaced
+// by the tree walk on the others, several events piling up behind a deferred
+// MTU as in MPDA's ACTIVE phase, and the node scan running over the whole ID
+// space rather than the union of mentioned nodes — the tables must equal both
+// the paper's MTU done from nothing (fromScratch) and fresh tables fed the
+// same inputs (the D_jk a fresh Dijkstra over T_k, bit for bit), T's link
+// count must be a recount, the reported diff must be, entry for entry and
+// in order, what separates the new T from the previous one, and Moved must
+// name every destination whose D_j or D_jk differs from before the event.
+// Costs are small integers so equal-cost paths, and with them every
+// tie-break, are common; every fourth seed adds zero, under which the tree
+// repair must hand over to Dijkstra.
 func TestTablesMatchFreshRebuild(t *testing.T) {
 	const n = 10
 	for seed := uint64(1); seed <= 30; seed++ {
 		r := rng.New(seed)
 		node := func() graph.NodeID { return graph.NodeID(r.Intn(n)) }
-		cost := func() float64 { return float64(1 + r.Intn(3)) }
+		least := min(1, int(seed%4)) // 0 on every fourth seed
+		cost := func() float64 { return float64(least + r.Intn(4-least)) }
 		tb := NewTables(node(), n)
 		for step := 0; step < 400; step++ {
 			wasNbrs, wasD := slices.Clone(tb.Neighbors()), slices.Clone(tb.Dists())
@@ -270,7 +314,16 @@ func TestTablesMatchFreshRebuild(t *testing.T) {
 				if !slices.Equal(tb.Dists(), want.Dists()) {
 					t.Fatalf("seed %d step %d: D = %v\nrebuilt  %v", seed, step, tb.Dists(), want.Dists())
 				}
-				if wantDiff := want.Main().Diff(prev); !slices.Equal(diff, wantDiff) {
+				refT, refD := fromScratch(tb)
+				if !tb.Main().Equal(refT) || tb.Main().NumLinks() != len(tb.Main().Entries()) {
+					t.Fatalf("seed %d step %d: T = %v (%d links counted)\nfrom scratch %v", seed, step, tb.Main(), tb.Main().NumLinks(), refT)
+				}
+				for j, d := range refD {
+					if math.Float64bits(d) != math.Float64bits(tb.Dist(graph.NodeID(j))) {
+						t.Fatalf("seed %d step %d: D = %v\nfrom scratch %v", seed, step, tb.Dists(), refD)
+					}
+				}
+				if wantDiff := refT.Diff(prev); !slices.Equal(diff, wantDiff) {
 					t.Fatalf("seed %d step %d: diff = %v\nwant %v", seed, step, diff, wantDiff)
 				}
 			}

@@ -6,10 +6,11 @@
 // link (not by sequence numbers), and converges to correct shortest paths a
 // finite time after the last change (the paper's Theorem 2).
 //
-// An event costs what it moved: the MTU runs only when one of its inputs
-// changed, D_·k comes from a walk of the tree neighbor k reported (Dijkstra
-// only when it is not one), and Tables.Moved names the destinations whose
-// distances changed, for whatever is derived from them (DESIGN.md §17).
+// An event costs what it moved: the MTU keeps its merge, its tree and T, and
+// brings each up to date from the rows an event made stale; D_·k comes from a
+// walk of the tree neighbor k reported (Dijkstra only when it is not one);
+// Tables.Moved names the destinations whose distances changed, for whatever
+// is derived from them (DESIGN.md §17).
 package pda
 
 import (
@@ -17,7 +18,6 @@ import (
 	"slices"
 	"strings"
 
-	"minroute/internal/dijkstra"
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
 )
@@ -96,14 +96,6 @@ func (t *Topology) Cost(head, tail graph.NodeID) (float64, bool) {
 // NumLinks returns the number of links in the table.
 func (t *Topology) NumLinks() int { return t.links }
 
-// Clear removes every link, keeping the rows' storage.
-func (t *Topology) Clear() {
-	for h := range t.rows {
-		t.rows[h] = t.rows[h][:0]
-	}
-	t.links = 0
-}
-
 // Clone deep-copies the table.
 func (t *Topology) Clone() *Topology {
 	c := NewTopology(len(t.rows))
@@ -130,22 +122,35 @@ func (t *Topology) Apply(e lsu.Entry) {
 func (t *Topology) Diff(old *Topology) []lsu.Entry {
 	var out []lsu.Entry
 	for h, row := range t.rows {
-		was, i, found := old.rows[h], 0, false
-		for _, l := range row {
-			if i, found = seek(was, i, l.tail); !found {
-				out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: graph.NodeID(h), Tail: l.tail, Cost: l.cost})
-				//lint:floateq-ok change detection: any bit-level cost change must be flooded
-			} else if was[i].cost != l.cost {
-				out = append(out, lsu.Entry{Op: lsu.OpChange, Head: graph.NodeID(h), Tail: l.tail, Cost: l.cost})
-			}
-		}
+		out = appendSet(out, graph.NodeID(h), row, old.rows[h])
 	}
 	for h, was := range old.rows {
-		row, i, found := t.rows[h], 0, false
-		for _, l := range was {
-			if i, found = seek(row, i, l.tail); !found {
-				out = append(out, lsu.Entry{Op: lsu.OpDelete, Head: graph.NodeID(h), Tail: l.tail})
-			}
+		out = appendGone(out, graph.NodeID(h), was, t.rows[h])
+	}
+	return out
+}
+
+// appendSet appends an add for each link of h's row that was has not, and a
+// change for each it has at another cost.
+func appendSet(out []lsu.Entry, h graph.NodeID, row, was []link) []lsu.Entry {
+	i, found := 0, false
+	for _, l := range row {
+		if i, found = seek(was, i, l.tail); !found {
+			out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: h, Tail: l.tail, Cost: l.cost})
+			//lint:floateq-ok change detection: any bit-level cost change must be flooded
+		} else if was[i].cost != l.cost {
+			out = append(out, lsu.Entry{Op: lsu.OpChange, Head: h, Tail: l.tail, Cost: l.cost})
+		}
+	}
+	return out
+}
+
+// appendGone appends a delete for each link of was that head h's row has not.
+func appendGone(out []lsu.Entry, h graph.NodeID, was, row []link) []lsu.Entry {
+	i, found := 0, false
+	for _, l := range was {
+		if i, found = seek(row, i, l.tail); !found {
+			out = append(out, lsu.Entry{Op: lsu.OpDelete, Head: h, Tail: l.tail})
 		}
 	}
 	return out
@@ -191,25 +196,4 @@ func (t *Topology) String() string {
 		}
 	}
 	return strings.TrimSpace(b.String())
-}
-
-// SPT runs Dijkstra from src and prunes the table in place down to the
-// shortest-path tree, returning the distance result (owned by sp, see
-// dijkstra.Scratch). Links not on the tree are removed, implementing step 6
-// of MTU ("remove those links in T that are not part of the shortest path
-// tree").
-func (t *Topology) SPT(src graph.NodeID, sp *dijkstra.Scratch) *dijkstra.Result {
-	res := sp.Run(t, src)
-	t.links = 0
-	for h, row := range t.rows {
-		kept := row[:0]
-		for _, l := range row {
-			if res.Parent[l.tail] == graph.NodeID(h) {
-				kept = append(kept, l)
-			}
-		}
-		t.rows[h] = kept
-		t.links += len(kept)
-	}
-	return res
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"minroute/internal/dijkstra"
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
 )
@@ -104,25 +103,6 @@ func TestTopologyCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestTopologySPTPrunes(t *testing.T) {
-	topo := NewTopology(4)
-	// Diamond: 0->1 (1), 0->2 (1), 1->3 (1), 2->3 (5). SPT keeps 1->3, drops 2->3.
-	topo.Set(0, 1, 1)
-	topo.Set(0, 2, 1)
-	topo.Set(1, 3, 1)
-	topo.Set(2, 3, 5)
-	res := topo.SPT(0, new(dijkstra.Scratch))
-	if res.Dist[3] != 2 {
-		t.Fatalf("dist[3] = %v", res.Dist[3])
-	}
-	if _, ok := topo.Cost(2, 3); ok {
-		t.Fatal("non-tree link survived pruning")
-	}
-	if topo.NumLinks() != 3 {
-		t.Fatalf("tree has %d links, want 3", topo.NumLinks())
-	}
-}
-
 func TestTopologyEqual(t *testing.T) {
 	a := NewTopology(3)
 	a.Set(0, 1, 1)
@@ -137,15 +117,6 @@ func TestTopologyEqual(t *testing.T) {
 	b.Set(0, 1, 2)
 	if a.Equal(b) {
 		t.Fatal("cost mismatch reported equal")
-	}
-}
-
-func TestTopologyClear(t *testing.T) {
-	topo := NewTopology(3)
-	topo.Set(0, 1, 1)
-	topo.Clear()
-	if topo.NumLinks() != 0 {
-		t.Fatal("Clear left links behind")
 	}
 }
 
@@ -238,15 +209,5 @@ func TestTopologyRowOrder(t *testing.T) {
 	}
 	if got := topo.Diff(topo.Clone()); got != nil {
 		t.Fatalf("Diff against an equal table = %v, want nil", got)
-	}
-
-	topo.Clear()
-	if topo.NumLinks() != 0 || topo.Entries() != nil || visited(topo, 2) != nil {
-		t.Fatalf("Clear left %v", topo)
-	}
-	topo.Set(2, 4, 1)
-	topo.Set(2, 1, 1)
-	if got := visited(topo, 2); len(got) != 2 || got[0].Tail != 1 || got[1].Tail != 4 {
-		t.Fatalf("row reused after Clear walks %v", got)
 	}
 }
