@@ -3,16 +3,16 @@ GO ?= go
 # Repetitions of the race-soak suite; CI trims this for wall time.
 RACE_SOAK_COUNT ?= 3
 
-.PHONY: check vet lint lint-concurrency test goldens race race-soak fuzz chaos bench bench-diff telemetry-guard codec-guard
+.PHONY: check vet lint lint-concurrency test goldens race race-soak fuzz chaos bench bench-diff telemetry-guard codec-guard ctrl-guard
 
 # The gate used before every commit: static checks (`lint` runs both the
 # determinism and the concurrency analyzers), the pinned outputs (`goldens`,
 # ahead of the long race run so a moved golden fails fast), the full suite
 # under the race detector (the parallel figure harness and the live stack
-# make -race meaningful), the telemetry and codec zero-overhead guards
-# (alloc counts need a non-race run), and a short coverage-guided fuzz of
-# the chaos schedule decoder + oracles.
-check: vet lint goldens race telemetry-guard codec-guard fuzz
+# make -race meaningful), the telemetry, codec and control-plane
+# zero-overhead guards (alloc counts need a non-race run), and a short
+# coverage-guided fuzz of the chaos schedule decoder + oracles.
+check: vet lint goldens race telemetry-guard codec-guard ctrl-guard fuzz
 
 vet:
 	$(GO) vet ./...
@@ -39,10 +39,11 @@ test:
 # nothing observable moved. With them, the differential tests the
 # incremental control plane answers to (successor sets against a full
 # recompute, neighbor distances and the repaired tree against Dijkstra, the
-# maintained T against a rebuild) and the run-twice test of both chaos
+# maintained T against a rebuild, protonet's candidate list against the
+# collect-and-sort it replaced) and the run-twice test of both chaos
 # runners over mdrfuzz's seed range.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
 
 # go's default per-package limit is 10 minutes; internal/experiments needs
 # about 17 under -race on a 2-core host (992 s measured), so the gate sets
@@ -80,16 +81,25 @@ telemetry-guard:
 codec-guard:
 	$(GO) test -count=1 -run TestCodecAllocBudget ./internal/wire
 
+# Control-plane guard: an LSU into converged tables runs NTU, MTU and the
+# successor re-derivation on storage that already exists (one allocation,
+# the ACK), and the protonet harness delivering it allocates nothing of its
+# own. All three skip under -race, so `race` alone never runs them.
+ctrl-guard:
+	$(GO) test -count=1 -run 'TestTablesAllocBudget|TestHandleLSUAllocBudget|TestStepAllocBudget' ./internal/pda ./internal/mpda ./internal/protonet
+
 # Ten seconds of coverage-guided fuzzing over random chaos schedules with
 # every invariant oracle armed, plus ten over the wire-format decoder (the
-# live transport's parse boundary) and ten over graph edits against the
-# shortest-path tree repair; the checked-in corpora replay regardless.
+# live transport's parse boundary), ten over graph edits against the
+# shortest-path tree repair and ten over protonet schedules against the
+# collect-and-sort reference; the checked-in corpora replay regardless.
 fuzz:
 	$(GO) test -run FuzzChaosSchedule -fuzz FuzzChaosSchedule -fuzztime 10s ./internal/chaos
 	$(GO) test -run FuzzFrameRoundTrip -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzShardSchedule -fuzz FuzzShardSchedule -fuzztime 10s ./internal/despart
 	$(GO) test -run FuzzDataFrame -fuzz FuzzDataFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzRepair -fuzz FuzzRepair -fuzztime 10s ./internal/dijkstra
+	$(GO) test -run FuzzStepSchedule -fuzz FuzzStepSchedule -fuzztime 10s ./internal/protonet
 
 # Longer randomized sweep: 200 seed-derived scenarios through both runners.
 chaos:

@@ -305,13 +305,12 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*mpda.Router) proto
 	if quiesced {
 		activeViews := make(map[graph.NodeID]oracle.ActiveView, len(st.routers))
 		protoViews := make(map[graph.NodeID]oracle.ProtocolView, len(st.routers))
-		//lint:maporder-ok distinct-key inserts of live router views commute
-		for id, r := range st.routers {
+		for _, id := range g.Nodes() {
 			if st.crashed[id] {
 				continue
 			}
-			activeViews[id] = r
-			protoViews[id] = r
+			activeViews[id] = st.routers[id]
+			protoViews[id] = st.routers[id]
 		}
 		ev := int64(st.net.Attempts())
 		log.Record(oracle.CheckQuiescenceName)

@@ -6,11 +6,19 @@
 // explores many asynchronous schedules, which is exactly what the loop-free
 // invariant (Theorem 3) must survive; the packet simulator then exercises
 // the same code with realistic timing.
+//
+// The candidates of that choice are the non-empty link queues in ascending
+// (from, to) order — the order the seeded choice is defined over, and the
+// one an exhaustive enumeration of interleavings would walk. The harness
+// keeps that list rather than deriving it: a step costs an O(log Q) search
+// and a copy where a queue turns empty or non-empty, and nothing beyond the
+// delivery itself otherwise.
 package protonet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
@@ -59,7 +67,11 @@ type Net struct {
 	g      *graph.Graph
 	nodes  map[graph.NodeID]Node
 	queues map[[2]graph.NodeID][]*lsu.Msg
-	r      *rng.Source
+	// ready holds the keys of queues, ascending by (from, to): the candidates
+	// of Step's seeded choice. Sender, Step and FailLink keep it where a queue
+	// turns non-empty or empty.
+	ready [][2]graph.NodeID
+	r     *rng.Source
 	// OnDeliver, when set, runs after every single message delivery; tests
 	// install invariant checks (e.g. instantaneous loop-freedom) here.
 	OnDeliver func()
@@ -69,6 +81,7 @@ type Net struct {
 	OnMessage func(from, to graph.NodeID, entries int, ack bool)
 	delivered int
 	attempts  int
+	pending   int
 	perturb   Perturb
 	// headLoss counts how many times the head message of each link queue has
 	// been lost, enforcing DefaultMaxAttempts.
@@ -120,8 +133,22 @@ func (n *Net) Sender(from graph.NodeID) func(to graph.NodeID, m *lsu.Msg) {
 			return // link vanished under the protocol; message is lost
 		}
 		key := [2]graph.NodeID{from, to}
-		n.queues[key] = append(n.queues[key], m)
+		q := n.queues[key]
+		if len(q) == 0 {
+			i, _ := slices.BinarySearchFunc(n.ready, key, compareKeys)
+			n.ready = slices.Insert(n.ready, i, key)
+		}
+		n.queues[key] = append(q, m)
+		n.pending++
 	}
+}
+
+// compareKeys orders link keys by from, then to: the order of ready.
+func compareKeys(a, b [2]graph.NodeID) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
 }
 
 // BringUpAll announces every adjacent link to both endpoints with the cost
@@ -137,11 +164,11 @@ func (n *Net) BringUpAll(costOf func(l *graph.Link) float64) {
 // respecting per-link FIFO order. It reports false when all queues are
 // empty.
 func (n *Net) Step() bool {
-	keys := n.nonEmpty()
-	if len(keys) == 0 {
+	if len(n.ready) == 0 {
 		return false
 	}
-	key := keys[n.r.Intn(len(keys))]
+	at := n.r.Intn(len(n.ready))
+	key := n.ready[at]
 	q := n.queues[key]
 	m := q[0]
 	n.attempts++
@@ -157,9 +184,12 @@ func (n *Net) Step() bool {
 	delete(n.headLoss, key)
 	if len(q) == 1 {
 		delete(n.queues, key)
+		n.ready = slices.Delete(n.ready, at, at+1)
 	} else {
+		q[0] = nil // the backing array outlives the delivery; the message need not
 		n.queues[key] = q[1:]
 	}
+	n.pending--
 	if n.OnMessage != nil {
 		n.OnMessage(key[0], key[1], len(m.Entries), m.Ack)
 	}
@@ -175,24 +205,6 @@ func (n *Net) Step() bool {
 		n.attempts++
 	}
 	return true
-}
-
-func (n *Net) nonEmpty() [][2]graph.NodeID {
-	keys := make([][2]graph.NodeID, 0, len(n.queues))
-	//lint:maporder-ok keys are collected and sorted below before the seeded choice
-	for k, q := range n.queues {
-		if len(q) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	// Deterministic candidate order so the seeded choice is reproducible.
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
 }
 
 // Run delivers messages until quiescence, panicking after maxDeliveries as
@@ -218,13 +230,7 @@ func (n *Net) Delivered() int { return n.delivered }
 func (n *Net) Attempts() int { return n.attempts }
 
 // Pending returns the number of undelivered messages.
-func (n *Net) Pending() int {
-	total := 0
-	for _, q := range n.queues {
-		total += len(q)
-	}
-	return total
-}
+func (n *Net) Pending() int { return n.pending }
 
 // ChangeCost updates the cost of directed link a→b and notifies a.
 func (n *Net) ChangeCost(a, b graph.NodeID, cost float64) {
@@ -239,10 +245,15 @@ func (n *Net) ChangeCost(a, b graph.NodeID, cost float64) {
 func (n *Net) FailLink(a, b graph.NodeID) {
 	n.g.RemoveLink(a, b)
 	n.g.RemoveLink(b, a)
-	delete(n.queues, [2]graph.NodeID{a, b})
-	delete(n.queues, [2]graph.NodeID{b, a})
-	delete(n.headLoss, [2]graph.NodeID{a, b})
-	delete(n.headLoss, [2]graph.NodeID{b, a})
+	for _, key := range [2][2]graph.NodeID{{a, b}, {b, a}} {
+		if q := n.queues[key]; len(q) > 0 {
+			i, _ := slices.BinarySearchFunc(n.ready, key, compareKeys)
+			n.ready = slices.Delete(n.ready, i, i+1)
+			n.pending -= len(q)
+			delete(n.queues, key)
+		}
+		delete(n.headLoss, key)
+	}
 	n.nodes[a].LinkDown(b)
 	n.nodes[b].LinkDown(a)
 }

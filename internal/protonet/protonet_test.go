@@ -61,7 +61,17 @@ func TestPerLinkFIFO(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		send(1, &lsu.Msg{From: 0, Entries: []lsu.Entry{{Op: lsu.OpAdd, Head: 0, Tail: graph.NodeID(i), Cost: float64(i)}}})
 	}
-	net.Run(100)
+	for left := 5; left > 0; left-- {
+		if net.Pending() != left {
+			t.Fatalf("Pending() = %d with %d messages queued", net.Pending(), left)
+		}
+		if !net.Step() {
+			t.Fatalf("Step found nothing to deliver with %d messages queued", left)
+		}
+	}
+	if net.Pending() != 0 || net.Step() {
+		t.Fatalf("Pending() = %d after the last delivery", net.Pending())
+	}
 	got := recs[1].received
 	if len(got) != 5 {
 		t.Fatalf("delivered %d messages", len(got))
@@ -87,8 +97,20 @@ func TestSenderDropsWhenLinkMissing(t *testing.T) {
 func TestFailLinkDropsQueuedAndNotifies(t *testing.T) {
 	net, recs := ring3(t)
 	net.Sender(0)(1, &lsu.Msg{From: 0, Ack: true})
+	net.Sender(0)(1, &lsu.Msg{From: 0, Ack: true})
+	net.Sender(1)(0, &lsu.Msg{From: 1, Ack: true})
+	net.Sender(1)(2, &lsu.Msg{From: 1, Ack: true})
+	if net.Pending() != 4 {
+		t.Fatalf("Pending() = %d with 4 messages queued", net.Pending())
+	}
 	net.FailLink(0, 1)
-	if net.Pending() != 0 {
+	if net.Pending() != 1 {
+		t.Fatalf("Pending() = %d after the failure, want the 1 message on 1->2", net.Pending())
+	}
+	if !net.Step() || len(recs[2].received) != 1 || len(recs[0].received)+len(recs[1].received) != 0 {
+		t.Fatal("the surviving link's message was not the one delivered")
+	}
+	if net.Pending() != 0 || net.Step() {
 		t.Fatalf("queued messages survived failure: %d", net.Pending())
 	}
 	if len(recs[0].downs) != 1 || recs[0].downs[0] != 1 {
