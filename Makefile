@@ -34,7 +34,8 @@ test:
 	$(GO) test ./...
 
 # Every pinned output in one command — chaos fixture hashes, the telemetry
-# and flood goldens, figure and shard determinism, the router's cost
+# and flood goldens, figure and shard determinism, every figure's Quick CSV
+# (internal/experiments/testdata/quick_figures.sha256), the router's cost
 # trajectory, live-vs-DES cross-validation: what a refactor runs to show
 # nothing observable moved. With them, the differential tests the
 # incremental control plane answers to (successor sets against a full
@@ -43,7 +44,7 @@ test:
 # collect-and-sort it replaced) and the run-twice test of both chaos
 # runners over mdrfuzz's seed range.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
 
 # go's default per-package limit is 10 minutes; internal/experiments needs
 # about 17 under -race on a 2-core host (992 s measured), so the gate sets

@@ -24,17 +24,15 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"minroute/internal/chaos"
-	"minroute/internal/core"
 	"minroute/internal/experiments"
 	"minroute/internal/report"
-	"minroute/internal/router"
 	"minroute/internal/simpool"
 	"minroute/internal/telemetry"
 	"minroute/internal/topo"
-	"minroute/internal/trace"
 )
 
 func main() {
@@ -133,7 +131,7 @@ func main() {
 		if *compare {
 			err = compareScenario(*scenario, set, *csv)
 		} else {
-			err = runScenario(*scenario, *mode, set, *telemetryDir)
+			err = runScenario(*scenario, *mode, set)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mdrsim: %v\n", err)
@@ -214,13 +212,10 @@ func main() {
 }
 
 // warnTraceDrops reports ring-buffer evictions so a truncated event log is
-// never mistaken for a complete one. Nil-safe on both counters.
-func warnTraceDrops(label string, tel *telemetry.Capture, rec *trace.Recorder) {
+// never mistaken for a complete one.
+func warnTraceDrops(label string, tel *telemetry.Capture) {
 	if n := tel.Trace.Dropped(); n > 0 {
 		fmt.Fprintf(os.Stderr, "mdrsim: warning: %s: telemetry ring dropped %d events (raise ring capacity for a complete log)\n", label, n)
-	}
-	if rec != nil && rec.Dropped() > 0 {
-		fmt.Fprintf(os.Stderr, "mdrsim: warning: %s: path recorder evicted %d traces\n", label, rec.Dropped())
 	}
 }
 
@@ -280,7 +275,7 @@ func runChaos(arg, telemetryDir string, shards int) error {
 			if err := tel.Export(telemetryDir, prefix); err != nil {
 				return fmt.Errorf("%s: telemetry export: %w", r.name, err)
 			}
-			warnTraceDrops(prefix, tel, nil)
+			warnTraceDrops(prefix, tel)
 		}
 		fmt.Printf("%s %s: %d events, trace sha256 %s\n", s.Name, r.name, res.Events, res.TraceHash)
 		for _, c := range res.Log.Counts() {
@@ -298,65 +293,42 @@ func runChaos(arg, telemetryDir string, shards int) error {
 	return nil
 }
 
-// runScenario simulates one custom network at the given settings. With
-// -telemetry, the run's artifacts are exported as scenario_<mode>_s<seed>.*.
-func runScenario(path, mode string, set experiments.Settings, telemetryDir string) error {
-	f, err := os.Open(path)
+// runScenario simulates one custom network at the given settings, under the
+// scheme -compare reports for the same mode. With -telemetry, the run's
+// artifacts are exported as scenario_<mode>_s<seed>.*.
+func runScenario(path, mode string, set experiments.Settings) error {
+	net, err := loadScenario(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	net, err := topo.Parse(f)
+	sim, err := experiments.Scenario(net, mode, set)
 	if err != nil {
 		return err
 	}
-	opt := core.DefaultOptions()
-	switch mode {
-	case "mp":
-		opt.Router.Mode = router.ModeMP
-	case "sp":
-		opt.Router.Mode = router.ModeSP
-		opt.Router.Ts = opt.Router.Tl
-	case "ecmp":
-		opt.Router.Mode = router.ModeECMP
-	default:
-		return fmt.Errorf("unknown mode %q (mp, sp, ecmp)", mode)
+	if tel := sim.Telemetry(); tel != nil {
+		warnTraceDrops(fmt.Sprintf("scenario_%s_s%d", mode, set.Seed), tel)
 	}
-	opt.Seed = set.Seed
-	opt.Warmup = set.Warmup
-	opt.Duration = set.Duration
-	opt.Shards = set.Shards
-	if telemetryDir != "" {
-		opt.Telemetry = telemetry.NewCapture(net.Graph.NumNodes())
-	}
-	sim := core.Build(net, opt)
-	rep := sim.Run()
-	if err := sim.CheckLoopFree(); err != nil {
-		return err
-	}
-	if telemetryDir != "" {
-		prefix := fmt.Sprintf("scenario_%s_s%d", mode, set.Seed)
-		if err := sim.ExportTelemetry(telemetryDir, prefix); err != nil {
-			return fmt.Errorf("telemetry export: %w", err)
-		}
-		warnTraceDrops(prefix, sim.Telemetry(), sim.Tracer)
-	}
+	rep := sim.Report()
 	fmt.Printf("%s on %s (%d nodes, %d links, %d flows):\n",
-		opt.Router.Mode, path, net.Graph.NumNodes(), net.Graph.NumLinks(), len(net.Flows))
+		strings.ToUpper(mode), path, net.Graph.NumNodes(), net.Graph.NumLinks(), len(net.Flows))
 	fmt.Print(rep)
 	fmt.Printf("mean over flows: %.3f ms, loss: %.5f, LSUs: %d\n",
 		rep.AvgMeanDelayMs(), rep.LossRate(), rep.ControlMessages)
 	return nil
 }
 
-// compareScenario runs the full scheme spectrum on a custom network.
-func compareScenario(path string, set experiments.Settings, asCSV bool) error {
+func loadScenario(path string) (*topo.Network, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	net, err := topo.Parse(f)
+	return topo.Parse(f)
+}
+
+// compareScenario runs the full scheme spectrum on a custom network.
+func compareScenario(path string, set experiments.Settings, asCSV bool) error {
+	net, err := loadScenario(path)
 	if err != nil {
 		return err
 	}

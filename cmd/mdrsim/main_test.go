@@ -3,9 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"minroute/internal/experiments"
+	"minroute/internal/topo"
 )
 
 const tinyScenario = `# triangle with one two-path flow
@@ -13,6 +16,7 @@ link a b 10Mbps 0.5ms
 link b c 10Mbps 0.5ms
 link a c 5Mbps 1ms
 flow a c 3Mbps
+flow c b 2Mbps
 `
 
 // TestRunScenarioTelemetryExport exercises the -scenario path with a
@@ -31,7 +35,9 @@ func TestRunScenarioTelemetryExport(t *testing.T) {
 	if err := os.MkdirAll(telDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := runScenario(path, "mp", set, telDir); err != nil {
+	tel := set
+	tel.TelemetryDir = telDir
+	if err := runScenario(path, "mp", tel); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
@@ -48,8 +54,45 @@ func TestRunScenarioTelemetryExport(t *testing.T) {
 		}
 	}
 
-	if err := runScenario(path, "mp", set, ""); err != nil {
+	if err := runScenario(path, "mp", set); err != nil {
 		t.Fatalf("telemetry-off run: %v", err)
+	}
+}
+
+// TestScenarioModeRunsTheCompareColumn holds `-scenario f -mode m` to the
+// experiment `-scenario f -compare` runs for the same scheme: at one seed,
+// each flow's mean delay is bit-equal to its cell in the column, so the
+// means the two commands print agree. (-mode sp used to set Ts = Tl without
+// the 5 s measurement window, and -mode ecmp neither.)
+func TestScenarioModeRunsTheCompareColumn(t *testing.T) {
+	net, err := topo.Parse(strings.NewReader(tinyScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := experiments.Quick
+	set.Runs = 1
+	fig, err := experiments.CustomComparison(net, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode, label := range map[string]string{"mp": "MP-TL-10-TS-2", "sp": "SP-TL-10", "ecmp": "ECMP-TL-10"} {
+		col := slices.Index(fig.Columns, label)
+		if col < 0 {
+			t.Fatalf("-compare has no %s column: %v", label, fig.Columns)
+		}
+		sim, err := experiments.Scenario(net, mode, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := sim.Report()
+		for x, got := range rep.MeanDelayMs {
+			if want := fig.Data[x][col]; got != want {
+				t.Errorf("-mode %s flow %d: %v ms, %s column has %v", mode, x, got, label, want)
+			}
+		}
+		if got, want := rep.AvgMeanDelayMs(), fig.ColumnMean(col); got != want {
+			t.Errorf("-mode %s prints mean %v ms, %s column's mean is %v", mode, got, label, want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@
 //
 //	mdrtopo -topo cairn
 //	mdrtopo -topo net1 -links
-//	mdrtopo -topo cairn -svg cairn.svg   # force-directed diagram
 //	mdrtopo -gen scalefree -n 200 -flows 64 -out big.topo
 //	mdrtopo -gen grid -n 400 -flows 100 -out grid.topo
 package main
@@ -19,7 +18,6 @@ import (
 	"math"
 	"os"
 
-	"minroute/internal/netsvg"
 	"minroute/internal/topo"
 )
 
@@ -27,7 +25,6 @@ func main() {
 	var (
 		topoName = flag.String("topo", "cairn", "topology: cairn or net1")
 		links    = flag.Bool("links", false, "print the full link list")
-		svgOut   = flag.String("svg", "", "write a force-directed SVG diagram to this file")
 
 		gen     = flag.String("gen", "", "generate a synthetic topology: scalefree or grid")
 		n       = flag.Int("n", 200, "generated router count (200-1000 is the scaling-benchmark range)")
@@ -107,15 +104,6 @@ func main() {
 	if *links {
 		fmt.Println()
 		fmt.Print(g.String())
-	}
-
-	if *svgOut != "" {
-		doc := netsvg.Render(g, netsvg.Options{})
-		if err := os.WriteFile(*svgOut, []byte(doc), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrtopo: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *svgOut)
 	}
 }
 

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"minroute/internal/core"
 	"minroute/internal/report"
 	"minroute/internal/router"
-	"minroute/internal/simpool"
 	"minroute/internal/topo"
 )
 
@@ -17,86 +15,15 @@ import (
 // the paper describes qualitatively ("When connectivity is low or network
 // load is light, MP routing cannot offer any advantage over SP").
 
-// variant is a labeled router-configuration mutation on top of a scheme.
-type variant struct {
-	label  string
-	mode   router.Mode
-	mutate func(*router.Config)
-}
-
-// runVariant simulates one configured variant, once per seed in parallel,
-// returning per-flow mean delays averaged across runs.
-func runVariant(build func() *topo.Network, v variant, set Settings, scale float64) ([]float64, error) {
-	return runSeeds(set, func(run Settings) ([]float64, error) {
-		net := build()
-		//lint:floateq-ok scale==1 is an exact sentinel chosen by callers, never a computed value
-		if scale != 1 {
-			// Never mutate the built network in place: build() may hand out
-			// a shared instance (CustomComparison), and sibling seeds read
-			// it concurrently.
-			net = &topo.Network{Graph: net.Graph, Flows: topo.ScaleFlows(net.Flows, scale)}
-		}
-		opt := core.DefaultOptions()
-		opt.Router.Mode = v.mode
-		opt.Seed = run.Seed
-		opt.Warmup = run.Warmup
-		opt.Duration = run.Duration
-		if v.mode == router.ModeSP || v.mode == router.ModeECMP {
-			opt.Router.Ts = opt.Router.Tl
-			opt.Router.CostMeasureWindow = 5
-		}
-		if v.mutate != nil {
-			v.mutate(&opt.Router)
-		}
-		n := core.Build(net, opt)
-		rep := n.Run()
-		if err := n.CheckLoopFree(); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", v.label, err)
-		}
-		return rep.MeanDelayMs, nil
-	})
-}
-
-// variantFigure assembles a per-flow figure over the given variants, each
-// variant a coordinator task fanning its seeds onto the worker pool.
-func variantFigure(id, title string, build func() *topo.Network, vs []variant, set Settings) (*report.Figure, error) {
-	fig := &report.Figure{ID: id, Title: title}
-	cols := make([][]float64, len(vs))
-	g := simpool.Coordinator()
-	for i, v := range vs {
-		i, v := i, v
-		g.Go(func() error {
-			delays, err := runVariant(build, v, set, 1)
-			cols[i] = delays
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	for _, v := range vs {
-		fig.Columns = append(fig.Columns, v.label)
-	}
-	net := build()
-	for x, f := range net.Flows {
-		row := make([]float64, len(cols))
-		for c := range cols {
-			row[c] = cols[c][x]
-		}
-		fig.AddRow(fmt.Sprintf("%d:%s", x, f.Name), row...)
-	}
-	return fig, nil
-}
-
 // AblationAH compares the adjustment-heuristic variants on NET1: the
 // damped rule (production default), the literal Fig. 7 rule, and AH
 // disabled (IH-only allocation refreshed at Tl).
 func AblationAH(set Settings) (*report.Figure, error) {
-	fig, err := variantFigure("abl-ah", "AH variants in NET1 (MP-TL-10-TS-2)", topoNET1, []variant{
-		{label: "AH-damped", mode: router.ModeMP, mutate: func(c *router.Config) { c.AHDamping = 0.5 }},
-		{label: "AH-literal", mode: router.ModeMP, mutate: func(c *router.Config) { c.AHDamping = -1 }},
-		{label: "AH-off", mode: router.ModeMP, mutate: func(c *router.Config) { c.AHDamping = 1e-12 }},
-	}, set)
+	fig, err := compare("abl-ah", "AH variants in NET1 (MP-TL-10-TS-2)", topoNET1, false, 0, []scheme{
+		mp(10, 2).as("AH-damped", func(c *router.Config) { c.AHDamping = 0.5 }),
+		mp(10, 2).as("AH-literal", func(c *router.Config) { c.AHDamping = -1 }),
+		mp(10, 2).as("AH-off", func(c *router.Config) { c.AHDamping = 1e-12 }),
+	}, set, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -110,22 +37,9 @@ func AblationAH(set Settings) (*report.Figure, error) {
 // MP, OSPF-style equal-cost multipath, and single-path.
 func AblationBaselines(set Settings) (*report.Figure, error) {
 	fig, err := compare("abl-base", "Baseline spectrum in NET1", topoNET1, true, 0,
-		[]scheme{mp(10, 2)}, set, nil)
+		[]scheme{mp(10, 2), ecmp(10), sp(10)}, set, nil)
 	if err != nil {
 		return nil, err
-	}
-	for _, v := range []variant{
-		{label: "ECMP-TL-10", mode: router.ModeECMP},
-		{label: "SP-TL-10", mode: router.ModeSP},
-	} {
-		delays, err := runVariant(topoNET1, v, set, 1)
-		if err != nil {
-			return nil, err
-		}
-		fig.Columns = append(fig.Columns, v.label)
-		for r := range fig.Data {
-			fig.Data[r] = append(fig.Data[r], delays[r])
-		}
 	}
 	fig.Notes = append(fig.Notes,
 		"ECMP splits only over equal-cost paths (OSPF); unequal-cost multipath (MP) does strictly better")
@@ -135,16 +49,29 @@ func AblationBaselines(set Settings) (*report.Figure, error) {
 // AblationEstimator compares the closed-form M/M/1 marginal against the
 // online (PA-role) estimator on NET1.
 func AblationEstimator(set Settings) (*report.Figure, error) {
-	fig, err := variantFigure("abl-est", "Marginal-delay estimator in NET1 (MP-TL-10-TS-2)", topoNET1, []variant{
-		{label: "MM1-closed", mode: router.ModeMP},
-		{label: "PA-online", mode: router.ModeMP, mutate: func(c *router.Config) { c.UseOnlineEstimator = true }},
-	}, set)
+	fig, err := compare("abl-est", "Marginal-delay estimator in NET1 (MP-TL-10-TS-2)", topoNET1, false, 0, []scheme{
+		mp(10, 2).as("MM1-closed", nil),
+		mp(10, 2).as("PA-online", func(c *router.Config) { c.UseOnlineEstimator = true }),
+	}, set, nil)
 	if err != nil {
 		return nil, err
 	}
 	fig.Notes = append(fig.Notes,
 		"paper: convergence does not depend on the estimation technique; the online estimator needs no capacity knowledge")
 	return fig, nil
+}
+
+// mpVsSP is the pair of columns the sweeps report.
+var mpVsSP = []scheme{mp(10, 2), sp(10)}
+
+// sweepRow runs MP and SP on one point of a sweep — its own network, so its
+// own id — and returns each scheme's mean delay over flows.
+func sweepRow(id string, build func() *topo.Network, set Settings) ([]float64, error) {
+	cols, err := simulate(id, build, mpVsSP, set, meanDelays)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{mean(cols[0]), mean(cols[1])}, nil
 }
 
 // LoadSweep measures MP and SP mean delays on NET1 across offered-load
@@ -154,19 +81,16 @@ func LoadSweep(set Settings) (*report.Figure, error) {
 	fig := &report.Figure{
 		ID:      "loadsweep",
 		Title:   "MP vs SP vs load scale in NET1 (mean over flows, ms)",
-		Columns: []string{"MP-TL-10-TS-2", "SP-TL-10"},
+		Columns: labels(mpVsSP),
 	}
 	for _, scale := range []float64{0.3, 0.6, 0.9, 1.0, 1.1} {
-		row := make([]float64, 0, 2)
-		for _, v := range []variant{
-			{label: "MP", mode: router.ModeMP},
-			{label: "SP", mode: router.ModeSP},
-		} {
-			delays, err := runVariant(topoNET1, v, set, scale)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, mean(delays))
+		build := func() *topo.Network {
+			net := topoNET1()
+			return &topo.Network{Graph: net.Graph, Flows: topo.ScaleFlows(net.Flows, scale)}
+		}
+		row, err := sweepRow(fmt.Sprintf("loadsweep-%03.0f", scale*100), build, set)
+		if err != nil {
+			return nil, err
 		}
 		fig.AddRow(fmt.Sprintf("load x%.1f", scale), row...)
 	}
@@ -198,60 +122,9 @@ func init() {
 		{"abl-ah", AblationAH},
 		{"abl-base", AblationBaselines},
 		{"abl-est", AblationEstimator},
-		{"abl-adapt", AblationAdaptive},
 		{"loadsweep", LoadSweep},
 	} {
 		All[g.id] = g.gen
 		IDs = append(IDs, g.id)
 	}
-}
-
-// AblationAdaptive compares static against adaptive Ts/Tl timers under
-// bursty traffic — the paper: "Tl and Ts need not be static constants and
-// can be made to vary according to congestion at the router".
-func AblationAdaptive(set Settings) (*report.Figure, error) {
-	fig := &report.Figure{ID: "abl-adapt", Title: "Static vs adaptive timers in NET1 (bursty sources)"}
-	variants := []variant{
-		{label: "MP-static", mode: router.ModeMP},
-		{label: "MP-adaptive", mode: router.ModeMP, mutate: func(c *router.Config) { c.AdaptiveTimers = true }},
-	}
-	cols := make([][]float64, len(variants))
-	g := simpool.Coordinator()
-	for i, v := range variants {
-		i, v := i, v
-		g.Go(func() error {
-			delays, err := runSeeds(set, func(run Settings) ([]float64, error) {
-				opt := core.DefaultOptions()
-				opt.Router.Mode = v.mode
-				opt.Seed = run.Seed
-				opt.Warmup = run.Warmup
-				opt.Duration = run.Duration
-				opt.Source = burstySource
-				if v.mutate != nil {
-					v.mutate(&opt.Router)
-				}
-				n := core.Build(topoNET1(), opt)
-				rep := n.Run()
-				if err := n.CheckLoopFree(); err != nil {
-					return nil, fmt.Errorf("experiments: %s: %w", v.label, err)
-				}
-				return rep.MeanDelayMs, nil
-			})
-			cols[i] = delays
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	for _, v := range variants {
-		fig.Columns = append(fig.Columns, v.label)
-	}
-	net := topoNET1()
-	for x, f := range net.Flows {
-		fig.AddRow(fmt.Sprintf("%d:%s", x, f.Name), cols[0][x], cols[1][x])
-	}
-	fig.Notes = append(fig.Notes,
-		"paper: Ts/Tl can vary with congestion; adaptive timers react faster to bursts and relax when quiet")
-	return fig, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"minroute/internal/graph"
 	"minroute/internal/report"
-	"minroute/internal/router"
 	"minroute/internal/topo"
 )
 
@@ -20,7 +19,7 @@ func ConnectivitySweep(set Settings) (*report.Figure, error) {
 	fig := &report.Figure{
 		ID:      "connsweep",
 		Title:   "MP vs SP vs connectivity (random 12-node graphs, mean over flows, ms)",
-		Columns: []string{"MP-TL-10-TS-2", "SP-TL-10", "avg-degree"},
+		Columns: append(labels(mpVsSP), "avg-degree"),
 	}
 	const n = 12
 	for _, frac := range []float64{0, 0.5, 1.0, 2.0} {
@@ -39,16 +38,9 @@ func ConnectivitySweep(set Settings) (*report.Figure, error) {
 			}
 			return net
 		}
-		row := make([]float64, 0, 3)
-		for _, v := range []variant{
-			{label: "MP", mode: router.ModeMP},
-			{label: "SP", mode: router.ModeSP},
-		} {
-			delays, err := runVariant(build, v, set, 1)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, mean(delays))
+		row, err := sweepRow(fmt.Sprintf("connsweep-%03.0f", frac*100), build, set)
+		if err != nil {
+			return nil, err
 		}
 		g := build().Graph
 		row = append(row, float64(g.NumLinks())/float64(g.NumNodes()))

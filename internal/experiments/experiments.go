@@ -1,10 +1,26 @@
 // Package experiments regenerates every figure of the paper's evaluation
-// (Section 5) plus the reconstructed dynamic-traffic experiments. Each
-// FigN function runs the schemes it compares — OPT (Gallager), MP (the
-// paper's framework at the stated Tl/Ts), and SP (single-path) — under
-// identical topology, traffic, and seed, and returns a report.Figure whose
-// rows are flow IDs and whose columns are the schemes, exactly as the
-// paper plots them.
+// (Section 5) plus the reconstructed dynamic-traffic experiments, the
+// ablations and the sweeps. A figure is a list of schemes — OPT (Gallager),
+// MP (the paper's framework at the stated Tl/Ts), SP (single-path), ECMP,
+// or an ablated variant of one — and a drive function; simulate runs each
+// scheme on the same topology, traffic and seeds and hands back one vector
+// per scheme, which the figure lays out as a report.Figure.
+//
+// The runner's contract. simulate is the only caller of core.Build: it
+// derives the options from the scheme and the Settings (scheme.options, the
+// one statement of the SP/ECMP measurement rule), attaches a telemetry
+// capture when Settings.TelemetryDir is set, builds the network — sharded
+// when Settings.Shards says so — installs the scheme's static φ if it has
+// one, calls the drive function, and exports the capture under
+// <id>_<label>_s<seed>, so every figure honours Shards and TelemetryDir and
+// a figure that runs one scheme on several networks gives each its own id
+// to keep the prefixes unique. A drive function receives the network
+// unstarted and may advance it only through Run, Start, RunUntil and
+// BeginMeasurement (a sharded network has no single engine to run), may
+// inject faults between those calls, audits loop-freedom itself, and
+// returns a vector whose length does not depend on the seed: simulate
+// averages it element-wise over Settings.Runs seeds, in seed order, so the
+// figure is bit-identical at any worker or shard count.
 //
 // See DESIGN.md for the experiment index and EXPERIMENTS.md for measured
 // results and shape comparisons against the paper.
@@ -12,7 +28,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
+	"minroute/internal/alloc"
 	"minroute/internal/core"
 	"minroute/internal/gallager"
 	"minroute/internal/report"
@@ -51,26 +69,6 @@ type Settings struct {
 	// split across shard tracers, so byte-equality across shard counts
 	// requires rings that never overflow.
 	TelemetryRingCap int
-	// figID labels telemetry prefixes; compare() installs the figure ID.
-	figID string
-}
-
-// newCapture returns a telemetry capture for one simulation, or nil when
-// telemetry export is disabled.
-func (s Settings) newCapture(tn *topo.Network) *telemetry.Capture {
-	if s.TelemetryDir == "" {
-		return nil
-	}
-	return telemetry.NewCaptureSized(tn.Graph.NumNodes(), s.TelemetryRingCap, telemetry.DefaultBucketWidth)
-}
-
-// exportTelemetry writes the run's artifacts under TelemetryDir. A nil
-// capture (telemetry disabled) is a no-op inside core.
-func (s Settings) exportTelemetry(n *core.Network, label string) error {
-	if s.TelemetryDir == "" {
-		return nil
-	}
-	return n.ExportTelemetry(s.TelemetryDir, fmt.Sprintf("%s_%s_s%d", s.figID, label, s.Seed))
 }
 
 func (s Settings) runs() int {
@@ -89,77 +87,122 @@ var Full = Settings{Warmup: 80, Duration: 60, Seed: 1, Runs: 3}
 // allows ~4 Tl rounds of settling at Tl=10.
 var Quick = Settings{Warmup: 40, Duration: 20, Seed: 1}
 
-// scheme describes one simulated routing configuration.
+// scheme describes one simulated routing configuration: a column label, the
+// forwarding mode with its two update intervals, and what only some columns
+// need.
 type scheme struct {
-	label string
-	mode  router.Mode
-	tl    float64
-	ts    float64
+	label  string
+	mode   router.Mode
+	tl, ts float64
+	// mutate, when set, edits the router configuration last (ablation knobs).
+	mutate func(*router.Config)
+	// source replaces the Poisson sources (the bursty figures).
+	source func(f topo.Flow) traffic.Source
+	// phi is the static routing a ModeStatic scheme evaluates (OPT).
+	phi [][]alloc.Params
 }
 
-func (s scheme) options(set Settings, src func(f topo.Flow) traffic.Source) core.Options {
+func (s scheme) options(set Settings) core.Options {
 	opt := core.DefaultOptions()
 	opt.Router.Mode = s.mode
 	opt.Router.Tl = s.tl
 	opt.Router.Ts = s.ts
 	if s.mode == router.ModeSP || s.mode == router.ModeECMP {
-		// SP measures link delay over a fixed 5 s window regardless of the
-		// update period, ARPANET-style, so Tl sweeps vary staleness only
-		// (see DESIGN.md deviation 6). MP keeps the paper's Tl-window costs.
+		// SP and ECMP have one clock (ts is MP's), and measure link delay over
+		// a fixed 5 s window regardless of the update period, ARPANET-style,
+		// so Tl sweeps vary staleness only (DESIGN.md §6.5). MP keeps the
+		// paper's Tl-window costs.
+		opt.Router.Ts = s.tl
 		opt.Router.CostMeasureWindow = 5
+	}
+	if s.mutate != nil {
+		s.mutate(&opt.Router)
 	}
 	opt.Seed = set.Seed
 	opt.Warmup = set.Warmup
 	opt.Duration = set.Duration
-	opt.Source = src
+	opt.Source = s.source
 	opt.Shards = set.Shards
 	return opt
 }
 
-// runScheme simulates one scheme on fresh copies of the network, once per
-// seed, and returns the per-flow mean delays averaged across runs. The
-// per-seed simulations run concurrently on the simpool worker pool; each
-// simulation stays single-threaded and seeded exactly as in the serial
-// harness, and the results are reduced in seed order, so the figure is
-// bit-identical regardless of the worker count.
-func runScheme(build func() *topo.Network, s scheme, set Settings, src func(f topo.Flow) traffic.Source) ([]float64, error) {
-	if s.mode == router.ModeStatic {
-		return nil, fmt.Errorf("experiments: static scheme must use runOPT")
+// drive advances one built network and reads off the vector its figure
+// reports; see the package comment for what it may do.
+type drive func(n *core.Network, run Settings) ([]float64, error)
+
+// runChecked is the common drive step: warmup plus measurement, then the
+// loop-freedom audit.
+func runChecked(n *core.Network) (*core.Report, error) {
+	rep := n.Run()
+	return rep, n.CheckLoopFree()
+}
+
+// meanDelays is the drive of every per-flow delay figure.
+func meanDelays(n *core.Network, _ Settings) ([]float64, error) {
+	rep, err := runChecked(n)
+	return rep.MeanDelayMs, err
+}
+
+// simulate runs every scheme on fresh copies of build's network, once per
+// seed, and returns drive's vectors averaged across seeds, one per scheme.
+// Each scheme is a coordinator task fanning its seeds onto the worker pool,
+// so all of a figure's simulations share one bounded pool; each simulation
+// is seeded exactly as in a serial harness and the results are reduced in
+// seed order from indexed slots.
+func simulate(id string, build func() *topo.Network, schemes []scheme, set Settings, d drive) ([][]float64, error) {
+	cols := make([][]float64, len(schemes))
+	g := simpool.Coordinator()
+	for i, s := range schemes {
+		g.Go(func() error {
+			var err error
+			cols[i], err = runSeeds(set, func(run Settings) ([]float64, error) {
+				out, err := s.run(fmt.Sprintf("%s_%s_s%d", id, s.label, run.Seed), build(), run, d)
+				if err != nil {
+					return nil, fmt.Errorf("experiments: %s %s: %w", id, s.label, err)
+				}
+				return out, nil
+			})
+			return err
+		})
 	}
-	return runSeeds(set, func(run Settings) ([]float64, error) {
-		tn := build()
-		opt := s.options(run, src)
-		opt.Telemetry = run.newCapture(tn)
-		n := core.Build(tn, opt)
-		rep := n.Run()
-		if err := n.CheckLoopFree(); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", s.label, err)
-		}
-		if err := run.exportTelemetry(n, s.label); err != nil {
-			return nil, fmt.Errorf("experiments: %s: telemetry export: %w", s.label, err)
-		}
-		return rep.MeanDelayMs, nil
-	})
+	return cols, g.Wait()
+}
+
+// run is one simulation: the scheme on tn at run's seed, driven by d, its
+// telemetry exported under prefix when run.TelemetryDir is set.
+func (s scheme) run(prefix string, tn *topo.Network, run Settings, d drive) ([]float64, error) {
+	opt := s.options(run)
+	if run.TelemetryDir != "" {
+		opt.Telemetry = telemetry.NewCaptureSized(tn.Graph.NumNodes(), run.TelemetryRingCap, telemetry.DefaultBucketWidth)
+	}
+	n := core.Build(tn, opt)
+	if s.phi != nil {
+		n.InstallStatic(s.phi)
+	}
+	out, err := d(n, run)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.ExportTelemetry(run.TelemetryDir, prefix); err != nil {
+		return nil, fmt.Errorf("telemetry export: %w", err)
+	}
+	return out, nil
 }
 
 // runSeeds fans one simulation per seed out onto the worker pool and
-// averages the per-flow results in seed order. sim receives the Settings
-// with its run's seed already installed.
+// averages the results element-wise in seed order. sim receives the
+// Settings with its run's seed already installed.
 func runSeeds(set Settings, sim func(run Settings) ([]float64, error)) ([]float64, error) {
 	runs := set.runs()
 	results := make([][]float64, runs)
 	g := simpool.NewGroup()
 	for r := 0; r < runs; r++ {
-		r := r
 		g.Go(func() error {
 			run := set
 			run.Seed = set.Seed + uint64(r)*1000
-			delays, err := sim(run)
-			if err != nil {
-				return err
-			}
-			results[r] = delays
-			return nil
+			var err error
+			results[r], err = sim(run)
+			return err
 		})
 	}
 	if err := g.Wait(); err != nil {
@@ -190,94 +233,63 @@ func scaleSlice(a []float64, f float64) []float64 {
 	return a
 }
 
-// runOPT solves Gallager's minimum-delay routing on the fluid model (once)
-// and measures its converged routing parameters inside the same packet
-// simulator used for MP and SP — once per seed — so all schemes are
-// observed identically.
-func runOPT(build func() *topo.Network, set Settings, src func(f topo.Flow) traffic.Source) ([]float64, error) {
-	solveNet := build()
-	sol, err := gallager.Solve(solveNet.Graph, solveNet.Flows, gallager.Options{MeanPacketBits: 8000})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: OPT solve: %w", err)
-	}
-	s := scheme{label: "OPT", mode: router.ModeStatic, tl: 0, ts: 0}
-	return runSeeds(set, func(run Settings) ([]float64, error) {
-		tn := build()
-		opt := s.options(run, src)
-		opt.Telemetry = run.newCapture(tn)
-		n := core.Build(tn, opt)
-		n.InstallStatic(sol.Phi)
-		rep := n.Run()
-		if err := run.exportTelemetry(n, s.label); err != nil {
-			return nil, fmt.Errorf("experiments: OPT telemetry export: %w", err)
-		}
-		return rep.MeanDelayMs, nil
-	})
-}
-
-// compare runs OPT (optionally) plus the listed schemes and assembles the
-// figure, adding envelope columns where the paper plots them. Every scheme
-// is a coordinator task fanning its seeds onto the worker pool, so all of a
-// figure's simulations share one bounded pool; the figure itself is
-// assembled in scheme order from indexed slots and is byte-identical to the
-// serial harness's output.
+// compare runs OPT (optionally) plus the listed schemes, all under the
+// traffic sources src builds (nil: Poisson), and assembles the per-flow
+// delay figure, adding the envelope column where the paper plots one.
 func compare(id, title string, build func() *topo.Network, withOPT bool, envelope float64,
 	schemes []scheme, set Settings, src func(f topo.Flow) traffic.Source) (*report.Figure, error) {
 
-	set.figID = id
-	fig := &report.Figure{ID: id, Title: title}
-	optCols := 0
+	net := build()
+	var all []scheme
 	if withOPT {
-		optCols = 1
+		// Gallager's minimum-delay routing is solved once on the fluid model
+		// and its converged φ measured inside the same packet simulator as MP
+		// and SP, so all schemes are observed identically.
+		sol, err := gallager.Solve(net.Graph, net.Flows, gallager.Options{MeanPacketBits: 8000})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: OPT solve: %w", err)
+		}
+		all = append(all, scheme{label: "OPT", mode: router.ModeStatic, phi: sol.Phi})
 	}
-	results := make([][]float64, optCols+len(schemes))
-	g := simpool.Coordinator()
-	if withOPT {
-		g.Go(func() error {
-			delays, err := runOPT(build, set, src)
-			results[0] = delays
-			return err
-		})
+	all = append(all, schemes...)
+	for i := range all {
+		all[i].source = src
 	}
-	for i, s := range schemes {
-		i, s := i, s
-		g.Go(func() error {
-			delays, err := runScheme(build, s, set, src)
-			results[optCols+i] = delays
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
+	fig := &report.Figure{ID: id, Title: title, Columns: labels(all)}
+	cols, err := simulate(id, build, all, set, meanDelays)
+	if err != nil {
 		return nil, err
 	}
-
-	var columns [][]float64
-	if withOPT {
-		delays := results[0]
-		fig.Columns = append(fig.Columns, "OPT")
-		columns = append(columns, delays)
-		if envelope > 0 {
-			fig.Columns = append(fig.Columns, fmt.Sprintf("OPT+%.0f%%", envelope*100))
-			env := make([]float64, len(delays))
-			for i, v := range delays {
-				env[i] = v * (1 + envelope)
-			}
-			columns = append(columns, env)
+	if withOPT && envelope > 0 {
+		env := make([]float64, len(cols[0]))
+		for x, v := range cols[0] {
+			env[x] = v * (1 + envelope)
 		}
+		fig.Columns = slices.Insert(fig.Columns, 1, fmt.Sprintf("OPT+%.0f%%", envelope*100))
+		cols = slices.Insert(cols, 1, env)
 	}
-	for i, s := range schemes {
-		fig.Columns = append(fig.Columns, s.label)
-		columns = append(columns, results[optCols+i])
-	}
-	net := build()
+	flowRows(fig, net, cols)
+	return fig, nil
+}
+
+// flowRows adds one row per flow of net, reading across the columns.
+func flowRows(fig *report.Figure, net *topo.Network, cols [][]float64) {
 	for x, f := range net.Flows {
-		row := make([]float64, len(columns))
-		for c := range columns {
-			row[c] = columns[c][x]
+		row := make([]float64, len(cols))
+		for c := range cols {
+			row[c] = cols[c][x]
 		}
 		fig.AddRow(fmt.Sprintf("%d:%s", x, f.Name), row...)
 	}
-	return fig, nil
+}
+
+// labels lists the schemes' column labels in order.
+func labels(schemes []scheme) []string {
+	out := make([]string, len(schemes))
+	for i, s := range schemes {
+		out[i] = s.label
+	}
+	return out
 }
 
 func mp(tl, ts float64) scheme {
@@ -285,7 +297,17 @@ func mp(tl, ts float64) scheme {
 }
 
 func sp(tl float64) scheme {
-	return scheme{label: fmt.Sprintf("SP-TL-%.0f", tl), mode: router.ModeSP, tl: tl, ts: tl}
+	return scheme{label: fmt.Sprintf("SP-TL-%.0f", tl), mode: router.ModeSP, tl: tl}
+}
+
+func ecmp(tl float64) scheme {
+	return scheme{label: fmt.Sprintf("ECMP-TL-%.0f", tl), mode: router.ModeECMP, tl: tl}
+}
+
+// as returns s relabelled, with mutate as its configuration edit.
+func (s scheme) as(label string, mutate func(*router.Config)) scheme {
+	s.label, s.mutate = label, mutate
+	return s
 }
 
 // Fig9 — "Delays of OPT and MP in CAIRN": MP-TL-10-TS-2 against OPT and

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"minroute/internal/core"
 	"minroute/internal/report"
-	"minroute/internal/router"
-	"minroute/internal/simpool"
-	"minroute/internal/topo"
 )
 
 // Failover quantifies the paper's remark that "in the presence of link
@@ -19,83 +14,39 @@ func Failover(set Settings) (*report.Figure, error) {
 	fig := &report.Figure{
 		ID:      "failover",
 		Title:   "Bridge failure and recovery in NET1 (mean over flows, ms)",
-		Columns: []string{"MP-TL-10-TS-2", "SP-TL-10"},
+		Columns: labels(mpVsSP),
 	}
-	phases := []string{"baseline", "failed", "recovered"}
-	cells := make(map[string][]float64) // phase -> per-scheme means
-
-	modes := []router.Mode{router.ModeMP, router.ModeSP}
-	cols := make([][]float64, len(modes))
-	g := simpool.Coordinator()
-	for i, mode := range modes {
-		i, mode := i, mode
-		g.Go(func() error {
-			avg, err := runSeeds(set, func(run Settings) ([]float64, error) {
-				vals, err := failoverRun(mode, run, run.Seed)
-				if err != nil {
-					return nil, err
-				}
-				return vals[:], nil
-			})
-			cols[i] = avg
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
+	cols, err := simulate("failover", topoNET1, mpVsSP, set, failoverPhases)
+	if err != nil {
 		return nil, err
 	}
-	for _, col := range cols {
-		for i, phase := range phases {
-			cells[phase] = append(cells[phase], col[i])
-		}
-	}
-	for _, phase := range phases {
-		fig.AddRow(phase, cells[phase]...)
+	for i, phase := range []string{"baseline", "failed", "recovered"} {
+		fig.AddRow(phase, cols[0][i], cols[1][i])
 	}
 	fig.Notes = append(fig.Notes,
 		"paper: with link failures MP can only perform better than SP (alternate paths already in place)")
 	return fig, nil
 }
 
-// failoverRun measures one scheme's mean delay across the three phases.
-func failoverRun(mode router.Mode, set Settings, seed uint64) ([3]float64, error) {
-	var out [3]float64
-	net := topo.NET1()
-	opt := core.DefaultOptions()
-	opt.Router.Mode = mode
-	opt.Seed = seed
-	if mode == router.ModeSP {
-		opt.Router.Ts = opt.Router.Tl
-		opt.Router.CostMeasureWindow = 5
-	}
-	n := core.Build(net, opt)
+// failoverPhases drives one network through warmup and three measured
+// windows of run.Duration — before the bridge fails, while it is down, and
+// after it is restored, each fault followed by a 5 s reconvergence grace —
+// and returns the mean delay over flows in each.
+func failoverPhases(n *core.Network, run Settings) ([]float64, error) {
 	n.Start()
-	n.Eng.Run(set.Warmup)
-
-	measure := func(idx int, dur float64) error {
-		for _, s := range n.Stats {
-			s.Reset()
+	n.RunUntil(run.Warmup)
+	var out []float64
+	for _, fault := range []func(){nil, func() { n.FailLink(4, 5) }, func() { n.RestoreLink(4, 5) }} {
+		if fault != nil {
+			fault()
+			n.RunUntil(n.Eng.Now() + 5)
 		}
-		n.Eng.Run(n.Eng.Now() + dur)
+		n.BeginMeasurement()
+		n.RunUntil(n.Eng.Now() + run.Duration)
 		if err := n.CheckLoopFree(); err != nil {
-			return fmt.Errorf("experiments: failover %v: %w", mode, err)
+			return nil, err
 		}
-		out[idx] = n.Report().AvgMeanDelayMs()
-		return nil
-	}
-
-	if err := measure(0, set.Duration); err != nil {
-		return out, err
-	}
-	n.FailLink(4, 5)
-	n.Eng.Run(n.Eng.Now() + 5) // reconvergence grace
-	if err := measure(1, set.Duration); err != nil {
-		return out, err
-	}
-	n.RestoreLink(4, 5)
-	n.Eng.Run(n.Eng.Now() + 5)
-	if err := measure(2, set.Duration); err != nil {
-		return out, err
+		out = append(out, n.Report().AvgMeanDelayMs())
 	}
 	return out, nil
 }

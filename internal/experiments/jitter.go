@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"minroute/internal/core"
 	"minroute/internal/report"
-	"minroute/internal/router"
-	"minroute/internal/simpool"
-	"minroute/internal/topo"
 )
 
 // Jitter compares delay variability between MP and SP on NET1 — the paper
@@ -18,42 +13,16 @@ func Jitter(set Settings) (*report.Figure, error) {
 	fig := &report.Figure{
 		ID:      "jitter",
 		Title:   "Per-flow delay standard deviation in NET1 (ms)",
-		Columns: []string{"MP-TL-10-TS-2", "SP-TL-10"},
+		Columns: labels(mpVsSP),
 	}
-	modes := []router.Mode{router.ModeMP, router.ModeSP}
-	cols := make([][]float64, len(modes))
-	g := simpool.Coordinator()
-	for i, mode := range modes {
-		i, mode := i, mode
-		g.Go(func() error {
-			delays, err := runSeeds(set, func(run Settings) ([]float64, error) {
-				opt := core.DefaultOptions()
-				opt.Router.Mode = mode
-				opt.Seed = run.Seed
-				opt.Warmup = run.Warmup
-				opt.Duration = run.Duration
-				if mode == router.ModeSP {
-					opt.Router.Ts = opt.Router.Tl
-					opt.Router.CostMeasureWindow = 5
-				}
-				n := core.Build(topo.NET1(), opt)
-				rep := n.Run()
-				if err := n.CheckLoopFree(); err != nil {
-					return nil, fmt.Errorf("experiments: jitter: %w", err)
-				}
-				return rep.StdDevMs, nil
-			})
-			cols[i] = delays
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
+	cols, err := simulate("jitter", topoNET1, mpVsSP, set, func(n *core.Network, _ Settings) ([]float64, error) {
+		rep, err := runChecked(n)
+		return rep.StdDevMs, err
+	})
+	if err != nil {
 		return nil, err
 	}
-	net := topo.NET1()
-	for x, f := range net.Flows {
-		fig.AddRow(fmt.Sprintf("%d:%s", x, f.Name), cols[0][x], cols[1][x])
-	}
+	flowRows(fig, topoNET1(), cols)
 	fig.Notes = append(fig.Notes,
 		"paper: \"because of load-balancing used in MP, the plots of MP are less jagged than those of SP\"")
 	return fig, nil

@@ -5,9 +5,6 @@ import (
 
 	"minroute/internal/core"
 	"minroute/internal/report"
-	"minroute/internal/router"
-	"minroute/internal/simpool"
-	"minroute/internal/topo"
 )
 
 // Overhead quantifies the control-bandwidth trade-off of Section 5.2: "Tl
@@ -22,45 +19,26 @@ func Overhead(set Settings) (*report.Figure, error) {
 		Title:   "MP delay vs control overhead across Tl in NET1",
 		Columns: []string{"MP delay (ms)", "LSU msgs/s", "control kb/s"},
 	}
-	tls := []float64{5, 10, 20, 40}
-	rows := make([][]float64, len(tls))
-	g := simpool.Coordinator()
-	for i, tl := range tls {
-		i, tl := i, tl
-		g.Go(func() error {
-			// Each run reports [delay ms, LSU msgs/s, control kb/s]; runSeeds
-			// averages the triple across seeds like any per-flow column.
-			row, err := runSeeds(set, func(run Settings) ([]float64, error) {
-				opt := core.DefaultOptions()
-				opt.Router.Mode = router.ModeMP
-				opt.Router.Tl = tl
-				opt.Seed = run.Seed
-				opt.Warmup = run.Warmup
-				opt.Duration = run.Duration
-				n := core.Build(topo.NET1(), opt)
-				// Count control traffic over the measurement period only.
-				n.Start()
-				n.Eng.Run(run.Warmup)
-				m0, b0 := n.ControlMessages(), n.ControlBits()
-				rep := n.Run() // continues from warmup; stats already reset inside
-				if err := n.CheckLoopFree(); err != nil {
-					return nil, fmt.Errorf("experiments: overhead: %w", err)
-				}
-				return []float64{
-					rep.AvgMeanDelayMs(),
-					float64(n.ControlMessages()-m0) / run.Duration,
-					(n.ControlBits() - b0) / run.Duration / 1e3,
-				}, nil
-			})
-			rows[i] = row
-			return err
-		})
-	}
-	if err := g.Wait(); err != nil {
+	schemes := []scheme{mp(5, 2), mp(10, 2), mp(20, 2), mp(40, 2)}
+	// Each run reports [delay ms, LSU msgs/s, control kb/s], control traffic
+	// counted over the measurement period only; simulate averages the triple
+	// across seeds like any per-flow column.
+	rows, err := simulate("overhead", topoNET1, schemes, set, func(n *core.Network, run Settings) ([]float64, error) {
+		n.Start()
+		n.RunUntil(run.Warmup)
+		m0, b0 := n.ControlMessages(), n.ControlBits()
+		rep, err := runChecked(n) // continues from warmup
+		return []float64{
+			rep.AvgMeanDelayMs(),
+			float64(n.ControlMessages()-m0) / run.Duration,
+			(n.ControlBits() - b0) / run.Duration / 1e3,
+		}, err
+	})
+	if err != nil {
 		return nil, err
 	}
-	for i, tl := range tls {
-		fig.AddRow(fmt.Sprintf("Tl=%.0fs", tl), rows[i]...)
+	for i, s := range schemes {
+		fig.AddRow(fmt.Sprintf("Tl=%.0fs", s.tl), rows[i]...)
 	}
 	fig.Notes = append(fig.Notes,
 		"paper: Tl can be made longer in MP without significantly affecting performance, saving update bandwidth")

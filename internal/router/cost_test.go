@@ -62,49 +62,6 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTsRateUsesArmedWindow holds a steady 50 packets/s on one link
-// while AdaptiveTimers moves the short-term interval between Ts/2 and 2·Ts:
-// whatever the window's length, the cost measured over it must be that of
-// 50 packets/s. (Dividing every window's count by cfg.Ts reads 25 or 100.)
-func TestAdaptiveTsRateUsesArmedWindow(t *testing.T) {
-	cfg := Defaults()
-	cfg.AdaptiveTimers = true
-	eng, nodes, _ := line3(t, cfg)
-	startAll(eng, nodes, 1)
-	n0 := nodes[0]
-	l := n0.link(1)
-	cbr(eng, n0, 2, 4000, 0.02)
-	want := linkcost.MM1Marginal(50, 125, 1e-3)
-
-	prev, lastTick := l.short, 0.0
-	windows := map[float64]int{}
-	onTsTick(eng, n0, func() {
-		now := eng.Now()
-		// Undo the EWMA to recover this window's raw sample.
-		sample := prev + (l.short-prev)/shortSmoothing
-		prev = l.short
-		window := now - lastTick
-		first := lastTick == 0
-		lastTick = now
-		if first {
-			return // randomly phased, partly before the traffic started
-		}
-		windows[math.Round(window*10)/10]++
-		if math.Abs(sample-want)/want > 0.06 { // ±1 packet in a 1 s window is 3 %
-			t.Errorf("t=%.2f: %.1f s window priced at %v, want %v (50 packets/s)", now, window, sample, want)
-		}
-	})
-	// Steady load settles the cost and stretches the window to 2·Ts; a
-	// jolted stored cost then reads as churn and shrinks it to Ts/2.
-	eng.Run(30)
-	l.short *= 3
-	prev = l.short
-	eng.Run(70)
-	if windows[cfg.Ts/2] == 0 || windows[cfg.Ts*2] == 0 {
-		t.Fatalf("windows seen %v: want both %v s and %v s exercised", windows, cfg.Ts/2, cfg.Ts*2)
-	}
-}
-
 // TestRestartClearsLinkState loads the middle node's links, crashes and
 // restarts it, and checks every link record is as a first boot leaves it:
 // both costs idle, both measurement windows opening at the current counters.
@@ -120,8 +77,8 @@ func TestRestartClearsLinkState(t *testing.T) {
 	mid.Crash()
 	eng.Run(13)
 	mid.Restart()
-	if mid.lastTl != eng.Now() || mid.tsWindow != mid.cfg.Ts {
-		t.Errorf("lastTl = %v, tsWindow = %v after restart at %v", mid.lastTl, mid.tsWindow, eng.Now())
+	if mid.lastTl != eng.Now() {
+		t.Errorf("lastTl = %v after restart at %v", mid.lastTl, eng.Now())
 	}
 	for _, l := range mid.links {
 		idle := mid.costAt(l.port, 0)

@@ -107,13 +107,6 @@ type Config struct {
 	UseOnlineEstimator bool
 	// HopLimit drops packets that exceed this many forwarding steps.
 	HopLimit int
-	// AdaptiveTimers lets the measurement intervals vary with congestion,
-	// as the paper suggests ("Tl and Ts need not be static constants and
-	// can be made to vary according to congestion at the router"): when
-	// short-term costs churn, Ts shrinks toward Ts/2 for faster balancing;
-	// when they are stable it stretches toward 2Ts. Tl adapts the same way
-	// against advertised-cost changes. Both stay within [x/2, 2x].
-	AdaptiveTimers bool
 	// AHDamping selects the damped AH variant with the given β (see
 	// alloc.AdjustDamped). Zero or negative selects the literal Fig. 7
 	// rule (alloc.Adjust), kept for ablation.
@@ -170,9 +163,6 @@ type Node struct {
 	// Pending timer handles, canceled on Crash so a restarted node never
 	// runs two timer chains.
 	tsTimer, tlTimer, tlSnapTimer eventq.Handle
-	// tsWindow is the interval the pending short-term tick was armed with —
-	// the length of the window it will measure.
-	tsWindow float64
 	// lastTl is when the current long-term measurement window opened.
 	lastTl float64
 
@@ -353,7 +343,6 @@ func (n *Node) Start() {
 			// The randomly phased first window is shorter than Ts but is
 			// still priced as a full one: dividing by its true length would
 			// move every DES golden for one tick per boot.
-			n.tsWindow = n.cfg.Ts
 			n.tsTimer = n.eng.After(n.cfg.Ts*n.prng.Float64(), n.tsTick)
 		}
 		if n.cfg.Tl > 0 {
@@ -418,27 +407,12 @@ func (n *Node) measure(p *des.Port, packets int64, window float64) (c float64, o
 	return n.costAt(p, float64(packets)/window), true
 }
 
-// adapt is the AdaptiveTimers rule for either clock: half the base interval
-// after a round whose largest relative cost change was above 20 %, twice it
-// after one below 5 %, the base interval otherwise (and always, when
-// adaptation is off).
-func (n *Node) adapt(base, churn float64) float64 {
-	switch {
-	case n.cfg.AdaptiveTimers && churn > 0.2:
-		return base / 2
-	case n.cfg.AdaptiveTimers && churn < 0.05:
-		return base * 2
-	}
-	return base
-}
-
 // quantizeCost rounds to 0.1 µs so identical loads advertise identical
 // costs and FP dust cannot force spurious LSU floods.
 func quantizeCost(c float64) float64 { return math.Round(c*1e7) / 1e7 }
 
 // tsTick performs the short-term measurement and runs heuristic AH.
 func (n *Node) tsTick() {
-	churn := 0.0
 	for i := range n.links {
 		l := &n.links[i]
 		cur := l.port.DataPackets
@@ -449,12 +423,9 @@ func (n *Node) tsTick() {
 			c = math.Min(l.port.Estimator.Take(), n.costAt(l.port, math.Inf(1)))
 		} else {
 			var ok bool
-			if c, ok = n.measure(l.port, packets, n.tsWindow); !ok {
+			if c, ok = n.measure(l.port, packets, n.cfg.Ts); !ok {
 				continue
 			}
-		}
-		if l.short > 0 {
-			churn = math.Max(churn, math.Abs(c-l.short)/l.short)
 		}
 		l.short += shortSmoothing * (c - l.short)
 		if n.cfg.UseOnlineEstimator {
@@ -481,8 +452,7 @@ func (n *Node) tsTick() {
 			n.allocStep(telemetry.KindAllocAdjust, jid, succ)
 		}
 	}
-	n.tsWindow = n.adapt(n.cfg.Ts, churn)
-	n.tsTimer = n.eng.After(n.tsWindow, n.tsTick)
+	n.tsTimer = n.eng.After(n.cfg.Ts, n.tsTick)
 }
 
 // shortDist is the AH distance function: D_jk + l_ik with the short-term
@@ -503,7 +473,6 @@ func (n *Node) shortDist(j graph.NodeID) alloc.DistFunc {
 // and feeds any changes into MPDA.
 func (n *Node) tlTick() {
 	elapsed := n.eng.Now() - n.lastTl
-	churn := 0.0
 	for i := range n.links {
 		l := &n.links[i]
 		if !n.cfg.UseOnlineEstimator {
@@ -514,20 +483,16 @@ func (n *Node) tlTick() {
 		c := quantizeCost(l.long.Value())
 		//lint:floateq-ok change detection between quantized costs; quantization makes equality exact
 		if cur, ok := n.proto.Tables().AdjCost(l.to); !ok || cur != c {
-			if ok && cur > 0 {
-				churn = math.Max(churn, math.Abs(c-cur)/cur)
-			}
 			n.proto.LinkCostChange(l.to, c)
 		}
 	}
 	n.openTlWindow()
 	n.refreshAllocations()
-	next := n.adapt(n.cfg.Tl, churn)
-	n.tlTimer = n.eng.After(next, n.tlTick)
+	n.tlTimer = n.eng.After(n.cfg.Tl, n.tlTick)
 	// With a fixed cost window configured, re-open the window that much
 	// before the next tick so it sees only the trailing part of the period.
-	if w := n.cfg.CostMeasureWindow; w > 0 && w < next {
-		n.tlSnapTimer = n.eng.After(next-w, n.openTlWindow)
+	if w := n.cfg.CostMeasureWindow; w > 0 && w < n.cfg.Tl {
+		n.tlSnapTimer = n.eng.After(n.cfg.Tl-w, n.openTlWindow)
 	}
 }
 

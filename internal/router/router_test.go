@@ -350,52 +350,6 @@ func TestCostMeasureWindowArms(t *testing.T) {
 	}
 }
 
-func TestAdaptiveTimersStayBoundedAndRoute(t *testing.T) {
-	cfg := Defaults()
-	cfg.AdaptiveTimers = true
-	g := topo.NET1().Graph
-	eng, nodes, _ := wire(t, g, cfg)
-	startAll(eng, nodes, 5)
-	delivered := 0
-	nodes[8].OnArrive = func(pkt *des.Packet) { delivered++ }
-	// Burst of traffic creating cost churn, then quiet.
-	for i := 0; i < 2000; i++ {
-		at := eng.Now() + float64(i)*0.002
-		eng.Schedule(at, func() {
-			nodes[0].HandleData(&des.Packet{FlowID: 0, Src: 0, Dst: 8, Bits: 8000, Created: eng.Now()})
-		})
-	}
-	eng.Run(60)
-	if delivered != 2000 {
-		t.Fatalf("adaptive timers broke delivery: %d/2000", delivered)
-	}
-	if nodes[0].Protocol().Dist(8) == math.Inf(1) {
-		t.Fatal("routing lost under adaptive timers")
-	}
-}
-
-func TestNextTsBounds(t *testing.T) {
-	cfg := Defaults()
-	cfg.AdaptiveTimers = true
-	_, nodes, _ := line3(t, cfg)
-	n := nodes[0]
-	for _, tc := range []struct{ base, churn, want float64 }{
-		{cfg.Ts, 1.0, cfg.Ts / 2},
-		{cfg.Ts, 0.0, cfg.Ts * 2},
-		{cfg.Ts, 0.1, cfg.Ts},
-		{cfg.Tl, 1.0, cfg.Tl / 2},
-		{cfg.Tl, 0.01, cfg.Tl * 2},
-	} {
-		if got := n.adapt(tc.base, tc.churn); got != tc.want {
-			t.Errorf("adapt(%v, churn %v) = %v, want %v", tc.base, tc.churn, got, tc.want)
-		}
-	}
-	_, static, _ := line3(t, Defaults())
-	if got := static[0].adapt(cfg.Ts, 1.0); got != cfg.Ts {
-		t.Fatalf("static Ts = %v", got)
-	}
-}
-
 func TestNodeID(t *testing.T) {
 	_, nodes, _ := line3(t, Defaults())
 	if nodes[1].ID() != 1 {
