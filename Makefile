@@ -40,11 +40,11 @@ test:
 # nothing observable moved. With them, the differential tests the
 # incremental control plane answers to (successor sets against a full
 # recompute, neighbor distances and the repaired tree against Dijkstra, the
-# maintained T against a rebuild, protonet's candidate list against the
-# collect-and-sort it replaced) and the run-twice test of both chaos
-# runners over mdrfuzz's seed range.
+# maintained T against a rebuild, protonet's candidate list and the router's
+# weighted pick against the collect-and-sort each replaced) and the run-twice
+# test of both chaos runners over mdrfuzz's seed range.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
 
 # go's default per-package limit is 10 minutes; internal/experiments needs
 # about 17 under -race on a 2-core host (992 s measured), so the gate sets
@@ -82,12 +82,14 @@ telemetry-guard:
 codec-guard:
 	$(GO) test -count=1 -run TestCodecAllocBudget ./internal/wire
 
-# Control-plane guard: an LSU into converged tables runs NTU, MTU and the
-# successor re-derivation on storage that already exists (one allocation,
-# the ACK), and the protonet harness delivering it allocates nothing of its
-# own. All three skip under -race, so `race` alone never runs them.
+# Guard for the control plane and the simulated forwarding decision: an LSU
+# into converged tables runs NTU, MTU and the successor re-derivation on
+# storage that already exists (one allocation, the ACK), the protonet
+# harness delivering it allocates nothing of its own, and a simulated router
+# forwards a data packet in every mode without allocating. All four skip
+# under -race, so `race` alone never runs them.
 ctrl-guard:
-	$(GO) test -count=1 -run 'TestTablesAllocBudget|TestHandleLSUAllocBudget|TestStepAllocBudget' ./internal/pda ./internal/mpda ./internal/protonet
+	$(GO) test -count=1 -run 'TestTablesAllocBudget|TestHandleLSUAllocBudget|TestStepAllocBudget|TestHandleDataAllocBudget' ./internal/pda ./internal/mpda ./internal/protonet ./internal/router
 
 # Ten seconds of coverage-guided fuzzing over random chaos schedules with
 # every invariant oracle armed, plus ten over the wire-format decoder (the

@@ -139,10 +139,10 @@ func (s *DelayStats) Percentile(p float64) float64 {
 
 // Reset discards all samples (used at the end of warmup) but keeps the
 // flow's sampling seed, so measurement-phase reservoirs stay per-flow
-// decorrelated.
+// decorrelated, and the reservoir's storage, so refilling it allocates
+// nothing.
 func (s *DelayStats) Reset() {
-	seed := s.seed
-	*s = DelayStats{rngs: seed, seed: seed}
+	*s = DelayStats{sample: s.sample[:0], rngs: s.seed, seed: s.seed}
 }
 
 // String renders a compact summary in milliseconds.

@@ -1,6 +1,10 @@
 package metrics
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+)
 
 // feedRamp pushes a deterministic 0..n-1 ramp, three reservoirs deep, so
 // the percentile estimates depend entirely on the reservoir's accept/evict
@@ -65,6 +69,35 @@ func TestResetPreservesSeed(t *testing.T) {
 	for _, p := range []float64{5, 50, 95} {
 		if a.Percentile(p) != b.Percentile(p) {
 			t.Fatalf("p%v after Reset diverged: Reset lost the flow seed", p)
+		}
+	}
+}
+
+// TestResetReusesReservoir resets a full reservoir: the same samples must
+// then give bit-equal percentiles to a fresh flow's, and the first
+// reservoirSize of them — the ones that fill it — must allocate nothing.
+func TestResetReusesReservoir(t *testing.T) {
+	a, b := NewDelayStats(7), NewDelayStats(7)
+	feedRamp(a)
+	for i := 0; i < 2*reservoirSize; i++ {
+		b.Add(-1) // warm-up samples Reset must leave no trace of
+	}
+	b.Reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reservoirSize; i++ {
+		b.Add(float64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Fatalf("refilling the reservoir after Reset: %d allocs, want 0", got)
+	}
+	for i := reservoirSize; i < 3*reservoirSize; i++ {
+		b.Add(float64(i))
+	}
+	for p := 1.0; p < 100; p++ {
+		if pa, pb := a.Percentile(p), b.Percentile(p); math.Float64bits(pa) != math.Float64bits(pb) {
+			t.Fatalf("p%v after Reset = %v, fresh flow %v", p, pb, pa)
 		}
 	}
 }

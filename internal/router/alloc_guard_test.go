@@ -1,0 +1,63 @@
+package router
+
+import (
+	"testing"
+
+	"minroute/internal/alloc"
+	"minroute/internal/des"
+	"minroute/internal/graph"
+	"minroute/internal/topo"
+)
+
+// TestHandleDataAllocBudget holds the simulated forwarding decision to no
+// allocation in every mode. On a converged 4-ring, where node 0 reaches
+// node 2 through two equal-cost successors, a data packet leaves node 0,
+// crosses a link, is relayed and is delivered: the pick over φ (MP,
+// STATIC), the best successor (SP) or the equal-cost set (ECMP) runs twice
+// per packet on storage that already exists. The timers are off, so nothing
+// but the packet runs between two counts.
+func TestHandleDataAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under the race detector")
+	}
+	for _, mode := range []Mode{ModeMP, ModeSP, ModeStatic, ModeECMP} {
+		cfg := Defaults()
+		cfg.Mode = mode
+		cfg.Tl, cfg.Ts = 0, 0
+		eng, nodes, g := wire(t, topo.Ring(4, 1e7, 1e-3), cfg)
+		if mode == ModeStatic {
+			for i := 0; i < g.NumNodes(); i++ {
+				phi := make([]alloc.Params, g.NumNodes())
+				phi[2] = alloc.Single(2)
+				if i == 0 {
+					phi[2] = alloc.Params{1: 0.5, 3: 0.5}
+				}
+				nodes[graph.NodeID(i)].InstallStatic(phi)
+			}
+		}
+		startAll(eng, nodes, 5)
+		delivered := 0
+		nodes[2].OnArrive = func(*des.Packet) { delivered++ }
+		send := func() {
+			pkt := eng.NewPacket()
+			*pkt = des.Packet{Src: 0, Dst: 2, Bits: 8000, Created: eng.Now()}
+			nodes[0].HandleData(pkt)
+			for eng.Pending() > 0 {
+				eng.Step()
+			}
+		}
+		// Warm the packet pool and the event queue to steady state.
+		for i := 0; i < 256; i++ {
+			send()
+		}
+		if got := testing.AllocsPerRun(1000, send); got != 0 {
+			t.Errorf("%v: %.0f allocs per forwarded packet, want 0", mode, got)
+		}
+		if want := 256 + 1 + 1000; delivered != want { // AllocsPerRun warms up once
+			t.Errorf("%v: delivered %d packets, want %d", mode, delivered, want)
+		}
+		if mode != ModeSP && (nodes[1].ForwardedPackets == 0 || nodes[3].ForwardedPackets == 0) {
+			t.Errorf("%v: relays forwarded %d and %d packets, want both paths used", mode, nodes[1].ForwardedPackets, nodes[3].ForwardedPackets)
+		}
+	}
+}

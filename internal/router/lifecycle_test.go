@@ -169,10 +169,10 @@ func TestWeightedPickFPRemainderFallback(t *testing.T) {
 	r := rng.New(3)
 	// The accumulated weight is far below any plausible draw, so the main
 	// loop falls through and the fallback returns the last positive key.
-	if got := weightedPick(r, alloc.Params{1: 1e-18}); got != 1 {
+	if got := weightedPick(r, alloc.Params{1: 1e-18}, []graph.NodeID{1}); got != 1 {
 		t.Fatalf("fallback pick = %v, want 1", got)
 	}
-	if got := weightedPick(r, alloc.Params{1: 0, 2: 0}); got != graph.None {
+	if got := weightedPick(r, alloc.Params{1: 0, 2: 0}, []graph.NodeID{1, 2}); got != graph.None {
 		t.Fatalf("all-zero pick = %v, want None", got)
 	}
 }

@@ -16,9 +16,10 @@ import (
 // each control packet, each timer tick, and link failures, recoveries, a
 // crash and a restart injected along the way — the set every destination's
 // routing parameters were built from must still be the protocol's S_j, for
-// all j and not only the reported ones. (That IH then runs for the same
-// destinations in the same order as a scan of all of them is what
-// TestCostTrajectoryPinned holds.)
+// all j and not only the reported ones. Non-empty parameters must also be
+// keyed by exactly that set: the forwarding pick walks it as their keys.
+// (That IH then runs for the same destinations in the same order as a scan
+// of all of them is what TestCostTrajectoryPinned holds.)
 func TestAllocationsFollowEverySuccessorChange(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.Seed = experiments.Quick.Seed
@@ -34,6 +35,9 @@ func TestAllocationsFollowEverySuccessorChange(t *testing.T) {
 			for j := graph.NodeID(0); int(j) < n; j++ {
 				if want, got := node.Protocol().Successors(j), node.BuiltFrom(j); j != id && !slices.Equal(got, want) {
 					t.Fatalf("t=%.6f node %d: parameters for %d built from %v, S_j = %v", net.Eng.Now(), id, j, got, want)
+				}
+				if phi := node.Fractions(j); len(phi) > 0 && !slices.Equal(phi.Keys(), node.BuiltFrom(j)) {
+					t.Fatalf("t=%.6f node %d: parameters for %d keyed %v, built from %v", net.Eng.Now(), id, j, phi.Keys(), node.BuiltFrom(j))
 				}
 			}
 		}

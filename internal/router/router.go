@@ -168,11 +168,18 @@ type Node struct {
 
 	// phi[j] holds the current routing parameters for destination j.
 	phi []alloc.Params
-	// phiSucc[j] is a copy of the successor set phi[j] was built from.
+	// phiSucc[j] is a copy of the successor set phi[j] was built from — and
+	// so, ascending, phi[j]'s keys: IH writes one entry per successor and AH
+	// only rewrites them.
 	phiSucc [][]graph.NodeID
 
-	// staticPhi, in ModeStatic, holds the externally installed parameters.
-	staticPhi []alloc.Params
+	// staticPhi, in ModeStatic, holds the externally installed parameters
+	// and staticKeys[j] the keys of staticPhi[j], ascending.
+	staticPhi  []alloc.Params
+	staticKeys [][]graph.NodeID
+
+	// ecmp is the forwarding path's scratch for the equal-cost set.
+	ecmp []graph.NodeID
 
 	// OnArrive is invoked for every data packet whose destination is this
 	// node (set by the network assembly).
@@ -257,8 +264,15 @@ func (n *Node) link(k graph.NodeID) *link {
 }
 
 // InstallStatic installs fixed routing parameters for ModeStatic. phi[j]
-// holds the fractions this node uses toward destination j.
-func (n *Node) InstallStatic(phi []alloc.Params) { n.staticPhi = phi }
+// holds the fractions this node uses toward destination j; the node does
+// not expect them to change once installed.
+func (n *Node) InstallStatic(phi []alloc.Params) {
+	n.staticPhi = phi
+	n.staticKeys = make([][]graph.NodeID, len(phi))
+	for j, p := range phi {
+		n.staticKeys[j] = p.Keys()
+	}
+}
 
 // SetTelemetry attaches control-plane instrumentation (shared by all nodes
 // of a simulation). Call before Start.
@@ -652,16 +666,16 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 	case ModeSP:
 		return n.proto.BestSuccessor(j)
 	case ModeECMP:
-		set := n.equalCostSuccessors(j)
-		if len(set) == 0 {
+		n.ecmp = n.equalCostSuccessors(j, n.ecmp[:0])
+		if len(n.ecmp) == 0 {
 			return graph.None
 		}
-		return set[n.prng.Intn(len(set))]
+		return n.ecmp[n.prng.Intn(len(n.ecmp))]
 	case ModeStatic:
 		if n.staticPhi == nil {
 			return graph.None
 		}
-		return weightedPick(n.prng, n.staticPhi[j])
+		return weightedPick(n.prng, n.staticPhi[j], n.staticKeys[j])
 	default: // ModeMP
 		if len(n.phi[j]) == 0 {
 			// Routes may exist before parameters do (e.g. first packet
@@ -672,13 +686,13 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 			}
 			n.buildIH(j, succ)
 		}
-		return weightedPick(n.prng, n.phi[j])
+		return weightedPick(n.prng, n.phi[j], n.phiSucc[j])
 	}
 }
 
-// equalCostSuccessors returns the successors whose marginal distance ties
-// the best one (OSPF-style equal-cost multipath).
-func (n *Node) equalCostSuccessors(j graph.NodeID) []graph.NodeID {
+// equalCostSuccessors appends to out the successors whose marginal distance
+// ties the best one (OSPF-style equal-cost multipath).
+func (n *Node) equalCostSuccessors(j graph.NodeID, out []graph.NodeID) []graph.NodeID {
 	succ := n.proto.Successors(j)
 	best := math.Inf(1)
 	for _, k := range succ {
@@ -686,7 +700,6 @@ func (n *Node) equalCostSuccessors(j graph.NodeID) []graph.NodeID {
 			best = d
 		}
 	}
-	var out []graph.NodeID
 	for _, k := range succ {
 		if numeric.Equalish(n.proto.SuccessorDistance(j, k), best) {
 			out = append(out, k)
@@ -695,14 +708,15 @@ func (n *Node) equalCostSuccessors(j graph.NodeID) []graph.NodeID {
 	return out
 }
 
-// weightedPick samples a successor proportionally to its fraction.
-func weightedPick(r *rng.Source, phi alloc.Params) graph.NodeID {
+// weightedPick samples a successor proportionally to its fraction, walking
+// keys — phi's keys, ascending — so the running sum, and with it the pick
+// for a given draw, does not depend on map order.
+func weightedPick(r *rng.Source, phi alloc.Params, keys []graph.NodeID) graph.NodeID {
 	if len(phi) == 0 {
 		return graph.None
 	}
 	x := r.Float64()
 	acc := 0.0
-	keys := phi.Keys()
 	for _, k := range keys {
 		acc += phi[k]
 		if x < acc {
@@ -733,7 +747,7 @@ func (n *Node) Fractions(j graph.NodeID) alloc.Params {
 		}
 		return nil
 	case ModeECMP:
-		return alloc.Uniform(n.equalCostSuccessors(j))
+		return alloc.Uniform(n.equalCostSuccessors(j, nil))
 	default:
 		return n.phi[j]
 	}

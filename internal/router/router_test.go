@@ -219,12 +219,12 @@ func TestWeightedPickDistribution(t *testing.T) {
 	counts := map[graph.NodeID]int{}
 	const n = 100000
 	for i := 0; i < n; i++ {
-		counts[weightedPick(r, phi)]++
+		counts[weightedPick(r, phi, phi.Keys())]++
 	}
 	if f := float64(counts[1]) / n; math.Abs(f-0.7) > 0.01 {
 		t.Fatalf("pick fraction for 1 = %v", f)
 	}
-	if weightedPick(r, nil) != graph.None {
+	if weightedPick(r, nil, nil) != graph.None {
 		t.Fatal("pick from empty params != None")
 	}
 }
@@ -233,7 +233,7 @@ func TestWeightedPickZeroWeightNeverChosen(t *testing.T) {
 	r := rng.New(2)
 	phi := alloc.Params{1: 1, 2: 0}
 	for i := 0; i < 1000; i++ {
-		if weightedPick(r, phi) == 2 {
+		if weightedPick(r, phi, phi.Keys()) == 2 {
 			t.Fatal("zero-weight successor chosen")
 		}
 	}
