@@ -33,25 +33,24 @@ lint-concurrency:
 test:
 	$(GO) test ./...
 
-# Every pinned output in one command — chaos fixture hashes, the telemetry
-# and flood goldens, figure and shard determinism, every figure's Quick CSV
-# (internal/experiments/testdata/quick_figures.sha256), the router's cost
-# trajectory, live-vs-DES cross-validation: what a refactor runs to show
-# nothing observable moved. With them, the differential tests the
-# incremental control plane answers to (successor sets against a full
-# recompute, neighbor distances and the repaired tree against Dijkstra, the
-# maintained T against a rebuild, protonet's candidate list and the router's
-# weighted pick against the collect-and-sort each replaced) and the run-twice
-# test of both chaos runners over mdrfuzz's seed range.
+# Every pinned output in one command — chaos fixture hashes, both chaos
+# runners' outcomes over mdrfuzz's seed range
+# (internal/chaos/testdata/generated_outcomes.txt), the telemetry and flood
+# goldens, every figure's Quick CSV
+# (internal/experiments/testdata/quick_figures.sha256) and the invariance
+# table checked against it (worker, GOMAXPROCS, shard and telemetry knobs),
+# the router's cost trajectory, live-vs-DES cross-validation: what a
+# refactor runs to show nothing observable moved. With them, the
+# differential tests the incremental control plane answers to (successor
+# sets against a full recompute, neighbor distances and the repaired tree
+# against Dijkstra, the maintained T against a rebuild, protonet's candidate
+# list and the router's weighted pick against the collect-and-sort each
+# replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestShardDeterminismMatrix|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestProtoRunnerRunTwiceIdentical|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
 
-# go's default per-package limit is 10 minutes; internal/experiments needs
-# about 17 under -race on a 2-core host (992 s measured), so the gate sets
-# its own. That package fans out over every core, so a 4-core CI runner
-# needs roughly half of that and check.yml's 30-minute job limit is kept.
 race:
-	$(GO) test -race -timeout 25m ./...
+	$(GO) test -race ./...
 
 # Concurrency soak: the packages that own goroutines (transport ARQ and
 # mesh, node sessions, simpool workers, telemetry sinks) repeated under

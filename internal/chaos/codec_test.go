@@ -17,8 +17,8 @@ func TestFromBytesIsTotal(t *testing.T) {
 		{0},
 		{0xff, 0xff},
 		{1, 2, 3},
-		{3, 7, 9, 0xfe},                // random topo, truncated record
-		{2, 0, 0, 0, 0, 0, 0, 0},       // grid, one record
+		{3, 7, 9, 0xfe},          // random topo, truncated record
+		{2, 0, 0, 0, 0, 0, 0, 0}, // grid, one record
 		{0xaa, 0xbb, 0xcc, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5},
 	}
 	r := rng.New(77)

@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -190,37 +193,59 @@ func TestRunnersRejectInvalidScenario(t *testing.T) {
 	}
 }
 
-// TestProtoRunnerRunTwiceIdentical is the run-twice test over mdrfuzz's
-// seed range: every generated scenario, through both runners, twice in one
-// process, must report the same event count and trace hash. The scenarios
-// the hand-written one above does not resemble are the ones that found the
-// unordered restart (a map range deciding the order of a node's LinkUps).
-func TestProtoRunnerRunTwiceIdentical(t *testing.T) {
-	type outcome struct {
-		events int64
-		hash   string
-	}
+// TestGeneratedScenariosPinned holds every scenario of mdrfuzz's seed range,
+// through both runners, to the event count and trace hash it reported when
+// testdata/generated_outcomes.txt was taken (one "seed runner events hash"
+// line per run). A pin taken in another process catches everything a second
+// run in this one would: the scenarios the hand-written one above does not
+// resemble are the ones that found the unordered restart (a map range
+// deciding the order of a node's LinkUps), which moves a seed's hash here.
+//
+// Regenerate after an intentional behavioral change with:
+//
+//	CHAOS_UPDATE=1 go test -run TestGeneratedScenariosPinned ./internal/chaos
+func TestGeneratedScenariosPinned(t *testing.T) {
 	runners := []struct {
 		name string
 		fn   func(*Scenario) (*Result, error)
 	}{{"proto", RunProto}, {"des", RunDES}}
-	var first [200][2]outcome
-	for pass := 0; pass < 2; pass++ {
-		for seed := range first {
+	got := make([]string, 200*len(runners))
+	g := simpool.NewGroup()
+	for seed := 0; seed < 200; seed++ {
+		g.Go(func() error {
 			s := Generate(uint64(seed))
 			for i, r := range runners {
 				res, err := r.fn(s)
 				if err != nil {
-					t.Fatalf("seed %d (%s): %v", seed, r.name, err)
+					return fmt.Errorf("seed %d (%s): %w", seed, r.name, err)
 				}
-				got := outcome{res.Events, res.TraceHash}
-				if pass == 0 {
-					first[seed][i] = got
-				} else if got != first[seed][i] {
-					t.Errorf("seed %d (%s): second run %d events/%s, first %d/%s",
-						seed, r.name, got.events, got.hash, first[seed][i].events, first[seed][i].hash)
-				}
+				got[seed*len(runners)+i] = fmt.Sprintf("%d %s %d %s", seed, r.name, res.Events, res.TraceHash)
 			}
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	golden := filepath.Join("testdata", "generated_outcomes.txt")
+	if os.Getenv("CHAOS_UPDATE") != "" {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with CHAOS_UPDATE=1 to create): %v", err)
+	}
+	want := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%d runs, golden %s pins %d", len(got), golden, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("seed %d moved: got %q, golden has %q", i/len(runners), got[i], want[i])
 		}
 	}
 }

@@ -74,11 +74,11 @@ func TestNetworkTopologies(t *testing.T) {
 	}{
 		{Scenario{Topo: TopoNET1}, 10},
 		{Scenario{Topo: TopoCAIRN}, 26},
-		{Scenario{Topo: TopoRing}, 6},             // defaulted size
-		{Scenario{Topo: TopoRing, TopoN: 5}, 5},   // explicit size
-		{Scenario{Topo: TopoGrid}, 9},             // 3x3 default
-		{Scenario{Topo: TopoGrid, TopoN: 4}, 16},  // 4x4
-		{Scenario{Topo: TopoRandom}, 8},           // defaulted size
+		{Scenario{Topo: TopoRing}, 6},            // defaulted size
+		{Scenario{Topo: TopoRing, TopoN: 5}, 5},  // explicit size
+		{Scenario{Topo: TopoGrid}, 9},            // 3x3 default
+		{Scenario{Topo: TopoGrid, TopoN: 4}, 16}, // 4x4
+		{Scenario{Topo: TopoRandom}, 8},          // defaulted size
 		{Scenario{Topo: TopoRandom, TopoN: 10, TopoExtra: 3}, 10},
 	}
 	for _, tc := range cases {

@@ -301,9 +301,9 @@ func FuzzShardSchedule(f *testing.F) {
 	f.Add(uint64(7), uint8(2), uint8(2), uint8(1))
 	f.Add(uint64(0xdead), uint8(12), uint8(8), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, routers, shards, sends uint8) {
-		r := 2 + int(routers)%11   // 2..12
-		p := 1 + int(shards)%r     // 1..routers
-		n := 1 + int(sends)%12     // 1..12
+		r := 2 + int(routers)%11 // 2..12
+		p := 1 + int(shards)%r   // 1..routers
+		n := 1 + int(sends)%12   // 1..12
 		base, baseEvents := runMesh(t, seed, r, 0, n, 6, 0)
 		logs, events := runMesh(t, seed, r, p, n, 6, 0)
 		if events != baseEvents {

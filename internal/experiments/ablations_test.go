@@ -8,10 +8,7 @@ import (
 )
 
 func TestAblationAHDampedBeatsLiteral(t *testing.T) {
-	fig, err := AblationAH(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "abl-ah")
 	damped, literal := fig.ColumnMean(0), fig.ColumnMean(1)
 	if !(damped < literal) {
 		t.Fatalf("damped AH %v not better than literal %v", damped, literal)
@@ -24,10 +21,7 @@ func TestAblationAHDampedBeatsLiteral(t *testing.T) {
 }
 
 func TestAblationBaselineOrdering(t *testing.T) {
-	fig, err := AblationBaselines(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "abl-base")
 	// Columns: OPT, MP, ECMP, SP.
 	opt, mp, ecmp, sp := fig.ColumnMean(0), fig.ColumnMean(1), fig.ColumnMean(2), fig.ColumnMean(3)
 	if !(opt <= mp*1.05) {
@@ -43,10 +37,7 @@ func TestAblationBaselineOrdering(t *testing.T) {
 }
 
 func TestAblationEstimatorComparable(t *testing.T) {
-	fig, err := AblationEstimator(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "abl-est")
 	closed, online := fig.ColumnMean(0), fig.ColumnMean(1)
 	if online > closed*2 {
 		t.Fatalf("online estimator %v not comparable to closed form %v", online, closed)
@@ -54,10 +45,7 @@ func TestAblationEstimatorComparable(t *testing.T) {
 }
 
 func TestLoadSweepCrossover(t *testing.T) {
-	fig, err := LoadSweep(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "loadsweep")
 	// Light load: MP within 25% of SP (no advantage, per the paper).
 	lightMP, lightSP := fig.Data[0][0], fig.Data[0][1]
 	if lightMP > lightSP*1.25 {
@@ -71,10 +59,7 @@ func TestLoadSweepCrossover(t *testing.T) {
 }
 
 func TestConnectivitySweepShape(t *testing.T) {
-	fig, err := ConnectivitySweep(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "connsweep")
 	// Tree-like connectivity: no alternate paths, so MP and SP coincide.
 	treeMP, treeSP := fig.Data[0][0], fig.Data[0][1]
 	if relChange(treeMP, treeSP) > 0.02 {
@@ -95,10 +80,7 @@ func TestConnectivitySweepShape(t *testing.T) {
 }
 
 func TestJitterMPSmoother(t *testing.T) {
-	fig, err := Jitter(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "jitter")
 	mp, sp := fig.ColumnMean(0), fig.ColumnMean(1)
 	if !(mp < sp) {
 		t.Fatalf("MP jitter %v not below SP jitter %v", mp, sp)
@@ -106,10 +88,7 @@ func TestJitterMPSmoother(t *testing.T) {
 }
 
 func TestOverheadTradeoffShape(t *testing.T) {
-	fig, err := Overhead(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "overhead")
 	// Delay stays in the same regime across the whole Tl range...
 	d5, d40 := fig.Data[0][0], fig.Data[len(fig.Data)-1][0]
 	if d40 > d5*1.5 {

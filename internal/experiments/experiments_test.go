@@ -7,16 +7,15 @@ import (
 
 // The tests below assert the *shape* of each figure — who wins and by
 // roughly what factor — which is what the reproduction must preserve.
-// Quick settings are used; Full sharpens the numbers but not the ordering.
+// Quick settings are used, read from the cache TestQuickFiguresPinned
+// shares; Full sharpens the numbers but not the ordering. Like the pin,
+// they skip under the race detector.
 
 func TestFig9ShapeMPTracksOPT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CAIRN figure is slow")
 	}
-	fig, err := Fig9(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "fig9")
 	if len(fig.Columns) != 3 || fig.Columns[1] != "OPT+5%" {
 		t.Fatalf("columns = %v", fig.Columns)
 	}
@@ -31,10 +30,7 @@ func TestFig9ShapeMPTracksOPT(t *testing.T) {
 }
 
 func TestFig10ShapeMPTracksOPT(t *testing.T) {
-	fig, err := Fig10(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "fig10")
 	opt, mp := fig.ColumnMean(0), fig.ColumnMean(2)
 	if mp > opt*1.35 {
 		t.Fatalf("NET1 MP mean %v not comparable to OPT mean %v", mp, opt)
@@ -42,7 +38,7 @@ func TestFig10ShapeMPTracksOPT(t *testing.T) {
 }
 
 func TestFig11ShapeSPWorseThanMP(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("CAIRN figure is slow")
 	}
 	set := Quick
@@ -63,10 +59,7 @@ func TestFig11ShapeSPWorseThanMP(t *testing.T) {
 }
 
 func TestFig12ShapeSPMuchWorseOnNET1(t *testing.T) {
-	fig, err := Fig12(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "fig12")
 	mp2, sp := fig.ColumnMean(2), fig.ColumnMean(3)
 	if !(sp > mp2*2) {
 		t.Fatalf("NET1 SP mean %v not >> MP mean %v", sp, mp2)
@@ -81,10 +74,7 @@ func TestFig13ShapeTlSensitivityCAIRN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CAIRN figure is slow")
 	}
-	fig, err := Fig13(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "fig13")
 	// Columns: MP-TL-10, MP-TL-20, SP-TL-10, SP-TL-20.
 	mp10, mp20 := fig.ColumnMean(0), fig.ColumnMean(1)
 	sp10, sp20 := fig.ColumnMean(2), fig.ColumnMean(3)
@@ -100,10 +90,7 @@ func TestFig13ShapeTlSensitivityCAIRN(t *testing.T) {
 }
 
 func TestFig14ShapeTlSensitivityNET1(t *testing.T) {
-	fig, err := Fig14(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "fig14")
 	mp10, mp20 := fig.ColumnMean(0), fig.ColumnMean(1)
 	sp10, sp20 := fig.ColumnMean(2), fig.ColumnMean(3)
 	if relChange(mp10, mp20) > 0.5 {
@@ -118,10 +105,7 @@ func TestFig15ShapeDynamicCAIRN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CAIRN figure is slow")
 	}
-	fig, err := Fig15(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "fig15")
 	mp, sp := fig.ColumnMean(0), fig.ColumnMean(1)
 	if !(mp < sp) {
 		t.Fatalf("MP %v not better than SP %v under bursty traffic", mp, sp)
@@ -129,10 +113,7 @@ func TestFig15ShapeDynamicCAIRN(t *testing.T) {
 }
 
 func TestFig16ShapeDynamicNET1(t *testing.T) {
-	fig, err := Fig16(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "fig16")
 	mp, sp := fig.ColumnMean(0), fig.ColumnMean(1)
 	if !(mp < sp) {
 		t.Fatalf("MP %v not better than SP %v under bursty traffic", mp, sp)

@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestFailoverShape(t *testing.T) {
-	fig, err := Failover(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "failover")
 	// Rows: baseline, failed, recovered. Columns: MP, SP.
 	baseMP, baseSP := fig.Data[0][0], fig.Data[0][1]
 	failMP, failSP := fig.Data[1][0], fig.Data[1][1]

@@ -3,6 +3,6 @@
 package experiments
 
 // raceEnabled reports whether the race detector is compiled in. Every
-// figure at Quick takes ~12 s plain and several minutes raced, so the
-// pinned-figures test skips.
+// figure at Quick takes ~8 s plain and several minutes raced, so the pin
+// and the shape tests skip.
 const raceEnabled = true
