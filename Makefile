@@ -39,7 +39,8 @@ test:
 # goldens, every figure's Quick CSV
 # (internal/experiments/testdata/quick_figures.sha256) and the invariance
 # table checked against it (worker, GOMAXPROCS, shard and telemetry knobs),
-# the router's cost trajectory, live-vs-DES cross-validation: what a
+# the packet paths rebuilt from the event log at shards 1, 2 and 3, the
+# router's cost trajectory, live-vs-DES cross-validation: what a
 # refactor runs to show nothing observable moved. With them, the
 # differential tests the incremental control plane answers to (successor
 # sets against a full recompute, neighbor distances and the repaired tree
@@ -47,7 +48,7 @@ test:
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core
 
 race:
 	$(GO) test -race ./...
@@ -66,12 +67,13 @@ race-soak:
 	GOMAXPROCS=16 GOGC=5 GODEBUG=clobberfree=1 $(GO) test -race -count=$(RACE_SOAK_COUNT) -timeout 10m ./internal/transport/... ./internal/node ./internal/simpool ./internal/telemetry ./internal/despart ./internal/obs ./internal/dataplane
 
 # Telemetry-overhead guard: with instrumentation disabled (no probes), the
-# DES packet hot loop and all sink methods must cost zero allocations, and
-# the live ARQ stats callbacks must stay allocation-free even with
-# instruments enabled (they write through precomputed atomic handles). Runs
-# without -race because AllocsPerRun is unreliable under the race detector.
+# DES packet hot loop and all sink methods must cost zero allocations, an
+# Event must stay 64 bytes, and the live ARQ stats callbacks must stay
+# allocation-free even with instruments enabled (they write through
+# precomputed atomic handles). Runs without -race because AllocsPerRun is
+# unreliable under the race detector.
 telemetry-guard:
-	$(GO) test -count=1 -run 'TestTelemetryDisabledZeroAlloc|TestDisabledProbesZeroAlloc|TestNilSinksAreSafe' ./internal/des ./internal/telemetry
+	$(GO) test -count=1 -run 'TestTelemetryDisabledZeroAlloc|TestDisabledProbesZeroAlloc|TestNilSinksAreSafe|TestEventSize' ./internal/des ./internal/telemetry
 	$(GO) test -count=1 -run 'TestARQStatsDisabledNil|TestARQStatsEnabledZeroAlloc' ./internal/node
 
 # Codec-overhead guard: frame encode into a reused buffer and scratch

@@ -1,6 +1,6 @@
 // Custom: define your own network in the text scenario format, simulate it
 // under multipath routing, and inspect where individual packets actually
-// went using the path tracer.
+// went, rebuilding their paths from the telemetry event log.
 //
 //	go run ./examples/custom
 package main
@@ -11,6 +11,8 @@ import (
 	"strings"
 
 	"minroute/internal/core"
+	"minroute/internal/graph"
+	"minroute/internal/telemetry"
 	"minroute/internal/topo"
 )
 
@@ -41,7 +43,7 @@ func main() {
 	opt := core.DefaultOptions()
 	opt.Warmup, opt.Duration = 40, 20
 	opt.Seed = 9
-	opt.TraceCapacity = 5000 // record recent packet paths
+	opt.Telemetry = telemetry.NewCapture(net.Graph.NumNodes()) // record recent packet events
 
 	sim := core.Build(net, opt)
 	rep := sim.Run()
@@ -58,16 +60,21 @@ func main() {
 	fmt.Println()
 
 	// The 12 Mb/s of eastbound demand cannot fit the 10 Mb/s direct middle
-	// link; the tracer shows packets of the same flow taking both the
-	// direct link and the mid detour.
-	delivered, withRevisit, maxHops := sim.Tracer.Audit()
+	// link; the packet paths show the same flow taking both the direct link
+	// and the mid detour.
+	src := make([]graph.NodeID, len(net.Flows))
+	for x, f := range net.Flows {
+		src[x] = f.Src
+	}
+	paths := telemetry.Paths(opt.Telemetry.Trace.Events(), src)
+	delivered, withRevisit, maxHops := telemetry.Audit(paths)
 	fmt.Printf("\ntraced %d delivered packets, %d with node revisits, longest path %d hops\n",
 		delivered, withRevisit, maxHops)
 
 	direct, detour := 0, 0
 	mid := net.Graph.MustLookup("mid")
-	for _, p := range sim.Tracer.Paths() {
-		if !p.Delivered || p.FlowID != 0 {
+	for _, p := range paths {
+		if !p.Delivered() || p.Flow != 0 {
 			continue
 		}
 		viaMid := false

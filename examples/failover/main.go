@@ -33,9 +33,7 @@ func main() {
 	audit("after warmup:")
 
 	window := func(label string, until float64) {
-		for _, s := range sim.Stats {
-			s.Reset()
-		}
+		sim.BeginMeasurement()
 		sim.Eng.Run(until)
 		rep := sim.Report()
 		delivered := int64(0)

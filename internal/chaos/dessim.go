@@ -358,7 +358,7 @@ func ledger(n *core.Network) oracle.Ledger {
 	var led oracle.Ledger
 	for x := range n.Flows {
 		led.Offered += n.SentPackets[x]
-		led.Delivered += n.Stats[x].Count()
+		led.Delivered += n.Delivered(x)
 	}
 	for _, id := range n.Graph.Nodes() {
 		node := n.Nodes[id]

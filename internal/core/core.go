@@ -15,12 +15,10 @@ import (
 	"minroute/internal/graph"
 	"minroute/internal/lfi"
 	"minroute/internal/lsu"
-	"minroute/internal/metrics"
 	"minroute/internal/mpda"
 	"minroute/internal/router"
 	"minroute/internal/telemetry"
 	"minroute/internal/topo"
-	"minroute/internal/trace"
 	"minroute/internal/traffic"
 )
 
@@ -42,20 +40,16 @@ type Options struct {
 	// Source builds the traffic source for a flow; nil selects Poisson with
 	// the router's mean packet size.
 	Source func(f topo.Flow) traffic.Source
-	// TraceCapacity, when positive, records the forwarding path of the most
-	// recent packets (Network.Tracer). Serial runs only: see Shards.
-	TraceCapacity int
 	// Telemetry, when non-nil, instruments the whole network — control and
-	// data planes — into the capture's event bus and metrics registry. Nil
-	// (the default) costs one branch per probe site and nothing else.
+	// data planes — into the capture's event bus and metrics registry, from
+	// which telemetry.Paths rebuilds packet paths. Nil (the default) costs
+	// one branch per probe site and nothing else.
 	Telemetry *telemetry.Capture
 	// Shards splits the routers across this many event-engine shards
 	// executed in conservative lockstep windows (internal/despart); 0 or 1
 	// runs the classic single-engine simulation. Every artifact — figures,
 	// JSONL event logs, metrics snapshots — is byte-identical at any shard
-	// count. TraceCapacity (the path recorder) is the one feature a sharded
-	// run does not have — its single shared map is not worth sharding — and
-	// asking for both panics at build.
+	// count.
 	Shards int
 	// ShardWindow overrides the conservative window width Δ in seconds
 	// (0 selects the minimum cross-shard propagation delay). Harnesses
@@ -91,7 +85,6 @@ type Network struct {
 	Nodes map[graph.NodeID]*router.Node
 	Ports map[[2]graph.NodeID]*des.Port
 	Flows []topo.Flow
-	Stats []*metrics.DelayStats
 	opt   Options
 
 	// Part coordinates the shards of a sharded run; nil when serial.
@@ -106,9 +99,6 @@ type Network struct {
 	// (one writer lane per router; ControlMessages/ControlBits fold them).
 	controlMsgs []int64
 	controlBits []float64
-	// Tracer records packet paths when Options.TraceCapacity > 0 (serial
-	// runs only; Build refuses the combination with Shards > 1).
-	Tracer *trace.Recorder
 	// tel and its derived probes are nil unless Options.Telemetry was set.
 	// tracers[s]/nodeProbes[s] are shard s's event-bus lane; index 0 is the
 	// capture's root tracer, which also carries harness-scope emissions.
@@ -122,10 +112,8 @@ type Network struct {
 	// flowSerial[x] counts flow x's generated packets; the wire serial packs
 	// (x+1) above it so serials stay unique without a global counter.
 	flowSerial []uint64
-	// reordering bookkeeping: per-flow highest serial seen and counts.
-	flowMaxSerial []uint64
-	flowLate      []int64
-	flowArrived   []int64
+	// flows[x] is flow x's record at its destination.
+	flows []flowStats
 	// failed holds the explicitly failed duplex links (see LinkUp), under
 	// both directed keys like Ports.
 	failed map[[2]graph.NodeID]bool
@@ -161,6 +149,11 @@ func (n *Network) Engines() []*des.Engine { return n.engines }
 // shard.
 func (n *Network) EngineOf(id graph.NodeID) *des.Engine { return n.engines[n.shardOf[id]] }
 
+// Delivered returns how many of flow x's packets have reached its
+// destination since BeginMeasurement, or since the run began if it has not
+// been called.
+func (n *Network) Delivered(x int) int64 { return n.flows[x].count }
+
 // Build wires the network described by net under the given options.
 func Build(net *topo.Network, opt Options) *Network {
 	if opt.Router == (router.Config{}) {
@@ -182,7 +175,6 @@ func Build(net *topo.Network, opt Options) *Network {
 		Nodes:       make(map[graph.NodeID]*router.Node),
 		Ports:       make(map[[2]graph.NodeID]*des.Port),
 		Flows:       net.Flows,
-		Stats:       make([]*metrics.DelayStats, len(net.Flows)),
 		SentPackets: make([]int64, len(net.Flows)),
 		opt:         opt,
 		engines:     make([]*des.Engine, shards),
@@ -206,14 +198,11 @@ func Build(net *topo.Network, opt Options) *Network {
 	n.controlBits = make([]float64, numNodes)
 	n.maxHops = make([]int, numNodes)
 	n.flowSerial = make([]uint64, len(net.Flows))
-	n.flowMaxSerial = make([]uint64, len(net.Flows))
-	n.flowLate = make([]int64, len(net.Flows))
-	n.flowArrived = make([]int64, len(net.Flows))
-	if opt.TraceCapacity > 0 {
-		if shards > 1 {
-			panic("core: Options.TraceCapacity needs a serial run: the path recorder is one shared map, so Network.Tracer does not exist when Shards > 1")
-		}
-		n.Tracer = trace.NewRecorder(opt.TraceCapacity)
+	// Each flow seeds its own reservoir-sampling stream so percentile
+	// estimates stay decorrelated.
+	n.flows = make([]flowStats, len(net.Flows))
+	for x := range n.flows {
+		n.flows[x] = newFlowStats(uint64(x))
 	}
 	if opt.Telemetry != nil {
 		n.tel = opt.Telemetry
@@ -316,11 +305,7 @@ func Build(net *topo.Network, opt Options) *Network {
 		}
 	}
 
-	// Delay measurement at each flow destination. Each flow seeds its own
-	// reservoir-sampling stream so percentile estimates stay decorrelated.
-	for x := range n.Flows {
-		n.Stats[x] = metrics.NewDelayStats(uint64(x))
-	}
+	// Delay and reordering measurement at each flow destination.
 	for _, id := range net.Graph.Nodes() {
 		node := n.Nodes[id]
 		id := id
@@ -330,9 +315,9 @@ func Build(net *topo.Network, opt Options) *Network {
 			tr = n.tracers[n.shardOf[id]]
 		}
 		node.OnArrive = func(pkt *des.Packet) {
-			if pkt.FlowID >= 0 && pkt.FlowID < len(n.Stats) {
+			if pkt.FlowID >= 0 && pkt.FlowID < len(n.flows) {
 				delay := eng.Now() - pkt.Created
-				n.Stats[pkt.FlowID].Add(delay)
+				n.flows[pkt.FlowID].arrive(delay, pkt.Serial)
 				if pkt.Hops > n.maxHops[id] {
 					n.maxHops[id] = pkt.Hops
 				}
@@ -341,26 +326,9 @@ func Build(net *topo.Network, opt Options) *Network {
 					ev := telemetry.NewEvent(eng.Now(), telemetry.KindPktDeliver, id)
 					ev.Dst = pkt.Dst
 					ev.Flow = int32(pkt.FlowID)
+					ev.Pkt = uint32(pkt.Serial)
 					ev.Value = delay
 					tr.Emit(ev)
-				}
-				if n.Tracer != nil && pkt.Serial != 0 {
-					n.Tracer.Deliver(pkt.Serial, eng.Now())
-				}
-				if pkt.Serial != 0 {
-					n.flowArrived[pkt.FlowID]++
-					if pkt.Serial < n.flowMaxSerial[pkt.FlowID] {
-						n.flowLate[pkt.FlowID]++
-					} else {
-						n.flowMaxSerial[pkt.FlowID] = pkt.Serial
-					}
-				}
-			}
-		}
-		if n.Tracer != nil {
-			node.OnForward = func(pkt *des.Packet, next graph.NodeID) {
-				if pkt.Serial != 0 {
-					n.Tracer.Step(pkt.Serial, next, eng.Now())
 				}
 			}
 		}
@@ -393,9 +361,6 @@ func Build(net *topo.Network, opt Options) *Network {
 					Dst:     f.Dst,
 					Bits:    bits,
 					Created: eng.Now(),
-				}
-				if n.Tracer != nil {
-					n.Tracer.Begin(pkt.Serial, x, f.Src, f.Dst, eng.Now())
 				}
 				node.HandleData(pkt)
 			})
@@ -493,14 +458,15 @@ func (n *Network) RunUntil(t float64) {
 	}
 }
 
-// BeginMeasurement resets the per-flow statistics and starts counting
-// offered packets from the current instant. Network.Run calls it at the end
-// of warmup; harnesses that drive the engine directly (e.g. the chaos
-// runner) call it themselves — typically right after Start, so the
-// conservation oracle sees every packet of the run.
+// BeginMeasurement resets the per-flow statistics — delays and reordering
+// alike — and starts counting offered packets from the current instant.
+// Network.Run calls it at the end of warmup; harnesses that drive the
+// engine directly (e.g. the chaos runner) call it themselves — typically
+// right after Start, so the conservation oracle sees every packet of the
+// run.
 func (n *Network) BeginMeasurement() {
-	for _, s := range n.Stats {
-		s.Reset()
+	for x := range n.flows {
+		n.flows[x].reset()
 	}
 	n.warmupDone = true
 }
@@ -636,9 +602,6 @@ func (n *Network) syncTelemetry() {
 	reg.Counter("control.bits").Set(n.ControlBits())
 	reg.Counter("telemetry.events.emitted").Set(float64(n.tel.Trace.Emitted()))
 	reg.Counter("telemetry.events.dropped").Set(float64(n.tel.Trace.Dropped()))
-	if n.Tracer != nil {
-		reg.Counter("trace.paths.dropped").Set(float64(n.Tracer.Dropped()))
-	}
 }
 
 // ExportTelemetry writes the run's telemetry artifacts (JSONL event log,
@@ -658,9 +621,8 @@ func (n *Network) ExportTelemetry(dir, prefix string) error {
 // routing graph.
 func (n *Network) LiveViews() map[graph.NodeID]lfi.RouterView {
 	views := make(map[graph.NodeID]lfi.RouterView, len(n.Nodes))
-	//lint:maporder-ok distinct-key inserts of a pure accessor's result commute
-	for id, node := range n.Nodes {
-		if !node.Down() {
+	for _, id := range n.Graph.Nodes() {
+		if node := n.Nodes[id]; !node.Down() {
 			views[id] = node.Protocol()
 		}
 	}
@@ -710,17 +672,14 @@ func (n *Network) Report() *Report {
 	}
 	r := &Report{ControlMessages: n.ControlMessages(), MaxHops: maxHops}
 	for x, f := range n.Flows {
+		s := &n.flows[x]
 		r.FlowNames = append(r.FlowNames, f.Name)
-		r.MeanDelayMs = append(r.MeanDelayMs, n.Stats[x].Mean()*1e3)
-		r.P95DelayMs = append(r.P95DelayMs, n.Stats[x].Percentile(95)*1e3)
-		r.StdDevMs = append(r.StdDevMs, n.Stats[x].StdDev()*1e3)
-		r.Delivered = append(r.Delivered, n.Stats[x].Count())
+		r.MeanDelayMs = append(r.MeanDelayMs, s.mean()*1e3)
+		r.P95DelayMs = append(r.P95DelayMs, s.percentile(95)*1e3)
+		r.StdDevMs = append(r.StdDevMs, s.stdDev()*1e3)
+		r.Delivered = append(r.Delivered, s.count)
 		r.Offered = append(r.Offered, n.SentPackets[x])
-		if n.flowArrived[x] > 0 {
-			r.Reordered = append(r.Reordered, float64(n.flowLate[x])/float64(n.flowArrived[x]))
-		} else {
-			r.Reordered = append(r.Reordered, 0)
-		}
+		r.Reordered = append(r.Reordered, s.reordered())
 	}
 	for _, node := range n.Nodes {
 		r.DropsNoRoute += node.DroppedNoRoute

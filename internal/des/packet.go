@@ -6,8 +6,9 @@ import "minroute/internal/graph"
 // Control payload; routing-protocol packets carry Control != nil and travel
 // in the lossless priority band.
 type Packet struct {
-	// Serial uniquely identifies a data packet when path tracing is on
-	// (zero when untraced).
+	// Serial uniquely identifies a data packet: core packs the flow above a
+	// per-flow count starting at 1, and telemetry events carry the low 32
+	// bits as Event.Pkt. Zero on control packets.
 	Serial uint64
 	// FlowID indexes the experiment's flow table; -1 for control traffic.
 	FlowID int

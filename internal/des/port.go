@@ -236,7 +236,7 @@ func (p *Port) Send(pkt *Packet) bool {
 		p.data.push(it)
 		p.dataBits += pkt.Bits
 		if p.Probe != nil {
-			p.Probe.Enqueue(it.enq, int32(pkt.FlowID), pkt.Dst, p.dataBits)
+			p.Probe.Enqueue(it.enq, int32(pkt.FlowID), uint32(pkt.Serial), pkt.Dst, p.dataBits)
 		}
 	}
 	if !p.busy {
@@ -272,7 +272,7 @@ func (p *Port) finishTransmission() {
 		if !it.pkt.IsControl() {
 			p.lostTx++
 			if p.Probe != nil {
-				p.Probe.LostTx(p.eng.Now(), int32(it.pkt.FlowID), it.pkt.Dst)
+				p.Probe.LostTx(p.eng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
 			}
 		}
 		p.eng.FreePacket(it.pkt)
@@ -311,7 +311,7 @@ func (p *Port) deliverNext() {
 		if !it.pkt.IsControl() {
 			p.lostRx++
 			if p.Probe != nil {
-				p.Probe.LostRx(p.rEng.Now(), int32(it.pkt.FlowID), it.pkt.Dst)
+				p.Probe.LostRx(p.rEng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
 			}
 		}
 		p.rEng.FreePacket(it.pkt)
@@ -340,7 +340,7 @@ func (p *Port) SetDown(down bool) {
 			p.DroppedBits += it.pkt.Bits
 			p.lostTx++
 			if p.Probe != nil {
-				p.Probe.LostTx(p.eng.Now(), int32(it.pkt.FlowID), it.pkt.Dst)
+				p.Probe.LostTx(p.eng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
 			}
 			p.eng.FreePacket(it.pkt)
 		}

@@ -184,9 +184,6 @@ type Node struct {
 	// OnArrive is invoked for every data packet whose destination is this
 	// node (set by the network assembly).
 	OnArrive func(pkt *des.Packet)
-	// OnForward, when set, observes every forwarding decision (packet and
-	// chosen next hop) before transmission; the path tracer hooks here.
-	OnForward func(pkt *des.Packet, next graph.NodeID)
 	// OnAlloc, when set, observes every routing-parameter step — each IH
 	// build and each AH adjustment — with the destination, the parameters
 	// just produced, and the successor set they must cover. The φ-simplex
@@ -635,9 +632,6 @@ func (n *Node) HandleData(pkt *des.Packet) {
 		return
 	}
 	pkt.Hops++
-	if n.OnForward != nil {
-		n.OnForward(pkt, l.to)
-	}
 	if !l.port.Send(pkt) {
 		n.drop(&n.DroppedQueue, telemetry.KindDropQueue, pkt)
 		return
@@ -653,6 +647,7 @@ func (n *Node) drop(counter *int64, k telemetry.Kind, pkt *des.Packet) {
 		ev := telemetry.NewEvent(n.eng.Now(), k, n.id)
 		ev.Dst = pkt.Dst
 		ev.Flow = int32(pkt.FlowID)
+		ev.Pkt = uint32(pkt.Serial)
 		ev.Value = 1
 		n.tel.Tracer.Emit(ev)
 	}

@@ -18,9 +18,10 @@ const (
 	AttrFlow   AttrKey = "flow"
 	AttrValue  AttrKey = "value"
 	AttrLabel  AttrKey = "label"
+	AttrPkt    AttrKey = "pkt"
 )
 
 // Attrs lists every registered key in canonical wire order.
 var Attrs = []AttrKey{
-	AttrT, AttrSeq, AttrKind, AttrRouter, AttrPeer, AttrDst, AttrFlow, AttrValue, AttrLabel,
+	AttrT, AttrSeq, AttrKind, AttrRouter, AttrPeer, AttrDst, AttrFlow, AttrValue, AttrLabel, AttrPkt,
 }

@@ -14,7 +14,8 @@ import (
 // trailing newline) to b. The encoding is hand-rolled so the field order
 // and float formatting are fixed — the log must hash identically
 // run-to-run, which encoding/json's map-order and append-buffer behaviors
-// do not promise as directly. Label is omitted when empty.
+// do not promise as directly. Label is omitted when empty, and Pkt when
+// zero.
 func AppendJSONL(b []byte, ev Event) []byte {
 	b = append(b, '{')
 	b = appendAttr(b, AttrT)
@@ -44,6 +45,11 @@ func AppendJSONL(b []byte, ev Event) []byte {
 		b = append(b, ',')
 		b = appendAttr(b, AttrLabel)
 		b = strconv.AppendQuote(b, ev.Label)
+	}
+	if ev.Pkt != 0 {
+		b = append(b, ',')
+		b = appendAttr(b, AttrPkt)
+		b = strconv.AppendUint(b, uint64(ev.Pkt), 10)
 	}
 	return append(b, '}')
 }
@@ -79,6 +85,7 @@ type jsonlEvent struct {
 	Flow   int32   `json:"flow"`
 	Value  float64 `json:"value"`
 	Label  string  `json:"label"`
+	Pkt    uint32  `json:"pkt"`
 }
 
 // ReadJSONL parses an event log written by WriteJSONL. Used by mdrtrace
@@ -112,6 +119,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 			Flow:   je.Flow,
 			Value:  je.Value,
 			Label:  je.Label,
+			Pkt:    je.Pkt,
 		})
 	}
 	if err := sc.Err(); err != nil {

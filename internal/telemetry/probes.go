@@ -28,11 +28,11 @@ type LinkProbe struct {
 	LostPkts *Counter
 }
 
-// Enqueue records a data packet accepted into the data band; queuedBits is
-// the backlog including the new packet.
-func (p *LinkProbe) Enqueue(t float64, flow int32, dst graph.NodeID, queuedBits float64) {
+// Enqueue records packet pkt of flow accepted into the data band (one hop
+// of its path); queuedBits is the backlog including the new packet.
+func (p *LinkProbe) Enqueue(t float64, flow int32, pkt uint32, dst graph.NodeID, queuedBits float64) {
 	p.QueueBits.Observe(t, queuedBits)
-	p.Tracer.Emit(Event{T: t, Kind: KindPktEnqueue, Router: p.From, Peer: p.To, Dst: dst, Flow: flow, Value: queuedBits})
+	p.Tracer.Emit(Event{T: t, Kind: KindPktEnqueue, Router: p.From, Peer: p.To, Dst: dst, Flow: flow, Pkt: pkt, Value: queuedBits})
 }
 
 // Transmit records a completed data transmission of the given size.
@@ -42,20 +42,20 @@ func (p *LinkProbe) Transmit(t, bits float64) {
 
 // LostTx records a data packet lost on the sender side of a failed link
 // (queued at SetDown or mid-transmission).
-func (p *LinkProbe) LostTx(t float64, flow int32, dst graph.NodeID) {
+func (p *LinkProbe) LostTx(t float64, flow int32, pkt uint32, dst graph.NodeID) {
 	p.LostPkts.AddSlot(0, 1)
-	p.Tracer.Emit(Event{T: t, Kind: KindPktLost, Router: p.From, Peer: p.To, Dst: dst, Flow: flow, Value: 1})
+	p.Tracer.Emit(Event{T: t, Kind: KindPktLost, Router: p.From, Peer: p.To, Dst: dst, Flow: flow, Pkt: pkt, Value: 1})
 }
 
 // LostRx records a data packet lost on the receiver side (propagating when
 // the failure hit), emitting through the receiver shard's tracer.
-func (p *LinkProbe) LostRx(t float64, flow int32, dst graph.NodeID) {
+func (p *LinkProbe) LostRx(t float64, flow int32, pkt uint32, dst graph.NodeID) {
 	p.LostPkts.AddSlot(1, 1)
 	tr := p.RxTracer
 	if tr == nil {
 		tr = p.Tracer
 	}
-	tr.Emit(Event{T: t, Kind: KindPktLost, Router: p.From, Peer: p.To, Dst: dst, Flow: flow, Value: 1})
+	tr.Emit(Event{T: t, Kind: KindPktLost, Router: p.From, Peer: p.To, Dst: dst, Flow: flow, Pkt: pkt, Value: 1})
 }
 
 // NodeProbes instruments the control plane of router.Nodes. One instance

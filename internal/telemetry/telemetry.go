@@ -202,8 +202,13 @@ type Event struct {
 	Peer   graph.NodeID // link peer or LSU neighbor
 	Dst    graph.NodeID // packet or routing-table destination
 	Flow   int32        // flow ID; -1 for control traffic
-	Value  float64      // kind-specific magnitude (bits, seconds, entries, ...)
-	Label  string       // free-form tag (fault names)
+	// Pkt numbers a data packet within its flow (the low 32 bits of
+	// des.Packet.Serial, counting from 1), so (Flow, Pkt) follows one packet
+	// across its enqueue, deliver, drop and loss events; 0 on every other
+	// event. It fills the padding after Flow: Event stays 64 bytes.
+	Pkt   uint32
+	Value float64 // kind-specific magnitude (bits, seconds, entries, ...)
+	Label string  // free-form tag (fault names)
 }
 
 // NewEvent returns an event at time t with the non-applicable attribute

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"minroute/internal/graph"
 )
@@ -152,6 +153,15 @@ func TestDisabledProbesZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEventSize: Pkt lives in the padding after Flow. A wider Event costs
+// every ring slot and every merge copy, enabled or not.
+func TestEventSize(t *testing.T) {
+	leaktest.Check(t)
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("Event is %d bytes, want 64", got)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	leaktest.Check(t)
 	h := &Histogram{width: 2}
@@ -260,7 +270,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		{T: 0, Seq: 1, Kind: KindPhaseActive, Router: 0, Peer: graph.None, Dst: graph.None, Flow: -1},
 		{T: 0.25, Seq: 2, Kind: KindLSUSend, Router: 0, Peer: 1, Dst: graph.None, Flow: -1, Value: 640},
-		{T: 0.25, Seq: 3, Kind: KindPktEnqueue, Router: 1, Peer: 2, Dst: 5, Flow: 3, Value: 8000},
+		{T: 0.25, Seq: 3, Kind: KindPktEnqueue, Router: 1, Peer: 2, Dst: 5, Flow: 3, Pkt: 1<<32 - 1, Value: 8000},
 		{T: 1.5, Seq: 4, Kind: KindFaultStart, Router: graph.None, Peer: graph.None, Dst: graph.None, Flow: -1, Label: "link-fail 0-1"},
 	}
 	var buf bytes.Buffer
@@ -283,9 +293,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestJSONLFixedKeyOrder(t *testing.T) {
 	leaktest.Check(t)
-	ev := Event{T: 1.25, Seq: 7, Kind: KindPktDeliver, Router: 4, Peer: graph.None, Dst: 4, Flow: 2, Value: 0.01, Label: "x"}
+	ev := Event{T: 1.25, Seq: 7, Kind: KindPktDeliver, Router: 4, Peer: graph.None, Dst: 4, Flow: 2, Pkt: 9, Value: 0.01, Label: "x"}
 	got := string(AppendJSONL(nil, ev))
-	want := `{"t":1.25,"seq":7,"kind":"pkt_deliver","router":4,"peer":-1,"dst":4,"flow":2,"value":0.01,"label":"x"}`
+	want := `{"t":1.25,"seq":7,"kind":"pkt_deliver","router":4,"peer":-1,"dst":4,"flow":2,"value":0.01,"label":"x","pkt":9}`
 	if got != want {
 		t.Fatalf("JSONL line:\n got %s\nwant %s", got, want)
 	}
