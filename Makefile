@@ -40,15 +40,17 @@ test:
 # (internal/experiments/testdata/quick_figures.sha256) and the invariance
 # table checked against it (worker, GOMAXPROCS, shard and telemetry knobs),
 # the packet paths rebuilt from the event log at shards 1, 2 and 3, the
-# router's cost trajectory, live-vs-DES cross-validation: what a
-# refactor runs to show nothing observable moved. With them, the
+# router's cost trajectory, the fault injector's loss, duplication and
+# reorder positions on both faces of a medium, live-vs-DES
+# cross-validation: what a refactor runs to show nothing observable
+# moved. With them, the
 # differential tests the incremental control plane answers to (successor
 # sets against a full recompute, neighbor distances and the repaired tree
 # against Dijkstra, the maintained T against a rebuild, protonet's candidate
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport
 
 race:
 	$(GO) test -race ./...

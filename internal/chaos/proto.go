@@ -96,12 +96,17 @@ func (st *protoState) installHooks(id graph.NodeID, r *mpda.Router) {
 	if st.tel == nil {
 		return
 	}
+	var activeSince float64
 	r.OnPhase = func(active bool) {
-		k := telemetry.KindPhasePassive
+		now := st.now()
 		if active {
-			k = telemetry.KindPhaseActive
+			activeSince = now
+			st.tel.Trace.Emit(telemetry.NewEvent(now, telemetry.KindPhaseActive, id))
+			return
 		}
-		st.tel.Trace.Emit(telemetry.NewEvent(st.now(), k, id))
+		ev := telemetry.NewEvent(now, telemetry.KindPhasePassive, id)
+		ev.Value = now - activeSince
+		st.tel.Trace.Emit(ev)
 	}
 	r.OnCommit = func(changed int) {
 		ev := telemetry.NewEvent(st.now(), telemetry.KindTableCommit, id)

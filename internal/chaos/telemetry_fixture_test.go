@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"minroute/internal/graph"
 	"minroute/internal/telemetry"
 )
 
@@ -58,5 +59,54 @@ func TestTelemetryFixtureGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("telemetry event log drifted from golden %s (got %d bytes, want %d); rerun with CHAOS_UPDATE=1 if intentional",
 			golden, buf.Len(), len(want))
+	}
+}
+
+// TestPhasePassiveCarriesActiveDuration holds both runners to the event
+// schema: a phase_passive event's value is the ACTIVE phase it ends, its
+// time minus that router's preceding phase_active time, in the runner's
+// own timebase (delivery attempts for the protocol harness, seconds for
+// the DES).
+func TestPhasePassiveCarriesActiveDuration(t *testing.T) {
+	s, err := Load(filepath.Join("testdata", "regress-dup-ack-credit.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := s.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := []struct {
+		name string
+		run  func(*Scenario, *telemetry.Capture) (*Result, error)
+	}{{"proto", RunProtoWith}, {"des", RunDESWith}}
+	for _, r := range runners {
+		t.Run(r.name, func(t *testing.T) {
+			tel := telemetry.NewCapture(tn.Graph.NumNodes())
+			if _, err := r.run(s, tel); err != nil {
+				t.Fatal(err)
+			}
+			activeAt := map[graph.NodeID]float64{}
+			passives := 0
+			for _, ev := range tel.Trace.Events() {
+				switch ev.Kind {
+				case telemetry.KindPhaseActive:
+					activeAt[ev.Router] = ev.T
+				case telemetry.KindPhasePassive:
+					passives++
+					start, ok := activeAt[ev.Router]
+					if !ok {
+						t.Fatalf("router %d: phase_passive at %v with no phase_active before it", ev.Router, ev.T)
+					}
+					if want := ev.T - start; ev.Value != want {
+						t.Fatalf("router %d: phase_passive at %v carries %v, want %v (ACTIVE since %v)",
+							ev.Router, ev.T, ev.Value, want, start)
+					}
+				}
+			}
+			if passives == 0 {
+				t.Fatal("capture holds no phase_passive event")
+			}
+		})
 	}
 }

@@ -257,7 +257,7 @@ func Build(net *topo.Network, opt Options) *Network {
 		sEng := n.engines[n.shardOf[l.From]]
 		rEng := n.engines[n.shardOf[l.To]]
 		to := n.Nodes[l.To]
-		port := des.NewPort(sEng, l, opt.Router.QueueBits, func(pkt *des.Packet) {
+		port := des.NewPort(sEng, l, des.DefaultQueueBits, func(pkt *des.Packet) {
 			if pkt.IsControl() {
 				// The LSU is fully consumed inside HandleControl; the
 				// packet record goes straight back to the pool.

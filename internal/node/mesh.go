@@ -90,24 +90,22 @@ type Mesh struct {
 // matching fabric, faults derived per node, and the topology's link model
 // as the emulated per-hop latency.
 func (m *Mesh) dataForwarder(id graph.NodeID, nn int, dir map[[2]graph.NodeID]*graph.Link, cfg MeshConfig) (*dataplane.Forwarder, error) {
-	var conn transport.Datagram
+	var conn transport.Medium
 	if cfg.Fabric == FabricInmem || cfg.Fabric == "" {
 		if m.dataNet == nil {
 			m.dataNet = transport.NewMemNet()
 		}
 		conn = m.dataNet.Bind()
 	} else {
-		c, err := transport.BindUDPDatagram("127.0.0.1:0")
+		c, err := transport.BindUDP("127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
 		conn = c
 	}
-	if cfg.DataFault.Active() {
-		f := cfg.DataFault
-		f.Seed = cfg.DataFault.Seed ^ (uint64(id)<<8 | 3)
-		conn = transport.WithDatagramFaults(conn, f)
-	}
+	f := cfg.DataFault
+	f.Seed = cfg.DataFault.Seed ^ (uint64(id)<<8 | 3)
+	conn = transport.WithFaults(conn, f)
 	var reg *telemetry.Registry
 	if m.regs != nil {
 		reg = m.regs[id]

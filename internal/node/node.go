@@ -642,9 +642,8 @@ func (n *Node) Outstanding() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	total := 0
-	//lint:maporder-ok commutative integer sum; order cannot show
-	for _, p := range n.peers {
-		if o, ok := p.conn.(interface{ Outstanding() int }); ok {
+	for _, id := range n.peerIDsLocked() {
+		if o, ok := n.peers[id].conn.(interface{ Outstanding() int }); ok {
 			total += o.Outstanding()
 		}
 	}
@@ -669,8 +668,8 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
-	//lint:maporder-ok independent per-peer teardown; order is immaterial
-	for id, p := range n.peers {
+	for _, id := range n.peerIDsLocked() {
+		p := n.peers[id]
 		p.down = true
 		p.hb.Stop()
 		p.dead.Stop()
@@ -680,7 +679,7 @@ func (n *Node) Close() {
 	}
 	// Reap sessions still mid-handshake: closing the conn errors out their
 	// pending Send/Recv, and the session exits through abortHandshake.
-	//lint:maporder-ok independent conn teardown; order is immaterial
+	//lint:maporder-ok a transport.Conn key has no order to walk; each close only errors out its own handshake
 	for conn := range n.handshakes {
 		delete(n.handshakes, conn)
 		conn.Close()
@@ -791,10 +790,9 @@ func (n *Node) refreshObsMetrics() {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//lint:maporder-ok independent per-peer gauge writes; order cannot show
-	for id, p := range n.peers {
+	for _, id := range n.peerIDsLocked() {
 		if inst := n.peerStats[id]; inst.wq != nil {
-			inst.wq.Set(float64(p.out.Depth()))
+			inst.wq.Set(float64(n.peers[id].out.Depth()))
 		}
 	}
 }

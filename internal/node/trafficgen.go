@@ -183,11 +183,15 @@ func (g *TrafficGen) Stop() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.stopped = true
-	//lint:maporder-ok independent timer stops; order is immaterial
-	for id, tm := range g.timers {
-		tm.Stop()
-		delete(g.timers, id)
+	// Ascending flow IDs: FlowID orders by (commodity, subflow).
+	for ci := range g.cfg.Flows {
+		for sub := 0; sub < g.cfg.Subflows; sub++ {
+			if tm, ok := g.timers[FlowID(ci, sub)]; ok {
+				tm.Stop()
+			}
+		}
 	}
+	clear(g.timers)
 }
 
 // CommodityReport is one commodity's end-to-end accounting: offered at

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"regexp"
 	"sort"
 	"strconv"
@@ -126,14 +127,8 @@ func writeHeader(w io.Writer, last *string, fam, typ string) error {
 // writeSample emits one series line with merged, key-sorted labels.
 func writeSample(w io.Writer, fam string, labels, constLabels map[string]string, v float64) error {
 	merged := make(map[string]string, len(labels)+len(constLabels))
-	//lint:maporder-ok distinct-key inserts into a map commute
-	for k, val := range constLabels {
-		merged[k] = val
-	}
-	//lint:maporder-ok per-series labels override const labels key-by-key; inserts commute
-	for k, val := range labels {
-		merged[k] = val
-	}
+	maps.Copy(merged, constLabels)
+	maps.Copy(merged, labels) // per-series labels override const labels
 	var b strings.Builder
 	b.WriteString(fam)
 	if len(merged) > 0 {

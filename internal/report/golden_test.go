@@ -1,36 +1,10 @@
 package report
 
 import (
-	"encoding/xml"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"minroute/internal/graph"
-	"minroute/internal/telemetry"
 )
-
-// timelineSample is a small but fully featured event log: two routers plus
-// a network-scope fault, ACTIVE spans (one of them unclosed), and ticks
-// from every category.
-func timelineSample() []telemetry.Event {
-	mk := func(t float64, k telemetry.Kind, router graph.NodeID) telemetry.Event {
-		return telemetry.NewEvent(t, k, router)
-	}
-	return []telemetry.Event{
-		mk(0.0, telemetry.KindPhaseActive, 0),
-		mk(0.2, telemetry.KindLSUSend, 0),
-		mk(0.3, telemetry.KindLSURecv, 1),
-		mk(0.4, telemetry.KindTableCommit, 1),
-		mk(0.5, telemetry.KindPhasePassive, 0),
-		mk(1.0, telemetry.KindFaultStart, graph.None),
-		mk(1.2, telemetry.KindPktEnqueue, 1),
-		mk(1.4, telemetry.KindDropQueue, 1),
-		mk(1.5, telemetry.KindPhaseActive, 1), // left open: runs to the edge
-		mk(2.0, telemetry.KindFaultStop, graph.None),
-	}
-}
 
 // checkGolden compares got against the checked-in golden, regenerating it
 // when REPORT_UPDATE is set:
@@ -58,44 +32,4 @@ func checkGolden(t *testing.T, name, got string) {
 // TestGoldenFigureSVG pins the delay-figure rendering byte for byte.
 func TestGoldenFigureSVG(t *testing.T) {
 	checkGolden(t, "figure.svg", sample().SVG(400, 300))
-}
-
-// TestGoldenTimelineSVG pins the telemetry timeline strip byte for byte.
-func TestGoldenTimelineSVG(t *testing.T) {
-	checkGolden(t, "timeline.svg", Timeline("timeline test", timelineSample(), 400, 0))
-}
-
-// TestTimelineWellFormed checks the structural properties that must hold
-// for any input: parseable XML, one lane per router plus the network lane,
-// spans for both ACTIVE windows, and category-colored ticks.
-func TestTimelineWellFormed(t *testing.T) {
-	svg := Timeline("t", timelineSample(), 0, 0)
-	dec := xml.NewDecoder(strings.NewReader(svg))
-	for {
-		if _, err := dec.Token(); err != nil {
-			if err.Error() == "EOF" {
-				break
-			}
-			t.Fatalf("timeline SVG is not well-formed XML: %v", err)
-		}
-	}
-	for _, want := range []string{
-		">router 0<", ">router 1<", ">net<",
-		"ACTIVE 0.0000-0.5000",
-		"ACTIVE 1.5000-2.0000", // the dangling span closes at tMax
-		timelineCatColor["chaos"],
-		timelineCatColor["control"],
-	} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("timeline SVG missing %q", want)
-		}
-	}
-}
-
-// TestTimelineEmpty renders without events: one placeholder lane, no panic.
-func TestTimelineEmpty(t *testing.T) {
-	svg := Timeline("empty", nil, 0, 0)
-	if !strings.Contains(svg, "</svg>") {
-		t.Fatal("empty timeline did not render")
-	}
 }

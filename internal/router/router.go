@@ -100,8 +100,6 @@ type Config struct {
 	Ts float64
 	// MeanPacketBits calibrates packet-rate conversions for the M/M/1 cost.
 	MeanPacketBits float64
-	// QueueBits bounds each output port's data band.
-	QueueBits float64
 	// UseOnlineEstimator selects the PA-style estimator (measured sojourn
 	// and service times) instead of the closed-form M/M/1 marginal.
 	UseOnlineEstimator bool
@@ -126,7 +124,6 @@ func Defaults() Config {
 		Tl:             10,
 		Ts:             2,
 		MeanPacketBits: 8000,
-		QueueBits:      des.DefaultQueueBits,
 		HopLimit:       64,
 		AHDamping:      0.5,
 	}

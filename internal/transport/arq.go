@@ -679,7 +679,7 @@ func (c *ARQConn) scheduleAck() {
 	if c.cfg.ReorderCap < maxBits {
 		maxBits = c.cfg.ReorderCap
 	}
-	//lint:maporder-ok bitmap union is commutative; iteration order cannot show
+	//lint:maporder-ok per-SACK path, so no sort; an OR into the bitmap cannot show visit order
 	for seq := range c.reorder {
 		off := int(int32(seq - (c.ackCum + 1)))
 		if off < 0 || off >= maxBits {

@@ -2,10 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
-
-	"minroute/internal/rng"
 )
 
 // Datagram is the addressed, unreliable, fire-and-forget channel beneath
@@ -34,92 +31,52 @@ type Datagram interface {
 	Close() error
 }
 
-// UDPDatagram is a Datagram over one bound UDP socket.
-type UDPDatagram struct {
-	conn *net.UDPConn
-
-	mu    sync.Mutex
-	addrs map[string]*net.UDPAddr
+// Medium is one endpoint of an unreliable medium, seen both ways: as a
+// Packet lane toward a fixed peer and as an addressed Datagram port. Each
+// medium has one endpoint type serving both faces (UDPSocket, a MemNet
+// endpoint), and WithFaults wraps either.
+type Medium interface {
+	Packet
+	Datagram
 }
-
-// BindUDPDatagram binds a UDP data port on local (e.g. "127.0.0.1:0").
-func BindUDPDatagram(local string) (*UDPDatagram, error) {
-	addr, err := net.ResolveUDPAddr("udp", local)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	// Best effort (the kernel clamps to net.core.rmem_max without an error).
-	// Nothing retransmits or counts a datagram the receive queue drops, and
-	// an open-loop sender that was stalled sends its whole backlog back to
-	// back: 4 MiB holds about 10 k small data frames, one stall of 0.5 s at
-	// the benchmark's 20 k packets per second.
-	_ = conn.SetReadBuffer(4 << 20)
-	_ = conn.SetWriteBuffer(1 << 20)
-	return &UDPDatagram{conn: conn, addrs: make(map[string]*net.UDPAddr)}, nil
-}
-
-// LocalAddr returns the bound socket address.
-func (u *UDPDatagram) LocalAddr() string { return u.conn.LocalAddr().String() }
-
-// WriteTo sends one datagram to addr, memoizing the resolved address so
-// the per-packet path never re-parses: a forwarder sends to a handful of
-// neighbor ports, millions of times.
-func (u *UDPDatagram) WriteTo(b []byte, addr string) error {
-	u.mu.Lock()
-	ua := u.addrs[addr]
-	if ua == nil {
-		var err error
-		if ua, err = net.ResolveUDPAddr("udp", addr); err != nil {
-			u.mu.Unlock()
-			return err
-		}
-		u.addrs[addr] = ua
-	}
-	u.mu.Unlock()
-	_, err := u.conn.WriteToUDP(b, ua)
-	return err
-}
-
-// ReadFrom blocks for the next datagram from anyone; the wire CRC rejects
-// strays and corruption.
-func (u *UDPDatagram) ReadFrom(b []byte) (int, error) {
-	n, _, err := u.conn.ReadFromUDP(b)
-	return n, err
-}
-
-// Close closes the socket, unblocking reads.
-func (u *UDPDatagram) Close() error { return u.conn.Close() }
 
 // MemNet is an in-memory datagram switchboard for deterministic tests: a
 // set of named endpoints that write whole datagrams into each other's
 // bounded inboxes. Loss-free up to the ring capacity (overflow drops,
-// like a NIC ring); wrap endpoints with WithDatagramFaults for loss.
+// like a NIC ring); wrap endpoints with WithFaults for loss, duplication
+// and reordering.
 type MemNet struct {
 	mu    sync.Mutex
-	ports map[string]*memDatagram
+	ports map[string]*memPort
 	next  int
 }
 
 // NewMemNet returns an empty switchboard.
-func NewMemNet() *MemNet { return &MemNet{ports: make(map[string]*memDatagram)} }
+func NewMemNet() *MemNet { return &MemNet{ports: make(map[string]*memPort)} }
 
 // Bind creates a new endpoint with a unique synthetic address.
-func (mn *MemNet) Bind() Datagram {
+func (mn *MemNet) Bind() Medium {
 	mn.mu.Lock()
 	defer mn.mu.Unlock()
-	d := &memDatagram{net: mn, addr: fmt.Sprintf("mem:%d", mn.next)}
+	d := &memPort{net: mn, addr: fmt.Sprintf("mem:%d", mn.next)}
 	d.cond = sync.NewCond(&d.mu)
 	mn.next++
 	mn.ports[d.addr] = d
 	return d
 }
 
+// PacketPipe returns a connected pair of in-memory Packet lanes: the two
+// endpoints of a private MemNet, each aimed at the other. Delivery is FIFO
+// and loss-free up to the ring capacity.
+func PacketPipe() (Medium, Medium) {
+	mn := NewMemNet()
+	a, b := mn.Bind().(*memPort), mn.Bind().(*memPort)
+	a.peer, b.peer = b, a
+	return a, b
+}
+
 // lookup resolves an address to its endpoint (nil when unbound/closed).
-func (mn *MemNet) lookup(addr string) *memDatagram {
+func (mn *MemNet) lookup(addr string) *memPort {
 	mn.mu.Lock()
 	defer mn.mu.Unlock()
 	return mn.ports[addr]
@@ -132,10 +89,11 @@ func (mn *MemNet) drop(addr string) {
 	delete(mn.ports, addr)
 }
 
-// memDatagram is one MemNet endpoint.
-type memDatagram struct {
+// memPort is one MemNet endpoint.
+type memPort struct {
 	net  *MemNet
 	addr string
+	peer *memPort // WritePacket's target; nil outside a PacketPipe
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -143,32 +101,41 @@ type memDatagram struct {
 	closed bool
 }
 
-// memDatagramRing bounds each endpoint's inbox; beyond it datagrams drop.
-const memDatagramRing = 4096
+// memPortRing bounds each endpoint's inbox; beyond it datagrams drop.
+const memPortRing = 4096
 
 // LocalAddr returns the endpoint's synthetic address.
-func (m *memDatagram) LocalAddr() string { return m.addr }
+func (m *memPort) LocalAddr() string { return m.addr }
 
-// WriteTo delivers one datagram into the target's inbox; datagram
-// semantics mean writes to an unbound, closed, or full target silently
-// drop.
-func (m *memDatagram) WriteTo(b []byte, addr string) error {
-	p := m.net.lookup(addr)
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || len(p.inbox) >= memDatagramRing {
-		return nil
-	}
-	p.inbox = append(p.inbox, append([]byte(nil), b...))
-	p.cond.Signal()
+// WriteTo delivers one datagram into the target's inbox.
+func (m *memPort) WriteTo(b []byte, addr string) error {
+	m.net.lookup(addr).deliver(b)
 	return nil
 }
 
+// WritePacket delivers one datagram into the peer's inbox.
+func (m *memPort) WritePacket(b []byte) error {
+	m.peer.deliver(b)
+	return nil
+}
+
+// deliver queues a copy of b; datagram semantics mean a delivery to an
+// unbound (nil), closed, or full endpoint silently drops.
+func (m *memPort) deliver(b []byte) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed || len(m.inbox) >= memPortRing {
+		return
+	}
+	m.inbox = append(m.inbox, append([]byte(nil), b...))
+	m.cond.Signal()
+}
+
 // ReadFrom blocks for the next datagram.
-func (m *memDatagram) ReadFrom(b []byte) (int, error) {
+func (m *memPort) ReadFrom(b []byte) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.inbox) == 0 && !m.closed {
@@ -183,9 +150,12 @@ func (m *memDatagram) ReadFrom(b []byte) (int, error) {
 	return copy(b, d), nil
 }
 
+// ReadPacket is ReadFrom: a lane's only writer is its peer.
+func (m *memPort) ReadPacket(b []byte) (int, error) { return m.ReadFrom(b) }
+
 // Close closes this endpoint: pending and future reads fail, writes to it
 // drop.
-func (m *memDatagram) Close() error {
+func (m *memPort) Close() error {
 	m.mu.Lock()
 	m.closed = true
 	m.cond.Broadcast()
@@ -193,51 +163,3 @@ func (m *memDatagram) Close() error {
 	m.net.drop(m.addr)
 	return nil
 }
-
-// faultDatagram wraps a Datagram with seeded write-side faults — the data
-// plane's counterpart of faultPacket (loss and duplication only: the data
-// plane is unordered by contract, so reordering adds nothing a test could
-// observe).
-type faultDatagram struct {
-	inner Datagram
-	cfg   Fault
-
-	mu sync.Mutex
-	r  *rng.Source
-}
-
-// WithDatagramFaults wraps d with the seeded fault injector; a zero Fault
-// returns d unchanged.
-func WithDatagramFaults(d Datagram, f Fault) Datagram {
-	if !f.Active() {
-		return d
-	}
-	return &faultDatagram{inner: d, cfg: f, r: rng.New(f.Seed)}
-}
-
-// WriteTo applies loss, then duplication.
-func (fd *faultDatagram) WriteTo(b []byte, addr string) error {
-	fd.mu.Lock()
-	drop := fd.cfg.LossProb > 0 && fd.r.Float64() < fd.cfg.LossProb
-	dup := !drop && fd.cfg.DupProb > 0 && fd.r.Float64() < fd.cfg.DupProb
-	fd.mu.Unlock()
-	if drop {
-		return nil // lost on the wire
-	}
-	if err := fd.inner.WriteTo(b, addr); err != nil {
-		return err
-	}
-	if dup {
-		return fd.inner.WriteTo(b, addr)
-	}
-	return nil
-}
-
-// ReadFrom passes through.
-func (fd *faultDatagram) ReadFrom(b []byte) (int, error) { return fd.inner.ReadFrom(b) }
-
-// LocalAddr passes through.
-func (fd *faultDatagram) LocalAddr() string { return fd.inner.LocalAddr() }
-
-// Close passes through.
-func (fd *faultDatagram) Close() error { return fd.inner.Close() }

@@ -90,19 +90,19 @@ func TestMemNetOverflowDrops(t *testing.T) {
 	a, b := mn.Bind(), mn.Bind()
 	defer a.Close()
 	defer b.Close()
-	for i := 0; i < memDatagramRing+100; i++ {
+	for i := 0; i < memPortRing+100; i++ {
 		if err := a.WriteTo([]byte{byte(i)}, b.LocalAddr()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	buf := make([]byte, 4)
-	for i := 0; i < memDatagramRing; i++ {
+	for i := 0; i < memPortRing; i++ {
 		if _, err := b.ReadFrom(buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The overflow was dropped; the inbox is empty again.
-	if got := len(b.(*memDatagram).inbox); got != 0 {
+	if got := len(b.(*memPort).inbox); got != 0 {
 		t.Fatalf("inbox holds %d datagrams after draining the ring", got)
 	}
 }
@@ -111,12 +111,12 @@ func TestMemNetOverflowDrops(t *testing.T) {
 // loopback, including the resolved-address cache on the hot path.
 func TestUDPDatagramRoundTrip(t *testing.T) {
 	leaktest.Check(t)
-	a, err := BindUDPDatagram("127.0.0.1:0")
+	a, err := BindUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := BindUDPDatagram("127.0.0.1:0")
+	b, err := BindUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +148,18 @@ func TestDatagramFaults(t *testing.T) {
 	sink := mn.Bind()
 	defer sink.Close()
 
-	if d := mn.Bind(); WithDatagramFaults(d, Fault{}) != d {
+	if d := mn.Bind(); WithFaults(d, Fault{}) != d {
 		t.Fatal("zero Fault did not return the wrapped Datagram unchanged")
 	}
 
-	lossy := WithDatagramFaults(mn.Bind(), Fault{Seed: 1, LossProb: 1})
+	lossy := WithFaults(mn.Bind(), Fault{Seed: 1, LossProb: 1})
 	defer lossy.Close()
 	for i := 0; i < 50; i++ {
 		if err := lossy.WriteTo([]byte("gone"), sink.LocalAddr()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dupy := WithDatagramFaults(mn.Bind(), Fault{Seed: 2, DupProb: 1})
+	dupy := WithFaults(mn.Bind(), Fault{Seed: 2, DupProb: 1})
 	defer dupy.Close()
 	const sent = 25
 	for i := 0; i < sent; i++ {
@@ -167,7 +167,33 @@ func TestDatagramFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(sink.(*memDatagram).inbox); got != 2*sent {
+	if got := len(sink.(*memPort).inbox); got != 2*sent {
 		t.Fatalf("sink holds %d datagrams, want %d (all dup'd, none from lossy)", got, 2*sent)
+	}
+}
+
+// TestDatagramFaultsReorder asserts a reorder-only fault reaches the
+// addressed face too: with every datagram held back one slot, each pair
+// arrives swapped.
+func TestDatagramFaultsReorder(t *testing.T) {
+	leaktest.Check(t)
+	mn := NewMemNet()
+	sink := mn.Bind()
+	defer sink.Close()
+	src := WithFaults(mn.Bind(), Fault{Seed: 3, ReorderProb: 1})
+	defer src.Close()
+	for i := byte(0); i < 4; i++ {
+		if err := src.WriteTo([]byte{i}, sink.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 4)
+	for _, want := range []byte{1, 0, 3, 2} {
+		if _, err := sink.ReadFrom(buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != want {
+			t.Fatalf("read datagram %d, want %d (pairs swapped)", buf[0], want)
+		}
 	}
 }

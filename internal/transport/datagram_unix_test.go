@@ -54,12 +54,12 @@ func TestUDPDatagramAbsorbsBurst(t *testing.T) {
 		t.Skipf("kernel grants a %d-byte receive buffer of the %d asked", granted, need)
 	}
 
-	rx, err := BindUDPDatagram("127.0.0.1:0")
+	rx, err := BindUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := BindUDPDatagram("127.0.0.1:0")
+	tx, err := BindUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 	"minroute/internal/rng"
 )
 
-// Fault configures seeded perturbation of a Packet channel. Probabilities
-// are per-datagram and applied on the write side, so ARQ retransmissions
-// run the same gauntlet as first transmissions. The zero value injects
+// Fault configures seeded perturbation of a Medium. Probabilities are
+// per-datagram and applied on the write side, so ARQ retransmissions run
+// the same gauntlet as first transmissions. The zero value injects
 // nothing.
 type Fault struct {
 	// Seed drives the perturbation PRNG; equal seeds give equal fault
@@ -26,64 +26,74 @@ type Fault struct {
 // Active reports whether any perturbation is configured.
 func (f Fault) Active() bool { return f.LossProb > 0 || f.DupProb > 0 || f.ReorderProb > 0 }
 
-// faultPacket wraps a Packet with seeded write-side faults.
-type faultPacket struct {
-	inner Packet
-	cfg   Fault
+// faultMedium wraps a Medium with seeded write-side faults. Both faces
+// draw from one stream, so a given write sequence meets one fault
+// sequence whichever face it goes through; reads, LocalAddr and Close pass
+// through.
+type faultMedium struct {
+	Medium
+	cfg Fault
 
 	mu   sync.Mutex
 	r    *rng.Source
-	held []byte
+	held func() error // the write held back for reordering, nil if none
 }
 
-// WithFaults wraps p with the seeded fault injector; a zero Fault returns
-// p unchanged.
-func WithFaults(p Packet, f Fault) Packet {
+// WithFaults wraps m with the seeded fault injector; a zero Fault returns
+// m unchanged.
+func WithFaults(m Medium, f Fault) Medium {
 	if !f.Active() {
-		return p
+		return m
 	}
-	return &faultPacket{inner: p, cfg: f, r: rng.New(f.Seed)}
+	return &faultMedium{Medium: m, cfg: f, r: rng.New(f.Seed)}
 }
 
-// WritePacket applies loss, then reorder, then duplication.
-func (fp *faultPacket) WritePacket(b []byte) error {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	if fp.cfg.LossProb > 0 && fp.r.Float64() < fp.cfg.LossProb {
+// WritePacket sends b down the lane through the fault gauntlet.
+func (fm *faultMedium) WritePacket(b []byte) error {
+	return fm.write(b, fm.Medium.WritePacket)
+}
+
+// WriteTo sends b to addr through the fault gauntlet.
+func (fm *faultMedium) WriteTo(b []byte, addr string) error {
+	return fm.write(b, func(b []byte) error { return fm.Medium.WriteTo(b, addr) })
+}
+
+// write applies loss, then reorder, then duplication, sending through
+// send.
+func (fm *faultMedium) write(b []byte, send func([]byte) error) error {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	if fm.cfg.LossProb > 0 && fm.r.Float64() < fm.cfg.LossProb {
 		return nil // lost on the wire
 	}
-	if fp.held != nil {
+	if held := fm.held; held != nil {
 		// Release the held datagram after this one: the pair arrives
 		// swapped.
-		cur := append([]byte(nil), b...)
-		held := fp.held
-		fp.held = nil
-		if err := fp.inner.WritePacket(cur); err != nil {
+		fm.held = nil
+		if err := send(b); err != nil {
 			return err
 		}
-		return fp.inner.WritePacket(held)
+		return held()
 	}
-	if fp.cfg.ReorderProb > 0 && fp.r.Float64() < fp.cfg.ReorderProb {
-		fp.held = append([]byte(nil), b...)
+	if fm.cfg.ReorderProb > 0 && fm.r.Float64() < fm.cfg.ReorderProb {
+		c := append([]byte(nil), b...)
+		fm.held = func() error { return send(c) }
 		return nil
 	}
-	if err := fp.inner.WritePacket(b); err != nil {
+	if err := send(b); err != nil {
 		return err
 	}
-	if fp.cfg.DupProb > 0 && fp.r.Float64() < fp.cfg.DupProb {
-		return fp.inner.WritePacket(b)
+	if fm.cfg.DupProb > 0 && fm.r.Float64() < fm.cfg.DupProb {
+		return send(b)
 	}
 	return nil
 }
 
-// ReadPacket passes through.
-func (fp *faultPacket) ReadPacket(b []byte) (int, error) { return fp.inner.ReadPacket(b) }
-
 // Close releases any held datagram (it counts as lost) and closes the
-// inner channel.
-func (fp *faultPacket) Close() error {
-	fp.mu.Lock()
-	fp.held = nil
-	fp.mu.Unlock()
-	return fp.inner.Close()
+// inner medium.
+func (fm *faultMedium) Close() error {
+	fm.mu.Lock()
+	fm.held = nil
+	fm.mu.Unlock()
+	return fm.Medium.Close()
 }

@@ -27,18 +27,21 @@ type Packet interface {
 	Close() error
 }
 
-// UDPPacket is a Packet over one bound UDP socket. Bind first (which
-// chooses the local port), exchange addresses out of band, then Connect to
-// aim writes at the remote peer.
-type UDPPacket struct {
+// UDPSocket is one bound UDP socket serving both faces of Medium: a
+// Packet lane toward the peer named by Connect (the ARQ's link), and a
+// Datagram port any address can be written to (the data plane's). Bind
+// first (which chooses the local port), exchange addresses out of band,
+// then Connect for the lane or WriteTo for the port.
+type UDPSocket struct {
 	conn *net.UDPConn
 
 	mu     sync.Mutex
 	remote netip.AddrPort // zero until Connect
+	addrs  map[string]*net.UDPAddr
 }
 
 // BindUDP binds a UDP socket on local (e.g. "127.0.0.1:0").
-func BindUDP(local string) (*UDPPacket, error) {
+func BindUDP(local string) (*UDPSocket, error) {
 	addr, err := net.ResolveUDPAddr("udp", local)
 	if err != nil {
 		return nil, err
@@ -47,19 +50,23 @@ func BindUDP(local string) (*UDPPacket, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Best effort: a selective-repeat window of coalesced datagrams can
-	// burst well past the platform default socket buffers.
-	_ = conn.SetReadBuffer(1 << 20)
+	// Best effort (the kernel clamps to net.core.rmem_max without an error).
+	// Nothing retransmits or counts a datagram the receive queue drops, and
+	// an open-loop sender that was stalled sends its whole backlog back to
+	// back: 4 MiB holds about 10 k small data frames, one stall of 0.5 s at
+	// the benchmark's 20 k packets per second. On the lane a
+	// selective-repeat window of coalesced datagrams bursts the same way.
+	_ = conn.SetReadBuffer(4 << 20)
 	_ = conn.SetWriteBuffer(1 << 20)
-	return &UDPPacket{conn: conn}, nil
+	return &UDPSocket{conn: conn, addrs: make(map[string]*net.UDPAddr)}, nil
 }
 
 // LocalAddr returns the bound socket address.
-func (u *UDPPacket) LocalAddr() string { return u.conn.LocalAddr().String() }
+func (u *UDPSocket) LocalAddr() string { return u.conn.LocalAddr().String() }
 
-// Connect aims subsequent writes at remote and, from then on, makes
-// reads drop datagrams from any other source.
-func (u *UDPPacket) Connect(remote string) error {
+// Connect aims subsequent WritePackets at remote and, from then on, makes
+// ReadPacket drop datagrams from any other source.
+func (u *UDPSocket) Connect(remote string) error {
 	addr, err := net.ResolveUDPAddr("udp", remote)
 	if err != nil {
 		return err
@@ -76,14 +83,14 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-func (u *UDPPacket) peer() netip.AddrPort {
+func (u *UDPSocket) peer() netip.AddrPort {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.remote
 }
 
 // WritePacket sends one datagram to the connected remote.
-func (u *UDPPacket) WritePacket(b []byte) error {
+func (u *UDPSocket) WritePacket(b []byte) error {
 	remote := u.peer()
 	if !remote.IsValid() {
 		return fmt.Errorf("transport: UDP packet not connected")
@@ -97,7 +104,7 @@ func (u *UDPPacket) WritePacket(b []byte) error {
 // another ARQ session wrote — a closed mesh's late BYE or retransmit
 // reaching a re-bound port — carries a valid CRC and a plausible sequence
 // number, so nothing above this layer can tell it from the peer's.
-func (u *UDPPacket) ReadPacket(b []byte) (int, error) {
+func (u *UDPSocket) ReadPacket(b []byte) (int, error) {
 	for {
 		n, src, err := u.conn.ReadFromUDPAddrPort(b)
 		if err != nil {
@@ -109,70 +116,31 @@ func (u *UDPPacket) ReadPacket(b []byte) (int, error) {
 	}
 }
 
+// WriteTo sends one datagram to addr, memoizing the resolved address so
+// the per-packet path never re-parses: a forwarder sends to a handful of
+// neighbor ports, millions of times.
+func (u *UDPSocket) WriteTo(b []byte, addr string) error {
+	u.mu.Lock()
+	ua := u.addrs[addr]
+	if ua == nil {
+		var err error
+		if ua, err = net.ResolveUDPAddr("udp", addr); err != nil {
+			u.mu.Unlock()
+			return err
+		}
+		u.addrs[addr] = ua
+	}
+	u.mu.Unlock()
+	_, err := u.conn.WriteToUDP(b, ua)
+	return err
+}
+
+// ReadFrom blocks for the next datagram from anyone; the wire CRC rejects
+// strays and corruption.
+func (u *UDPSocket) ReadFrom(b []byte) (int, error) {
+	n, _, err := u.conn.ReadFromUDP(b)
+	return n, err
+}
+
 // Close closes the socket, unblocking reads.
-func (u *UDPPacket) Close() error { return u.conn.Close() }
-
-// memPacket is one side of an in-memory datagram pair. Delivery is FIFO
-// and loss-free up to the ring capacity (overflow drops, like a NIC ring);
-// wrap with WithFaults for loss/dup/reorder.
-type memPacket struct {
-	peer *memPacket
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	inbox  [][]byte
-	closed bool
-}
-
-// memPacketRing bounds each side's inbox; beyond it datagrams drop.
-const memPacketRing = 4096
-
-// PacketPipe returns a connected pair of in-memory Packets.
-func PacketPipe() (Packet, Packet) {
-	a := &memPacket{}
-	b := &memPacket{}
-	a.cond = sync.NewCond(&a.mu)
-	b.cond = sync.NewCond(&b.mu)
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-// WritePacket delivers one datagram into the peer's inbox; datagram
-// semantics mean writes to a closed or full peer silently drop.
-func (m *memPacket) WritePacket(b []byte) error {
-	p := m.peer
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || len(p.inbox) >= memPacketRing {
-		return nil
-	}
-	p.inbox = append(p.inbox, append([]byte(nil), b...))
-	p.cond.Signal()
-	return nil
-}
-
-// ReadPacket blocks for the next datagram.
-func (m *memPacket) ReadPacket(b []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.inbox) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if m.closed {
-		return 0, ErrClosed
-	}
-	d := m.inbox[0]
-	m.inbox[0] = nil
-	m.inbox = m.inbox[1:]
-	return copy(b, d), nil
-}
-
-// Close closes this side; pending and future reads fail, writes from the
-// peer drop.
-func (m *memPacket) Close() error {
-	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	return nil
-}
+func (u *UDPSocket) Close() error { return u.conn.Close() }

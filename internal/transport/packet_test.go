@@ -7,7 +7,7 @@ import "testing"
 // frame from a third socket — what a closed mesh's late BYE looks like to
 // the mesh that re-bound its port — queued ahead of the peer's datagram.
 func TestUDPPacketDropsStrays(t *testing.T) {
-	bind := func() *UDPPacket {
+	bind := func() *UDPSocket {
 		p, err := BindUDP("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("BindUDP: %v", err)
@@ -16,7 +16,7 @@ func TestUDPPacketDropsStrays(t *testing.T) {
 		return p
 	}
 	a, b, c := bind(), bind(), bind()
-	for _, link := range [][2]*UDPPacket{{a, b}, {b, a}, {c, a}} {
+	for _, link := range [][2]*UDPSocket{{a, b}, {b, a}, {c, a}} {
 		if err := link[0].Connect(link[1].LocalAddr()); err != nil {
 			t.Fatalf("Connect: %v", err)
 		}
