@@ -45,12 +45,13 @@ test:
 # cross-validation: what a refactor runs to show nothing observable
 # moved. With them, the
 # differential tests the incremental control plane answers to (successor
-# sets against a full recompute, neighbor distances and the repaired tree
-# against Dijkstra, the maintained T against a rebuild, protonet's candidate
+# sets against a full recompute, neighbor distances — their shapes and the
+# fuzz seed corpus — and the repaired tree against Dijkstra, the maintained T
+# against a rebuild, protonet's candidate
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport
 
 race:
 	$(GO) test -race ./...
@@ -97,7 +98,8 @@ ctrl-guard:
 # Ten seconds of coverage-guided fuzzing over random chaos schedules with
 # every invariant oracle armed, plus ten over the wire-format decoder (the
 # live transport's parse boundary), ten over graph edits against the
-# shortest-path tree repair and ten over protonet schedules against the
+# shortest-path tree repair, ten over LSU batches against the neighbor
+# distances' Dijkstra and ten over protonet schedules against the
 # collect-and-sort reference; the checked-in corpora replay regardless.
 fuzz:
 	$(GO) test -run FuzzChaosSchedule -fuzz FuzzChaosSchedule -fuzztime 10s ./internal/chaos
@@ -105,6 +107,7 @@ fuzz:
 	$(GO) test -run FuzzShardSchedule -fuzz FuzzShardSchedule -fuzztime 10s ./internal/despart
 	$(GO) test -run FuzzDataFrame -fuzz FuzzDataFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run FuzzRepair -fuzz FuzzRepair -fuzztime 10s ./internal/dijkstra
+	$(GO) test -run FuzzNeighborDistances -fuzz FuzzNeighborDistances -fuzztime 10s ./internal/pda
 	$(GO) test -run FuzzStepSchedule -fuzz FuzzStepSchedule -fuzztime 10s ./internal/protonet
 
 # Longer randomized sweep: 200 seed-derived scenarios through both runners.

@@ -109,6 +109,7 @@ func buildFlood(events []telemetry.Event, window float64) floodReport {
 			}
 			key := [2]graph.NodeID{r, to}
 			queues[key] = append(queues[key], pendingSend{tree: tree, depth: depth, t: t})
+			rep.UnmatchedSends++ // until a recv pairs with it
 		case telemetry.KindLSURecv:
 			r, from, t := ev.Router, ev.Peer, ev.T
 			key := [2]graph.NodeID{from, r}
@@ -119,6 +120,7 @@ func buildFlood(events []telemetry.Event, window float64) floodReport {
 			}
 			s := q[0]
 			queues[key] = q[1:]
+			rep.UnmatchedSends--
 			tree := s.tree
 			tree.Arrivals++
 			tree.Hops = append(tree.Hops, floodHop{From: from, To: r, SendT: s.t, RecvT: t, Depth: s.depth})
@@ -136,9 +138,6 @@ func buildFlood(events []telemetry.Event, window float64) floodReport {
 			}
 			last[r] = lastArrival{t: t, tree: tree, depth: s.depth}
 		}
-	}
-	for _, q := range queues { //lint:maporder-ok summing queue lengths commutes
-		rep.UnmatchedSends += len(q)
 	}
 	return rep
 }

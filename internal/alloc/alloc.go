@@ -23,7 +23,7 @@ package alloc
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"minroute/internal/graph"
 )
@@ -53,7 +53,7 @@ func (p Params) Keys() []graph.NodeID {
 	for k := range p {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

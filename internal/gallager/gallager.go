@@ -480,9 +480,8 @@ func Equalization(g *graph.Graph, flows []topo.Flow, r *Result, meanPacketBits f
 				continue
 			}
 			lo, hi := math.Inf(1), math.Inf(-1)
-			//lint:maporder-ok min/max accumulation is exact and commutative
-			for k, v := range r.Phi[j][i] {
-				if v <= 1e-9 {
+			for _, k := range r.Phi[j][i].Keys() {
+				if r.Phi[j][i][k] <= 1e-9 {
 					continue
 				}
 				d := cost[[2]graph.NodeID{graph.NodeID(i), k}] + lam[k]

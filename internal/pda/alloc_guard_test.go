@@ -11,8 +11,9 @@ import (
 // TestTablesAllocBudget pins the per-LSU table work at zero steady-state
 // allocations, on the converged tables of the hub of a 48-router scale-free
 // network: the dense rows, the kept merge and tree and the repair's scratch
-// exist so that handling an LSU reuses storage, and the tree walk's scratch
-// and the destination sets wait for first use and are kept. The one thing
+// exist so that handling an LSU reuses storage, and the relabel's and the
+// tree walk's scratch and the destination sets wait for first use and are
+// kept; the one-entry change takes the relabel. The one thing
 // RunMTU allocates is the diff it returns when T changed (the LSUs that
 // flood it keep it) — one slice for adds and deletes together. With
 // map-backed tables a one-entry event cost 1,505 allocations on a 160-router
@@ -53,7 +54,11 @@ func TestTablesAllocBudget(t *testing.T) {
 	one := []lsu.Entry{e}
 	flip := func() {
 		one[0].Cost = 3*e.Cost - one[0].Cost // e.Cost <-> 2*e.Cost
+		relabels := tb.relabels
 		tb.ApplyLSU(k, one)
+		if tb.relabels != relabels+1 {
+			t.Fatal("a one-entry change to a neighbor's tree did not take the relabel")
+		}
 		if diff := tb.RunMTU(); diff != nil {
 			t.Fatalf("off-tree change moved T: %v", diff)
 		}

@@ -52,11 +52,19 @@ type Tables struct {
 	// moved collects the destinations j whose D_j or some D_jk changed —
 	// bit-wise, or with the neighbor set — until its owner Resets it.
 	moved DestSet
-	// walk and stack are the working memory of treeDistances; walked counts
-	// the links it examined.
-	walk   []float64
-	stack  []graph.NodeID
-	walked int
+	// ApplyLSU's working memory. roots collects the tails whose in-link an
+	// LSU changed, and via[r]-1 indexes the entry that set r's in-link, 0 when
+	// no entry of the LSU still holds one; relabel writes the nodes it labels
+	// into labelled and their labels into walk, which treeDistances fills
+	// whole; stack is both walks' to-do list.
+	roots, labelled DestSet
+	via             []int32
+	walk            []float64
+	stack           []graph.NodeID
+	// walked counts the links the relabel and the walk examined; relabels,
+	// walks and runs count the LSUs the relabel, the walk and Dijkstra each
+	// brought D_·k up to date for.
+	walked, relabels, walks, runs int
 }
 
 // DestSet is a set of destinations over a dense ID space, built to cost
@@ -67,16 +75,22 @@ type DestSet struct {
 	in   []bool
 }
 
-// Add puts j, below the ID-space size n, in the set.
-func (s *DestSet) Add(j graph.NodeID, n int) {
+// Add puts j, below the ID-space size n, in the set, and reports whether j
+// was not in it.
+func (s *DestSet) Add(j graph.NodeID, n int) bool {
 	if s.in == nil {
 		s.list, s.in = make([]graph.NodeID, 0, n), make([]bool, n)
 	}
-	if !s.in[j] {
-		s.in[j] = true
-		s.list = append(s.list, j)
+	if s.in[j] {
+		return false
 	}
+	s.in[j] = true
+	s.list = append(s.list, j)
+	return true
 }
+
+// has reports whether j is in the set.
+func (s *DestSet) has(j graph.NodeID) bool { return s.in != nil && s.in[j] }
 
 // List returns the members, in the order added unless the caller sorted
 // them: the set's own slice, which Add and Reset invalidate.
@@ -237,51 +251,168 @@ func (t *Tables) reindex(from int) {
 }
 
 // ApplyLSU implements NTU step 1: it applies the entries of an LSU received
-// from neighbor k to T_k and recomputes the distances D_jk from k over the
-// updated T_k. LSUs from unknown (down) neighbors are ignored, and so are
-// entries naming a node outside the ID space — LSUs arrive from the
-// network. An LSU that leaves no entry to apply (a pure ACK) changes
-// nothing and costs nothing.
+// from neighbor k to T_k and brings the distances D_jk from k over T_k up to
+// date. LSUs from unknown (down) neighbors are ignored, and so are entries
+// naming a node outside the ID space — LSUs arrive from the network. An LSU
+// none of whose entries changes T_k (a pure ACK, a repeated report) changes
+// nothing else and costs nothing more.
+//
+// Only a node below a tail whose in-link an entry added, deleted or
+// re-priced — a root — can have moved, while T_k is an in-forest rooted at
+// k: the path to any other node is the one it had, link for link. So then
+// relabel writes the subtrees under the roots and nothing else; when they
+// hold more than half the nodes T_k reached before, one walk of the whole
+// tree is cheaper and does it. Dijkstra runs only when T_k is no forest,
+// which a neighbor reporting its tree makes it only between the halves of a
+// diff, or when hostile.
 func (t *Tables) ApplyLSU(k graph.NodeID, entries []lsu.Entry) {
 	i, ok := t.index(k)
 	if !ok {
 		return
 	}
-	applied := false
-	for _, e := range entries {
-		if t.inSpace(e.Head) && t.inSpace(e.Tail) {
-			t.nbrTopo[i].Apply(e)
-			t.stale.Add(e.Head, t.n)
-			applied = true
+	topo := t.nbrTopo[i]
+	budget := (topo.links + 1) / 2 // the nodes a tree with that many links reaches, halved
+	changed := false
+	for x, e := range entries {
+		if !t.inSpace(e.Head) || !t.inSpace(e.Tail) {
+			continue
+		}
+		t.stale.Add(e.Head, t.n)
+		if !topo.Apply(e) {
+			continue
+		}
+		changed = true
+		if len(t.roots.List()) > budget {
+			continue // more roots than relabel may label: the walk will do
+		}
+		if t.via == nil {
+			t.via = make([]int32, t.n)
+		}
+		if t.roots.Add(e.Tail, t.n) {
+			t.via[e.Tail] = 0
+		}
+		switch v := t.via[e.Tail]; {
+		case e.Op != lsu.OpDelete:
+			t.via[e.Tail] = int32(x) + 1
+		case v > 0 && entries[v-1].Head == e.Head:
+			t.via[e.Tail] = 0
 		}
 	}
-	if !applied {
+	if !changed {
 		return
 	}
+	switch {
+	case !topo.inForest(k):
+		t.runs++
+		t.commit(i, t.sp.Run(topo, k).Dist)
+	case !t.relabel(i, k, entries, budget):
+		t.walks++
+		t.commit(i, t.treeDistances(topo, k))
+	default:
+		t.relabels++
+	}
+	t.roots.Reset()
+}
+
+// relabel labels the subtrees of T_k, an in-forest rooted at k, under the
+// roots ApplyLSU collected: a root from the entry that set its in-link
+// (dist[head] + cost, the head's new label if it has one), infinite when it
+// has none, 0 when it is k; below it dist[tail] = dist[head] + cost down
+// every link. In a forest a node's label is a function of its one path from
+// k, so the order roots come in does not matter: a root labelled before a
+// root above it is labelled again from its parent's final label. It gives
+// up, having changed nothing, once it has written more than budget labels
+// (which also ends a cycle under a root), at a cost Dijkstra would not relax
+// over, or at a root with an in-link no entry of the LSU set.
+func (t *Tables) relabel(i int, k graph.NodeID, entries []lsu.Entry, budget int) bool {
+	topo, old, w, lab := t.nbrTopo[i], t.nbrDist[i], t.scratch(), &t.labelled
+	budget -= len(t.roots.List()) // every root is labelled
+	stack, done := t.stack[:0], budget >= 0
+	for _, r := range t.roots.List() {
+		if !done {
+			break
+		}
+		d := math.Inf(1)
+		switch v := t.via[r]; {
+		case r == k:
+			d = 0
+		case v > 0:
+			e := entries[v-1]
+			if d = old[e.Head]; lab.has(e.Head) {
+				d = w[e.Head]
+			}
+			d += e.Cost
+			done = e.Cost >= 0
+		default:
+			done = topo.in[r] == 0
+		}
+		w[r] = d
+		lab.Add(r, t.n)
+		stack = append(stack, r)
+		for done && len(stack) > 0 {
+			h := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, l := range topo.rows[h] {
+				t.walked++
+				if !(l.cost >= 0) {
+					done = false
+					break
+				}
+				w[l.tail] = w[h] + l.cost
+				lab.Add(l.tail, t.n)
+				stack = append(stack, l.tail)
+			}
+			budget -= len(topo.rows[h])
+			done = done && budget >= 0
+		}
+	}
+	t.stack = stack[:0]
+	if done {
+		for _, j := range lab.List() {
+			if math.Float64bits(w[j]) != math.Float64bits(old[j]) {
+				t.setDist(old, j, w[j])
+			}
+		}
+	}
+	lab.Reset()
+	return done
+}
+
+// commit makes d, a whole vector, the D_·k of the neighbor at position i.
+func (t *Tables) commit(i int, d []float64) {
 	old := t.nbrDist[i]
-	for j, d := range t.treeDistances(t.nbrTopo[i], k) {
-		if math.Float64bits(d) != math.Float64bits(old[j]) {
-			old[j] = d
-			t.moved.Add(graph.NodeID(j), t.n)
-			t.stale.Add(graph.NodeID(j), t.n) // j may prefer another neighbor now
+	for j, dj := range d {
+		if math.Float64bits(dj) != math.Float64bits(old[j]) {
+			t.setDist(old, graph.NodeID(j), dj)
 		}
 	}
 }
 
-// treeDistances returns the distances from src over topo, in a vector the
-// next call overwrites. A neighbor reports its shortest-path tree, and in a
-// tree every node has one path from the root: labelling each link's tail
-// with dist[head] + cost once, in any order, performs the additions Dijkstra
-// would and yields the same bits without its heap. That the links reachable
-// from src form a tree is observed, not assumed (an inconsistent or hostile
-// peer breaks it): the walk gives way to Dijkstra at the first link whose
-// tail has a label already, or whose cost Dijkstra would not relax over —
-// at most one link after the last new label, so never more than n visited.
-func (t *Tables) treeDistances(topo *Topology, src graph.NodeID) []float64 {
+// setDist writes D_jk = d, bit-wise another value, into old, the neighbor's
+// vector, and marks j.
+func (t *Tables) setDist(old []float64, j graph.NodeID, d float64) {
+	old[j] = d
+	t.moved.Add(j, t.n)
+	t.stale.Add(j, t.n) // j may prefer another neighbor now
+}
+
+// scratch returns the walks' label vector, grown once.
+func (t *Tables) scratch() []float64 {
 	if t.walk == nil {
 		t.walk = make([]float64, t.n)
 	}
-	d, inf := t.walk, math.Inf(1)
+	return t.walk
+}
+
+// treeDistances returns the distances from src over topo, an in-forest with
+// src among its roots, in a vector the next call overwrites. What src reaches
+// is a tree, and in a tree every node has one path from the root: labelling
+// each link's tail with dist[head] + cost once, in any order, performs the
+// additions Dijkstra would and yields the same bits without its heap — an
+// infinite sum included, which Dijkstra leaves at its initial +Inf. A cost
+// Dijkstra would not relax over (negative, NaN) hands the job to it.
+func (t *Tables) treeDistances(topo *Topology, src graph.NodeID) []float64 {
+	d, inf := t.scratch(), math.Inf(1)
 	for j := range d {
 		d[j] = inf
 	}
@@ -292,12 +423,11 @@ func (t *Tables) treeDistances(topo *Topology, src graph.NodeID) []float64 {
 		stack = stack[:len(stack)-1]
 		for _, l := range topo.rows[h] {
 			t.walked++
-			nd := d[h] + l.cost
-			if d[l.tail] < inf || !(l.cost >= 0 && nd < inf) {
+			if !(l.cost >= 0) {
 				t.stack = stack
 				return t.sp.Run(topo, src).Dist
 			}
-			d[l.tail] = nd
+			d[l.tail] = d[h] + l.cost
 			stack = append(stack, l.tail)
 		}
 	}

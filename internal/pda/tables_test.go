@@ -255,7 +255,7 @@ func fromScratch(tb *Tables) (*Topology, []float64) {
 // so after any history of events — the merge redone only at stale rows, the
 // tree repaired from the rows that changed, T re-derived only where the
 // merge or a parent moved, Dijkstra skipped on entry-less LSUs and replaced
-// by the tree walk on the others, several events piling up behind a deferred
+// by the subtree relabel or the tree walk on the others, several events piling up behind a deferred
 // MTU as in MPDA's ACTIVE phase, and the node scan running over the whole ID
 // space rather than the union of mentioned nodes — the tables must equal both
 // the paper's MTU done from nothing (fromScratch) and fresh tables fed the

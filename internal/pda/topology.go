@@ -7,14 +7,17 @@
 // finite time after the last change (the paper's Theorem 2).
 //
 // An event costs what it moved: the MTU keeps its merge, its tree and T, and
-// brings each up to date from the rows an event made stale; D_·k comes from a
-// walk of the tree neighbor k reported (Dijkstra only when it is not one);
-// Tables.Moved names the destinations whose distances changed, for whatever
-// is derived from them (DESIGN.md §17).
+// brings each up to date from the rows an event made stale; D_·k is labelled
+// again only under the tails whose in-link a neighbor's LSU changed, while
+// T_k is an in-forest rooted at k (a walk of the whole tree when those
+// subtrees are most of it, Dijkstra when T_k is no forest); Tables.Moved
+// names the destinations whose distances changed, for whatever is derived
+// from them (DESIGN.md §17).
 package pda
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -37,6 +40,12 @@ type link struct {
 type Topology struct {
 	rows  [][]link
 	links int
+	// in[v] counts the links into v and multi the nodes with more than one,
+	// kept by Set and Delete; in waits for the first Set. Only a table whose
+	// every link came through Set has them right: RunMTU writes the rows of
+	// its merge and of T directly, and nothing asks those.
+	in    []int32
+	multi int
 }
 
 // NewTopology returns an empty topology over an ID space of n nodes.
@@ -62,15 +71,27 @@ func (t *Topology) find(head, tail graph.NodeID) (int, bool) {
 }
 
 // Set records link head→tail with the given cost, replacing any previous
-// entry.
-func (t *Topology) Set(head, tail graph.NodeID, cost float64) {
+// entry, and reports whether the table changed: a new link, or another cost
+// bit-wise.
+func (t *Topology) Set(head, tail graph.NodeID, cost float64) bool {
 	i, found := t.find(head, tail)
 	if found {
-		t.rows[head][i].cost = cost
-		return
+		l := &t.rows[head][i]
+		if math.Float64bits(l.cost) == math.Float64bits(cost) {
+			return false
+		}
+		l.cost = cost
+		return true
 	}
 	t.rows[head] = slices.Insert(t.rows[head], i, link{tail, cost})
 	t.links++
+	if t.in == nil {
+		t.in = make([]int32, len(t.rows))
+	}
+	if t.in[tail]++; t.in[tail] == 2 {
+		t.multi++
+	}
+	return true
 }
 
 // Delete removes link head→tail, reporting whether it was present.
@@ -81,7 +102,20 @@ func (t *Topology) Delete(head, tail graph.NodeID) bool {
 	}
 	t.rows[head] = slices.Delete(t.rows[head], i, i+1)
 	t.links--
+	if t.in == nil {
+		return true
+	}
+	if t.in[tail]--; t.in[tail] == 1 {
+		t.multi--
+	}
 	return true
+}
+
+// inForest reports whether the links form an in-forest with root among its
+// roots: no node has two links into it and none enters root. What root
+// reaches is then a tree, whatever else the table holds.
+func (t *Topology) inForest(root graph.NodeID) bool {
+	return t.multi == 0 && (t.in == nil || t.in[root] == 0)
 }
 
 // Cost looks up the cost of link head→tail.
@@ -102,18 +136,20 @@ func (t *Topology) Clone() *Topology {
 	for h, row := range t.rows {
 		c.rows[h] = slices.Clone(row)
 	}
-	c.links = t.links
+	c.links, c.in, c.multi = t.links, slices.Clone(t.in), t.multi
 	return c
 }
 
-// Apply mutates the table according to one LSU entry.
-func (t *Topology) Apply(e lsu.Entry) {
+// Apply mutates the table according to one LSU entry and reports whether
+// the table changed.
+func (t *Topology) Apply(e lsu.Entry) bool {
 	switch e.Op {
 	case lsu.OpAdd, lsu.OpChange:
-		t.Set(e.Head, e.Tail, e.Cost)
+		return t.Set(e.Head, e.Tail, e.Cost)
 	case lsu.OpDelete:
-		t.Delete(e.Head, e.Tail)
+		return t.Delete(e.Head, e.Tail)
 	}
+	return false
 }
 
 // Diff returns the LSU entries that transform old into t, both over the

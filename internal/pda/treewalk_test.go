@@ -23,16 +23,57 @@ func sameDistances(t *testing.T, tb *Tables, k graph.NodeID, what string) {
 	}
 }
 
-// TestNeighborDistancesMatchDijkstra is the tree walk's proof obligation:
-// whatever link set a neighbor has reported, the D_jk ApplyLSU leaves are
-// the bits Dijkstra would compute. The shapes are the ones the walk treats
-// differently: exact trees (its fast path, which must then have examined
-// each link exactly once), trees with one to many extra links (the
-// fallback), costs from {0, 1, 2} so zero-cost links and equal-cost ties are
-// everywhere, links no path from k reaches, infinite costs, and the state
-// between the two halves of a diff — the new tree's links added, the old
-// tree's not yet deleted.
+// applyChecked applies one LSU from k and fails unless D_·k is then what
+// Dijkstra computes and Moved() names exactly the j whose D_jk changed.
+func applyChecked(t *testing.T, tb *Tables, k graph.NodeID, entries []lsu.Entry, what string) {
+	t.Helper()
+	was := make([]float64, tb.NumNodes())
+	for j := range was {
+		was[j] = tb.NbrDist(graph.NodeID(j), k)
+	}
+	tb.Moved().Reset()
+	tb.ApplyLSU(k, entries)
+	sameDistances(t, tb, k, what)
+	moved := make([]bool, len(was))
+	for _, j := range tb.Moved().List() {
+		moved[j] = true
+	}
+	for j, w := range was {
+		changed := math.Float64bits(w) != math.Float64bits(tb.NbrDist(graph.NodeID(j), k))
+		if changed != moved[j] {
+			t.Fatalf("%s: D_%d,%d %v -> %v, but Moved() has it: %v", what, j, k, w, tb.NbrDist(graph.NodeID(j), k), moved[j])
+		}
+	}
+	tb.Moved().Reset()
+}
+
+// paths counts the LSUs each way of bringing D_·k up to date answered.
+type paths struct{ relabels, walks, runs int }
+
+func pathsOf(tb *Tables) paths { return paths{tb.relabels, tb.walks, tb.runs} }
+
+// subtreeLinks counts the links below v in topo, an in-forest.
+func subtreeLinks(topo *Topology, v graph.NodeID) int {
+	n := 0
+	for _, l := range topo.rows[v] {
+		n += 1 + subtreeLinks(topo, l.tail)
+	}
+	return n
+}
+
+// TestNeighborDistancesMatchDijkstra is the relabel's and the tree walk's
+// proof obligation: whatever link set a neighbor has reported, the D_jk
+// ApplyLSU leaves are the bits Dijkstra would compute. The shapes are the
+// ones ApplyLSU treats differently: exact trees (the walk, which must then have examined each
+// link exactly once), one entry re-pricing a link of one (the relabel, which
+// must have examined exactly the links below its tail), trees with one to
+// many extra links (Dijkstra), costs from {0, 1, 2} so zero-cost links and
+// equal-cost ties are everywhere, links no path from k reaches, infinite
+// costs, and the state between the two halves of a diff — the new tree's
+// links added, the old tree's not yet deleted. The shapes the relabel treats
+// one by one follow, each with the way it must take.
 func TestNeighborDistancesMatchDijkstra(t *testing.T) {
+	t.Run("shapes", testRelabelShapes)
 	const n, k = 24, graph.NodeID(5)
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := rng.New(seed)
@@ -62,12 +103,27 @@ func TestNeighborDistancesMatchDijkstra(t *testing.T) {
 		before := tb.walked
 		tb.ApplyLSU(k, tree)
 		sameDistances(t, tb, k, "exact tree")
-		finite := true
-		for _, e := range tree {
-			finite = finite && !math.IsInf(e.Cost, 1)
-		}
-		if got := tb.walked - before; finite && got != len(tree) {
+		if got := tb.walked - before; got != len(tree) {
 			t.Fatalf("seed %d: the walk examined %d links of a %d-link tree", seed, got, len(tree))
+		}
+
+		// One entry re-pricing a link of the tree: the relabel examines the
+		// links below its tail and no other, unless they are more than half
+		// the tree.
+		if len(tree) > 0 {
+			e := tree[r.Intn(len(tree))]
+			e.Op, e.Cost = lsu.OpChange, float64(3+r.Intn(3))
+			below, was := subtreeLinks(tb.NeighborTopo(k), e.Tail), pathsOf(tb)
+			before = tb.walked
+			applyChecked(t, tb, k, []lsu.Entry{e}, "one link of the tree re-priced")
+			want := paths{was.relabels + 1, was.walks, was.runs}
+			if 1+below > (len(tree)+1)/2 {
+				want = paths{was.relabels, was.walks + 1, was.runs}
+			}
+			if got := pathsOf(tb); got != want || (got.relabels > was.relabels && tb.walked-before != below) {
+				t.Fatalf("seed %d: re-pricing a link above %d of %d links took %+v, %d links examined; want %+v",
+					seed, below, len(tree), got, tb.walked-before, want)
+			}
 		}
 
 		// Links nothing reaches: between nodes the tree left out.
@@ -116,11 +172,11 @@ func TestNeighborDistancesMatchDijkstra(t *testing.T) {
 }
 
 // TestTreeWalkGivesWayWithinNodeCount: a live neighbor can report any link
-// set, and the walk must not turn one into extra work per LSU. Every step
-// that does not end the walk labels a node no step labelled before, so
-// whatever the table — every ordered pair over 160 nodes, or a 160-node
-// chain whose last node links back into it — Dijkstra takes over after at
-// most n links examined.
+// set, and the walk must not turn one into extra work per LSU. Whatever the
+// table — every ordered pair over 160 nodes, or a 160-node chain whose last
+// node links back into it — Dijkstra takes over after at most n links
+// examined; a table with a node two links enter is no forest, and goes to
+// Dijkstra before any walk.
 func TestTreeWalkGivesWayWithinNodeCount(t *testing.T) {
 	const n, k = 160, graph.NodeID(0)
 	var dense, chain []lsu.Entry
@@ -146,6 +202,75 @@ func TestTreeWalkGivesWayWithinNodeCount(t *testing.T) {
 		if tb.walked > n {
 			t.Errorf("%s: the walk examined %d links of %d before giving way, want at most %d",
 				c.name, tb.walked, len(c.entries), n)
+		}
+		if got := pathsOf(tb); got != (paths{runs: 1}) {
+			t.Errorf("%s: took %+v, want Dijkstra alone", c.name, got)
+		}
+	}
+}
+
+// testRelabelShapes runs each shape the relabel treats one by one on a fixed
+// tree, and checks the way it took and, where it relabelled, the links it
+// examined.
+//
+//	0 ─1→ 1 ─1→ 3 ─2→ 5 ─1→ 7      10, 11: not in the tree
+//	│     │     └─1→ 6
+//	│     └─0→ 4
+//	└─2→ 2 ─1→ 8 ─3→ 9
+func testRelabelShapes(t *testing.T) {
+	const n, k = 12, graph.NodeID(0)
+	set := func(h, tl graph.NodeID, c float64) lsu.Entry {
+		return lsu.Entry{Op: lsu.OpAdd, Head: h, Tail: tl, Cost: c}
+	}
+	del := func(h, tl graph.NodeID) lsu.Entry { return lsu.Entry{Op: lsu.OpDelete, Head: h, Tail: tl} }
+	tree := []lsu.Entry{set(0, 1, 1), set(0, 2, 2), set(1, 3, 1), set(1, 4, 0), set(3, 5, 2), set(3, 6, 1), set(5, 7, 1), set(2, 8, 1), set(8, 9, 3)}
+	inf := math.Inf(1)
+	const relabel, walk, run, none = "relabel", "walk", "Dijkstra", "nothing"
+	for _, c := range []struct {
+		name   string
+		lsus   [][]lsu.Entry // applied in turn; the last one is checked
+		way    string
+		walked int // links the relabel examines
+	}{
+		{"a one-entry re-price deep in the tree", [][]lsu.Entry{{set(3, 5, 4)}}, relabel, 1},
+		{"a re-parent, add then delete", [][]lsu.Entry{{set(4, 5, 1), del(3, 5)}}, relabel, 1},
+		{"a re-parent, delete then add", [][]lsu.Entry{{del(3, 5), set(4, 5, 1)}}, relabel, 1},
+		{"a touched child listed before its touched parent", [][]lsu.Entry{{set(5, 7, 2), set(1, 3, 5)}}, relabel, 3},
+		{"a touched parent listed before its touched child", [][]lsu.Entry{{set(1, 3, 5), set(5, 7, 2)}}, relabel, 3},
+		{"a no-op delete", [][]lsu.Entry{{del(10, 11)}}, none, 0},
+		{"a no-op re-price", [][]lsu.Entry{{set(3, 5, 2)}}, none, 0},
+		{"an add then a delete of the same link", [][]lsu.Entry{{set(2, 10, 1), del(2, 10)}}, relabel, 0},
+		{"a delete then an add of the same link", [][]lsu.Entry{{del(1, 3), set(1, 3, 1)}}, relabel, 3},
+		{"a link into k", [][]lsu.Entry{{set(9, 0, 1)}}, run, 0},
+		{"a link into k deleted", [][]lsu.Entry{{set(9, 0, 1)}, {del(9, 0)}}, walk, 0},
+		{"a second in-link to a node", [][]lsu.Entry{{set(2, 5, 1)}}, run, 0},
+		{"an in-link deleted, leaving one no entry names", [][]lsu.Entry{{set(2, 5, 1)}, {del(3, 5)}}, walk, 0},
+		{"an in-link deleted, leaving the one an entry names", [][]lsu.Entry{{set(2, 5, 1)}, {del(3, 5), set(2, 5, 3)}}, relabel, 1},
+		{"an infinite cost inside a touched subtree", [][]lsu.Entry{{set(3, 5, inf)}, {set(1, 3, 2)}}, relabel, 3},
+		{"an infinite cost on a touched link", [][]lsu.Entry{{set(1, 3, inf)}}, relabel, 3},
+		{"a subtree cut off from k", [][]lsu.Entry{{del(1, 3)}}, relabel, 3},
+		{"a cycle detached from k", [][]lsu.Entry{{del(1, 3), set(7, 3, 1)}}, walk, 0},
+		{"links nothing reaches, then joined", [][]lsu.Entry{{set(10, 11, 1)}, {set(6, 10, 1)}}, relabel, 1},
+	} {
+		tb := NewTables(n-1, n)
+		tb.SetAdjacent(k, 1)
+		applyChecked(t, tb, k, tree, c.name+": the tree")
+		for _, es := range c.lsus[:len(c.lsus)-1] {
+			applyChecked(t, tb, k, es, c.name+": before")
+		}
+		was, before := pathsOf(tb), tb.walked
+		applyChecked(t, tb, k, c.lsus[len(c.lsus)-1], c.name)
+		got, walked := none, tb.walked-before
+		switch pathsOf(tb) {
+		case paths{was.relabels + 1, was.walks, was.runs}:
+			got = relabel
+		case paths{was.relabels, was.walks + 1, was.runs}:
+			got = walk
+		case paths{was.relabels, was.walks, was.runs + 1}:
+			got = run
+		}
+		if got != c.way || (got == relabel && walked != c.walked) {
+			t.Errorf("%s: %s, %d links examined; want %s (%d links)", c.name, got, walked, c.way, c.walked)
 		}
 	}
 }
