@@ -81,10 +81,13 @@ telemetry-guard:
 
 # Codec-overhead guard: frame encode into a reused buffer and scratch
 # decode must stay at 0 allocs/op (Decode itself <=1 for the returned
-# frame) — the live transport's per-frame budget. Non-race for the same
-# reason as telemetry-guard.
+# frame) — the live transport's per-frame budget — and so must a data
+# packet sent to a neighbour, or relayed and delivered, through the live
+# forwarders on the in-memory fabric (self-delivery <=1, the packet
+# OnDeliver may keep). Non-race for the same reason as telemetry-guard.
 codec-guard:
 	$(GO) test -count=1 -run TestCodecAllocBudget ./internal/wire
+	$(GO) test -count=1 -run TestForwarderAllocBudget ./internal/dataplane
 
 # Guard for the control plane and the simulated forwarding decision: an LSU
 # into converged tables runs NTU, MTU and the successor re-derivation on

@@ -178,6 +178,10 @@ func (f *Forwarder) Table() *Table { return f.table.Load() }
 // destination (the control plane hasn't converged on it, or it's down).
 var ErrNoRoute = errors.New("dataplane: no route to destination")
 
+// sendBufs holds Send's encode buffers: Send runs on any caller's
+// goroutine, so it cannot own scratch the way the receive loop does.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Send originates one data packet of sizeBits toward dst on flow flowID.
 // A packet to self is delivered immediately (delay 0 plus nothing: no
 // hops were taken).
@@ -188,15 +192,23 @@ func (f *Forwarder) Send(dst graph.NodeID, flowID uint64, sizeBits uint32) error
 		FlowID: flowID, SentAt: f.cfg.Clock.Now(), SizeBits: sizeBits,
 	}
 	if dst == f.cfg.Self {
-		f.deliver(&p)
+		// OnDeliver may keep its packet, so only this branch pays for a
+		// heap copy; p itself stays on the stack.
+		q := p
+		f.deliver(&q)
 		return nil
 	}
-	return f.relay(&p)
+	buf := sendBufs.Get().(*[]byte)
+	err := f.relay(&p, buf)
+	sendBufs.Put(buf)
+	return err
 }
 
 // relay picks the next hop for p, charges the emulated hop latency, and
-// fires the frame at the neighbor's data port.
-func (f *Forwarder) relay(p *wire.DataPacket) error {
+// fires the frame at the neighbor's data port, encoding it into *buf (which
+// keeps any growth for the next packet). The port does not retain the
+// bytes past WriteTo, so the buffer is free again when relay returns.
+func (f *Forwarder) relay(p *wire.DataPacket, buf *[]byte) error {
 	hop, ok := f.table.Load().Lookup(p.Dst, p.FlowID)
 	if !ok {
 		f.dropNoRoute.Inc()
@@ -211,51 +223,54 @@ func (f *Forwarder) relay(p *wire.DataPacket) error {
 	if f.cfg.LatencyOf != nil {
 		p.Accum += f.cfg.LatencyOf(hop, p.SizeBits)
 	}
-	fr, err := wire.NewData(p)
+	out, err := wire.AppendData((*buf)[:0], p)
 	if err != nil {
 		return err
 	}
-	buf, err := fr.Encode()
-	if err != nil {
-		return err
-	}
+	*buf = out
 	atomic.AddInt64(&f.splits[int(p.Dst)*f.cfg.Nodes+int(hop)], 1)
 	f.forwarded.Inc()
 	if pa.tx != nil {
 		pa.tx.Inc()
 	}
-	return f.cfg.Conn.WriteTo(buf, pa.addr)
+	return f.cfg.Conn.WriteTo(out, pa.addr)
 }
 
-// recvLoop drains the data port until Close.
+// recvLoop drains the data port until Close. The datagram buffer, the
+// decoded frame and packet, and the relay's encode buffer are the loop's
+// own and reused for every packet: the packet's body aliases the datagram
+// buffer only until handle returns.
 func (f *Forwarder) recvLoop() {
 	defer close(f.done)
 	buf := make([]byte, transport.MaxDatagram)
+	var (
+		fr  wire.Frame
+		p   wire.DataPacket
+		out []byte
+	)
 	for {
 		n, err := f.cfg.Conn.ReadFrom(buf)
 		if err != nil {
 			return // socket closed
 		}
-		fr, err := wire.Decode(buf[:n])
-		if err != nil || fr.Type != wire.TypeData {
+		if err := wire.DecodeInto(&fr, buf[:n]); err != nil || fr.Type != wire.TypeData {
 			f.recvErrs.Inc()
 			continue
 		}
-		p, err := wire.DataPacketOf(fr)
-		if err != nil {
+		if err := wire.DecodeDataPacket(&p, fr.Payload); err != nil {
 			f.recvErrs.Inc()
 			continue
 		}
-		f.handle(&p)
+		f.handle(&p, &out)
 	}
 }
 
-// handle routes one received packet: deliver, or relay with TTL and loop
-// checks. A packet that returns to its origin without reaching its
-// destination has traversed a routing loop — MPDA's loop-freedom
-// invariant says that never happens, so it's counted as an invariant
-// violation and dropped rather than re-forwarded.
-func (f *Forwarder) handle(p *wire.DataPacket) {
+// handle routes one received packet: deliver, or relay (encoding into
+// *out) with TTL and loop checks. A packet that returns to its origin
+// without reaching its destination has traversed a routing loop — MPDA's
+// loop-freedom invariant says that never happens, so it's counted as an
+// invariant violation and dropped rather than re-forwarded.
+func (f *Forwarder) handle(p *wire.DataPacket, out *[]byte) {
 	if p.Dst == f.cfg.Self {
 		f.deliver(p)
 		return
@@ -270,7 +285,7 @@ func (f *Forwarder) handle(p *wire.DataPacket) {
 	}
 	p.TTL--
 	p.Hops++
-	_ = f.relay(p) // best effort: drops already counted
+	_ = f.relay(p, out) // best effort: drops already counted
 }
 
 // deliver sinks p locally, folding it into its flow's running stats. The

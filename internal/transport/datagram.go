@@ -2,7 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Datagram is the addressed, unreliable, fire-and-forget channel beneath
@@ -19,7 +21,10 @@ import (
 // a real router's interface behaves and what keeps the data plane at one
 // file descriptor per node instead of one per link.
 type Datagram interface {
-	// WriteTo sends one datagram to addr (best effort).
+	// WriteTo sends one datagram to addr (best effort). It does not retain
+	// b after it returns — the kernel copies a UDP datagram, a MemNet port
+	// copies into a slot of its inbox, and WithFaults copies a datagram it
+	// holds back — so a sender may reuse b at once.
 	WriteTo(b []byte, addr string) error
 	// ReadFrom blocks for the next datagram, copying it into b and
 	// returning its length. It returns an error once the channel closes.
@@ -44,7 +49,8 @@ type Medium interface {
 // set of named endpoints that write whole datagrams into each other's
 // bounded inboxes. Loss-free up to the ring capacity (overflow drops,
 // like a NIC ring); wrap endpoints with WithFaults for loss, duplication
-// and reordering.
+// and reordering. Any number of goroutines may write to an endpoint; one
+// at a time reads it.
 type MemNet struct {
 	mu    sync.Mutex
 	ports map[string]*memPort
@@ -90,18 +96,45 @@ func (mn *MemNet) drop(addr string) {
 }
 
 // memPort is one MemNet endpoint.
+//
+// Its datagrams live in slots: byte slices that are copied into and never
+// handed out, so each is reused once read. Writers append to inbox under
+// mu. The reader takes the whole inbox as its batch in one critical
+// section, handing the inbox the previous batch's slice in exchange, and
+// then serves the batch without the lock; the spent slots sit past the new
+// inbox's length, where the next writers copy into them.
 type memPort struct {
 	net  *MemNet
 	addr string
 	peer *memPort // WritePacket's target; nil outside a PacketPipe
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	inbox  [][]byte
-	closed bool
+	// memo is the port WriteTo resolved last. Addresses are never reused
+	// and a closed port drops, so a stale memo is harmless.
+	memo atomic.Pointer[memRoute]
+
+	mu    sync.Mutex
+	cond  *sync.Cond
+	inbox [][]byte
+	// closed is set under mu; the reader checks it without mu between
+	// batches' datagrams.
+	closed atomic.Bool
+	// unread counts datagrams queued but not yet read, the batch's
+	// included: the ring bound. Writers add under mu, the reader subtracts
+	// one as it serves each.
+	unread atomic.Int32
+
+	// The reader's own: the batch being served and its next index.
+	batch [][]byte
+	next  int
 }
 
-// memPortRing bounds each endpoint's inbox; beyond it datagrams drop.
+// memRoute is one resolved MemNet address.
+type memRoute struct {
+	addr string
+	port *memPort
+}
+
+// memPortRing bounds each endpoint's unread datagrams; beyond it they drop.
 const memPortRing = 4096
 
 // LocalAddr returns the endpoint's synthetic address.
@@ -109,7 +142,16 @@ func (m *memPort) LocalAddr() string { return m.addr }
 
 // WriteTo delivers one datagram into the target's inbox.
 func (m *memPort) WriteTo(b []byte, addr string) error {
-	m.net.lookup(addr).deliver(b)
+	r := m.memo.Load()
+	if r == nil || r.addr != addr {
+		p := m.net.lookup(addr)
+		if p == nil {
+			return nil // unbound: dropped
+		}
+		r = &memRoute{addr: addr, port: p}
+		m.memo.Store(r)
+	}
+	r.port.deliver(b)
 	return nil
 }
 
@@ -119,45 +161,52 @@ func (m *memPort) WritePacket(b []byte) error {
 	return nil
 }
 
-// deliver queues a copy of b; datagram semantics mean a delivery to an
-// unbound (nil), closed, or full endpoint silently drops.
+// deliver queues a copy of b in a recycled slot; datagram semantics mean a
+// delivery to an unbound (nil), closed, or full endpoint silently drops.
 func (m *memPort) deliver(b []byte) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || len(m.inbox) >= memPortRing {
+	if m.closed.Load() || m.unread.Load() >= memPortRing {
 		return
 	}
-	m.inbox = append(m.inbox, append([]byte(nil), b...))
+	m.inbox = slices.Grow(m.inbox, 1)[:len(m.inbox)+1] // keeps the spent slots past len
+	slot := &m.inbox[len(m.inbox)-1]
+	*slot = append((*slot)[:0], b...)
+	m.unread.Add(1)
 	m.cond.Signal()
 }
 
-// ReadFrom blocks for the next datagram.
+// ReadFrom blocks for the next datagram. It serves one reader at a time:
+// the batch is the reader's, unguarded.
 func (m *memPort) ReadFrom(b []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.inbox) == 0 && !m.closed {
-		m.cond.Wait()
+	if m.next == len(m.batch) {
+		m.mu.Lock()
+		for len(m.inbox) == 0 && !m.closed.Load() {
+			m.cond.Wait()
+		}
+		m.inbox, m.batch, m.next = m.batch[:0], m.inbox, 0
+		m.mu.Unlock()
 	}
-	if m.closed {
+	if m.closed.Load() {
 		return 0, ErrClosed
 	}
-	d := m.inbox[0]
-	m.inbox[0] = nil
-	m.inbox = m.inbox[1:]
-	return copy(b, d), nil
+	n := copy(b, m.batch[m.next])
+	m.next++
+	m.unread.Add(-1)
+	return n, nil
 }
 
 // ReadPacket is ReadFrom: a lane's only writer is its peer.
 func (m *memPort) ReadPacket(b []byte) (int, error) { return m.ReadFrom(b) }
 
-// Close closes this endpoint: pending and future reads fail, writes to it
-// drop.
+// Close closes this endpoint: pending and future reads fail, a batch
+// already taken included, and writes to it drop.
 func (m *memPort) Close() error {
 	m.mu.Lock()
-	m.closed = true
+	m.closed.Store(true)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.net.drop(m.addr)

@@ -18,7 +18,9 @@ const MaxDatagram = 64 << 10
 // beneath the ARQ — UDP in production, in-memory pairs in tests, and the
 // fault injector wraps either.
 type Packet interface {
-	// WritePacket sends one datagram (best effort).
+	// WritePacket sends one datagram (best effort). Like Datagram.WriteTo
+	// it does not retain b after it returns, so the ARQ can resend from
+	// its window slots and a sender may reuse b at once.
 	WritePacket(b []byte) error
 	// ReadPacket blocks for the next datagram, copying it into b and
 	// returning its length. It returns an error once the channel closes.

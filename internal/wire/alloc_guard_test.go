@@ -16,7 +16,9 @@ import (
 //   - DecodeInto with a reused Frame: 0 allocs/op (the receive path
 //     decodes every datagram into scratch, payloads aliasing the
 //     datagram buffer),
-//   - Decode: ≤1 alloc/op (only the returned *Frame itself).
+//   - Decode: ≤1 alloc/op (only the returned *Frame itself),
+//   - AppendData into a reused buffer: 0 allocs/op (the forwarder encodes
+//     every data packet it sends or relays into scratch it keeps).
 //
 // Like the telemetry guard, this test relies on testing.AllocsPerRun and
 // must run without -race (alloc accounting is unreliable under the race
@@ -65,6 +67,19 @@ func TestCodecAllocBudget(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("Decode: %.1f allocs/op, want <=1", n)
+	}
+
+	// The forwarder's per-packet encoder, into its reused buffer.
+	pkt := &DataPacket{Src: 3, Dst: 7, TTL: 32, FlowID: 0xdeadbeef, SentAt: 1.5, Accum: 0.002, SizeBits: 8192}
+	var data []byte
+	if n := testing.AllocsPerRun(200, func() {
+		out, err := AppendData(data[:0], pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = out
+	}); n != 0 {
+		t.Errorf("AppendData into reused buffer: %.1f allocs/op, want 0", n)
 	}
 
 	// The coalesced-datagram walk must stay alloc-free per frame too.

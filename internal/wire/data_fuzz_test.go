@@ -2,7 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
+
+	"minroute/internal/graph"
 )
 
 // FuzzDataFrame fuzzes the data-packet payload codec directly (beneath
@@ -10,6 +14,9 @@ import (
 // decoder must be total over arbitrary bytes, and every payload it
 // accepts must re-encode to the identical bytes — the canonical round
 // trip that keeps forwarders from mutating packets they merely relay.
+// The same bytes, read as packet fields without validation, pin the two
+// encoders to one another: AppendData refuses exactly what NewData
+// refuses and otherwise writes the bytes NewData followed by Encode does.
 func FuzzDataFrame(f *testing.F) {
 	seeds := []DataPacket{
 		{Src: 0, Dst: 1, TTL: 32, FlowID: 1, SizeBits: 4096},
@@ -24,6 +31,22 @@ func FuzzDataFrame(f *testing.F) {
 	f.Add(make([]byte, DataHeaderBytes-1))
 	f.Add(make([]byte, DataHeaderBytes+3))
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		raw := rawDataPacket(payload)
+		fr, errNew := NewData(&raw)
+		enc, errApp := AppendData(nil, &raw)
+		if (errNew == nil) != (errApp == nil) {
+			t.Fatalf("encoders disagree on %+v: NewData %v, AppendData %v", raw, errNew, errApp)
+		}
+		if errNew == nil {
+			want, err := fr.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("AppendData differs from NewData+Encode:\n got  %x\n want %x", enc, want)
+			}
+		}
+
 		var p DataPacket
 		if err := DecodeDataPacket(&p, payload); err != nil {
 			return
@@ -33,20 +56,38 @@ func FuzzDataFrame(f *testing.F) {
 			t.Fatalf("round trip not canonical:\n in  %x\n out %x", payload, out)
 		}
 		// An accepted payload must also frame and re-decode cleanly.
-		fr, err := NewData(&p)
+		buf, err := AppendData(nil, &p)
 		if err != nil {
-			t.Fatalf("accepted payload refused by NewData: %v", err)
-		}
-		buf, err := fr.Encode()
-		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("accepted payload refused by AppendData: %v", err)
 		}
 		g, err := Decode(buf)
 		if err != nil {
 			t.Fatalf("framed data packet refused by Decode: %v", err)
 		}
-		if _, err := DataPacketOf(g); err != nil {
-			t.Fatalf("accepted data frame with undecodable payload: %v", err)
+		if g.Type != TypeData || DecodeDataPacket(&p, g.Payload) != nil {
+			t.Fatalf("accepted data frame with undecodable payload (%s)", g.Type)
 		}
 	})
+}
+
+// rawDataPacket reads packet fields from b without validating them, so
+// negative node IDs and non-finite or negative times reach the encoders.
+// Bytes past the header are the body; a short b leaves later fields zero.
+func rawDataPacket(b []byte) DataPacket {
+	var hdr [DataHeaderBytes]byte
+	copy(hdr[:], b)
+	p := DataPacket{
+		Src:      graph.NodeID(binary.BigEndian.Uint32(hdr[0:4])),
+		Dst:      graph.NodeID(binary.BigEndian.Uint32(hdr[4:8])),
+		TTL:      hdr[8],
+		Hops:     hdr[9],
+		FlowID:   binary.BigEndian.Uint64(hdr[10:18]),
+		SentAt:   math.Float64frombits(binary.BigEndian.Uint64(hdr[18:26])),
+		Accum:    math.Float64frombits(binary.BigEndian.Uint64(hdr[26:34])),
+		SizeBits: binary.BigEndian.Uint32(hdr[34:38]),
+	}
+	if len(b) > DataHeaderBytes {
+		p.Body = b[DataHeaderBytes:]
+	}
+	return p
 }

@@ -26,8 +26,11 @@ func TestDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DataPacketOf(g)
-	if err != nil {
+	if g.Type != TypeData {
+		t.Fatalf("decoded a %s frame", g.Type)
+	}
+	var got DataPacket
+	if err := DecodeDataPacket(&got, g.Payload); err != nil {
 		t.Fatal(err)
 	}
 	if got.Src != p.Src || got.Dst != p.Dst || got.TTL != p.TTL || got.Hops != p.Hops {
@@ -56,6 +59,9 @@ func TestDataValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := NewData(&tc.p); err == nil {
 			t.Errorf("%s: NewData accepted invalid packet", tc.name)
+		}
+		if _, err := AppendData(nil, &tc.p); err == nil {
+			t.Errorf("%s: AppendData accepted invalid packet", tc.name)
 		}
 	}
 	// Decode-side: short header, negative node IDs.

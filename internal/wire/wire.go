@@ -148,18 +148,28 @@ func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	start := len(dst)
+	dst = appendHeader(dst, f.Type, f.Seq, len(f.Payload))
+	dst = append(dst, f.Payload...)
+	return appendCRC(dst, start), nil
+}
+
+// appendHeader appends the fixed frame header for a payload of plen bytes.
+func appendHeader(dst []byte, t Type, seq uint32, plen int) []byte {
 	var hdr [HeaderBytes]byte
 	binary.BigEndian.PutUint16(hdr[0:2], Magic)
 	hdr[2] = Version
-	hdr[3] = byte(f.Type)
-	binary.BigEndian.PutUint32(hdr[4:8], f.Seq)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.Payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, f.Payload...)
-	sum := crc32.Checksum(dst[start:], castagnoli)
+	hdr[3] = byte(t)
+	binary.BigEndian.PutUint32(hdr[4:8], seq)
+	binary.BigEndian.PutUint32(hdr[8:12], uint32(plen))
+	return append(dst, hdr[:]...)
+}
+
+// appendCRC appends the CRC trailer over the frame that starts at
+// dst[start:].
+func appendCRC(dst []byte, start int) []byte {
 	var crc [TrailerBytes]byte
-	binary.BigEndian.PutUint32(crc[:], sum)
-	return append(dst, crc[:]...), nil
+	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(dst[start:], castagnoli))
+	return append(dst, crc[:]...)
 }
 
 // Encode returns the encoded frame.
@@ -459,6 +469,21 @@ func NewData(p *DataPacket) (*Frame, error) {
 	return &Frame{Type: TypeData, Payload: payload}, nil
 }
 
+// AppendData appends p as one whole encoded Data frame (header, payload,
+// CRC) to dst and returns the extended slice — the bytes NewData followed
+// by Encode would produce, without the intermediate frame. It refuses what
+// NewData refuses, returning nil, and allocates nothing when dst has room:
+// the forwarder's per-packet encoder.
+func AppendData(dst []byte, p *DataPacket) ([]byte, error) {
+	start := len(dst)
+	dst = appendHeader(dst, TypeData, 0, DataHeaderBytes+len(p.Body))
+	dst = AppendDataPayload(dst, p)
+	if err := validate(TypeData, dst[start+HeaderBytes:]); err != nil {
+		return nil, err
+	}
+	return appendCRC(dst, start), nil
+}
+
 // DecodeDataPacket parses a Data payload into p without allocating; the
 // body aliases the payload. Decode/DecodeSome already validated accepted
 // frames, but the parse revalidates so it is safe on raw bytes too.
@@ -480,14 +505,4 @@ func DecodeDataPacket(p *DataPacket, payload []byte) error {
 		p.Body = nil
 	}
 	return nil
-}
-
-// DataPacketOf decodes the packet carried by a Data frame.
-func DataPacketOf(f *Frame) (DataPacket, error) {
-	var p DataPacket
-	if f.Type != TypeData {
-		return p, fmt.Errorf("wire: not a data frame (%s)", f.Type)
-	}
-	err := DecodeDataPacket(&p, f.Payload)
-	return p, err
 }
