@@ -42,8 +42,9 @@ test:
 # the packet paths rebuilt from the event log at shards 1, 2 and 3, the
 # router's cost trajectory, the fault injector's loss, duplication and
 # reorder positions on both faces of a medium, live-vs-DES
-# cross-validation: what a refactor runs to show nothing observable
-# moved. With them, the
+# cross-validation, and the routing agent's seam (no simulator import; a
+# hand-written host drives its clocks, pricing and AH): what a refactor runs
+# to show nothing observable moved. With them, the
 # differential tests the incremental control plane answers to (successor
 # sets against a full recompute, neighbor distances — their shapes and the
 # fuzz seed corpus — and the repaired tree against Dijkstra, the maintained T
@@ -51,7 +52,7 @@ test:
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport
 
 race:
 	$(GO) test -race ./...

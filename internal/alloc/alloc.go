@@ -238,14 +238,13 @@ func AdjustDamped(phi Params, succ []graph.NodeID, dist DistFunc, beta float64) 
 }
 
 // Spread summarizes how evenly routing parameters split traffic as 1 − max
-// φ: 0 means single-path, and values approaching 1 − 1/|S| mean a
-// near-uniform split. It is the scalar the telemetry layer attaches to
-// allocation events.
-func Spread(p Params) float64 {
+// φ, the max taken over keys, the successors p covers in ascending order: 0
+// means single-path, and values approaching 1 − 1/|S| mean a near-uniform
+// split. It is the scalar the telemetry layer attaches to allocation events.
+func Spread(p Params, keys []graph.NodeID) float64 {
 	maxPhi := 0.0
-	//lint:maporder-ok max over values is iteration-order independent
-	for _, v := range p {
-		if v > maxPhi {
+	for _, k := range keys {
+		if v := p[k]; v > maxPhi {
 			maxPhi = v
 		}
 	}

@@ -7,61 +7,52 @@ import (
 
 	"minroute/internal/graph"
 	"minroute/internal/lsu"
-	"minroute/internal/mpda"
 	"minroute/internal/numeric"
 	"minroute/internal/protonet"
+	"minroute/internal/router"
 )
 
-// movedCheck hosts one router and, after every event it passes on, holds
+// movedCheck hosts one agent and, after every event it passes on, holds
 // the router to the moved-set contract: every S_j equals the set derived
-// from scratch from the D_jk and FD_j as they stand, and every destination
-// whose S_j differs from before the event is in TakeMoved's answer, which
-// ascends strictly (so repeats nothing).
+// from scratch from the D_jk and FD_j as they stand, and φ_j is keyed by
+// exactly S_j. The agent rebuilds φ_j only for the destinations TakeMoved
+// hands it, so a changed S_j that TakeMoved left out shows as φ_j over the
+// set before the change.
 type movedCheck struct {
 	t      *testing.T
-	r      *mpda.Router
-	before [][]graph.NodeID
+	a      *router.Agent
 	events *int
 }
 
-func (c *movedCheck) HandleLSU(m *lsu.Msg) { c.r.HandleLSU(m); c.check("HandleLSU") }
+func (c *movedCheck) HandleLSU(m *lsu.Msg) { c.a.HandleLSU(m); c.check("HandleLSU") }
 func (c *movedCheck) LinkUp(k graph.NodeID, cost float64) {
-	c.r.LinkUp(k, cost)
+	c.a.LinkUp(k, cost)
 	c.check("LinkUp")
 }
 func (c *movedCheck) LinkCostChange(k graph.NodeID, cost float64) {
-	c.r.LinkCostChange(k, cost)
+	c.a.LinkCostChange(k, cost)
 	c.check("LinkCostChange")
 }
-func (c *movedCheck) LinkDown(k graph.NodeID) { c.r.LinkDown(k); c.check("LinkDown") }
+func (c *movedCheck) LinkDown(k graph.NodeID) { c.a.LinkDown(k); c.check("LinkDown") }
 
 func (c *movedCheck) check(event string) {
 	*c.events++
-	tb := c.r.Tables()
-	moved := c.r.TakeMoved()
-	for i := 1; i < len(moved); i++ {
-		if moved[i-1] >= moved[i] {
-			c.t.Fatalf("router %d after %s: TakeMoved = %v does not ascend strictly", c.r.ID(), event, moved)
-		}
-	}
-	if c.before == nil {
-		c.before = make([][]graph.NodeID, tb.NumNodes())
-	}
+	r := c.a.Protocol()
+	tb := r.Tables()
 	for j := graph.NodeID(0); int(j) < tb.NumNodes(); j++ {
 		var want []graph.NodeID
 		for _, k := range tb.Neighbors() {
-			if j != c.r.ID() && numeric.Closer(tb.NbrDist(j, k), c.r.FD(j)) {
+			if j != r.ID() && numeric.Closer(tb.NbrDist(j, k), r.FD(j)) {
 				want = append(want, k)
 			}
 		}
-		got := c.r.Successors(j)
+		got := r.Successors(j)
 		if !slices.Equal(got, want) {
-			c.t.Fatalf("router %d after %s: S_%d = %v, derived from scratch %v (moved %v)", c.r.ID(), event, j, got, want, moved)
+			c.t.Fatalf("router %d after %s: S_%d = %v, derived from scratch %v", r.ID(), event, j, got, want)
 		}
-		if _, reported := slices.BinarySearch(moved, j); !reported && !slices.Equal(got, c.before[j]) {
-			c.t.Fatalf("router %d after %s: S_%d went %v -> %v, TakeMoved = %v", c.r.ID(), event, j, c.before[j], got, moved)
+		if keys := c.a.Phi(j).Keys(); j != r.ID() && !slices.Equal(keys, got) {
+			c.t.Fatalf("router %d after %s: S_%d = %v but φ_%d covers %v: TakeMoved left it out", r.ID(), event, j, got, j, keys)
 		}
-		c.before[j] = append(c.before[j][:0], got...)
 	}
 }
 
@@ -70,8 +61,8 @@ func (c *movedCheck) check(event string) {
 // branch of the per-event procedure — cold starts on random graphs, the two
 // checked-in reproducers, and generated fault schedules with cost changes,
 // failures, crashes, restarts and perturbed delivery — no router's S_j ever
-// differs from a full recompute, after any event, and the set handed to the
-// host covers every change.
+// differs from a full recompute, after any event, and the agent's φ_j always
+// covers exactly S_j.
 func TestMovedSetMatchesFullRecompute(t *testing.T) {
 	var scenarios []*Scenario
 	for seed := uint64(0); seed < 20; seed++ {
@@ -99,8 +90,8 @@ func TestMovedSetMatchesFullRecompute(t *testing.T) {
 
 	events := 0
 	for _, s := range scenarios {
-		res, err := runProto(s, nil, func(r *mpda.Router) protonet.Node {
-			return &movedCheck{t: t, r: r, events: &events}
+		res, err := runProto(s, nil, func(a *router.Agent) protonet.Node {
+			return &movedCheck{t: t, a: a, events: &events}
 		})
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", s.Name, s.Seed, err)

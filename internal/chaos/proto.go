@@ -4,14 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 
+	"minroute/internal/alloc"
 	"minroute/internal/graph"
 	"minroute/internal/lfi"
-	"minroute/internal/mpda"
+	"minroute/internal/lsu"
 	"minroute/internal/oracle"
 	"minroute/internal/protonet"
+	"minroute/internal/router"
 	"minroute/internal/telemetry"
 	"minroute/internal/topo"
 )
@@ -70,9 +71,10 @@ func linkKey(a, b graph.NodeID) [2]graph.NodeID {
 // a link is up iff it is not explicitly failed and neither endpoint is
 // crashed, and every apply is reconciled against that rule.
 type protoState struct {
-	net     *protonet.Net
-	g       *graph.Graph
-	routers map[graph.NodeID]*mpda.Router
+	net *protonet.Net
+	g   *graph.Graph
+	// agents holds one routing agent per router, indexed by ID.
+	agents  []*router.Agent
 	views   map[graph.NodeID]lfi.RouterView
 	base    map[[2]graph.NodeID]linkParams
 	cost    map[[2]graph.NodeID]float64
@@ -83,37 +85,40 @@ type protoState struct {
 	// The protocol harness has no simulation clock, so event timestamps are
 	// the delivery-attempt count — still monotone and deterministic.
 	tel *telemetry.Capture
-	// host is what the harness attaches for a router (see runProto).
-	host func(*mpda.Router) protonet.Node
+	// host is what the harness attaches for an agent (see runProto).
+	host func(*router.Agent) protonet.Node
 }
 
 // now is the protocol harness's timebase: delivery attempts so far.
 func (st *protoState) now() float64 { return float64(st.net.Attempts()) }
 
-// installHooks wires MPDA's phase/commit observers for router id into the
-// capture; re-invoked on restart because the router is rebuilt.
-func (st *protoState) installHooks(id graph.NodeID, r *mpda.Router) {
-	if st.tel == nil {
-		return
+// boot attaches a fresh agent for router id, at the start of a run and on
+// each restart.
+func (st *protoState) boot(id graph.NodeID) {
+	a := router.NewAgent(id, st.numNode, router.Config{}, protoHost{st, st.net.Sender(id)}, nil)
+	if st.tel != nil {
+		a.Observe(st.tel.Trace, nil)
 	}
-	var activeSince float64
-	r.OnPhase = func(active bool) {
-		now := st.now()
-		if active {
-			activeSince = now
-			st.tel.Trace.Emit(telemetry.NewEvent(now, telemetry.KindPhaseActive, id))
-			return
-		}
-		ev := telemetry.NewEvent(now, telemetry.KindPhasePassive, id)
-		ev.Value = now - activeSince
-		st.tel.Trace.Emit(ev)
-	}
-	r.OnCommit = func(changed int) {
-		ev := telemetry.NewEvent(st.now(), telemetry.KindTableCommit, id)
-		ev.Value = float64(changed)
-		st.tel.Trace.Emit(ev)
-	}
+	st.agents[id] = a
+	st.views[id] = a.Protocol()
+	st.net.Attach(id, st.host(a))
 }
+
+// protoHost is the harness as one router's agent sees it: the delivery
+// count is its clock and its LSUs go onto its outgoing link queues. The
+// scenario prices every link and the agent's clocks are off, so it never
+// reads a link or arms a timer; the harness forwards nothing, so φ goes
+// nowhere.
+type protoHost struct {
+	st   *protoState
+	send func(to graph.NodeID, m *lsu.Msg)
+}
+
+func (h protoHost) Now() float64                                       { return h.st.now() }
+func (h protoHost) After(float64, func()) router.Timer                 { return nil }
+func (h protoHost) Link(graph.NodeID) (float64, float64, int64)        { return 0, 0, 0 }
+func (h protoHost) SendLSU(to graph.NodeID, m *lsu.Msg)                { h.send(to, m) }
+func (h protoHost) Publish(graph.NodeID, alloc.Params, []graph.NodeID) {}
 
 // emitFault records one injected fault marker in the network-scope ring.
 func (st *protoState) emitFault(k telemetry.Kind, label string) {
@@ -139,7 +144,7 @@ func (st *protoState) checkAdjacency(log *oracle.Log) {
 	var live []oracle.AdjacencyView
 	for _, id := range st.g.Nodes() {
 		if !st.crashed[id] {
-			live = append(live, st.routers[id].Tables())
+			live = append(live, st.agents[id].Protocol().Tables())
 		}
 	}
 	log.Record(oracle.CheckAdjacencyName)
@@ -190,11 +195,7 @@ func (st *protoState) apply(act Action) {
 		st.emitFault(telemetry.KindFaultStop, fmt.Sprintf("restart %d", v))
 		st.crashed[v] = false
 		st.net.Detach(v)
-		r := mpda.NewRouter(v, st.numNode, st.net.Sender(v))
-		st.installHooks(v, r)
-		st.routers[v] = r
-		st.views[v] = r
-		st.net.Attach(v, st.host(r))
+		st.boot(v)
 		// Ascending by neighbor, which is ascending by link key: the order of
 		// the LinkUps decides the order of the LSUs they cause.
 		for k := 0; k < st.numNode; k++ {
@@ -231,17 +232,18 @@ func (st *protoState) restoreIfDue(key [2]graph.NodeID) {
 func RunProto(s *Scenario) (*Result, error) { return RunProtoWith(s, nil) }
 
 // RunProtoWith is RunProto with an optional telemetry capture: the run's
-// phase transitions, message deliveries, table commits, and injected faults
+// phase transitions, message deliveries, table commits, allocation steps,
+// and injected faults
 // land in tel's event bus (timestamped by delivery attempt — the harness
 // has no simulation clock). mdrfuzz ships this timeline alongside shrunk
 // reproducers.
 func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
-	return runProto(s, tel, func(r *mpda.Router) protonet.Node { return r })
+	return runProto(s, tel, func(a *router.Agent) protonet.Node { return a })
 }
 
-// runProto is RunProtoWith with the harness reaching each router through
-// host(r): tests interpose a per-event check there.
-func runProto(s *Scenario, tel *telemetry.Capture, host func(*mpda.Router) protonet.Node) (*Result, error) {
+// runProto is RunProtoWith with the harness reaching each agent through
+// host(a): tests interpose a per-event check there.
+func runProto(s *Scenario, tel *telemetry.Capture, host func(*router.Agent) protonet.Node) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -253,7 +255,7 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*mpda.Router) proto
 	st := &protoState{
 		net:     protonet.New(g, s.Seed),
 		g:       g,
-		routers: make(map[graph.NodeID]*mpda.Router),
+		agents:  make([]*router.Agent, g.NumNodes()),
 		views:   make(map[graph.NodeID]lfi.RouterView),
 		base:    make(map[[2]graph.NodeID]linkParams),
 		cost:    make(map[[2]graph.NodeID]float64),
@@ -263,19 +265,6 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*mpda.Router) proto
 		tel:     tel,
 		host:    host,
 	}
-	if tel != nil {
-		st.net.OnMessage = func(from, to graph.NodeID, entries int, ack bool) {
-			ev := telemetry.NewEvent(st.now(), telemetry.KindLSURecv, to)
-			ev.Peer = from
-			ev.Value = float64(entries)
-			tel.Trace.Emit(ev)
-			if ack {
-				a := telemetry.NewEvent(st.now(), telemetry.KindLSUAck, to)
-				a.Peer = from
-				tel.Trace.Emit(a)
-			}
-		}
-	}
 	for _, l := range g.Links() {
 		if l.From < l.To {
 			key := linkKey(l.From, l.To)
@@ -284,11 +273,7 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*mpda.Router) proto
 		}
 	}
 	for _, id := range g.Nodes() {
-		r := mpda.NewRouter(id, st.numNode, st.net.Sender(id))
-		st.installHooks(id, r)
-		st.routers[id] = r
-		st.views[id] = r
-		st.net.Attach(id, st.host(r))
+		st.boot(id)
 	}
 
 	log := oracle.NewLog()
@@ -308,14 +293,14 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*mpda.Router) proto
 	st.checkAdjacency(log)
 
 	if quiesced {
-		activeViews := make(map[graph.NodeID]oracle.ActiveView, len(st.routers))
-		protoViews := make(map[graph.NodeID]oracle.ProtocolView, len(st.routers))
+		activeViews := make(map[graph.NodeID]oracle.ActiveView, len(st.agents))
+		protoViews := make(map[graph.NodeID]oracle.ProtocolView, len(st.agents))
 		for _, id := range g.Nodes() {
 			if st.crashed[id] {
 				continue
 			}
-			activeViews[id] = st.routers[id]
-			protoViews[id] = st.routers[id]
+			activeViews[id] = st.agents[id].Protocol()
+			protoViews[id] = st.agents[id].Protocol()
 		}
 		ev := int64(st.net.Attempts())
 		log.Record(oracle.CheckQuiescenceName)
@@ -371,20 +356,15 @@ func runProtoSchedule(st *protoState, s *Scenario, trace *strings.Builder, log *
 }
 
 // writeProtoTables appends every live router's distance vector to the
-// trace, making the hash sensitive to the full converged state.
+// trace, in ID order, making the hash sensitive to the full converged state.
 func writeProtoTables(trace *strings.Builder, st *protoState) {
-	ids := make([]graph.NodeID, 0, len(st.routers))
-	//lint:maporder-ok keys are collected and sorted before writing
-	for id := range st.routers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for i, a := range st.agents {
+		id := graph.NodeID(i)
 		if st.crashed[id] {
 			fmt.Fprintf(trace, "router %d crashed\n", id)
 			continue
 		}
-		r := st.routers[id]
+		r := a.Protocol()
 		fmt.Fprintf(trace, "router %d D=[", id)
 		for j := 0; j < st.numNode; j++ {
 			if j > 0 {

@@ -493,10 +493,11 @@ func (m *Mesh) CheckLoopFree() error {
 	for _, n := range m.Nodes {
 		v := &tableView{id: n.id, fd: make([]float64, nn), succ: make([][]graph.NodeID, nn)}
 		n.mu.Lock()
+		r := n.agent.Protocol()
 		for j := 0; j < nn; j++ {
 			jid := graph.NodeID(j)
-			v.fd[j] = n.r.FD(jid)
-			v.succ[j] = append([]graph.NodeID(nil), n.r.Successors(jid)...)
+			v.fd[j] = r.FD(jid)
+			v.succ[j] = append([]graph.NodeID(nil), r.Successors(jid)...)
 		}
 		n.mu.Unlock()
 		views[n.id] = v

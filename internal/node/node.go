@@ -1,7 +1,8 @@
-// Package node hosts live MPDA routers: each Node wraps one
-// mpda.Router — the same state machine the simulator drives — behind a
-// transport.Clock and a set of peer sessions running over real
-// transports (in-memory pipes, TCP, or UDP with the ARQ layer).
+// Package node hosts live routers: each Node runs one router.Agent — the
+// per-router algorithm the simulator runs, with both clocks off and its link
+// costs handed in by the sessions — behind a transport.Clock and a set of
+// peer sessions running over real transports (in-memory pipes, TCP, or UDP
+// with the ARQ layer).
 //
 // The runtime supplies exactly what the paper assumes and the simulator
 // emulates: reliable in-order LSU delivery (the transport's job), plus
@@ -14,11 +15,12 @@
 // computes. RouterSummary renders that state canonically so the two
 // worlds can be hash-compared; TestCrossValidation holds us to it.
 //
-// Concurrency model: one mutex per Node guards the router and peer
-// table. Peer read loops apply frames to the router under the lock;
-// outbound frames go through per-peer queues drained by writer
-// goroutines, so the router never blocks on a transport while holding
-// the lock (and no cross-node lock cycle can form). A queue that reaches
+// Concurrency model: one mutex per Node guards the agent and peer table.
+// Peer read loops apply frames to the agent under the lock, and the agent's
+// calls back into the node (an LSU to send, a φ_j to publish) run under it
+// too; outbound frames go through per-peer queues drained by writer
+// goroutines, so the agent never blocks on a transport while holding the
+// lock (and no cross-node lock cycle can form). A queue that reaches
 // maxWriteQueue frames means the peer has stopped reading; the session
 // ends as a dead link rather than growing memory without limit.
 package node
@@ -39,6 +41,7 @@ import (
 	"minroute/internal/lsu"
 	"minroute/internal/mpda"
 	"minroute/internal/obs"
+	"minroute/internal/router"
 	"minroute/internal/telemetry"
 	"minroute/internal/transport"
 	"minroute/internal/wire"
@@ -138,11 +141,9 @@ type Config struct {
 	ObsPollEvery   float64
 	ObsStablePolls int
 	// Data, when non-nil, is this node's data-plane forwarder. The node
-	// drives it: after every event that can move the router's successor
-	// sets or distances, it derives per-destination phi weights from the
-	// live tables (alloc.Initial over the successor distances — the
-	// paper's initial heuristic) and publishes a fresh forwarding
-	// snapshot. The node owns the forwarder from here on; Close reaps it.
+	// publishes the agent's φ to it: one forwarding snapshot after each
+	// event that made IH rebuild some φ_j. The node owns the forwarder from
+	// here on; Close reaps it.
 	Data *dataplane.Forwarder
 }
 
@@ -217,17 +218,21 @@ type Node struct {
 	stats nodeStats
 
 	mu    sync.Mutex
-	r     *mpda.Router
+	agent *router.Agent
 	peers map[graph.NodeID]*peer
 	// handshakes holds conns whose session is still in the HELLO exchange:
 	// not yet in peers, but already owning a goroutine that may be blocked
 	// in Recv. Close reaps them directly — without this, a session whose
 	// remote never answers outlives the node (goroutine + conn leak).
-	handshakes  map[transport.Conn]struct{}
-	peerStats   map[graph.NodeID]peerInstruments
-	obs         *obs.Server
-	closed      bool
-	activeSince float64
+	handshakes map[transport.Conn]struct{}
+	peerStats  map[graph.NodeID]peerInstruments
+	obs        *obs.Server
+	closed     bool
+	// routes[j] is the forwarding entry φ_j was last published as, and
+	// republish marks entries the data plane has not been handed yet (both
+	// only with Config.Data).
+	routes    []dataplane.Entry
+	republish bool
 }
 
 // New builds a node; the router starts PASSIVE with no peers.
@@ -259,10 +264,12 @@ func New(cfg Config) (*Node, error) {
 		evDropped:   cfg.Metrics.Counter("telemetry.events.dropped"),
 		peersUp:     cfg.Metrics.Gauge("session.peers"),
 	}
-	n.r = mpda.NewRouter(cfg.ID, cfg.Nodes, n.sendLSU)
-	n.r.OnPhase = n.onPhase
-	n.r.OnCommit = func(changed int) {
-		n.emit(telemetry.KindTableCommit, graph.None, float64(changed), "")
+	n.agent = router.NewAgent(cfg.ID, cfg.Nodes, router.Config{}, (*host)(n), nil)
+	if cfg.Trace != nil {
+		n.agent.Observe(cfg.Trace, nil)
+	}
+	if cfg.Data != nil {
+		n.routes = make([]dataplane.Entry, cfg.Nodes)
 	}
 	if cfg.ObsAddr != "" {
 		srv, err := obs.NewServer(obs.Config{
@@ -299,18 +306,34 @@ func (n *Node) emit(k telemetry.Kind, peer graph.NodeID, value float64, label st
 	n.cfg.Trace.Emit(ev)
 }
 
-// onPhase observes router phase flips (always called under n.mu).
-func (n *Node) onPhase(active bool) {
-	now := n.clk.Now()
-	if active {
-		n.activeSince = now
-		n.emit(telemetry.KindPhaseActive, graph.None, 0, "")
+// host is a Node as its agent sees it. The sessions hand the agent every
+// link cost and its clocks are off, so it never reads a link or arms a
+// timer.
+type host Node
+
+func (h *host) Now() float64                                { return h.clk.Now() }
+func (h *host) After(float64, func()) router.Timer          { return nil }
+func (h *host) Link(graph.NodeID) (float64, float64, int64) { return 0, 0, 0 }
+func (h *host) SendLSU(to graph.NodeID, m *lsu.Msg)         { (*Node)(h).sendLSU(to, m) }
+
+// Publish records φ_j as the forwarding entry for j, for publishDataLocked
+// to hand the data plane; no φ means no route.
+func (h *host) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+	if h.routes == nil {
 		return
 	}
-	n.emit(telemetry.KindPhasePassive, graph.None, now-n.activeSince, "")
+	e := &h.routes[j]
+	e.Dst, e.Hops, e.Weights = j, e.Hops[:0], e.Weights[:0]
+	if len(phi) > 0 {
+		for _, k := range succ {
+			e.Hops = append(e.Hops, k)
+			e.Weights = append(e.Weights, phi[k])
+		}
+	}
+	h.republish = true
 }
 
-// sendLSU is the router's Sender: called under n.mu whenever MPDA emits
+// sendLSU is the agent's way out: called under n.mu whenever MPDA emits
 // an LSU toward a neighbor. A missing peer means the link raced down;
 // dropping matches the physical reality that a dead link carries nothing.
 func (n *Node) sendLSU(to graph.NodeID, m *lsu.Msg) {
@@ -423,7 +446,7 @@ func (n *Node) session(conn transport.Conn, costOf func(peer graph.NodeID) (floa
 	n.stats.peerUps.Inc()
 	n.stats.peersUp.Set(float64(len(n.peers)))
 	n.emit(telemetry.KindPeerUp, pid, cost, "")
-	n.r.LinkUp(pid, cost)
+	n.agent.LinkUp(pid, cost)
 	n.publishDataLocked()
 	n.mu.Unlock()
 
@@ -474,11 +497,7 @@ func (n *Node) readLoop(p *peer) {
 			// origin would be written into that neighbor's T_k.
 			if m, err := wire.LSUMsg(f); err == nil && m.From == p.id {
 				n.stats.lsusRecv.Inc()
-				n.emit(telemetry.KindLSURecv, p.id, float64(len(m.Entries)), "")
-				if m.Ack {
-					n.emit(telemetry.KindLSUAck, p.id, 0, "")
-				}
-				n.r.HandleLSU(m)
+				n.agent.HandleLSU(m)
 				n.publishDataLocked()
 			}
 		case wire.TypeBye:
@@ -538,7 +557,7 @@ func (n *Node) peerDownLocked(p *peer, reason string) {
 	n.stats.peerDowns.Inc()
 	n.stats.peersUp.Set(float64(len(n.peers)))
 	n.emit(telemetry.KindPeerDown, p.id, 0, reason)
-	n.r.LinkDown(p.id)
+	n.agent.LinkDown(p.id)
 	n.publishDataLocked()
 	p.out.Close()
 }
@@ -553,7 +572,7 @@ func (n *Node) ChangeCost(k graph.NodeID, cost float64) error {
 		return fmt.Errorf("node %d: no live peer %d", n.id, k)
 	}
 	p.cost = cost
-	n.r.LinkCostChange(k, cost)
+	n.agent.LinkCostChange(k, cost)
 	n.publishDataLocked()
 	return nil
 }
@@ -561,46 +580,20 @@ func (n *Node) ChangeCost(k graph.NodeID, cost float64) error {
 // DataPlane returns the node's forwarder, or nil without a data plane.
 func (n *Node) DataPlane() *dataplane.Forwarder { return n.cfg.Data }
 
-// publishDataLocked compiles the router's current successor sets into a
-// forwarding-table snapshot and swaps it into the data plane. Called
-// under n.mu after every event that can touch the tables — link up/down,
-// LSU application, cost change. The router's commit hook is not enough:
-// FD lowering in the PASSIVE step can widen a successor set without a
-// table commit, and the data plane must see it.
-//
-// The phi weights are alloc.Initial over the live successor distances —
-// the paper's initial heuristic IH: a single successor takes the whole
-// flow; multiple successors split inversely to their marginal distance
-// D_jk + l_ik. The simulator's routers run the same allocator over the
-// same converged distances, which is what makes the live split
-// cross-validatable against the DES.
+// publishDataLocked hands the data plane one snapshot of every forwarding
+// entry once the agent has published some φ_j since the last call. Called
+// under n.mu after each event the agent processes; an event that rebuilt no
+// φ_j leaves the forwarder's table as it is.
 func (n *Node) publishDataLocked() {
-	if n.cfg.Data == nil {
+	if !n.republish {
 		return
 	}
-	entries := make([]dataplane.Entry, 0, n.cfg.Nodes)
-	for j := 0; j < n.cfg.Nodes; j++ {
-		jid := graph.NodeID(j)
-		if jid == n.id {
-			continue
+	n.republish = false
+	entries := make([]dataplane.Entry, 0, len(n.routes))
+	for _, e := range n.routes {
+		if len(e.Hops) > 0 {
+			entries = append(entries, e)
 		}
-		succ := n.r.Successors(jid)
-		if len(succ) == 0 {
-			continue
-		}
-		phi := alloc.Initial(succ, func(k graph.NodeID) float64 {
-			return n.r.SuccessorDistance(jid, k)
-		})
-		e := dataplane.Entry{
-			Dst:     jid,
-			Hops:    make([]graph.NodeID, 0, len(succ)),
-			Weights: make([]float64, 0, len(succ)),
-		}
-		for _, k := range phi.Keys() {
-			e.Hops = append(e.Hops, k)
-			e.Weights = append(e.Weights, phi[k])
-		}
-		entries = append(entries, e)
 	}
 	n.cfg.Data.Publish(entries)
 }
@@ -609,7 +602,7 @@ func (n *Node) publishDataLocked() {
 func (n *Node) Passive() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return !n.r.Active()
+	return !n.agent.Protocol().Active()
 }
 
 // PeerCount returns the number of live peer sessions.
@@ -655,7 +648,7 @@ func (n *Node) Outstanding() int {
 func (n *Node) Summary() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return RouterSummary(n.r)
+	return RouterSummary(n.agent.Protocol())
 }
 
 // Close tears every session down, sending BYE so peers drop the link
@@ -717,9 +710,9 @@ func (n *Node) obsSample() obs.Sample {
 	defer n.mu.Unlock()
 	s := obs.Sample{
 		ID:       int(n.id),
-		Passive:  !n.r.Active(),
+		Passive:  !n.agent.Protocol().Active(),
 		MinPeers: n.cfg.ExpectPeers,
-		Summary:  RouterSummary(n.r),
+		Summary:  RouterSummary(n.agent.Protocol()),
 	}
 	for _, id := range n.peerIDsLocked() {
 		p := n.peers[id]
@@ -827,20 +820,21 @@ func (n *Node) State() State {
 // destRowsLocked renders one row per reachable destination — the single
 // walk behind both State and the observability plane's /routes.
 func (n *Node) destRowsLocked() []DestState {
+	r := n.agent.Protocol()
 	var rows []DestState
 	for j := 0; j < n.cfg.Nodes; j++ {
 		jid := graph.NodeID(j)
-		d := n.r.Dist(jid)
+		d := r.Dist(jid)
 		if math.IsInf(d, 1) {
 			continue
 		}
-		fd := n.r.FD(jid)
+		fd := r.FD(jid)
 		if math.IsInf(fd, 1) {
 			fd = -1 // +Inf has no JSON encoding; -1 marks "not established"
 		}
 		rows = append(rows, DestState{
-			Dst: jid, Dist: d, FD: fd, Best: n.r.BestSuccessor(jid),
-			Successors: append([]graph.NodeID{}, n.r.Successors(jid)...),
+			Dst: jid, Dist: d, FD: fd, Best: r.BestSuccessor(jid),
+			Successors: append([]graph.NodeID{}, r.Successors(jid)...),
 		})
 	}
 	return rows

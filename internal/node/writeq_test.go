@@ -98,7 +98,7 @@ func TestStalledPeerOverflowsWriterQueue(t *testing.T) {
 	if peak > maxWriteQueue {
 		t.Fatalf("writer queue reached %d frames, bound is %d", peak, maxWriteQueue)
 	}
-	if _, up := n.r.Tables().AdjCost(1); up {
+	if _, up := n.agent.Protocol().Tables().AdjCost(1); up {
 		t.Fatal("router still believes the link to the stalled peer up")
 	}
 	if got := reg.Counter("session.writeq_overflows").Value(); got != 1 {

@@ -75,10 +75,6 @@ type Net struct {
 	// OnDeliver, when set, runs after every single message delivery; tests
 	// install invariant checks (e.g. instantaneous loop-freedom) here.
 	OnDeliver func()
-	// OnMessage, when set, observes each message just before the receiver
-	// processes it: the link endpoints, the entry count, and whether the
-	// message carries an ACK credit. Telemetry hooks here.
-	OnMessage func(from, to graph.NodeID, entries int, ack bool)
 	delivered int
 	attempts  int
 	pending   int
@@ -190,9 +186,6 @@ func (n *Net) Step() bool {
 		n.queues[key] = q[1:]
 	}
 	n.pending--
-	if n.OnMessage != nil {
-		n.OnMessage(key[0], key[1], len(m.Entries), m.Ack)
-	}
 	n.nodes[key[1]].HandleLSU(m)
 	n.delivered++
 	if n.OnDeliver != nil {

@@ -65,9 +65,6 @@ func scanStep(n *Net) bool {
 		n.queues[key] = q[1:]
 	}
 	n.ready, n.pending = sortedScan(n), recount(n)
-	if n.OnMessage != nil {
-		n.OnMessage(key[0], key[1], len(m.Entries), m.Ack)
-	}
 	n.nodes[key[1]].HandleLSU(m)
 	n.delivered++
 	if n.OnDeliver != nil {

@@ -22,10 +22,10 @@ func cbr(eng *des.Engine, n0 *Node, dst graph.NodeID, count int, gap float64) {
 // onTsTick runs fn after each of n's short-term ticks: a tick re-arms its
 // own timer, so a handle that changed across an event means the tick ran.
 func onTsTick(eng *des.Engine, n *Node, fn func()) {
-	armed := n.tsTimer
+	armed := n.agent.tsTimer
 	eng.OnEvent = func() {
-		if n.tsTimer != armed {
-			armed = n.tsTimer
+		if n.agent.tsTimer != armed {
+			armed = n.agent.tsTimer
 			fn()
 		}
 	}
@@ -36,8 +36,7 @@ func onTsTick(eng *des.Engine, n *Node, fn func()) {
 // (μ = 125 packets/s).
 func TestMeasure(t *testing.T) {
 	_, nodes, _ := line3(t, Defaults())
-	n := nodes[0]
-	p := n.link(1).port
+	a := nodes[0].agent
 	const mu, tau = 125.0, 1e-3
 	for _, tc := range []struct {
 		name    string
@@ -51,13 +50,13 @@ func TestMeasure(t *testing.T) {
 		{"above the cap", 1000, 2, mu/(12.5*12.5) + tau, true}, // held at 0.9·μ = 112.5
 		{"zero-length window", 40, 0, 0, false},
 	} {
-		got, ok := n.measure(p, tc.packets, tc.window)
+		got, ok := a.measure(1, tc.packets, tc.window)
 		if ok != tc.ok || math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: measure(%d packets, %v s) = %v, %v; want %v, %v",
 				tc.name, tc.packets, tc.window, got, ok, tc.want, tc.ok)
 		}
 	}
-	if got, want := n.costAt(p, 0), linkcost.MM1Marginal(0, mu, tau); got != want {
+	if got, want := a.costAt(1, 0), linkcost.MM1Marginal(0, mu, tau); got != want {
 		t.Errorf("idle cost = %v, want %v", got, want)
 	}
 }
@@ -71,22 +70,22 @@ func TestRestartClearsLinkState(t *testing.T) {
 	cbr(eng, nodes[0], 2, 1000, 0.01)
 	eng.Run(12)
 	mid := nodes[1]
-	if out := mid.link(2); out.port.DataPackets == 0 || out.short <= mid.costAt(out.port, 0) {
-		t.Fatalf("link 1→2 not loaded before the crash: %d packets, short cost %v", out.port.DataPackets, out.short)
+	if out := mid.agent.link(2); mid.port(2).DataPackets == 0 || out.short <= mid.agent.costAt(2, 0) {
+		t.Fatalf("link 1→2 not loaded before the crash: %d packets, short cost %v", mid.port(2).DataPackets, out.short)
 	}
 	mid.Crash()
 	eng.Run(13)
 	mid.Restart()
-	if mid.lastTl != eng.Now() {
-		t.Errorf("lastTl = %v after restart at %v", mid.lastTl, eng.Now())
+	if mid.agent.lastTl != eng.Now() {
+		t.Errorf("lastTl = %v after restart at %v", mid.agent.lastTl, eng.Now())
 	}
-	for _, l := range mid.links {
-		idle := mid.costAt(l.port, 0)
+	for _, l := range mid.agent.links {
+		idle := mid.agent.costAt(l.to, 0)
 		if l.short != idle || l.long.Value() != idle {
 			t.Errorf("link to %d: short %v, long %v, want idle %v", l.to, l.short, l.long.Value(), idle)
 		}
-		if l.tsSnap != l.port.DataPackets || l.tlSnap != l.port.DataPackets {
-			t.Errorf("link to %d: snapshots %d/%d, port counter %d", l.to, l.tsSnap, l.tlSnap, l.port.DataPackets)
+		if p := mid.port(l.to); l.tsSnap != p.DataPackets || l.tlSnap != p.DataPackets {
+			t.Errorf("link to %d: snapshots %d/%d, port counter %d", l.to, l.tsSnap, l.tlSnap, p.DataPackets)
 		}
 	}
 }

@@ -1,23 +1,20 @@
 package router
 
-import (
-	"minroute/internal/eventq"
-	"minroute/internal/graph"
-)
+import "minroute/internal/graph"
 
 // TickTimers returns the handles of the pending Ts and Tl ticks; each tick
 // re-arms its own, so a changed handle means that tick ran.
-func (n *Node) TickTimers() (ts, tl eventq.Handle) { return n.tsTimer, n.tlTimer }
+func (n *Node) TickTimers() (ts, tl Timer) { return n.agent.tsTimer, n.agent.tlTimer }
 
 // VisitLinkCosts calls visit for every attached neighbor in ascending
 // order with its short-term cost and its long-term (pre-quantization
 // advertised) cost.
 func (n *Node) VisitLinkCosts(visit func(k graph.NodeID, short, long float64)) {
-	for _, l := range n.links {
+	for _, l := range n.agent.links {
 		visit(l.to, l.short, l.long.Value())
 	}
 }
 
 // BuiltFrom returns the successor set destination j's routing parameters
 // were last built from.
-func (n *Node) BuiltFrom(j graph.NodeID) []graph.NodeID { return n.phiSucc[j] }
+func (n *Node) BuiltFrom(j graph.NodeID) []graph.NodeID { return n.agent.phiSucc[j] }

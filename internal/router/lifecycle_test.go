@@ -149,15 +149,15 @@ func TestLazyAllocationOnFirstPacket(t *testing.T) {
 	eng, nodes, _ := line3(t, Defaults())
 	startAll(eng, nodes, 5)
 	n0 := nodes[0]
-	n0.phi[2] = nil
-	n0.phiSucc[2] = nil
+	n0.agent.phi[2] = nil
+	n0.agent.phiSucc[2] = nil
 	allocs := 0
 	n0.OnAlloc = func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) { allocs++ }
 	n0.HandleData(&des.Packet{FlowID: 0, Src: 0, Dst: 2, Bits: 8000, Created: eng.Now()})
 	if allocs == 0 {
 		t.Fatal("lazy rebuild did not report through OnAlloc")
 	}
-	if len(n0.phi[2]) == 0 {
+	if len(n0.agent.phi[2]) == 0 {
 		t.Fatal("parameters not rebuilt on first packet")
 	}
 	if n0.ForwardedPackets != 1 {
@@ -179,7 +179,7 @@ func TestWeightedPickFPRemainderFallback(t *testing.T) {
 
 func TestShortDistUnknownNeighborInfinite(t *testing.T) {
 	_, nodes, _ := line3(t, Defaults())
-	d := nodes[0].shortDist(2)
+	d := nodes[0].agent.shortDist(2)
 	if !math.IsInf(d(99), 1) {
 		t.Fatal("distance through an unmeasured neighbor not infinite")
 	}
@@ -193,9 +193,9 @@ func TestShortCostSmoothingAndUtilizationCap(t *testing.T) {
 	eng, nodes, _ := line3(t, Defaults())
 	startAll(eng, nodes, 1)
 	n0 := nodes[0]
-	l := n0.link(1)
-	mu := linkcost.KnownMu(l.port.Capacity, n0.cfg.MeanPacketBits)
-	ceil := linkcost.MM1Marginal(utilizationCap*mu, mu, l.port.Prop)
+	l, p := n0.agent.link(1), n0.port(1)
+	mu := linkcost.KnownMu(p.Capacity, n0.cfg.MeanPacketBits)
+	ceil := linkcost.MM1Marginal(utilizationCap*mu, mu, p.Prop)
 	// 200 packets/s against a service rate of 125: saturated for 20 s.
 	cbr(eng, n0, 2, 4000, 0.005)
 	prev, ticks := l.short, 0

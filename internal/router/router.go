@@ -1,7 +1,10 @@
-// Package router implements the full simulated router of the paper's
-// framework: an MPDA protocol instance for loop-free multipath routes, the
-// IH/AH traffic-allocation heuristics, two-timescale link-cost measurement,
-// and the forwarding plane, all driven by the discrete-event engine.
+// Package router is the paper's router. Its per-router algorithm — an MPDA
+// protocol instance for loop-free multipath routes, the IH/AH
+// traffic-allocation heuristics, and two-timescale link-cost measurement —
+// is the Agent, written once behind a five-method Host. Node hosts it on
+// the discrete-event engine and adds the forwarding plane; the live node
+// (internal/node) and the chaos protocol harness host it with both clocks
+// off.
 //
 // Section 4.2 of the paper: "link costs measured over short intervals of
 // length Ts are used for routing-parameter computation and link costs
@@ -12,9 +15,7 @@
 // result due to synchronization of updates".
 //
 // Per-neighbor state is one link record in a slice ascending by neighbor
-// ID, and both clocks price a window through the one measure routine. The
-// control half touches the simulator only through des.Engine (clock,
-// origin, RNG) and the ports' DataPackets counters.
+// ID, and both clocks price a window through the one measure routine.
 //
 // Three forwarding modes reproduce the paper's three schemes:
 //
@@ -27,8 +28,6 @@ package router
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"minroute/internal/alloc"
 	"minroute/internal/des"
@@ -73,25 +72,10 @@ func (m Mode) String() string {
 	}
 }
 
-// The cost-estimation constants no experiment varies (DESIGN.md §6).
-const (
-	// longSmoothing is the EWMA weight folding each Tl window's measured
-	// marginal into the advertised long-term cost.
-	longSmoothing = 0.5
-	// shortSmoothing is the EWMA weight for each Ts window's sample.
-	shortSmoothing = 0.5
-	// utilizationCap bounds the utilization used when computing link costs.
-	// The raw M/M/1 marginal explodes near saturation (seconds per packet
-	// against an idle cost under a millisecond), which turns any momentarily
-	// hot link infinitely repulsive and induces the classic delay-metric
-	// route oscillation; the revised-ARPANET-metric line of work the paper
-	// cites ([18], [13]) bounds the metric's dynamic range for exactly this
-	// reason. 0.9 caps the advertised marginal at ~100x idle.
-	utilizationCap = 0.9
-)
-
-// Config tunes a Node: what the commands and experiments actually vary.
-// The zero value is not valid; use Defaults.
+// Config tunes an Agent and the Node that hosts it: what the commands and
+// experiments actually vary. A simulated Node starts from Defaults; a host
+// that prices its own links runs its agent on the zero value (MP, both
+// clocks off).
 type Config struct {
 	Mode Mode
 	// Tl is the long-term (routing path) update interval in seconds.
@@ -129,20 +113,8 @@ func Defaults() Config {
 	}
 }
 
-// link is everything a node keeps about one attached neighbor.
-type link struct {
-	to   graph.NodeID
-	port *des.Port
-	// short is the short-term marginal cost, refreshed every Ts.
-	short float64
-	// long is the long-term cost EWMA, advertised to MPDA every Tl.
-	long *linkcost.Smoother
-	// tsSnap and tlSnap are the port's DataPackets count when the current
-	// short-term and long-term measurement windows opened.
-	tsSnap, tlSnap int64
-}
-
-// Node is one simulated router.
+// Node is one simulated router: an Agent on the discrete-event engine, the
+// ports toward its neighbors, and the forwarding plane.
 type Node struct {
 	id   graph.NodeID
 	eng  *des.Engine
@@ -150,25 +122,9 @@ type Node struct {
 	prng *rng.Source
 	send mpda.Sender
 
-	proto *mpda.Router
-	// links holds the attached neighbors in ascending ID order; all periodic
-	// work iterates it in that order so FP effects are deterministic.
-	links []link
-	// down is true between Crash and Restart: the node forwards nothing,
-	// processes no control traffic, and its timers are disarmed.
-	down bool
-	// Pending timer handles, canceled on Crash so a restarted node never
-	// runs two timer chains.
-	tsTimer, tlTimer, tlSnapTimer eventq.Handle
-	// lastTl is when the current long-term measurement window opened.
-	lastTl float64
-
-	// phi[j] holds the current routing parameters for destination j.
-	phi []alloc.Params
-	// phiSucc[j] is a copy of the successor set phi[j] was built from — and
-	// so, ascending, phi[j]'s keys: IH writes one entry per successor and AH
-	// only rewrites them.
-	phiSucc [][]graph.NodeID
+	agent *Agent
+	// ports[k] leads to neighbor k, nil where no port does.
+	ports []*des.Port
 
 	// staticPhi, in ModeStatic, holds the externally installed parameters
 	// and staticKeys[j] the keys of staticPhi[j], ascending.
@@ -187,14 +143,9 @@ type Node struct {
 	// oracle (Property 1: support ⊆ S_j, φ ≥ 0, Σφ = 1) hooks here.
 	OnAlloc func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
 
-	// tel, when non-nil, instruments the control plane: phase spans, LSU
-	// receive/ack events, table commits, allocation steps, and drop
-	// instants. Installed via SetTelemetry; chaos oracles keep OnAlloc to
-	// themselves, so telemetry emits from inside the node instead.
+	// tel, when non-nil, traces drop instants; the agent traces the control
+	// plane. Installed via SetTelemetry.
 	tel *telemetry.NodeProbes
-	// activeSince is when the router last entered the ACTIVE phase; the
-	// PASSIVE edge carries the span duration.
-	activeSince float64
 
 	// Counters.
 	ForwardedPackets int64
@@ -210,51 +161,37 @@ type Node struct {
 
 // New constructs a node. Ports must be attached before Start.
 func New(eng *des.Engine, id graph.NodeID, numNodes int, cfg Config, sendLSU mpda.Sender) *Node {
-	return &Node{
-		id:      id,
-		eng:     eng,
-		cfg:     cfg,
-		prng:    eng.RNG().Split(uint64(id) + 1000),
-		send:    sendLSU,
-		proto:   mpda.NewRouter(id, numNodes, sendLSU),
-		phi:     make([]alloc.Params, numNodes),
-		phiSucc: make([][]graph.NodeID, numNodes),
-	}
+	n := &Node{id: id, eng: eng, cfg: cfg, prng: eng.RNG().Split(uint64(id) + 1000), send: sendLSU,
+		ports: make([]*des.Port, numNodes)}
+	// The clocks' phases and the forwarding picks draw from one stream.
+	n.agent = NewAgent(id, numNodes, cfg, (*desHost)(n), n.prng)
+	return n
 }
 
 // ID returns the node's address.
 func (n *Node) ID() graph.NodeID { return n.id }
 
 // Protocol exposes the MPDA instance (for invariant checks and inspection).
-func (n *Node) Protocol() *mpda.Router { return n.proto }
+func (n *Node) Protocol() *mpda.Router { return n.agent.proto }
 
 // AttachPort registers the outgoing port toward neighbor k (replacing the
 // port of an already attached k).
 func (n *Node) AttachPort(k graph.NodeID, p *des.Port) {
-	i, dup := n.linkIndex(k)
-	if !dup {
-		n.links = slices.Insert(n.links, i, link{to: k})
-	}
-	n.links[i].port = p
+	i := n.agent.attach(k)
+	n.ports[k] = p
 	if n.cfg.UseOnlineEstimator {
 		mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
 		p.Estimator = linkcost.NewOnlineEstimator(p.Prop, 1/mu)
+		n.agent.links[i].est = p.Estimator
 	}
 }
 
-// linkIndex finds neighbor k in links: its position and true, or where it
-// would be inserted and false.
-func (n *Node) linkIndex(k graph.NodeID) (int, bool) {
-	i := sort.Search(len(n.links), func(i int) bool { return n.links[i].to >= k })
-	return i, i < len(n.links) && n.links[i].to == k
-}
-
-// link returns the record of neighbor k, nil when no port leads there.
-func (n *Node) link(k graph.NodeID) *link {
-	if i, ok := n.linkIndex(k); ok {
-		return &n.links[i]
+// port returns the port toward neighbor k, nil when none leads there.
+func (n *Node) port(k graph.NodeID) *des.Port {
+	if k < 0 || int(k) >= len(n.ports) {
+		return nil
 	}
-	return nil
+	return n.ports[k]
 }
 
 // InstallStatic installs fixed routing parameters for ModeStatic. phi[j]
@@ -269,254 +206,47 @@ func (n *Node) InstallStatic(phi []alloc.Params) {
 }
 
 // SetTelemetry attaches control-plane instrumentation (shared by all nodes
-// of a simulation). Call before Start.
+// of a simulation): the agent's events and instruments, and this node's
+// drop instants. Call before Start.
 func (n *Node) SetTelemetry(tp *telemetry.NodeProbes) {
 	n.tel = tp
-	n.installProtoHooks()
-}
-
-// installProtoHooks wires the MPDA observer hooks to the telemetry sink.
-// Restart builds a fresh protocol instance, so it must re-install them.
-func (n *Node) installProtoHooks() {
-	if n.tel == nil {
-		return
-	}
-	n.proto.OnPhase = func(active bool) {
-		now := n.eng.Now()
-		if active {
-			n.activeSince = now
-			n.tel.Tracer.Emit(telemetry.NewEvent(now, telemetry.KindPhaseActive, n.id))
-			return
-		}
-		ev := telemetry.NewEvent(now, telemetry.KindPhasePassive, n.id)
-		ev.Value = now - n.activeSince
-		n.tel.Tracer.Emit(ev)
-		n.tel.ActiveDur.ObserveSlot(int(n.id), now, ev.Value)
-	}
-	n.proto.OnCommit = func(changed int) {
-		now := n.eng.Now()
-		ev := telemetry.NewEvent(now, telemetry.KindTableCommit, n.id)
-		ev.Value = float64(changed)
-		n.tel.Tracer.Emit(ev)
-		n.tel.Converge.CommitSlot(int(n.id), now)
+	if tp != nil {
+		n.agent.Observe(tp.Tracer, tp)
 	}
 }
 
-// allocStep reports one routing-parameter step for destination j — an IH
-// build or an AH adjustment, over successor set succ — to the OnAlloc
-// observer and the telemetry trace, where Value is the allocation spread
-// (0 = single path).
-func (n *Node) allocStep(k telemetry.Kind, j graph.NodeID, succ []graph.NodeID) {
-	if n.OnAlloc != nil {
-		n.OnAlloc(j, n.phi[j], succ)
-	}
-	if n.tel == nil {
-		return
-	}
-	ev := telemetry.NewEvent(n.eng.Now(), k, n.id)
-	ev.Dst = j
-	ev.Value = alloc.Spread(n.phi[j])
-	n.tel.Tracer.Emit(ev)
-}
+// asRouter runs fn, an entry point called from harness context (boot, a
+// chaos restart, core's fault injection), under the router's own origin
+// priority: inheriting the harness origin would make the protocol's
+// emissions and the timer chains' equal-time ordering depend on who called
+// — and on which shard's tracer recorded it — rather than on the node.
+func (n *Node) asRouter(fn func()) { n.eng.WithOrigin(des.PriRouter(uint64(n.id)), fn) }
 
 // Start brings up the adjacent links whose port is up at their idle costs,
 // opens both measurement windows at the current instant, and schedules the
 // measurement timers with random phases.
-func (n *Node) Start() {
-	// The whole boot sequence runs under the router's own origin priority:
-	// Start runs from harness context (boot, or a chaos Restart), and
-	// inheriting the harness origin would make the boot emissions and the
-	// timer chains' equal-time ordering depend on who restarted the node —
-	// and on which shard's tracer recorded it — rather than on the node
-	// itself.
-	n.eng.WithOrigin(des.PriRouter(uint64(n.id)), func() {
-		// After an outage the windows must not straddle it: both start from
-		// the port counters as they stand.
-		n.openTlWindow()
-		for i := range n.links {
-			l := &n.links[i]
-			l.tsSnap = l.port.DataPackets
-			c := n.costAt(l.port, 0)
-			l.short = c
-			l.long = linkcost.NewSmoother(longSmoothing)
-			l.long.Update(c)
-			// A restart can find a neighbor crashed or the link failed;
-			// MPDA must not believe a link that cannot carry its LSUs.
-			if !l.port.Down() {
-				n.proto.LinkUp(l.to, quantizeCost(c))
-			}
-		}
-		n.refreshAllocations()
-		if n.cfg.Ts > 0 {
-			// The randomly phased first window is shorter than Ts but is
-			// still priced as a full one: dividing by its true length would
-			// move every DES golden for one tick per boot.
-			n.tsTimer = n.eng.After(n.cfg.Ts*n.prng.Float64(), n.tsTick)
-		}
-		if n.cfg.Tl > 0 {
-			// "The long-term update periods should be phased randomly at each
-			// router" — first firing lands uniformly inside one Tl period.
-			n.tlTimer = n.eng.After(n.cfg.Tl*n.prng.Float64(), n.tlTick)
-		}
-	})
-}
+func (n *Node) Start() { n.asRouter(func() { n.agent.Start(n.portUp) }) }
 
-// Crash takes the node down hard: timers are disarmed and all traffic is
-// dropped until Restart. The protocol state is abandoned where it stands —
-// a restarted router remembers nothing, exactly like a real reboot.
-func (n *Node) Crash() {
-	if n.down {
-		return
-	}
-	n.down = true
-	n.eng.Cancel(n.tsTimer)
-	n.eng.Cancel(n.tlTimer)
-	n.eng.Cancel(n.tlSnapTimer)
-}
+// portUp reports whether the port toward neighbor k carries traffic.
+func (n *Node) portUp(k graph.NodeID) bool { return !n.port(k).Down() }
+
+// Crash takes the node down: its timers are disarmed and all traffic is
+// dropped until Restart, which finds no protocol state left.
+func (n *Node) Crash() { n.agent.Crash() }
 
 // Restart boots a crashed node from scratch: a fresh MPDA instance, empty
 // routing parameters, and measurement windows starting now. Adjacent links
 // are announced at their idle costs by the usual Start path; neighbors learn
 // of the resurrection through core.RestartNode (LinkRecovered on their side).
-func (n *Node) Restart() {
-	if !n.down {
-		return
-	}
-	n.down = false
-	n.proto = mpda.NewRouter(n.id, len(n.phi), n.send)
-	n.installProtoHooks()
-	clear(n.phi)
-	clear(n.phiSucc)
-	n.Start()
-}
+func (n *Node) Restart() { n.asRouter(func() { n.agent.Restart(n.portUp) }) }
 
 // Down reports whether the node is crashed.
-func (n *Node) Down() bool { return n.down }
-
-// costAt is the M/M/1 marginal cost of port p at a flow of lambda packets
-// per second, with the utilization held at utilizationCap: 0 gives the idle
-// cost, +Inf the ceiling the cap allows.
-func (n *Node) costAt(p *des.Port, lambda float64) float64 {
-	mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
-	if lambda > utilizationCap*mu {
-		lambda = utilizationCap * mu
-	}
-	return linkcost.MM1Marginal(lambda, mu, p.Prop)
-}
-
-// measure prices port p after it carried the given number of data packets
-// over a window of the given length in seconds — the one cost measurement
-// both clocks use. ok is false for a window of no length: nothing was
-// measured and the caller keeps the cost it has.
-func (n *Node) measure(p *des.Port, packets int64, window float64) (c float64, ok bool) {
-	if window <= 0 {
-		return 0, false
-	}
-	return n.costAt(p, float64(packets)/window), true
-}
-
-// quantizeCost rounds to 0.1 µs so identical loads advertise identical
-// costs and FP dust cannot force spurious LSU floods.
-func quantizeCost(c float64) float64 { return math.Round(c*1e7) / 1e7 }
-
-// tsTick performs the short-term measurement and runs heuristic AH.
-func (n *Node) tsTick() {
-	for i := range n.links {
-		l := &n.links[i]
-		cur := l.port.DataPackets
-		packets := cur - l.tsSnap
-		l.tsSnap = cur
-		var c float64
-		if n.cfg.UseOnlineEstimator {
-			c = math.Min(l.port.Estimator.Take(), n.costAt(l.port, math.Inf(1)))
-		} else {
-			var ok bool
-			if c, ok = n.measure(l.port, packets, n.cfg.Ts); !ok {
-				continue
-			}
-		}
-		l.short += shortSmoothing * (c - l.short)
-		if n.cfg.UseOnlineEstimator {
-			// The estimator consumes its window here; fold it into the
-			// long-term EWMA since tlTick cannot re-measure it.
-			l.long.Update(l.short)
-		}
-	}
-	if n.cfg.Mode == ModeMP {
-		for j := range n.phi {
-			if len(n.phi[j]) == 0 {
-				continue
-			}
-			jid := graph.NodeID(j)
-			succ := n.proto.Successors(jid)
-			if len(succ) < 2 {
-				continue
-			}
-			if n.cfg.AHDamping > 0 {
-				alloc.AdjustDamped(n.phi[j], succ, n.shortDist(jid), n.cfg.AHDamping)
-			} else {
-				alloc.Adjust(n.phi[j], succ, n.shortDist(jid))
-			}
-			n.allocStep(telemetry.KindAllocAdjust, jid, succ)
-		}
-	}
-	n.tsTimer = n.eng.After(n.cfg.Ts, n.tsTick)
-}
-
-// shortDist is the AH distance function: D_jk + l_ik with the short-term
-// link cost.
-func (n *Node) shortDist(j graph.NodeID) alloc.DistFunc {
-	return func(k graph.NodeID) float64 {
-		l := n.link(k)
-		if l == nil {
-			return math.Inf(1)
-		}
-		return n.proto.Tables().NbrDist(j, k) + l.short
-	}
-}
-
-// tlTick measures each adjacent link's flow over the elapsed long-term
-// window ("link costs measured over longer intervals of length Tl are used
-// for routing-path computation"), folds it into the advertised-cost EWMA,
-// and feeds any changes into MPDA.
-func (n *Node) tlTick() {
-	elapsed := n.eng.Now() - n.lastTl
-	for i := range n.links {
-		l := &n.links[i]
-		if !n.cfg.UseOnlineEstimator {
-			if c, ok := n.measure(l.port, l.port.DataPackets-l.tlSnap, elapsed); ok {
-				l.long.Update(c)
-			}
-		}
-		c := quantizeCost(l.long.Value())
-		//lint:floateq-ok change detection between quantized costs; quantization makes equality exact
-		if cur, ok := n.proto.Tables().AdjCost(l.to); !ok || cur != c {
-			n.proto.LinkCostChange(l.to, c)
-		}
-	}
-	n.openTlWindow()
-	n.refreshAllocations()
-	n.tlTimer = n.eng.After(n.cfg.Tl, n.tlTick)
-	// With a fixed cost window configured, re-open the window that much
-	// before the next tick so it sees only the trailing part of the period.
-	if w := n.cfg.CostMeasureWindow; w > 0 && w < n.cfg.Tl {
-		n.tlSnapTimer = n.eng.After(n.cfg.Tl-w, n.openTlWindow)
-	}
-}
-
-// openTlWindow starts the long-term measurement window at the current
-// instant and port counters.
-func (n *Node) openTlWindow() {
-	n.lastTl = n.eng.Now()
-	for i := range n.links {
-		n.links[i].tlSnap = n.links[i].port.DataPackets
-	}
-}
+func (n *Node) Down() bool { return n.agent.down }
 
 // HandleControl processes a received control packet (a marshaled LSU).
 // Crashed nodes ignore control traffic entirely.
 func (n *Node) HandleControl(pkt *des.Packet) {
-	if n.down {
+	if n.agent.down {
 		return
 	}
 	buf, ok := pkt.Control.([]byte)
@@ -529,85 +259,21 @@ func (n *Node) HandleControl(pkt *des.Packet) {
 		// loudly in simulation rather than limping on.
 		panic("router: corrupt LSU: " + err.Error())
 	}
-	if n.tel != nil {
-		now := n.eng.Now()
-		ev := telemetry.NewEvent(now, telemetry.KindLSURecv, n.id)
-		ev.Peer = m.From
-		ev.Value = float64(len(m.Entries))
-		n.tel.Tracer.Emit(ev)
-		if m.Ack {
-			ack := telemetry.NewEvent(now, telemetry.KindLSUAck, n.id)
-			ack.Peer = m.From
-			n.tel.Tracer.Emit(ack)
-		}
-	}
-	n.proto.HandleLSU(m)
-	n.refreshAllocations()
+	n.agent.HandleLSU(m)
 }
 
 // LinkFailed tells the protocol an adjacent link went down. Crashed nodes
 // have no protocol to tell.
-func (n *Node) LinkFailed(k graph.NodeID) {
-	if n.down {
-		return
-	}
-	// Like Start, this is a harness-context entry point (core fault
-	// injection): the protocol reaction — LSU floods, table commits, their
-	// telemetry — must carry the router's own origin, not the injector's.
-	n.eng.WithOrigin(des.PriRouter(uint64(n.id)), func() {
-		n.proto.LinkDown(k)
-		n.refreshAllocations()
-	})
-}
+func (n *Node) LinkFailed(k graph.NodeID) { n.asRouter(func() { n.agent.LinkDown(k) }) }
 
 // LinkRecovered tells the protocol an adjacent link came back.
-func (n *Node) LinkRecovered(k graph.NodeID) {
-	l := n.link(k)
-	if n.down || l == nil {
-		return
-	}
-	n.eng.WithOrigin(des.PriRouter(uint64(n.id)), func() {
-		c := n.costAt(l.port, 0)
-		l.short = c
-		l.long.Update(c)
-		n.proto.LinkUp(k, quantizeCost(c))
-		n.refreshAllocations()
-	})
-}
-
-// refreshAllocations re-runs IH for every destination whose successor set
-// changed since its parameters were last built (paper: "When S_j is
-// computed for the first time or recomputed again due to long-term route
-// changes, traffic should be freshly distributed" by IH). Only a set the
-// protocol re-derived since the last refresh can have; they come ascending.
-func (n *Node) refreshAllocations() {
-	if n.cfg.Mode != ModeMP {
-		return
-	}
-	for _, j := range n.proto.TakeMoved() {
-		if succ := n.proto.Successors(j); j != n.id && !slices.Equal(succ, n.phiSucc[j]) {
-			n.buildIH(j, succ)
-		}
-	}
-}
-
-// buildIH distributes destination j's traffic afresh over succ by heuristic
-// IH (no parameters for an empty set) and records the set they were built
-// from.
-func (n *Node) buildIH(j graph.NodeID, succ []graph.NodeID) {
-	n.phiSucc[j] = append(n.phiSucc[j][:0], succ...)
-	n.phi[j] = nil
-	if len(succ) > 0 {
-		n.phi[j] = alloc.Initial(succ, n.shortDist(j))
-	}
-	n.allocStep(telemetry.KindAllocInit, j, succ)
-}
+func (n *Node) LinkRecovered(k graph.NodeID) { n.asRouter(func() { n.agent.LinkRecovered(k) }) }
 
 // HandleData forwards (or delivers) a data packet. The node takes ownership:
 // delivered and dropped packets are recycled into the engine's packet pool
 // (observers like OnArrive must not retain the pointer past their return).
 func (n *Node) HandleData(pkt *des.Packet) {
-	if n.down {
+	if n.agent.down {
 		n.drop(&n.DroppedDown, telemetry.KindDropDown, pkt)
 		return
 	}
@@ -623,13 +289,13 @@ func (n *Node) HandleData(pkt *des.Packet) {
 		return
 	}
 	// No successor, or (static routes only) one no port leads to.
-	l := n.link(n.pickNextHop(pkt.Dst))
-	if l == nil {
+	p := n.port(n.pickNextHop(pkt.Dst))
+	if p == nil {
 		n.drop(&n.DroppedNoRoute, telemetry.KindDropNoRoute, pkt)
 		return
 	}
 	pkt.Hops++
-	if !l.port.Send(pkt) {
+	if !p.Send(pkt) {
 		n.drop(&n.DroppedQueue, telemetry.KindDropQueue, pkt)
 		return
 	}
@@ -654,9 +320,10 @@ func (n *Node) drop(counter *int64, k telemetry.Kind, pkt *des.Packet) {
 // pickNextHop chooses the outgoing neighbor for destination j under the
 // configured mode.
 func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
+	a := n.agent
 	switch n.cfg.Mode {
 	case ModeSP:
-		return n.proto.BestSuccessor(j)
+		return a.proto.BestSuccessor(j)
 	case ModeECMP:
 		n.ecmp = n.equalCostSuccessors(j, n.ecmp[:0])
 		if len(n.ecmp) == 0 {
@@ -669,31 +336,32 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 		}
 		return weightedPick(n.prng, n.staticPhi[j], n.staticKeys[j])
 	default: // ModeMP
-		if len(n.phi[j]) == 0 {
+		if len(a.phi[j]) == 0 {
 			// Routes may exist before parameters do (e.g. first packet
 			// between refreshes); build them lazily.
-			succ := n.proto.Successors(j)
+			succ := a.proto.Successors(j)
 			if len(succ) == 0 {
 				return graph.None
 			}
-			n.buildIH(j, succ)
+			a.buildIH(j, succ)
 		}
-		return weightedPick(n.prng, n.phi[j], n.phiSucc[j])
+		return weightedPick(n.prng, a.phi[j], a.phiSucc[j])
 	}
 }
 
 // equalCostSuccessors appends to out the successors whose marginal distance
 // ties the best one (OSPF-style equal-cost multipath).
 func (n *Node) equalCostSuccessors(j graph.NodeID, out []graph.NodeID) []graph.NodeID {
-	succ := n.proto.Successors(j)
+	proto := n.agent.proto
+	succ := proto.Successors(j)
 	best := math.Inf(1)
 	for _, k := range succ {
-		if d := n.proto.SuccessorDistance(j, k); d < best {
+		if d := proto.SuccessorDistance(j, k); d < best {
 			best = d
 		}
 	}
 	for _, k := range succ {
-		if numeric.Equalish(n.proto.SuccessorDistance(j, k), best) {
+		if numeric.Equalish(proto.SuccessorDistance(j, k), best) {
 			out = append(out, k)
 		}
 	}
@@ -734,13 +402,44 @@ func (n *Node) Fractions(j graph.NodeID) alloc.Params {
 		}
 		return n.staticPhi[j]
 	case ModeSP:
-		if k := n.proto.BestSuccessor(j); k != graph.None {
+		if k := n.agent.proto.BestSuccessor(j); k != graph.None {
 			return alloc.Single(k)
 		}
 		return nil
 	case ModeECMP:
 		return alloc.Uniform(n.equalCostSuccessors(j, nil))
 	default:
-		return n.phi[j]
+		return n.agent.phi[j]
 	}
 }
+
+// desHost is a Node as its agent sees it: the engine's clock and timers,
+// the ports' capacity, propagation delay and data-packet counter, the LSU
+// sender, and OnAlloc for Publish. A type of its own keeps these methods
+// off Node's API.
+type desHost Node
+
+func (h *desHost) Now() float64 { return h.eng.Now() }
+
+func (h *desHost) After(d float64, fn func()) Timer { return desTimer{h.eng, h.eng.After(d, fn)} }
+
+func (h *desHost) Link(k graph.NodeID) (capacity, prop float64, packets int64) {
+	p := (*Node)(h).port(k)
+	return p.Capacity, p.Prop, p.DataPackets
+}
+
+func (h *desHost) SendLSU(to graph.NodeID, m *lsu.Msg) { h.send(to, m) }
+
+func (h *desHost) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+	if h.OnAlloc != nil {
+		h.OnAlloc(j, phi, succ)
+	}
+}
+
+// desTimer is an engine event armed for the agent.
+type desTimer struct {
+	eng *des.Engine
+	h   eventq.Handle
+}
+
+func (t desTimer) Stop() { t.eng.Cancel(t.h) }
