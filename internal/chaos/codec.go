@@ -1,6 +1,10 @@
 package chaos
 
-import "minroute/internal/graph"
+import (
+	"slices"
+
+	"minroute/internal/graph"
+)
 
 // The byte codec is the grammar the native Go fuzzer mutates: any byte
 // string decodes to a valid scenario (the decoder is total — every field is
@@ -41,12 +45,7 @@ func FromBytes(data []byte) *Scenario {
 		panic("chaos: FromBytes built invalid topology: " + err.Error())
 	}
 	g := tn.Graph
-	var links [][2]graph.NodeID
-	for _, l := range g.Links() {
-		if l.From < l.To {
-			links = append(links, [2]graph.NodeID{l.From, l.To})
-		}
-	}
+	links := duplexLinks(g)
 
 	rest := data[codecHeader:]
 	for len(rest) >= codecRecord && len(s.Actions) < codecMaxActions {
@@ -78,46 +77,21 @@ func FromBytes(data []byte) *Scenario {
 // the quantized steps/factor/probability values the decoder emits). It is
 // the corpus-seeding half of the grammar.
 func Encode(s *Scenario) []byte {
-	topoByte := byte(0)
-	for i, name := range codecTopos {
-		if name == s.Topo {
-			topoByte = byte(i)
-		}
-	}
-	out := []byte{topoByte, byte(s.Seed), byte(s.Seed >> 8)}
+	// An unknown topology, kind or link encodes as the first of its alphabet.
+	out := []byte{byte(max(slices.Index(codecTopos, s.Topo), 0)), byte(s.Seed), byte(s.Seed >> 8)}
 	tn, err := s.Network()
 	if err != nil {
 		return out
 	}
-	var links [][2]graph.NodeID
-	for _, l := range tn.Graph.Links() {
-		if l.From < l.To {
-			links = append(links, [2]graph.NodeID{l.From, l.To})
-		}
-	}
-	linkIndex := func(a, b graph.NodeID) int {
-		key := linkKey(a, b)
-		for i, l := range links {
-			if l == key {
-				return i
-			}
-		}
-		return 0
-	}
+	links := duplexLinks(tn.Graph)
 	for _, act := range s.Actions {
 		if len(out) >= codecHeader+codecMaxActions*codecRecord {
 			break
 		}
-		kindByte := byte(0)
-		for i, k := range codecKinds {
-			if k == act.Kind {
-				kindByte = byte(i)
-			}
-		}
-		rec := [codecRecord]byte{kindByte, 0, 0, byte(act.Steps / 8), 0}
+		rec := [codecRecord]byte{byte(max(slices.Index(codecKinds, act.Kind), 0)), 0, 0, byte(act.Steps / 8), 0}
 		switch act.Kind {
 		case KindFail, KindRestore, KindCost:
-			idx := linkIndex(act.A, act.B)
+			idx := max(slices.Index(links, linkKey(act.A, act.B)), 0)
 			rec[1], rec[2] = byte(idx), byte(idx>>8)
 			if act.Kind == KindCost {
 				rec[4] = byte(int(act.Factor-1) % 16)

@@ -43,13 +43,7 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := core.Build(tn, core.Options{
-		Router:    desConfig(),
-		Seed:      s.Seed,
-		Warmup:    0,
-		Duration:  dur,
-		Telemetry: tel,
-	})
+	n := desBuild(tn, s, dur, tel, 0, 0)
 
 	log := oracle.NewLog()
 	var trace strings.Builder
@@ -69,14 +63,8 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 		}
 	}
 
-	checkConservation := func() {
-		log.Record(oracle.CheckConservationName)
-		if err := oracle.Conservation(ledger(n)); err != nil {
-			log.Violate(oracle.CheckConservationName, err.Error(), n.Eng.EventsFired(), n.Eng.Now())
-		}
-	}
 	n.Eng.OnEvent = func() {
-		checkConservation()
+		checkConservation(n, log, n.Eng.EventsFired(), n.Eng.Now())
 		if dirty {
 			dirty = false
 			checkLoopFree(n, log, n.Eng.EventsFired(), n.Eng.Now())
@@ -97,11 +85,7 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	n.BeginMeasurement()
 	n.Eng.Run(dur)
 
-	// Final sweep: the loop-freedom audit regardless of the dirty mark, the
-	// adjacency audit, and the conservation ledger one last time.
-	checkLoopFree(n, log, n.Eng.EventsFired(), n.Eng.Now())
-	checkAdjacency(n, log, n.Eng.EventsFired(), n.Eng.Now())
-	checkConservation()
+	finalSweep(n, log, n.Eng.EventsFired(), n.Eng.Now())
 
 	writeDESReport(&trace, n, n.Eng.EventsFired())
 	res := &Result{Log: log, Events: n.Eng.EventsFired()}
@@ -109,26 +93,21 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	return res, nil
 }
 
-// RunDESShardedWith executes the scenario in the packet simulator partitioned
-// across the given number of engine shards (see internal/despart), with an
-// optional telemetry capture as in RunDESWith. The always-on oracles move
-// from per-event cadence to the conservative window barriers — the only
-// moments all shard clocks agree — so the trace hash differs from the serial
-// RunDES hash by design. What the sharded runner pins instead is
-// partition-independence: the trace (and any telemetry capture) is
-// byte-identical at every shard count, because the barrier cadence is derived
-// from the global minimum propagation delay rather than the partition's
-// cross-shard minimum, and fault actions apply at barriers with deterministic
-// merged event counts.
+// RunDESShardedWith is RunDESWith partitioned across engine shards (see
+// internal/despart). The oracles run at the window barriers, the only
+// moments all shard clocks agree, so its trace hash differs from RunDES's by
+// design. It pins partition-independence instead: the trace and any capture
+// are byte-identical at every shard count, because the barrier cadence comes
+// from the global minimum propagation delay and fault actions apply at
+// barriers with deterministic merged event counts.
 func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result, error) {
 	tn, dur, err := desNetwork(s)
 	if err != nil {
 		return nil, err
 	}
-	// Pin the window to the global minimum propagation delay over ALL links,
-	// not just cross-shard ones: it is a valid lookahead for every partition,
-	// and it makes the barrier schedule — hence oracle check counts and
-	// action apply times — identical at every shard count.
+	// The window is the minimum propagation delay over all links, not just
+	// cross-shard ones: a valid lookahead for every partition that makes the
+	// barrier schedule — check counts, apply times — shard-count invariant.
 	window := math.Inf(1)
 	for _, l := range tn.Graph.Links() {
 		if l.PropDelay < window {
@@ -138,15 +117,7 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 	if !(window > 0) || math.IsInf(window, 1) {
 		return nil, fmt.Errorf("chaos: scenario %s has no positive-delay links to derive a shard window", s.Name)
 	}
-	n := core.Build(tn, core.Options{
-		Router:      desConfig(),
-		Seed:        s.Seed,
-		Warmup:      0,
-		Duration:    dur,
-		Telemetry:   tel,
-		Shards:      shards,
-		ShardWindow: window,
-	})
+	n := desBuild(tn, s, dur, tel, shards, window)
 
 	log := oracle.NewLog()
 	var trace strings.Builder
@@ -155,10 +126,9 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 	fmt.Fprintf(&trace, "scenario %s topo=%s seed=%d des-sharded dur=%g window=%g\n",
 		s.Name, s.Topo, s.Seed, dur, window)
 
-	// Merged event counter: engine events across every shard plus the fault
-	// actions (which apply at barriers here, outside any engine, but count as
-	// events in the serial runner). Only read at barriers, where it is
-	// deterministic.
+	// The merged event count: every shard's engine events plus the fault
+	// actions (events in the serial runner, applied outside any engine
+	// here). Read only at barriers, where it is deterministic.
 	var actionsFired int64
 	events := func() int64 {
 		t := actionsFired
@@ -168,12 +138,10 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 		return t
 	}
 
-	// The φ-simplex oracle fires inside OnAlloc, which runs on the owning
-	// shard's goroutine mid-window. Each router records into its own slot —
-	// single writer per element — and the barrier merges the slots into the
-	// shared log in ascending router order, stamping violations with the
-	// router's own clock (read at violation time) and the merged barrier
-	// event count.
+	// The φ-simplex oracle fires in OnAlloc on the owning shard's goroutine
+	// mid-window, so each router records into its own slot. The barrier
+	// merges the slots into the log in ascending router order, stamping
+	// violations with the router's clock at the time and the merged count.
 	type simplexViol struct {
 		msg string
 		t   float64
@@ -206,10 +174,7 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 			}
 			simplexViols[id] = simplexViols[id][:0]
 		}
-		log.Record(oracle.CheckConservationName)
-		if err := oracle.Conservation(ledger(n)); err != nil {
-			log.Violate(oracle.CheckConservationName, err.Error(), ev, t)
-		}
+		checkConservation(n, log, ev, t)
 		wasDirty := false
 		for id := range dirty {
 			if dirty[id] {
@@ -250,14 +215,7 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 		now = next
 	}
 
-	// Final sweep, mirroring the serial runner: loop freedom regardless of
-	// the dirty marks, adjacency, and the conservation ledger one last time.
-	checkLoopFree(n, log, events(), dur)
-	checkAdjacency(n, log, events(), dur)
-	log.Record(oracle.CheckConservationName)
-	if err := oracle.Conservation(ledger(n)); err != nil {
-		log.Violate(oracle.CheckConservationName, err.Error(), events(), dur)
-	}
+	finalSweep(n, log, events(), dur)
 
 	writeDESReport(&trace, n, events())
 	res := &Result{Log: log, Events: events()}
@@ -280,6 +238,32 @@ func desNetwork(s *Scenario) (*topo.Network, float64, error) {
 		dur = 10
 	}
 	return tn, dur, nil
+}
+
+// desBuild assembles the scenario's network for either DES runner (serial
+// with shards = 0).
+func desBuild(tn *topo.Network, s *Scenario, dur float64, tel *telemetry.Capture, shards int, window float64) *core.Network {
+	return core.Build(tn, core.Options{
+		Router: desConfig(), Seed: s.Seed, Duration: dur, Telemetry: tel,
+		Shards: shards, ShardWindow: window,
+	})
+}
+
+// finalSweep ends either DES run: the loop-freedom audit regardless of the
+// dirty marks, the adjacency audit, and the conservation ledger one last
+// time.
+func finalSweep(n *core.Network, log *oracle.Log, event int64, t float64) {
+	checkLoopFree(n, log, event, t)
+	checkAdjacency(n, log, event, t)
+	checkConservation(n, log, event, t)
+}
+
+// checkConservation balances the network's data-packet ledger.
+func checkConservation(n *core.Network, log *oracle.Log, event int64, t float64) {
+	log.Record(oracle.CheckConservationName)
+	if err := oracle.Conservation(ledger(n)); err != nil {
+		log.Violate(oracle.CheckConservationName, err.Error(), event, t)
+	}
 }
 
 // checkLoopFree audits the successor graph of the routers that are up.

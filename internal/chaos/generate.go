@@ -38,13 +38,7 @@ func Generate(seed uint64) *Scenario {
 	}
 	g := tn.Graph
 
-	type link struct{ a, b graph.NodeID }
-	var links []link
-	for _, l := range g.Links() {
-		if l.From < l.To {
-			links = append(links, link{l.From, l.To})
-		}
-	}
+	links := duplexLinks(g)
 	failed := make(map[[2]graph.NodeID]bool)
 	crashed := make(map[graph.NodeID]bool)
 	var failedList [][2]graph.NodeID
@@ -73,9 +67,8 @@ func Generate(seed uint64) *Scenario {
 			}
 			s.Actions = append(s.Actions, cut...)
 		case k < 7:
-			l := links[r.Intn(len(links))]
-			key := linkKey(l.a, l.b)
-			s.Actions = append(s.Actions, Action{Kind: KindFail, Steps: steps, At: at, A: l.a, B: l.b})
+			key := links[r.Intn(len(links))]
+			s.Actions = append(s.Actions, Action{Kind: KindFail, Steps: steps, At: at, A: key[0], B: key[1]})
 			if !failed[key] {
 				failed[key] = true
 				failedList = append(failedList, key)
@@ -87,7 +80,7 @@ func Generate(seed uint64) *Scenario {
 		case k < 15:
 			l := links[r.Intn(len(links))]
 			s.Actions = append(s.Actions, Action{
-				Kind: KindCost, Steps: steps, At: at, A: l.a, B: l.b,
+				Kind: KindCost, Steps: steps, At: at, A: l[0], B: l[1],
 				Factor: 2 + 8*r.Float64(),
 			})
 		case k < 17:

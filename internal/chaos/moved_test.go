@@ -10,18 +10,31 @@ import (
 	"minroute/internal/numeric"
 	"minroute/internal/protonet"
 	"minroute/internal/router"
+	"minroute/internal/telemetry"
 )
 
 // movedCheck hosts one agent and, after every event it passes on, holds
 // the router to the moved-set contract: every S_j equals the set derived
-// from scratch from the D_jk and FD_j as they stand, and φ_j is keyed by
-// exactly S_j. The agent rebuilds φ_j only for the destinations TakeMoved
-// hands it, so a changed S_j that TakeMoved left out shows as φ_j over the
-// set before the change.
+// from scratch from the D_jk and FD_j as they stand, φ_j is keyed by
+// exactly S_j, and the event's IH builds ran in strictly ascending j. The
+// agent rebuilds φ_j only for the destinations TakeMoved hands it, in the
+// order it hands them, so a changed S_j that TakeMoved left out shows as
+// φ_j over the set before the change, and a TakeMoved answer that repeats a
+// destination or is out of order shows in the order of the alloc_init
+// events.
 type movedCheck struct {
 	t      *testing.T
 	a      *router.Agent
 	events *int
+	// inits holds the destinations of the event's alloc_init events.
+	inits []graph.NodeID
+}
+
+// Emit is the agent's sink: it records each IH build's destination.
+func (c *movedCheck) Emit(ev telemetry.Event) {
+	if ev.Kind == telemetry.KindAllocInit {
+		c.inits = append(c.inits, ev.Dst)
+	}
 }
 
 func (c *movedCheck) HandleLSU(m *lsu.Msg) { c.a.HandleLSU(m); c.check("HandleLSU") }
@@ -37,6 +50,12 @@ func (c *movedCheck) LinkDown(k graph.NodeID) { c.a.LinkDown(k); c.check("LinkDo
 
 func (c *movedCheck) check(event string) {
 	*c.events++
+	for i := 1; i < len(c.inits); i++ {
+		if c.inits[i-1] >= c.inits[i] {
+			c.t.Fatalf("router %d after %s: IH rebuilt φ for %v, not strictly ascending", c.a.Protocol().ID(), event, c.inits)
+		}
+	}
+	c.inits = c.inits[:0]
 	r := c.a.Protocol()
 	tb := r.Tables()
 	for j := graph.NodeID(0); int(j) < tb.NumNodes(); j++ {
@@ -61,8 +80,8 @@ func (c *movedCheck) check(event string) {
 // branch of the per-event procedure — cold starts on random graphs, the two
 // checked-in reproducers, and generated fault schedules with cost changes,
 // failures, crashes, restarts and perturbed delivery — no router's S_j ever
-// differs from a full recompute, after any event, and the agent's φ_j always
-// covers exactly S_j.
+// differs from a full recompute, after any event, the agent's φ_j always
+// covers exactly S_j, and no event rebuilds a φ_j twice or out of order.
 func TestMovedSetMatchesFullRecompute(t *testing.T) {
 	var scenarios []*Scenario
 	for seed := uint64(0); seed < 20; seed++ {
@@ -91,7 +110,9 @@ func TestMovedSetMatchesFullRecompute(t *testing.T) {
 	events := 0
 	for _, s := range scenarios {
 		res, err := runProto(s, nil, func(a *router.Agent) protonet.Node {
-			return &movedCheck{t: t, a: a, events: &events}
+			c := &movedCheck{t: t, a: a, events: &events}
+			a.Observe(c, nil)
+			return c
 		})
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", s.Name, s.Seed, err)

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"strings"
 
-	"minroute/internal/alloc"
 	"minroute/internal/graph"
 	"minroute/internal/lfi"
-	"minroute/internal/lsu"
 	"minroute/internal/oracle"
 	"minroute/internal/protonet"
 	"minroute/internal/router"
@@ -80,7 +78,6 @@ type protoState struct {
 	cost    map[[2]graph.NodeID]float64
 	failed  map[[2]graph.NodeID]bool
 	crashed map[graph.NodeID]bool
-	numNode int
 	// tel, when non-nil, records the run as a telemetry event timeline.
 	// The protocol harness has no simulation clock, so event timestamps are
 	// the delivery-attempt count — still monotone and deterministic.
@@ -95,7 +92,9 @@ func (st *protoState) now() float64 { return float64(st.net.Attempts()) }
 // boot attaches a fresh agent for router id, at the start of a run and on
 // each restart.
 func (st *protoState) boot(id graph.NodeID) {
-	a := router.NewAgent(id, st.numNode, router.Config{}, protoHost{st, st.net.Sender(id)}, nil)
+	// The scenario prices every link, and the harness forwards nothing, so
+	// φ goes nowhere.
+	a := router.NewAgent(id, len(st.agents), router.Config{}, router.ClocklessHost{Clock: st.now, Send: st.net.Sender(id)}, nil)
 	if st.tel != nil {
 		a.Observe(st.tel.Trace, nil)
 	}
@@ -103,22 +102,6 @@ func (st *protoState) boot(id graph.NodeID) {
 	st.views[id] = a.Protocol()
 	st.net.Attach(id, st.host(a))
 }
-
-// protoHost is the harness as one router's agent sees it: the delivery
-// count is its clock and its LSUs go onto its outgoing link queues. The
-// scenario prices every link and the agent's clocks are off, so it never
-// reads a link or arms a timer; the harness forwards nothing, so φ goes
-// nowhere.
-type protoHost struct {
-	st   *protoState
-	send func(to graph.NodeID, m *lsu.Msg)
-}
-
-func (h protoHost) Now() float64                                       { return h.st.now() }
-func (h protoHost) After(float64, func()) router.Timer                 { return nil }
-func (h protoHost) Link(graph.NodeID) (float64, float64, int64)        { return 0, 0, 0 }
-func (h protoHost) SendLSU(to graph.NodeID, m *lsu.Msg)                { h.send(to, m) }
-func (h protoHost) Publish(graph.NodeID, alloc.Params, []graph.NodeID) {}
 
 // emitFault records one injected fault marker in the network-scope ring.
 func (st *protoState) emitFault(k telemetry.Kind, label string) {
@@ -198,7 +181,7 @@ func (st *protoState) apply(act Action) {
 		st.boot(v)
 		// Ascending by neighbor, which is ascending by link key: the order of
 		// the LinkUps decides the order of the LSUs they cause.
-		for k := 0; k < st.numNode; k++ {
+		for k := 0; k < len(st.agents); k++ {
 			key := linkKey(v, graph.NodeID(k))
 			if _, adjacent := st.base[key]; adjacent {
 				st.restoreIfDue(key)
@@ -231,12 +214,10 @@ func (st *protoState) restoreIfDue(key [2]graph.NodeID) {
 // the surviving topology.
 func RunProto(s *Scenario) (*Result, error) { return RunProtoWith(s, nil) }
 
-// RunProtoWith is RunProto with an optional telemetry capture: the run's
-// phase transitions, message deliveries, table commits, allocation steps,
-// and injected faults
-// land in tel's event bus (timestamped by delivery attempt — the harness
-// has no simulation clock). mdrfuzz ships this timeline alongside shrunk
-// reproducers.
+// RunProtoWith is RunProto with an optional telemetry capture: phase
+// transitions, message deliveries, table commits, allocation steps and
+// injected faults land in tel, timestamped by delivery attempt. mdrfuzz
+// ships this timeline alongside shrunk reproducers.
 func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	return runProto(s, tel, func(a *router.Agent) protonet.Node { return a })
 }
@@ -261,7 +242,6 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*router.Agent) prot
 		cost:    make(map[[2]graph.NodeID]float64),
 		failed:  make(map[[2]graph.NodeID]bool),
 		crashed: make(map[graph.NodeID]bool),
-		numNode: g.NumNodes(),
 		tel:     tel,
 		host:    host,
 	}
@@ -279,7 +259,7 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*router.Agent) prot
 	log := oracle.NewLog()
 	suite := oracle.NewSuite(log)
 	suite.Add(oracle.CheckLoopFreeName, func() error {
-		return oracle.LoopFree(st.numNode, st.views)
+		return oracle.LoopFree(len(st.agents), st.views)
 	})
 	st.net.OnDeliver = func() {
 		suite.RunAll(int64(st.net.Attempts()), 0)
@@ -324,8 +304,10 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*router.Agent) prot
 // Steps coordinates. It reports whether the run quiesced within budget (a
 // budget overrun is recorded as a quiescence violation).
 func runProtoSchedule(st *protoState, s *Scenario, trace *strings.Builder, log *oracle.Log) bool {
+	// steps delivers until the attempt count reaches target (with target
+	// negative, until quiescence), reporting false on a budget overrun.
 	steps := func(target int) bool {
-		for st.net.Attempts() < target {
+		for target < 0 || st.net.Attempts() < target {
 			if !st.net.Step() {
 				return true // quiescent before target; keep schedule moving
 			}
@@ -345,14 +327,7 @@ func runProtoSchedule(st *protoState, s *Scenario, trace *strings.Builder, log *
 		st.apply(act)
 		st.checkAdjacency(log)
 	}
-	for st.net.Step() {
-		if st.net.Attempts() > protoBudget {
-			log.Violate(oracle.CheckQuiescenceName,
-				"protocol did not quiesce within delivery budget", int64(st.net.Attempts()), 0)
-			return false
-		}
-	}
-	return true
+	return steps(-1)
 }
 
 // writeProtoTables appends every live router's distance vector to the
@@ -366,7 +341,7 @@ func writeProtoTables(trace *strings.Builder, st *protoState) {
 		}
 		r := a.Protocol()
 		fmt.Fprintf(trace, "router %d D=[", id)
-		for j := 0; j < st.numNode; j++ {
+		for j := 0; j < len(st.agents); j++ {
 			if j > 0 {
 				trace.WriteByte(' ')
 			}

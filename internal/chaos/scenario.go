@@ -259,6 +259,18 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
+// duplexLinks lists g's duplex links once each, as (lower, higher) endpoint
+// pairs in g.Links order.
+func duplexLinks(g *graph.Graph) [][2]graph.NodeID {
+	var out [][2]graph.NodeID
+	for _, l := range g.Links() {
+		if l.From < l.To {
+			out = append(out, [2]graph.NodeID{l.From, l.To})
+		}
+	}
+	return out
+}
+
 // Partition compiles a duplex partition fault into primitive fail actions:
 // every link crossing the cut between members and the rest of g fails at
 // the same schedule point. members is the characteristic set of one side.

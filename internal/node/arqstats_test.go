@@ -12,7 +12,7 @@ import (
 // trace nor any instrument the observer is nil, which is the one-branch
 // zero-cost configuration the transport's own guard benchmarks rely on.
 func TestARQStatsDisabledNil(t *testing.T) {
-	if s := arqStats(0, 1, linkInstruments{}, MeshConfig{Clock: transport.NewVirtualClock()}); s != nil {
+	if s := arqStats(0, 1, peerInstruments{}, MeshConfig{Clock: transport.NewVirtualClock()}); s != nil {
 		t.Fatal("arqStats with no sinks should be nil")
 	}
 }
@@ -23,7 +23,7 @@ func TestARQStatsDisabledNil(t *testing.T) {
 // per retransmission or per window update.
 func TestARQStatsEnabledZeroAlloc(t *testing.T) {
 	reg := telemetry.NewRegistry(0)
-	li := linkInstruments{
+	li := peerInstruments{
 		retx: reg.Counter("arq.retransmits.0-1"),
 		win:  reg.Gauge("arq.window.0-1"),
 	}

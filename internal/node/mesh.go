@@ -30,9 +30,8 @@ type MeshConfig struct {
 	Fabric Fabric
 	// Clock is shared by every node (required).
 	Clock transport.Clock
-	// CostOf maps a directed link to its MPDA cost (required) — the same
-	// closure shape protonet.BringUpAll takes, so live and simulated runs
-	// can share one cost model.
+	// CostOf maps a directed link to its MPDA cost (required); it has
+	// protonet.BringUpAll's shape, so both runs can share one cost model.
 	CostOf func(l *graph.Link) float64
 	// Fault perturbs every UDP link's datagrams (both directions, per-link
 	// derived seeds). Only valid with FabricUDP.
@@ -44,31 +43,26 @@ type MeshConfig struct {
 	DeadAfter      float64
 	// Trace, when non-nil, receives all nodes' events.
 	Trace *Trace
-	// Metrics, when non-nil, receives per-link ARQ instruments on UDP
-	// fabrics: an `arq.retransmits.<a>-<b>` counter and an
-	// `arq.window.<a>-<b>` send-window occupancy gauge per directed link.
-	// Instruments are created at link setup; counter and gauge reads are
-	// atomic, so they may be scraped while the mesh is live.
+	// Metrics, when non-nil, receives per directed link the writer-queue
+	// gauge and, on UDP, an `arq.retransmits.<a>-<b>` counter and an
+	// `arq.window.<a>-<b>` occupancy gauge; reads are atomic, so they may be
+	// scraped while the mesh is live.
 	Metrics *telemetry.Registry
-	// ObsAddr, when non-empty, gives every node an observability server
-	// on this address — it must carry port 0 (each node binds its own
-	// ephemeral port; ObsURLs reports where they landed). Each node gets
-	// a private registry; per-link ARQ instruments are aliased into both
-	// the owning node's registry and the mesh-wide Metrics registry.
+	// ObsAddr, when non-empty, gives every node an observability server on
+	// this address, which must carry port 0 (see ObsURLs), and a private
+	// registry that per-link instruments are aliased from into Metrics.
 	ObsAddr string
 	// ObsPollEvery and ObsStablePolls tune every node's readiness poller
 	// (see obs.Config); zero selects the obs defaults.
 	ObsPollEvery   float64
 	ObsStablePolls int
-	// Data enables the live data plane: every node gets a forwarder on
-	// its own data port (a MemNet endpoint on the inmem fabric, a UDP
-	// socket otherwise), peered with its topology neighbors and fed
-	// phi-derived forwarding tables by its node. Emulated per-hop latency
-	// follows the topology's link model: sizeBits/Capacity + PropDelay.
+	// Data gives every node a forwarder on its own data port (a MemNet
+	// endpoint on the inmem fabric, a UDP socket otherwise), peered with its
+	// topology neighbors and fed φ by its node. Emulated per-hop latency is
+	// the link model's sizeBits/Capacity + PropDelay.
 	Data bool
-	// DataFault perturbs data-plane datagrams (per-node derived seeds),
-	// independent of the control plane's Fault: the ARQ recovers control
-	// loss, while a lost data packet is simply lost. Requires Data.
+	// DataFault perturbs data-plane datagrams (per-node seeds; requires
+	// Data). No ARQ recovers them: a lost data packet is lost.
 	DataFault transport.Fault
 }
 
@@ -81,9 +75,7 @@ type Mesh struct {
 	degree    []int
 	regs      []*telemetry.Registry
 	listeners []*transport.TCPListener
-	// dataNet is the in-memory data-plane switchboard on the inmem fabric
-	// (nil otherwise: UDP data ports need no shared fabric object).
-	dataNet *transport.MemNet
+	dataNet   *transport.MemNet // the inmem fabric's data-plane switchboard
 }
 
 // dataForwarder builds node id's data-plane forwarder: a data port on the
@@ -193,15 +185,7 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 		for _, l := range g.Links() {
 			var tx *telemetry.Counter
 			if cfg.Metrics != nil || m.regs != nil {
-				name := fmt.Sprintf("data.tx.%d-%d", l.From, l.To)
-				if m.regs != nil {
-					tx = m.regs[l.From].Counter(name)
-					if cfg.Metrics != nil {
-						cfg.Metrics.RegisterCounter(name, tx)
-					}
-				} else {
-					tx = cfg.Metrics.Counter(name)
-				}
+				tx = m.counter(l.From, fmt.Sprintf("data.tx.%d-%d", l.From, l.To), cfg.Metrics)
 			}
 			m.Nodes[l.From].DataPlane().SetPeer(l.To, m.Nodes[l.To].DataPlane().LocalAddr(), tx)
 		}
@@ -217,15 +201,25 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 	}
 
 	switch cfg.Fabric {
-	case FabricInmem, "":
+	case FabricInmem, "", FabricUDP:
 		for _, l := range g.Links() {
 			a, b := l.From, l.To
 			if a >= b {
-				continue // one pipe per duplex link
+				continue // one pipe or socket pair per duplex link
 			}
-			ca, cb := transport.Pipe()
-			m.linkInstruments(a, b, cfg, false)
-			m.linkInstruments(b, a, cfg, false)
+			var ca, cb transport.Conn
+			var err error
+			if cfg.Fabric == FabricUDP {
+				ca, cb, err = m.udpLink(a, b, cfg)
+			} else {
+				ca, cb = transport.Pipe()
+				m.linkInstruments(a, b, cfg, false)
+				m.linkInstruments(b, a, cfg, false)
+			}
+			if err != nil {
+				m.Close()
+				return nil, err
+			}
 			m.Nodes[a].AddPeer(ca, costTo(a))
 			m.Nodes[b].AddPeer(cb, costTo(b))
 		}
@@ -252,20 +246,6 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 			m.linkInstruments(a, b, cfg, false)
 			m.linkInstruments(b, a, cfg, false)
 			m.Nodes[a].AddPeer(c, costTo(a))
-		}
-	case FabricUDP:
-		for _, l := range g.Links() {
-			a, b := l.From, l.To
-			if a >= b {
-				continue
-			}
-			ca, cb, err := m.udpLink(a, b, cfg)
-			if err != nil {
-				m.Close()
-				return nil, err
-			}
-			m.Nodes[a].AddPeer(ca, costTo(a))
-			m.Nodes[b].AddPeer(cb, costTo(b))
 		}
 	default:
 		return nil, fmt.Errorf("node: unknown fabric %q", cfg.Fabric)
@@ -298,12 +278,10 @@ func (m *Mesh) udpLink(a, b graph.NodeID, cfg MeshConfig) (ca, cb transport.Conn
 		pa.Close()
 		return nil, nil, err
 	}
-	if err := pa.Connect(pb.LocalAddr()); err != nil {
-		pa.Close()
-		pb.Close()
-		return nil, nil, err
+	if err = pa.Connect(pb.LocalAddr()); err == nil {
+		err = pb.Connect(pa.LocalAddr())
 	}
-	if err := pb.Connect(pa.LocalAddr()); err != nil {
+	if err != nil {
 		pa.Close()
 		pb.Close()
 		return nil, nil, err
@@ -319,55 +297,49 @@ func (m *Mesh) udpLink(a, b graph.NodeID, cfg MeshConfig) (ca, cb transport.Conn
 	return ca, cb, nil
 }
 
-// linkInstruments resolves one directed link's ARQ instrument handles,
-// once, at link setup on the mesh-building goroutine. The name
-// formatting and registry lookups happen only here — never on a path
-// reachable per frame or per retransmission; the per-event callbacks in
-// arqStats write through the precomputed pointers alone. When the mesh
-// runs per-node registries (ObsAddr set), the owning node's registry
-// creates the instrument and the mesh-wide registry aliases it, so one
-// atomic counter serves both /metrics and the exported snapshot. The
-// handles are also installed on the owning node for its /peers dump.
-type linkInstruments struct {
-	retx *telemetry.Counter
-	win  *telemetry.Gauge
-	wq   *telemetry.Gauge
-}
-
-// linkInstruments wires one directed link's handles. arq selects the ARQ
-// pair (UDP fabric only); the writer-queue depth gauge
+// linkInstruments resolves one directed link's instrument handles, once, at
+// link setup on the mesh-building goroutine: name formatting and registry
+// lookups never run on a path reachable per frame or per retransmission,
+// and arqStats's callbacks write through the pointers alone. arq selects
+// the ARQ pair (UDP fabric only); the writer-queue depth gauge
 // (session.writeq.<a>-<b>) exists on every fabric — frames queue toward a
-// peer no matter what transport drains them.
-func (m *Mesh) linkInstruments(local, remote graph.NodeID, cfg MeshConfig, arq bool) linkInstruments {
+// peer no matter what transport drains them. The handles are also installed
+// on the owning node for its /peers dump.
+func (m *Mesh) linkInstruments(local, remote graph.NodeID, cfg MeshConfig, arq bool) peerInstruments {
+	var li peerInstruments
 	if cfg.Metrics == nil && m.regs == nil {
-		return linkInstruments{}
-	}
-	var li linkInstruments
-	gauge := func(name string) *telemetry.Gauge {
-		if m.regs != nil {
-			g := m.regs[local].Gauge(name)
-			if cfg.Metrics != nil {
-				cfg.Metrics.RegisterGauge(name, g)
-			}
-			return g
-		}
-		return cfg.Metrics.Gauge(name)
+		return li
 	}
 	if arq {
-		retxName := fmt.Sprintf("arq.retransmits.%d-%d", local, remote)
-		if m.regs != nil {
-			li.retx = m.regs[local].Counter(retxName)
-			if cfg.Metrics != nil {
-				cfg.Metrics.RegisterCounter(retxName, li.retx)
-			}
-		} else {
-			li.retx = cfg.Metrics.Counter(retxName)
-		}
-		li.win = gauge(fmt.Sprintf("arq.window.%d-%d", local, remote))
+		li.retx = m.counter(local, fmt.Sprintf("arq.retransmits.%d-%d", local, remote), cfg.Metrics)
+		li.win = m.gauge(local, fmt.Sprintf("arq.window.%d-%d", local, remote), cfg.Metrics)
 	}
-	li.wq = gauge(fmt.Sprintf("session.writeq.%d-%d", local, remote))
-	m.Nodes[local].SetPeerStats(remote, li.retx, li.win, li.wq)
+	li.wq = m.gauge(local, fmt.Sprintf("session.writeq.%d-%d", local, remote), cfg.Metrics)
+	m.Nodes[local].setPeerStats(remote, li)
 	return li
+}
+
+// counter and gauge make the named instrument of node local. When the mesh
+// runs per-node registries (ObsAddr set), the node's registry creates it
+// and the mesh-wide one aliases it, so one atomic serves both /metrics and
+// the exported snapshot; otherwise the mesh-wide registry alone holds it,
+// and with neither it is nil.
+func (m *Mesh) counter(local graph.NodeID, name string, mesh *telemetry.Registry) *telemetry.Counter {
+	if m.regs == nil {
+		return mesh.Counter(name)
+	}
+	c := m.regs[local].Counter(name)
+	mesh.RegisterCounter(name, c)
+	return c
+}
+
+func (m *Mesh) gauge(local graph.NodeID, name string, mesh *telemetry.Registry) *telemetry.Gauge {
+	if m.regs == nil {
+		return mesh.Gauge(name)
+	}
+	g := m.regs[local].Gauge(name)
+	mesh.RegisterGauge(name, g)
+	return g
 }
 
 // arqStats builds the observer for one directed UDP link, bridging the
@@ -375,7 +347,7 @@ func (m *Mesh) linkInstruments(local, remote graph.NodeID, cfg MeshConfig, arq b
 // instruments. Returns nil (observation fully disabled) when neither
 // sink is configured; the enabled metrics-only path is alloc-free (see
 // TestARQStatsEnabledZeroAlloc).
-func arqStats(local, remote graph.NodeID, li linkInstruments, cfg MeshConfig) *transport.ARQStats {
+func arqStats(local, remote graph.NodeID, li peerInstruments, cfg MeshConfig) *transport.ARQStats {
 	if cfg.Trace == nil && li.retx == nil {
 		return nil
 	}
@@ -482,11 +454,9 @@ func (v *tableView) ID() graph.NodeID                         { return v.id }
 func (v *tableView) FD(j graph.NodeID) float64                { return v.fd[j] }
 func (v *tableView) Successors(j graph.NodeID) []graph.NodeID { return v.succ[j] }
 
-// CheckLoopFree audits the mesh's instantaneous successor graph with the
-// loop-freedom oracle: for every destination, the union of the nodes'
-// successor sets must be acyclic. The data plane forwards along exactly
-// these sets, so a passing audit plus zero looped/ttl-expired counters is
-// the live half of the ISSUE's forwarding-loop gate.
+// CheckLoopFree audits the mesh's successor graph with the loop-freedom
+// oracle: per destination, the union of the successor sets must be
+// acyclic. The data plane forwards along exactly these sets.
 func (m *Mesh) CheckLoopFree() error {
 	nn := len(m.Nodes)
 	views := make(map[graph.NodeID]lfi.RouterView, nn)
@@ -505,17 +475,13 @@ func (m *Mesh) CheckLoopFree() error {
 	return lfi.CheckAllDestinations(nn, views)
 }
 
-// AwaitConverged polls until the mesh is ready, all-PASSIVE, and its
-// state hash has held stable for `stable` consecutive polls, then until
-// it is also quiescent — all-PASSIVE plus a stable hash means no
-// entry-bearing LSU is in flight anywhere, so the state is final.
-// Quiescence is sampled only at the end of a stable streak rather than
-// demanded on every poll: under injected loss, periodic heartbeats keep
-// some ARQ retransmit window transiently non-empty almost all the time,
-// and requiring a long run of simultaneously-drained windows would
-// practically never terminate. sleep is called between polls (real sleep
-// under a wall clock, an Advance step under a virtual one). It fails
-// after maxPolls.
+// AwaitConverged polls until the mesh is ready, all-PASSIVE with a state
+// hash stable for `stable` polls — so no entry-bearing LSU is in flight and
+// the state is final — and then quiescent. Quiescence is sampled only at
+// the end of a stable streak: under injected loss heartbeats keep some ARQ
+// window non-empty almost always, so demanding it on every poll would
+// practically never terminate. sleep runs between polls (a real sleep, or
+// an Advance of a virtual clock); it fails after maxPolls.
 func (m *Mesh) AwaitConverged(stable, maxPolls int, sleep func()) error {
 	prev := ""
 	run := 0

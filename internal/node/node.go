@@ -1,28 +1,23 @@
 // Package node hosts live routers: each Node runs one router.Agent — the
 // per-router algorithm the simulator runs, with both clocks off and its link
-// costs handed in by the sessions — behind a transport.Clock and a set of
-// peer sessions running over real transports (in-memory pipes, TCP, or UDP
-// with the ARQ layer).
+// costs handed in by the sessions — over peer sessions on real transports
+// (in-memory pipes, TCP, or UDP with the ARQ layer).
 //
-// The runtime supplies exactly what the paper assumes and the simulator
-// emulates: reliable in-order LSU delivery (the transport's job), plus
-// neighbor up/down detection (this package's job, via a HELLO handshake
-// and heartbeat dead timers feeding LinkUp/LinkDown). Because MPDA's
-// converged state is schedule-independent — at quiescence every router
-// holds FD_j = D_j over the same link database — a live mesh with
-// nondeterministic goroutine scheduling must still land on the exact
-// distance tables and successor sets the deterministic simulator
-// computes. RouterSummary renders that state canonically so the two
-// worlds can be hash-compared; TestCrossValidation holds us to it.
+// The runtime supplies what the paper assumes and the simulator emulates:
+// reliable in-order LSU delivery (the transport's job) and neighbor up/down
+// detection (a HELLO handshake and heartbeat dead timers). MPDA's converged
+// state is schedule-independent — at quiescence every router holds FD_j =
+// D_j over the same link database — so a live mesh must land on the exact
+// tables the deterministic simulator computes. RouterSummary renders that
+// state canonically; TestCrossValidation hash-compares the two worlds.
 //
-// Concurrency model: one mutex per Node guards the agent and peer table.
-// Peer read loops apply frames to the agent under the lock, and the agent's
-// calls back into the node (an LSU to send, a φ_j to publish) run under it
-// too; outbound frames go through per-peer queues drained by writer
-// goroutines, so the agent never blocks on a transport while holding the
-// lock (and no cross-node lock cycle can form). A queue that reaches
-// maxWriteQueue frames means the peer has stopped reading; the session
-// ends as a dead link rather than growing memory without limit.
+// Concurrency: one mutex per Node guards the agent and the peer table. The
+// read loops, and the agent's calls back into the node (an LSU to send, a
+// φ_j to publish), run under it. Outbound frames go through per-peer queues
+// drained by writer goroutines, so the agent never blocks on a transport
+// under the lock and no cross-node lock cycle can form. A queue that reaches
+// maxWriteQueue frames means the peer stopped reading: the session ends as a
+// dead link rather than growing memory without limit.
 package node
 
 import (
@@ -47,10 +42,8 @@ import (
 	"minroute/internal/wire"
 )
 
-// Trace is a concurrency-safe front for a telemetry.Tracer. The tracer
-// itself is single-threaded by design (the simulator needs no locks); the
-// live runtime is not, so every emission funnels through one mutex. A nil
-// *Trace discards events.
+// Trace is a concurrency-safe front for a single-threaded telemetry.Tracer:
+// every emission funnels through one mutex. A nil *Trace discards events.
 type Trace struct {
 	mu sync.Mutex
 	tr *telemetry.Tracer
@@ -71,39 +64,25 @@ func (t *Trace) Emit(ev telemetry.Event) {
 
 // Emitted returns the total number of events ever emitted on the bus
 // (zero for a nil Trace). Safe while the runtime is still emitting.
-func (t *Trace) Emitted() uint64 {
-	if t == nil || t.tr == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tr.Emitted()
-}
+func (t *Trace) Emitted() uint64 { return read(t, (*telemetry.Tracer).Emitted) }
 
 // Dropped returns how many events the bus's rings have overwritten (zero
-// for a nil Trace). A nonzero value means the exported event log is
-// truncated — the observability plane surfaces this as a first-class
-// metric rather than leaving it to an exporter warning.
-func (t *Trace) Dropped() uint64 {
-	if t == nil || t.tr == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tr.Dropped()
-}
+// for a nil Trace): nonzero means the exported log is truncated, which the
+// observability plane surfaces as a metric.
+func (t *Trace) Dropped() uint64 { return read(t, (*telemetry.Tracer).Dropped) }
 
-// Events snapshots the merged event log under the lock — safe to call
-// while the runtime is still emitting (ARQ retransmit timers keep firing
-// between heartbeats for as long as a mesh is up, so readers cannot
-// assume emission has stopped).
-func (t *Trace) Events() []telemetry.Event {
+// Events snapshots the merged event log under the lock, so it is safe while
+// the runtime still emits (ARQ timers fire for as long as a mesh is up).
+func (t *Trace) Events() []telemetry.Event { return read(t, (*telemetry.Tracer).Events) }
+
+// read applies f to t's tracer under the lock; a nil Trace reads zero.
+func read[T any](t *Trace, f func(*telemetry.Tracer) T) (v T) {
 	if t == nil || t.tr == nil {
-		return nil
+		return v
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.tr.Events()
+	return f(t.tr)
 }
 
 // Config parameterizes one live node.
@@ -122,16 +101,13 @@ type Config struct {
 	DeadAfter float64
 	// Trace, when non-nil, receives session and protocol events.
 	Trace *Trace
-	// Metrics, when non-nil, receives this node's session instruments
-	// (session.* counters, session.peers gauge) and backs the /metrics
-	// endpoint when ObsAddr is set. Give every node its own registry: the
-	// instrument names carry no node qualifier, so a registry shared
-	// between nodes would merge their totals.
+	// Metrics, when non-nil, receives this node's session.* instruments and
+	// backs /metrics when ObsAddr is set. Give every node its own registry:
+	// the names carry no node qualifier, so a shared one merges totals.
 	Metrics *telemetry.Registry
 	// ObsAddr, when non-empty, serves the observability plane (metrics,
-	// health, routes, peers, pprof) on this TCP address; port 0 binds an
-	// ephemeral port, readable via ObsURL. The server is owned by the
-	// node and reaped by Close.
+	// health, routes, peers, pprof) on this TCP address (port 0: ephemeral,
+	// see ObsURL). Close reaps the server.
 	ObsAddr string
 	// ExpectPeers is how many peer sessions /readyz requires before the
 	// node can report ready (its expected topology degree).
@@ -140,10 +116,9 @@ type Config struct {
 	// obs.Config); zero selects the obs defaults.
 	ObsPollEvery   float64
 	ObsStablePolls int
-	// Data, when non-nil, is this node's data-plane forwarder. The node
-	// publishes the agent's φ to it: one forwarding snapshot after each
-	// event that made IH rebuild some φ_j. The node owns the forwarder from
-	// here on; Close reaps it.
+	// Data, when non-nil, is this node's forwarder, which the node owns from
+	// here on: it gets the agent's φ as one snapshot after each event that
+	// made IH rebuild some φ_j.
 	Data *dataplane.Forwarder
 }
 
@@ -165,24 +140,21 @@ type peer struct {
 	out  *transport.Queue
 	hb   transport.Timer
 	dead transport.Timer
-	// deadGen invalidates dead timers that fired concurrently with the
-	// frame arrival that reset them (Timer.Stop cannot un-run a callback
-	// already blocked on the node lock).
+	// deadGen invalidates a dead timer that fired as a frame reset it (Stop
+	// cannot un-run a callback blocked on the node lock).
 	deadGen uint64
 	down    bool
-	// overflowed latches once the writer queue hits maxWriteQueue: nothing
-	// more is queued (a gap in the stream would break reliable delivery).
+	// overflowed latches at maxWriteQueue: nothing more is queued, as a gap
+	// would break reliable delivery.
 	overflowed bool
 }
 
-// maxWriteQueue bounds a peer's writer queue in frames. The writer drains
-// whole bursts per wakeup, so a cold-start flood sits far below this; only
-// a peer whose transport has stopped accepting frames gets here.
+// maxWriteQueue bounds a peer's writer queue in frames. Whole bursts drain
+// per wakeup, so only a transport that stopped accepting frames gets here.
 const maxWriteQueue = 1 << 14
 
-// nodeStats is the node's session-instrument handle set, resolved once
-// at construction so no per-event path touches the registry maps. With a
-// nil Config.Metrics every handle is nil — the usual one-branch no-op.
+// nodeStats holds the node's session instruments, resolved once so no
+// per-event path touches the registry maps; all nil without Config.Metrics.
 type nodeStats struct {
 	peerUps   *telemetry.Counter
 	peerDowns *telemetry.Counter
@@ -191,22 +163,20 @@ type nodeStats struct {
 	// wqOverflows counts sessions ended because the peer's writer queue
 	// hit maxWriteQueue.
 	wqOverflows *telemetry.Counter
-	// evEmitted/evDropped mirror the event bus's totals (bus-wide: the
-	// Trace is typically shared across a mesh) on each /metrics refresh.
+	// evEmitted/evDropped mirror the (usually mesh-wide) bus's totals.
 	evEmitted *telemetry.Counter
 	evDropped *telemetry.Counter
 	peersUp   *telemetry.Gauge
 }
 
-// peerInstruments are one peer link's ARQ instrument handles, installed
-// by the mesh at link setup (SetPeerStats) so /peers can read live
-// retransmit and window values without name lookups.
+// peerInstruments are one peer link's instrument handles, resolved once by
+// the mesh at link setup (setPeerStats) so /peers and the ARQ's per-event
+// callbacks write through them without name lookups.
 type peerInstruments struct {
 	retx *telemetry.Counter
 	win  *telemetry.Gauge
-	// wq mirrors the peer's writer-queue depth — frames accepted from the
-	// router but not yet handed to the transport. A queue that grows
-	// between scrapes marks a link slower than its control traffic.
+	// wq mirrors the writer-queue depth: a queue growing between scrapes
+	// marks a link slower than its control traffic.
 	wq *telemetry.Gauge
 }
 
@@ -220,10 +190,8 @@ type Node struct {
 	mu    sync.Mutex
 	agent *router.Agent
 	peers map[graph.NodeID]*peer
-	// handshakes holds conns whose session is still in the HELLO exchange:
-	// not yet in peers, but already owning a goroutine that may be blocked
-	// in Recv. Close reaps them directly — without this, a session whose
-	// remote never answers outlives the node (goroutine + conn leak).
+	// handshakes holds conns still in the HELLO exchange, whose goroutine
+	// may block in Recv: Close reaps them, or a silent remote would leak it.
 	handshakes map[transport.Conn]struct{}
 	peerStats  map[graph.NodeID]peerInstruments
 	obs        *obs.Server
@@ -252,8 +220,7 @@ func New(cfg Config) (*Node, error) {
 		handshakes: make(map[transport.Conn]struct{}),
 		peerStats:  make(map[graph.NodeID]peerInstruments),
 	}
-	// Resolve instrument handles once: the registry's maps are unlocked,
-	// so every name lookup must happen before concurrent use.
+	// The registry's maps are unlocked: look every name up before going live.
 	n.stats = nodeStats{
 		peerUps:     cfg.Metrics.Counter("session.peer_ups"),
 		peerDowns:   cfg.Metrics.Counter("session.peer_downs"),
@@ -264,7 +231,9 @@ func New(cfg Config) (*Node, error) {
 		evDropped:   cfg.Metrics.Counter("telemetry.events.dropped"),
 		peersUp:     cfg.Metrics.Gauge("session.peers"),
 	}
-	n.agent = router.NewAgent(cfg.ID, cfg.Nodes, router.Config{}, (*host)(n), nil)
+	// The sessions price every link.
+	n.agent = router.NewAgent(cfg.ID, cfg.Nodes, router.Config{},
+		router.ClocklessHost{Clock: n.clk.Now, Send: n.sendLSU, OnAlloc: n.setRoute}, nil)
 	if cfg.Trace != nil {
 		n.agent.Observe(cfg.Trace, nil)
 	}
@@ -293,8 +262,7 @@ func New(cfg Config) (*Node, error) {
 // ID returns the node's router ID.
 func (n *Node) ID() graph.NodeID { return n.id }
 
-// emit sends one telemetry event stamped with the node clock. Callers may
-// hold n.mu; the Trace lock is independent.
+// emit sends one event stamped with the node clock (n.mu may be held).
 func (n *Node) emit(k telemetry.Kind, peer graph.NodeID, value float64, label string) {
 	if n.cfg.Trace == nil {
 		return
@@ -306,23 +274,13 @@ func (n *Node) emit(k telemetry.Kind, peer graph.NodeID, value float64, label st
 	n.cfg.Trace.Emit(ev)
 }
 
-// host is a Node as its agent sees it. The sessions hand the agent every
-// link cost and its clocks are off, so it never reads a link or arms a
-// timer.
-type host Node
-
-func (h *host) Now() float64                                { return h.clk.Now() }
-func (h *host) After(float64, func()) router.Timer          { return nil }
-func (h *host) Link(graph.NodeID) (float64, float64, int64) { return 0, 0, 0 }
-func (h *host) SendLSU(to graph.NodeID, m *lsu.Msg)         { (*Node)(h).sendLSU(to, m) }
-
-// Publish records φ_j as the forwarding entry for j, for publishDataLocked
-// to hand the data plane; no φ means no route.
-func (h *host) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
-	if h.routes == nil {
+// setRoute is the agent's Publish: it records φ_j as the forwarding entry
+// for j, for publishDataLocked to hand the data plane; no φ means no route.
+func (n *Node) setRoute(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+	if n.routes == nil {
 		return
 	}
-	e := &h.routes[j]
+	e := &n.routes[j]
 	e.Dst, e.Hops, e.Weights = j, e.Hops[:0], e.Weights[:0]
 	if len(phi) > 0 {
 		for _, k := range succ {
@@ -330,12 +288,11 @@ func (h *host) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
 			e.Weights = append(e.Weights, phi[k])
 		}
 	}
-	h.republish = true
+	n.republish = true
 }
 
-// sendLSU is the agent's way out: called under n.mu whenever MPDA emits
-// an LSU toward a neighbor. A missing peer means the link raced down;
-// dropping matches the physical reality that a dead link carries nothing.
+// sendLSU is the agent's SendLSU, called under n.mu. A missing peer means
+// the link raced down, and a dead link carries nothing.
 func (n *Node) sendLSU(to graph.NodeID, m *lsu.Msg) {
 	p := n.peers[to]
 	if p == nil || p.down {
@@ -350,11 +307,10 @@ func (n *Node) sendLSU(to graph.NodeID, m *lsu.Msg) {
 	n.enqueueLocked(p, f)
 }
 
-// enqueueLocked hands f to p's writer. A full queue ends the session: the
-// frame cannot be dropped silently (MPDA assumes reliable delivery on every
-// link it believes up), so the link is declared dead instead. The teardown
-// runs from a zero-delay timer, not here — sendLSU is called from inside
-// the router, which must not see a re-entrant LinkDown.
+// enqueueLocked hands f to p's writer. A full queue ends the session: MPDA
+// assumes reliable delivery, so the link is declared dead rather than the
+// frame dropped — from a zero-delay timer, as sendLSU runs inside the agent,
+// which must not see a re-entrant LinkDown.
 func (n *Node) enqueueLocked(p *peer, f *wire.Frame) {
 	if p.overflowed {
 		return
@@ -372,21 +328,19 @@ func (n *Node) enqueueLocked(p *peer, f *wire.Frame) {
 	})
 }
 
-// SetPeerStats installs the instrument handles for the link to peer: ARQ
-// retransmit/window plus the writer-queue depth gauge. The mesh calls
-// this at link setup; any handle may be nil (fabrics without ARQ leave
-// the first two nil).
-func (n *Node) SetPeerStats(peer graph.NodeID, retx *telemetry.Counter, win *telemetry.Gauge, wq *telemetry.Gauge) {
+// setPeerStats installs the instrument handles for the link to peer. The
+// mesh calls this at link setup; any handle may be nil (fabrics without ARQ
+// leave retx and win nil).
+func (n *Node) setPeerStats(peer graph.NodeID, li peerInstruments) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.peerStats[peer] = peerInstruments{retx: retx, win: win, wq: wq}
+	n.peerStats[peer] = li
 }
 
-// AddPeer runs a session over conn: it sends our HELLO, waits for the
-// peer's, resolves the link cost via costOf (returning false rejects the
-// peer and closes conn), and then brings the link up and serves it until
-// the connection dies, a BYE arrives, or the dead timer fires. AddPeer
-// returns immediately; the session runs on its own goroutines.
+// AddPeer runs a session over conn on its own goroutines: HELLOs both ways,
+// the link cost from costOf (false rejects the peer and closes conn), then
+// the link up until the connection dies, a BYE arrives or the dead timer
+// fires.
 func (n *Node) AddPeer(conn transport.Conn, costOf func(peer graph.NodeID) (float64, bool)) {
 	n.mu.Lock()
 	if n.closed {
@@ -401,8 +355,7 @@ func (n *Node) AddPeer(conn transport.Conn, costOf func(peer graph.NodeID) (floa
 	go n.session(conn, costOf)
 }
 
-// abortHandshake retires a handshake that failed before the peer
-// registered: drop it from the reap set and release the conn.
+// abortHandshake drops a failed handshake from the reap set and closes conn.
 func (n *Node) abortHandshake(conn transport.Conn) {
 	n.mu.Lock()
 	delete(n.handshakes, conn)
@@ -453,14 +406,12 @@ func (n *Node) session(conn transport.Conn, costOf func(peer graph.NodeID) (floa
 	n.readLoop(p)
 }
 
-// writeLoop drains the peer's outbound queue onto the transport. It owns
-// conn.Close: the queue's drain-then-fail close semantics let a BYE
-// flush before the connection drops.
+// writeLoop drains the peer's queue onto the transport. It owns conn.Close:
+// the queue drains before it fails, so a BYE flushes first.
 func (n *Node) writeLoop(p *peer) {
 	for {
-		// Drain the whole burst in one lock round-trip and hand the frames
-		// to the transport back-to-back — on the ARQ that lets a flood of
-		// small LSUs coalesce into MTU-sized datagrams.
+		// A whole burst per lock round-trip, back-to-back: on the ARQ small
+		// LSUs coalesce into MTU-sized datagrams.
 		fs, err := p.out.PopAll()
 		if err != nil {
 			p.conn.Close()
@@ -544,8 +495,7 @@ func (n *Node) peerDown(p *peer, reason string) {
 	n.peerDownLocked(p, reason)
 }
 
-// peerDownLocked tears one session down exactly once: stop timers,
-// unregister, tell the router, and let the writer drain and close.
+// peerDownLocked tears a session down once: timers, registry, agent, writer.
 func (n *Node) peerDownLocked(p *peer, reason string) {
 	if p.down {
 		return
@@ -562,8 +512,8 @@ func (n *Node) peerDownLocked(p *peer, reason string) {
 	p.out.Close()
 }
 
-// ChangeCost applies a new cost for the adjacent link to peer k, as a
-// management-plane action (the live analogue of protonet.ChangeCost).
+// ChangeCost sets the cost of the link to peer k (the live analogue of
+// protonet.ChangeCost).
 func (n *Node) ChangeCost(k graph.NodeID, cost float64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -580,22 +530,15 @@ func (n *Node) ChangeCost(k graph.NodeID, cost float64) error {
 // DataPlane returns the node's forwarder, or nil without a data plane.
 func (n *Node) DataPlane() *dataplane.Forwarder { return n.cfg.Data }
 
-// publishDataLocked hands the data plane one snapshot of every forwarding
-// entry once the agent has published some φ_j since the last call. Called
-// under n.mu after each event the agent processes; an event that rebuilt no
-// φ_j leaves the forwarder's table as it is.
+// publishDataLocked, under n.mu after each agent event, hands the data plane
+// one snapshot of every entry if the agent published some φ_j since; else
+// the forwarder keeps its table.
 func (n *Node) publishDataLocked() {
 	if !n.republish {
 		return
 	}
 	n.republish = false
-	entries := make([]dataplane.Entry, 0, len(n.routes))
-	for _, e := range n.routes {
-		if len(e.Hops) > 0 {
-			entries = append(entries, e)
-		}
-	}
-	n.cfg.Data.Publish(entries)
+	n.cfg.Data.Publish(n.routes) // it skips the entries with no hops
 }
 
 // Passive reports whether the router is in the PASSIVE phase.
@@ -629,8 +572,8 @@ func (n *Node) peerIDsLocked() []graph.NodeID {
 	return ids
 }
 
-// Outstanding sums the unacknowledged transport windows across peers;
-// zero means every frame sent so far has provably reached its neighbor.
+// Outstanding sums the peers' unacknowledged transport windows: zero means
+// every frame sent has reached its neighbor.
 func (n *Node) Outstanding() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -651,9 +594,8 @@ func (n *Node) Summary() string {
 	return RouterSummary(n.agent.Protocol())
 }
 
-// Close tears every session down, sending BYE so peers drop the link
-// immediately instead of waiting out their dead timers, then reaps the
-// node's obs server if it has one.
+// Close ends every session with a BYE, so peers need not wait out their
+// dead timers, and reaps the obs server.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -670,8 +612,7 @@ func (n *Node) Close() {
 		p.out.Push(wire.NewBye())
 		p.out.Close()
 	}
-	// Reap sessions still mid-handshake: closing the conn errors out their
-	// pending Send/Recv, and the session exits through abortHandshake.
+	// Closing a mid-handshake conn errors its session out via abortHandshake.
 	//lint:maporder-ok a transport.Conn key has no order to walk; each close only errors out its own handshake
 	for conn := range n.handshakes {
 		delete(n.handshakes, conn)
@@ -680,9 +621,7 @@ func (n *Node) Close() {
 	n.stats.peersUp.Set(0)
 	srv := n.obs
 	n.obs = nil
-	// The obs server is closed outside n.mu: its poll ticks and HTTP
-	// handlers sample node state through this same mutex, so joining them
-	// under the lock would deadlock.
+	// The obs server samples state through n.mu: close it outside the lock.
 	n.mu.Unlock()
 	if srv != nil {
 		srv.Close()
@@ -692,8 +631,7 @@ func (n *Node) Close() {
 	}
 }
 
-// ObsURL returns the base URL of the node's observability server, or ""
-// when none was configured (or the node is closed).
+// ObsURL returns the observability server's base URL ("" with none).
 func (n *Node) ObsURL() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -703,8 +641,7 @@ func (n *Node) ObsURL() string {
 	return n.obs.URL()
 }
 
-// obsSample snapshots the node's live state for the observability plane,
-// all under one lock acquisition so the view is consistent.
+// obsSample snapshots the node for the observability plane under one lock.
 func (n *Node) obsSample() obs.Sample {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -772,10 +709,8 @@ func dataSample(f *dataplane.Forwarder) *obs.DataSample {
 	return d
 }
 
-// refreshObsMetrics refreshes the sampled (non-counter) instruments right
-// before a /metrics gather: the event bus's totals (bus-wide — a mesh
-// shares one Trace, so every node reports the same pair) and each live
-// peer's writer-queue depth.
+// refreshObsMetrics, before a /metrics gather, samples the bus's totals
+// (mesh-wide) and each live peer's writer-queue depth.
 func (n *Node) refreshObsMetrics() {
 	if n.cfg.Trace != nil {
 		n.stats.evEmitted.Set(float64(n.cfg.Trace.Emitted()))
@@ -790,9 +725,8 @@ func (n *Node) refreshObsMetrics() {
 	}
 }
 
-// DestState is one destination row of a routing-state snapshot. FD is
-// the feasible distance (-1 while not established: +Inf has no JSON
-// encoding); Best is the minimum-distance successor, or -1 with none.
+// DestState is one destination row of a routing-state snapshot. FD is -1
+// while not established (+Inf has no JSON encoding); Best is -1 with none.
 type DestState struct {
 	Dst        graph.NodeID   `json:"dst"`
 	Dist       float64        `json:"dist"`
@@ -801,9 +735,8 @@ type DestState struct {
 	Successors []graph.NodeID `json:"successors"`
 }
 
-// State is a JSON-friendly snapshot of one router's routing state.
-// Unreachable destinations (D_j = +Inf) are omitted: +Inf has no JSON
-// encoding, and absence is the natural rendering of "no route".
+// State is a JSON-friendly snapshot of one router's routing state; it
+// omits unreachable destinations (D_j = +Inf).
 type State struct {
 	ID    graph.NodeID `json:"id"`
 	Dests []DestState  `json:"dests"`
@@ -840,11 +773,9 @@ func (n *Node) destRowsLocked() []DestState {
 	return rows
 }
 
-// RouterSummary renders a router's converged state in the canonical
-// cross-validation format: one line per destination with the distance
-// D_j (%.9g, the repo's table idiom) and the successor set S_j ascending.
-// Live nodes and protonet-driven reference routers render through the
-// same function, so equal state means equal strings means equal hashes.
+// RouterSummary renders a router's state canonically for cross-validation:
+// a line per destination with D_j (%.9g) and S_j ascending. Live and
+// reference routers render through it, so equal state gives equal hashes.
 func RouterSummary(r *mpda.Router) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "router %d\n", r.ID())

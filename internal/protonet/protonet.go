@@ -8,11 +8,9 @@
 // the same code with realistic timing.
 //
 // The candidates of that choice are the non-empty link queues in ascending
-// (from, to) order — the order the seeded choice is defined over, and the
-// one an exhaustive enumeration of interleavings would walk. The harness
-// keeps that list rather than deriving it: a step costs an O(log Q) search
-// and a copy where a queue turns empty or non-empty, and nothing beyond the
-// delivery itself otherwise.
+// (from, to) order, the one an exhaustive enumeration would walk. The
+// harness keeps that list: a step costs an O(log Q) search and a copy where
+// a queue turns empty or non-empty, and nothing more otherwise.
 package protonet
 
 import (
@@ -25,7 +23,7 @@ import (
 	"minroute/internal/rng"
 )
 
-// Node is a routing-protocol instance (PDA or MPDA router).
+// Node is a routing-protocol instance: a PDA or MPDA router, or a router.Agent.
 type Node interface {
 	HandleLSU(m *lsu.Msg)
 	LinkUp(k graph.NodeID, cost float64)
@@ -33,21 +31,17 @@ type Node interface {
 	LinkDown(k graph.NodeID)
 }
 
-// Perturb configures control-plane perturbation of the raw channel beneath
-// the reliable-FIFO abstraction the paper assumes. A lost frame leaves the
-// message at the head of its link queue to be retried on a later scheduling
-// round — exactly the retransmission path of the underlying reliable
-// protocol, with the retry bound making every loss a bounded delay. A
-// duplicated frame arrives at the receiver twice, but the ARQ layer's
-// sequence numbering detects the copy and discards it before the routing
-// process runs: the duplicate consumes a channel attempt, never a protocol
-// event. That is deliberate — MPDA's ACK bookkeeping (like the paper's link
-// model) assumes exactly-once delivery, and a duplicate surfacing above the
-// ARQ layer would mint a spurious ACK credit and break the LFI. Per-link
-// FIFO order is preserved in all cases: the fault layer perturbs timing
-// ("received correctly and in the proper sequence" is what the ARQ layer
-// restores, not what the raw channel provides), so what the protocol
-// observes is only bounded extra delay.
+// Perturb configures perturbation of the raw channel beneath the paper's
+// reliable-FIFO abstraction. A lost frame leaves the message at the head of
+// its queue to be retried on a later round — the reliable protocol's
+// retransmission, which the retry bound makes a bounded delay. A duplicate
+// frame reaches the receiver's ARQ layer, whose sequence numbers discard it
+// before the routing process runs: it costs a channel attempt, never a
+// protocol event. MPDA's ACK bookkeeping, like the paper's link model,
+// assumes exactly-once delivery; a duplicate above the ARQ would mint a
+// spurious ACK credit and break the LFI. Per-link FIFO order always holds
+// ("received correctly and in the proper sequence" is what the ARQ
+// restores), so the protocol observes only bounded extra delay.
 type Perturb struct {
 	// LossProb is the per-attempt probability that the frame is lost and the
 	// message must be retransmitted later.
@@ -200,10 +194,8 @@ func (n *Net) Step() bool {
 	return true
 }
 
-// Run delivers messages until quiescence, panicking after maxDeliveries as
-// a non-termination guard (the bound covers delivery attempts, so perturbed
-// runs cannot spin on retransmissions either). It returns the number of
-// messages delivered.
+// Run delivers messages until quiescence and returns how many it delivered.
+// It panics after maxDeliveries attempts, retransmissions included.
 func (n *Net) Run(maxDeliveries int) int {
 	startAttempts := n.attempts
 	startDelivered := n.delivered

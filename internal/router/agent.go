@@ -21,13 +21,11 @@ const (
 	longSmoothing = 0.5
 	// shortSmoothing is the EWMA weight for each Ts window's sample.
 	shortSmoothing = 0.5
-	// utilizationCap bounds the utilization used when computing link costs.
-	// The raw M/M/1 marginal explodes near saturation (seconds per packet
-	// against an idle cost under a millisecond), which turns any momentarily
-	// hot link infinitely repulsive and induces the classic delay-metric
-	// route oscillation; the revised-ARPANET-metric line of work the paper
-	// cites ([18], [13]) bounds the metric's dynamic range for exactly this
-	// reason. 0.9 caps the advertised marginal at ~100x idle.
+	// utilizationCap bounds the utilization link costs are computed at. The
+	// raw M/M/1 marginal explodes near saturation, turning a momentarily hot
+	// link infinitely repulsive and inducing the classic delay-metric route
+	// oscillation; the revised ARPANET metric the paper cites ([18], [13])
+	// bounds the dynamic range for this reason. 0.9 caps it at ~100x idle.
 	utilizationCap = 0.9
 )
 
@@ -37,25 +35,51 @@ const (
 type Host interface {
 	// Now reads the host's clock in seconds.
 	Now() float64
-	// After arms fn to run d seconds from now. An agent whose Tl and Ts are
-	// both 0 never asks.
-	After(d float64, fn func()) Timer
-	// Link reports the link to neighbor k: its capacity in bits/s, its
-	// propagation delay in seconds, and how many data packets it has carried.
-	// Only an agent that prices its links itself (Start, LinkRecovered and
-	// the clocks) asks.
+	// After arms fn to run d seconds from now as the agent's timer t or, with
+	// fn nil, disarms t. An agent whose Tl and Ts are both 0 arms none.
+	After(t Timer, d float64, fn func())
+	// Link reports the link to neighbor k: capacity in bits/s, propagation
+	// delay in seconds, and data packets carried. Only an agent that prices
+	// its links itself (Start, LinkRecovered, the clocks) asks.
 	Link(k graph.NodeID) (capacity, prop float64, packets int64)
 	// SendLSU hands m to the link toward neighbor to, which must deliver it
 	// reliably and in order.
 	SendLSU(to graph.NodeID, m *lsu.Msg)
-	// Publish observes each routing-parameter step: φ_j just built by IH or
-	// moved by AH, over the successor set succ it must cover. Both are the
-	// agent's; a host that keeps them copies.
+	// Publish observes each IH build and AH step of φ_j over the successor
+	// set succ it must cover. Both are the agent's; a host keeping them copies.
 	Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
 }
 
-// Timer is a firing a Host armed; Stop cancels it.
-type Timer interface{ Stop() }
+// Timer names one of an agent's clocks to its Host.
+type Timer int
+
+// The agent's timers: the next Ts tick, the next Tl tick, and the reopening
+// of the Tl window before it (Config.CostMeasureWindow).
+const (
+	tsClock Timer = iota
+	tlClock
+	tlWindow
+	numTimers
+)
+
+// ClocklessHost is the Host of an agent run with Tl = Ts = 0 by a host that
+// prices every link itself, so the agent never reads a link or arms a timer.
+// Clock is Now, Send is SendLSU, and OnAlloc, when non-nil, is Publish.
+type ClocklessHost struct {
+	Clock   func() float64
+	Send    mpda.Sender
+	OnAlloc func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
+}
+
+func (h ClocklessHost) Now() float64                              { return h.Clock() }
+func (ClocklessHost) After(Timer, float64, func())                {}
+func (ClocklessHost) Link(graph.NodeID) (float64, float64, int64) { return 0, 0, 0 }
+func (h ClocklessHost) SendLSU(to graph.NodeID, m *lsu.Msg)       { h.Send(to, m) }
+func (h ClocklessHost) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+	if h.OnAlloc != nil {
+		h.OnAlloc(j, phi, succ)
+	}
+}
 
 // Sink receives an agent's control-plane events; a *telemetry.Tracer is one.
 type Sink interface{ Emit(telemetry.Event) }
@@ -63,17 +87,15 @@ type Sink interface{ Emit(telemetry.Event) }
 // link is everything an agent keeps about one attached neighbor.
 type link struct {
 	to graph.NodeID
-	// short is the short-term marginal cost, refreshed every Ts; where the
-	// host prices the link, the cost it gave.
+	// short is the short-term marginal cost, refreshed every Ts (or the
+	// cost the host gave).
 	short float64
 	// long is the long-term cost EWMA, advertised to MPDA every Tl.
 	long *linkcost.Smoother
 	// tsSnap and tlSnap are the link's packet count when the current
 	// short-term and long-term measurement windows opened.
 	tsSnap, tlSnap int64
-	// est, with Config.UseOnlineEstimator, is the link's online cost
-	// estimator.
-	est *linkcost.OnlineEstimator
+	est            *linkcost.OnlineEstimator // with Config.UseOnlineEstimator
 }
 
 // Agent is the paper's router less its substrate: an MPDA instance, the
@@ -99,17 +121,14 @@ type Agent struct {
 	// down is true between Crash and Restart: the agent processes nothing
 	// and its timers are disarmed.
 	down bool
-	// Pending timers, stopped on Crash so a restarted agent never runs two
-	// timer chains.
-	tsTimer, tlTimer, tlSnapTimer Timer
 	// lastTl is when the current long-term measurement window opened.
 	lastTl float64
 
 	// phi[j] holds the current routing parameters for destination j.
 	phi []alloc.Params
-	// phiSucc[j] is a copy of the successor set phi[j] was built from — and
-	// so, ascending, phi[j]'s keys: IH writes one entry per successor and AH
-	// only rewrites them.
+	// phiSucc[j] copies the successor set phi[j] was built from: phi[j]'s
+	// keys, ascending, since IH writes one entry per successor and AH only
+	// rewrites them.
 	phiSucc [][]graph.NodeID
 
 	// sink, when non-nil, receives phase spans, LSU receive/ack events,
@@ -121,9 +140,8 @@ type Agent struct {
 	activeSince float64
 }
 
-// NewAgent returns the agent of router id over an ID space of numNodes
-// nodes. prng draws the random phases of the clocks; with Tl = Ts = 0 it may
-// be nil.
+// NewAgent returns router id's agent over numNodes IDs. prng draws the
+// clocks' random phases; with Tl = Ts = 0 it may be nil.
 func NewAgent(id graph.NodeID, numNodes int, cfg Config, host Host, prng *rng.Source) *Agent {
 	a := &Agent{
 		id:      id,
@@ -137,19 +155,22 @@ func NewAgent(id graph.NodeID, numNodes int, cfg Config, host Host, prng *rng.So
 	return a
 }
 
-// newProto builds a fresh MPDA instance reporting to the agent.
+// newProto builds a fresh MPDA instance, reporting to the agent if it has
+// a sink.
 func (a *Agent) newProto() *mpda.Router {
 	r := mpda.NewRouter(a.id, len(a.phi), a.host.SendLSU)
-	r.OnPhase = a.onPhase
-	r.OnCommit = a.onCommit
+	if a.sink != nil {
+		r.OnPhase, r.OnCommit = a.onPhase, a.onCommit
+	}
 	return r
 }
 
-// Observe sends the agent's control-plane events to sink and, when probes
-// is non-nil, each ACTIVE span's duration and each table commit to its
-// slotted instruments. Call before the first event.
+// Observe sends the agent's control-plane events to sink and, with probes,
+// ACTIVE durations and table commits to their slotted instruments. Call
+// before the first event.
 func (a *Agent) Observe(sink Sink, probes *telemetry.NodeProbes) {
 	a.sink = sink
+	a.proto.OnPhase, a.proto.OnCommit = a.onPhase, a.onCommit
 	if probes != nil {
 		a.activeDur, a.converge = probes.ActiveDur, probes.Converge
 	}
@@ -158,8 +179,8 @@ func (a *Agent) Observe(sink Sink, probes *telemetry.NodeProbes) {
 // Protocol exposes the MPDA instance (for invariant checks and inspection).
 func (a *Agent) Protocol() *mpda.Router { return a.proto }
 
-// Phi returns the routing parameters for destination j, nil when there are
-// none. The map is the agent's.
+// Phi returns destination j's routing parameters (nil for none); the map is
+// the agent's.
 func (a *Agent) Phi(j graph.NodeID) alloc.Params { return a.phi[j] }
 
 // linkIndex finds neighbor k in links: its position and true, or where it
@@ -177,8 +198,7 @@ func (a *Agent) link(k graph.NodeID) *link {
 	return nil
 }
 
-// attach gives neighbor k a record if it has none, and returns where the
-// record sits.
+// attach gives neighbor k a record if it has none and returns its index.
 func (a *Agent) attach(k graph.NodeID) int {
 	i, dup := a.linkIndex(k)
 	if !dup {
@@ -187,12 +207,8 @@ func (a *Agent) attach(k graph.NodeID) int {
 	return i
 }
 
-// onPhase reports an ACTIVE/PASSIVE flip; the PASSIVE edge carries the
-// span's duration.
+// onPhase reports an ACTIVE/PASSIVE flip; PASSIVE carries the span length.
 func (a *Agent) onPhase(active bool) {
-	if a.sink == nil {
-		return
-	}
 	now := a.host.Now()
 	if active {
 		a.activeSince = now
@@ -205,12 +221,8 @@ func (a *Agent) onPhase(active bool) {
 	a.activeDur.ObserveSlot(int(a.id), now, ev.Value)
 }
 
-// onCommit reports a main-table commit that changed the given number of
-// entries.
+// onCommit reports a main-table commit that changed that many entries.
 func (a *Agent) onCommit(changed int) {
-	if a.sink == nil {
-		return
-	}
 	now := a.host.Now()
 	ev := telemetry.NewEvent(now, telemetry.KindTableCommit, a.id)
 	ev.Value = float64(changed)
@@ -218,9 +230,8 @@ func (a *Agent) onCommit(changed int) {
 	a.converge.CommitSlot(int(a.id), now)
 }
 
-// allocStep reports one routing-parameter step for destination j — an IH
-// build or an AH adjustment, over successor set succ — to the host and the
-// sink, where Value is the allocation spread (0 = single path).
+// allocStep reports an IH build or AH step of φ_j over succ to the host and
+// the sink, where Value is the allocation spread (0 = single path).
 func (a *Agent) allocStep(k telemetry.Kind, j graph.NodeID, succ []graph.NodeID) {
 	a.host.Publish(j, a.phi[j], succ)
 	if a.sink == nil {
@@ -232,9 +243,8 @@ func (a *Agent) allocStep(k telemetry.Kind, j graph.NodeID, succ []graph.NodeID)
 	a.sink.Emit(ev)
 }
 
-// Start brings up the links up reports up at their idle costs, opens both
-// measurement windows at the current instant, and arms the measurement
-// timers with random phases.
+// Start brings up, at their idle costs, the links up reports up, opens both
+// measurement windows now, and arms the timers with random phases.
 func (a *Agent) Start(up func(k graph.NodeID) bool) {
 	// After an outage the windows must not straddle it: both start from the
 	// packet counters as they stand.
@@ -257,27 +267,24 @@ func (a *Agent) Start(up func(k graph.NodeID) bool) {
 		// The randomly phased first window is shorter than Ts but is still
 		// priced as a full one: dividing by its true length would move every
 		// DES golden for one tick per boot.
-		a.tsTimer = a.host.After(a.cfg.Ts*a.prng.Float64(), a.tsTick)
+		a.host.After(tsClock, a.cfg.Ts*a.prng.Float64(), a.tsTick)
 	}
 	if a.cfg.Tl > 0 {
 		// "The long-term update periods should be phased randomly at each
 		// router" — first firing lands uniformly inside one Tl period.
-		a.tlTimer = a.host.After(a.cfg.Tl*a.prng.Float64(), a.tlTick)
+		a.host.After(tlClock, a.cfg.Tl*a.prng.Float64(), a.tlTick)
 	}
 }
 
-// Crash disarms the agent's timers and has it process nothing until
-// Restart. The protocol state is abandoned where it stands: a restarted
-// router remembers nothing, like a real reboot.
+// Crash disarms the timers, so a restart never runs two chains, and has the
+// agent process nothing until Restart, which remembers nothing — a reboot.
 func (a *Agent) Crash() {
 	if a.down {
 		return
 	}
 	a.down = true
-	for _, t := range [...]Timer{a.tsTimer, a.tlTimer, a.tlSnapTimer} {
-		if t != nil {
-			t.Stop()
-		}
+	for t := range numTimers {
+		a.host.After(t, 0, nil)
 	}
 }
 
@@ -294,9 +301,8 @@ func (a *Agent) Restart(up func(k graph.NodeID) bool) {
 	a.Start(up)
 }
 
-// costAt is the M/M/1 marginal cost of the link to k at a flow of lambda
-// packets per second, with the utilization held at utilizationCap: 0 gives
-// the idle cost, +Inf the ceiling the cap allows.
+// costAt is the M/M/1 marginal cost of the link to k at lambda packets/s,
+// utilization capped at utilizationCap: 0 gives idle, +Inf the ceiling.
 func (a *Agent) costAt(k graph.NodeID, lambda float64) float64 {
 	capacity, prop, _ := a.host.Link(k)
 	mu := linkcost.KnownMu(capacity, a.cfg.MeanPacketBits)
@@ -306,10 +312,9 @@ func (a *Agent) costAt(k graph.NodeID, lambda float64) float64 {
 	return linkcost.MM1Marginal(lambda, mu, prop)
 }
 
-// measure prices the link to k after it carried the given number of data
-// packets over a window of the given length in seconds — the one cost
-// measurement both clocks use. ok is false for a window of no length:
-// nothing was measured and the caller keeps the cost it has.
+// measure prices the link to k after it carried packets over window
+// seconds — the one measurement both clocks use. ok is false for an empty
+// window: nothing was measured and the caller keeps its cost.
 func (a *Agent) measure(k graph.NodeID, packets int64, window float64) (c float64, ok bool) {
 	if window <= 0 {
 		return 0, false
@@ -362,7 +367,7 @@ func (a *Agent) tsTick() {
 			a.allocStep(telemetry.KindAllocAdjust, jid, succ)
 		}
 	}
-	a.tsTimer = a.host.After(a.cfg.Ts, a.tsTick)
+	a.host.After(tsClock, a.cfg.Ts, a.tsTick)
 }
 
 // shortDist is the AH distance function: D_jk + l_ik with the short-term
@@ -377,10 +382,10 @@ func (a *Agent) shortDist(j graph.NodeID) alloc.DistFunc {
 	}
 }
 
-// tlTick measures each adjacent link's flow over the elapsed long-term
-// window ("link costs measured over longer intervals of length Tl are used
-// for routing-path computation"), folds it into the advertised-cost EWMA,
-// and feeds any changes into MPDA.
+// tlTick measures each link's flow over the elapsed long-term window ("link
+// costs measured over longer intervals of length Tl are used for
+// routing-path computation"), folds it into the advertised EWMA, and feeds
+// changes to MPDA.
 func (a *Agent) tlTick() {
 	elapsed := a.host.Now() - a.lastTl
 	for i := range a.links {
@@ -399,16 +404,15 @@ func (a *Agent) tlTick() {
 	}
 	a.openTlWindow()
 	a.refreshAllocations()
-	a.tlTimer = a.host.After(a.cfg.Tl, a.tlTick)
+	a.host.After(tlClock, a.cfg.Tl, a.tlTick)
 	// With a fixed cost window configured, re-open the window that much
 	// before the next tick so it sees only the trailing part of the period.
 	if w := a.cfg.CostMeasureWindow; w > 0 && w < a.cfg.Tl {
-		a.tlSnapTimer = a.host.After(a.cfg.Tl-w, a.openTlWindow)
+		a.host.After(tlWindow, a.cfg.Tl-w, a.openTlWindow)
 	}
 }
 
-// openTlWindow starts the long-term measurement window at the current
-// instant and packet counters.
+// openTlWindow opens the long-term window at the current instant and counters.
 func (a *Agent) openTlWindow() {
 	a.lastTl = a.host.Now()
 	for i := range a.links {
@@ -448,8 +452,7 @@ func (a *Agent) LinkUp(k graph.NodeID, cost float64) {
 	a.refreshAllocations()
 }
 
-// LinkCostChange moves the cost of the link to neighbor k to the given one,
-// priced as LinkUp prices it.
+// LinkCostChange moves the link to neighbor k to cost, priced as LinkUp.
 func (a *Agent) LinkCostChange(k graph.NodeID, cost float64) {
 	if a.down {
 		return
@@ -470,8 +473,8 @@ func (a *Agent) LinkDown(k graph.NodeID) {
 	a.refreshAllocations()
 }
 
-// LinkRecovered brings the link to neighbor k back at its idle cost, priced
-// as Start prices it. An agent with no record of k does nothing.
+// LinkRecovered brings the link to k back at its idle cost, as Start does;
+// with no record of k it does nothing.
 func (a *Agent) LinkRecovered(k graph.NodeID) {
 	l := a.link(k)
 	if a.down || l == nil {
@@ -484,11 +487,10 @@ func (a *Agent) LinkRecovered(k graph.NodeID) {
 	a.refreshAllocations()
 }
 
-// refreshAllocations re-runs IH for every destination whose successor set
-// changed since its parameters were last built (paper: "When S_j is
-// computed for the first time or recomputed again due to long-term route
-// changes, traffic should be freshly distributed" by IH). Only a set the
-// protocol re-derived since the last refresh can have; they come ascending.
+// refreshAllocations re-runs IH for each destination whose S_j changed since
+// φ_j was built ("When S_j is computed for the first time or recomputed
+// again due to long-term route changes, traffic should be freshly
+// distributed"). Only a set TakeMoved names can have; they come ascending.
 func (a *Agent) refreshAllocations() {
 	if a.cfg.Mode != ModeMP {
 		return
@@ -500,9 +502,8 @@ func (a *Agent) refreshAllocations() {
 	}
 }
 
-// buildIH distributes destination j's traffic afresh over succ by heuristic
-// IH (no parameters for an empty set) and records the set they were built
-// from.
+// buildIH distributes j's traffic afresh over succ by IH (no φ for an empty
+// set) and records the set it was built from.
 func (a *Agent) buildIH(j graph.NodeID, succ []graph.NodeID) {
 	a.phiSucc[j] = append(a.phiSucc[j][:0], succ...)
 	a.phi[j] = nil

@@ -94,9 +94,10 @@ const fakeCapacity, fakeProp = 1e6, 1e-3
 
 func (h *fakeHost) Now() float64 { return h.now }
 
-func (h *fakeHost) After(d float64, _ func()) Timer {
-	h.armed = append(h.armed, d)
-	return nil
+func (h *fakeHost) After(_ Timer, d float64, fn func()) {
+	if fn != nil {
+		h.armed = append(h.armed, d)
+	}
 }
 
 func (h *fakeHost) Link(k graph.NodeID) (float64, float64, int64) {

@@ -22,10 +22,10 @@ func cbr(eng *des.Engine, n0 *Node, dst graph.NodeID, count int, gap float64) {
 // onTsTick runs fn after each of n's short-term ticks: a tick re-arms its
 // own timer, so a handle that changed across an event means the tick ran.
 func onTsTick(eng *des.Engine, n *Node, fn func()) {
-	armed := n.agent.tsTimer
+	armed := n.timers[tsClock]
 	eng.OnEvent = func() {
-		if n.agent.tsTimer != armed {
-			armed = n.agent.tsTimer
+		if n.timers[tsClock] != armed {
+			armed = n.timers[tsClock]
 			fn()
 		}
 	}

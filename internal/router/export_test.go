@@ -1,10 +1,13 @@
 package router
 
-import "minroute/internal/graph"
+import (
+	"minroute/internal/eventq"
+	"minroute/internal/graph"
+)
 
 // TickTimers returns the handles of the pending Ts and Tl ticks; each tick
 // re-arms its own, so a changed handle means that tick ran.
-func (n *Node) TickTimers() (ts, tl Timer) { return n.agent.tsTimer, n.agent.tlTimer }
+func (n *Node) TickTimers() (ts, tl eventq.Handle) { return n.timers[tsClock], n.timers[tlClock] }
 
 // VisitLinkCosts calls visit for every attached neighbor in ascending
 // order with its short-term cost and its long-term (pre-quantization

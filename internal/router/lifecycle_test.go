@@ -194,7 +194,7 @@ func TestShortCostSmoothingAndUtilizationCap(t *testing.T) {
 	startAll(eng, nodes, 1)
 	n0 := nodes[0]
 	l, p := n0.agent.link(1), n0.port(1)
-	mu := linkcost.KnownMu(p.Capacity, n0.cfg.MeanPacketBits)
+	mu := linkcost.KnownMu(p.Capacity, n0.agent.cfg.MeanPacketBits)
 	ceil := linkcost.MM1Marginal(utilizationCap*mu, mu, p.Prop)
 	// 200 packets/s against a service rate of 125: saturated for 20 s.
 	cbr(eng, n0, 2, 4000, 0.005)

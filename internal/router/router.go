@@ -14,9 +14,6 @@
 // randomly phased long-term updates "because of the problems that would
 // result due to synchronization of updates".
 //
-// Per-neighbor state is one link record in a slice ascending by neighbor
-// ID, and both clocks price a window through the one measure routine.
-//
 // Three forwarding modes reproduce the paper's three schemes:
 //
 //	ModeMP     multipath over S_j with IH/AH routing parameters
@@ -72,10 +69,9 @@ func (m Mode) String() string {
 	}
 }
 
-// Config tunes an Agent and the Node that hosts it: what the commands and
-// experiments actually vary. A simulated Node starts from Defaults; a host
-// that prices its own links runs its agent on the zero value (MP, both
-// clocks off).
+// Config tunes an Agent and the Node hosting it. A simulated Node starts
+// from Defaults; a host that prices its own links runs its agent on the
+// zero value (MP, both clocks off).
 type Config struct {
 	Mode Mode
 	// Tl is the long-term (routing path) update interval in seconds.
@@ -93,10 +89,9 @@ type Config struct {
 	// alloc.AdjustDamped). Zero or negative selects the literal Fig. 7
 	// rule (alloc.Adjust), kept for ablation.
 	AHDamping float64
-	// CostMeasureWindow, when positive and smaller than Tl, measures the
-	// long-term link flow over only the trailing window of each Tl period
-	// instead of the whole period (ARPANET-style fixed measurement window:
-	// the update period then controls staleness only, not averaging).
+	// CostMeasureWindow, when in (0, Tl), measures the long-term flow over
+	// only the trailing window of each Tl period (ARPANET-style: the period
+	// then controls staleness only, not averaging).
 	CostMeasureWindow float64
 }
 
@@ -116,13 +111,14 @@ func Defaults() Config {
 // Node is one simulated router: an Agent on the discrete-event engine, the
 // ports toward its neighbors, and the forwarding plane.
 type Node struct {
-	id   graph.NodeID
 	eng  *des.Engine
-	cfg  Config
-	prng *rng.Source
 	send mpda.Sender
 
+	// agent holds the router's ID, Config and prng: the clocks' phases and
+	// the forwarding picks draw from one stream.
 	agent *Agent
+	// timers holds the agent's pending timers, by Timer.
+	timers [numTimers]eventq.Handle
 	// ports[k] leads to neighbor k, nil where no port does.
 	ports []*des.Port
 
@@ -137,10 +133,9 @@ type Node struct {
 	// OnArrive is invoked for every data packet whose destination is this
 	// node (set by the network assembly).
 	OnArrive func(pkt *des.Packet)
-	// OnAlloc, when set, observes every routing-parameter step — each IH
-	// build and each AH adjustment — with the destination, the parameters
-	// just produced, and the successor set they must cover. The φ-simplex
-	// oracle (Property 1: support ⊆ S_j, φ ≥ 0, Σφ = 1) hooks here.
+	// OnAlloc, when set, is the agent's Publish: every IH build and AH step
+	// of φ_j over the S_j it must cover. The φ-simplex oracle (Property 1:
+	// support ⊆ S_j, φ ≥ 0, Σφ = 1) hooks here.
 	OnAlloc func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
 
 	// tel, when non-nil, traces drop instants; the agent traces the control
@@ -152,24 +147,21 @@ type Node struct {
 	DroppedNoRoute   int64
 	DroppedHopLimit  int64
 	DroppedQueue     int64
-	// DroppedDown counts data packets that reached the node while it was
-	// crashed. Control packets a crashed node ignores are not counted: the
-	// conservation ledger balances data traffic only, and control-plane loss
-	// at a dead node is just protocol noise.
+	// DroppedDown counts data packets that reached the node crashed. The
+	// control packets it ignores are not counted: the conservation ledger
+	// balances data traffic only.
 	DroppedDown int64
 }
 
 // New constructs a node. Ports must be attached before Start.
 func New(eng *des.Engine, id graph.NodeID, numNodes int, cfg Config, sendLSU mpda.Sender) *Node {
-	n := &Node{id: id, eng: eng, cfg: cfg, prng: eng.RNG().Split(uint64(id) + 1000), send: sendLSU,
-		ports: make([]*des.Port, numNodes)}
-	// The clocks' phases and the forwarding picks draw from one stream.
-	n.agent = NewAgent(id, numNodes, cfg, (*desHost)(n), n.prng)
+	n := &Node{eng: eng, send: sendLSU, ports: make([]*des.Port, numNodes)}
+	n.agent = NewAgent(id, numNodes, cfg, (*desHost)(n), eng.RNG().Split(uint64(id)+1000))
 	return n
 }
 
 // ID returns the node's address.
-func (n *Node) ID() graph.NodeID { return n.id }
+func (n *Node) ID() graph.NodeID { return n.agent.id }
 
 // Protocol exposes the MPDA instance (for invariant checks and inspection).
 func (n *Node) Protocol() *mpda.Router { return n.agent.proto }
@@ -179,8 +171,8 @@ func (n *Node) Protocol() *mpda.Router { return n.agent.proto }
 func (n *Node) AttachPort(k graph.NodeID, p *des.Port) {
 	i := n.agent.attach(k)
 	n.ports[k] = p
-	if n.cfg.UseOnlineEstimator {
-		mu := linkcost.KnownMu(p.Capacity, n.cfg.MeanPacketBits)
+	if cfg := n.agent.cfg; cfg.UseOnlineEstimator {
+		mu := linkcost.KnownMu(p.Capacity, cfg.MeanPacketBits)
 		p.Estimator = linkcost.NewOnlineEstimator(p.Prop, 1/mu)
 		n.agent.links[i].est = p.Estimator
 	}
@@ -194,9 +186,8 @@ func (n *Node) port(k graph.NodeID) *des.Port {
 	return n.ports[k]
 }
 
-// InstallStatic installs fixed routing parameters for ModeStatic. phi[j]
-// holds the fractions this node uses toward destination j; the node does
-// not expect them to change once installed.
+// InstallStatic installs ModeStatic's fixed parameters: phi[j] holds the
+// fractions toward destination j, not expected to change.
 func (n *Node) InstallStatic(phi []alloc.Params) {
 	n.staticPhi = phi
 	n.staticKeys = make([][]graph.NodeID, len(phi))
@@ -205,9 +196,8 @@ func (n *Node) InstallStatic(phi []alloc.Params) {
 	}
 }
 
-// SetTelemetry attaches control-plane instrumentation (shared by all nodes
-// of a simulation): the agent's events and instruments, and this node's
-// drop instants. Call before Start.
+// SetTelemetry attaches the simulation's shared instrumentation to the
+// agent's events and this node's drops. Call before Start.
 func (n *Node) SetTelemetry(tp *telemetry.NodeProbes) {
 	n.tel = tp
 	if tp != nil {
@@ -215,16 +205,13 @@ func (n *Node) SetTelemetry(tp *telemetry.NodeProbes) {
 	}
 }
 
-// asRouter runs fn, an entry point called from harness context (boot, a
-// chaos restart, core's fault injection), under the router's own origin
-// priority: inheriting the harness origin would make the protocol's
-// emissions and the timer chains' equal-time ordering depend on who called
-// — and on which shard's tracer recorded it — rather than on the node.
-func (n *Node) asRouter(fn func()) { n.eng.WithOrigin(des.PriRouter(uint64(n.id)), fn) }
+// asRouter runs fn, entered from harness context (boot, restart, fault
+// injection), under the router's own origin priority: the harness's would
+// make equal-time ordering of its emissions and timers depend on the
+// caller and on which shard's tracer recorded it.
+func (n *Node) asRouter(fn func()) { n.eng.WithOrigin(des.PriRouter(uint64(n.agent.id)), fn) }
 
-// Start brings up the adjacent links whose port is up at their idle costs,
-// opens both measurement windows at the current instant, and schedules the
-// measurement timers with random phases.
+// Start starts the agent (Agent.Start) over the links whose port is up.
 func (n *Node) Start() { n.asRouter(func() { n.agent.Start(n.portUp) }) }
 
 // portUp reports whether the port toward neighbor k carries traffic.
@@ -234,9 +221,7 @@ func (n *Node) portUp(k graph.NodeID) bool { return !n.port(k).Down() }
 // dropped until Restart, which finds no protocol state left.
 func (n *Node) Crash() { n.agent.Crash() }
 
-// Restart boots a crashed node from scratch: a fresh MPDA instance, empty
-// routing parameters, and measurement windows starting now. Adjacent links
-// are announced at their idle costs by the usual Start path; neighbors learn
+// Restart boots a crashed node from scratch (Agent.Restart); neighbors learn
 // of the resurrection through core.RestartNode (LinkRecovered on their side).
 func (n *Node) Restart() { n.asRouter(func() { n.agent.Restart(n.portUp) }) }
 
@@ -262,29 +247,28 @@ func (n *Node) HandleControl(pkt *des.Packet) {
 	n.agent.HandleLSU(m)
 }
 
-// LinkFailed tells the protocol an adjacent link went down. Crashed nodes
-// have no protocol to tell.
+// LinkFailed tells the protocol an adjacent link went down.
 func (n *Node) LinkFailed(k graph.NodeID) { n.asRouter(func() { n.agent.LinkDown(k) }) }
 
 // LinkRecovered tells the protocol an adjacent link came back.
 func (n *Node) LinkRecovered(k graph.NodeID) { n.asRouter(func() { n.agent.LinkRecovered(k) }) }
 
-// HandleData forwards (or delivers) a data packet. The node takes ownership:
-// delivered and dropped packets are recycled into the engine's packet pool
-// (observers like OnArrive must not retain the pointer past their return).
+// HandleData forwards or delivers a data packet, taking ownership: delivered
+// and dropped packets are recycled (OnArrive must not retain the pointer).
 func (n *Node) HandleData(pkt *des.Packet) {
-	if n.agent.down {
+	a := n.agent
+	if a.down {
 		n.drop(&n.DroppedDown, telemetry.KindDropDown, pkt)
 		return
 	}
-	if pkt.Dst == n.id {
+	if pkt.Dst == a.id {
 		if n.OnArrive != nil {
 			n.OnArrive(pkt)
 		}
 		n.eng.FreePacket(pkt)
 		return
 	}
-	if pkt.Hops >= n.cfg.HopLimit {
+	if pkt.Hops >= a.cfg.HopLimit {
 		n.drop(&n.DroppedHopLimit, telemetry.KindDropHopLimit, pkt)
 		return
 	}
@@ -302,12 +286,11 @@ func (n *Node) HandleData(pkt *des.Packet) {
 	n.ForwardedPackets++
 }
 
-// drop counts, traces and recycles one data packet the node will not
-// forward.
+// drop counts, traces and recycles a data packet the node will not forward.
 func (n *Node) drop(counter *int64, k telemetry.Kind, pkt *des.Packet) {
 	*counter++
 	if n.tel != nil {
-		ev := telemetry.NewEvent(n.eng.Now(), k, n.id)
+		ev := telemetry.NewEvent(n.eng.Now(), k, n.agent.id)
 		ev.Dst = pkt.Dst
 		ev.Flow = int32(pkt.FlowID)
 		ev.Pkt = uint32(pkt.Serial)
@@ -317,11 +300,10 @@ func (n *Node) drop(counter *int64, k telemetry.Kind, pkt *des.Packet) {
 	n.eng.FreePacket(pkt)
 }
 
-// pickNextHop chooses the outgoing neighbor for destination j under the
-// configured mode.
+// pickNextHop chooses the next hop toward j under the configured mode.
 func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 	a := n.agent
-	switch n.cfg.Mode {
+	switch a.cfg.Mode {
 	case ModeSP:
 		return a.proto.BestSuccessor(j)
 	case ModeECMP:
@@ -329,12 +311,12 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 		if len(n.ecmp) == 0 {
 			return graph.None
 		}
-		return n.ecmp[n.prng.Intn(len(n.ecmp))]
+		return n.ecmp[a.prng.Intn(len(n.ecmp))]
 	case ModeStatic:
 		if n.staticPhi == nil {
 			return graph.None
 		}
-		return weightedPick(n.prng, n.staticPhi[j], n.staticKeys[j])
+		return weightedPick(a.prng, n.staticPhi[j], n.staticKeys[j])
 	default: // ModeMP
 		if len(a.phi[j]) == 0 {
 			// Routes may exist before parameters do (e.g. first packet
@@ -345,7 +327,7 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 			}
 			a.buildIH(j, succ)
 		}
-		return weightedPick(n.prng, a.phi[j], a.phiSucc[j])
+		return weightedPick(a.prng, a.phi[j], a.phiSucc[j])
 	}
 }
 
@@ -368,9 +350,8 @@ func (n *Node) equalCostSuccessors(j graph.NodeID, out []graph.NodeID) []graph.N
 	return out
 }
 
-// weightedPick samples a successor proportionally to its fraction, walking
-// keys — phi's keys, ascending — so the running sum, and with it the pick
-// for a given draw, does not depend on map order.
+// weightedPick samples a successor in proportion to its fraction, walking
+// keys (phi's, ascending) so the pick for a draw does not depend on map order.
 func weightedPick(r *rng.Source, phi alloc.Params, keys []graph.NodeID) graph.NodeID {
 	if len(phi) == 0 {
 		return graph.None
@@ -392,10 +373,10 @@ func weightedPick(r *rng.Source, phi alloc.Params, keys []graph.NodeID) graph.No
 	return graph.None
 }
 
-// Fractions exposes the current routing parameters for destination j
-// (nil when none). Used by audits and tests.
+// Fractions returns destination j's current routing parameters (nil for
+// none), for audits and tests.
 func (n *Node) Fractions(j graph.NodeID) alloc.Params {
-	switch n.cfg.Mode {
+	switch n.agent.cfg.Mode {
 	case ModeStatic:
 		if n.staticPhi == nil {
 			return nil
@@ -414,14 +395,19 @@ func (n *Node) Fractions(j graph.NodeID) alloc.Params {
 }
 
 // desHost is a Node as its agent sees it: the engine's clock and timers,
-// the ports' capacity, propagation delay and data-packet counter, the LSU
-// sender, and OnAlloc for Publish. A type of its own keeps these methods
+// the ports, the LSU sender, and OnAlloc. Its own type keeps these methods
 // off Node's API.
 type desHost Node
 
 func (h *desHost) Now() float64 { return h.eng.Now() }
 
-func (h *desHost) After(d float64, fn func()) Timer { return desTimer{h.eng, h.eng.After(d, fn)} }
+func (h *desHost) After(t Timer, d float64, fn func()) {
+	if fn == nil {
+		h.eng.Cancel(h.timers[t])
+		return
+	}
+	h.timers[t] = h.eng.After(d, fn)
+}
 
 func (h *desHost) Link(k graph.NodeID) (capacity, prop float64, packets int64) {
 	p := (*Node)(h).port(k)
@@ -435,11 +421,3 @@ func (h *desHost) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
 		h.OnAlloc(j, phi, succ)
 	}
 }
-
-// desTimer is an engine event armed for the agent.
-type desTimer struct {
-	eng *des.Engine
-	h   eventq.Handle
-}
-
-func (t desTimer) Stop() { t.eng.Cancel(t.h) }

@@ -9,6 +9,7 @@ import (
 
 	"minroute/internal/alloc"
 	"minroute/internal/core"
+	"minroute/internal/eventq"
 	"minroute/internal/experiments"
 	"minroute/internal/graph"
 	"minroute/internal/router"
@@ -34,7 +35,7 @@ func costTrajectory(cfg router.Config) string {
 	ids := net.Graph.Nodes()
 	// A tick re-arms its own timer, so a handle that differs from the one
 	// seen after the previous event means that node's tick just ran.
-	type timers struct{ ts, tl router.Timer }
+	type timers struct{ ts, tl eventq.Handle }
 	seen := make([]timers, len(ids))
 	for _, id := range ids {
 		id := id
