@@ -93,11 +93,12 @@ codec-guard:
 # Guard for the control plane and the simulated forwarding decision: an LSU
 # into converged tables runs NTU, MTU and the successor re-derivation on
 # storage that already exists (one allocation, the ACK), the protonet
-# harness delivering it allocates nothing of its own, and a simulated router
-# forwards a data packet in every mode without allocating. All four skip
-# under -race, so `race` alone never runs them.
+# harness delivering it allocates nothing of its own, a simulated router
+# forwards a data packet in every mode without allocating, and IH and AH
+# rebuild and step φ in the storage it already has. All five skip under
+# -race, so `race` alone never runs them.
 ctrl-guard:
-	$(GO) test -count=1 -run 'TestTablesAllocBudget|TestHandleLSUAllocBudget|TestStepAllocBudget|TestHandleDataAllocBudget' ./internal/pda ./internal/mpda ./internal/protonet ./internal/router
+	$(GO) test -count=1 -run 'TestTablesAllocBudget|TestHandleLSUAllocBudget|TestStepAllocBudget|TestHandleDataAllocBudget|TestAllocationStepsAllocBudget' ./internal/pda ./internal/mpda ./internal/protonet ./internal/router
 
 # Ten seconds of coverage-guided fuzzing over random chaos schedules with
 # every invariant oracle armed, plus ten over the wire-format decoder (the

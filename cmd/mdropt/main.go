@@ -101,9 +101,9 @@ func main() {
 					continue
 				}
 				line := fmt.Sprintf("  %-10s -> %-10s:", net.Graph.Name(graph.NodeID(i)), net.Graph.Name(graph.NodeID(j)))
-				for _, k := range phi.Keys() {
-					if phi[k] > 0.001 {
-						line += fmt.Sprintf(" %s=%.2f", net.Graph.Name(k), phi[k])
+				for _, sh := range phi {
+					if sh.Frac > 0.001 {
+						line += fmt.Sprintf(" %s=%.2f", net.Graph.Name(sh.Hop), sh.Frac)
 					}
 				}
 				fmt.Println(line)

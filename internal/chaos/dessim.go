@@ -54,7 +54,7 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	dirty := false
 	for _, id := range tn.Graph.Nodes() {
 		node := n.Nodes[id]
-		node.OnAlloc = func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+		node.OnAlloc = func(j graph.NodeID, phi alloc.Split, succ []graph.NodeID) {
 			dirty = true
 			log.Record(oracle.CheckSimplexName)
 			if err := oracle.Simplex(phi, succ); err != nil {
@@ -154,7 +154,7 @@ func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result
 		node := n.Nodes[id]
 		slot := int(id)
 		eng := n.EngineOf(id)
-		node.OnAlloc = func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+		node.OnAlloc = func(j graph.NodeID, phi alloc.Split, succ []graph.NodeID) {
 			simplexRuns[slot]++
 			dirty[slot] = true
 			if err := oracle.Simplex(phi, succ); err != nil {

@@ -416,10 +416,10 @@ func (n *Network) lsuSender(id graph.NodeID) mpda.Sender {
 // InstallStatic installs fixed routing parameters (e.g. Gallager's OPT
 // solution): phi[j][i] is the fraction vector router i uses toward
 // destination j. Routers must be in ModeStatic for these to take effect.
-func (n *Network) InstallStatic(phi [][]alloc.Params) {
+func (n *Network) InstallStatic(phi [][]alloc.Split) {
 	numNodes := n.Graph.NumNodes()
 	for _, id := range n.Graph.Nodes() {
-		mine := make([]alloc.Params, numNodes)
+		mine := make([]alloc.Split, numNodes)
 		for j := 0; j < numNodes; j++ {
 			mine[j] = phi[j][id]
 		}

@@ -104,7 +104,7 @@ flow a b 7Mbps
 
 // gallagerLike returns the trivial direct routing for the two-node net.
 func gallagerLike(net *topo.Network) fluid.Routing {
-	return fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Params {
+	return fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Split {
 		if i == net.Flows[0].Src && j == net.Flows[0].Dst {
 			return alloc.Single(net.Flows[0].Dst)
 		}
@@ -113,11 +113,11 @@ func gallagerLike(net *topo.Network) fluid.Routing {
 }
 
 // phiMatrix converts a fluid.Routing into the static φ matrix core expects.
-func phiMatrix(net *topo.Network, rt fluid.Routing) [][]alloc.Params {
+func phiMatrix(net *topo.Network, rt fluid.Routing) [][]alloc.Split {
 	n := net.Graph.NumNodes()
-	out := make([][]alloc.Params, n)
+	out := make([][]alloc.Split, n)
 	for j := 0; j < n; j++ {
-		out[j] = make([]alloc.Params, n)
+		out[j] = make([]alloc.Split, n)
 		for i := 0; i < n; i++ {
 			out[j][i] = rt.Fractions(graph.NodeID(i), graph.NodeID(j))
 		}

@@ -99,7 +99,7 @@ type scheme struct {
 	// source replaces the Poisson sources (the bursty figures).
 	source func(f topo.Flow) traffic.Source
 	// phi is the static routing a ModeStatic scheme evaluates (OPT).
-	phi [][]alloc.Params
+	phi [][]alloc.Split
 }
 
 func (s scheme) options(set Settings) core.Options {

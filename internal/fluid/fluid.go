@@ -24,16 +24,16 @@ import (
 
 // Routing supplies the routing parameters: Fractions(i, j) returns φ_ij·,
 // the split of router i's traffic for destination j over its successors.
-// A nil result means router i has no route to j.
+// An empty result means router i has no route to j.
 type Routing interface {
-	Fractions(i, j graph.NodeID) alloc.Params
+	Fractions(i, j graph.NodeID) alloc.Split
 }
 
 // RoutingFunc adapts a function to the Routing interface.
-type RoutingFunc func(i, j graph.NodeID) alloc.Params
+type RoutingFunc func(i, j graph.NodeID) alloc.Split
 
 // Fractions implements Routing.
-func (f RoutingFunc) Fractions(i, j graph.NodeID) alloc.Params { return f(i, j) }
+func (f RoutingFunc) Fractions(i, j graph.NodeID) alloc.Split { return f(i, j) }
 
 // Config describes the evaluation setting.
 type Config struct {
@@ -110,16 +110,16 @@ func solveDest(cfg Config, rt Routing, j graph.NodeID, res *Result) error {
 
 	// indeg[i] counts routing predecessors of i for destination j.
 	indeg := make([]int, n)
-	frac := make([]alloc.Params, n)
+	frac := make([]alloc.Split, n)
 	for i := 0; i < n; i++ {
 		if graph.NodeID(i) == j {
 			continue
 		}
 		phi := rt.Fractions(graph.NodeID(i), j)
 		frac[i] = phi
-		for k, v := range phi {
-			if v > 0 {
-				indeg[k]++
+		for _, sh := range phi {
+			if sh.Frac > 0 {
+				indeg[sh.Hop]++
 			}
 		}
 	}
@@ -138,26 +138,25 @@ func solveDest(cfg Config, rt Routing, j graph.NodeID, res *Result) error {
 			if len(frac[i]) == 0 {
 				res.Lost += t[i]
 			} else {
-				//lint:maporder-ok each key's share lands in distinct buckets t[k] and LinkFlow[{i,k}]
-				for k, v := range frac[i] {
-					if v <= 0 {
+				for _, sh := range frac[i] {
+					if sh.Frac <= 0 {
 						continue
 					}
-					share := t[i] * v
-					t[k] += share
-					res.LinkFlow[[2]graph.NodeID{i, k}] += share
+					share := t[i] * sh.Frac
+					t[sh.Hop] += share
+					res.LinkFlow[[2]graph.NodeID{i, sh.Hop}] += share
 				}
 			}
 		}
 		if i != j {
-			// Sorted keys: the release order decides the topological
+			// Hops ascending: the release order decides the topological
 			// processing order, which in turn fixes the FP summation order
 			// of downstream accumulations.
-			for _, k := range frac[i].Keys() {
-				if frac[i][k] > 0 {
-					indeg[k]--
-					if indeg[k] == 0 {
-						queue = append(queue, k)
+			for _, sh := range frac[i] {
+				if sh.Frac > 0 {
+					indeg[sh.Hop]--
+					if indeg[sh.Hop] == 0 {
+						queue = append(queue, sh.Hop)
 					}
 				}
 			}
@@ -225,7 +224,7 @@ func Delays(cfg Config, rt Routing, res *Result) (*DelayResult, error) {
 func nodeDelays(cfg Config, rt Routing, j graph.NodeID, linkDelay map[[2]graph.NodeID]float64) ([]float64, error) {
 	n := cfg.Graph.NumNodes()
 	w := make([]float64, n)
-	frac := make([]alloc.Params, n)
+	frac := make([]alloc.Split, n)
 	// pending[i] counts successors whose W is not yet known.
 	pending := make([]int, n)
 	preds := make([][]graph.NodeID, n)
@@ -236,10 +235,10 @@ func nodeDelays(cfg Config, rt Routing, j graph.NodeID, linkDelay map[[2]graph.N
 		}
 		phi := rt.Fractions(graph.NodeID(i), j)
 		frac[i] = phi
-		for k, v := range phi {
-			if v > 0 {
+		for _, sh := range phi {
+			if sh.Frac > 0 {
 				pending[i]++
-				preds[k] = append(preds[k], graph.NodeID(i))
+				preds[sh.Hop] = append(preds[sh.Hop], graph.NodeID(i))
 			}
 		}
 	}
@@ -258,18 +257,15 @@ func nodeDelays(cfg Config, rt Routing, j graph.NodeID, linkDelay map[[2]graph.N
 		done++
 		if k != j && pending[k] == 0 && len(frac[k]) > 0 {
 			sum := 0.0
-			// Sorted keys: FP addition does not associate, so the summation
-			// order must not follow map iteration order.
-			for _, m := range frac[k].Keys() {
-				v := frac[k][m]
-				if v <= 0 {
+			for _, sh := range frac[k] {
+				if sh.Frac <= 0 {
 					continue
 				}
-				d, ok := linkDelay[[2]graph.NodeID{k, m}]
+				d, ok := linkDelay[[2]graph.NodeID{k, sh.Hop}]
 				if !ok {
 					d = math.Inf(1) // φ over a vanished link
 				}
-				sum += v * (d + w[m])
+				sum += sh.Frac * (d + w[sh.Hop])
 			}
 			w[k] = sum
 		}

@@ -31,7 +31,7 @@ func lineGraph(t *testing.T) *graph.Graph {
 
 // spRouting returns shortest-path (hop count) single-path routing over g.
 func spRouting(g *graph.Graph) Routing {
-	return RoutingFunc(func(i, j graph.NodeID) alloc.Params {
+	return RoutingFunc(func(i, j graph.NodeID) alloc.Split {
 		view := dijkstra.GraphView{G: g, Cost: func(l *graph.Link) float64 { return 1 }}
 		res := dijkstra.Run(view, i)
 		nh := res.NextHop(j)
@@ -80,13 +80,13 @@ func TestSolveSplitsTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rt := RoutingFunc(func(i, j graph.NodeID) alloc.Params {
+	rt := RoutingFunc(func(i, j graph.NodeID) alloc.Split {
 		if j != 3 {
 			return nil
 		}
 		switch i {
 		case 0:
-			return alloc.Params{1: 0.5, 2: 0.5}
+			return alloc.Split{{Hop: 1, Frac: 0.5}, {Hop: 2, Frac: 0.5}}
 		case 1, 2:
 			return alloc.Single(3)
 		}
@@ -119,7 +119,7 @@ func TestSolveSplitsTraffic(t *testing.T) {
 
 func TestSolveCycleDetected(t *testing.T) {
 	g := lineGraph(t)
-	rt := RoutingFunc(func(i, j graph.NodeID) alloc.Params {
+	rt := RoutingFunc(func(i, j graph.NodeID) alloc.Split {
 		if j != 3 {
 			return nil
 		}
@@ -139,7 +139,7 @@ func TestSolveCycleDetected(t *testing.T) {
 
 func TestSolveLostTraffic(t *testing.T) {
 	g := lineGraph(t)
-	rt := RoutingFunc(func(i, j graph.NodeID) alloc.Params {
+	rt := RoutingFunc(func(i, j graph.NodeID) alloc.Split {
 		if i == 0 && j == 3 {
 			return alloc.Single(1)
 		}

@@ -26,8 +26,10 @@
 package gallager
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"minroute/internal/alloc"
 	"minroute/internal/dijkstra"
@@ -77,7 +79,7 @@ func (o *Options) setDefaults() {
 // Result is the converged routing.
 type Result struct {
 	// Phi[j][i] holds φ_ij·, the fractions router i uses for destination j.
-	Phi [][]alloc.Params
+	Phi [][]alloc.Split
 	// TotalDelay is the final D_T.
 	TotalDelay float64
 	// Iterations actually performed.
@@ -88,7 +90,7 @@ type Result struct {
 }
 
 // Fractions implements fluid.Routing.
-func (r *Result) Fractions(i, j graph.NodeID) alloc.Params { return r.Phi[j][i] }
+func (r *Result) Fractions(i, j graph.NodeID) alloc.Split { return r.Phi[j][i] }
 
 // Solve runs the OPT iteration for the given demands.
 //
@@ -163,8 +165,8 @@ func Solve(g *graph.Graph, flows []topo.Flow, opt Options) (*Result, error) {
 
 // evaluate returns D_T under the given routing parameters, reporting false
 // when the parameters are not evaluable (cyclic routing graph).
-func (s *solver) evaluate(phi [][]alloc.Params) (float64, bool) {
-	rt := fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Params { return phi[j][i] })
+func (s *solver) evaluate(phi [][]alloc.Split) (float64, bool) {
+	rt := fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Split { return phi[j][i] })
 	res, err := fluid.Solve(s.cfg, rt)
 	if err != nil {
 		return 0, false
@@ -184,8 +186,8 @@ type solver struct {
 	opt  Options
 	cfg  fluid.Config
 	dest map[graph.NodeID]bool
-	// phi[j][i] = φ_ij·
-	phi [][]alloc.Params
+	// phi[j][i] = φ_ij·; a step writes new Splits, never into these.
+	phi [][]alloc.Split
 }
 
 func destSet(flows []topo.Flow) map[graph.NodeID]bool {
@@ -197,12 +199,12 @@ func destSet(flows []topo.Flow) map[graph.NodeID]bool {
 }
 
 // Fractions implements fluid.Routing for the in-progress state.
-func (s *solver) Fractions(i, j graph.NodeID) alloc.Params { return s.phi[j][i] }
+func (s *solver) Fractions(i, j graph.NodeID) alloc.Split { return s.phi[j][i] }
 
 // initShortestPath seeds φ with single shortest paths under zero-flow
 // marginal costs — a loop-free starting point, as Gallager requires.
 func (s *solver) initShortestPath() {
-	s.phi = make([][]alloc.Params, s.n)
+	s.phi = make([][]alloc.Split, s.n)
 	idleCost := func(l *graph.Link) float64 {
 		mu := linkcost.KnownMu(l.Capacity, s.opt.MeanPacketBits)
 		return linkcost.MM1Marginal(0, mu, l.PropDelay)
@@ -214,7 +216,7 @@ func (s *solver) initShortestPath() {
 		results[i] = dijkstra.Run(view, graph.NodeID(i))
 	}
 	for j := 0; j < s.n; j++ {
-		s.phi[j] = make([]alloc.Params, s.n)
+		s.phi[j] = make([]alloc.Split, s.n)
 		if !s.dest[graph.NodeID(j)] {
 			continue
 		}
@@ -232,7 +234,7 @@ func (s *solver) initShortestPath() {
 // propose computes the gradients at the current φ and returns the current
 // D_T along with a candidate φ produced by one Gallager step of size eta.
 // The current φ is left untouched.
-func (s *solver) propose(eta float64) (float64, [][]alloc.Params, error) {
+func (s *solver) propose(eta float64) (float64, [][]alloc.Split, error) {
 	res, err := fluid.Solve(s.cfg, s)
 	if err != nil {
 		return 0, nil, fmt.Errorf("gallager: %w", err)
@@ -256,16 +258,9 @@ func (s *solver) propose(eta float64) (float64, [][]alloc.Params, error) {
 		dt += linkcost.MM1Total(lambda, mu, l.PropDelay)
 	}
 
-	candidate := make([][]alloc.Params, s.n)
+	candidate := make([][]alloc.Split, s.n)
 	for j := range s.phi {
-		candidate[j] = make([]alloc.Params, s.n)
-		for i := range s.phi[j] {
-			if s.phi[j][i] != nil {
-				candidate[j][i] = s.phi[j][i].Clone()
-			}
-		}
-	}
-	for j := range s.phi {
+		candidate[j] = slices.Clone(s.phi[j])
 		jid := graph.NodeID(j)
 		if !s.dest[jid] {
 			continue
@@ -291,10 +286,10 @@ func (s *solver) marginalDistances(j graph.NodeID, cost map[[2]graph.NodeID]floa
 		if graph.NodeID(i) == j {
 			continue
 		}
-		for k, v := range s.phi[j][i] {
-			if v > 0 {
+		for _, sh := range s.phi[j][i] {
+			if sh.Frac > 0 {
 				pending[i]++
-				preds[k] = append(preds[k], graph.NodeID(i))
+				preds[sh.Hop] = append(preds[sh.Hop], graph.NodeID(i))
 			}
 		}
 	}
@@ -312,14 +307,11 @@ func (s *solver) marginalDistances(j graph.NodeID, cost map[[2]graph.NodeID]floa
 		done++
 		if k != j && len(s.phi[j][k]) > 0 {
 			sum := 0.0
-			// Sorted keys: FP addition does not associate, so the summation
-			// order must not follow map iteration order.
-			for _, m := range s.phi[j][k].Keys() {
-				v := s.phi[j][k][m]
-				if v <= 0 {
+			for _, sh := range s.phi[j][k] {
+				if sh.Frac <= 0 {
 					continue
 				}
-				sum += v * (cost[[2]graph.NodeID{k, m}] + lam[m])
+				sum += sh.Frac * (cost[[2]graph.NodeID{k, sh.Hop}] + lam[sh.Hop])
 			}
 			lam[k] = sum
 		}
@@ -357,11 +349,11 @@ func (s *solver) blockedSet(j graph.NodeID, lam []float64, cost map[[2]graph.Nod
 		}
 		state[k] = 1
 		b := false
-		//lint:maporder-ok DFS reachability over a fixed graph; the blocked verdict is visit-order independent
-		for m, v := range s.phi[j][k] {
-			if v <= 0 {
+		for _, sh := range s.phi[j][k] {
+			if sh.Frac <= 0 {
 				continue
 			}
+			m := sh.Hop
 			improper := !(lam[m] < lam[k]) // m not strictly closer in marginal distance
 			if improper || visit(m) {
 				b = true
@@ -377,16 +369,17 @@ func (s *solver) blockedSet(j graph.NodeID, lam []float64, cost map[[2]graph.Nod
 	return blocked
 }
 
-// updateDest applies Gallager's φ update for destination j to the
-// candidate parameter set (gradients were taken at the current φ).
-func (s *solver) updateDest(candidate [][]alloc.Params, j graph.NodeID, lam []float64,
+// updateDest applies Gallager's φ update for destination j, writing each
+// router's updated φ_ij· as a new Split into candidate[j] (gradients were
+// taken at the current φ).
+func (s *solver) updateDest(candidate [][]alloc.Split, j graph.NodeID, lam []float64,
 	cost, curv map[[2]graph.NodeID]float64, blocked []bool, eta float64, flows *fluid.Result) {
 	for i := 0; i < s.n; i++ {
 		iid := graph.NodeID(i)
 		if iid == j {
 			continue
 		}
-		phi := candidate[j][i]
+		phi := s.phi[j][i]
 		if len(phi) == 0 {
 			continue // unreachable or no demand through i
 		}
@@ -411,17 +404,21 @@ func (s *solver) updateDest(candidate [][]alloc.Params, j graph.NodeID, lam []fl
 		}
 		tij := flows.NodeTraffic[j][i] / s.opt.MeanPacketBits // packets/s
 		movedTotal := 0.0
-		for _, k := range phi.Keys() {
+		// next is φ_ij· after the step: the shares kept, in hop order, with
+		// zeros and drained ones left out.
+		next := make(alloc.Split, 0, len(phi)+1)
+		for _, sh := range phi {
+			k, v := sh.Hop, sh.Frac
 			if k == kmin {
+				next = append(next, sh)
 				continue
 			}
-			v := phi[k]
 			if v <= 0 {
-				delete(phi, k)
 				continue
 			}
 			a := cost[[2]graph.NodeID{iid, k}] + lam[k] - best
 			if a <= 0 {
+				next = append(next, sh)
 				continue // k ties the minimum; leave its share in place
 			}
 			var move float64
@@ -439,15 +436,21 @@ func (s *solver) updateDest(candidate [][]alloc.Params, j graph.NodeID, lam []fl
 			default:
 				move = math.Min(v, eta*a/tij)
 			}
-			phi[k] = v - move
 			movedTotal += move
-			if phi[k] <= 1e-15 {
-				delete(phi, k)
+			if v-move > 1e-15 {
+				next = append(next, alloc.Share{Hop: k, Frac: v - move})
 			}
 		}
 		if movedTotal > 0 {
-			phi[kmin] += movedTotal
+			// kmin gains it all, entering the split at its place in hop order
+			// if it was no hop yet.
+			at, ok := slices.BinarySearchFunc(next, kmin, func(sh alloc.Share, k graph.NodeID) int { return cmp.Compare(sh.Hop, k) })
+			if !ok {
+				next = slices.Insert(next, at, alloc.Share{Hop: kmin})
+			}
+			next[at].Frac += movedTotal
 		}
+		candidate[j][i] = next
 	}
 }
 
@@ -480,11 +483,11 @@ func Equalization(g *graph.Graph, flows []topo.Flow, r *Result, meanPacketBits f
 				continue
 			}
 			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, k := range r.Phi[j][i].Keys() {
-				if r.Phi[j][i][k] <= 1e-9 {
+			for _, sh := range r.Phi[j][i] {
+				if sh.Frac <= 1e-9 {
 					continue
 				}
-				d := cost[[2]graph.NodeID{graph.NodeID(i), k}] + lam[k]
+				d := cost[[2]graph.NodeID{graph.NodeID(i), sh.Hop}] + lam[sh.Hop]
 				lo = math.Min(lo, d)
 				hi = math.Max(hi, d)
 			}

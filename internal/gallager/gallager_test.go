@@ -38,13 +38,13 @@ func diamond(t testing.TB, capA, capB float64) *graph.Graph {
 // golden-section search on the convex total delay.
 func bruteForceDiamond(g *graph.Graph, rate float64) (float64, float64) {
 	eval := func(p float64) float64 {
-		rt := fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Params {
+		rt := fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Split {
 			if j != 3 {
 				return nil
 			}
 			switch i {
 			case 0:
-				return alloc.Params{1: p, 2: 1 - p}
+				return alloc.Split{{Hop: 1, Frac: p}, {Hop: 2, Frac: 1 - p}}
 			case 1, 2:
 				return alloc.Single(3)
 			}
@@ -89,7 +89,12 @@ func TestOPTMatchesBruteForceOnDiamond(t *testing.T) {
 		t.Fatalf("OPT D_T = %v, brute force %v (rel %v)", res.TotalDelay, wantDT, rel)
 	}
 	// The optimum puts more traffic on the fast branch.
-	p := res.Phi[3][0][1]
+	var p float64
+	for _, sh := range res.Phi[3][0] {
+		if sh.Hop == 1 {
+			p = sh.Frac
+		}
+	}
 	if p <= 0.5 || p >= 1 {
 		t.Fatalf("split on fast branch = %v, want in (0.5, 1)", p)
 	}
@@ -105,7 +110,7 @@ func TestOPTNeverWorseThanShortestPath(t *testing.T) {
 			return linkcost.MM1Marginal(0, linkcost.KnownMu(l.Capacity, pktBits), l.PropDelay)
 		}
 		view := dijkstra.GraphView{G: n.Graph, Cost: idle}
-		sp := fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Params {
+		sp := fluid.RoutingFunc(func(i, j graph.NodeID) alloc.Split {
 			nh := dijkstra.Run(view, i).NextHop(j)
 			if nh == graph.None {
 				return nil
@@ -189,8 +194,8 @@ func TestOPTUsesMultipleNextHops(t *testing.T) {
 	for j := range res.Phi {
 		for i := range res.Phi[j] {
 			used := 0
-			for _, v := range res.Phi[j][i] {
-				if v > 0.01 {
+			for _, sh := range res.Phi[j][i] {
+				if sh.Frac > 0.01 {
 					used++
 				}
 			}

@@ -241,10 +241,10 @@ func TestTrafficModelsOffer(t *testing.T) {
 // livePhi extracts the phi matrix the mesh's forwarders are actually
 // using, in the DES's InstallStatic orientation: phi[j][i] is node i's
 // split toward destination j.
-func livePhi(m *node.Mesh, nn int) [][]alloc.Params {
-	phi := make([][]alloc.Params, nn)
+func livePhi(m *node.Mesh, nn int) [][]alloc.Split {
+	phi := make([][]alloc.Split, nn)
 	for j := range phi {
-		phi[j] = make([]alloc.Params, nn)
+		phi[j] = make([]alloc.Split, nn)
 	}
 	for i, n := range m.Nodes {
 		tbl := n.DataPlane().Table()
@@ -253,9 +253,9 @@ func livePhi(m *node.Mesh, nn int) [][]alloc.Params {
 			if !ok {
 				continue
 			}
-			p := make(alloc.Params, len(hops))
+			p := make(alloc.Split, len(hops))
 			for k, h := range hops {
-				p[h] = weights[k]
+				p[k] = alloc.Share{Hop: h, Frac: weights[k]}
 			}
 			phi[dst][i] = p
 		}

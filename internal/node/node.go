@@ -274,19 +274,18 @@ func (n *Node) emit(k telemetry.Kind, peer graph.NodeID, value float64, label st
 	n.cfg.Trace.Emit(ev)
 }
 
-// setRoute is the agent's Publish: it records φ_j as the forwarding entry
-// for j, for publishDataLocked to hand the data plane; no φ means no route.
-func (n *Node) setRoute(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+// setRoute is the agent's Publish: it copies φ_j's hops and weights into
+// the forwarding entry for j, for publishDataLocked to hand the data plane;
+// no φ means no route.
+func (n *Node) setRoute(j graph.NodeID, phi alloc.Split, _ []graph.NodeID) {
 	if n.routes == nil {
 		return
 	}
 	e := &n.routes[j]
 	e.Dst, e.Hops, e.Weights = j, e.Hops[:0], e.Weights[:0]
-	if len(phi) > 0 {
-		for _, k := range succ {
-			e.Hops = append(e.Hops, k)
-			e.Weights = append(e.Weights, phi[k])
-		}
+	for _, sh := range phi {
+		e.Hops = append(e.Hops, sh.Hop)
+		e.Weights = append(e.Weights, sh.Frac)
 	}
 	n.republish = true
 }

@@ -36,9 +36,13 @@ func publishedSuccessors(t *testing.T, m *node.Mesh) [][][]graph.NodeID {
 					continue
 				}
 				phi := a.Phi(dst)
-				for x, k := range hops {
-					if math.Abs(weights[x]-phi[k]) > 1.0/dataplane.NumBuckets {
-						t.Errorf("node %d dst %d via %d: published weight %v, φ %v", i, j, k, weights[x], phi[k])
+				if !phi.Over(hops) {
+					t.Errorf("node %d dst %d: published hops %v, φ_j %v", i, j, hops, phi)
+					continue
+				}
+				for x, sh := range phi {
+					if math.Abs(weights[x]-sh.Frac) > 1.0/dataplane.NumBuckets {
+						t.Errorf("node %d dst %d via %d: published weight %v, φ %v", i, j, sh.Hop, weights[x], sh.Frac)
 					}
 				}
 			}

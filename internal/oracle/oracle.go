@@ -148,11 +148,11 @@ func LoopFree(n int, views map[graph.NodeID]lfi.RouterView) error {
 }
 
 // Simplex verifies Property 1 for one (router, destination) pair after an
-// IH/AH step: φ non-negative, supported on the successor set, summing to
-// one. An empty φ is legal even with successors present — IH yields nil
-// while every marginal distance is still infinite — so only non-empty
-// parameter vectors are validated.
-func Simplex(phi alloc.Params, succ []graph.NodeID) error {
+// IH/AH step: φ's hops ascending, its fractions non-negative, supported on
+// the successor set and summing to one. An empty φ is legal even with
+// successors present — there is none while IH finds every marginal
+// distance infinite — so only non-empty parameter vectors are validated.
+func Simplex(phi alloc.Split, succ []graph.NodeID) error {
 	if len(phi) == 0 {
 		return nil
 	}

@@ -77,12 +77,13 @@ func TestSimplexCatchesMutations(t *testing.T) {
 	succ := []graph.NodeID{1, 2}
 	cases := []struct {
 		name string
-		phi  alloc.Params
+		phi  alloc.Split
 		want string
 	}{
-		{"bad-sum", alloc.Params{1: 0.5, 2: 0.4}, "sum"},
-		{"negative", alloc.Params{1: 1.5, 2: -0.5}, "negative"},
-		{"off-support", alloc.Params{1: 0.5, 3: 0.5}, "non-successor"},
+		{"bad-sum", alloc.Split{{Hop: 1, Frac: 0.5}, {Hop: 2, Frac: 0.4}}, "sum"},
+		{"negative", alloc.Split{{Hop: 1, Frac: 1.5}, {Hop: 2, Frac: -0.5}}, "negative"},
+		{"off-support", alloc.Split{{Hop: 1, Frac: 0.5}, {Hop: 3, Frac: 0.5}}, "non-successor"},
+		{"descending", alloc.Split{{Hop: 2, Frac: 0.5}, {Hop: 1, Frac: 0.5}}, "ascend"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,7 +93,7 @@ func TestSimplexCatchesMutations(t *testing.T) {
 			}
 		})
 	}
-	if err := Simplex(alloc.Params{1: 0.5, 2: 0.5}, succ); err != nil {
+	if err := Simplex(alloc.Split{{Hop: 1, Frac: 0.5}, {Hop: 2, Frac: 0.5}}, succ); err != nil {
 		t.Fatalf("valid simplex flagged: %v", err)
 	}
 	// nil φ with successors present is the legitimate pre-IH state.

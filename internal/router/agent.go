@@ -46,8 +46,9 @@ type Host interface {
 	// reliably and in order.
 	SendLSU(to graph.NodeID, m *lsu.Msg)
 	// Publish observes each IH build and AH step of φ_j over the successor
-	// set succ it must cover. Both are the agent's; a host keeping them copies.
-	Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
+	// set succ it must cover; phi is nil while IH finds no usable successor.
+	// Both are the agent's; a host keeping them copies.
+	Publish(j graph.NodeID, phi alloc.Split, succ []graph.NodeID)
 }
 
 // Timer names one of an agent's clocks to its Host.
@@ -68,14 +69,14 @@ const (
 type ClocklessHost struct {
 	Clock   func() float64
 	Send    mpda.Sender
-	OnAlloc func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
+	OnAlloc func(j graph.NodeID, phi alloc.Split, succ []graph.NodeID)
 }
 
 func (h ClocklessHost) Now() float64                              { return h.Clock() }
 func (ClocklessHost) After(Timer, float64, func())                {}
 func (ClocklessHost) Link(graph.NodeID) (float64, float64, int64) { return 0, 0, 0 }
 func (h ClocklessHost) SendLSU(to graph.NodeID, m *lsu.Msg)       { h.Send(to, m) }
-func (h ClocklessHost) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+func (h ClocklessHost) Publish(j graph.NodeID, phi alloc.Split, succ []graph.NodeID) {
 	if h.OnAlloc != nil {
 		h.OnAlloc(j, phi, succ)
 	}
@@ -124,12 +125,12 @@ type Agent struct {
 	// lastTl is when the current long-term measurement window opened.
 	lastTl float64
 
-	// phi[j] holds the current routing parameters for destination j.
-	phi []alloc.Params
-	// phiSucc[j] copies the successor set phi[j] was built from: phi[j]'s
-	// keys, ascending, since IH writes one entry per successor and AH only
-	// rewrites them.
-	phiSucc [][]graph.NodeID
+	// phi[j] is φ_j over the successor set it was built from: IH writes one
+	// share per successor and AH only rewrites fractions, so its hops are
+	// that set. A φ_j without weight is IH finding no usable successor.
+	phi []alloc.Split
+	// dist is shortDists' scratch: one marginal distance per successor.
+	dist []float64
 
 	// sink, when non-nil, receives phase spans, LSU receive/ack events,
 	// table commits and allocation steps; activeDur and converge take the
@@ -144,12 +145,11 @@ type Agent struct {
 // clocks' random phases; with Tl = Ts = 0 it may be nil.
 func NewAgent(id graph.NodeID, numNodes int, cfg Config, host Host, prng *rng.Source) *Agent {
 	a := &Agent{
-		id:      id,
-		cfg:     cfg,
-		host:    host,
-		prng:    prng,
-		phi:     make([]alloc.Params, numNodes),
-		phiSucc: make([][]graph.NodeID, numNodes),
+		id:   id,
+		cfg:  cfg,
+		host: host,
+		prng: prng,
+		phi:  make([]alloc.Split, numNodes),
 	}
 	a.proto = a.newProto()
 	return a
@@ -179,9 +179,14 @@ func (a *Agent) Observe(sink Sink, probes *telemetry.NodeProbes) {
 // Protocol exposes the MPDA instance (for invariant checks and inspection).
 func (a *Agent) Protocol() *mpda.Router { return a.proto }
 
-// Phi returns destination j's routing parameters (nil for none); the map is
-// the agent's.
-func (a *Agent) Phi(j graph.NodeID) alloc.Params { return a.phi[j] }
+// Phi returns destination j's routing parameters (nil for none); the Split
+// is the agent's, rewritten in place by its next IH or AH step.
+func (a *Agent) Phi(j graph.NodeID) alloc.Split {
+	if !a.phi[j].Weighted() {
+		return nil
+	}
+	return a.phi[j]
+}
 
 // linkIndex finds neighbor k in links: its position and true, or where it
 // would be inserted and false.
@@ -233,13 +238,14 @@ func (a *Agent) onCommit(changed int) {
 // allocStep reports an IH build or AH step of φ_j over succ to the host and
 // the sink, where Value is the allocation spread (0 = single path).
 func (a *Agent) allocStep(k telemetry.Kind, j graph.NodeID, succ []graph.NodeID) {
-	a.host.Publish(j, a.phi[j], succ)
+	phi := a.Phi(j)
+	a.host.Publish(j, phi, succ)
 	if a.sink == nil {
 		return
 	}
 	ev := telemetry.NewEvent(a.host.Now(), k, a.id)
 	ev.Dst = j
-	ev.Value = alloc.Spread(a.phi[j], succ)
+	ev.Value = alloc.Spread(phi)
 	a.sink.Emit(ev)
 }
 
@@ -297,7 +303,6 @@ func (a *Agent) Restart(up func(k graph.NodeID) bool) {
 	a.down = false
 	a.proto = a.newProto()
 	clear(a.phi)
-	clear(a.phiSucc)
 	a.Start(up)
 }
 
@@ -350,36 +355,49 @@ func (a *Agent) tsTick() {
 		}
 	}
 	if a.cfg.Mode == ModeMP {
-		for j := range a.phi {
-			if len(a.phi[j]) == 0 {
-				continue
-			}
-			jid := graph.NodeID(j)
-			succ := a.proto.Successors(jid)
-			if len(succ) < 2 {
-				continue
-			}
-			if a.cfg.AHDamping > 0 {
-				alloc.AdjustDamped(a.phi[j], succ, a.shortDist(jid), a.cfg.AHDamping)
-			} else {
-				alloc.Adjust(a.phi[j], succ, a.shortDist(jid))
-			}
-			a.allocStep(telemetry.KindAllocAdjust, jid, succ)
-		}
+		a.stepAH()
 	}
 	a.host.After(tsClock, a.cfg.Ts, a.tsTick)
 }
 
-// shortDist is the AH distance function: D_jk + l_ik with the short-term
-// link cost.
-func (a *Agent) shortDist(j graph.NodeID) alloc.DistFunc {
-	return func(k graph.NodeID) float64 {
-		l := a.link(k)
-		if l == nil {
-			return math.Inf(1)
+// stepAH runs heuristic AH, in place, on every φ_j that splits traffic.
+func (a *Agent) stepAH() {
+	for j, phi := range a.phi {
+		// φ_j's hops are S_j: every event that can move S_j rebuilt it.
+		if len(phi) < 2 || !phi.Weighted() {
+			continue
 		}
-		return a.proto.Tables().NbrDist(j, k) + l.short
+		jid := graph.NodeID(j)
+		succ := a.proto.Successors(jid)
+		if a.cfg.AHDamping > 0 {
+			alloc.AdjustDamped(phi, a.shortDists(jid, succ), a.cfg.AHDamping)
+		} else {
+			alloc.AH(phi, a.shortDists(jid, succ))
+		}
+		a.allocStep(telemetry.KindAllocAdjust, jid, succ)
 	}
+}
+
+// shortDists returns the IH and AH marginal distances toward j through
+// each k of succ (ascending), D_jk + l_ik with the short-term link cost:
+// +Inf through a neighbor without a link record. It walks the links beside
+// succ and fills the agent's scratch, valid until the next call.
+func (a *Agent) shortDists(j graph.NodeID, succ []graph.NodeID) []float64 {
+	t := a.proto.Tables()
+	d := a.dist[:0]
+	i := 0
+	for _, k := range succ {
+		for i < len(a.links) && a.links[i].to < k {
+			i++
+		}
+		if i < len(a.links) && a.links[i].to == k {
+			d = append(d, t.NbrDist(j, k)+a.links[i].short)
+		} else {
+			d = append(d, math.Inf(1))
+		}
+	}
+	a.dist = d
+	return d
 }
 
 // tlTick measures each link's flow over the elapsed long-term window ("link
@@ -496,19 +514,15 @@ func (a *Agent) refreshAllocations() {
 		return
 	}
 	for _, j := range a.proto.TakeMoved() {
-		if succ := a.proto.Successors(j); j != a.id && !slices.Equal(succ, a.phiSucc[j]) {
+		if succ := a.proto.Successors(j); j != a.id && !a.phi[j].Over(succ) {
 			a.buildIH(j, succ)
 		}
 	}
 }
 
-// buildIH distributes j's traffic afresh over succ by IH (no φ for an empty
-// set) and records the set it was built from.
+// buildIH distributes j's traffic afresh over succ by IH, in the storage
+// φ_j already has.
 func (a *Agent) buildIH(j graph.NodeID, succ []graph.NodeID) {
-	a.phiSucc[j] = append(a.phiSucc[j][:0], succ...)
-	a.phi[j] = nil
-	if len(succ) > 0 {
-		a.phi[j] = alloc.Initial(succ, a.shortDist(j))
-	}
+	a.phi[j] = alloc.IH(a.phi[j], succ, a.shortDists(j, succ))
 	a.allocStep(telemetry.KindAllocInit, j, succ)
 }

@@ -86,7 +86,7 @@ type fakeHost struct {
 	lsus    int            // LSUs sent
 	unacked []graph.NodeID // the neighbor of each entry-bearing LSU not yet acknowledged
 	pubJ    graph.NodeID   // the destination, φ and successor set last published
-	pubPhi  alloc.Params
+	pubPhi  alloc.Split
 	pubSucc []graph.NodeID
 }
 
@@ -111,8 +111,8 @@ func (h *fakeHost) SendLSU(to graph.NodeID, m *lsu.Msg) {
 	}
 }
 
-func (h *fakeHost) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
-	h.pubJ, h.pubPhi, h.pubSucc = j, phi.Clone(), slices.Clone(succ)
+func (h *fakeHost) Publish(j graph.NodeID, phi alloc.Split, succ []graph.NodeID) {
+	h.pubJ, h.pubPhi, h.pubSucc = j, slices.Clone(phi), slices.Clone(succ)
 }
 
 // ackAll plays the neighbors' half of MPDA's synchronisation: it
@@ -170,7 +170,7 @@ func TestAgentOnFakeHost(t *testing.T) {
 	// A Ts tick after link 1 carried n packets and link 2 none.
 	const n = 100
 	h.packets[1] = n
-	before := a.Phi(3).Clone()
+	before := slices.Clone(a.Phi(3)) // over S_3 = [1 2]
 	short1, short2 := a.link(1).short, a.link(2).short
 	a.tsTick()
 	c, ok := a.measure(1, n, cfg.Ts)
@@ -192,7 +192,7 @@ func TestAgentOnFakeHost(t *testing.T) {
 	if err := alloc.Validate(h.pubPhi, h.pubSucc); err != nil {
 		t.Fatalf("φ_3 after AH: %v", err)
 	}
-	if !(h.pubPhi[2] > before[2]) {
+	if !(h.pubPhi[1].Frac > before[1].Frac) {
 		t.Fatalf("AH took φ_3 from %v to %v, want traffic moved off the loaded link 1", before, h.pubPhi)
 	}
 

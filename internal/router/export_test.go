@@ -19,5 +19,11 @@ func (n *Node) VisitLinkCosts(visit func(k graph.NodeID, short, long float64)) {
 }
 
 // BuiltFrom returns the successor set destination j's routing parameters
-// were last built from.
-func (n *Node) BuiltFrom(j graph.NodeID) []graph.NodeID { return n.agent.phiSucc[j] }
+// were last built from: φ_j's hops, weighted or not.
+func (n *Node) BuiltFrom(j graph.NodeID) []graph.NodeID {
+	var hops []graph.NodeID
+	for _, sh := range n.agent.phi[j] {
+		hops = append(hops, sh.Hop)
+	}
+	return hops
+}

@@ -78,7 +78,7 @@ func TestStaticRouteToMissingPortDrops(t *testing.T) {
 	cfg.Mode = ModeStatic
 	cfg.Tl, cfg.Ts = 0, 0
 	eng, nodes, g := line3(t, cfg)
-	phi := make([]alloc.Params, g.NumNodes())
+	phi := make([]alloc.Split, g.NumNodes())
 	phi[2] = alloc.Single(2) // node 0 is not adjacent to 2
 	nodes[0].InstallStatic(phi)
 	startAll(eng, nodes, 1)
@@ -87,7 +87,7 @@ func TestStaticRouteToMissingPortDrops(t *testing.T) {
 		t.Fatalf("DroppedNoRoute = %d, want 1", nodes[0].DroppedNoRoute)
 	}
 	// Fractions in static mode surfaces the installed parameters.
-	if f := nodes[0].Fractions(2); len(f) != 1 || f[2] != 1 {
+	if f := nodes[0].Fractions(2); len(f) != 1 || f[0] != (alloc.Share{Hop: 2, Frac: 1}) {
 		t.Fatalf("static Fractions = %v", f)
 	}
 }
@@ -150,9 +150,8 @@ func TestLazyAllocationOnFirstPacket(t *testing.T) {
 	startAll(eng, nodes, 5)
 	n0 := nodes[0]
 	n0.agent.phi[2] = nil
-	n0.agent.phiSucc[2] = nil
 	allocs := 0
-	n0.OnAlloc = func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) { allocs++ }
+	n0.OnAlloc = func(j graph.NodeID, phi alloc.Split, succ []graph.NodeID) { allocs++ }
 	n0.HandleData(&des.Packet{FlowID: 0, Src: 0, Dst: 2, Bits: 8000, Created: eng.Now()})
 	if allocs == 0 {
 		t.Fatal("lazy rebuild did not report through OnAlloc")
@@ -169,19 +168,26 @@ func TestWeightedPickFPRemainderFallback(t *testing.T) {
 	r := rng.New(3)
 	// The accumulated weight is far below any plausible draw, so the main
 	// loop falls through and the fallback returns the last positive key.
-	if got := weightedPick(r, alloc.Params{1: 1e-18}, []graph.NodeID{1}); got != 1 {
+	if got := weightedPick(r, alloc.Split{{Hop: 1, Frac: 1e-18}}); got != 1 {
 		t.Fatalf("fallback pick = %v, want 1", got)
 	}
-	if got := weightedPick(r, alloc.Params{1: 0, 2: 0}, []graph.NodeID{1, 2}); got != graph.None {
+	if got := weightedPick(r, alloc.Split{{Hop: 1}, {Hop: 2}}); got != graph.None {
 		t.Fatalf("all-zero pick = %v, want None", got)
 	}
 }
 
 func TestShortDistUnknownNeighborInfinite(t *testing.T) {
-	_, nodes, _ := line3(t, Defaults())
-	d := nodes[0].agent.shortDist(2)
-	if !math.IsInf(d(99), 1) {
-		t.Fatal("distance through an unmeasured neighbor not infinite")
+	eng, nodes, _ := line3(t, Defaults())
+	startAll(eng, nodes, 1)
+	a := nodes[1].agent
+	d := a.shortDists(2, []graph.NodeID{0, 1, 2, 99})
+	if !math.IsInf(d[1], 1) || !math.IsInf(d[3], 1) {
+		t.Fatalf("distances %v: through an unmeasured neighbor not infinite", d)
+	}
+	for i, k := range []graph.NodeID{0, 2} {
+		if want := a.proto.Tables().NbrDist(2, k) + a.link(k).short; d[2*i] != want {
+			t.Fatalf("distance through %d = %v, want %v", k, d[2*i], want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"minroute/internal/alloc"
 	"minroute/internal/core"
 	"minroute/internal/experiments"
 	"minroute/internal/graph"
@@ -36,8 +37,10 @@ func TestAllocationsFollowEverySuccessorChange(t *testing.T) {
 				if want, got := node.Protocol().Successors(j), node.BuiltFrom(j); j != id && !slices.Equal(got, want) {
 					t.Fatalf("t=%.6f node %d: parameters for %d built from %v, S_j = %v", net.Eng.Now(), id, j, got, want)
 				}
-				if phi := node.Fractions(j); len(phi) > 0 && !slices.Equal(phi.Keys(), node.BuiltFrom(j)) {
-					t.Fatalf("t=%.6f node %d: parameters for %d keyed %v, built from %v", net.Eng.Now(), id, j, phi.Keys(), node.BuiltFrom(j))
+				if phi := node.Fractions(j); len(phi) > 0 {
+					if err := alloc.Validate(phi, node.Protocol().Successors(j)); err != nil {
+						t.Fatalf("t=%.6f node %d: parameters for %d: %v", net.Eng.Now(), id, j, err)
+					}
 				}
 			}
 		}

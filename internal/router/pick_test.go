@@ -9,9 +9,9 @@ import (
 	"minroute/internal/rng"
 )
 
-// keysPick is weightedPick as it was before the forwarding path handed it
-// its keys: it collected and sorted phi's keys on every packet. It lives on
-// here as the reference the pick is held equal to.
+// keysPick is weightedPick as it was while φ was a map: it collected and
+// sorted phi's keys on every packet. It lives on here as the reference the
+// pick over a Split is held equal to.
 func keysPick(r *rng.Source, phi alloc.Params) graph.NodeID {
 	if len(phi) == 0 {
 		return graph.None
@@ -33,12 +33,12 @@ func keysPick(r *rng.Source, phi alloc.Params) graph.NodeID {
 	return graph.None
 }
 
-// randomPhi draws routing parameters the way the forwarding path holds
-// them: an ascending successor list of 0–8 IDs with one entry each. The
-// weights mix zeros, 1e-18 crumbs and ordinary fractions; their sum is
-// normalized to 1, a few ulps under it, or far under it, so that draws also
-// land past the running sum and take the FP-remainder fallback.
-func randomPhi(r *rng.Source) (alloc.Params, []graph.NodeID) {
+// randomPhi draws routing parameters as a map over 0–8 successor IDs and
+// the Split holding the same fractions, hops ascending. The weights mix
+// zeros, 1e-18 crumbs and ordinary fractions; their sum is normalized to 1,
+// a few ulps under it, or far under it, so that draws also land past the
+// running sum and take the FP-remainder fallback.
+func randomPhi(r *rng.Source) (alloc.Params, alloc.Split) {
 	n := r.Intn(9)
 	if n == 0 {
 		return nil, nil
@@ -70,27 +70,29 @@ func randomPhi(r *rng.Source) (alloc.Params, []graph.NodeID) {
 	case 1:
 		scale = r.Float64()
 	}
-	if sum > 0 {
-		for _, k := range succ {
+	split := make(alloc.Split, n)
+	for i, k := range succ {
+		if sum > 0 {
 			phi[k] = phi[k] / sum * scale
 		}
+		split[i] = alloc.Share{Hop: k, Frac: phi[k]}
 	}
-	return phi, succ
+	return phi, split
 }
 
-// TestWeightedPickMatchesSortedKeys holds the pick over a held key list to
-// the collect-and-sort it replaced: from the same RNG state, the same next
-// hop and the same state afterwards, so a forwarding run draws the same
-// sequence either way.
+// TestWeightedPickMatchesSortedKeys holds the pick over a Split to the
+// map-and-sorted-keys pick it replaced: from the same RNG state, the same
+// next hop and the same state afterwards, so a forwarding run draws the
+// same sequence either way.
 func TestWeightedPickMatchesSortedKeys(t *testing.T) {
 	gen := rng.New(1)
 	fallbacks, nones := 0, 0
 	for i := 0; i < 100_000; i++ {
-		phi, keys := randomPhi(gen)
+		phi, split := randomPhi(gen)
 		seed := gen.Uint64()
 		got, want := rng.New(seed), rng.New(seed)
-		if g, w := weightedPick(got, phi, keys), keysPick(want, phi); g != w {
-			t.Fatalf("case %d: phi %v over %v: picked %v, the sorted-keys pick %v", i, phi, keys, g, w)
+		if g, w := weightedPick(got, split), keysPick(want, phi); g != w {
+			t.Fatalf("case %d: phi %v as %v: picked %v, the sorted-keys pick %v", i, phi, split, g, w)
 		} else if g == graph.None {
 			nones++
 		}
@@ -99,8 +101,8 @@ func TestWeightedPickMatchesSortedKeys(t *testing.T) {
 		}
 		if len(phi) > 0 {
 			x, acc := rng.New(seed).Float64(), 0.0
-			for _, k := range keys {
-				acc += phi[k]
+			for _, sh := range split {
+				acc += sh.Frac
 			}
 			if x >= acc {
 				fallbacks++
@@ -113,20 +115,33 @@ func TestWeightedPickMatchesSortedKeys(t *testing.T) {
 	}
 }
 
-// TestInstallStaticKeepsSortedKeys holds the keys InstallStatic stores
-// beside each destination's parameters to what the pick used to derive from
-// them on every packet.
+// TestInstallStaticKeepsSortedKeys holds InstallStatic to the order the
+// pick walks: it keeps Splits whose hops are the sorted keys as given, and
+// refuses one whose hops do not ascend, where the pick would part from the
+// sorted-keys pick.
 func TestInstallStaticKeepsSortedKeys(t *testing.T) {
 	gen := rng.New(2)
-	phi := make([]alloc.Params, 64)
+	maps := make([]alloc.Params, 64)
+	phi := make([]alloc.Split, 64)
 	for j := range phi {
-		phi[j], _ = randomPhi(gen)
+		maps[j], phi[j] = randomPhi(gen)
 	}
 	var n Node
 	n.InstallStatic(phi)
-	for j, p := range phi {
-		if !slices.Equal(n.staticKeys[j], p.Keys()) {
-			t.Fatalf("destination %d: stored keys %v, Keys() %v", j, n.staticKeys[j], p.Keys())
+	for j, p := range maps {
+		var hops []graph.NodeID
+		for _, sh := range n.staticPhi[j] {
+			hops = append(hops, sh.Hop)
+		}
+		if !slices.Equal(hops, p.Keys()) {
+			t.Fatalf("destination %d: stored hops %v, Keys() %v", j, hops, p.Keys())
 		}
 	}
+	phi[7] = alloc.Split{{Hop: 3, Frac: 0.5}, {Hop: 1, Frac: 0.5}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InstallStatic kept hops 3, 1")
+		}
+	}()
+	n.InstallStatic(phi)
 }

@@ -122,10 +122,8 @@ type Node struct {
 	// ports[k] leads to neighbor k, nil where no port does.
 	ports []*des.Port
 
-	// staticPhi, in ModeStatic, holds the externally installed parameters
-	// and staticKeys[j] the keys of staticPhi[j], ascending.
-	staticPhi  []alloc.Params
-	staticKeys [][]graph.NodeID
+	// staticPhi, in ModeStatic, holds the externally installed parameters.
+	staticPhi []alloc.Split
 
 	// ecmp is the forwarding path's scratch for the equal-cost set.
 	ecmp []graph.NodeID
@@ -136,7 +134,7 @@ type Node struct {
 	// OnAlloc, when set, is the agent's Publish: every IH build and AH step
 	// of φ_j over the S_j it must cover. The φ-simplex oracle (Property 1:
 	// support ⊆ S_j, φ ≥ 0, Σφ = 1) hooks here.
-	OnAlloc func(j graph.NodeID, phi alloc.Params, succ []graph.NodeID)
+	OnAlloc func(j graph.NodeID, phi alloc.Split, succ []graph.NodeID)
 
 	// tel, when non-nil, traces drop instants; the agent traces the control
 	// plane. Installed via SetTelemetry.
@@ -187,13 +185,15 @@ func (n *Node) port(k graph.NodeID) *des.Port {
 }
 
 // InstallStatic installs ModeStatic's fixed parameters: phi[j] holds the
-// fractions toward destination j, not expected to change.
-func (n *Node) InstallStatic(phi []alloc.Params) {
-	n.staticPhi = phi
-	n.staticKeys = make([][]graph.NodeID, len(phi))
+// fractions toward destination j, not expected to change. It panics on a
+// Split whose hops do not ascend, since the pick walks them in order.
+func (n *Node) InstallStatic(phi []alloc.Split) {
 	for j, p := range phi {
-		n.staticKeys[j] = p.Keys()
+		if !p.Ascending() {
+			panic(fmt.Sprintf("router: static parameters toward %d: hops of %v do not ascend", j, p))
+		}
 	}
+	n.staticPhi = phi
 }
 
 // SetTelemetry attaches the simulation's shared instrumentation to the
@@ -316,9 +316,10 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 		if n.staticPhi == nil {
 			return graph.None
 		}
-		return weightedPick(a.prng, n.staticPhi[j], n.staticKeys[j])
+		return weightedPick(a.prng, n.staticPhi[j])
 	default: // ModeMP
-		if len(a.phi[j]) == 0 {
+		phi := a.phi[j]
+		if !phi.Weighted() {
 			// Routes may exist before parameters do (e.g. first packet
 			// between refreshes); build them lazily.
 			succ := a.proto.Successors(j)
@@ -326,8 +327,11 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 				return graph.None
 			}
 			a.buildIH(j, succ)
+			if phi = a.Phi(j); phi == nil {
+				return graph.None
+			}
 		}
-		return weightedPick(a.prng, a.phi[j], a.phiSucc[j])
+		return weightedPick(a.prng, phi)
 	}
 }
 
@@ -350,24 +354,24 @@ func (n *Node) equalCostSuccessors(j graph.NodeID, out []graph.NodeID) []graph.N
 	return out
 }
 
-// weightedPick samples a successor in proportion to its fraction, walking
-// keys (phi's, ascending) so the pick for a draw does not depend on map order.
-func weightedPick(r *rng.Source, phi alloc.Params, keys []graph.NodeID) graph.NodeID {
+// weightedPick samples a hop in proportion to its fraction, walking phi's
+// hops in ascending order.
+func weightedPick(r *rng.Source, phi alloc.Split) graph.NodeID {
 	if len(phi) == 0 {
 		return graph.None
 	}
 	x := r.Float64()
 	acc := 0.0
-	for _, k := range keys {
-		acc += phi[k]
+	for _, sh := range phi {
+		acc += sh.Frac
 		if x < acc {
-			return k
+			return sh.Hop
 		}
 	}
-	// FP remainder: fall back to the last successor with weight.
-	for i := len(keys) - 1; i >= 0; i-- {
-		if phi[keys[i]] > 0 {
-			return keys[i]
+	// FP remainder: fall back to the last hop with weight.
+	for i := len(phi) - 1; i >= 0; i-- {
+		if phi[i].Frac > 0 {
+			return phi[i].Hop
 		}
 	}
 	return graph.None
@@ -375,7 +379,7 @@ func weightedPick(r *rng.Source, phi alloc.Params, keys []graph.NodeID) graph.No
 
 // Fractions returns destination j's current routing parameters (nil for
 // none), for audits and tests.
-func (n *Node) Fractions(j graph.NodeID) alloc.Params {
+func (n *Node) Fractions(j graph.NodeID) alloc.Split {
 	switch n.agent.cfg.Mode {
 	case ModeStatic:
 		if n.staticPhi == nil {
@@ -390,7 +394,7 @@ func (n *Node) Fractions(j graph.NodeID) alloc.Params {
 	case ModeECMP:
 		return alloc.Uniform(n.equalCostSuccessors(j, nil))
 	default:
-		return n.agent.phi[j]
+		return n.agent.Phi(j)
 	}
 }
 
@@ -416,7 +420,7 @@ func (h *desHost) Link(k graph.NodeID) (capacity, prop float64, packets int64) {
 
 func (h *desHost) SendLSU(to graph.NodeID, m *lsu.Msg) { h.send(to, m) }
 
-func (h *desHost) Publish(j graph.NodeID, phi alloc.Params, succ []graph.NodeID) {
+func (h *desHost) Publish(j graph.NodeID, phi alloc.Split, succ []graph.NodeID) {
 	if h.OnAlloc != nil {
 		h.OnAlloc(j, phi, succ)
 	}

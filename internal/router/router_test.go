@@ -149,10 +149,8 @@ func TestSPModeSingleNextHop(t *testing.T) {
 	if len(phi) != 1 {
 		t.Fatalf("SP fractions = %v, want singleton", phi)
 	}
-	for _, v := range phi {
-		if v != 1 {
-			t.Fatalf("SP fraction = %v", v)
-		}
+	if phi[0].Frac != 1 {
+		t.Fatalf("SP fraction = %v", phi[0].Frac)
 	}
 }
 
@@ -166,8 +164,8 @@ func TestMPModeMultipathFractions(t *testing.T) {
 		t.Fatalf("MP fractions = %v, want multipath", phi)
 	}
 	sum := 0.0
-	for _, v := range phi {
-		sum += v
+	for _, sh := range phi {
+		sum += sh.Frac
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("fractions sum to %v", sum)
@@ -182,10 +180,10 @@ func TestStaticMode(t *testing.T) {
 	cfg.Mode = ModeStatic
 	cfg.Tl, cfg.Ts = 0, 0
 	eng, nodes, g := line3(t, cfg)
-	phi := make([]alloc.Params, g.NumNodes())
+	phi := make([]alloc.Split, g.NumNodes())
 	phi[2] = alloc.Single(1)
 	nodes[0].InstallStatic(phi)
-	phi1 := make([]alloc.Params, g.NumNodes())
+	phi1 := make([]alloc.Split, g.NumNodes())
 	phi1[2] = alloc.Single(2)
 	nodes[1].InstallStatic(phi1)
 	startAll(eng, nodes, 2)
@@ -215,25 +213,25 @@ func TestStaticModeWithoutInstallDrops(t *testing.T) {
 
 func TestWeightedPickDistribution(t *testing.T) {
 	r := rng.New(1)
-	phi := alloc.Params{1: 0.7, 2: 0.3}
+	phi := alloc.Split{{Hop: 1, Frac: 0.7}, {Hop: 2, Frac: 0.3}}
 	counts := map[graph.NodeID]int{}
 	const n = 100000
 	for i := 0; i < n; i++ {
-		counts[weightedPick(r, phi, phi.Keys())]++
+		counts[weightedPick(r, phi)]++
 	}
 	if f := float64(counts[1]) / n; math.Abs(f-0.7) > 0.01 {
 		t.Fatalf("pick fraction for 1 = %v", f)
 	}
-	if weightedPick(r, nil, nil) != graph.None {
+	if weightedPick(r, nil) != graph.None {
 		t.Fatal("pick from empty params != None")
 	}
 }
 
 func TestWeightedPickZeroWeightNeverChosen(t *testing.T) {
 	r := rng.New(2)
-	phi := alloc.Params{1: 1, 2: 0}
+	phi := alloc.Split{{Hop: 1, Frac: 1}, {Hop: 2}}
 	for i := 0; i < 1000; i++ {
-		if weightedPick(r, phi, phi.Keys()) == 2 {
+		if weightedPick(r, phi) == 2 {
 			t.Fatal("zero-weight successor chosen")
 		}
 	}
@@ -303,9 +301,9 @@ func TestECMPModeEqualSplit(t *testing.T) {
 	if len(phi) != 2 {
 		t.Fatalf("ECMP fractions = %v, want two equal-cost successors", phi)
 	}
-	for _, v := range phi {
-		if math.Abs(v-0.5) > 1e-9 {
-			t.Fatalf("ECMP split = %v, want 0.5", v)
+	for _, sh := range phi {
+		if math.Abs(sh.Frac-0.5) > 1e-9 {
+			t.Fatalf("ECMP split = %v, want 0.5", sh.Frac)
 		}
 	}
 	// Toward an adjacent node there is a single shortest path.

@@ -39,10 +39,10 @@ func costTrajectory(cfg router.Config) string {
 	seen := make([]timers, len(ids))
 	for _, id := range ids {
 		id := id
-		net.Nodes[id].OnAlloc = func(j graph.NodeID, phi alloc.Params, _ []graph.NodeID) {
+		net.Nodes[id].OnAlloc = func(j graph.NodeID, phi alloc.Split, _ []graph.NodeID) {
 			fmt.Fprintf(h, "alloc %.17g %d %d", net.Eng.Now(), id, j)
-			for _, k := range phi.Keys() {
-				fmt.Fprintf(h, " %d:%.17g", k, phi[k])
+			for _, sh := range phi {
+				fmt.Fprintf(h, " %d:%.17g", sh.Hop, sh.Frac)
 			}
 			fmt.Fprintln(h)
 		}
