@@ -42,9 +42,13 @@ test:
 # the packet paths rebuilt from the event log at shards 1, 2 and 3, the
 # router's cost trajectory, the fault injector's loss, duplication and
 # reorder positions on both faces of a medium, live-vs-DES
-# cross-validation, and the routing agent's seam (no simulator import; a
-# hand-written host drives its clocks, pricing and AH): what a refactor runs
-# to show nothing observable moved. With them, the
+# cross-validation on the routers' exact state encodings, and the routing
+# agent's seam (no simulator import; a hand-written host drives its clocks,
+# pricing and AH): what a refactor runs to show nothing observable moved.
+# With them, the state encoding's tests (every field of
+# mpda.Router.AppendState seen, the owed ACK the old text digest missed,
+# and the encoding moving exactly with the router's accessors over
+# generated schedules), the settle rule's scripted poll sequence, the
 # differential tests the incremental control plane answers to (successor
 # sets against a full recompute, neighbor distances — their shapes and the
 # fuzz seed corpus — and the repaired tree against Dijkstra, the maintained T
@@ -52,7 +56,7 @@ test:
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
 
 race:
 	$(GO) test -race ./...

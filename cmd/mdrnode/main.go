@@ -29,19 +29,16 @@ import (
 
 	"minroute/internal/graph"
 	"minroute/internal/node"
+	"minroute/internal/obs"
 	"minroute/internal/telemetry"
 	"minroute/internal/topo"
 	"minroute/internal/transport"
 )
 
-// pollEvery is the convergence-poll period. Deadlines are counted in
-// polls, not wall timestamps, so the binary stays off time.Now (see the
-// nowall lint check).
-const pollEvery = 10 * time.Millisecond
-
-// stablePolls is how many consecutive identical-state polls declare
-// convergence.
-const stablePolls = 25
+// pollEvery is the settle rule's poll period, in which every wait here is
+// counted: deadlines are polls, not wall timestamps, so the binary stays
+// off time.Now (see the nowall lint check).
+const pollEvery = time.Duration(obs.PollEvery * 1e9)
 
 func main() {
 	var (
@@ -246,7 +243,7 @@ func runMesh(topoName, fabric string, loss, dup, reorder float64, seed uint64, t
 		return err
 	}
 	maxPolls := int(timeout / pollEvery.Seconds())
-	if err := m.AwaitConverged(stablePolls, maxPolls, func() { time.Sleep(pollEvery) }); err != nil {
+	if err := m.AwaitConverged(maxPolls, func() { time.Sleep(pollEvery) }); err != nil {
 		return err
 	}
 	out := output{Mode: "mesh", Topo: topoName, Fabric: fabric, Hash: m.Hash()}
@@ -332,8 +329,8 @@ func runMeshTraffic(m *node.Mesh, net *topo.Network, dp dataOpts) (*node.Traffic
 		time.Sleep(pollEvery)
 	}
 	gen.Stop()
-	// Drain in-flight packets before reading the sinks.
-	for poll := 0; poll < 10; poll++ {
+	// Drain in-flight packets (0.1 s) before reading the sinks.
+	for poll := 0; poll < 5; poll++ {
 		time.Sleep(pollEvery)
 	}
 	rep := gen.Report()
@@ -385,12 +382,11 @@ func runNode(id, nodes int, listen string, acceptCost float64, await int, timeou
 	}
 	cfg := node.Config{
 		ID: graph.NodeID(id), Nodes: nodes, Clock: node.NewWallClock(),
-		HeartbeatEvery: hb, DeadAfter: dead, Trace: trace,
+		HeartbeatEvery: hb, DeadAfter: dead, Trace: trace, ExpectPeers: await,
 	}
 	if httpAddr != "" {
 		cfg.Metrics = telemetry.NewRegistry(0)
 		cfg.ObsAddr = httpAddr
-		cfg.ExpectPeers = await
 	}
 	n, err := node.New(cfg)
 	if err != nil {
@@ -430,29 +426,19 @@ func runNode(id, nodes int, listen string, acceptCost float64, await int, timeou
 		n.AddPeer(c, func(got graph.NodeID) (float64, bool) { return wantCost, got == want })
 	}
 
-	// Converge: enough peers, PASSIVE, drained windows, stable state.
-	maxPolls := int(timeout / pollEvery.Seconds())
-	stable, prev := 0, ""
-	for poll := 0; ; poll++ {
-		if poll >= maxPolls {
-			return fmt.Errorf("node %d did not converge within %gs", id, timeout)
-		}
-		if n.PeerCount() >= await && n.Passive() && n.Outstanding() == 0 {
-			if s := n.Summary(); s == prev {
-				stable++
-			} else {
-				stable, prev = 1, s
-			}
-			if stable >= stablePolls {
-				break
-			}
-		} else {
-			stable, prev = 0, ""
-		}
-		time.Sleep(pollEvery)
+	// Converge under the settle rule, each poll one Sample under the node's
+	// lock: enough peers, PASSIVE, drained windows, one state digest.
+	var digest string
+	poll := func() (bool, string) {
+		s := n.Sample()
+		digest = s.Digest
+		return s.Eligible(), s.Digest
+	}
+	if !obs.Await(poll, int(timeout/pollEvery.Seconds()), func() { time.Sleep(pollEvery) }) {
+		return fmt.Errorf("node %d did not converge within %gs", id, timeout)
 	}
 
-	out := output{Mode: "node", Hash: node.HashState(n.Summary()), Routers: []node.State{n.State()}}
+	out := output{Mode: "node", Hash: digest, Routers: []node.State{n.State()}}
 	if err := printJSON(out); err != nil {
 		return err
 	}

@@ -24,6 +24,9 @@
 package mpda
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"slices"
 
@@ -113,6 +116,43 @@ func (r *Router) Dist(j graph.NodeID) float64 { return r.t.Dist(j) }
 // Successors returns S_j. The returned slice is owned by the router; do not
 // mutate it.
 func (r *Router) Successors(j graph.NodeID) []graph.NodeID { return r.succ[j] }
+
+// Owed returns how many entry-bearing LSUs sent to neighbor k it has not
+// yet acknowledged.
+func (r *Router) Owed(k graph.NodeID) int { return int(r.awaiting[k]) }
+
+// AppendState appends the router's one canonical state encoding to b: the
+// phase (a byte, 1 while ACTIVE); per destination ascending, D_j and FD_j as
+// exact float64 bits and S_j as a count and its members; per neighbor, the
+// ACKs it owes. Integers are four bytes, little-endian. Every state digest
+// reads this; φ is left out (DESIGN §12).
+func (r *Router) AppendState(b []byte) []byte {
+	phase := byte(0)
+	if r.active {
+		phase = 1
+	}
+	b = append(b, phase)
+	le := binary.LittleEndian
+	for j, d := range r.t.Dists() {
+		b = le.AppendUint64(b, math.Float64bits(d))
+		b = le.AppendUint64(b, math.Float64bits(r.fd[j]))
+		b = le.AppendUint32(b, uint32(len(r.succ[j])))
+		for _, k := range r.succ[j] {
+			b = le.AppendUint32(b, uint32(k))
+		}
+	}
+	for _, owed := range r.awaiting {
+		b = le.AppendUint32(b, uint32(owed))
+	}
+	return b
+}
+
+// Digest hashes an AppendState encoding — one router's, or several
+// concatenated in ID order — into the hex string a state hash is shown as.
+func Digest(state []byte) string {
+	sum := sha256.Sum256(state)
+	return hex.EncodeToString(sum[:])
+}
 
 // TakeMoved returns, ascending, the destinations whose S_j was re-derived
 // since the previous call — every j whose S_j changed is among them — and

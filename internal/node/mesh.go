@@ -6,6 +6,8 @@ import (
 	"minroute/internal/dataplane"
 	"minroute/internal/graph"
 	"minroute/internal/lfi"
+	"minroute/internal/mpda"
+	"minroute/internal/obs"
 	"minroute/internal/telemetry"
 	"minroute/internal/transport"
 )
@@ -52,10 +54,6 @@ type MeshConfig struct {
 	// this address, which must carry port 0 (see ObsURLs), and a private
 	// registry that per-link instruments are aliased from into Metrics.
 	ObsAddr string
-	// ObsPollEvery and ObsStablePolls tune every node's readiness poller
-	// (see obs.Config); zero selects the obs defaults.
-	ObsPollEvery   float64
-	ObsStablePolls int
 	// Data gives every node a forwarder on its own data port (a MemNet
 	// endpoint on the inmem fabric, a UDP socket otherwise), peered with its
 	// topology neighbors and fed φ by its node. Emulated per-hop latency is
@@ -153,10 +151,9 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 		nc := Config{
 			ID: graph.NodeID(i), Nodes: nn, Clock: cfg.Clock,
 			HeartbeatEvery: cfg.HeartbeatEvery, DeadAfter: cfg.DeadAfter,
-			Trace:        cfg.Trace,
-			ObsAddr:      cfg.ObsAddr,
-			ExpectPeers:  m.degree[i],
-			ObsPollEvery: cfg.ObsPollEvery, ObsStablePolls: cfg.ObsStablePolls,
+			Trace:       cfg.Trace,
+			ObsAddr:     cfg.ObsAddr,
+			ExpectPeers: m.degree[i],
 		}
 		if m.regs != nil {
 			nc.Metrics = m.regs[i]
@@ -397,10 +394,11 @@ func (m *Mesh) ObsURLs() []string {
 	return urls
 }
 
-// Ready reports whether every expected peer session is up.
+// Ready reports whether every node has at least its topology degree of
+// peer sessions up (obs.Sample.Eligible's definition of fully peered).
 func (m *Mesh) Ready() bool {
 	for i, n := range m.Nodes {
-		if n.PeerCount() != m.degree[i] {
+		if n.PeerCount() < m.degree[i] {
 			return false
 		}
 	}
@@ -428,19 +426,27 @@ func (m *Mesh) Quiescent() bool {
 	return true
 }
 
-// Summary concatenates every node's canonical state rendering in ID
-// order.
-func (m *Mesh) Summary() string {
-	s := ""
-	for _, n := range m.Nodes {
-		s += n.Summary()
-	}
-	return s
+// Hash digests every router's state encoding, in ID order, for
+// cross-validation against a simulator reference.
+func (m *Mesh) Hash() string {
+	_, digest := m.poll()
+	return digest
 }
 
-// Hash digests the mesh state for cross-validation against a simulator
-// reference.
-func (m *Mesh) Hash() string { return HashState(m.Summary()) }
+// poll is one settle-rule poll of the whole mesh, each node read under its
+// own lock: eligible when every node's readiness is, and the digest of the
+// routers' state encodings concatenated in ID order.
+func (m *Mesh) poll() (eligible bool, digest string) {
+	eligible = true
+	var state []byte
+	for _, n := range m.Nodes {
+		n.mu.Lock()
+		eligible = n.readinessLocked().Eligible() && eligible
+		state = n.agent.Protocol().AppendState(state)
+		n.mu.Unlock()
+	}
+	return eligible, mpda.Digest(state)
+}
 
 // tableView is a static lfi.RouterView snapshot of one live router,
 // taken under its node's lock so the oracle never races the protocol.
@@ -475,35 +481,15 @@ func (m *Mesh) CheckLoopFree() error {
 	return lfi.CheckAllDestinations(nn, views)
 }
 
-// AwaitConverged polls until the mesh is ready, all-PASSIVE with a state
-// hash stable for `stable` polls — so no entry-bearing LSU is in flight and
-// the state is final — and then quiescent. Quiescence is sampled only at
-// the end of a stable streak: under injected loss heartbeats keep some ARQ
-// window non-empty almost always, so demanding it on every poll would
-// practically never terminate. sleep runs between polls (a real sleep, or
-// an Advance of a virtual clock); it fails after maxPolls.
-func (m *Mesh) AwaitConverged(stable, maxPolls int, sleep func()) error {
-	prev := ""
-	run := 0
-	for i := 0; i < maxPolls; i++ {
-		if m.Ready() && m.Passive() {
-			h := m.Hash()
-			if h == prev {
-				run++
-			} else {
-				run = 1
-				prev = h
-			}
-			if run >= stable && m.Quiescent() {
-				return nil
-			}
-		} else {
-			run = 0
-			prev = ""
-		}
-		sleep()
+// AwaitConverged polls until the mesh settles under obs.Settle: every node
+// fully peered, PASSIVE and with drained windows, and Hash unchanged, for
+// obs.StablePolls polls in a row. sleep runs between polls (a real sleep of
+// obs.PollEvery, or an Advance of a virtual clock); it fails after maxPolls.
+func (m *Mesh) AwaitConverged(maxPolls int, sleep func()) error {
+	if !obs.Await(m.poll, maxPolls, sleep) {
+		return fmt.Errorf("node: mesh did not converge within %d polls", maxPolls)
 	}
-	return fmt.Errorf("node: mesh did not converge within %d polls", maxPolls)
+	return nil
 }
 
 // Close tears every node and listener down.

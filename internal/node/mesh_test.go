@@ -14,10 +14,10 @@ import (
 )
 
 // protoReference drives the same mpda.Router code over protonet's
-// emulated reliable-FIFO queues to quiescence and returns the canonical
-// per-router summaries. changes, applied after initial convergence,
-// mirrors Mesh.ChangeCost calls.
-func protoReference(t *testing.T, g *graph.Graph, changes []costChange) []string {
+// emulated reliable-FIFO queues to quiescence and returns the routers, in
+// ID order. changes, applied after initial convergence, mirrors
+// Mesh.ChangeCost calls.
+func protoReference(t *testing.T, g *graph.Graph, changes []costChange) []*mpda.Router {
 	t.Helper()
 	net := protonet.New(g, 1)
 	nn := g.NumNodes()
@@ -33,11 +33,7 @@ func protoReference(t *testing.T, g *graph.Graph, changes []costChange) []string
 		net.ChangeCost(c.a, c.b, c.cost)
 		net.Run(1 << 22)
 	}
-	out := make([]string, nn)
-	for i, r := range routers {
-		out[i] = node.RouterSummary(r)
-	}
-	return out
+	return routers
 }
 
 type costChange struct {
@@ -48,22 +44,28 @@ type costChange struct {
 // awaitMesh waits for live convergence with a real-time poll loop.
 func awaitMesh(t *testing.T, m *node.Mesh) {
 	t.Helper()
-	if err := m.AwaitConverged(3, 20000, func() { time.Sleep(2 * time.Millisecond) }); err != nil {
+	if err := m.AwaitConverged(20000, func() { time.Sleep(2 * time.Millisecond) }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // compareStates asserts the live mesh landed on exactly the reference
-// distance tables and successor sets, via the canonical state hash.
-func compareStates(t *testing.T, m *node.Mesh, ref []string) {
+// state — phase, D_j, FD_j and S_j with exact float bits, and the owed
+// ACKs — router by router through mpda.Router.AppendState's digest, and
+// then as the one mesh hash.
+func compareStates(t *testing.T, m *node.Mesh, ref []*mpda.Router) {
 	t.Helper()
-	live := m.Summary()
-	want := ""
-	for _, s := range ref {
-		want += s
+	var all []byte
+	for i, r := range ref {
+		want := r.AppendState(nil)
+		all = append(all, want...)
+		if got := m.Nodes[i].Sample().Digest; got != mpda.Digest(want) {
+			t.Errorf("router %d: live state diverged from the simulator reference (the text shows D_j and S_j; the digest also covers FD_j, the phase and the owed ACKs)\nlive:\n%s\nreference:\n%s",
+				i, m.Nodes[i].Summary(), node.RouterSummary(r))
+		}
 	}
-	if node.HashState(live) != node.HashState(want) {
-		t.Fatalf("live state diverged from simulator reference\nlive:\n%s\nreference:\n%s", live, want)
+	if got, want := m.Hash(), mpda.Digest(all); got != want {
+		t.Fatalf("mesh hash %s, reference %s", got, want)
 	}
 }
 

@@ -8,8 +8,9 @@
 // detection (a HELLO handshake and heartbeat dead timers). MPDA's converged
 // state is schedule-independent — at quiescence every router holds FD_j =
 // D_j over the same link database — so a live mesh must land on the exact
-// tables the deterministic simulator computes. RouterSummary renders that
-// state canonically; TestCrossValidation hash-compares the two worlds.
+// tables the deterministic simulator computes. mpda.Router.AppendState
+// encodes that state exactly; TestCrossValidation compares the two worlds'
+// encodings.
 //
 // Concurrency: one mutex per Node guards the agent and the peer table. The
 // read loops, and the agent's calls back into the node (an LSU to send, a
@@ -21,8 +22,6 @@
 package node
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"sort"
@@ -109,13 +108,9 @@ type Config struct {
 	// health, routes, peers, pprof) on this TCP address (port 0: ephemeral,
 	// see ObsURL). Close reaps the server.
 	ObsAddr string
-	// ExpectPeers is how many peer sessions /readyz requires before the
-	// node can report ready (its expected topology degree).
+	// ExpectPeers is how many peer sessions the settle rule requires
+	// before the node counts as settled (its expected topology degree).
 	ExpectPeers int
-	// ObsPollEvery and ObsStablePolls tune the readiness poller (see
-	// obs.Config); zero selects the obs defaults.
-	ObsPollEvery   float64
-	ObsStablePolls int
 	// Data, when non-nil, is this node's forwarder, which the node owns from
 	// here on: it gets the agent's φ as one snapshot after each event that
 	// made IH rebuild some φ_j.
@@ -244,12 +239,10 @@ func New(cfg Config) (*Node, error) {
 		srv, err := obs.NewServer(obs.Config{
 			Addr:        cfg.ObsAddr,
 			Clock:       cfg.Clock,
-			Sample:      n.obsSample,
+			Sample:      n.Sample,
 			Registry:    cfg.Metrics,
 			Refresh:     n.refreshObsMetrics,
 			ConstLabels: map[string]string{"node": strconv.Itoa(int(cfg.ID))},
-			PollEvery:   cfg.ObsPollEvery,
-			StablePolls: cfg.ObsStablePolls,
 		})
 		if err != nil {
 			return nil, err
@@ -585,7 +578,7 @@ func (n *Node) Outstanding() int {
 	return total
 }
 
-// Summary renders this node's routing state canonically (see
+// Summary renders this node's routing state for people (see
 // RouterSummary).
 func (n *Node) Summary() string {
 	n.mu.Lock()
@@ -640,16 +633,31 @@ func (n *Node) ObsURL() string {
 	return n.obs.URL()
 }
 
-// obsSample snapshots the node for the observability plane under one lock.
-func (n *Node) obsSample() obs.Sample {
+// Sample snapshots the node under its one lock: what the settle rule reads
+// (phase, peers and their windows, the state digest), the routes and the
+// data plane. It backs the observability plane.
+func (n *Node) Sample() obs.Sample {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := obs.Sample{
-		ID:       int(n.id),
-		Passive:  !n.agent.Protocol().Active(),
-		MinPeers: n.cfg.ExpectPeers,
-		Summary:  RouterSummary(n.agent.Protocol()),
+	s := n.readinessLocked()
+	s.Digest = mpda.Digest(n.agent.Protocol().AppendState(nil))
+	for _, d := range n.destRowsLocked() {
+		rt := obs.Route{Dst: int(d.Dst), Dist: d.Dist, FD: d.FD, Best: int(d.Best)}
+		for _, k := range d.Successors {
+			rt.Successors = append(rt.Successors, int(k))
+		}
+		s.Routes = append(s.Routes, rt)
 	}
+	if n.cfg.Data != nil {
+		s.Data = dataSample(n.cfg.Data)
+	}
+	return s
+}
+
+// readinessLocked fills, under n.mu, the Sample fields Eligible reads:
+// the phase and the expected and live peers with their windows.
+func (n *Node) readinessLocked() obs.Sample {
+	s := obs.Sample{ID: int(n.id), Passive: !n.agent.Protocol().Active(), MinPeers: n.cfg.ExpectPeers}
 	for _, id := range n.peerIDsLocked() {
 		p := n.peers[id]
 		pi := obs.Peer{ID: int(id), Cost: p.cost}
@@ -665,16 +673,6 @@ func (n *Node) obsSample() obs.Sample {
 		pi.Window = inst.win.Value()
 		pi.Queue = p.out.Depth()
 		s.Peers = append(s.Peers, pi)
-	}
-	for _, d := range n.destRowsLocked() {
-		rt := obs.Route{Dst: int(d.Dst), Dist: d.Dist, FD: d.FD, Best: int(d.Best)}
-		for _, k := range d.Successors {
-			rt.Successors = append(rt.Successors, int(k))
-		}
-		s.Routes = append(s.Routes, rt)
-	}
-	if n.cfg.Data != nil {
-		s.Data = dataSample(n.cfg.Data)
 	}
 	return s
 }
@@ -772,9 +770,9 @@ func (n *Node) destRowsLocked() []DestState {
 	return rows
 }
 
-// RouterSummary renders a router's state canonically for cross-validation:
-// a line per destination with D_j (%.9g) and S_j ascending. Live and
-// reference routers render through it, so equal state gives equal hashes.
+// RouterSummary renders a router's D_j (%.9g) and S_j, a line per
+// destination, for people; it leaves out FD_j, the phase and the owed ACKs,
+// so state is compared through mpda.Router.AppendState, not this text.
 func RouterSummary(r *mpda.Router) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "router %d\n", r.ID())
@@ -789,13 +787,4 @@ func RouterSummary(r *mpda.Router) string {
 		b.WriteString("]\n")
 	}
 	return b.String()
-}
-
-// HashState digests concatenated router summaries into a hex state hash.
-func HashState(summaries ...string) string {
-	h := sha256.New()
-	for _, s := range summaries {
-		h.Write([]byte(s))
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -65,9 +65,6 @@ func TestHandshakeBringsLinkUp(t *testing.T) {
 	if s := a.Summary(); s != wantA {
 		t.Fatalf("a summary:\n%s\nwant:\n%s", s, wantA)
 	}
-	if h := node.HashState(a.Summary()); h != node.HashState(wantA) {
-		t.Fatalf("hash mismatch")
-	}
 }
 
 // TestHeartbeatKeepsSessionAlive: with traffic quiet, heartbeats alone

@@ -55,8 +55,6 @@ func TestMeshObservability(t *testing.T) {
 		HeartbeatEvery: 0.2,
 		DeadAfter:      60,
 		ObsAddr:        "127.0.0.1:0",
-		ObsPollEvery:   0.005,
-		ObsStablePolls: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,17 +10,14 @@
 // through atomic counters and gauges. Scraping therefore never blocks
 // the data path, and the data path never knows the server exists.
 //
-// Readiness mirrors node.Mesh.AwaitConverged per node: the server polls
-// the sample on the node's transport.Clock and declares the node ready
-// once it is PASSIVE with all expected peers up, drained transport
-// windows, and a canonical-state hash that has held stable for a
-// configured streak of polls. /readyz turning 200 on every node of a
-// mesh is the distributed analogue of AwaitConverged returning nil.
+// Readiness is the settle rule (Settle) run per node on its
+// transport.Clock: ready once StablePolls polls in a row found the node
+// Eligible — PASSIVE, fully peered, windows drained — with one state
+// digest. node.Mesh.AwaitConverged runs the same rule over a whole mesh,
+// so /readyz turning 200 on every node is its distributed analogue.
 package obs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -53,21 +50,6 @@ type Config struct {
 	Refresh func()
 	// ConstLabels are attached to every exposed series (e.g. node="3").
 	ConstLabels map[string]string
-	// PollEvery is the readiness-poll period in seconds (default 0.02).
-	PollEvery float64
-	// StablePolls is how many consecutive eligible polls with an
-	// unchanged state hash flip /readyz to 200 (default 10).
-	StablePolls int
-}
-
-func (c Config) withDefaults() Config {
-	if c.PollEvery <= 0 {
-		c.PollEvery = 0.02
-	}
-	if c.StablePolls <= 0 {
-		c.StablePolls = 10
-	}
-	return c
 }
 
 // Server is one node's live introspection endpoint.
@@ -78,17 +60,15 @@ type Server struct {
 	done  chan struct{}
 	start float64
 
-	mu       sync.Mutex
-	closed   bool
-	timer    transport.Timer
-	streak   int
-	lastHash string
+	mu     sync.Mutex
+	closed bool
+	timer  transport.Timer
+	settle Settle
 }
 
 // NewServer binds cfg.Addr, starts serving, and arms the readiness
 // poller. The caller owns the server and must Close it.
 func NewServer(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("obs: Config.Clock is required")
 	}
@@ -158,49 +138,21 @@ func (s *Server) Close() {
 
 // armPollLocked schedules the next readiness poll; each tick re-arms.
 func (s *Server) armPollLocked() {
-	s.timer = s.cfg.Clock.AfterFunc(s.cfg.PollEvery, s.pollTick)
+	s.timer = s.cfg.Clock.AfterFunc(PollEvery, s.pollTick)
 }
 
-// pollTick advances the hash-stability streak. The sample is taken
+// pollTick feeds one sample to the settle rule. The sample is taken
 // before the server lock so a tick blocked on the node's mutex can never
 // deadlock against Close.
 func (s *Server) pollTick() {
 	sample := s.cfg.Sample()
-	h := hashSummary(sample.Summary)
-	eligible := sample.Eligible()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	switch {
-	case !eligible:
-		s.streak, s.lastHash = 0, ""
-	case h == s.lastHash:
-		s.streak++
-	default:
-		s.streak, s.lastHash = 1, h
-	}
+	s.settle.Observe(sample.Eligible(), sample.Digest)
 	s.armPollLocked()
-}
-
-// streakNow returns the current stability streak and hash.
-func (s *Server) streakNow() (int, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streak, s.lastHash
-}
-
-// Ready reports whether the node currently satisfies the readiness
-// condition (exposed for in-process callers; /readyz is the HTTP view).
-func (s *Server) Ready() bool {
-	streak, _ := s.streakNow()
-	return streak >= s.cfg.StablePolls && s.cfg.Sample().Eligible()
-}
-
-func hashSummary(summary string) string {
-	h := sha256.Sum256([]byte(summary))
-	return hex.EncodeToString(h[:])
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -223,16 +175,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	sample := s.cfg.Sample()
-	streak, hash := s.streakNow()
+	s.mu.Lock()
+	st := s.settle
+	s.mu.Unlock()
 	r := Readiness{
-		Ready:       streak >= s.cfg.StablePolls && sample.Eligible(),
+		Ready:       st.Settled() && sample.Eligible(),
 		Passive:     sample.Passive,
 		Peers:       len(sample.Peers),
 		MinPeers:    sample.MinPeers,
 		Outstanding: sample.Outstanding,
-		Streak:      streak,
-		StablePolls: s.cfg.StablePolls,
-		Hash:        hash,
+		Streak:      st.streak,
+		StablePolls: StablePolls,
+		Hash:        st.digest,
 	}
 	code := http.StatusOK
 	if !r.Ready {

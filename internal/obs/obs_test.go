@@ -71,8 +71,6 @@ func newTestServer(t *testing.T, clk *transport.VirtualClock, fn *fakeNode, reg 
 		Registry:    reg,
 		Refresh:     refresh,
 		ConstLabels: map[string]string{"node": "7"},
-		PollEvery:   0.02,
-		StablePolls: 3,
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -195,7 +193,7 @@ func TestHealthAndStateEndpoints(t *testing.T) {
 func TestReadinessStreak(t *testing.T) {
 	leaktest.Check(t)
 	clk := transport.NewVirtualClock()
-	fn := &fakeNode{sample: obs.Sample{ID: 0, MinPeers: 1, Summary: "router 0\n"}}
+	fn := &fakeNode{sample: obs.Sample{ID: 0, MinPeers: 1, Digest: "d0"}}
 	s := newTestServer(t, clk, fn, nil, nil)
 	c := client(t)
 
@@ -222,26 +220,91 @@ func TestReadinessStreak(t *testing.T) {
 		s.Passive = true
 		s.Peers = []obs.Peer{{ID: 1, Cost: 1}}
 	})
-	clk.Advance(0.1) // 5 polls at 0.02 ≥ StablePolls=3
+	clk.Advance((obs.StablePolls + 0.5) * obs.PollEvery)
 	r := readyz()
-	if !r.Ready || r.Streak < 3 || r.Hash == "" {
+	if !r.Ready || r.Streak < obs.StablePolls || r.Hash != "d0" {
 		t.Fatalf("stable node not ready: %+v", r)
-	}
-	if !s.Ready() {
-		t.Fatal("Server.Ready disagrees with /readyz")
 	}
 
 	// A state change resets the streak...
-	fn.set(func(s *obs.Sample) { s.Summary = "router 0 CHANGED\n" })
-	clk.Advance(0.02)
+	fn.set(func(s *obs.Sample) { s.Digest = "d1" })
+	clk.Advance(obs.PollEvery)
 	if r := readyz(); r.Ready || r.Streak != 1 {
 		t.Fatalf("changed state should reset streak: %+v", r)
 	}
 	// ...as does losing eligibility mid-streak.
 	fn.set(func(s *obs.Sample) { s.Outstanding = 2 })
-	clk.Advance(0.02)
+	clk.Advance(obs.PollEvery)
 	if r := readyz(); r.Ready || r.Streak != 0 {
 		t.Fatalf("ineligible node should zero the streak: %+v", r)
+	}
+}
+
+// TestSettleRule pins the one settle rule on a scripted poll sequence:
+// the streak resets on every ineligible poll — not PASSIVE, short of
+// peers, or a transport window still holding frames — and restarts at one
+// on a new digest, and the state settles at exactly the StablePolls-th
+// equal eligible poll. obs.Await, the loop node.Mesh.AwaitConverged and
+// mdrnode run, and a Server polling the same samples on a VirtualClock
+// reach the same verdict at the same poll.
+func TestSettleRule(t *testing.T) {
+	leaktest.Check(t)
+	ok := obs.Sample{Passive: true, MinPeers: 1, Peers: []obs.Peer{{ID: 1}}, Digest: "a"}
+	with := func(mut func(*obs.Sample)) obs.Sample {
+		s := ok
+		mut(&s)
+		return s
+	}
+	// Every run of equal eligible polls but the last is one poll short, so
+	// a streak that survived an ineligible poll or a digest change would
+	// settle early.
+	var script []obs.Sample
+	add := func(s obs.Sample, n int) {
+		for i := 0; i < n; i++ {
+			script = append(script, s)
+		}
+	}
+	add(ok, obs.StablePolls-1)
+	add(with(func(s *obs.Sample) { s.Passive = false }), 1)
+	add(ok, obs.StablePolls-1)
+	add(with(func(s *obs.Sample) { s.Peers = nil }), 1)
+	add(ok, obs.StablePolls-1)
+	add(with(func(s *obs.Sample) { s.Outstanding = 1 }), 1)
+	add(ok, obs.StablePolls-1)
+	add(with(func(s *obs.Sample) { s.Digest = "b" }), obs.StablePolls-1)
+	add(ok, obs.StablePolls)
+	settleAt := len(script) - 1
+
+	var st obs.Settle
+	for i, s := range script {
+		if got := st.Observe(s.Eligible(), s.Digest); got != (i == settleAt) {
+			t.Fatalf("poll %d: Settle.Observe = %v, want %v", i, got, i == settleAt)
+		}
+	}
+
+	polls := 0
+	settled := obs.Await(func() (bool, string) {
+		s := script[polls]
+		polls++
+		return s.Eligible(), s.Digest
+	}, len(script), func() {})
+	if !settled || polls-1 != settleAt {
+		t.Fatalf("Await settled=%v after %d polls, want true after %d", settled, polls, settleAt+1)
+	}
+	if obs.Await(func() (bool, string) { return true, "a" }, obs.StablePolls-1, func() {}) {
+		t.Fatal("Await settled in fewer than StablePolls polls")
+	}
+
+	clk := transport.NewVirtualClock()
+	fn := &fakeNode{}
+	srv := newTestServer(t, clk, fn, nil, nil)
+	c := client(t)
+	for i, s := range script {
+		fn.set(func(cur *obs.Sample) { *cur = s })
+		clk.Advance(obs.PollEvery) // exactly one poll tick
+		if code, body := get(t, c, srv.URL()+"/readyz"); (code == http.StatusOK) != (i >= settleAt) {
+			t.Fatalf("poll %d: /readyz answered %d, want ready=%v:\n%s", i, code, i >= settleAt, body)
+		}
 	}
 }
 
@@ -259,7 +322,6 @@ func TestCloseIdempotentAndStopsPolling(t *testing.T) {
 			mu.Unlock()
 			return obs.Sample{}
 		},
-		PollEvery: 0.02,
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -289,7 +351,7 @@ func TestConcurrentScrape(t *testing.T) {
 	clk := transport.NewVirtualClock()
 	reg := telemetry.NewRegistry(1)
 	ctr := reg.Counter("arq.retransmits.0-1")
-	fn := &fakeNode{sample: obs.Sample{ID: 0, Passive: true, Summary: "router 0\n"}}
+	fn := &fakeNode{sample: obs.Sample{ID: 0, Passive: true, Digest: "d0"}}
 	s := newTestServer(t, clk, fn, reg, nil)
 	c := client(t)
 

@@ -18,20 +18,65 @@ type Sample struct {
 	Peers []Peer
 	// Routes are the reachable destinations in ascending ID order.
 	Routes []Route
-	// Summary is the canonical routing-state rendering
-	// (node.RouterSummary); readiness hashes it for stability.
-	Summary string
+	// Digest is the router's state digest (mpda.Digest of its
+	// AppendState), the one readiness watches for stability.
+	Digest string
 	// Data is the data-plane snapshot (nil when the node runs without a
 	// forwarder). It backs the /flows endpoint and the data.* metrics.
 	Data *DataSample
 }
 
 // Eligible reports whether the sample satisfies the instantaneous part
-// of the readiness condition — PASSIVE, fully peered, windows drained.
-// Readiness additionally demands a stable state-hash streak across
-// polls.
+// of the settle rule — PASSIVE, fully peered, windows drained. Settle
+// additionally demands a stable digest across polls.
 func (s Sample) Eligible() bool {
 	return s.Passive && s.Outstanding == 0 && len(s.Peers) >= s.MinPeers
+}
+
+// The settle rule's constants: it polls every PollEvery seconds and
+// declares a state settled after StablePolls consecutive polls agree.
+const (
+	PollEvery   = 0.02
+	StablePolls = 10
+)
+
+// Settle is the one rule for "converged", shared by /readyz, the live
+// mesh's AwaitConverged and mdrnode: a state has settled once StablePolls
+// consecutive polls found it eligible with one digest. An ineligible poll
+// resets the streak; an eligible one with a new digest starts a new
+// streak of one.
+type Settle struct {
+	streak int
+	digest string
+}
+
+// Observe takes one poll and reports whether the state has now settled.
+func (s *Settle) Observe(eligible bool, digest string) bool {
+	switch {
+	case !eligible:
+		s.streak, s.digest = 0, ""
+	case digest == s.digest:
+		s.streak++
+	default:
+		s.streak, s.digest = 1, digest
+	}
+	return s.Settled()
+}
+
+// Settled reports whether the last StablePolls polls agreed.
+func (s Settle) Settled() bool { return s.streak >= StablePolls }
+
+// Await polls until the state settles, calling sleep between polls, and
+// reports false once maxPolls polls have not settled it.
+func Await(poll func() (eligible bool, digest string), maxPolls int, sleep func()) bool {
+	var s Settle
+	for i := 0; i < maxPolls; i++ {
+		if s.Observe(poll()) {
+			return true
+		}
+		sleep()
+	}
+	return false
 }
 
 // Peer is one live peer session, including its ARQ instruments when the
@@ -79,9 +124,9 @@ type Health struct {
 	Peers  int     `json:"peers"`
 }
 
-// Readiness is the /readyz document. Ready mirrors
-// node.Mesh.AwaitConverged per node: eligible (PASSIVE, fully peered,
-// drained) with a state hash stable for StablePolls consecutive polls.
+// Readiness is the /readyz document: Ready is the settle rule (Settle)
+// for this node — eligible (PASSIVE, fully peered, drained) with a state
+// digest stable for StablePolls consecutive polls — and Hash that digest.
 type Readiness struct {
 	Ready       bool   `json:"ready"`
 	Passive     bool   `json:"passive"`
