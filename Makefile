@@ -36,7 +36,8 @@ test:
 # Every pinned output in one command — chaos fixture hashes, both chaos
 # runners' outcomes over mdrfuzz's seed range
 # (internal/chaos/testdata/generated_outcomes.txt), the telemetry and flood
-# goldens, every figure's Quick CSV
+# goldens, the bytes of Quick fig14's telemetry artifacts
+# (internal/experiments/testdata/fig14_artifacts.sha256), every figure's Quick CSV
 # (internal/experiments/testdata/quick_figures.sha256) and the invariance
 # table checked against it (worker, GOMAXPROCS, shard and telemetry knobs),
 # the packet paths rebuilt from the event log at shards 1, 2 and 3, the
@@ -56,7 +57,7 @@ test:
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule|TestTelemetryArtifactsPinned' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
 
 race:
 	$(GO) test -race ./...
@@ -78,10 +79,12 @@ race-soak:
 # DES packet hot loop and all sink methods must cost zero allocations, an
 # Event must stay 64 bytes, and the live ARQ stats callbacks must stay
 # allocation-free even with instruments enabled (they write through
-# precomputed atomic handles). Runs without -race because AllocsPerRun is
+# precomputed atomic handles). On the enabled path TestExportAllocBudget
+# holds Emit into a grown ring to zero allocations and Export's count flat
+# in the number of events. Runs without -race because AllocsPerRun is
 # unreliable under the race detector.
 telemetry-guard:
-	$(GO) test -count=1 -run 'TestTelemetryDisabledZeroAlloc|TestDisabledProbesZeroAlloc|TestNilSinksAreSafe|TestEventSize' ./internal/des ./internal/telemetry
+	$(GO) test -count=1 -run 'TestTelemetryDisabledZeroAlloc|TestDisabledProbesZeroAlloc|TestNilSinksAreSafe|TestEventSize|TestExportAllocBudget' ./internal/des ./internal/telemetry
 	$(GO) test -count=1 -run 'TestARQStatsDisabledNil|TestARQStatsEnabledZeroAlloc' ./internal/node
 
 # Codec-overhead guard: frame encode into a reused buffer and scratch

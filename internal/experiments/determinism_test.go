@@ -176,3 +176,20 @@ func generate(t *testing.T, id string, set Settings) outcome {
 	out.artifacts = hex.EncodeToString(h.Sum(nil))
 	return out
 }
+
+// TestTelemetryExportErrorReported: each simulation's export runs after the
+// simulation has released its worker slot, so exports finish in any order
+// at eight workers; a figure whose exports all fail must still fail, and
+// name the first simulation by (scheme, seed) order.
+func TestTelemetryExportErrorReported(t *testing.T) {
+	leaktest.Check(t)
+	workers := simpool.Workers()
+	defer simpool.SetWorkers(workers)
+	simpool.SetWorkers(8)
+	set := Settings{Warmup: 4, Duration: 2, Seed: 1, Runs: 2, TelemetryDir: filepath.Join(t.TempDir(), "missing")}
+	_, err := All["fig14"](set)
+	if err == nil || !strings.Contains(err.Error(), "telemetry export") ||
+		!strings.Contains(err.Error(), "fig14_MP-TL-10-TS-2_s1.events.jsonl") {
+		t.Fatalf("Fig14 into a missing directory: err = %v, want the first simulation's telemetry export error", err)
+	}
+}

@@ -14,11 +14,13 @@
 // one, calls the drive function, and exports the capture under
 // <id>_<label>_s<seed>, so every figure honours Shards and TelemetryDir and
 // a figure that runs one scheme on several networks gives each its own id
-// to keep the prefixes unique. A drive function receives the network
-// unstarted and may advance it only through Run, Start, RunUntil and
-// BeginMeasurement (a sharded network has no single engine to run), may
-// inject faults between those calls, audits loop-freedom itself, and
-// returns a vector whose length does not depend on the seed: simulate
+// to keep the prefixes unique. The export runs after the simulation has
+// released its worker slot, beside the next simulation, and simulate
+// returns only once every export is written. A drive function receives
+// the network unstarted and may advance it only through Run, Start,
+// RunUntil and BeginMeasurement (a sharded network has no single engine to
+// run), may inject faults between those calls, audits loop-freedom itself,
+// and returns a vector whose length does not depend on the seed: simulate
 // averages it element-wise over Settings.Runs seeds, in seed order, so the
 // figure is bit-identical at any worker or shard count.
 //
@@ -27,6 +29,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -148,29 +151,47 @@ func meanDelays(n *core.Network, _ Settings) ([]float64, error) {
 // Each scheme is a coordinator task fanning its seeds onto the worker pool,
 // so all of a figure's simulations share one bounded pool; each simulation
 // is seeded exactly as in a serial harness and the results are reduced in
-// seed order from indexed slots.
+// seed order from indexed slots. A simulation's telemetry export runs as a
+// coordinator task of its own once the simulation has given back its
+// worker slot, so the next simulation runs while the artifacts are
+// written; simulate joins the exports before it returns and reports a
+// failed simulation ahead of a failed export, each kind by (scheme, seed)
+// index.
 func simulate(id string, build func() *topo.Network, schemes []scheme, set Settings, d drive) ([][]float64, error) {
 	cols := make([][]float64, len(schemes))
+	exports := simpool.Coordinator()
+	exportErrs := make([]error, len(schemes)*set.runs())
 	g := simpool.Coordinator()
 	for i, s := range schemes {
 		g.Go(func() error {
 			var err error
-			cols[i], err = runSeeds(set, func(run Settings) ([]float64, error) {
-				out, err := s.run(fmt.Sprintf("%s_%s_s%d", id, s.label, run.Seed), build(), run, d)
+			cols[i], err = runSeeds(set, func(r int, run Settings) ([]float64, error) {
+				out, n, err := s.run(build(), run, d)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s %s: %w", id, s.label, err)
+				}
+				if run.TelemetryDir != "" {
+					prefix := fmt.Sprintf("%s_%s_s%d", id, s.label, run.Seed)
+					exports.Go(func() error {
+						if err := n.ExportTelemetry(run.TelemetryDir, prefix); err != nil {
+							exportErrs[i*set.runs()+r] = fmt.Errorf("experiments: %s %s: telemetry export: %w", id, s.label, err)
+						}
+						return nil
+					})
 				}
 				return out, nil
 			})
 			return err
 		})
 	}
-	return cols, g.Wait()
+	err := g.Wait()
+	exports.Wait()
+	return cols, cmp.Or(append([]error{err}, exportErrs...)...)
 }
 
-// run is one simulation: the scheme on tn at run's seed, driven by d, its
-// telemetry exported under prefix when run.TelemetryDir is set.
-func (s scheme) run(prefix string, tn *topo.Network, run Settings, d drive) ([]float64, error) {
+// run is one simulation: the scheme on tn at run's seed, driven by d. It
+// returns the network too, for the telemetry export.
+func (s scheme) run(tn *topo.Network, run Settings, d drive) ([]float64, *core.Network, error) {
 	opt := s.options(run)
 	if run.TelemetryDir != "" {
 		opt.Telemetry = telemetry.NewCaptureSized(tn.Graph.NumNodes(), run.TelemetryRingCap, telemetry.DefaultBucketWidth)
@@ -180,19 +201,13 @@ func (s scheme) run(prefix string, tn *topo.Network, run Settings, d drive) ([]f
 		n.InstallStatic(s.phi)
 	}
 	out, err := d(n, run)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.ExportTelemetry(run.TelemetryDir, prefix); err != nil {
-		return nil, fmt.Errorf("telemetry export: %w", err)
-	}
-	return out, nil
+	return out, n, err
 }
 
 // runSeeds fans one simulation per seed out onto the worker pool and
-// averages the results element-wise in seed order. sim receives the
-// Settings with its run's seed already installed.
-func runSeeds(set Settings, sim func(run Settings) ([]float64, error)) ([]float64, error) {
+// averages the results element-wise in seed order. sim receives the run's
+// index and the Settings with its seed already installed.
+func runSeeds(set Settings, sim func(r int, run Settings) ([]float64, error)) ([]float64, error) {
 	runs := set.runs()
 	results := make([][]float64, runs)
 	g := simpool.NewGroup()
@@ -201,7 +216,7 @@ func runSeeds(set Settings, sim func(run Settings) ([]float64, error)) ([]float6
 			run := set
 			run.Seed = set.Seed + uint64(r)*1000
 			var err error
-			results[r], err = sim(run)
+			results[r], err = sim(r, run)
 			return err
 		})
 	}

@@ -102,3 +102,41 @@ func TestQuickFiguresPinned(t *testing.T) {
 		}
 	}
 }
+
+var artifactPinFile = filepath.Join("testdata", "fig14_artifacts.sha256")
+
+// TestTelemetryArtifactsPinned holds the bytes of Quick fig14's telemetry
+// export (seed 1, default ring capacity) to the hash they had when
+// testdata/fig14_artifacts.sha256 was taken: one sha256 over every
+// artifact's name and content, as TestFigureDeterminism takes it. The
+// determinism table only compares exports with each other, so an encoder
+// change that moves every artifact the same way would pass it; this pin
+// does not.
+//
+// Regenerate after an intentional change to the artifacts with:
+//
+//	FIGURES_UPDATE=1 go test -run TestTelemetryArtifactsPinned ./internal/experiments
+func TestTelemetryArtifactsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig14 at Quick")
+	}
+	if raceEnabled {
+		t.Skip("fig14 at Quick takes minutes raced; the run without -race covers it")
+	}
+	set := Quick
+	set.TelemetryDir = "export"
+	got := generate(t, "fig14", set).artifacts
+	if os.Getenv("FIGURES_UPDATE") != "" {
+		if err := os.WriteFile(artifactPinFile, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(artifactPinFile)
+	if err != nil {
+		t.Fatalf("missing golden (run with FIGURES_UPDATE=1 to create): %v", err)
+	}
+	if want := strings.TrimSpace(string(data)); got != want {
+		t.Errorf("fig14 telemetry artifacts moved: hash %s, golden has %s; rerun with FIGURES_UPDATE=1 if intentional", got, want)
+	}
+}

@@ -1,9 +1,9 @@
 package telemetry
 
 import (
+	"bufio"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Capture bundles one simulation's event bus and metrics registry. Build a
@@ -48,7 +48,8 @@ func (c *Capture) SyncDropCounters() {
 //	<prefix>.metrics.txt  — the sorted metrics snapshot
 //
 // All three are deterministic functions of the simulation, so they can be
-// hashed and compared across runs and worker counts.
+// hashed and compared across runs and worker counts. Each file is streamed
+// through one reused chunkSize buffer and closed before the next opens.
 //
 // Export first mirrors the event bus's own accounting into the registry —
 // telemetry.events.emitted and telemetry.events.dropped — so a truncated
@@ -60,19 +61,55 @@ func (c *Capture) SyncDropCounters() {
 func (c *Capture) Export(dir, prefix string) error {
 	c.SyncDropCounters()
 	events := c.Trace.Events()
-	var jsonl strings.Builder
-	if err := WriteJSONL(&jsonl, events); err != nil {
+	bw := bufio.NewWriterSize(nil, chunkSize)
+	for _, a := range [...]struct {
+		ext string
+		enc func(*bufio.Writer) error
+	}{
+		{".events.jsonl", func(bw *bufio.Writer) error { return writeJSONL(bw, events) }},
+		{".trace.json", func(bw *bufio.Writer) error { return writeChromeTrace(bw, events) }},
+		{".metrics.txt", func(bw *bufio.Writer) error {
+			bw.WriteString(c.Metrics.Snapshot()) // bw keeps a write error for Flush
+			return bw.Flush()
+		}},
+	} {
+		if err := writeFile(filepath.Join(dir, prefix+a.ext), bw, a.enc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFile creates path and streams enc's output into it through bw,
+// then closes it, returning the first error, a Close error included.
+func writeFile(path string, bw *bufio.Writer, enc func(*bufio.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, prefix+".events.jsonl"), []byte(jsonl.String()), 0o644); err != nil {
-		return err
+	bw.Reset(f)
+	err = enc(bw)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	var chrome strings.Builder
-	if err := WriteChromeTrace(&chrome, events); err != nil {
-		return err
+	return err
+}
+
+// chunkSize is the write granularity of every artifact: the encoders
+// append each event straight into the free tail of one buffer of this
+// size, which goes out in a single Write when nearly full.
+const chunkSize = 64 << 10
+
+// lineRoom is the free space freeTail guarantees, more than one encoded
+// event needs unless its label is very long (then append grows a copy).
+const lineRoom = 1 << 10
+
+// freeTail returns bw's free buffer space to append one encoded event
+// into, writing the buffer out first when less than lineRoom is left. A
+// write error stays in bw and is returned by the Write that follows.
+func freeTail(bw *bufio.Writer) []byte {
+	if bw.Available() < lineRoom {
+		bw.Flush()
 	}
-	if err := os.WriteFile(filepath.Join(dir, prefix+".trace.json"), []byte(chrome.String()), 0o644); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, prefix+".metrics.txt"), []byte(c.Metrics.Snapshot()), 0o644)
+	return bw.AvailableBuffer()
 }

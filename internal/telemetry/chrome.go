@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"io"
 	"strconv"
 
@@ -16,6 +17,13 @@ import (
 // Encoding is hand-rolled for the same reason as the JSONL writer: fixed
 // field order and canonical floats keep the artifact byte-deterministic.
 func WriteChromeTrace(w io.Writer, events []Event) error {
+	return writeChromeTrace(bufio.NewWriterSize(w, chunkSize), events)
+}
+
+// writeChromeTrace streams the trace through bw. bw keeps its first write
+// error, so the unchecked WriteStrings report theirs through the final
+// Flush.
+func writeChromeTrace(bw *bufio.Writer, events []Event) error {
 	maxRouter := graph.NodeID(-1)
 	network := false
 	for i := range events {
@@ -29,74 +37,94 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	netPid := int(maxRouter) + 1
 
-	var b []byte
-	b = append(b, `{"displayTimeUnit":"ms","traceEvents":[`...)
-	first := true
-	comma := func() {
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, '\n')
-	}
-
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	sep := "\n"
 	// Process-name metadata rows, in pid order.
-	for pid := 0; pid <= int(maxRouter); pid++ {
-		comma()
-		b = append(b, `{"name":"process_name","ph":"M","pid":`...)
-		b = strconv.AppendInt(b, int64(pid), 10)
-		b = append(b, `,"args":{"name":"router `...)
-		b = strconv.AppendInt(b, int64(pid), 10)
-		b = append(b, `"}}`...)
-	}
+	rows := netPid
 	if network {
-		comma()
+		rows++
+	}
+	for pid := range rows {
+		b := append(freeTail(bw), sep...)
+		sep = ",\n"
 		b = append(b, `{"name":"process_name","ph":"M","pid":`...)
-		b = strconv.AppendInt(b, int64(netPid), 10)
-		b = append(b, `,"args":{"name":"network"}}`...)
+		b = strconv.AppendInt(b, int64(pid), 10)
+		if pid == netPid {
+			b = append(b, `,"args":{"name":"network"}}`...)
+		} else {
+			b = append(b, `,"args":{"name":"router `...)
+			b = strconv.AppendInt(b, int64(pid), 10)
+			b = append(b, `"}}`...)
+		}
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
 	}
-
 	for i := range events {
-		ev := &events[i]
-		pid := netPid
-		if ev.Router >= 0 {
-			pid = int(ev.Router)
-		}
-		comma()
-		switch ev.Kind {
-		case KindPhaseActive:
-			b = appendChromeHead(b, "ACTIVE", "mpda", 'B', ev.T, pid)
-			b = append(b, '}')
-		case KindPhasePassive:
-			b = appendChromeHead(b, "ACTIVE", "mpda", 'E', ev.T, pid)
-			b = append(b, '}')
-		default:
-			b = appendChromeHead(b, ev.Kind.String(), kindCats[ev.Kind], 'i', ev.T, pid)
-			b = append(b, `,"s":"t","args":{`...)
-			b = appendChromeArgs(b, ev)
-			b = append(b, '}', '}')
+		b := appendChromeEvent(append(freeTail(bw), sep...), &events[i], netPid)
+		sep = ",\n"
+		if _, err := bw.Write(b); err != nil {
+			return err
 		}
 	}
-	b = append(b, "\n]}\n"...)
-	_, err := w.Write(b)
-	return err
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
 }
 
-// appendChromeHead writes the shared prefix of one trace event, leaving
-// the object open for args.
-func appendChromeHead(b []byte, name, cat string, ph byte, t float64, pid int) []byte {
-	b = append(b, `{"name":`...)
-	b = strconv.AppendQuote(b, name)
-	b = append(b, `,"cat":`...)
-	b = strconv.AppendQuote(b, cat)
-	b = append(b, `,"ph":"`...)
-	b = append(b, ph, '"')
-	b = append(b, `,"ts":`...)
-	b = strconv.AppendFloat(b, t*1e6, 'g', -1, 64)
+// appendChromeEvent appends one event's trace object; network-scope events
+// go to the netPid row.
+func appendChromeEvent(b []byte, ev *Event, netPid int) []byte {
+	if ev.Kind < numKinds {
+		b = append(b, chromeHeads[ev.Kind]...)
+	} else {
+		b = appendChromeHead(b, ev.Kind)
+	}
+	b = strconv.AppendFloat(b, ev.T*1e6, 'g', -1, 64)
+	pid := netPid
+	if ev.Router >= 0 {
+		pid = int(ev.Router)
+	}
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":0`...)
-	return b
+	if ev.Kind == KindPhaseActive || ev.Kind == KindPhasePassive {
+		return append(b, '}')
+	}
+	b = append(b, `,"s":"t","args":{`...)
+	b = appendChromeArgs(b, ev)
+	return append(b, '}', '}')
+}
+
+// chromeHeads holds each kind's trace-object prefix up to the timestamp's
+// value, `{"name":"lsu_send","cat":"control","ph":"i","ts":`, quoted once
+// here rather than on every event.
+var chromeHeads = func() (heads [numKinds]string) {
+	for k := range numKinds {
+		heads[k] = string(appendChromeHead(nil, k))
+	}
+	return heads
+}()
+
+// appendChromeHead writes a kind's trace-object prefix: an instant, or
+// for the ACTIVE phase's edges the begin or end of a duration span.
+func appendChromeHead(b []byte, k Kind) []byte {
+	var name string
+	var ph byte
+	switch k {
+	case KindPhaseActive:
+		name, ph = "ACTIVE", 'B'
+	case KindPhasePassive:
+		name, ph = "ACTIVE", 'E'
+	default:
+		name, ph = k.String(), 'i'
+	}
+	b = append(b, `{"name":`...)
+	b = strconv.AppendQuote(b, name)
+	b = append(b, `,"cat":`...)
+	b = strconv.AppendQuote(b, k.Category())
+	b = append(b, `,"ph":"`...)
+	b = append(b, ph, '"')
+	return append(b, `,"ts":`...)
 }
 
 // appendChromeArgs writes the applicable event attributes, keys drawn from

@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -203,5 +206,171 @@ func TestReadJSONLOversizedLine(t *testing.T) {
 		strings.Repeat("x", 1<<21) + `"}`
 	if _, err := ReadJSONL(strings.NewReader(line)); err == nil {
 		t.Fatal("oversized line accepted")
+	}
+}
+
+// fillCapture emits n events of every kind over four routers and the
+// network ring, labelling some, into a capture whose rings hold them all.
+func fillCapture(n int) *Capture {
+	c := NewCaptureSized(4, n, 1)
+	labels := []string{"", "", "", "link-fail 0-1", "", "fast", "", "rto"}
+	for i := range n {
+		ev := NewEvent(float64(i)/1000, Kind(i%int(numKinds)), graph.NodeID(i%5)-1)
+		ev.Peer, ev.Flow, ev.Pkt = graph.NodeID(i%3), int32(i%4)-1, uint32(i%2)
+		ev.Value, ev.Label = float64(i)*0.125, labels[i%len(labels)]
+		c.Trace.Emit(ev)
+	}
+	c.Metrics.Counter("control.msgs").Add(float64(n))
+	return c
+}
+
+// TestExportMatchesWriters: Export streams each file in chunks through the
+// same appenders the public writers use, so its two event files must equal
+// WriteJSONL and WriteChromeTrace of the same events byte for byte, and
+// the JSONL must equal the events' AppendJSONL lines, with each file long
+// enough to take several chunks.
+func TestExportMatchesWriters(t *testing.T) {
+	leaktest.Check(t)
+	dir := t.TempDir()
+	c := fillCapture(5000)
+	if err := c.Export(dir, "run"); err != nil {
+		t.Fatal(err)
+	}
+	events := c.Trace.Events()
+	var lines []byte
+	for _, ev := range events {
+		lines = append(AppendJSONL(lines, ev), '\n')
+	}
+	for _, w := range []struct {
+		file  string
+		write func(io.Writer, []Event) error
+	}{
+		{"run.events.jsonl", WriteJSONL},
+		{"run.trace.json", WriteChromeTrace},
+	} {
+		got, err := os.ReadFile(filepath.Join(dir, w.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < 3*chunkSize {
+			t.Fatalf("%s is %d bytes, want several %d-byte chunks", w.file, len(got), chunkSize)
+		}
+		var want bytes.Buffer
+		if err := w.write(&want, events); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s differs from its writer's output", w.file)
+		}
+		if w.file == "run.events.jsonl" && !bytes.Equal(got, lines) {
+			t.Errorf("%s differs from the events' AppendJSONL lines", w.file)
+		}
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, "run.metrics.txt"))
+	if err != nil || string(snap) != c.Metrics.Snapshot() {
+		t.Errorf("run.metrics.txt = %q, err %v; want the registry snapshot", snap, err)
+	}
+}
+
+// TestExportReportsWriteErrors: a file Export cannot create, a file it
+// cannot write (a link to /dev/full, where Linux has one), and a writer
+// that fails partway surface as errors instead of short artifacts.
+func TestExportReportsWriteErrors(t *testing.T) {
+	leaktest.Check(t)
+	c := fillCapture(5000)
+	if err := c.Export(filepath.Join(t.TempDir(), "missing"), "run"); err == nil {
+		t.Error("Export into a missing directory returned nil")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		dir := t.TempDir()
+		if err := os.Symlink("/dev/full", filepath.Join(dir, "run.trace.json")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Export(dir, "run"); err == nil {
+			t.Error("Export onto a full device returned nil")
+		}
+	}
+	events := fillCapture(5000).Trace.Events()
+	for _, write := range []func(io.Writer, []Event) error{WriteJSONL, WriteChromeTrace} {
+		if err := write(&failAfter{chunkSize}, events); err == nil {
+			t.Error("a writer that fails after one chunk was not reported")
+		}
+	}
+}
+
+// failAfter accepts n bytes in all and then fails.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		return 0, io.ErrShortWrite
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWritersEncodeUnknownKind: a kind outside the name table encodes as
+// kind(N) in the unknown category in both formats rather than panicking.
+func TestWritersEncodeUnknownKind(t *testing.T) {
+	leaktest.Check(t)
+	events := []Event{NewEvent(0.5, Kind(200), 1), NewEvent(1, KindLSUSend, 0)}
+	var jsonl, chrome bytes.Buffer
+	if err := WriteJSONL(&jsonl, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChromeTrace(&chrome, events); err != nil {
+		t.Fatal(err)
+	}
+	if want := `"kind":"kind(200)","router":1,`; !strings.Contains(jsonl.String(), want) {
+		t.Errorf("JSONL lacks %s:\n%s", want, jsonl.String())
+	}
+	if want := `{"name":"kind(200)","cat":"unknown","ph":"i","ts":500000,"pid":1,`; !strings.Contains(chrome.String(), want) {
+		t.Errorf("Chrome trace lacks %s:\n%s", want, chrome.String())
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatalf("Chrome trace is not valid JSON: %v", err)
+	}
+}
+
+// TestExportAllocBudget is the enabled path's allocation guard (make
+// telemetry-guard): Export allocates per file and per ring, never per
+// event, so ten times the events cost no more allocations; and Emit into
+// a ring that has grown to capacity, labelled or not, allocates nothing.
+func TestExportAllocBudget(t *testing.T) {
+	leaktest.Check(t)
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	dir := t.TempDir()
+	allocs := func(n int) float64 {
+		c := fillCapture(n)
+		return testing.AllocsPerRun(2, func() {
+			if err := c.Export(dir, "run"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := allocs(10_000), allocs(100_000)
+	t.Logf("Export allocations: %v for 10k events, %v for 100k", small, big)
+	if big > small {
+		t.Errorf("Export allocates %v times for 100k events, %v for 10k: the count grows with the events", big, small)
+	}
+
+	tr := NewTracer(4, 64)
+	ev := NewEvent(2, KindPktEnqueue, 1)
+	labelled := NewEvent(2, KindFaultStart, graph.None)
+	labelled.Label = "link-fail 0-1"
+	for range 64 { // grow both rings to capacity and intern the label
+		tr.Emit(ev)
+		tr.Emit(labelled)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.Emit(ev)
+		tr.Emit(labelled)
+	}); n != 0 {
+		t.Errorf("Emit into a grown ring allocates %v/op, want 0", n)
 	}
 }

@@ -23,11 +23,11 @@ func AppendJSONL(b []byte, ev Event) []byte {
 	b = append(b, ',')
 	b = appendAttr(b, AttrSeq)
 	b = strconv.AppendUint(b, ev.Seq, 10)
-	b = append(b, ',')
-	b = appendAttr(b, AttrKind)
-	b = strconv.AppendQuote(b, ev.Kind.String())
-	b = append(b, ',')
-	b = appendAttr(b, AttrRouter)
+	if ev.Kind < numKinds {
+		b = append(b, jsonlKinds[ev.Kind]...)
+	} else {
+		b = appendJSONLKind(b, ev.Kind)
+	}
 	b = strconv.AppendInt(b, int64(ev.Router), 10)
 	b = append(b, ',')
 	b = appendAttr(b, AttrPeer)
@@ -54,6 +54,24 @@ func AppendJSONL(b []byte, ev Event) []byte {
 	return append(b, '}')
 }
 
+// jsonlKinds holds each kind's line segment from the comma after seq up
+// to the router's value, `,"kind":"lsu_send","router":`, quoted once here
+// rather than on every event.
+var jsonlKinds = func() (segs [numKinds]string) {
+	for k := range numKinds {
+		segs[k] = string(appendJSONLKind(nil, k))
+	}
+	return segs
+}()
+
+func appendJSONLKind(b []byte, k Kind) []byte {
+	b = append(b, ',')
+	b = appendAttr(b, AttrKind)
+	b = strconv.AppendQuote(b, k.String())
+	b = append(b, ',')
+	return appendAttr(b, AttrRouter)
+}
+
 func appendAttr(b []byte, k AttrKey) []byte {
 	b = append(b, '"')
 	b = append(b, k...)
@@ -62,15 +80,16 @@ func appendAttr(b []byte, k AttrKey) []byte {
 
 // WriteJSONL writes events as one JSON object per line.
 func WriteJSONL(w io.Writer, events []Event) error {
-	var buf []byte
-	for _, ev := range events {
-		buf = AppendJSONL(buf[:0], ev)
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
+	return writeJSONL(bufio.NewWriterSize(w, chunkSize), events)
+}
+
+func writeJSONL(bw *bufio.Writer, events []Event) error {
+	for i := range events {
+		if _, err := bw.Write(append(AppendJSONL(freeTail(bw), events[i]), '\n')); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // jsonlEvent mirrors the wire schema for the reader. The tag strings must

@@ -26,8 +26,9 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"minroute/internal/graph"
 )
@@ -222,22 +223,53 @@ func NewEvent(t float64, k Kind, router graph.NodeID) Event {
 // packet events may wrap on long runs (surfaced via Dropped).
 const DefaultRingCap = 8192
 
+// record is an Event as a ring holds it: the same fields, except that the
+// label is an index into the emitting tracer's label table (0 for none,
+// else the table position plus one). Holding no pointer keeps the rings
+// out of the garbage collector's scan; labels are rare (fault names, the
+// ARQ's retransmission causes), so the table stays short.
+type record struct {
+	T      float64
+	Seq    uint64
+	Value  float64
+	Router graph.NodeID
+	Peer   graph.NodeID
+	Dst    graph.NodeID
+	Flow   int32
+	Pkt    uint32
+	label  uint32
+	Kind   Kind
+}
+
+// compareRecords orders records by (T, Seq), the merge key inside one
+// ring; Seq never repeats within a tracer.
+func compareRecords(a, b *record) int {
+	//lint:floateq-ok sort comparators need a strict weak order; tolerant equality is not transitive
+	if a.T != b.T {
+		if a.T < b.T {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
 // ring is one bounded event buffer: append until full, then overwrite the
-// oldest entry. Entries stay in emission (Seq) order: the logical sequence
-// is buf[head:] followed by buf[:head].
+// oldest entry. Entries stay in emission order: the logical sequence is
+// buf[head:] followed by buf[:head].
 type ring struct {
 	cap     int
-	buf     []Event
+	buf     []record
 	head    int
 	dropped uint64
 }
 
-func (r *ring) push(ev Event) {
+func (r *ring) push(rec *record) {
 	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, ev)
+		r.buf = append(r.buf, *rec)
 		return
 	}
-	r.buf[r.head] = ev
+	r.buf[r.head] = *rec
 	r.head++
 	if r.head == r.cap {
 		r.head = 0
@@ -245,14 +277,22 @@ func (r *ring) push(ev Event) {
 	r.dropped++
 }
 
-// ordered returns the retained events in emission order.
-func (r *ring) ordered() []Event {
-	if len(r.buf) < r.cap {
-		return r.buf
+// run returns the retained records in (T, Seq) order, as two segments to
+// read one after the other; a is empty only when the ring is. Emission order is that order whenever the
+// emitter's clock and origin never step back, as on the DES, and then run
+// returns the ring's own storage: the oldest entries up to the end of the
+// buffer, then the wrapped-around rest. Otherwise (a live node's
+// wall-clock stamps) it returns a sorted copy.
+func (r *ring) run() (a, b []record) {
+	a, b = r.buf[r.head:], r.buf[:r.head]
+	byKey := func(x, y record) int { return compareRecords(&x, &y) }
+	if slices.IsSortedFunc(a, byKey) && slices.IsSortedFunc(b, byKey) &&
+		(len(a) == 0 || len(b) == 0 || compareRecords(&a[len(a)-1], &b[0]) <= 0) {
+		return a, b
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	return append(out, r.buf[:r.head]...)
+	a = slices.Concat(a, b)
+	slices.SortFunc(a, byKey)
+	return a, nil
 }
 
 // seqCountBits is the width of the per-tracer emission count inside the
@@ -268,6 +308,9 @@ const seqCountBits = 40
 type Tracer struct {
 	rings []ring
 	count uint64
+	// labels is the table the rings' label indices point into. Emit fills
+	// it, so it shares the rings' single-writer rule.
+	labels []string
 	// origin, when set, supplies the emitter's origin priority (the des
 	// engine's ambient origin) for the packed ring stamp. Nil leaves the
 	// priority at zero, which preserves the legacy pure-emission-order
@@ -331,12 +374,29 @@ func (t *Tracer) Emit(ev Event) {
 	if t.origin != nil {
 		pri = t.origin()
 	}
-	ev.Seq = pri<<seqCountBits | t.count&(1<<seqCountBits-1)
+	rec := record{
+		T: ev.T, Seq: pri<<seqCountBits | t.count&(1<<seqCountBits-1), Value: ev.Value,
+		Router: ev.Router, Peer: ev.Peer, Dst: ev.Dst, Flow: ev.Flow, Pkt: ev.Pkt, Kind: ev.Kind,
+	}
+	if ev.Label != "" {
+		rec.label = t.intern(ev.Label)
+	}
 	i := len(t.rings) - 1
 	if r := int(ev.Router); r >= 0 && r < i {
 		i = r
 	}
-	t.rings[i].push(ev)
+	t.rings[i].push(&rec)
+}
+
+// intern returns label's index in the label table plus one, adding it on
+// first sight. A scan suffices: a run has a handful of distinct labels
+// (one per fault site, and the ARQ's two), and few events carry one.
+func (t *Tracer) intern(label string) uint32 {
+	if i := slices.Index(t.labels, label); i >= 0 {
+		return uint32(i) + 1
+	}
+	t.labels = append(t.labels, label)
+	return uint32(len(t.labels))
 }
 
 // Emitted returns the total number of events ever emitted across the
@@ -368,46 +428,87 @@ func (t *Tracer) Dropped() uint64 {
 	return n
 }
 
+// mergeRun is one ring's records in (T, Seq) order, recs then next,
+// consumed from the front by Events' k-way merge; labels is its tracer's
+// label table.
+type mergeRun struct {
+	recs, next []record
+	labels     []string
+}
+
 // Events merges the rings of the whole tracer family into one slice
 // ordered by (simulation time, packed origin serial) — the order a serial
 // run emits in, regardless of how many shards actually ran — then restamps
 // Seq with the merge rank so consumers see a contiguous 1-based serial.
 // The (T, Seq, ring ordinal) key is a total order: a packed serial never
 // repeats within one tracer, and each origin priority emits through one
-// tracer of the family.
+// tracer of the family. Each ring is already a sorted run (ring.run makes
+// sure), so the merge is a k-way heap merge of the runs into an exactly
+// sized slice.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	type tagged struct {
-		ev  Event
-		ord int
-	}
-	var all []tagged
-	ord := 0
+	var runs []mergeRun
+	n := 0
 	for _, tr := range append([]*Tracer{t}, t.sibs...) {
 		for i := range tr.rings {
-			for _, ev := range tr.rings[i].ordered() {
-				all = append(all, tagged{ev: ev, ord: ord})
+			if a, b := tr.rings[i].run(); len(a) > 0 {
+				runs = append(runs, mergeRun{recs: a, next: b, labels: tr.labels})
+				n += len(a) + len(b)
 			}
-			ord++
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		//lint:floateq-ok sort comparators need a strict weak order; tolerant equality is not transitive
-		if a.ev.T != b.ev.T {
-			return a.ev.T < b.ev.T
+	// heap is a binary min-heap of the non-empty runs' indices (their
+	// ordinals) ordered by (head record, ordinal).
+	heap := make([]int, len(runs))
+	for i := range heap {
+		heap[i] = i
+	}
+	less := func(i, j int) bool {
+		if c := compareRecords(&runs[i].recs[0], &runs[j].recs[0]); c != 0 {
+			return c < 0
 		}
-		if a.ev.Seq != b.ev.Seq {
-			return a.ev.Seq < b.ev.Seq
+		return i < j
+	}
+	siftDown := func(i int) {
+		for {
+			m := i
+			if c := 2*i + 1; c < len(heap) && less(heap[c], heap[m]) {
+				m = c
+			}
+			if c := 2*i + 2; c < len(heap) && less(heap[c], heap[m]) {
+				m = c
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
 		}
-		return a.ord < b.ord
-	})
-	out := make([]Event, len(all))
-	for i := range all {
-		out[i] = all[i].ev
-		out[i].Seq = uint64(i) + 1
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	out := make([]Event, n)
+	for k := range out {
+		r := &runs[heap[0]]
+		rec := &r.recs[0]
+		out[k] = Event{
+			T: rec.T, Seq: uint64(k) + 1, Kind: rec.Kind, Router: rec.Router, Peer: rec.Peer,
+			Dst: rec.Dst, Flow: rec.Flow, Pkt: rec.Pkt, Value: rec.Value,
+		}
+		if rec.label != 0 {
+			out[k].Label = r.labels[rec.label-1]
+		}
+		if r.recs = r.recs[1:]; len(r.recs) == 0 {
+			r.recs, r.next = r.next, nil
+		}
+		if len(r.recs) == 0 {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(0)
 	}
 	return out
 }
