@@ -43,7 +43,10 @@ test:
 # the packet paths rebuilt from the event log at shards 1, 2 and 3, the
 # router's cost trajectory, the fault injector's loss, duplication and
 # reorder positions on both faces of a medium, live-vs-DES
-# cross-validation on the routers' exact state encodings, and the routing
+# cross-validation on the routers' exact state encodings, the live boot
+# replayed by TestSteppedMeshDeterministic (NET1 and a 160-router scale-free
+# graph stepped in a seeded order on a virtual clock: one trace per seed at
+# GOMAXPROCS 1 and 2, protonet's hash for every seed), and the routing
 # agent's seam (no simulator import; a hand-written host drives its clocks,
 # pricing and AH): what a refactor runs to show nothing observable moved.
 # With them, the state encoding's tests (every field of
@@ -57,13 +60,13 @@ test:
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule|TestTelemetryArtifactsPinned' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule|TestTelemetryArtifactsPinned|TestSteppedMeshDeterministic' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
 
 race:
 	$(GO) test -race ./...
 
-# Concurrency soak: the packages that own goroutines (transport ARQ and
-# mesh, node sessions, simpool workers, telemetry sinks) repeated under
+# Concurrency soak: the packages that own goroutines (lane readers of the
+# ARQ conn and the node sessions, simpool workers, telemetry sinks) repeated under
 # the race detector with elevated parallelism and allocator stress.
 # GOMAXPROCS=16 widens the interleaving space beyond the default runner
 # cores; GOGC=5 forces frequent collections so freed-then-reused memory
@@ -111,8 +114,10 @@ ctrl-guard:
 # every invariant oracle armed, plus ten over the wire-format decoder (the
 # live transport's parse boundary), ten over graph edits against the
 # shortest-path tree repair, ten over LSU batches against the neighbor
-# distances' Dijkstra and ten over protonet schedules against the
-# collect-and-sort reference; the checked-in corpora replay regardless.
+# distances' Dijkstra, ten over protonet schedules against the
+# collect-and-sort reference, ten over interleavings of two ARQ machines on a
+# lossy, duplicating, reordering lane and ten over hostile peers facing one
+# node's sessions; the checked-in corpora replay regardless.
 fuzz:
 	$(GO) test -run FuzzChaosSchedule -fuzz FuzzChaosSchedule -fuzztime 10s ./internal/chaos
 	$(GO) test -run FuzzFrameRoundTrip -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire
@@ -121,6 +126,8 @@ fuzz:
 	$(GO) test -run FuzzRepair -fuzz FuzzRepair -fuzztime 10s ./internal/dijkstra
 	$(GO) test -run FuzzNeighborDistances -fuzz FuzzNeighborDistances -fuzztime 10s ./internal/pda
 	$(GO) test -run FuzzStepSchedule -fuzz FuzzStepSchedule -fuzztime 10s ./internal/protonet
+	$(GO) test -run FuzzARQ -fuzz FuzzARQ -fuzztime 10s ./internal/transport
+	$(GO) test -run FuzzSession -fuzz FuzzSession -fuzztime 10s ./internal/node
 
 # Longer randomized sweep: 200 seed-derived scenarios through both runners.
 chaos:

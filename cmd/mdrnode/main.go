@@ -427,12 +427,13 @@ func runNode(id, nodes int, listen string, acceptCost float64, await int, timeou
 	}
 
 	// Converge under the settle rule, each poll one Sample under the node's
-	// lock: enough peers, PASSIVE, drained windows, one state digest.
+	// lock: enough peers, PASSIVE, one state digest, and drained windows
+	// at the settling poll.
 	var digest string
-	poll := func() (bool, string) {
+	poll := func() (bool, bool, string) {
 		s := n.Sample()
 		digest = s.Digest
-		return s.Eligible(), s.Digest
+		return s.Steady(), s.Drained(), s.Digest
 	}
 	if !obs.Await(poll, int(timeout/pollEvery.Seconds()), func() { time.Sleep(pollEvery) }) {
 		return fmt.Errorf("node %d did not converge within %gs", id, timeout)

@@ -1,8 +1,8 @@
 // Package leaktest fails a test when goroutines started during it are
 // still running at its end.
 //
-// The live stack is full of owned goroutines — ARQ read/write loops, mesh
-// writer queues, node sessions, simpool workers — and every one of them
+// The live stack is full of owned goroutines — the lane readers of ARQ
+// conns and node sessions, simpool workers — and every one of them
 // has a documented stop path (DESIGN.md §13). A test that exits while one
 // of those goroutines is still running has found an ownership bug: a
 // Close that doesn't join, a timer that re-arms after teardown, a session

@@ -69,7 +69,7 @@ func TestLinkInstrumentsAliasing(t *testing.T) {
 		Nodes: []*Node{n0, n1},
 		regs:  []*telemetry.Registry{telemetry.NewRegistry(0), telemetry.NewRegistry(0)},
 	}
-	li := m.linkInstruments(0, 1, MeshConfig{Clock: clk, Metrics: shared}, true)
+	li := m.linkInstruments(0, 1, MeshConfig{Clock: clk, Metrics: shared})
 	if li.retx == nil || li.win == nil || li.wq == nil {
 		t.Fatal("linkInstruments returned nil handles")
 	}

@@ -12,18 +12,19 @@ import (
 	"minroute/internal/transport"
 )
 
-// Fabric selects the transport a Mesh wires its links with.
+// Fabric selects the lanes a Mesh wires its links with. Every fabric runs
+// the same session and ARQ over them.
 type Fabric string
 
 const (
-	// FabricInmem uses synchronous in-memory pipes — the reference
-	// transport, fastest and loss-free.
+	// FabricInmem uses in-memory packet pipes — the reference lanes,
+	// fastest and loss-free up to their ring.
 	FabricInmem Fabric = "inmem"
-	// FabricTCP runs one loopback TCP listener per node and dials real
-	// sockets per link.
+	// FabricTCP connects one loopback TCP stream per link, each a lane
+	// read one frame at a time.
 	FabricTCP Fabric = "tcp"
-	// FabricUDP binds a loopback UDP socket pair per link with the ARQ
-	// layer on top; MeshConfig.Fault perturbs the datagrams beneath it.
+	// FabricUDP binds a loopback UDP socket pair per link;
+	// MeshConfig.Fault perturbs the datagrams beneath the ARQ.
 	FabricUDP Fabric = "udp"
 )
 
@@ -38,15 +39,15 @@ type MeshConfig struct {
 	// Fault perturbs every UDP link's datagrams (both directions, per-link
 	// derived seeds). Only valid with FabricUDP.
 	Fault transport.Fault
-	// ARQ tunes the UDP retransmission layer.
+	// ARQ tunes every link's retransmission layer.
 	ARQ transport.ARQConfig
 	// HeartbeatEvery/DeadAfter configure every node's sessions.
 	HeartbeatEvery float64
 	DeadAfter      float64
 	// Trace, when non-nil, receives all nodes' events.
 	Trace *Trace
-	// Metrics, when non-nil, receives per directed link the writer-queue
-	// gauge and, on UDP, an `arq.retransmits.<a>-<b>` counter and an
+	// Metrics, when non-nil, receives per directed link the backlog
+	// gauge, an `arq.retransmits.<a>-<b>` counter and an
 	// `arq.window.<a>-<b>` occupancy gauge; reads are atomic, so they may be
 	// scraped while the mesh is live.
 	Metrics *telemetry.Registry
@@ -70,10 +71,8 @@ type MeshConfig struct {
 type Mesh struct {
 	Nodes []*Node
 
-	degree    []int
-	regs      []*telemetry.Registry
-	listeners []*transport.TCPListener
-	dataNet   *transport.MemNet // the inmem fabric's data-plane switchboard
+	regs    []*telemetry.Registry
+	dataNet *transport.MemNet // the inmem fabric's data-plane switchboard
 }
 
 // dataForwarder builds node id's data-plane forwarder: a data port on the
@@ -123,19 +122,25 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 	if cfg.CostOf == nil {
 		return nil, fmt.Errorf("node: MeshConfig.CostOf is required")
 	}
+	switch cfg.Fabric {
+	case FabricInmem, "", FabricTCP, FabricUDP:
+	default:
+		return nil, fmt.Errorf("node: unknown fabric %q", cfg.Fabric)
+	}
 	if cfg.Fault.Active() && cfg.Fabric != FabricUDP {
 		return nil, fmt.Errorf("node: fault injection requires FabricUDP, not %q", cfg.Fabric)
 	}
 	nn := g.NumNodes()
-	m := &Mesh{Nodes: make([]*Node, nn), degree: make([]int, nn)}
+	m := &Mesh{Nodes: make([]*Node, nn)}
 
 	// Index directed links and count expected degrees first: a node's
 	// degree is its readiness peer floor, so it must be known at
 	// construction time.
 	dir := make(map[[2]graph.NodeID]*graph.Link)
+	degree := make([]int, nn)
 	for _, l := range g.Links() {
 		dir[[2]graph.NodeID{l.From, l.To}] = l
-		m.degree[l.From]++
+		degree[l.From]++
 	}
 
 	if cfg.ObsAddr != "" {
@@ -153,7 +158,7 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 			HeartbeatEvery: cfg.HeartbeatEvery, DeadAfter: cfg.DeadAfter,
 			Trace:       cfg.Trace,
 			ObsAddr:     cfg.ObsAddr,
-			ExpectPeers: m.degree[i],
+			ExpectPeers: degree[i],
 		}
 		if m.regs != nil {
 			nc.Metrics = m.regs[i]
@@ -197,75 +202,57 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 		}
 	}
 
-	switch cfg.Fabric {
-	case FabricInmem, "", FabricUDP:
-		for _, l := range g.Links() {
-			a, b := l.From, l.To
-			if a >= b {
-				continue // one pipe or socket pair per duplex link
-			}
-			var ca, cb transport.Conn
-			var err error
-			if cfg.Fabric == FabricUDP {
-				ca, cb, err = m.udpLink(a, b, cfg)
-			} else {
-				ca, cb = transport.Pipe()
-				m.linkInstruments(a, b, cfg, false)
-				m.linkInstruments(b, a, cfg, false)
-			}
-			if err != nil {
-				m.Close()
-				return nil, err
-			}
-			m.Nodes[a].AddPeer(ca, costTo(a))
-			m.Nodes[b].AddPeer(cb, costTo(b))
+	var tcp *transport.TCPListener
+	if cfg.Fabric == FabricTCP {
+		l, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			m.Close()
+			return nil, err
 		}
-	case FabricTCP:
-		for _, n := range m.Nodes {
-			l, err := transport.ListenTCP("127.0.0.1:0")
-			if err != nil {
-				m.Close()
-				return nil, err
-			}
-			m.listeners = append(m.listeners, l)
-			go acceptLoop(l, n, costTo(n.ID()))
+		defer l.Close()
+		tcp = l
+	}
+	for _, l := range g.Links() {
+		a, b := l.From, l.To
+		if a >= b {
+			continue // one lane pair per duplex link
 		}
-		for _, l := range g.Links() {
-			a, b := l.From, l.To
-			if a >= b {
-				continue // the lower endpoint dials
-			}
-			c, err := transport.DialTCP(m.listeners[b].Addr())
-			if err != nil {
-				m.Close()
-				return nil, err
-			}
-			m.linkInstruments(a, b, cfg, false)
-			m.linkInstruments(b, a, cfg, false)
-			m.Nodes[a].AddPeer(c, costTo(a))
+		la, lb, err := lanes(a, b, cfg, tcp)
+		if err != nil {
+			m.Close()
+			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("node: unknown fabric %q", cfg.Fabric)
+		arqA, arqB := cfg.ARQ, cfg.ARQ
+		arqA.Stats = arqStats(a, b, m.linkInstruments(a, b, cfg), cfg)
+		arqB.Stats = arqStats(b, a, m.linkInstruments(b, a, cfg), cfg)
+		m.Nodes[a].addPeer(la, costTo(a), arqA)
+		m.Nodes[b].addPeer(lb, costTo(b), arqB)
 	}
 	return m, nil
 }
 
-// acceptLoop feeds inbound TCP sessions to the node until the listener
-// closes.
-func acceptLoop(l *transport.TCPListener, n *Node, costOf func(graph.NodeID) (float64, bool)) {
-	for {
-		c, err := l.Accept()
+// lanes builds the two ends of one duplex link between a and b: an
+// in-memory pipe, a loopback TCP stream accepted on tcp, or a UDP socket
+// pair with per-link per-direction fault seeds derived from the configured
+// base seed, so two meshes with equal MeshConfig see identical
+// perturbation sequences.
+func lanes(a, b graph.NodeID, cfg MeshConfig, tcp *transport.TCPListener) (la, lb transport.Packet, err error) {
+	switch cfg.Fabric {
+	case FabricTCP:
+		c, err := transport.DialTCP(tcp.Addr())
 		if err != nil {
-			return
+			return nil, nil, err
 		}
-		n.AddPeer(c, costOf)
+		s, err := tcp.Accept()
+		if err != nil {
+			c.Close()
+			return nil, nil, err
+		}
+		return c, s, nil
+	case FabricInmem, "":
+		la, lb = transport.PacketPipe()
+		return la, lb, nil
 	}
-}
-
-// udpLink builds one duplex UDP+ARQ link between a and b, with per-link
-// per-direction fault seeds derived from the configured base seed so two
-// meshes with equal MeshConfig see identical perturbation sequences.
-func (m *Mesh) udpLink(a, b graph.NodeID, cfg MeshConfig) (ca, cb transport.Conn, err error) {
 	pa, err := transport.BindUDP("127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
@@ -286,31 +273,21 @@ func (m *Mesh) udpLink(a, b graph.NodeID, cfg MeshConfig) (ca, cb transport.Conn
 	fa, fb := cfg.Fault, cfg.Fault
 	fa.Seed = cfg.Fault.Seed ^ (uint64(a)<<20 | uint64(b)<<4 | 1)
 	fb.Seed = cfg.Fault.Seed ^ (uint64(a)<<20 | uint64(b)<<4 | 2)
-	arqA, arqB := cfg.ARQ, cfg.ARQ
-	arqA.Stats = arqStats(a, b, m.linkInstruments(a, b, cfg, true), cfg)
-	arqB.Stats = arqStats(b, a, m.linkInstruments(b, a, cfg, true), cfg)
-	ca = transport.NewARQ(transport.WithFaults(pa, fa), arqA, cfg.Clock)
-	cb = transport.NewARQ(transport.WithFaults(pb, fb), arqB, cfg.Clock)
-	return ca, cb, nil
+	return transport.WithFaults(pa, fa), transport.WithFaults(pb, fb), nil
 }
 
 // linkInstruments resolves one directed link's instrument handles, once, at
 // link setup on the mesh-building goroutine: name formatting and registry
 // lookups never run on a path reachable per frame or per retransmission,
-// and arqStats's callbacks write through the pointers alone. arq selects
-// the ARQ pair (UDP fabric only); the writer-queue depth gauge
-// (session.writeq.<a>-<b>) exists on every fabric — frames queue toward a
-// peer no matter what transport drains them. The handles are also installed
-// on the owning node for its /peers dump.
-func (m *Mesh) linkInstruments(local, remote graph.NodeID, cfg MeshConfig, arq bool) peerInstruments {
+// and arqStats's callbacks write through the pointers alone. The handles
+// are also installed on the owning node for its /peers dump.
+func (m *Mesh) linkInstruments(local, remote graph.NodeID, cfg MeshConfig) peerInstruments {
 	var li peerInstruments
 	if cfg.Metrics == nil && m.regs == nil {
 		return li
 	}
-	if arq {
-		li.retx = m.counter(local, fmt.Sprintf("arq.retransmits.%d-%d", local, remote), cfg.Metrics)
-		li.win = m.gauge(local, fmt.Sprintf("arq.window.%d-%d", local, remote), cfg.Metrics)
-	}
+	li.retx = m.counter(local, fmt.Sprintf("arq.retransmits.%d-%d", local, remote), cfg.Metrics)
+	li.win = m.gauge(local, fmt.Sprintf("arq.window.%d-%d", local, remote), cfg.Metrics)
 	li.wq = m.gauge(local, fmt.Sprintf("session.writeq.%d-%d", local, remote), cfg.Metrics)
 	m.Nodes[local].setPeerStats(remote, li)
 	return li
@@ -339,7 +316,7 @@ func (m *Mesh) gauge(local graph.NodeID, name string, mesh *telemetry.Registry) 
 	return g
 }
 
-// arqStats builds the observer for one directed UDP link, bridging the
+// arqStats builds the observer for one directed link, bridging the
 // transport's stats hooks into the mesh's trace and the precomputed
 // instruments. Returns nil (observation fully disabled) when neither
 // sink is configured; the enabled metrics-only path is alloc-free (see
@@ -397,29 +374,22 @@ func (m *Mesh) ObsURLs() []string {
 // Ready reports whether every node has at least its topology degree of
 // peer sessions up (obs.Sample.Eligible's definition of fully peered).
 func (m *Mesh) Ready() bool {
-	for i, n := range m.Nodes {
-		if n.PeerCount() < m.degree[i] {
-			return false
-		}
-	}
-	return true
+	return m.every(func(s obs.Sample) bool { return len(s.Peers) >= s.MinPeers })
 }
 
 // Passive reports whether every router is in the PASSIVE phase.
-func (m *Mesh) Passive() bool {
-	for _, n := range m.Nodes {
-		if !n.Passive() {
-			return false
-		}
-	}
-	return true
-}
+func (m *Mesh) Passive() bool { return m.every(func(s obs.Sample) bool { return s.Passive }) }
 
 // Quiescent reports whether every router is PASSIVE and every transport
 // window has drained — the live analogue of protonet's empty queues.
 func (m *Mesh) Quiescent() bool {
+	return m.every(func(s obs.Sample) bool { return s.Passive && s.Outstanding == 0 })
+}
+
+// every reports whether f holds of every node's readiness sample.
+func (m *Mesh) every(f func(obs.Sample) bool) bool {
 	for _, n := range m.Nodes {
-		if !n.Passive() || n.Outstanding() != 0 {
+		if !f(n.readiness()) {
 			return false
 		}
 	}
@@ -429,23 +399,25 @@ func (m *Mesh) Quiescent() bool {
 // Hash digests every router's state encoding, in ID order, for
 // cross-validation against a simulator reference.
 func (m *Mesh) Hash() string {
-	_, digest := m.poll()
+	_, _, digest := m.poll()
 	return digest
 }
 
 // poll is one settle-rule poll of the whole mesh, each node read under its
-// own lock: eligible when every node's readiness is, and the digest of the
+// own lock: steady and drained when every node is, and the digest of the
 // routers' state encodings concatenated in ID order.
-func (m *Mesh) poll() (eligible bool, digest string) {
-	eligible = true
+func (m *Mesh) poll() (steady, drained bool, digest string) {
+	steady, drained = true, true
 	var state []byte
 	for _, n := range m.Nodes {
 		n.mu.Lock()
-		eligible = n.readinessLocked().Eligible() && eligible
+		s := n.readinessLocked()
+		steady = s.Steady() && steady
+		drained = s.Drained() && drained
 		state = n.agent.Protocol().AppendState(state)
 		n.mu.Unlock()
 	}
-	return eligible, mpda.Digest(state)
+	return steady, drained, mpda.Digest(state)
 }
 
 // tableView is a static lfi.RouterView snapshot of one live router,
@@ -482,8 +454,8 @@ func (m *Mesh) CheckLoopFree() error {
 }
 
 // AwaitConverged polls until the mesh settles under obs.Settle: every node
-// fully peered, PASSIVE and with drained windows, and Hash unchanged, for
-// obs.StablePolls polls in a row. sleep runs between polls (a real sleep of
+// fully peered and PASSIVE and Hash unchanged for obs.StablePolls polls in
+// a row, every window drained at the last. sleep runs between polls (a real sleep of
 // obs.PollEvery, or an Advance of a virtual clock); it fails after maxPolls.
 func (m *Mesh) AwaitConverged(maxPolls int, sleep func()) error {
 	if !obs.Await(m.poll, maxPolls, sleep) {
@@ -492,11 +464,8 @@ func (m *Mesh) AwaitConverged(maxPolls int, sleep func()) error {
 	return nil
 }
 
-// Close tears every node and listener down.
+// Close tears every node down.
 func (m *Mesh) Close() {
-	for _, l := range m.listeners {
-		l.Close()
-	}
 	for _, n := range m.Nodes {
 		if n != nil {
 			n.Close()

@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"minroute/internal/leaktest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -95,5 +96,45 @@ func TestMeshFabricsAgreeNET1(t *testing.T) {
 			awaitMesh(t, m)
 			compareStates(t, m, ref)
 		})
+	}
+}
+
+// TestMeshGoroutineBudget pins what a live session costs: once a mesh has
+// converged, at most one goroutine per directed link (its lane's reader)
+// plus one per node (a firing clock timer) above the baseline, on the
+// in-memory and UDP fabrics alike; and Close leaves none behind.
+func TestMeshGoroutineBudget(t *testing.T) {
+	leaktest.Check(t)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"net1", topo.NET1().Graph},
+		{"sf80", topo.ScaleFree(1, 80, 2, 1e7, 2e-3)},
+	} {
+		for _, fabric := range []node.Fabric{node.FabricInmem, node.FabricUDP} {
+			t.Run(tc.name+"/"+string(fabric), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				m, err := node.NewMesh(tc.g, node.MeshConfig{
+					Fabric:         fabric,
+					Clock:          node.NewWallClock(),
+					CostOf:         topo.PropCost,
+					ARQ:            transport.ARQConfig{RTO: 0.01, MaxRTO: 0.2},
+					HeartbeatEvery: 0.2,
+					DeadAfter:      60,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				awaitMesh(t, m)
+				budget := len(tc.g.Links()) + tc.g.NumNodes()
+				if got := runtime.NumGoroutine() - base; got > budget {
+					t.Errorf("%d goroutines above baseline, budget %d (%d directed links + %d nodes)",
+						got, budget, len(tc.g.Links()), tc.g.NumNodes())
+				}
+				m.Close()
+				waitUntil(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= base })
+			})
+		}
 	}
 }

@@ -1,30 +1,34 @@
 // Package node hosts live routers: each Node runs one router.Agent — the
 // per-router algorithm the simulator runs, with both clocks off and its link
-// costs handed in by the sessions — over peer sessions on real transports
-// (in-memory pipes, TCP, or UDP with the ARQ layer).
+// costs handed in by the sessions — over peer sessions, one per lane
+// (in-memory packet pipes, UDP sockets or TCP streams).
 //
 // The runtime supplies what the paper assumes and the simulator emulates:
-// reliable in-order LSU delivery (the transport's job) and neighbor up/down
-// detection (a HELLO handshake and heartbeat dead timers). MPDA's converged
-// state is schedule-independent — at quiescence every router holds FD_j =
-// D_j over the same link database — so a live mesh must land on the exact
-// tables the deterministic simulator computes. mpda.Router.AppendState
-// encodes that state exactly; TestCrossValidation compares the two worlds'
-// encodings.
+// reliable in-order LSU delivery (a transport.ARQ per session) and
+// neighbor up/down detection (a HELLO handshake, heartbeats and a dead
+// deadline). MPDA's converged state is schedule-independent — at quiescence
+// every router holds FD_j = D_j over the same link database — so a live
+// mesh must land on the exact tables the deterministic simulator computes.
+// mpda.Router.AppendState encodes that state exactly; TestCrossValidation
+// compares the two worlds' encodings.
 //
-// Concurrency: one mutex per Node guards the agent and the peer table. The
-// read loops, and the agent's calls back into the node (an LSU to send, a
-// φ_j to publish), run under it. Outbound frames go through per-peer queues
-// drained by writer goroutines, so the agent never blocks on a transport
-// under the lock and no cross-node lock cycle can form. A queue that reaches
-// maxWriteQueue frames means the peer stopped reading: the session ends as a
-// dead link rather than growing memory without limit.
+// Concurrency: one mutex per Node guards the agent and every session —
+// its HELLO phase, its ARQ machine, its deadlines and its backlog. A
+// session's one goroutine is its lane's reader: it reads a datagram, locks
+// the node, steps the session, the agent and every session the step gave
+// frames to, unlocks, and only then writes what those sessions emitted.
+// The node's one clock timer, armed at the earliest session deadline,
+// steps the same way. No transport call blocks under the lock, so no
+// cross-node lock cycle can form; frames the send window has no room for
+// wait in the session's backlog, and one that reaches maxWriteQueue frames
+// means the peer stopped acknowledging: the session ends as a dead link
+// rather than growing memory without limit.
 package node
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -127,25 +131,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// peer is one live neighbor session.
-type peer struct {
-	id   graph.NodeID
-	cost float64
-	conn transport.Conn
-	out  *transport.Queue
-	hb   transport.Timer
-	dead transport.Timer
-	// deadGen invalidates a dead timer that fired as a frame reset it (Stop
-	// cannot un-run a callback blocked on the node lock).
-	deadGen uint64
-	down    bool
-	// overflowed latches at maxWriteQueue: nothing more is queued, as a gap
-	// would break reliable delivery.
-	overflowed bool
+// session is one peer link: the lane, the ARQ machine over it and the
+// session state around that — the HELLO phase, the liveness deadlines and
+// the frames waiting for window space. Node.mu guards the fields; out
+// belongs to whoever holds the write turn.
+type session struct {
+	lane   transport.Packet
+	costOf func(peer graph.NodeID) (float64, bool)
+	arq    *transport.ARQ
+	id     graph.NodeID // the peer, once its HELLO arrived
+	cost   float64
+	up     bool // HELLO in: the link is the agent's
+	ended  bool // torn down, lane closed
+	heard  float64
+	beat   float64 // next heartbeat due
+	// backlog holds frames the full window has no room for yet, in order.
+	backlog []*wire.Frame
+	// overflow, set inside a step, ends the session after it: the agent
+	// must not see a re-entrant LinkDown.
+	overflow bool
+	touched  bool // listed in Node.touched for the current step
+	// writing marks a goroutine holding the write turn, and out are its
+	// datagrams; steps meanwhile leave theirs to it.
+	writing bool
+	out     [][]byte
 }
 
-// maxWriteQueue bounds a peer's writer queue in frames. Whole bursts drain
-// per wakeup, so only a transport that stopped accepting frames gets here.
+// maxWriteQueue bounds a session's backlog in frames. A window of
+// unacknowledged frames comes first, so only a peer that stopped
+// acknowledging gets here.
 const maxWriteQueue = 1 << 14
 
 // nodeStats holds the node's session instruments, resolved once so no
@@ -155,8 +169,8 @@ type nodeStats struct {
 	peerDowns *telemetry.Counter
 	lsusSent  *telemetry.Counter
 	lsusRecv  *telemetry.Counter
-	// wqOverflows counts sessions ended because the peer's writer queue
-	// hit maxWriteQueue.
+	// wqOverflows counts sessions ended because the backlog hit
+	// maxWriteQueue.
 	wqOverflows *telemetry.Counter
 	// evEmitted/evDropped mirror the (usually mesh-wide) bus's totals.
 	evEmitted *telemetry.Counter
@@ -170,7 +184,7 @@ type nodeStats struct {
 type peerInstruments struct {
 	retx *telemetry.Counter
 	win  *telemetry.Gauge
-	// wq mirrors the writer-queue depth: a queue growing between scrapes
+	// wq mirrors the backlog depth: a backlog growing between scrapes
 	// marks a link slower than its control traffic.
 	wq *telemetry.Gauge
 }
@@ -184,13 +198,21 @@ type Node struct {
 
 	mu    sync.Mutex
 	agent *router.Agent
-	peers map[graph.NodeID]*peer
-	// handshakes holds conns still in the HELLO exchange, whose goroutine
-	// may block in Recv: Close reaps them, or a silent remote would leak it.
-	handshakes map[transport.Conn]struct{}
-	peerStats  map[graph.NodeID]peerInstruments
-	obs        *obs.Server
-	closed     bool
+	// sessions are the live ones, in attach order; peers indexes those
+	// that are up by peer ID.
+	sessions []*session
+	peers    []*session
+	npeers   int
+	// touched are the sessions the current step gave something to do.
+	touched []*session
+	// timer is the node's one clock timer, due at timerAt; gen invalidates
+	// a firing that raced its replacement.
+	timer     transport.Timer
+	timerAt   float64
+	gen       uint64
+	peerStats map[graph.NodeID]peerInstruments
+	obs       *obs.Server
+	closed    bool
 	// routes[j] is the forwarding entry φ_j was last published as, and
 	// republish marks entries the data plane has not been handed yet (both
 	// only with Config.Data).
@@ -208,12 +230,12 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: ID %d outside ID space of %d nodes", cfg.ID, cfg.Nodes)
 	}
 	n := &Node{
-		cfg:        cfg,
-		id:         cfg.ID,
-		clk:        cfg.Clock,
-		peers:      make(map[graph.NodeID]*peer),
-		handshakes: make(map[transport.Conn]struct{}),
-		peerStats:  make(map[graph.NodeID]peerInstruments),
+		cfg:       cfg,
+		id:        cfg.ID,
+		clk:       cfg.Clock,
+		peers:     make([]*session, cfg.Nodes),
+		timerAt:   math.Inf(1),
+		peerStats: make(map[graph.NodeID]peerInstruments),
 	}
 	// The registry's maps are unlocked: look every name up before going live.
 	n.stats = nodeStats{
@@ -252,9 +274,6 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// ID returns the node's router ID.
-func (n *Node) ID() graph.NodeID { return n.id }
-
 // emit sends one event stamped with the node clock (n.mu may be held).
 func (n *Node) emit(k telemetry.Kind, peer graph.NodeID, value float64, label string) {
 	if n.cfg.Trace == nil {
@@ -284,10 +303,10 @@ func (n *Node) setRoute(j graph.NodeID, phi alloc.Split, _ []graph.NodeID) {
 }
 
 // sendLSU is the agent's SendLSU, called under n.mu. A missing peer means
-// the link raced down, and a dead link carries nothing.
+// the link went down, and a dead link carries nothing.
 func (n *Node) sendLSU(to graph.NodeID, m *lsu.Msg) {
-	p := n.peers[to]
-	if p == nil || p.down {
+	s := n.peers[to]
+	if s == nil {
 		return
 	}
 	f, err := wire.NewLSU(m)
@@ -296,227 +315,296 @@ func (n *Node) sendLSU(to graph.NodeID, m *lsu.Msg) {
 	}
 	n.stats.lsusSent.Inc()
 	n.emit(telemetry.KindLSUSend, to, float64(f.EncodedBytes()*8), "")
-	n.enqueueLocked(p, f)
+	n.sendLocked(s, f)
 }
 
-// enqueueLocked hands f to p's writer. A full queue ends the session: MPDA
-// assumes reliable delivery, so the link is declared dead rather than the
-// frame dropped — from a zero-delay timer, as sendLSU runs inside the agent,
-// which must not see a re-entrant LinkDown.
-func (n *Node) enqueueLocked(p *peer, f *wire.Frame) {
-	if p.overflowed {
+// sendLocked hands f to s's ARQ, or to its backlog behind a full window
+// (or behind a frame the ARQ refuses, which then waits there for good). A
+// backlog at maxWriteQueue overflows the session: MPDA assumes reliable
+// delivery, so the link is declared dead rather than the frame dropped.
+func (n *Node) sendLocked(s *session, f *wire.Frame) {
+	if s.ended || s.overflow {
 		return
 	}
-	if p.out.Depth() < maxWriteQueue {
-		p.out.Push(f)
-		return
+	n.touch(s)
+	switch {
+	case len(s.backlog) == 0 && s.arq.Send(f) == nil:
+	case len(s.backlog) == maxWriteQueue:
+		s.overflow = true
+		n.stats.wqOverflows.Inc()
+	default:
+		s.backlog = append(s.backlog, f)
 	}
-	p.overflowed = true
-	n.stats.wqOverflows.Inc()
-	n.clk.AfterFunc(0, func() {
-		n.peerDown(p, "overflow")
-		// The writer is wedged inside Send; closing the conn frees it.
-		p.conn.Close()
-	})
+}
+
+// touch lists s among the sessions the current step must finish.
+func (n *Node) touch(s *session) {
+	if !s.touched {
+		s.touched = true
+		n.touched = append(n.touched, s)
+	}
 }
 
 // setPeerStats installs the instrument handles for the link to peer. The
-// mesh calls this at link setup; any handle may be nil (fabrics without ARQ
-// leave retx and win nil).
+// mesh calls this at link setup; any handle may be nil.
 func (n *Node) setPeerStats(peer graph.NodeID, li peerInstruments) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.peerStats[peer] = li
 }
 
-// AddPeer runs a session over conn on its own goroutines: HELLOs both ways,
-// the link cost from costOf (false rejects the peer and closes conn), then
-// the link up until the connection dies, a BYE arrives or the dead timer
-// fires.
-func (n *Node) AddPeer(conn transport.Conn, costOf func(peer graph.NodeID) (float64, bool)) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		conn.Close()
-		return
-	}
-	// Register before spawning: from this point Close knows about the conn
-	// and will close it, which unblocks a session stuck in the handshake.
-	n.handshakes[conn] = struct{}{}
-	n.mu.Unlock()
-	go n.session(conn, costOf)
+// AddPeer runs a session over lane, which the node owns from here on, with
+// the default ARQ: HELLOs both ways, the link cost from costOf (run under
+// the node's lock; false refuses the peer and closes lane), then the link
+// up until the lane dies, a BYE arrives or the peer falls silent for
+// DeadAfter. The lane's reader is the session's one goroutine.
+func (n *Node) AddPeer(lane transport.Packet, costOf func(peer graph.NodeID) (float64, bool)) {
+	n.addPeer(lane, costOf, transport.ARQConfig{})
 }
 
-// abortHandshake drops a failed handshake from the reap set and closes conn.
-func (n *Node) abortHandshake(conn transport.Conn) {
-	n.mu.Lock()
-	delete(n.handshakes, conn)
-	n.mu.Unlock()
-	conn.Close()
+// addPeer is AddPeer with the link's ARQ configuration.
+func (n *Node) addPeer(lane transport.Packet, costOf func(peer graph.NodeID) (float64, bool), arq transport.ARQConfig) {
+	if s := n.attach(lane, costOf, arq); s != nil {
+		go n.readLoop(s)
+	}
 }
 
-func (n *Node) session(conn transport.Conn, costOf func(peer graph.NodeID) (float64, bool)) {
-	if err := conn.Send(wire.NewHello(n.id)); err != nil {
-		n.abortHandshake(conn)
-		return
+// attach registers a session on lane and sends its HELLO, starting no
+// goroutine: nil means the node is closed, and lane with it.
+func (n *Node) attach(lane transport.Packet, costOf func(peer graph.NodeID) (float64, bool), arq transport.ARQConfig) (s *session) {
+	n.step(func() {
+		if n.closed {
+			lane.Close()
+			return
+		}
+		s = &session{lane: lane, costOf: costOf, arq: transport.NewARQMachine(arq)}
+		n.sessions = append(n.sessions, s)
+		n.sendLocked(s, wire.NewHello(n.id))
+	})
+	return s
+}
+
+// readLoop feeds s the datagrams its lane delivers until the lane dies.
+func (n *Node) readLoop(s *session) {
+	buf := make([]byte, transport.MaxDatagram)
+	for {
+		k, err := s.lane.ReadPacket(buf)
+		if err != nil {
+			n.step(func() { n.endLocked(s, "closed") })
+			return
+		}
+		n.receive(s, buf[:k])
 	}
-	f, err := conn.Recv()
-	if err != nil || f.Type != wire.TypeHello {
-		n.abortHandshake(conn)
-		return
-	}
+}
+
+// step runs fn under n.mu as one step, finishes it, and writes after
+// unlocking what the sessions it touched emitted.
+func (n *Node) step(fn func()) {
+	n.mu.Lock()
+	fn()
+	ws := n.stepEndLocked()
+	n.mu.Unlock()
+	n.write(ws)
+}
+
+// receive steps s's ARQ with dgram and hands every in-order frame it
+// releases to the session.
+func (n *Node) receive(s *session, dgram []byte) {
+	n.step(func() {
+		if s.ended {
+			return
+		}
+		n.touch(s)
+		now := n.clk.Now()
+		for _, f := range s.arq.Handle(now, dgram) {
+			if s.ended || s.overflow {
+				break
+			}
+			s.heard = now // any frame proves liveness
+			if !s.up {
+				n.helloLocked(s, f, now)
+				continue
+			}
+			switch f.Type {
+			case wire.TypeLSU:
+				// An LSU reports its sender's own table: one that names another
+				// origin would be written into that neighbor's T_k.
+				if m, err := wire.LSUMsg(f); err == nil && m.From == s.id {
+					n.stats.lsusRecv.Inc()
+					n.agent.HandleLSU(m)
+				}
+			case wire.TypeBye:
+				n.endLocked(s, "bye")
+			default:
+				// HELLO repeats and heartbeats carry no protocol payload.
+			}
+		}
+	})
+}
+
+// helloLocked brings s up on its first frame, which must be a HELLO naming
+// a router in the ID space that is neither this node nor a peer already up
+// and that costOf accepts; anything else refuses the session.
+func (n *Node) helloLocked(s *session, f *wire.Frame, now float64) {
 	pid, err := wire.HelloNode(f)
-	if err != nil || int(pid) < 0 || int(pid) >= n.cfg.Nodes || pid == n.id {
-		n.abortHandshake(conn)
+	if err != nil || int(pid) < 0 || int(pid) >= n.cfg.Nodes || pid == n.id || n.peers[pid] != nil {
+		n.endLocked(s, "")
 		return
 	}
-	cost, ok := costOf(pid)
+	cost, ok := s.costOf(pid)
 	if !ok {
-		n.abortHandshake(conn)
+		n.endLocked(s, "")
 		return
 	}
-
-	p := &peer{id: pid, cost: cost, conn: conn, out: transport.NewQueue()}
-	n.mu.Lock()
-	delete(n.handshakes, conn)
-	if n.closed || n.peers[pid] != nil {
-		n.mu.Unlock()
-		conn.Close()
-		return
-	}
-	n.peers[pid] = p
-	go n.writeLoop(p)
-	n.armHeartbeatLocked(p)
-	n.armDeadLocked(p)
+	s.id, s.cost, s.up = pid, cost, true
+	s.beat = now + n.cfg.HeartbeatEvery
+	n.peers[pid] = s
+	n.npeers++
 	n.stats.peerUps.Inc()
-	n.stats.peersUp.Set(float64(len(n.peers)))
+	n.stats.peersUp.Set(float64(n.npeers))
 	n.emit(telemetry.KindPeerUp, pid, cost, "")
 	n.agent.LinkUp(pid, cost)
-	n.publishDataLocked()
-	n.mu.Unlock()
-
-	n.readLoop(p)
 }
 
-// writeLoop drains the peer's queue onto the transport. It owns conn.Close:
-// the queue drains before it fails, so a BYE flushes first.
-func (n *Node) writeLoop(p *peer) {
-	for {
-		// A whole burst per lock round-trip, back-to-back: on the ARQ small
-		// LSUs coalesce into MTU-sized datagrams.
-		fs, err := p.out.PopAll()
-		if err != nil {
-			p.conn.Close()
-			return
-		}
-		for _, f := range fs {
-			if p.conn.Send(f) != nil {
-				p.conn.Close()
-				return
-			}
-		}
-	}
-}
-
-// readLoop applies inbound frames to the router until the session ends.
-func (n *Node) readLoop(p *peer) {
-	for {
-		f, err := p.conn.Recv()
-		if err != nil {
-			n.peerDown(p, "closed")
-			return
-		}
-		n.mu.Lock()
-		if p.down {
-			n.mu.Unlock()
-			return
-		}
-		// Any traffic proves liveness: push the dead timer out.
-		p.dead.Stop()
-		n.armDeadLocked(p)
-		switch f.Type {
-		case wire.TypeLSU:
-			// An LSU reports its sender's own table: one that names another
-			// origin would be written into that neighbor's T_k.
-			if m, err := wire.LSUMsg(f); err == nil && m.From == p.id {
-				n.stats.lsusRecv.Inc()
-				n.agent.HandleLSU(m)
-				n.publishDataLocked()
-			}
-		case wire.TypeBye:
-			n.peerDownLocked(p, "bye")
-			n.mu.Unlock()
-			return
-		default:
-			// HELLO repeats and heartbeats carry no protocol payload.
-		}
-		n.mu.Unlock()
-	}
-}
-
-// armHeartbeatLocked schedules the next keepalive; each firing re-arms.
-func (n *Node) armHeartbeatLocked(p *peer) {
-	p.hb = n.clk.AfterFunc(n.cfg.HeartbeatEvery, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if p.down {
-			return
-		}
-		n.enqueueLocked(p, wire.NewHeartbeat())
-		n.armHeartbeatLocked(p)
-	})
-}
-
-// armDeadLocked schedules the silent-peer deadline.
-func (n *Node) armDeadLocked(p *peer) {
-	p.deadGen++
-	gen := p.deadGen
-	p.dead = n.clk.AfterFunc(n.cfg.DeadAfter, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if gen != p.deadGen {
-			return // reset by traffic after this firing was committed
-		}
-		n.peerDownLocked(p, "timeout")
-	})
-}
-
-func (n *Node) peerDown(p *peer, reason string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.peerDownLocked(p, reason)
-}
-
-// peerDownLocked tears a session down once: timers, registry, agent, writer.
-func (n *Node) peerDownLocked(p *peer, reason string) {
-	if p.down {
+// endLocked tears s down once: lane, peer table, agent. The node's session
+// list drops it at the end of the step.
+func (n *Node) endLocked(s *session, reason string) {
+	if s.ended {
 		return
 	}
-	p.down = true
-	p.hb.Stop()
-	p.dead.Stop()
-	delete(n.peers, p.id)
+	s.ended = true
+	s.lane.Close()
+	if !s.up {
+		return
+	}
+	n.peers[s.id] = nil
+	n.npeers--
 	n.stats.peerDowns.Inc()
-	n.stats.peersUp.Set(float64(len(n.peers)))
-	n.emit(telemetry.KindPeerDown, p.id, 0, reason)
-	n.agent.LinkDown(p.id)
+	n.stats.peersUp.Set(float64(n.npeers))
+	n.emit(telemetry.KindPeerDown, s.id, 0, reason)
+	n.agent.LinkDown(s.id)
+}
+
+// onTimer is the clock's step: dead peers end, due heartbeats go out and
+// the ARQs retransmit what is overdue.
+func (n *Node) onTimer(gen uint64) {
+	n.step(func() {
+		if n.closed || gen != n.gen {
+			return
+		}
+		n.timerAt = math.Inf(1)
+		now := n.clk.Now()
+		for _, s := range n.sessions {
+			n.touch(s)
+			if s.up && now >= s.heard+n.cfg.DeadAfter {
+				n.endLocked(s, "timeout")
+				continue
+			}
+			if s.up && now >= s.beat {
+				n.sendLocked(s, wire.NewHeartbeat())
+				s.beat = now + n.cfg.HeartbeatEvery
+			}
+			s.arq.Tick(now)
+		}
+	})
+}
+
+// stepEndLocked finishes a step: it ends the sessions the step overflowed,
+// hands the data plane new routes, moves backlogs into the windows that
+// have room, and takes the write turn of every touched session with
+// datagrams to send, returning those for write once n.mu is released.
+func (n *Node) stepEndLocked() []*session {
+	// Ending a session runs LinkDown, which may touch and overflow others.
+	for i := 0; i < len(n.touched); i++ {
+		if s := n.touched[i]; s.overflow {
+			n.endLocked(s, "overflow")
+		}
+	}
 	n.publishDataLocked()
-	p.out.Close()
+	now := n.clk.Now()
+	var ws []*session
+	for _, s := range n.touched {
+		s.touched = false
+		if s.ended {
+			continue
+		}
+		for len(s.backlog) > 0 && s.arq.Send(s.backlog[0]) == nil {
+			s.backlog[0] = nil
+			s.backlog = s.backlog[1:]
+		}
+		if !s.writing {
+			s.out = s.arq.Flush(now, s.out)
+			if s.writing = len(s.out) > 0; s.writing {
+				ws = append(ws, s)
+			}
+		}
+	}
+	n.touched = n.touched[:0]
+	n.sessions = slices.DeleteFunc(n.sessions, func(s *session) bool { return s.ended })
+	n.armLocked()
+	return ws
+}
+
+// write is the write turn of each session in ws: it writes the datagrams
+// flushed under the lock, then flushes and writes what later steps left
+// to it, and lets the turn go once there is nothing more.
+func (n *Node) write(ws []*session) {
+	for _, s := range ws {
+		// The turn is this goroutine's, so s.out is too until it lets go.
+		for out := s.out; len(out) > 0; {
+			for _, d := range out {
+				// Best effort: a lane that fails to write is dying, and its
+				// reader ends the session.
+				_ = s.lane.WritePacket(d)
+			}
+			n.mu.Lock()
+			out = nil
+			if !s.ended {
+				s.out = s.arq.Flush(n.clk.Now(), s.out)
+				out = s.out
+			}
+			s.writing = len(out) > 0
+			n.armLocked()
+			n.mu.Unlock()
+		}
+	}
+}
+
+// armLocked makes the node's timer fire by the earliest session deadline
+// — heartbeat, dead peer or retransmission. A timer already due sooner
+// stays: firing early only re-arms.
+func (n *Node) armLocked() {
+	at := math.Inf(1)
+	for _, s := range n.sessions {
+		at = min(at, s.arq.Deadline())
+		if s.up {
+			at = min(at, s.beat, s.heard+n.cfg.DeadAfter)
+		}
+	}
+	if n.closed || math.IsInf(at, 1) || at >= n.timerAt {
+		return
+	}
+	if n.timer != nil {
+		n.timer.Stop()
+	}
+	n.gen++
+	gen := n.gen
+	n.timerAt = at
+	n.timer = n.clk.AfterFunc(max(at-n.clk.Now(), 0), func() { n.onTimer(gen) })
 }
 
 // ChangeCost sets the cost of the link to peer k (the live analogue of
 // protonet.ChangeCost).
-func (n *Node) ChangeCost(k graph.NodeID, cost float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	p := n.peers[k]
-	if p == nil {
-		return fmt.Errorf("node %d: no live peer %d", n.id, k)
-	}
-	p.cost = cost
-	n.agent.LinkCostChange(k, cost)
-	n.publishDataLocked()
-	return nil
+func (n *Node) ChangeCost(k graph.NodeID, cost float64) (err error) {
+	n.step(func() {
+		if int(k) < 0 || int(k) >= len(n.peers) || n.peers[k] == nil {
+			err = fmt.Errorf("node %d: no live peer %d", n.id, k)
+			return
+		}
+		n.peers[k].cost = cost
+		n.agent.LinkCostChange(k, cost)
+	})
+	return err
 }
 
 // DataPlane returns the node's forwarder, or nil without a data plane.
@@ -534,49 +622,23 @@ func (n *Node) publishDataLocked() {
 }
 
 // Passive reports whether the router is in the PASSIVE phase.
-func (n *Node) Passive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return !n.agent.Protocol().Active()
-}
+func (n *Node) Passive() bool { return n.readiness().Passive }
 
 // PeerCount returns the number of live peer sessions.
-func (n *Node) PeerCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.peers)
-}
+func (n *Node) PeerCount() int { return len(n.readiness().Peers) }
 
 // Peers returns the live peer IDs in ascending order.
 func (n *Node) Peers() []graph.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.peerIDsLocked()
-}
-
-func (n *Node) peerIDsLocked() []graph.NodeID {
-	ids := make([]graph.NodeID, 0, len(n.peers))
-	//lint:maporder-ok keys are collected and sorted before use
-	for id := range n.peers {
-		ids = append(ids, id)
+	var ids []graph.NodeID
+	for _, p := range n.readiness().Peers {
+		ids = append(ids, graph.NodeID(p.ID))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
 // Outstanding sums the peers' unacknowledged transport windows: zero means
 // every frame sent has reached its neighbor.
-func (n *Node) Outstanding() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	total := 0
-	for _, id := range n.peerIDsLocked() {
-		if o, ok := n.peers[id].conn.(interface{ Outstanding() int }); ok {
-			total += o.Outstanding()
-		}
-	}
-	return total
-}
+func (n *Node) Outstanding() int { return n.readiness().Outstanding }
 
 // Summary renders this node's routing state for people (see
 // RouterSummary).
@@ -587,7 +649,8 @@ func (n *Node) Summary() string {
 }
 
 // Close ends every session with a BYE, so peers need not wait out their
-// dead timers, and reaps the obs server.
+// dead timers, and reaps the obs server. The BYE and whatever else the
+// windows still queue go out once, best effort, before each lane closes.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -595,26 +658,34 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
-	for _, id := range n.peerIDsLocked() {
-		p := n.peers[id]
-		p.down = true
-		p.hb.Stop()
-		p.dead.Stop()
-		delete(n.peers, id)
-		p.out.Push(wire.NewBye())
-		p.out.Close()
+	if n.timer != nil {
+		n.timer.Stop()
 	}
-	// Closing a mid-handshake conn errors its session out via abortHandshake.
-	//lint:maporder-ok a transport.Conn key has no order to walk; each close only errors out its own handshake
-	for conn := range n.handshakes {
-		delete(n.handshakes, conn)
-		conn.Close()
+	n.gen++
+	ended := n.sessions
+	for _, s := range ended {
+		s.ended = true
+		if s.up {
+			n.peers[s.id] = nil
+		}
 	}
+	n.sessions, n.npeers = nil, 0
 	n.stats.peersUp.Set(0)
 	srv := n.obs
 	n.obs = nil
-	// The obs server samples state through n.mu: close it outside the lock.
 	n.mu.Unlock()
+	// Ended under the lock, the sessions are Close's alone: no step touches
+	// an ended session's machine, and a write turn still sending only reads
+	// its own datagrams.
+	for _, s := range ended {
+		if s.up && len(s.backlog) == 0 && s.arq.Send(wire.NewBye()) == nil {
+			for _, d := range s.arq.Flush(n.clk.Now(), nil) {
+				_ = s.lane.WritePacket(d)
+			}
+		}
+		s.lane.Close()
+	}
+	// The obs server samples state through n.mu: close it outside the lock.
 	if srv != nil {
 		srv.Close()
 	}
@@ -654,24 +725,26 @@ func (n *Node) Sample() obs.Sample {
 	return s
 }
 
+// readiness samples, under n.mu, the fields readinessLocked fills.
+func (n *Node) readiness() obs.Sample {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.readinessLocked()
+}
+
 // readinessLocked fills, under n.mu, the Sample fields Eligible reads:
 // the phase and the expected and live peers with their windows.
 func (n *Node) readinessLocked() obs.Sample {
 	s := obs.Sample{ID: int(n.id), Passive: !n.agent.Protocol().Active(), MinPeers: n.cfg.ExpectPeers}
-	for _, id := range n.peerIDsLocked() {
-		p := n.peers[id]
-		pi := obs.Peer{ID: int(id), Cost: p.cost}
-		if o, ok := p.conn.(interface{ Outstanding() int }); ok {
-			pi.Outstanding = o.Outstanding()
-			s.Outstanding += pi.Outstanding
+	for id, ps := range n.peers {
+		if ps == nil {
+			continue
 		}
-		if r, ok := p.conn.(interface{ RTO() float64 }); ok {
-			pi.RTO = r.RTO()
-		}
-		inst := n.peerStats[id]
+		pi := obs.Peer{ID: id, Cost: ps.cost, Outstanding: ps.arq.Outstanding(), RTO: ps.arq.RTO(), Queue: len(ps.backlog)}
+		s.Outstanding += pi.Outstanding
+		inst := n.peerStats[graph.NodeID(id)]
 		pi.Retransmits = inst.retx.Value()
 		pi.Window = inst.win.Value()
-		pi.Queue = p.out.Depth()
 		s.Peers = append(s.Peers, pi)
 	}
 	return s
@@ -707,7 +780,7 @@ func dataSample(f *dataplane.Forwarder) *obs.DataSample {
 }
 
 // refreshObsMetrics, before a /metrics gather, samples the bus's totals
-// (mesh-wide) and each live peer's writer-queue depth.
+// (mesh-wide) and each live peer's backlog depth.
 func (n *Node) refreshObsMetrics() {
 	if n.cfg.Trace != nil {
 		n.stats.evEmitted.Set(float64(n.cfg.Trace.Emitted()))
@@ -715,9 +788,9 @@ func (n *Node) refreshObsMetrics() {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, id := range n.peerIDsLocked() {
-		if inst := n.peerStats[id]; inst.wq != nil {
-			inst.wq.Set(float64(n.peers[id].out.Depth()))
+	for id, s := range n.peers {
+		if inst := n.peerStats[graph.NodeID(id)]; s != nil && inst.wq != nil {
+			inst.wq.Set(float64(len(s.backlog)))
 		}
 	}
 }

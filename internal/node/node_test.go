@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,6 +32,38 @@ func fixedCost(c float64) func(graph.NodeID) (float64, bool) {
 	return func(graph.NodeID) (float64, bool) { return c, true }
 }
 
+// watchedLane is a node's lane that reports when the node closes it.
+type watchedLane struct {
+	transport.Packet
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (l *watchedLane) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return l.Packet.Close()
+}
+
+func (l *watchedLane) isClosed() bool {
+	select {
+	case <-l.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// farPipe returns a lane for the node under test and, on the other end of
+// an in-memory pipe, the ARQ Conn the test plays the peer through (closed
+// when the test ends).
+func farPipe(t *testing.T, clk transport.Clock) (*watchedLane, transport.Conn) {
+	t.Helper()
+	a, b := transport.PacketPipe()
+	far := transport.NewARQ(b, transport.ARQConfig{}, clk)
+	t.Cleanup(func() { far.Close() })
+	return &watchedLane{Packet: a, closed: make(chan struct{})}, far
+}
+
 // TestHandshakeBringsLinkUp: two live nodes over an in-memory pipe
 // exchange HELLOs, bring the link up, and converge to each other's
 // distance.
@@ -48,7 +81,7 @@ func TestHandshakeBringsLinkUp(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	ca, cb := transport.Pipe()
+	ca, cb := transport.PacketPipe()
 	a.AddPeer(ca, fixedCost(2.5))
 	b.AddPeer(cb, fixedCost(2.5))
 
@@ -86,7 +119,7 @@ func TestHeartbeatKeepsSessionAlive(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	ca, cb := transport.Pipe()
+	ca, cb := transport.PacketPipe()
 	a.AddPeer(ca, fixedCost(1))
 	b.AddPeer(cb, fixedCost(1))
 	waitUntil(t, "sessions up", func() bool {
@@ -118,7 +151,7 @@ func TestDeadTimerDropsSilentPeer(t *testing.T) {
 	}
 	defer a.Close()
 
-	ca, cb := transport.Pipe()
+	ca, cb := farPipe(t, clk)
 	a.AddPeer(ca, fixedCost(3))
 	// The test plays the remote peer by hand: handshake, then silence.
 	if err := cb.Send(wire.NewHello(1)); err != nil {
@@ -162,7 +195,7 @@ func TestByeDropsPeerImmediately(t *testing.T) {
 	}
 	defer a.Close()
 
-	ca, cb := transport.Pipe()
+	ca, cb := farPipe(t, clk)
 	a.AddPeer(ca, fixedCost(3))
 	if err := cb.Send(wire.NewHello(1)); err != nil {
 		t.Fatal(err)
@@ -186,16 +219,13 @@ func TestCostOfRejectsUnknownPeer(t *testing.T) {
 	}
 	defer a.Close()
 
-	ca, cb := transport.Pipe()
+	ca, cb := farPipe(t, clk)
 	a.AddPeer(ca, func(p graph.NodeID) (float64, bool) { return 0, false })
 	if err := cb.Send(wire.NewHello(1)); err != nil {
 		t.Fatal(err)
 	}
-	// The node must close the connection instead of registering the peer.
-	waitUntil(t, "connection rejected", func() bool {
-		_, err := cb.Recv()
-		return err != nil
-	})
+	// The node must close the lane instead of registering the peer.
+	waitUntil(t, "connection rejected", ca.isClosed)
 	if a.PeerCount() != 0 {
 		t.Fatalf("rejected peer registered anyway")
 	}
@@ -210,7 +240,7 @@ func TestChangeCost(t *testing.T) {
 	b, _ := node.New(node.Config{ID: 1, Nodes: 2, Clock: clk})
 	defer a.Close()
 	defer b.Close()
-	ca, cb := transport.Pipe()
+	ca, cb := transport.PacketPipe()
 	a.AddPeer(ca, fixedCost(2))
 	b.AddPeer(cb, fixedCost(2))
 	waitUntil(t, "converged", func() bool {
@@ -229,9 +259,9 @@ func TestChangeCost(t *testing.T) {
 }
 
 // TestCloseReapsPendingHandshake: a session whose remote never answers the
-// HELLO sits blocked in Recv. Close must reach that conn and reap the
-// goroutine — before the handshake-reap fix, the session (and its conn)
-// leaked past Close. leaktest arms the actual leak check.
+// HELLO keeps its lane's reader waiting. Close must reach that lane and
+// reap the reader — before the handshake-reap fix, the session (and its
+// conn) leaked past Close. leaktest arms the actual leak check.
 func TestCloseReapsPendingHandshake(t *testing.T) {
 	leaktest.Check(t)
 	clk := transport.NewVirtualClock()
@@ -240,29 +270,29 @@ func TestCloseReapsPendingHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ca, cb := transport.Pipe()
-	// The far side swallows our HELLO and goes silent, so the session
-	// parks in Recv waiting for a reply that will never come.
-	helloSeen := make(chan error, 1)
-	go func() {
-		_, err := cb.Recv()
-		helloSeen <- err
-	}()
+	ca, cb := transport.PacketPipe()
 	n.AddPeer(ca, fixedCost(1))
-	if err := <-helloSeen; err != nil {
+	// The far side swallows our HELLO and goes silent, so the reader waits
+	// for a reply that will never come.
+	buf := make([]byte, transport.MaxDatagram)
+	k, err := cb.ReadPacket(buf)
+	if err != nil {
 		t.Fatalf("far side failed to read our HELLO: %v", err)
+	}
+	if f, err := wire.Decode(buf[:k]); err != nil || f.Type != wire.TypeHello {
+		t.Fatalf("far side got %v, %v, want our HELLO", f, err)
 	}
 
 	n.Close()
 	if n.PeerCount() != 0 {
 		t.Fatalf("PeerCount() = %d after Close, want 0", n.PeerCount())
 	}
-	// Deliberately no cb.Close(): the session's exit must come from our
+	// Deliberately no cb.Close(): the reader's exit must come from our
 	// Close reaping ca, not from the far side hanging up.
 }
 
-// TestAddPeerAfterCloseClosesConn: a conn handed to a closed node must be
-// released immediately, not parked in a handshake goroutine forever.
+// TestAddPeerAfterCloseClosesConn: a lane handed to a closed node must be
+// released immediately, not left to a reader forever.
 func TestAddPeerAfterCloseClosesConn(t *testing.T) {
 	leaktest.Check(t)
 	clk := transport.NewVirtualClock()
@@ -272,12 +302,9 @@ func TestAddPeerAfterCloseClosesConn(t *testing.T) {
 	}
 	n.Close()
 
-	ca, cb := transport.Pipe()
+	ca, _ := farPipe(t, clk)
 	n.AddPeer(ca, fixedCost(1))
-	waitUntil(t, "conn closed by AddPeer on a closed node", func() bool {
-		_, err := cb.Recv()
-		return err != nil
-	})
+	waitUntil(t, "lane closed by AddPeer on a closed node", ca.isClosed)
 }
 
 // playPeer joins a as router id over an in-memory pipe, played by hand: it
@@ -286,7 +313,7 @@ func TestAddPeerAfterCloseClosesConn(t *testing.T) {
 // conn closes. The returned end is for the test's own LSUs.
 func playPeer(t *testing.T, a *node.Node, id graph.NodeID, cost float64) transport.Conn {
 	t.Helper()
-	ca, cb := transport.Pipe()
+	ca, cb := farPipe(t, transport.NewVirtualClock())
 	before := a.PeerCount()
 	a.AddPeer(ca, fixedCost(cost))
 	if err := cb.Send(wire.NewHello(id)); err != nil {
@@ -368,7 +395,8 @@ func TestLSUEntryOutsideIDSpaceDropped(t *testing.T) {
 
 // TestHelloOutsideIDSpaceRejected: a HELLO whose ID has the top bit set
 // decodes to a negative NodeID, which used to pass the upper-bound check
-// and index the router's tables at LinkUp. The session is refused.
+// and index the router's tables at LinkUp. It cannot cross a lane; one
+// naming a router past the ID space can, and that session is refused.
 func TestHelloOutsideIDSpaceRejected(t *testing.T) {
 	leaktest.Check(t)
 	a, err := node.New(node.Config{ID: 0, Nodes: 4, Clock: transport.NewVirtualClock()})
@@ -376,15 +404,17 @@ func TestHelloOutsideIDSpaceRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	ca, cb := transport.Pipe()
+	ca, cb := farPipe(t, transport.NewVirtualClock())
 	a.AddPeer(ca, fixedCost(1))
-	if err := cb.Send(wire.NewHello(-3)); err != nil {
+	// The top-bit ID no longer gets that far: the wire format refuses to
+	// encode it, and a lane's decoder drops it like any corrupt frame.
+	if err := cb.Send(wire.NewHello(-3)); err == nil {
+		t.Fatal("a HELLO naming a negative node went out")
+	}
+	if err := cb.Send(wire.NewHello(4)); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "connection rejected", func() bool {
-		_, err := cb.Recv()
-		return err != nil
-	})
+	waitUntil(t, "connection rejected", ca.isClosed)
 	if a.PeerCount() != 0 {
 		t.Fatalf("PeerCount = %d, want 0", a.PeerCount())
 	}

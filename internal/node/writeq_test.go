@@ -12,51 +12,21 @@ import (
 	"minroute/internal/wire"
 )
 
-// stalledConn is a peer whose transport has stopped reading: it answers
-// the HELLO exchange, then every further Send blocks until Close, and Recv
-// never yields another frame.
-type stalledConn struct {
-	hello  chan *wire.Frame
-	closed chan struct{}
+// closeWatch is a lane that reports whether the node closed it.
+type closeWatch struct {
+	transport.Packet
 	once   sync.Once
-	mu     sync.Mutex
-	sends  int
+	closed chan struct{}
 }
 
-func newStalledConn(peer graph.NodeID) *stalledConn {
-	c := &stalledConn{hello: make(chan *wire.Frame, 1), closed: make(chan struct{})}
-	c.hello <- wire.NewHello(peer)
-	return c
+func (l *closeWatch) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return l.Packet.Close()
 }
 
-func (c *stalledConn) Send(*wire.Frame) error {
-	c.mu.Lock()
-	c.sends++
-	first := c.sends == 1 // our own HELLO goes through
-	c.mu.Unlock()
-	if first {
-		return nil
-	}
-	<-c.closed
-	return transport.ErrClosed
-}
-
-func (c *stalledConn) Recv() (*wire.Frame, error) {
-	select {
-	case f := <-c.hello:
-		return f, nil
-	case <-c.closed:
-		return nil, transport.ErrClosed
-	}
-}
-
-func (c *stalledConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return nil
-}
-
-// TestStalledPeerOverflowsWriterQueue: a peer that stops accepting frames
-// makes its writer queue grow (heartbeats alone suffice) until it hits
+// TestStalledPeerOverflowsWriterQueue: a peer that answers the HELLO and
+// then acknowledges nothing fills the ARQ window, after which frames wait in
+// the session's backlog (heartbeats alone suffice) until it hits
 // maxWriteQueue; the session then ends as a dead link — peer_down with
 // reason "overflow", LinkDown to the router, one session.writeq_overflows —
 // rather than growing without bound or dropping a frame silently.
@@ -71,8 +41,20 @@ func TestStalledPeerOverflowsWriterQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	conn := newStalledConn(1)
-	n.AddPeer(conn, func(graph.NodeID) (float64, bool) { return 1, true })
+	a, far := transport.PacketPipe()
+	defer far.Close()
+	lane := &closeWatch{Packet: a, closed: make(chan struct{})}
+	// A small window: the backlog, not the window, is under test.
+	n.addPeer(lane, func(graph.NodeID) (float64, bool) { return 1, true }, transport.ARQConfig{Window: 4})
+	hello := wire.NewHello(1)
+	hello.Seq = 1
+	dgram, err := hello.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := far.WritePacket(dgram); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; n.PeerCount() != 1; i++ {
 		if i > 2000 {
 			t.Fatal("session with the stalled peer never came up")
@@ -80,23 +62,26 @@ func TestStalledPeerOverflowsWriterQueue(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	n.mu.Lock()
-	p := n.peers[1]
+	s := n.peers[1]
 	n.mu.Unlock()
+	backlog := func() int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(s.backlog)
+	}
 
-	// One heartbeat per virtual second; the writer holds at most the first
-	// burst, so the queue fills within maxWriteQueue + a few beats.
+	// One heartbeat per virtual second; the window holds the first few, so
+	// the backlog fills within maxWriteQueue + a few beats.
 	peak := 0
 	for beat := 0; beat < maxWriteQueue+16 && n.PeerCount() == 1; beat++ {
 		clk.Advance(1)
-		if d := p.out.Depth(); d > peak {
-			peak = d
-		}
+		peak = max(peak, backlog())
 	}
 	if n.PeerCount() != 0 {
-		t.Fatalf("stalled peer still up with %d frames queued", p.out.Depth())
+		t.Fatalf("stalled peer still up with %d frames waiting", backlog())
 	}
 	if peak > maxWriteQueue {
-		t.Fatalf("writer queue reached %d frames, bound is %d", peak, maxWriteQueue)
+		t.Fatalf("backlog reached %d frames, bound is %d", peak, maxWriteQueue)
 	}
 	if _, up := n.agent.Protocol().Tables().AdjCost(1); up {
 		t.Fatal("router still believes the link to the stalled peer up")
@@ -114,8 +99,8 @@ func TestStalledPeerOverflowsWriterQueue(t *testing.T) {
 		t.Fatalf("peer_down reasons = %v, want [overflow]", reasons)
 	}
 	select {
-	case <-conn.closed:
+	case <-lane.closed:
 	default:
-		t.Fatal("the stalled conn was not closed; its writer is wedged forever")
+		t.Fatal("the stalled peer's lane was not closed")
 	}
 }

@@ -12,9 +12,10 @@
 //
 // Readiness is the settle rule (Settle) run per node on its
 // transport.Clock: ready once StablePolls polls in a row found the node
-// Eligible — PASSIVE, fully peered, windows drained — with one state
-// digest. node.Mesh.AwaitConverged runs the same rule over a whole mesh,
-// so /readyz turning 200 on every node is its distributed analogue.
+// PASSIVE and fully peered with one state digest, the last of them with
+// its windows drained. node.Mesh.AwaitConverged runs the same rule over a
+// whole mesh, so /readyz turning 200 on every node is its distributed
+// analogue.
 package obs
 
 import (
@@ -151,7 +152,7 @@ func (s *Server) pollTick() {
 	if s.closed {
 		return
 	}
-	s.settle.Observe(sample.Eligible(), sample.Digest)
+	s.settle.Observe(sample.Steady(), sample.Drained(), sample.Digest)
 	s.armPollLocked()
 }
 

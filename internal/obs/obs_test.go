@@ -232,21 +232,28 @@ func TestReadinessStreak(t *testing.T) {
 	if r := readyz(); r.Ready || r.Streak != 1 {
 		t.Fatalf("changed state should reset streak: %+v", r)
 	}
-	// ...as does losing eligibility mid-streak.
+	// A window holding frames keeps the streak but not readiness...
 	fn.set(func(s *obs.Sample) { s.Outstanding = 2 })
 	clk.Advance(obs.PollEvery)
+	if r := readyz(); r.Ready || r.Streak != 2 {
+		t.Fatalf("undrained node should keep its streak, not be ready: %+v", r)
+	}
+	// ...while losing PASSIVE mid-streak zeroes it.
+	fn.set(func(s *obs.Sample) { s.Passive = false })
+	clk.Advance(obs.PollEvery)
 	if r := readyz(); r.Ready || r.Streak != 0 {
-		t.Fatalf("ineligible node should zero the streak: %+v", r)
+		t.Fatalf("unsteady node should zero the streak: %+v", r)
 	}
 }
 
 // TestSettleRule pins the one settle rule on a scripted poll sequence:
-// the streak resets on every ineligible poll — not PASSIVE, short of
-// peers, or a transport window still holding frames — and restarts at one
-// on a new digest, and the state settles at exactly the StablePolls-th
-// equal eligible poll. obs.Await, the loop node.Mesh.AwaitConverged and
-// mdrnode run, and a Server polling the same samples on a VirtualClock
-// reach the same verdict at the same poll.
+// the streak resets on every poll that is not steady — not PASSIVE, or
+// short of peers — and restarts at one on a new digest; a poll with a
+// transport window still holding frames counts toward the streak but
+// cannot settle it, so the state settles at the first drained poll once
+// StablePolls equal steady polls are in. obs.Await, the loop
+// node.Mesh.AwaitConverged and mdrnode run, and a Server polling the same
+// samples on a VirtualClock reach the same verdict at the same poll.
 func TestSettleRule(t *testing.T) {
 	leaktest.Check(t)
 	ok := obs.Sample{Passive: true, MinPeers: 1, Peers: []obs.Peer{{ID: 1}}, Digest: "a"}
@@ -255,9 +262,11 @@ func TestSettleRule(t *testing.T) {
 		mut(&s)
 		return s
 	}
-	// Every run of equal eligible polls but the last is one poll short, so
-	// a streak that survived an ineligible poll or a digest change would
-	// settle early.
+	// Every run of equal steady polls but the last is one poll short, so a
+	// streak that survived an unsteady poll or a digest change would settle
+	// early; the last reaches StablePolls on undrained polls, so only the
+	// drained one after them may settle it, and only if they did not reset
+	// the streak.
 	var script []obs.Sample
 	add := func(s obs.Sample, n int) {
 		for i := 0; i < n; i++ {
@@ -269,29 +278,29 @@ func TestSettleRule(t *testing.T) {
 	add(ok, obs.StablePolls-1)
 	add(with(func(s *obs.Sample) { s.Peers = nil }), 1)
 	add(ok, obs.StablePolls-1)
-	add(with(func(s *obs.Sample) { s.Outstanding = 1 }), 1)
-	add(ok, obs.StablePolls-1)
 	add(with(func(s *obs.Sample) { s.Digest = "b" }), obs.StablePolls-1)
-	add(ok, obs.StablePolls)
+	add(ok, obs.StablePolls-1)
+	add(with(func(s *obs.Sample) { s.Outstanding = 1 }), 2)
+	add(ok, 1)
 	settleAt := len(script) - 1
 
 	var st obs.Settle
 	for i, s := range script {
-		if got := st.Observe(s.Eligible(), s.Digest); got != (i == settleAt) {
+		if got := st.Observe(s.Steady(), s.Drained(), s.Digest); got != (i == settleAt) {
 			t.Fatalf("poll %d: Settle.Observe = %v, want %v", i, got, i == settleAt)
 		}
 	}
 
 	polls := 0
-	settled := obs.Await(func() (bool, string) {
+	settled := obs.Await(func() (bool, bool, string) {
 		s := script[polls]
 		polls++
-		return s.Eligible(), s.Digest
+		return s.Steady(), s.Drained(), s.Digest
 	}, len(script), func() {})
 	if !settled || polls-1 != settleAt {
 		t.Fatalf("Await settled=%v after %d polls, want true after %d", settled, polls, settleAt+1)
 	}
-	if obs.Await(func() (bool, string) { return true, "a" }, obs.StablePolls-1, func() {}) {
+	if obs.Await(func() (bool, bool, string) { return true, true, "a" }, obs.StablePolls-1, func() {}) {
 		t.Fatal("Await settled in fewer than StablePolls polls")
 	}
 

@@ -29,9 +29,14 @@ type Sample struct {
 // Eligible reports whether the sample satisfies the instantaneous part
 // of the settle rule — PASSIVE, fully peered, windows drained. Settle
 // additionally demands a stable digest across polls.
-func (s Sample) Eligible() bool {
-	return s.Passive && s.Outstanding == 0 && len(s.Peers) >= s.MinPeers
-}
+func (s Sample) Eligible() bool { return s.Steady() && s.Drained() }
+
+// Steady reports whether the sample counts toward a settle streak:
+// PASSIVE and fully peered.
+func (s Sample) Steady() bool { return s.Passive && len(s.Peers) >= s.MinPeers }
+
+// Drained reports whether every transport window is empty.
+func (s Sample) Drained() bool { return s.Outstanding == 0 }
 
 // The settle rule's constants: it polls every PollEvery seconds and
 // declares a state settled after StablePolls consecutive polls agree.
@@ -42,33 +47,39 @@ const (
 
 // Settle is the one rule for "converged", shared by /readyz, the live
 // mesh's AwaitConverged and mdrnode: a state has settled once StablePolls
-// consecutive polls found it eligible with one digest. An ineligible poll
-// resets the streak; an eligible one with a new digest starts a new
-// streak of one.
+// consecutive polls found it steady (PASSIVE, fully peered) with one
+// digest, and the last of them — the settling poll — found every window
+// drained. A poll that is not steady resets the streak; a steady one with
+// a new digest starts a new streak of one. Windows are not asked to drain
+// on every poll: under loss a heartbeat holds one for its retransmissions,
+// while an LSU in flight already shows in the digest as an owed ACK.
 type Settle struct {
-	streak int
-	digest string
+	streak  int
+	digest  string
+	drained bool
 }
 
 // Observe takes one poll and reports whether the state has now settled.
-func (s *Settle) Observe(eligible bool, digest string) bool {
+func (s *Settle) Observe(steady, drained bool, digest string) bool {
 	switch {
-	case !eligible:
+	case !steady:
 		s.streak, s.digest = 0, ""
 	case digest == s.digest:
 		s.streak++
 	default:
 		s.streak, s.digest = 1, digest
 	}
+	s.drained = drained
 	return s.Settled()
 }
 
-// Settled reports whether the last StablePolls polls agreed.
-func (s Settle) Settled() bool { return s.streak >= StablePolls }
+// Settled reports whether the last StablePolls polls agreed and the last
+// found the windows drained.
+func (s Settle) Settled() bool { return s.streak >= StablePolls && s.drained }
 
 // Await polls until the state settles, calling sleep between polls, and
 // reports false once maxPolls polls have not settled it.
-func Await(poll func() (eligible bool, digest string), maxPolls int, sleep func()) bool {
+func Await(poll func() (steady, drained bool, digest string), maxPolls int, sleep func()) bool {
 	var s Settle
 	for i := 0; i < maxPolls; i++ {
 		if s.Observe(poll()) {
@@ -86,17 +97,15 @@ type Peer struct {
 	Cost float64 `json:"cost"`
 	// Outstanding is the peer link's unacknowledged send window.
 	Outstanding int `json:"outstanding"`
-	// RTO is the link's current retransmission timeout in seconds (0 on
-	// transports without one).
+	// RTO is the link's current retransmission timeout in seconds.
 	RTO float64 `json:"rto,omitempty"`
 	// Retransmits and Window mirror the link's ARQ instruments
-	// (arq.retransmits.<a>-<b> and arq.window.<a>-<b>); both are zero on
-	// fabrics without ARQ.
+	// (arq.retransmits.<a>-<b> and arq.window.<a>-<b>); both are zero
+	// without a metrics registry.
 	Retransmits float64 `json:"retransmits"`
 	Window      float64 `json:"window"`
-	// Queue is the writer-queue depth toward this peer: frames the router
-	// has emitted that the writer goroutine has not yet handed to the
-	// transport.
+	// Queue is the backlog toward this peer: frames the router has emitted
+	// that the full send window has no room for yet.
 	Queue int `json:"queue"`
 }
 

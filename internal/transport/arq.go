@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -20,8 +21,8 @@ type ARQConfig struct {
 	// MaxRTO caps each frame's exponential backoff (default 1.0).
 	MaxRTO float64
 	// Window bounds the send window — frames sent but not cumulatively
-	// acknowledged (default 1024). Send blocks while the window is full,
-	// which is the layer's flow control.
+	// acknowledged (default 1024). A full window refuses Send, which is the
+	// layer's flow control.
 	Window int
 	// MTU bounds one coalesced datagram in bytes (default 8 KiB, capped at
 	// MaxDatagram). Small frames queued together ride one datagram — one
@@ -68,8 +69,8 @@ func (c ARQConfig) withDefaults() ARQConfig {
 
 // ARQStats observes the retransmission machinery — the hook the live
 // runtime uses to surface ARQ behavior as telemetry. Every field is
-// optional; callbacks run with the connection's lock held, so they must be
-// fast and must not call back into the connection.
+// optional; callbacks run inside the machine's steps, under whatever lock
+// its driver holds, so they must be fast and must not call back into it.
 type ARQStats struct {
 	// Retransmit fires once per retransmitted frame; fast reports whether
 	// duplicate SACKs (fast retransmit) or RTO expiry triggered it.
@@ -80,6 +81,10 @@ type ARQStats struct {
 	Window func(occupied, limit int)
 }
 
+// ErrWindowFull is ARQ.Send's answer while Window frames await
+// acknowledgment; the frame was not taken.
+var ErrWindowFull = errors.New("transport: ARQ send window full")
+
 // sendSlot is one window entry: an encoded frame awaiting cumulative
 // acknowledgment, with its own retransmission clock.
 type sendSlot struct {
@@ -88,46 +93,43 @@ type sendSlot struct {
 	sentAt   float64
 	deadline float64
 	rto      float64
-	pending  bool // queued for (re)transmission by the write loop
+	pending  bool // queued for (re)transmission by the next Flush
 	retx     bool // retransmitted at least once — Karn's rule bars RTT sampling
 	sacked   bool // selectively acknowledged — no further retransmission
 }
 
-// ARQConn rebuilds the reliable, in-order, exactly-once contract on top of
-// an unreliable datagram channel — the live counterpart of the ARQ model
+// ARQ rebuilds the reliable, in-order, exactly-once contract on top of an
+// unreliable datagram channel — the live counterpart of the ARQ model
 // internal/protonet emulates beneath the simulator ("received correctly
 // and in the proper sequence" is what this layer restores, not what the
 // raw channel provides).
 //
+// It is a state machine and nothing else: no lock, no goroutine, no clock
+// and no channel. Its driver hands it frames (Send), received datagrams
+// (Handle) and the time (Tick), and writes what Flush emits. ARQConn drives
+// one over a Packet; internal/node drives one per peer under its node lock.
+//
 // The protocol is selective repeat. Sender: every data frame takes the
-// next sequence number and a slot in a sliding window (Send blocks when
-// the window is full); a write loop coalesces queued frames into MTU-sized
-// datagrams — one syscall drains the whole queue; each frame carries its
-// own retransmit deadline from an SRTT/RTTVAR estimator (RFC 6298 shape,
-// Karn's rule excluding retransmitted frames from sampling), doubling per
-// expiry up to MaxRTO; three duplicate SACKs fast-retransmit the first
-// unacknowledged frame without waiting for the timer. Receiver: in-order
-// frames are delivered; out-of-order frames wait in a bounded reorder
-// buffer; every data-bearing datagram is answered with one SACK frame —
-// cumulative ack plus a bitmap of out-of-order receptions — so the sender
-// resends only what is actually missing. Duplicates (seq ≤ last delivered)
-// are re-SACKed and discarded before the application ever sees them — a
-// duplicate consumes channel attempts but never surfaces as a protocol
-// event, exactly the property MPDA's ACK bookkeeping needs.
-type ARQConn struct {
-	p     Packet
-	clk   Clock
-	cfg   ARQConfig
-	recvQ *Queue
+// next sequence number and a slot in a sliding window (Send refuses a full
+// window); Flush coalesces queued frames into MTU-sized datagrams; each
+// frame carries its own retransmit deadline from an SRTT/RTTVAR estimator
+// (RFC 6298 shape, Karn's rule excluding retransmitted frames from
+// sampling), doubling per expiry up to MaxRTO; three duplicate SACKs
+// fast-retransmit the first unacknowledged frame without waiting for the
+// timer. Receiver: in-order frames are delivered; out-of-order frames wait
+// in a bounded reorder ring; every data-bearing datagram is answered with
+// one SACK frame — cumulative ack plus a bitmap of out-of-order receptions,
+// leading the next datagram — so the sender resends only what is actually
+// missing. Duplicates (seq ≤ last delivered) are re-SACKed and discarded
+// before the application ever sees them — a duplicate consumes channel
+// attempts but never surfaces as a protocol event, exactly the property
+// MPDA's ACK bookkeeping needs.
+type ARQ struct {
+	cfg ARQConfig
 
-	mu        sync.Mutex
-	sendSpace *sync.Cond // window occupancy dropped, or closed
-	work      *sync.Cond // the write loop has frames or an ack to flush
-	closed    bool
-
-	// Sender state (under mu).
+	// Sender state.
 	nextSeq  uint32
-	win      []sendSlot // ring: win[(winStart+i)%len] for i < winLen
+	win      []sendSlot // ring: win[(winStart+i)%len] for i < winLen; grown up to Window
 	winStart int
 	winLen   int
 	pendingN int // slots with pending=true
@@ -135,44 +137,27 @@ type ARQConn struct {
 	rttvar   float64
 	rto      float64
 	hasSRTT  bool
-	timer    Timer
-	timerGen uint64
 	lastCum  uint32 // highest cumulative ack applied
 	dupCum   int    // consecutive no-progress SACKs at lastCum
 	fastDone bool   // fast retransmit already spent at lastCum
 
-	// Outbound-ack state (under mu; produced by the read loop, consumed by
-	// the write loop).
-	ackPending bool
-	ackCum     uint32
-	ackBitmap  []byte // reused scratch, canonical (trailing zeros trimmed)
-
-	// Receiver state, owned exclusively by the readLoop goroutine.
+	// Receiver state.
 	lastDelivered uint32
-	reorder       map[uint32]*wire.Frame
-	deliverBuf    []*wire.Frame // per-datagram delivery batch, reused
-	ackDgram      []byte        // readLoop-owned scratch for inline SACK writes
+	// reorder parks out-of-order frames at seq&(len-1): every parked seq
+	// lies within len of lastDelivered, so slots never collide. It grows on
+	// demand, to at most ReorderCap rounded up to a power of two.
+	reorder    []*wire.Frame
+	parked     int
+	ackPending bool
+	ackBitmap  []byte        // Flush's scratch, canonical (trailing zeros trimmed)
+	delivered  []*wire.Frame // Handle's result, reused
 }
 
-// NewARQ layers the retransmission protocol over p using clk for timers
-// and RTT measurement. It takes ownership of p.
-func NewARQ(p Packet, cfg ARQConfig, clk Clock) *ARQConn {
+// NewARQMachine returns a machine with an empty window and nothing
+// received.
+func NewARQMachine(cfg ARQConfig) *ARQ {
 	cfg = cfg.withDefaults()
-	c := &ARQConn{
-		p:       p,
-		clk:     clk,
-		cfg:     cfg,
-		recvQ:   NewQueue(),
-		nextSeq: 1,
-		win:     make([]sendSlot, cfg.Window),
-		rto:     cfg.RTO,
-		reorder: make(map[uint32]*wire.Frame),
-	}
-	c.sendSpace = sync.NewCond(&c.mu)
-	c.work = sync.NewCond(&c.mu)
-	go c.readLoop()
-	go c.writeLoop()
-	return c
+	return &ARQ{cfg: cfg, nextSeq: 1, rto: cfg.RTO}
 }
 
 // seqLE is wraparound-safe serial comparison: a ≤ b on the sequence circle.
@@ -181,238 +166,260 @@ func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 // seqLT is strict wraparound-safe serial comparison.
 func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
-// Send assigns the next sequence number, encodes the frame into its window
-// slot, and hands it to the write loop for (coalesced) transmission. It
-// blocks while the send window is full. The frame is copied; the caller
-// keeps ownership of f.
-func (c *ARQConn) Send(f *wire.Frame) error {
+// Send assigns the next sequence number and encodes the frame into its
+// window slot, queued for the next Flush. It returns ErrWindowFull, taking
+// nothing, while the window is full. The frame is copied; the caller keeps
+// ownership of f.
+func (a *ARQ) Send(f *wire.Frame) error {
 	if f.Type == wire.TypeAck || f.Type == wire.TypeSack {
 		return fmt.Errorf("transport: %s frames are reserved for the ARQ layer", f.Type)
 	}
 	if n := f.EncodedBytes(); n > MaxDatagram {
 		return fmt.Errorf("transport: frame of %d bytes exceeds max datagram %d", n, MaxDatagram)
 	}
-	c.mu.Lock()
-	for c.winLen == len(c.win) && !c.closed {
-		c.sendSpace.Wait()
+	if a.winLen == a.cfg.Window {
+		return ErrWindowFull
 	}
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	if a.winLen == len(a.win) {
+		a.growWindow()
 	}
-	slot := &c.win[(c.winStart+c.winLen)%len(c.win)]
+	slot := &a.win[(a.winStart+a.winLen)%len(a.win)]
 	g := *f
-	g.Seq = c.nextSeq
+	g.Seq = a.nextSeq
 	buf, err := g.AppendEncode(slot.buf[:0])
 	if err != nil {
-		c.mu.Unlock()
 		return err
 	}
-	c.nextSeq++
-	slot.seq = g.Seq
-	slot.buf = buf
-	slot.sentAt = 0
-	slot.deadline = 0
-	slot.rto = c.rto
-	slot.pending = true
-	slot.retx = false
-	slot.sacked = false
-	c.winLen++
-	c.pendingN++
-	c.statWindow()
-	// Fast path: an empty window means nothing is in flight to coalesce
-	// with, so write the lone frame from the caller and skip the write-loop
-	// handoff — one scheduler hop fewer per datagram, which is what sparse
-	// traffic (heartbeats, lone LSUs) is made of. Pipelined senders keep
-	// the window occupied and take the queued path, so bulk traffic still
-	// batches. The slot buffer is stable until the window advances past it,
-	// which requires the peer to have acknowledged this very frame, so
-	// writing it outside the lock is safe.
-	if c.winLen == 1 && c.pendingN == 1 && !c.ackPending {
-		out := c.claimInlineLocked(slot)
-		c.mu.Unlock()
-		_ = c.p.WritePacket(out)
-		return nil
-	}
-	c.work.Signal()
-	c.mu.Unlock()
+	a.nextSeq++
+	*slot = sendSlot{seq: g.Seq, buf: buf, rto: a.rto, pending: true}
+	a.winLen++
+	a.pendingN++
+	a.statWindow()
 	return nil
 }
 
-// claimInlineLocked stamps a lone pending slot for an inline write by the
-// caller, bypassing the write loop. The returned buffer is the slot's
-// encoding, stable until the window advances past the slot — which
-// requires the peer to have received this very frame.
-func (c *ARQConn) claimInlineLocked(slot *sendSlot) []byte {
-	slot.pending = false
-	c.pendingN--
-	now := c.clk.Now()
-	slot.sentAt = now
-	slot.deadline = now + slot.rto
-	c.armTimerLocked(now)
-	return slot.buf
+// growWindow doubles the window ring (up to Window slots), unrolling it so
+// the oldest slot sits first.
+func (a *ARQ) growWindow() {
+	n := min(max(2*len(a.win), 16), a.cfg.Window)
+	w := make([]sendSlot, n)
+	for i := 0; i < a.winLen; i++ {
+		w[i] = a.win[(a.winStart+i)%len(a.win)]
+	}
+	a.win, a.winStart = w, 0
 }
 
-// writeLoop drains queued frames onto the wire, coalescing as many as fit
-// into one MTU-sized datagram per syscall, with any pending SACK leading
-// the datagram so acknowledgments piggyback on data.
-func (c *ARQConn) writeLoop() {
-	dgram := make([]byte, 0, c.cfg.MTU)
-	for {
-		c.mu.Lock()
-		for !c.closed && !c.ackPending && c.pendingN == 0 {
-			c.work.Wait()
+// Flush emits every datagram due — the pending SACK leading the first,
+// then the queued frames, coalesced up to the MTU — and stamps each
+// frame's retransmission deadline from now. The datagrams reuse the
+// storage of bufs (up to its capacity); an empty result means nothing was
+// due.
+func (a *ARQ) Flush(now float64, bufs [][]byte) [][]byte {
+	bufs = bufs[:cap(bufs)]
+	k := 0
+	for ; ; k++ {
+		if k == len(bufs) {
+			bufs = append(bufs, nil)
 		}
-		if c.closed {
-			c.mu.Unlock()
-			return
+		d := a.datagram(now, bufs[k][:0])
+		if len(d) == 0 {
+			return bufs[:k]
 		}
-		dgram = c.fillDatagramLocked(dgram[:0])
-		c.mu.Unlock()
-		if len(dgram) > 0 {
-			// Best effort: a write error means the socket is dying, and the
-			// read side owns teardown.
-			_ = c.p.WritePacket(dgram)
-		}
+		bufs[k] = d
 	}
 }
 
-// fillDatagramLocked builds one outbound datagram: the pending SACK (if
-// any) followed by as many pending window slots as fit under the MTU. It
-// stamps transmission times and re-arms the retransmission timer.
-func (c *ARQConn) fillDatagramLocked(dgram []byte) []byte {
-	if c.ackPending {
-		c.ackPending = false
-		sf := wire.Frame{Type: wire.TypeSack, Seq: c.ackCum}
-		if len(c.ackBitmap) > 0 {
-			sf.Payload = c.ackBitmap
+// datagram appends the next datagram due to dst.
+func (a *ARQ) datagram(now float64, dst []byte) []byte {
+	if a.ackPending {
+		a.ackPending = false
+		sf := wire.Frame{Type: wire.TypeSack, Seq: a.lastDelivered}
+		if bm := a.sackBitmap(); len(bm) > 0 {
+			sf.Payload = bm
 		}
-		out, err := sf.AppendEncode(dgram)
-		if err == nil {
-			dgram = out
+		if out, err := sf.AppendEncode(dst); err == nil {
+			dst = out
 		}
 	}
-	if c.pendingN == 0 {
-		return dgram
-	}
-	now := c.clk.Now()
-	sent := false
-	for i := 0; i < c.winLen && c.pendingN > 0; i++ {
-		slot := &c.win[(c.winStart+i)%len(c.win)]
+	for i := 0; i < a.winLen && a.pendingN > 0; i++ {
+		slot := &a.win[(a.winStart+i)%len(a.win)]
 		if !slot.pending {
 			continue
 		}
 		// The MTU bounds coalescing, not frame size: a frame that alone
 		// exceeds it still ships as its own (possibly oversize) datagram.
-		if len(dgram) > 0 && len(dgram)+len(slot.buf) > c.cfg.MTU {
+		if len(dst) > 0 && len(dst)+len(slot.buf) > a.cfg.MTU {
 			break
 		}
-		dgram = append(dgram, slot.buf...)
+		dst = append(dst, slot.buf...)
 		slot.pending = false
 		slot.sentAt = now
 		slot.deadline = now + slot.rto
-		c.pendingN--
-		sent = true
+		a.pendingN--
 	}
-	if c.pendingN > 0 {
-		// More than one datagram's worth is queued: keep the loop running.
-		c.work.Signal()
-	}
-	if sent {
-		c.armTimerLocked(now)
-	}
-	return dgram
+	return dst
 }
 
-// armTimerLocked schedules the retransmission timer for the earliest
-// deadline among in-flight frames; the generation counter invalidates
-// stale timers.
-func (c *ARQConn) armTimerLocked(now float64) {
-	earliest := math.Inf(1)
-	for i := 0; i < c.winLen; i++ {
-		s := &c.win[(c.winStart+i)%len(c.win)]
-		if s.pending || s.sacked {
+// sackBitmap renders the parked frames past the cumulative ack as the
+// SACK bitmap, walking the reorder ring in sequence order.
+func (a *ARQ) sackBitmap() []byte {
+	bm := a.ackBitmap[:0]
+	maxBits := min(8*wire.MaxSackBytes, a.cfg.ReorderCap, len(a.reorder))
+	for off, seen := 0, 0; off < maxBits && seen < a.parked; off++ {
+		if a.reorder[(a.lastDelivered+1+uint32(off))&uint32(len(a.reorder)-1)] == nil {
 			continue
 		}
-		if s.deadline < earliest {
-			earliest = s.deadline
+		seen++
+		for len(bm) <= off/8 {
+			bm = append(bm, 0)
 		}
+		bm[off/8] |= 1 << (uint(off) % 8)
 	}
-	c.timerGen++
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-	if math.IsInf(earliest, 1) {
-		return
-	}
-	d := earliest - now
-	if d < 0 {
-		d = 0
-	}
-	gen := c.timerGen
-	c.timer = c.clk.AfterFunc(d, func() { c.onTimer(gen) })
+	a.ackBitmap = bm
+	return bm
 }
 
-// onTimer queues every overdue frame for retransmission with doubled
-// per-frame backoff — only what is actually missing is resent.
-func (c *ARQConn) onTimer(gen uint64) {
-	c.mu.Lock()
-	if c.closed || gen != c.timerGen {
-		c.mu.Unlock()
-		return
+// Deadline returns the earliest retransmission deadline among frames in
+// flight — sent and not yet acknowledged — or +Inf with none: when the
+// driver must next call Tick.
+func (a *ARQ) Deadline() float64 {
+	d := math.Inf(1)
+	for i := 0; i < a.winLen; i++ {
+		s := &a.win[(a.winStart+i)%len(a.win)]
+		if !s.pending && !s.sacked && s.deadline < d {
+			d = s.deadline
+		}
 	}
-	now := c.clk.Now()
-	queued := false
-	var due *sendSlot
-	for i := 0; i < c.winLen; i++ {
-		s := &c.win[(c.winStart+i)%len(c.win)]
+	return d
+}
+
+// Tick queues every overdue frame for retransmission with doubled
+// per-frame backoff — only what is actually missing is resent.
+func (a *ARQ) Tick(now float64) {
+	for i := 0; i < a.winLen; i++ {
+		s := &a.win[(a.winStart+i)%len(a.win)]
 		if s.pending || s.sacked || s.deadline > now+1e-12 {
 			continue
 		}
-		s.rto *= 2
-		if s.rto > c.cfg.MaxRTO {
-			s.rto = c.cfg.MaxRTO
-		}
+		s.rto = min(2*s.rto, a.cfg.MaxRTO)
 		s.pending = true
 		s.retx = true
-		c.pendingN++
-		queued = true
-		due = s
-		if st := c.cfg.Stats; st != nil && st.Retransmit != nil {
+		a.pendingN++
+		if st := a.cfg.Stats; st != nil && st.Retransmit != nil {
 			st.Retransmit(s.seq, s.rto, false)
 		}
 	}
-	if queued && c.pendingN == 1 && !c.ackPending {
-		// A lone overdue frame retransmits inline from the timer goroutine —
-		// the common loss-recovery case skips the write-loop handoff just
-		// like Send's fast path does.
-		out := c.claimInlineLocked(due)
-		c.mu.Unlock()
-		_ = c.p.WritePacket(out)
-		return
+}
+
+// Handle applies one received datagram — possibly several coalesced
+// frames — and returns the data frames it made deliverable, in order. The
+// returned slice is reused by the next Handle; the frames are not (their
+// payloads alias one private copy of dgram), so they may be kept. Bytes
+// that do not decode end the datagram: retransmission recovers whatever
+// they hid.
+func (a *ARQ) Handle(now float64, dgram []byte) []*wire.Frame {
+	a.delivered = a.delivered[:0]
+	var data []wire.Frame
+	var stable []byte
+	for off := 0; off < len(dgram); {
+		var f wire.Frame
+		used, err := wire.DecodeSome(&f, dgram[off:])
+		if err != nil {
+			break
+		}
+		switch f.Type {
+		case wire.TypeAck:
+			a.handleSack(now, f.Seq, nil)
+		case wire.TypeSack:
+			a.handleSack(now, f.Seq, f.Payload)
+		default:
+			// One stable copy per datagram: payloads alias it, and a frame
+			// delivered or parked keeps it reachable.
+			if stable == nil {
+				stable = append([]byte(nil), dgram...)
+				data = make([]wire.Frame, 0, 8)
+			}
+			if f.Payload != nil {
+				f.Payload = stable[off+wire.HeaderBytes : off+used-wire.TrailerBytes]
+			}
+			data = append(data, f)
+		}
+		off += used
 	}
-	if queued {
-		c.work.Signal()
+	for i := range data {
+		a.onData(&data[i])
 	}
-	c.armTimerLocked(now)
-	c.mu.Unlock()
+	if len(data) > 0 {
+		// Every data-bearing datagram — including pure duplicates — is
+		// answered, so a lost SACK is repaired by the retransmission it
+		// provokes.
+		a.ackPending = true
+	}
+	return a.delivered
+}
+
+// onData applies one received data frame to the receiver state.
+func (a *ARQ) onData(f *wire.Frame) {
+	switch {
+	case seqLE(f.Seq, a.lastDelivered):
+		// Duplicate: recognized by its sequence number and discarded; the
+		// SACK sent back stops the retransmissions.
+	case f.Seq == a.lastDelivered+1:
+		a.delivered = append(a.delivered, f)
+		a.lastDelivered++
+		for a.parked > 0 {
+			i := (a.lastDelivered + 1) & uint32(len(a.reorder)-1)
+			next := a.reorder[i]
+			if next == nil {
+				break
+			}
+			a.reorder[i] = nil
+			a.parked--
+			a.delivered = append(a.delivered, next)
+			a.lastDelivered++
+		}
+	default:
+		// Future frame: park it if it is within the reorder horizon; either
+		// way the SACK tells the sender where the gap starts and what
+		// already arrived.
+		dist := int(int32(f.Seq - (a.lastDelivered + 1)))
+		if dist >= a.cfg.ReorderCap {
+			return
+		}
+		if dist >= len(a.reorder) {
+			a.growReorder(dist + 1)
+		}
+		if i := f.Seq & uint32(len(a.reorder)-1); a.reorder[i] == nil {
+			a.reorder[i] = f
+			a.parked++
+		}
+	}
+}
+
+// growReorder resizes the reorder ring to the power of two covering span
+// sequence numbers past the cumulative ack, re-seating the parked frames.
+func (a *ARQ) growReorder(span int) {
+	n := max(len(a.reorder), 16)
+	for n < span {
+		n *= 2
+	}
+	ring := make([]*wire.Frame, n)
+	for _, f := range a.reorder {
+		if f != nil {
+			ring[f.Seq&uint32(n-1)] = f
+		}
+	}
+	a.reorder = ring
 }
 
 // handleSack applies one acknowledgment: pop the cumulatively covered
 // window prefix, mark bitmap-covered frames as selectively acknowledged,
 // sample RTT per Karn's rule, and count duplicates toward fast retransmit.
-func (c *ARQConn) handleSack(cum uint32, bitmap []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	now := c.clk.Now()
+func (a *ARQ) handleSack(now float64, cum uint32, bitmap []byte) {
 	progressed := false
 	sample := -1.0
-	for c.winLen > 0 {
-		s := &c.win[c.winStart]
+	for a.winLen > 0 {
+		s := &a.win[a.winStart]
 		if !seqLE(s.seq, cum) {
 			break
 		}
@@ -425,10 +432,10 @@ func (c *ARQConn) handleSack(cum uint32, bitmap []byte) {
 		}
 		if s.pending {
 			s.pending = false
-			c.pendingN--
+			a.pendingN--
 		}
-		c.winStart = (c.winStart + 1) % len(c.win)
-		c.winLen--
+		a.winStart = (a.winStart + 1) % len(a.win)
+		a.winLen--
 		progressed = true
 	}
 	for i := range bitmap {
@@ -439,14 +446,14 @@ func (c *ARQConn) handleSack(cum uint32, bitmap []byte) {
 			if bitmap[i]&(1<<uint(bit)) == 0 {
 				continue
 			}
-			s := c.slotForLocked(cum + 1 + uint32(i*8+bit))
+			s := a.slotFor(cum + 1 + uint32(i*8+bit))
 			if s == nil || s.sacked {
 				continue
 			}
 			s.sacked = true
 			if s.pending {
 				s.pending = false
-				c.pendingN--
+				a.pendingN--
 			}
 			if !s.retx && sample < 0 {
 				sample = now - s.sentAt
@@ -458,257 +465,244 @@ func (c *ARQConn) handleSack(cum uint32, bitmap []byte) {
 	// bitmap bits still count as duplicates (they prove later frames are
 	// landing while the front of the window is not), exactly the TCP-SACK
 	// rule. Only cumulative progress resets the count.
-	if seqLT(c.lastCum, cum) {
-		c.lastCum = cum
-		c.dupCum = 0
-		c.fastDone = false
-	} else if cum == c.lastCum && c.winLen > 0 {
-		c.dupCum++
-		if c.dupCum >= 3 && !c.fastDone {
-			c.fastRetransmitLocked()
-			c.fastDone = true
+	if seqLT(a.lastCum, cum) {
+		a.lastCum = cum
+		a.dupCum = 0
+		a.fastDone = false
+	} else if cum == a.lastCum && a.winLen > 0 {
+		a.dupCum++
+		if a.dupCum >= 3 && !a.fastDone {
+			a.fastRetransmit()
+			a.fastDone = true
 		}
 	}
 	if progressed {
 		if sample >= 0 {
-			c.updateRTOLocked(sample)
+			a.updateRTO(sample)
 		}
-		c.statWindow()
-		c.sendSpace.Broadcast()
-		c.armTimerLocked(now)
+		a.statWindow()
 	}
 }
 
-// fastRetransmitLocked queues the first unacknowledged in-flight frame —
-// three duplicate SACKs mean later frames arrived while it did not, so
-// waiting out its RTO would only add latency.
-func (c *ARQConn) fastRetransmitLocked() {
-	for i := 0; i < c.winLen; i++ {
-		s := &c.win[(c.winStart+i)%len(c.win)]
-		if s.sacked || s.pending {
-			return // already queued or provably delivered: nothing to hurry
-		}
-		s.pending = true
-		s.retx = true
-		c.pendingN++
-		if st := c.cfg.Stats; st != nil && st.Retransmit != nil {
-			st.Retransmit(s.seq, s.rto, true)
-		}
-		c.work.Signal()
+// fastRetransmit queues the first unacknowledged in-flight frame — three
+// duplicate SACKs mean later frames arrived while it did not, so waiting
+// out its RTO would only add latency.
+func (a *ARQ) fastRetransmit() {
+	if a.winLen == 0 {
 		return
 	}
+	s := &a.win[a.winStart]
+	if s.sacked || s.pending {
+		return // already queued or provably delivered: nothing to hurry
+	}
+	s.pending = true
+	s.retx = true
+	a.pendingN++
+	if st := a.cfg.Stats; st != nil && st.Retransmit != nil {
+		st.Retransmit(s.seq, s.rto, true)
+	}
 }
 
-// slotForLocked resolves a sequence number to its window slot, or nil when
-// the sequence is outside the current window.
-func (c *ARQConn) slotForLocked(seq uint32) *sendSlot {
-	if c.winLen == 0 {
+// slotFor resolves a sequence number to its window slot, or nil when the
+// sequence is outside the current window.
+func (a *ARQ) slotFor(seq uint32) *sendSlot {
+	if a.winLen == 0 {
 		return nil
 	}
-	off := int(int32(seq - c.win[c.winStart].seq))
-	if off < 0 || off >= c.winLen {
+	off := int(int32(seq - a.win[a.winStart].seq))
+	if off < 0 || off >= a.winLen {
 		return nil
 	}
-	return &c.win[(c.winStart+off)%len(c.win)]
+	return &a.win[(a.winStart+off)%len(a.win)]
 }
 
-// updateRTOLocked folds one RTT sample into the SRTT/RTTVAR estimator
-// (RFC 6298 gains) and clamps the resulting RTO to [MinRTO, MaxRTO].
-func (c *ARQConn) updateRTOLocked(sample float64) {
-	if sample < 0 {
-		sample = 0
-	}
-	if !c.hasSRTT {
-		c.srtt = sample
-		c.rttvar = sample / 2
-		c.hasSRTT = true
+// updateRTO folds one RTT sample into the SRTT/RTTVAR estimator (RFC 6298
+// gains) and clamps the resulting RTO to [MinRTO, MaxRTO].
+func (a *ARQ) updateRTO(sample float64) {
+	sample = max(sample, 0)
+	if !a.hasSRTT {
+		a.srtt = sample
+		a.rttvar = sample / 2
+		a.hasSRTT = true
 	} else {
-		d := c.srtt - sample
-		if d < 0 {
-			d = -d
+		a.rttvar = 0.75*a.rttvar + 0.25*math.Abs(a.srtt-sample)
+		a.srtt = 0.875*a.srtt + 0.125*sample
+	}
+	a.rto = min(max(a.srtt+4*a.rttvar, a.cfg.MinRTO), a.cfg.MaxRTO)
+	if st := a.cfg.Stats; st != nil && st.RTOUpdate != nil {
+		st.RTOUpdate(a.srtt, a.rttvar, a.rto)
+	}
+}
+
+// statWindow reports send-window occupancy to the observer.
+func (a *ARQ) statWindow() {
+	if st := a.cfg.Stats; st != nil && st.Window != nil {
+		st.Window(a.winLen, a.cfg.Window)
+	}
+}
+
+// Outstanding reports the number of frames awaiting cumulative
+// acknowledgment — zero means every Send so far has provably reached the
+// peer.
+func (a *ARQ) Outstanding() int { return a.winLen }
+
+// RTO returns the current estimator-driven retransmission timeout.
+func (a *ARQ) RTO() float64 { return a.rto }
+
+// ARQConn drives one ARQ over a Packet as a Conn. It makes no protocol
+// decision of its own: it holds the machine under one mutex, runs the
+// lane's reader goroutine and one clock timer, and follows one rule —
+// whoever steps the machine writes what it emitted, after unlocking. A
+// goroutine that steps it while another is still writing leaves its
+// datagrams to that writer, which flushes again before it lets go: frames
+// sent during a slow write ride out together, coalesced.
+type ARQConn struct {
+	p     Packet
+	clk   Clock
+	recvQ *Queue
+
+	mu      sync.Mutex
+	space   *sync.Cond // the window has room, or closed
+	m       *ARQ
+	closed  bool
+	writing bool     // some goroutine holds the write turn
+	out     [][]byte // the write turn's datagram buffers
+	timer   Timer
+	timerAt float64 // when the armed timer fires; +Inf with none
+	gen     uint64  // invalidates a timer that fired as it was replaced
+}
+
+// NewARQ layers the retransmission protocol over p using clk for timers
+// and RTT measurement. It takes ownership of p.
+func NewARQ(p Packet, cfg ARQConfig, clk Clock) *ARQConn {
+	c := &ARQConn{p: p, clk: clk, recvQ: NewQueue(), m: NewARQMachine(cfg), timerAt: math.Inf(1)}
+	c.space = sync.NewCond(&c.mu)
+	go c.readLoop()
+	return c
+}
+
+// Send queues the frame and, unless a write is already under way, writes
+// it. It blocks while the send window is full. The frame is copied; the
+// caller keeps ownership of f.
+func (c *ARQConn) Send(f *wire.Frame) (err error) {
+	c.step(func() {
+		for !c.closed {
+			if err = c.m.Send(f); err != ErrWindowFull {
+				return
+			}
+			c.space.Wait()
 		}
-		c.rttvar = 0.75*c.rttvar + 0.25*d
-		c.srtt = 0.875*c.srtt + 0.125*sample
-	}
-	rto := c.srtt + 4*c.rttvar
-	if rto < c.cfg.MinRTO {
-		rto = c.cfg.MinRTO
-	}
-	if rto > c.cfg.MaxRTO {
-		rto = c.cfg.MaxRTO
-	}
-	c.rto = rto
-	if st := c.cfg.Stats; st != nil && st.RTOUpdate != nil {
-		st.RTOUpdate(c.srtt, c.rttvar, c.rto)
-	}
+		err = ErrClosed
+	})
+	return err
 }
 
-// statWindow reports send-window occupancy to the observer (under mu).
-func (c *ARQConn) statWindow() {
-	if st := c.cfg.Stats; st != nil && st.Window != nil {
-		st.Window(c.winLen, len(c.win))
-	}
-}
-
-// readLoop decodes datagrams — each possibly carrying several coalesced
-// frames — and runs the receiver state machine. Delivered frames alias a
-// per-datagram copy, so the whole batch costs one buffer allocation
-// instead of one per frame.
+// readLoop feeds received datagrams to the machine and delivered frames
+// to Recv until the packet channel dies.
 func (c *ARQConn) readLoop() {
 	buf := make([]byte, MaxDatagram)
 	for {
 		n, err := c.p.ReadPacket(buf)
 		if err != nil {
-			c.teardown()
+			c.shut()
 			return
 		}
-		// One stable copy per datagram: decoded payloads alias it, and any
-		// frame that outlives this iteration (delivered or parked in the
-		// reorder buffer) keeps it reachable.
-		data := append(make([]byte, 0, n), buf[:n]...)
-		frames := make([]wire.Frame, 0, 8)
-		for len(data) > 0 {
-			var f wire.Frame
-			used, err := wire.DecodeSome(&f, data)
-			if err != nil {
-				break // corrupt tail: drop; retransmission recovers
+		var fs []*wire.Frame
+		c.step(func() {
+			before := c.m.Outstanding()
+			fs = c.m.Handle(c.clk.Now(), buf[:n])
+			if c.m.Outstanding() < before {
+				c.space.Broadcast()
 			}
-			data = data[used:]
-			switch f.Type {
-			case wire.TypeAck:
-				c.handleSack(f.Seq, nil)
-			case wire.TypeSack:
-				c.handleSack(f.Seq, f.Payload)
-			default:
-				frames = append(frames, f)
-			}
+		})
+		// fs stays valid until the next Handle, which only this loop calls.
+		if len(fs) > 0 {
+			c.recvQ.Push(fs...)
 		}
-		if len(frames) == 0 {
-			continue
-		}
-		c.deliverBuf = c.deliverBuf[:0]
-		for i := range frames {
-			c.onData(&frames[i])
-		}
-		if len(c.deliverBuf) > 0 {
-			c.recvQ.PushAll(c.deliverBuf)
-		}
-		// Every data-bearing datagram — including pure duplicates — is
-		// answered, so a lost SACK is repaired by the retransmission it
-		// provokes.
-		c.scheduleAck()
-		c.flushAck()
 	}
 }
 
-// flushAck writes the pending SACK inline from the readLoop when no data
-// frames are queued — skipping the write-loop handoff keeps the ack round
-// trip at two scheduler hops, which is what lets sparse traffic (heartbeats)
-// drain the peer's window promptly. When data is pending, the write loop is
-// woken instead so the SACK piggybacks on the next coalesced datagram.
-func (c *ARQConn) flushAck() {
+// onTimer retransmits what is overdue.
+func (c *ARQConn) onTimer(gen uint64) {
+	c.step(func() {
+		if !c.closed && gen == c.gen {
+			c.timerAt = math.Inf(1)
+			c.m.Tick(c.clk.Now())
+		}
+	})
+}
+
+// step runs fn on the machine under the lock and then, unless another
+// goroutine holds the write turn (it will flush this step's output too),
+// takes the turn and writes what the machine emitted.
+func (c *ARQConn) step(fn func()) {
 	c.mu.Lock()
-	if c.closed || !c.ackPending {
-		c.mu.Unlock()
-		return
+	fn()
+	var out [][]byte
+	if !c.writing && !c.closed {
+		out = c.flushLocked()
+		c.writing = len(out) > 0
 	}
-	if c.pendingN > 0 {
-		c.work.Signal()
-		c.mu.Unlock()
-		return
-	}
-	c.ackPending = false
-	sf := wire.Frame{Type: wire.TypeSack, Seq: c.ackCum}
-	if len(c.ackBitmap) > 0 {
-		sf.Payload = c.ackBitmap
-	}
-	out, err := sf.AppendEncode(c.ackDgram[:0])
-	if err != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.ackDgram = out
+	c.armLocked()
 	c.mu.Unlock()
-	_ = c.p.WritePacket(out)
+	c.write(out)
 }
 
-// onData applies one received data frame to the receiver state. Frames
-// passed in must have stable storage (they are retained by pointer).
-func (c *ARQConn) onData(f *wire.Frame) {
-	switch {
-	case seqLE(f.Seq, c.lastDelivered):
-		// Duplicate: the ARQ layer recognizes the repeated sequence number
-		// and discards it; the application never sees the copy. The SACK we
-		// send back stops the retransmissions.
-	case f.Seq == c.lastDelivered+1:
-		c.deliverBuf = append(c.deliverBuf, f)
-		c.lastDelivered++
-		for {
-			next, ok := c.reorder[c.lastDelivered+1]
-			if !ok {
-				break
-			}
-			delete(c.reorder, c.lastDelivered+1)
-			c.deliverBuf = append(c.deliverBuf, next)
-			c.lastDelivered++
+// flushLocked drains the machine's datagrams into the turn's buffers.
+func (c *ARQConn) flushLocked() [][]byte {
+	c.out = c.m.Flush(c.clk.Now(), c.out)
+	return c.out
+}
+
+// write is the write turn: it sends out, then flushes and sends whatever
+// other goroutines queued meanwhile, and lets the turn go once nothing is.
+func (c *ARQConn) write(out [][]byte) {
+	for len(out) > 0 {
+		for _, d := range out {
+			// Best effort: a write error means the socket is dying, and the
+			// read side owns teardown.
+			_ = c.p.WritePacket(d)
 		}
-	default:
-		// Future frame: park it if it is within the reorder horizon and the
-		// buffer has room; either way the SACK tells the sender where the
-		// gap starts and what already arrived.
-		dist := int(int32(f.Seq - (c.lastDelivered + 1)))
-		if dist < c.cfg.ReorderCap && len(c.reorder) < c.cfg.ReorderCap {
-			if _, dup := c.reorder[f.Seq]; !dup {
-				c.reorder[f.Seq] = f
-			}
+		c.mu.Lock()
+		out = nil
+		if !c.closed {
+			out = c.flushLocked()
 		}
+		c.writing = len(out) > 0
+		c.armLocked()
+		c.mu.Unlock()
 	}
 }
 
-// scheduleAck snapshots the receiver state into the outbound-ack scratch —
-// cumulative ack plus the out-of-order bitmap. The readLoop follows up with
-// flushAck, which either writes it inline or wakes the write loop to
-// piggyback it; coalescing is free because only the latest snapshot is ever
-// sent.
-func (c *ARQConn) scheduleAck() {
+// armLocked makes the timer fire by the machine's next deadline. A timer
+// already due sooner stays: firing early only re-arms.
+func (c *ARQConn) armLocked() {
+	d := c.m.Deadline()
+	if c.closed || math.IsInf(d, 1) || d >= c.timerAt {
+		return
+	}
+	if c.timer != nil {
+		c.timer.Stop()
+	}
+	c.gen++
+	gen := c.gen
+	c.timerAt = d
+	c.timer = c.clk.AfterFunc(max(d-c.clk.Now(), 0), func() { c.onTimer(gen) })
+}
+
+// shut closes the connection once, reporting whether this call did: the
+// timer stops, blocked Sends fail, and blocked Recvs drain and then fail.
+func (c *ARQConn) shut() bool {
 	c.mu.Lock()
-	c.ackPending = true
-	c.ackCum = c.lastDelivered
-	bm := c.ackBitmap[:0]
-	maxBits := 8 * wire.MaxSackBytes
-	if c.cfg.ReorderCap < maxBits {
-		maxBits = c.cfg.ReorderCap
-	}
-	//lint:maporder-ok per-SACK path, so no sort; an OR into the bitmap cannot show visit order
-	for seq := range c.reorder {
-		off := int(int32(seq - (c.ackCum + 1)))
-		if off < 0 || off >= maxBits {
-			continue
-		}
-		for len(bm) <= off/8 {
-			bm = append(bm, 0)
-		}
-		bm[off/8] |= 1 << (uint(off) % 8)
-	}
-	for len(bm) > 0 && bm[len(bm)-1] == 0 {
-		bm = bm[:len(bm)-1]
-	}
-	c.ackBitmap = bm
-	c.mu.Unlock()
-}
-
-// teardown closes the receive side after the packet channel dies.
-func (c *ARQConn) teardown() {
-	c.mu.Lock()
+	first := !c.closed
 	c.closed = true
 	if c.timer != nil {
 		c.timer.Stop()
 	}
-	c.timerGen++
-	c.sendSpace.Broadcast()
-	c.work.Broadcast()
+	c.space.Broadcast()
 	c.mu.Unlock()
 	c.recvQ.Close()
+	return first
 }
 
 // Recv blocks for the next in-order frame.
@@ -720,56 +714,21 @@ func (c *ARQConn) Recv() (*wire.Frame, error) { return c.recvQ.Pop() }
 func (c *ARQConn) Outstanding() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.winLen
+	return c.m.Outstanding()
 }
 
 // RTO returns the current estimator-driven retransmission timeout.
 func (c *ARQConn) RTO() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rto
+	return c.m.RTO()
 }
 
-// Close tears the connection down; blocked Recvs drain and then fail.
-// Frames queued but never yet transmitted are flushed once, best effort —
-// the node runtime's BYE rides in that flush — but nothing is awaited:
-// reliability ends at Close.
+// Close tears the connection down and releases the lane. Nothing is
+// awaited: reliability ends at Close.
 func (c *ARQConn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.shut() {
 		return nil
 	}
-	c.closed = true
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	c.timerGen++
-	var flush [][]byte
-	var dgram []byte
-	for i := 0; i < c.winLen; i++ {
-		slot := &c.win[(c.winStart+i)%len(c.win)]
-		if !slot.pending || slot.retx {
-			continue
-		}
-		if len(dgram) > 0 && len(dgram)+len(slot.buf) > c.cfg.MTU {
-			flush = append(flush, dgram)
-			dgram = nil
-		}
-		dgram = append(dgram, slot.buf...)
-		slot.pending = false
-	}
-	if len(dgram) > 0 {
-		flush = append(flush, dgram)
-	}
-	c.pendingN = 0
-	c.sendSpace.Broadcast()
-	c.work.Broadcast()
-	c.mu.Unlock()
-	for _, d := range flush {
-		_ = c.p.WritePacket(d)
-	}
-	err := c.p.Close()
-	c.recvQ.Close()
-	return err
+	return c.p.Close()
 }

@@ -41,8 +41,8 @@ func mustRecv(t *testing.T, c Conn) *wire.Frame {
 }
 
 // driveRecv receives one frame while repeatedly advancing the fake clock so
-// retransmission timers can fire; the ARQ's write loop runs on goroutines,
-// so timer deadlines are stamped asynchronously and a single up-front
+// retransmission timers can fire; the peer's reader runs on its own
+// goroutine, so deadlines are stamped asynchronously and a single up-front
 // Advance can race past them.
 func driveRecv(t *testing.T, clk *VirtualClock, c Conn) *wire.Frame {
 	t.Helper()
@@ -162,7 +162,7 @@ func TestARQRetransmitRecoversLoss(t *testing.T) {
 }
 
 // countingPacket counts writes passing through and can hold them until
-// released, letting tests control exactly when the write loop drains.
+// released, letting tests control exactly when a write completes.
 type countingPacket struct {
 	Packet
 	mu   sync.Mutex
@@ -349,9 +349,10 @@ func TestARQFastRetransmit(t *testing.T) {
 	}
 }
 
-// TestARQCoalescing verifies small frames queued while the writer is busy
-// ride one datagram: with the first write held at the gate, 63 more Sends
-// queue up and must drain in a single syscall once the gate opens.
+// TestARQCoalescing verifies small frames queued while a write is under
+// way ride one datagram: with the first write held at the gate, 63 more
+// Sends queue behind it, and the goroutine holding the write turn sends
+// them in a single syscall once the gate opens.
 func TestARQCoalescing(t *testing.T) {
 	leaktest.Check(t)
 	pa, pb := PacketPipe()
@@ -364,27 +365,17 @@ func TestARQCoalescing(t *testing.T) {
 	defer b.Close()
 
 	const n = 64
-	// The lone first frame takes Send's inline fast path, so it must run in
-	// its own goroutine: the gate holds that write, and with the window now
-	// occupied the next Send queues for the write loop.
+	// The first Send takes the write turn and writes its lone frame, so it
+	// must run in its own goroutine: the gate holds that write.
 	errc := make(chan error, 1)
 	go func() { errc <- a.Send(wire.NewHello(0)) }()
-	cp.waitCount(t, 1) // Send goroutine is now blocked inside WritePacket
-	// The second frame baits the write loop to the gate: only once it too
-	// is provably parked inside WritePacket can the bulk be queued without
-	// racing it — otherwise the loop may wake mid-queue, grab a partial
-	// batch, and split the remainder across datagrams (the race soak hits
-	// exactly that interleaving).
-	if err := a.Send(wire.NewHello(1)); err != nil {
-		t.Fatal(err)
-	}
-	cp.waitCount(t, 2) // write loop is now blocked inside WritePacket
-	for i := 2; i < n; i++ {
+	cp.waitCount(t, 1) // the turn's holder is now blocked inside WritePacket
+	for i := 1; i < n; i++ {
 		if err := a.Send(wire.NewHello(graph.NodeID(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	close(gate) // release both gated writes; further writes pass freely
+	close(gate) // release the gated write; further writes pass freely
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
@@ -394,11 +385,11 @@ func TestARQCoalescing(t *testing.T) {
 		}
 	}
 	waitOutstandingZero(t, a)
-	// Exactly three data datagrams: the two gated singles and the 62-frame
+	// Exactly two data datagrams: the gated single and the 63-frame
 	// coalesced remainder — plus the SACKs a sends back for b's
 	// (nonexistent) traffic, i.e. none.
-	if got := cp.count(); got != 3 {
-		t.Fatalf("%d datagrams for %d frames, want 3 (2 gated singles + 1 coalesced batch)", got, n)
+	if got := cp.count(); got != 2 {
+		t.Fatalf("%d datagrams for %d frames, want 2 (1 gated single + 1 coalesced batch)", got, n)
 	}
 }
 
@@ -406,24 +397,24 @@ func TestARQCoalescing(t *testing.T) {
 // the [MinRTO, MaxRTO] clamp.
 func TestARQRTOEstimator(t *testing.T) {
 	leaktest.Check(t)
-	c := &ARQConn{cfg: ARQConfig{}.withDefaults()}
-	c.updateRTOLocked(0.1)
+	c := NewARQMachine(ARQConfig{})
+	c.updateRTO(0.1)
 	if c.srtt != 0.1 || c.rttvar != 0.05 {
 		t.Fatalf("first sample: srtt=%v rttvar=%v, want 0.1/0.05", c.srtt, c.rttvar)
 	}
 	if got, want := c.rto, 0.1+4*0.05; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("rto=%v, want %v", got, want)
 	}
-	c.updateRTOLocked(0.2)
+	c.updateRTO(0.2)
 	wantVar := 0.75*0.05 + 0.25*0.1
 	wantSRTT := 0.875*0.1 + 0.125*0.2
 	if math.Abs(c.rttvar-wantVar) > 1e-12 || math.Abs(c.srtt-wantSRTT) > 1e-12 {
 		t.Fatalf("second sample: srtt=%v rttvar=%v, want %v/%v", c.srtt, c.rttvar, wantSRTT, wantVar)
 	}
 	// A near-zero sample must clamp to MinRTO, not collapse to zero.
-	c2 := &ARQConn{cfg: ARQConfig{MinRTO: 0.004}.withDefaults()}
-	c2.updateRTOLocked(0)
-	c2.updateRTOLocked(0)
+	c2 := NewARQMachine(ARQConfig{MinRTO: 0.004})
+	c2.updateRTO(0)
+	c2.updateRTO(0)
 	if c2.rto != 0.004 {
 		t.Fatalf("rto=%v, want MinRTO clamp 0.004", c2.rto)
 	}

@@ -14,9 +14,9 @@ import (
 const MaxDatagram = 64 << 10
 
 // Packet is an unreliable datagram channel: writes may be lost,
-// duplicated, or reordered; reads return whole datagrams. It is the layer
-// beneath the ARQ — UDP in production, in-memory pairs in tests, and the
-// fault injector wraps either.
+// duplicated, or reordered; reads return whole datagrams. It is the lane
+// beneath an ARQ — UDP, in-memory pairs or a TCP stream — and the fault
+// injector wraps the first two.
 type Packet interface {
 	// WritePacket sends one datagram (best effort). Like Datagram.WriteTo
 	// it does not retain b after it returns, so the ARQ can resend from

@@ -2,17 +2,21 @@ package transport
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"sync"
 
 	"minroute/internal/wire"
 )
 
-// tcpConn adapts a net.Conn (TCP or any reliable byte stream) to the frame
-// contract. TCP already provides reliable in-order exactly-once bytes, so
-// the adapter only adds framing: wire.WriteFrame / wire.ReadFrame with a
-// mutex per direction so concurrent Sends never interleave frames.
-type tcpConn struct {
+// StreamConn adapts a net.Conn (TCP or any reliable byte stream) to both
+// faces of a peer link. As a Conn it only adds framing — TCP already
+// provides reliable in-order exactly-once bytes — with wire.WriteFrame /
+// wire.ReadFrame and a mutex per direction so concurrent Sends never
+// interleave frames. As a Packet lane it carries whole frames: a write is
+// any run of encoded frames (an ARQ datagram), and each read returns the
+// next one self-delimiting frame. Use one face per stream.
+type StreamConn struct {
 	c  net.Conn
 	br *bufio.Reader
 
@@ -23,13 +27,13 @@ type tcpConn struct {
 	closeErr  error
 }
 
-// NewStreamConn wraps an established reliable byte stream as a Conn.
-func NewStreamConn(c net.Conn) Conn {
-	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+// NewStreamConn wraps an established reliable byte stream.
+func NewStreamConn(c net.Conn) *StreamConn {
+	return &StreamConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
 }
 
 // DialTCP connects to a listening peer.
-func DialTCP(addr string) (Conn, error) {
+func DialTCP(addr string) (*StreamConn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -38,7 +42,7 @@ func DialTCP(addr string) (Conn, error) {
 }
 
 // Send writes one frame to the stream.
-func (t *tcpConn) Send(f *wire.Frame) error {
+func (t *StreamConn) Send(f *wire.Frame) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	return wire.WriteFrame(t.c, f)
@@ -47,14 +51,36 @@ func (t *tcpConn) Send(f *wire.Frame) error {
 // Recv reads the next frame. Any framing error (bad magic, CRC mismatch)
 // is fatal to the stream — byte boundaries are lost — so callers should
 // Close on error.
-func (t *tcpConn) Recv() (*wire.Frame, error) {
+func (t *StreamConn) Recv() (*wire.Frame, error) {
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
 	return wire.ReadFrame(t.br)
 }
 
-// Close shuts the stream down; blocked Recvs return with an error.
-func (t *tcpConn) Close() error {
+// WritePacket writes b, a run of whole encoded frames, in one Write.
+func (t *StreamConn) WritePacket(b []byte) error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	_, err := t.c.Write(b)
+	return err
+}
+
+// ReadPacket reads the next frame into b, re-encoded; the lane's reader
+// decodes it again. A frame that does not fit b is an error.
+func (t *StreamConn) ReadPacket(b []byte) (int, error) {
+	f, err := t.Recv()
+	if err != nil {
+		return 0, err
+	}
+	if n := f.EncodedBytes(); n > len(b) {
+		return 0, fmt.Errorf("transport: stream frame of %d bytes exceeds %d", n, len(b))
+	}
+	out, err := f.AppendEncode(b[:0])
+	return len(out), err
+}
+
+// Close shuts the stream down; blocked reads return with an error.
+func (t *StreamConn) Close() error {
 	t.closeOnce.Do(func() { t.closeErr = t.c.Close() })
 	return t.closeErr
 }
@@ -78,7 +104,7 @@ func ListenTCP(addr string) (*TCPListener, error) {
 func (tl *TCPListener) Addr() string { return tl.l.Addr().String() }
 
 // Accept blocks for the next inbound peer.
-func (tl *TCPListener) Accept() (Conn, error) {
+func (tl *TCPListener) Accept() (*StreamConn, error) {
 	c, err := tl.l.Accept()
 	if err != nil {
 		return nil, err

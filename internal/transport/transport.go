@@ -1,7 +1,12 @@
-// Package transport provides the live channels between MPDA peers: an
-// abstract frame connection plus three implementations — in-memory pipes
-// for deterministic tests, TCP for streams that are already reliable, and
-// UDP with an ARQ layer that rebuilds reliability from datagrams.
+// Package transport provides the live channels between MPDA peers. A
+// Packet is one unreliable lane of datagrams toward a peer — an in-memory
+// PacketPipe, a UDP socket (WithFaults perturbs either) or a TCP stream
+// read a frame at a time — and ARQ is the selective-repeat state machine
+// that rebuilds reliability on top of one: no I/O, no lock, no goroutine,
+// stepped by its driver. internal/node steps one per peer under its node
+// lock; ARQConn steps one over a Packet as a Conn, the abstract frame
+// connection, whose other implementations are the in-memory Pipe and the
+// TCP StreamConn.
 //
 // The contract every Conn must honor is exactly the assumption the paper
 // makes of its link model and that internal/protonet emulates in
@@ -55,8 +60,7 @@ type Clock interface {
 }
 
 // Queue is an unbounded, closable FIFO of frames: the receive buffer of the
-// in-memory and ARQ transports, and the per-peer writer queue of
-// internal/node (which bounds it by policy, watching Depth). Push never
+// in-memory pipe and of ARQConn, where a Conn's Recv waits. Push never
 // blocks. After Close, pops drain the remaining frames and then report
 // ErrClosed (the TCP FIN model: data already sent is still delivered — so
 // a final BYE still flushes).
@@ -74,22 +78,10 @@ func NewQueue() *Queue {
 	return q
 }
 
-// Push appends f, reporting false when the queue is closed.
-func (q *Queue) Push(f *wire.Frame) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.frames = append(q.frames, f)
-	q.cond.Signal()
-	return true
-}
-
-// PushAll appends a batch of frames under one lock acquisition — the ARQ
-// receive path delivers every frame decoded from a coalesced datagram in
-// one call. Reports false when the queue is closed.
-func (q *Queue) PushAll(fs []*wire.Frame) bool {
+// Push appends frames under one lock acquisition — the ARQ receive path
+// delivers every frame decoded from a coalesced datagram in one call. It
+// reports false when the queue is closed.
+func (q *Queue) Push(fs ...*wire.Frame) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -115,29 +107,6 @@ func (q *Queue) Pop() (*wire.Frame, error) {
 	q.frames[0] = nil
 	q.frames = q.frames[1:]
 	return f, nil
-}
-
-// PopAll is Pop for everything queued: it blocks for at least one frame,
-// then drains the queue in one call (the writer's burst path).
-func (q *Queue) PopAll() ([]*wire.Frame, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.frames) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.frames) == 0 {
-		return nil, ErrClosed
-	}
-	fs := q.frames
-	q.frames = nil
-	return fs, nil
-}
-
-// Depth returns the number of queued frames.
-func (q *Queue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.frames)
 }
 
 // Close marks the queue closed and wakes all waiters.
