@@ -34,7 +34,7 @@ test:
 	$(GO) test ./...
 
 # Every pinned output in one command — chaos fixture hashes, both chaos
-# runners' outcomes over mdrfuzz's seed range
+# runners' outcomes over the chaos sweep's seed range
 # (internal/chaos/testdata/generated_outcomes.txt), the telemetry and flood
 # goldens, the bytes of Quick fig14's telemetry artifacts
 # (internal/experiments/testdata/fig14_artifacts.sha256), every figure's Quick CSV
@@ -131,7 +131,7 @@ fuzz:
 
 # Longer randomized sweep: 200 seed-derived scenarios through both runners.
 chaos:
-	$(GO) run ./cmd/mdrfuzz -n 200 -des
+	$(GO) run ./cmd/mdrsim -fuzz 200 -des
 
 # The one benchmark (BENCHMARK.json, cmd/mdrbench/README.md): every
 # workload's end-to-end metrics plus the per-layer ledger, as one report.

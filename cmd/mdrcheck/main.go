@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,40 +37,51 @@ type jsonDiag struct {
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	checks := flag.String("checks", "", "comma-separated checks to run (default: all)")
-	list := flag.Bool("list", false, "list the available checks and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mdrcheck [-json] [-checks list] [packages]\n\n")
-		printChecks(os.Stderr, "  ")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdrcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
+	checks := fs.String("checks", "", "comma-separated checks to run (default: all)")
+	list := fs.Bool("list", false, "list the available checks and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: mdrcheck [-json] [-checks list] [packages]\n\n")
+		printChecks(stderr, "  ")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		printChecks(os.Stdout, "")
-		return
+		printChecks(stdout, "")
+		return 0
 	}
 
 	analyzers, err := lint.ByName(*checks)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdrcheck:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mdrcheck:", err)
+		return 2
 	}
 
-	patterns := flag.Args()
-	loader, err := lint.NewLoader(".", patterns...)
+	loader, err := lint.NewLoader(".", fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdrcheck:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mdrcheck:", err)
+		return 2
 	}
 
 	var diags []lint.Diag
 	for _, path := range loader.Targets() {
 		pkg, err := loader.Load(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdrcheck:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "mdrcheck:", err)
+			return 2
 		}
 		diags = append(diags, lint.RunPackage(pkg, analyzers)...)
 	}
@@ -82,20 +94,21 @@ func main() {
 				Check: d.Check, Message: d.Msg,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "mdrcheck:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "mdrcheck:", err)
+			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Printf("%s:%d:%d: %s: %s\n", relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Msg)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Msg)
 		}
 	}
 	if len(diags) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // printChecks writes the analyzer roster grouped by category, in the

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"minroute/internal/chaos"
 	"minroute/internal/experiments"
 	"minroute/internal/topo"
 )
@@ -19,26 +24,35 @@ flow a c 3Mbps
 flow c b 2Mbps
 `
 
-// TestRunScenarioTelemetryExport exercises the -scenario path with a
-// telemetry directory: the three artifacts must land under the documented
-// scenario_<mode>_s<seed> prefix, and the run must still succeed without
-// telemetry (the flag is strictly additive).
-func TestRunScenarioTelemetryExport(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "net.txt")
+// runOK runs mdrsim in-process and fails the test unless it exits 0.
+func runOK(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("mdrsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
+	}
+	return stdout.String()
+}
+
+func writeScenario(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "net.txt")
 	if err := os.WriteFile(path, []byte(tinyScenario), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	set := experiments.Settings{Warmup: 2, Duration: 2, Seed: 7}
+	return path
+}
 
-	telDir := filepath.Join(dir, "tel")
-	if err := os.MkdirAll(telDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	tel := set
-	tel.TelemetryDir = telDir
-	if err := runScenario(path, "mp", tel); err != nil {
-		t.Fatal(err)
+// TestRunScenarioTelemetryExport exercises the -scenario path with a
+// telemetry directory that does not exist yet: the three artifacts must
+// land under the documented scenario_<mode>_s<seed> prefix, and the run
+// must still succeed without telemetry (the flag is strictly additive).
+func TestRunScenarioTelemetryExport(t *testing.T) {
+	path := writeScenario(t)
+	telDir := filepath.Join(t.TempDir(), "tel")
+	out := runOK(t, "-scenario", path, "-quick", "-seed", "7", "-telemetry", telDir)
+	if !strings.HasPrefix(out, "MP on "+path+" (3 nodes, 6 links, 2 flows):") {
+		t.Errorf("unexpected output:\n%s", out)
 	}
 	for _, name := range []string{
 		"scenario_mp_s7.events.jsonl",
@@ -54,8 +68,8 @@ func TestRunScenarioTelemetryExport(t *testing.T) {
 		}
 	}
 
-	if err := runScenario(path, "mp", set); err != nil {
-		t.Fatalf("telemetry-off run: %v", err)
+	if plain := runOK(t, "-scenario", path, "-quick", "-seed", "7"); plain != out {
+		t.Errorf("telemetry changed the output:\n%s\nwithout it:\n%s", out, plain)
 	}
 }
 
@@ -94,6 +108,11 @@ func TestScenarioModeRunsTheCompareColumn(t *testing.T) {
 			t.Errorf("-mode %s prints mean %v ms, %s column's mean is %v", mode, got, label, want)
 		}
 	}
+
+	// The command prints the same comparison.
+	if got := runOK(t, "-scenario", writeScenario(t), "-compare", "-csv", "-quick", "-runs", "1"); got != fig.CSV() {
+		t.Errorf("-compare -csv printed\n%s\nwant\n%s", got, fig.CSV())
+	}
 }
 
 // TestRunChaosTelemetryExport exercises the -chaos path with telemetry: one
@@ -101,8 +120,9 @@ func TestScenarioModeRunsTheCompareColumn(t *testing.T) {
 // DES replay when -shards is set.
 func TestRunChaosTelemetryExport(t *testing.T) {
 	telDir := t.TempDir()
-	if err := runChaos("link-flap", telDir, 2); err != nil {
-		t.Fatal(err)
+	out := runOK(t, "-chaos", "link-flap", "-telemetry", telDir, "-shards", "2")
+	if !strings.HasSuffix(out, "all invariants held\n") {
+		t.Errorf("unexpected output:\n%s", out)
 	}
 	for _, name := range []string{
 		"link-flap_proto.events.jsonl",
@@ -118,5 +138,176 @@ func TestRunChaosTelemetryExport(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(telDir, name)); err != nil {
 			t.Fatalf("missing artifact %s: %v", name, err)
 		}
+	}
+}
+
+// TestListModes covers the two registries mdrsim prints.
+func TestListModes(t *testing.T) {
+	if got, want := runOK(t, "-list"), strings.Join(experiments.IDs, "\n")+"\n"; got != want {
+		t.Errorf("-list printed\n%s\nwant\n%s", got, want)
+	}
+	if got, want := runOK(t, "-chaos", "list"), strings.Join(experiments.ChaosNames(), "\n")+"\n"; got != want {
+		t.Errorf("-chaos list printed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestFigureSVGIntoMissingDirectory runs one Quick figure with -svg into a
+// directory that does not exist yet: mdrsim creates it before the work
+// starts, and the figure's CSV is the one the experiments package pins.
+func TestFigureSVGIntoMissingDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "not", "yet")
+	out := runOK(t, "-fig", "fig10", "-quick", "-csv", "-svg", dir)
+	fig, err := experiments.Fig10(experiments.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != fig.CSV() {
+		t.Errorf("-fig fig10 -quick -csv printed\n%s\nwant\n%s", out, fig.CSV())
+	}
+	svg, err := os.ReadFile(filepath.Join(dir, "fig10.svg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(svg, []byte("<svg")) {
+		t.Errorf("fig10.svg does not start with <svg: %.40q", svg)
+	}
+
+	table := runOK(t, "-fig", "fig10", "-quick", "-chart")
+	if !strings.HasPrefix(table, fig.Table()) || !strings.Contains(table, fig.Chart(60)) {
+		t.Errorf("-fig fig10 -quick -chart printed\n%s", table)
+	}
+}
+
+// TestOutputsPinned holds the -opt, -topo and -fuzz modes to pinned bytes.
+// A path in file means the output under test is that file.
+func TestOutputsPinned(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		file string
+		sum  string
+	}{
+		{[]string{"-opt", "net1", "-splits"}, "", "cb19abceec3e8ec604ee56361510d3164ffceef59697120ad72458ab57c59220"},
+		{[]string{"-opt", "cairn"}, "", "31befdba343e42134cedc7dc5e2f119a2dd33d62a7b08c83e9e3be68425a378b"},
+		{[]string{"-topo", "cairn", "-links"}, "", "022268cb7f1d4bdc1654c06db9c66735f140794a1c4bd30fea1a9531aaec4833"},
+		{[]string{"-topo", "net1"}, "", "651bbb77e38ef9d220e1ab852409a90d1c25e36dc97ae8eb2d7740b8382d6633"},
+		{[]string{"-topo", "scalefree", "-n", "200", "-flows", "64", "-out", filepath.Join(dir, "big.topo")}, filepath.Join(dir, "big.topo"), "f4a6908655aa990a5df17f72a7461a46505fceca7b3b71dd965971e773087f3b"},
+		{[]string{"-topo", "grid", "-n", "400", "-flows", "100"}, "", "fba78f1059a00afa0abb316b9c190bd8ae901298295bf952ea20bbc953a93112"},
+		{[]string{"-fuzz", "20", "-des", "-workers", "2"}, "", "22fa57ca43e7ef8bec6609144251e57acfd8bcab89b6fb5712d7e5f71eb972ad"},
+	} {
+		out := []byte(runOK(t, c.args...))
+		if c.file != "" {
+			var err error
+			if out, err = os.ReadFile(c.file); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sum := sha256.Sum256(out)
+		if got := hex.EncodeToString(sum[:]); got != c.sum {
+			t.Errorf("mdrsim %s: sha256 %s, want %s\n%s", strings.Join(c.args, " "), got, c.sum, out)
+		}
+	}
+}
+
+// TestFuzzVerbose covers -v: one ok line per scenario and runner, in seed
+// order, before the summary.
+func TestFuzzVerbose(t *testing.T) {
+	out := runOK(t, "-fuzz", "2", "-seed", "5", "-des", "-v")
+	var runs []string
+	for _, line := range strings.Split(out, "\n") {
+		if seed, _, ok := strings.Cut(line, ": ok, "); ok {
+			runs = append(runs, seed)
+		}
+	}
+	if want := []string{"seed 5 (des)", "seed 5 (proto)", "seed 6 (des)", "seed 6 (proto)"}; !slices.Equal(runs, want) {
+		t.Errorf("-v printed runs %v, want %v\n%s", runs, want, out)
+	}
+	if !strings.Contains(out, "2 scenarios, ") || !strings.HasSuffix(out, "no violations\n") {
+		t.Errorf("unexpected summary:\n%s", out)
+	}
+}
+
+// TestWriteReproducer covers what -fuzz leaves behind for a violation: the
+// scenario as JSON that loads back unchanged, and its event log beside it.
+func TestWriteReproducer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "repro.json")
+	s := chaos.Generate(3)
+	var out bytes.Buffer
+	if err := writeReproducer(&out, s, path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := chaos.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Errorf("reproducer loads back as %+v, want %+v", back, s)
+	}
+	events, err := os.ReadFile(path + ".events.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Error("reproducer event log is empty")
+	}
+	if !strings.Contains(out.String(), "replay with: mdrsim -chaos "+path) {
+		t.Errorf("unexpected output:\n%s", out.String())
+	}
+
+	if err := writeReproducer(&out, s, filepath.Join(path, "under-a-file.json")); err == nil {
+		t.Error("writing under a regular file succeeded")
+	}
+}
+
+// TestExitCodes holds the documented exit status: 2 for usage errors, 1
+// for errors, 0 for -h.
+func TestExitCodes(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.txt")
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-h"}, 0},
+		{nil, 2},
+		{[]string{"-bogus"}, 2},
+		{[]string{"-fig", "nosuch"}, 2},
+		{[]string{"-fig", "fig9", "-all"}, 2},
+		{[]string{"-opt", "net1", "-topo", "net1"}, 2},
+		{[]string{"-opt", "nosuch"}, 2},
+		{[]string{"-topo", "nosuch"}, 2},
+		{[]string{"-chaos", "nosuch"}, 1},
+		{[]string{"-scenario", missing}, 1},
+		{[]string{"-scenario", missing, "-compare"}, 1},
+		{[]string{"-topo", "grid", "-out", filepath.Join(missing, "x")}, 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != c.code {
+			t.Errorf("mdrsim %s: exit %d, want %d\n%s", strings.Join(c.args, " "), code, c.code, stderr.String())
+		}
+	}
+}
+
+// TestErrorExitWritesProfiles: an error exit still stops the CPU profile
+// and writes the heap profile, so the profile of a failing run is there to
+// read.
+func TestErrorExitWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-chaos", "nosuch", "-cpuprofile", cpu, "-memprofile", mem}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1\n%s", code, stderr.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
+	}
+
+	if code := run([]string{"-list", "-cpuprofile", filepath.Join(dir, "no", "cpu.prof")}, &stdout, &stderr); code != 1 {
+		t.Errorf("-cpuprofile into a missing directory: exit %d, want 1", code)
 	}
 }

@@ -1,5 +1,6 @@
-// Command mdrtrace inspects telemetry event logs exported by mdrsim,
-// mdrfuzz, and the experiment harness (the *.events.jsonl artifacts).
+// Command mdrtrace inspects telemetry event logs exported by mdrsim (its
+// -telemetry artifacts and the log -fuzz writes beside a reproducer) and
+// the experiment harness (the *.events.jsonl artifacts).
 //
 // Usage:
 //

@@ -8,29 +8,40 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"minroute/internal/core"
 	"minroute/internal/topo"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	network := topo.NET1()
 	opt := core.DefaultOptions()
 	opt.Seed = 5
 	sim := core.Build(network, opt)
 	sim.Start()
 
-	audit := func(when string) {
+	audit := func(when string) error {
 		if err := sim.CheckLoopFree(); err != nil {
-			log.Fatalf("%s: %v", when, err)
+			return fmt.Errorf("loop-freedom audit %s %w", when, err)
 		}
-		fmt.Printf("  loop-freedom audit %-22s OK\n", when)
+		fmt.Fprintf(w, "  loop-freedom audit %-22s OK\n", when)
+		return nil
 	}
 
-	fmt.Println("phase 1: converge and warm up (40 s)")
+	fmt.Fprintln(w, "phase 1: converge and warm up (40 s)")
 	sim.Eng.Run(40)
-	audit("after warmup:")
+	if err := audit("after warmup:"); err != nil {
+		return err
+	}
 
 	window := func(label string, until float64) {
 		sim.BeginMeasurement()
@@ -40,23 +51,30 @@ func main() {
 		for _, d := range rep.Delivered {
 			delivered += d
 		}
-		fmt.Printf("  %-26s mean=%8.3f ms  delivered=%8d  drops(no-route)=%d\n",
+		fmt.Fprintf(w, "  %-26s mean=%8.3f ms  delivered=%8d  drops(no-route)=%d\n",
 			label, rep.AvgMeanDelayMs(), delivered, rep.DropsNoRoute)
 	}
 
 	window("baseline (both bridges):", 60)
 
-	fmt.Println("phase 2: bridge link 4-5 fails")
+	fmt.Fprintln(w, "phase 2: bridge link 4-5 fails")
 	sim.FailLink(4, 5)
-	audit("right after failure:")
+	if err := audit("right after failure:"); err != nil {
+		return err
+	}
 	window("degraded (one bridge):", 90)
-	audit("after reconvergence:")
+	if err := audit("after reconvergence:"); err != nil {
+		return err
+	}
 
-	fmt.Println("phase 3: bridge link 4-5 recovers")
+	fmt.Fprintln(w, "phase 3: bridge link 4-5 recovers")
 	sim.RestoreLink(4, 5)
 	window("recovered:", 120)
-	audit("after recovery:")
+	if err := audit("after recovery:"); err != nil {
+		return err
+	}
 
-	fmt.Println("\nevery packet that was delivered traversed only loop-free")
-	fmt.Println("successor sets; the failure cost capacity, never correctness")
+	fmt.Fprintln(w, "\nevery packet that was delivered traversed only loop-free")
+	fmt.Fprintln(w, "successor sets; the failure cost capacity, never correctness")
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"minroute/internal/dvmp"
 	"minroute/internal/graph"
@@ -46,7 +48,13 @@ func build(g *graph.Graph, kind string, seed uint64) (*protonet.Net, map[graph.N
 }
 
 func main() {
-	fmt.Printf("%-8s %-8s %14s %16s\n", "topology", "protocol", "cold-start msgs", "post-failure msgs")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "%-8s %-8s %14s %16s\n", "topology", "protocol", "cold-start msgs", "post-failure msgs")
 	for _, tc := range []struct {
 		name  string
 		build func() *topo.Network
@@ -62,7 +70,7 @@ func main() {
 			cold := net.Run(5000000)
 			net.FailLink(tc.fail[0], tc.fail[1])
 			after := net.Run(5000000)
-			fmt.Printf("%-8s %-8s %14d %16d\n", tc.name, kind, cold, after)
+			fmt.Fprintf(w, "%-8s %-8s %14d %16d\n", tc.name, kind, cold, after)
 			results[kind] = routers
 		}
 		// Both protocols must agree on every successor set at convergence.
@@ -74,16 +82,17 @@ func main() {
 				a := results["mpda"][id].Successors(graph.NodeID(j))
 				b := results["dvmp"][id].Successors(graph.NodeID(j))
 				if len(a) != len(b) {
-					log.Fatalf("%s: router %d dest %d: MPDA %v vs DVMP %v", tc.name, id, j, a, b)
+					return fmt.Errorf("%s: router %d dest %d: MPDA %v vs DVMP %v", tc.name, id, j, a, b)
 				}
 				for x := range a {
 					if a[x] != b[x] {
-						log.Fatalf("%s: router %d dest %d: MPDA %v vs DVMP %v", tc.name, id, j, a, b)
+						return fmt.Errorf("%s: router %d dest %d: MPDA %v vs DVMP %v", tc.name, id, j, a, b)
 					}
 				}
 			}
 		}
-		fmt.Printf("%-8s successor sets identical across protocols: OK\n\n", tc.name)
+		fmt.Fprintf(w, "%-8s successor sets identical across protocols: OK\n\n", tc.name)
 	}
-	fmt.Println("same loop-free multipath routes; different state/message trade-offs")
+	fmt.Fprintln(w, "same loop-free multipath routes; different state/message trade-offs")
+	return nil
 }

@@ -1,36 +1,17 @@
 package main
 
 import (
-	"io"
-	"os"
+	"bytes"
 	"strings"
 	"testing"
 )
 
-// captureMain runs main with stdout redirected and returns what it printed;
-// a log.Fatalf inside the example fails the whole package, which is the
-// intended smoke-test behavior.
-func captureMain(t *testing.T) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
+func TestProtocolsRuns(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		buf, _ := io.ReadAll(r)
-		done <- string(buf)
-	}()
-	main()
-	w.Close()
-	os.Stdout = old
-	return <-done
-}
-
-func TestProtocolsRuns(t *testing.T) {
-	out := captureMain(t)
+	out := buf.String()
 	for _, want := range []string{
 		"NET1     successor sets identical across protocols: OK",
 		"CAIRN    successor sets identical across protocols: OK",

@@ -1,41 +1,21 @@
 package main
 
 import (
-	"io"
-	"os"
+	"bytes"
 	"strings"
 	"testing"
 )
 
-// captureMain runs main with stdout redirected to a pipe and returns what it
-// printed. A failure inside the example exits the test binary (the examples
-// use log.Fatalf), which go test reports as the package failing — exactly
-// what a smoke test wants.
-func captureMain(t *testing.T) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
+func TestQuickstartRuns(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		buf, _ := io.ReadAll(r)
-		done <- string(buf)
-	}()
-	main()
-	w.Close()
-	os.Stdout = old
-	return <-done
-}
-
-func TestQuickstartRuns(t *testing.T) {
-	out := captureMain(t)
 	for _, want := range []string{"MP (multipath minimum-delay approximation) on NET1:",
-		"loss rate: 0.00000", "loop-freedom audit: OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q\n%s", want, out)
+		"loss rate: 0.00000", "loop-freedom audit: OK", " 0 with node revisits",
+		"10 of 10 flows used two or more distinct paths"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q\n%s", want, out.String())
 		}
 	}
 }

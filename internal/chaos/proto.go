@@ -216,8 +216,8 @@ func RunProto(s *Scenario) (*Result, error) { return RunProtoWith(s, nil) }
 
 // RunProtoWith is RunProto with an optional telemetry capture: phase
 // transitions, message deliveries, table commits, allocation steps and
-// injected faults land in tel, timestamped by delivery attempt. mdrfuzz
-// ships this timeline alongside shrunk reproducers.
+// injected faults land in tel, timestamped by delivery attempt. `mdrsim
+// -fuzz` ships this timeline alongside shrunk reproducers.
 func RunProtoWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	return runProto(s, tel, func(a *router.Agent) protonet.Node { return a })
 }

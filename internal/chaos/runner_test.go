@@ -193,8 +193,8 @@ func TestRunnersRejectInvalidScenario(t *testing.T) {
 	}
 }
 
-// TestGeneratedScenariosPinned holds every scenario of mdrfuzz's seed range,
-// through both runners, to the event count and trace hash it reported when
+// TestGeneratedScenariosPinned holds Generate(0..199), the scenarios of the
+// `mdrsim -fuzz 200` sweep's range, through both runners, to the event count and trace hash it reported when
 // testdata/generated_outcomes.txt was taken (one "seed runner events hash"
 // line per run). A pin taken in another process catches everything a second
 // run in this one would: the scenarios the hand-written one above does not

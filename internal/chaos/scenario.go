@@ -2,7 +2,7 @@
 // topology and control-plane faults executed against the protocol-level
 // harness (protonet + MPDA) and the packet simulator (core), with the
 // invariant oracles of internal/oracle armed after every event. Scenarios
-// are plain JSON, so a violating schedule found by the fuzzer (cmd/mdrfuzz)
+// are plain JSON, so a violating schedule found by the fuzzer (mdrsim -fuzz)
 // can be shrunk to a minimal reproducer, checked in as a fixture, and
 // replayed deterministically with mdrsim -chaos.
 //
