@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"minroute/internal/graph"
@@ -79,15 +81,7 @@ func (c *naiveCheck) check() {
 func TestNaiveSuccessorsLoop(t *testing.T) {
 	const firstLoopingSeed = 1
 	for seed := uint64(0); seed < 10; seed++ {
-		agents := make(map[graph.NodeID]*router.Agent)
-		looped := 0
-		res, err := runProto(Generate(seed), nil, func(a *router.Agent) protonet.Node {
-			agents[a.Protocol().ID()] = a
-			return &naiveCheck{t: t, a: a, agents: agents, looped: &looped}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		looped, res := runNaive(t, Generate(seed))
 		if res.Failed() {
 			t.Fatalf("seed %d: %v", seed, res.Log.Violations)
 		}
@@ -101,4 +95,61 @@ func TestNaiveSuccessorsLoop(t *testing.T) {
 		return
 	}
 	t.Fatal("naive successor sets never looped over Generate(0..9)")
+}
+
+// runNaive replays s on the proto runner with every router hosted by a
+// naiveCheck, and returns after how many router events the naive views
+// looped beside the run's result. MPDA's own views looping fails t.
+func runNaive(t *testing.T, s *Scenario) (int, *Result) {
+	t.Helper()
+	agents := make(map[graph.NodeID]*router.Agent)
+	looped := 0
+	res, err := runProto(s, nil, func(a *router.Agent) protonet.Node {
+		agents[a.Protocol().ID()] = a
+		return &naiveCheck{t: t, a: a, agents: agents, looped: &looped}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", s.Name, err)
+	}
+	return looped, res
+}
+
+// TestNaiveLoopFixture replays the negative control's smallest case:
+// testdata/naive-loop.json is Generate(1) with its fault schedule shrunk by
+// Shrink while the naive views still loop. On it the naive views must loop
+// and MPDA's must stay acyclic and pass every oracle, on both runners.
+// Re-take the fixture (and, with it, its trace hash) with
+//
+//	CHAOS_UPDATE=1 go test -run 'TestNaiveLoopFixture|TestFixturesReplay' ./internal/chaos
+func TestNaiveLoopFixture(t *testing.T) {
+	path := filepath.Join("testdata", "naive-loop.json")
+	if os.Getenv("CHAOS_UPDATE") != "" {
+		shrunk := Shrink(Generate(1), func(s *Scenario) bool {
+			looped, _ := runNaive(t, s)
+			return looped > 0
+		})
+		shrunk.Name = "naive-loop"
+		if err := shrunk.Save(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	looped, res := runNaive(t, s)
+	if looped == 0 {
+		t.Fatalf("%s: the naive successor sets never looped", path)
+	}
+	if res.Failed() {
+		t.Fatalf("%s: proto runner: %v", path, res.Log.Violations)
+	}
+	des, err := RunDES(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if des.Failed() {
+		t.Fatalf("%s: DES runner: %v", path, des.Log.Violations)
+	}
+	t.Logf("%d actions of Generate(1)'s %d: naive views looped after %d router events", len(s.Actions), len(Generate(1).Actions), looped)
 }

@@ -11,7 +11,9 @@
 //
 // Run computes a tree from nothing; Scratch.Repair keeps one (Labels) current
 // while its graph changes, for the price of the subtrees a change touched:
-// same heap, same tie rule, same bits.
+// same heap, same tie rule, same bits. It finds the links entering a cut
+// subtree through InView.VisitIn, so its seed costs what the subtree does,
+// not what the graph does.
 package dijkstra
 
 import (
@@ -31,6 +33,14 @@ type View interface {
 	// VisitOut calls visit for every outgoing link u->v with cost c.
 	// Costs must be non-negative.
 	VisitOut(u graph.NodeID, visit func(v graph.NodeID, cost float64))
+}
+
+// InView is a View that also lists the links into a node: what Repair
+// seeds a subtree that lost its labels from.
+type InView interface {
+	View
+	// VisitIn calls visit for every incoming link u->v with cost c.
+	VisitIn(v graph.NodeID, visit func(u graph.NodeID, cost float64))
 }
 
 // Result holds single-source shortest-path distances and the shortest-path
@@ -53,9 +63,11 @@ type Scratch struct {
 	u     graph.NodeID // node being expanded; read by the link visitors
 	relax func(to graph.NodeID, cost float64)
 
-	// Repair's: the labels under repair, its link visitors (bound once, like
-	// relax), the times it gave the job to Run.
+	// Repair's: the labels under repair, the unlabelled node being seeded,
+	// its link visitors (bound once, like relax), the times it gave the job
+	// to Run.
 	l                   *Labels
+	x                   graph.NodeID
 	unlabel, seed, mend func(to graph.NodeID, cost float64)
 	fallbacks           int
 }

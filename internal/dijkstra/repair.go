@@ -45,15 +45,17 @@ func (l *Labels) note(x graph.NodeID) {
 //
 // The subtrees under cut lose their labels (a node's children are the tails
 // of its links that name it Parent), which leaves every label an upper bound;
-// the links entering them from labelled nodes, and every link of heads, are
-// then offered by Run's rule and the heap drained in Run's order. Where every
-// link lengthens the path it extends — dist + cost > dist — Run's answer is a
-// function of the graph alone (Dist the least left-to-right path sum, Parent
-// the lowest-address in-neighbor attaining it), so this is that answer. Where
-// one does not (zero cost, a cost the sum absorbs, NaN) it also depends on the
-// order nodes left Run's heap: the first such link met hands the job to Run —
-// observed, not configured — as does every Repair until a Run has met none.
-func (s *Scratch) Repair(v View, src graph.NodeID, l *Labels, cut, heads []graph.NodeID) {
+// the links entering them from nodes that kept a label — found through the
+// in-links of the unlabelled nodes, so the seed costs what the subtrees
+// cost — and every link of heads are then offered by Run's rule and the heap
+// drained in Run's order. Where every link lengthens the path it extends —
+// dist + cost > dist — Run's answer is a function of the graph alone (Dist
+// the least left-to-right path sum, Parent the lowest-address in-neighbor
+// attaining it), so this is that answer. Where one does not (zero cost, a
+// cost the sum absorbs, NaN) it also depends on the order nodes left Run's
+// heap: the first such link met hands the job to Run — observed, not
+// configured — as does every Repair until a Run has met none.
+func (s *Scratch) Repair(v InView, src graph.NodeID, l *Labels, cut, heads []graph.NodeID) {
 	if s.mend == nil {
 		s.unlabel, s.seed, s.mend = s.unlabelChild, s.seedLink, s.mendLink
 	}
@@ -76,8 +78,9 @@ func (s *Scratch) Repair(v View, src graph.NodeID, l *Labels, cut, heads []graph
 			s.u = l.Moved[i]
 			v.VisitOut(s.u, s.unlabel)
 		}
-		if len(l.Moved) > 0 {
-			s.visitLabelled(v, s.seed)
+		for _, x := range l.Moved { // offers note only nodes already noted
+			s.x = x
+			v.VisitIn(x, s.seed)
 		}
 		for _, u := range heads {
 			if s.u = u; l.Dist[u] < Inf {
@@ -103,17 +106,13 @@ func (s *Scratch) Repair(v View, src graph.NodeID, l *Labels, cut, heads []graph
 			}
 		}
 		l.loose = false
-		s.visitLabelled(v, func(_ graph.NodeID, cost float64) {
+		lengthens := func(_ graph.NodeID, cost float64) {
 			l.loose = l.loose || !(l.Dist[s.u]+cost > l.Dist[s.u])
-		})
-	}
-}
-
-// visitLabelled shows visit the links out of every node that has a label.
-func (s *Scratch) visitLabelled(v View, visit func(graph.NodeID, float64)) {
-	for u, d := range s.l.Dist {
-		if s.u = graph.NodeID(u); d < Inf {
-			v.VisitOut(s.u, visit)
+		}
+		for u, d := range l.Dist {
+			if s.u = graph.NodeID(u); d < Inf {
+				v.VisitOut(s.u, lengthens)
+			}
 		}
 	}
 }
@@ -126,10 +125,12 @@ func (s *Scratch) unlabelChild(to graph.NodeID, _ float64) {
 	}
 }
 
-// seedLink offers the link s.u→to when to lost its label.
-func (s *Scratch) seedLink(to graph.NodeID, cost float64) {
-	if s.l.noted[to] {
-		s.mendLink(to, cost)
+// seedLink offers the link from→s.x, into a node that lost its label, when
+// from kept its own.
+func (s *Scratch) seedLink(from graph.NodeID, cost float64) {
+	if l := s.l; !l.noted[from] && l.Dist[from] < Inf {
+		s.u = from
+		s.mendLink(s.x, cost)
 	}
 }
 

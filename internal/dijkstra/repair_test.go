@@ -11,13 +11,24 @@ import (
 )
 
 // rowsView is a graph held the way pda holds one: a row of links per head,
-// ascending by tail, at most one link per (head, tail).
+// ascending by tail, at most one link per (head, tail). It finds the links
+// into a node by reading every row, heads ascending: slow, and plainly the
+// transpose that pda's kept index must equal.
 type rowsView [][]edge
 
 func (g rowsView) NumNodes() int { return len(g) }
 func (g rowsView) VisitOut(u graph.NodeID, visit func(graph.NodeID, float64)) {
 	for _, e := range g[u] {
 		visit(e.to, e.cost)
+	}
+}
+func (g rowsView) VisitIn(v graph.NodeID, visit func(graph.NodeID, float64)) {
+	for u, row := range g {
+		for _, e := range row {
+			if e.to == v {
+				visit(graph.NodeID(u), e.cost)
+			}
+		}
 	}
 }
 
@@ -148,7 +159,8 @@ func (k *keptTree) repair(t testing.TB, what string) {
 // and how many of them gave way to Run.
 func driveRepairs(t testing.TB, c choices, batches int, what string) (repairs, fallbacks int) {
 	n := 2 + c.Intn(159)
-	costs := palettes[c.Intn(len(palettes))]
+	palette := c.Intn(len(palettes))
+	costs := palettes[palette]
 	cost := func() float64 { return costs[c.Intn(len(costs))] }
 	node := func() graph.NodeID { return graph.NodeID(c.Intn(n)) }
 	k := newKeptTree(n, node())
@@ -213,6 +225,9 @@ func driveRepairs(t testing.TB, c choices, batches int, what string) (repairs, f
 		}
 		k.repair(t, fmt.Sprintf("%s: batch %d", what, b))
 	}
+	if palette == 0 && k.s.fallbacks > 0 {
+		t.Fatalf("%s: %d repairs over links that all lengthen gave way to Run", what, k.s.fallbacks)
+	}
 	return batches + 1, k.s.fallbacks
 }
 
@@ -222,7 +237,8 @@ func driveRepairs(t testing.TB, c choices, batches int, what string) (repairs, f
 // back — the kept labels are the bits Run computes over the graph as it
 // stands. Half the seeds draw costs that make exact ties common and keep
 // every link lengthening, so the repair itself answers; the other half add
-// zero, 1e-300 and 1e300, where it must notice and give way. Both counts are
+// zero, 1e-300 and 1e300, where it must notice and give way — and only
+// there: on the first half no repair may fall back. Both counts are
 // reported: a test that only ever fell back would prove nothing.
 func TestRepairMatchesDijkstra(t *testing.T) {
 	var repairs, fallbacks int

@@ -32,6 +32,8 @@ type Diag struct {
 	Pos   token.Position
 	Check string
 	Msg   string
+	// always: no annotation suppresses it.
+	always bool
 }
 
 func (d Diag) String() string {
@@ -107,6 +109,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Check: p.check,
 		Msg:   fmt.Sprintf(format, args...),
 	})
+}
+
+// reportAlways records a finding at pos that no annotation suppresses.
+func (p *Pass) reportAlways(pos token.Pos, format string, args ...any) {
+	p.Reportf(pos, format, args...)
+	(*p.diags)[len(*p.diags)-1].always = true
 }
 
 // RunPackage runs the analyzers over pkg, applies suppression annotations,

@@ -27,7 +27,9 @@ import (
 //   - `continue`.
 //
 // Everything else needs a sort-before-range fix or a reasoned
-// `//lint:maporder-ok` annotation.
+// `//lint:maporder-ok` annotation — except a loop whose body calls into
+// the protocol (mpda, protonet, transport): the order it visits routers is
+// the order they see events, so no annotation silences that finding.
 var MapOrder = &Analyzer{
 	Name:     "maporder",
 	Category: CategoryDeterminism,
@@ -52,12 +54,37 @@ func runMapOrder(p *Pass) {
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if !mapLoopCommutes(p, rs) {
+			if fn := protocolCall(p, rs.Body); fn != nil {
+				p.reportAlways(rs.For, "range over map %s calls %s.%s, so the protocol sees its events in map order; iterate sorted keys (//lint:maporder-ok cannot excuse this)",
+					types.ExprString(rs.X), fn.Pkg().Path(), fn.Name())
+			} else if !mapLoopCommutes(p, rs) {
 				p.Reportf(rs.For, "range over map %s has an order-sensitive body; iterate sorted keys or annotate //lint:maporder-ok <reason>", types.ExprString(rs.X))
 			}
 			return true
 		})
 	}
+}
+
+// protocolPkgs are the packages whose calls deliver protocol events.
+var protocolPkgs = map[string]bool{
+	"minroute/internal/mpda":      true,
+	"minroute/internal/protonet":  true,
+	"minroute/internal/transport": true,
+}
+
+// protocolCall returns the first function of a protocol package that body
+// calls, or nil.
+func protocolCall(p *Pass, body *ast.BlockStmt) *types.Func {
+	var found *types.Func
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && found == nil {
+			if fn := calleeOf(p, call); fn != nil && fn.Pkg() != nil && protocolPkgs[fn.Pkg().Path()] {
+				found = fn
+			}
+		}
+		return found == nil
+	})
+	return found
 }
 
 // mapLoopCommutes proves (conservatively) that executing the loop body once

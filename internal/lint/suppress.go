@@ -78,12 +78,13 @@ func itoa(n int) string {
 // filter drops diagnostics covered by a matching, reasoned suppression.
 // A reasonless annotation suppresses nothing: it will instead surface as a
 // hygiene diagnostic, so a lazy `//lint:floateq-ok` cannot silence a check.
+// Nor does any annotation silence a finding reported as always.
 func (set *suppressionSet) filter(diags []Diag) []Diag {
 	out := diags[:0]
 	for _, d := range diags {
 		suppressed := false
 		for _, s := range set.byLine[lineKey(d.Pos.Filename, d.Pos.Line)] {
-			if s.check == d.Check && s.reason != "" {
+			if s.check == d.Check && s.reason != "" && !d.always {
 				suppressed = true
 				break
 			}

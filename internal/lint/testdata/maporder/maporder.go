@@ -1,7 +1,14 @@
 // Package fixture exercises the maporder analyzer: order-sensitive map
-// loops are flagged, provably commutative ones are not, and suppressions
-// without a reason are themselves diagnostics.
+// loops are flagged, provably commutative ones are not, suppressions
+// without a reason are themselves diagnostics, and a loop calling into the
+// protocol is flagged even under a reasoned suppression.
 package fixture
+
+import (
+	"minroute/internal/graph"
+	"minroute/internal/lsu"
+	"minroute/internal/mpda"
+)
 
 func orderSensitiveAppend(m map[int]float64) []int {
 	var out []int
@@ -74,4 +81,27 @@ func suppressedWithoutReason(m map[int]int) []int {
 func unknownCheckName() {
 	//lint:bogus-ok this check does not exist
 	// want:-1 `unknown check`
+}
+
+// A loop that hands routers their events in map order is a finding whatever
+// its annotation says.
+func protocolEventsSuppressed(routers map[int]*mpda.Router, m *lsu.Msg) {
+	//lint:maporder-ok fixture: a reason cannot excuse protocol events in map order
+	for _, r := range routers { // want `calls minroute/internal/mpda.HandleLSU`
+		r.HandleLSU(m)
+	}
+}
+
+func protocolEventsBare(routers map[int]*mpda.Router, k int) {
+	for _, r := range routers { // want `protocol sees its events in map order`
+		if r.Active() {
+			r.LinkDown(graph.NodeID(k))
+		}
+	}
+}
+
+func protocolReadsOnly(routers map[int]*mpda.Router, active map[int]bool) {
+	for id, r := range routers {
+		active[id] = r != nil // no call: a keyed write, accepted
+	}
 }

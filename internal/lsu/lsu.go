@@ -137,25 +137,37 @@ func Validate(buf []byte) error {
 
 // Unmarshal decodes a message, validating structure.
 func Unmarshal(buf []byte) (*Msg, error) {
-	if len(buf) < headerBytes {
-		return nil, fmt.Errorf("lsu: short message (%d bytes)", len(buf))
+	m := new(Msg)
+	if err := UnmarshalInto(m, buf); err != nil {
+		return nil, err
 	}
-	m := &Msg{
-		From: graph.NodeID(binary.BigEndian.Uint32(buf[0:4])),
-		Ack:  buf[4]&flagAck != 0,
+	return m, nil
+}
+
+// UnmarshalInto decodes a message into m, validating structure, and reuses
+// m's entry storage where it is large enough: a receiver that keeps one
+// message decodes every LSU without allocating. Entries is nil for a
+// message without entries unless m already had storage. On error what m
+// holds is unspecified.
+func UnmarshalInto(m *Msg, buf []byte) error {
+	if len(buf) < headerBytes {
+		return fmt.Errorf("lsu: short message (%d bytes)", len(buf))
 	}
 	if buf[4]&^flagAck != 0 {
-		return nil, fmt.Errorf("lsu: unknown flags %#x", buf[4])
+		return fmt.Errorf("lsu: unknown flags %#x", buf[4])
 	}
 	count := int(binary.BigEndian.Uint16(buf[5:7]))
 	if want := headerBytes + count*entryBytes; len(buf) != want {
-		return nil, fmt.Errorf("lsu: length %d does not match %d entries", len(buf), count)
+		return fmt.Errorf("lsu: length %d does not match %d entries", len(buf), count)
 	}
-	if count > 0 {
+	m.From = graph.NodeID(binary.BigEndian.Uint32(buf[0:4]))
+	m.Ack = buf[4]&flagAck != 0
+	if cap(m.Entries) < count {
 		m.Entries = make([]Entry, count)
 	}
+	m.Entries = m.Entries[:count]
 	off := headerBytes
-	for i := 0; i < count; i++ {
+	for i := range m.Entries {
 		e := Entry{
 			Op:   Op(buf[off]),
 			Head: graph.NodeID(binary.BigEndian.Uint32(buf[off+1 : off+5])),
@@ -163,13 +175,13 @@ func Unmarshal(buf []byte) (*Msg, error) {
 			Cost: math.Float64frombits(binary.BigEndian.Uint64(buf[off+9 : off+17])),
 		}
 		if e.Op < OpAdd || e.Op > OpDelete {
-			return nil, fmt.Errorf("lsu: entry %d has invalid op %d", i, buf[off])
+			return fmt.Errorf("lsu: entry %d has invalid op %d", i, buf[off])
 		}
 		if e.Op != OpDelete && (math.IsNaN(e.Cost) || e.Cost < 0) {
-			return nil, fmt.Errorf("lsu: entry %d has invalid cost %v", i, e.Cost)
+			return fmt.Errorf("lsu: entry %d has invalid cost %v", i, e.Cost)
 		}
 		m.Entries[i] = e
 		off += entryBytes
 	}
-	return m, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package lsu
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,6 +34,47 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", m, got)
+	}
+}
+
+// TestUnmarshalIntoReusesStorage decodes a sequence of messages — the
+// largest first, then a smaller one, a pure ACK and a corrupt buffer — into
+// one kept message: each decoded message equals Unmarshal's, and once the
+// entry storage is large enough it is the one every message is decoded
+// into.
+func TestUnmarshalIntoReusesStorage(t *testing.T) {
+	big := &Msg{From: 3, Entries: []Entry{
+		{Op: OpAdd, Head: 1, Tail: 2, Cost: 0.5},
+		{Op: OpChange, Head: 2, Tail: 4, Cost: 1.25},
+		{Op: OpDelete, Head: 4, Tail: 5},
+	}}
+	small := &Msg{From: 9, Ack: true, Entries: []Entry{{Op: OpChange, Head: 7, Tail: 8, Cost: 2}}}
+	ack := &Msg{From: 4, Ack: true}
+	var kept Msg
+	var storage *Entry
+	for _, m := range []*Msg{big, small, ack, big} {
+		buf, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Unmarshal(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := UnmarshalInto(&kept, buf); err != nil {
+			t.Fatal(err)
+		}
+		if kept.From != want.From || kept.Ack != want.Ack || !slices.Equal(kept.Entries, want.Entries) {
+			t.Fatalf("decoded %+v into the kept message, Unmarshal says %+v", kept, *want)
+		}
+		if storage == nil {
+			storage = &kept.Entries[:1][0]
+		} else if &kept.Entries[:1][0] != storage {
+			t.Fatalf("decoding %+v replaced the entry storage", *m)
+		}
+	}
+	if err := UnmarshalInto(&kept, []byte{0, 0, 0, 1, 0x80, 0, 0}); err == nil {
+		t.Fatal("corrupt flags decoded without error")
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpda
 
 import (
+	"slices"
 	"testing"
 
 	"minroute/internal/graph"
@@ -12,9 +13,11 @@ import (
 // TestHandleLSUAllocBudget extends pda's TestTablesAllocBudget through the
 // rest of the per-LSU procedure: on the converged hub of a 48-router
 // scale-free network, an LSU that changes a link off the router's tree —
-// T_k and some D_jk move, T does not — runs NTU, MTU, the re-derivation of
-// the moved S_j and the host's TakeMoved on storage that already exists.
-// The one allocation is the ACK it must send back.
+// T_k and some D_jk move, T does not — runs NTU, MTU, the re-test of k's
+// membership of the moved S_j and the host's TakeMoved on storage that
+// already exists. TakeMoved names a destination only when the flip moved
+// k into or out of its S_j, and every S_j it does not name is the set it
+// was. The one allocation is the ACK it must send back.
 func TestHandleLSUAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under the race detector")
@@ -55,20 +58,36 @@ func TestHandleLSUAllocBudget(t *testing.T) {
 	if msg.Entries == nil {
 		t.Fatal("no neighbor reports a link off the router's tree")
 	}
-	base := msg.Entries[0].Cost
+	base, k := msg.Entries[0].Cost, msg.From
+	was := make([][]graph.NodeID, g.NumNodes()) // S_j before the flip
+	flips, named := 0, 0
+	r.TakeMoved() // what the cold start changed
 	flip := func() {
+		for j := range was {
+			was[j] = append(was[j][:0], r.Successors(graph.NodeID(j))...)
+		}
 		msg.Entries[0].Cost = 3*base - msg.Entries[0].Cost // base <-> 2*base
 		r.HandleLSU(msg)
 		if r.Active() {
 			t.Fatal("off-tree change moved T")
 		}
-		if len(r.TakeMoved()) == 0 {
-			t.Fatal("a changed cost in T_k re-derived no S_j")
+		moved := r.TakeMoved()
+		for j := range was {
+			now := r.Successors(graph.NodeID(j))
+			changed := !slices.Equal(was[j], now)
+			if changed != slices.Contains(moved, graph.NodeID(j)) {
+				t.Fatalf("S_%d went %v → %v, TakeMoved named %v", j, was[j], now, moved)
+			}
+			if changed && slices.Contains(was[j], k) == slices.Contains(now, k) {
+				t.Fatalf("S_%d went %v → %v: the flip moved more than %d's membership", j, was[j], now, k)
+			}
 		}
+		flips, named = flips+1, named+len(moved)
 	}
 	flip() // both buffers of T have held the rows once
 	flip()
 	if got := testing.AllocsPerRun(100, flip); got > 1 {
 		t.Errorf("one-entry LSU: %.1f allocs/op, want 1 (the ACK)", got)
 	}
+	t.Logf("%d S_j changes named over %d flips", named, flips)
 }

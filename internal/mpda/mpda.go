@@ -19,8 +19,11 @@
 // the correct shortest distances and S_j = {k : D_j^k < D_j}.
 //
 // An event re-derives S_j only for the destinations whose D_jk, FD_j or
-// neighbor set it moved, and Router.TakeMoved hands exactly those to the
-// host, ascending, so per-destination state built from S_j follows suit.
+// neighbor set it moved — and where only an LSU's sender k moved D_jk, it
+// re-tests k's membership alone — and Router.TakeMoved hands the host,
+// ascending, exactly the destinations whose S_j changed, so per-destination
+// state built from S_j follows suit. HandleLSU borrows its message for the
+// call: a host may decode every LSU into the same one.
 package mpda
 
 import (
@@ -71,9 +74,9 @@ type Router struct {
 	fd []float64
 	// succ[j] is the successor set S_j, ascending by neighbor ID.
 	succ [][]graph.NodeID
-	// rederived collects the destinations whose S_j an event re-derived, for
-	// the host to take (TakeMoved).
-	rederived pda.DestSet
+	// changed collects the destinations whose S_j an event changed, for the
+	// host to take (TakeMoved).
+	changed pda.DestSet
 	// temp is the ACTIVE→PASSIVE step's scratch copy of D.
 	temp []float64
 }
@@ -154,15 +157,16 @@ func Digest(state []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TakeMoved returns, ascending, the destinations whose S_j was re-derived
-// since the previous call — every j whose S_j changed is among them — and
-// forgets them. Whatever a host builds per destination from S_j (routing
-// parameters, forwarding entries) it need only rebuild for these. The slice
-// is the router's and valid until its next event.
+// TakeMoved returns, ascending, the destinations whose S_j an event has
+// changed since the previous call — exactly those: one whose S_j was
+// re-derived to the set it had is not named — and forgets them. Whatever a
+// host builds per destination from S_j (routing parameters, forwarding
+// entries) it need only rebuild for these. The slice is the router's and
+// valid until its next event.
 func (r *Router) TakeMoved() []graph.NodeID {
-	moved := r.rederived.List()
+	moved := r.changed.List()
 	slices.Sort(moved)
-	r.rederived.Reset()
+	r.changed.Reset()
 	return moved
 }
 
@@ -200,7 +204,7 @@ func (r *Router) LinkUp(k graph.NodeID, cost float64) {
 		r.expectAck(k)
 		r.send(k, &lsu.Msg{From: r.ID(), Entries: full})
 	}
-	r.process(graph.None)
+	r.process(graph.None, true)
 }
 
 // LinkCostChange handles a cost change of the adjacent link to k.
@@ -209,7 +213,7 @@ func (r *Router) LinkCostChange(k graph.NodeID, cost float64) {
 		return
 	}
 	r.t.SetAdjacent(k, cost)
-	r.process(graph.None)
+	r.process(graph.None, false)
 }
 
 // LinkDown handles failure of the adjacent link to k. Per the paper, "any
@@ -221,10 +225,11 @@ func (r *Router) LinkDown(k graph.NodeID) {
 		r.awaiting[k] = 0
 		r.waiting--
 	}
-	r.process(graph.None)
+	r.process(graph.None, true)
 }
 
-// HandleLSU processes an LSU message from a neighbor.
+// HandleLSU processes an LSU message from a neighbor. It borrows m for the
+// call and keeps nothing of it.
 func (r *Router) HandleLSU(m *lsu.Msg) {
 	if _, up := r.t.AdjCost(m.From); !up {
 		return // stale message across a down link
@@ -240,18 +245,20 @@ func (r *Router) HandleLSU(m *lsu.Msg) {
 		// Every LSU that carries topology changes must be acknowledged.
 		ackTo = m.From
 	}
-	r.process(ackTo)
+	r.process(ackTo, false)
 }
 
 // process is the body of procedure MPDA (paper Fig. 4), run after the
 // NTU step of any event. ackTo identifies a neighbor whose entry-bearing
 // LSU must be acknowledged by this event's outgoing message (graph.None
-// when the event was not such an LSU).
-func (r *Router) process(ackTo graph.NodeID) {
+// when the event was not such an LSU): the one neighbor whose D_jk the
+// event can have moved, unless nbrsMoved says it changed the neighbor set.
+func (r *Router) process(ackTo graph.NodeID, nbrsMoved bool) {
 	var diff []lsu.Entry
-	// S_j = {k | D_jk < FD_j} moves only with N, the D_jk or FD_j. The
-	// tables' Moved set has the destinations of the first two; steps 2 and
-	// 3 add those of the third, and step 4 re-derives S_j for the set alone.
+	// S_j = {k | D_jk < FD_j} moves only with N, the D_jk or FD_j. Steps 2
+	// and 3 re-derive S_j wherever FD_j moved; elsewhere, the tables' Moved
+	// set holds the destinations whose D_jk may have, and step 4 re-derives
+	// S_j there when N moved, else re-tests the sender's membership alone.
 	moved := r.t.Moved()
 	switch {
 	case !r.active:
@@ -260,7 +267,7 @@ func (r *Router) process(ackTo graph.NodeID) {
 		// moves D), so FD_j can fall only where D_j just moved.
 		diff = r.t.RunMTU()
 		for _, j := range moved.List() {
-			r.fd[j] = math.Min(r.fd[j], r.t.Dist(j))
+			r.setFD(j, math.Min(r.fd[j], r.t.Dist(j)))
 		}
 	case r.waiting == 0:
 		// Step 3: ACTIVE and the last ACK has arrived. temp captures the
@@ -270,20 +277,27 @@ func (r *Router) process(ackTo graph.NodeID) {
 		r.temp = append(r.temp[:0], r.t.Dists()...)
 		r.setActive(false)
 		diff = r.t.RunMTU()
-		for j, was := range r.fd {
-			r.fd[j] = math.Min(r.temp[j], r.t.Dist(graph.NodeID(j)))
-			if math.Float64bits(r.fd[j]) != math.Float64bits(was) {
-				moved.Add(graph.NodeID(j), len(r.fd))
+		for j, fd := range r.temp {
+			if d := r.t.Dist(graph.NodeID(j)); math.Float64bits(d) != math.Float64bits(fd) {
+				fd = math.Min(fd, d) // else the same bits, as Min would give
 			}
+			r.setFD(graph.NodeID(j), fd)
 		}
 	default:
 		// ACTIVE with ACKs outstanding: NTU only; the MTU is deferred.
 	}
 
-	// Step 4: recompute the successor sets S_j = {k | D_jk < FD_j}.
-	for _, j := range moved.List() {
-		r.deriveSuccessors(j)
-		r.rederived.Add(j, len(r.fd))
+	// Step 4: recompute the successor sets S_j = {k | D_jk < FD_j} the
+	// moved D_jk can have changed.
+	if nbrsMoved {
+		for _, j := range moved.List() {
+			r.deriveSuccessors(j)
+		}
+	} else if i, up := slices.BinarySearch(r.t.Neighbors(), ackTo); up {
+		dk := r.t.NeighborDists()[i]
+		for _, j := range moved.List() {
+			r.retest(j, ackTo, dk[j])
+		}
 	}
 	moved.Reset()
 
@@ -333,15 +347,54 @@ func (r *Router) setActive(a bool) {
 	}
 }
 
-// deriveSuccessors sets S_j from the D_jk and FD_j as they stand.
+// setFD makes fd the feasible distance FD_j and, when it moved, re-derives
+// S_j.
+func (r *Router) setFD(j graph.NodeID, fd float64) {
+	if math.Float64bits(fd) != math.Float64bits(r.fd[j]) {
+		r.fd[j] = fd
+		r.deriveSuccessors(j)
+	}
+}
+
+// deriveSuccessors sets S_j from the D_jk and FD_j as they stand, in the
+// storage S_j has, and notes j when the set changed.
 func (r *Router) deriveSuccessors(j graph.NodeID) {
-	set := r.succ[j][:0]
+	was := r.succ[j]
+	set, same := was[:0], true
 	if j != r.ID() {
-		for _, k := range r.t.Neighbors() {
-			if numeric.Closer(r.t.NbrDist(j, k), r.fd[j]) {
+		dists, fd := r.t.NeighborDists(), r.fd[j]
+		for i, k := range r.t.Neighbors() {
+			if numeric.Closer(dists[i][j], fd) {
+				// was[len(set)] is read before the append overwrites it.
+				same = same && len(set) < len(was) && was[len(set)] == k
 				set = append(set, k)
 			}
 		}
 	}
 	r.succ[j] = set
+	if !same || len(set) != len(was) {
+		r.changed.Add(j, len(r.fd))
+	}
+}
+
+// retest brings S_j up to date where only D_jk, for neighbor k, may have
+// moved, to djk: k joins or leaves it, and nothing else can.
+func (r *Router) retest(j, k graph.NodeID, djk float64) {
+	if j == r.ID() {
+		return
+	}
+	set, i := r.succ[j], 0
+	for i < len(set) && set[i] < k { // a set holds a few neighbors at most
+		i++
+	}
+	in := i < len(set) && set[i] == k
+	if numeric.Closer(djk, r.fd[j]) == in {
+		return
+	}
+	if in {
+		r.succ[j] = slices.Delete(set, i, i+1)
+	} else {
+		r.succ[j] = slices.Insert(set, i, k)
+	}
+	r.changed.Add(j, len(r.fd))
 }

@@ -20,9 +20,9 @@ type Tables struct {
 
 	// nbrs lists the up adjacent neighbors ascending; adj, nbrTopo and
 	// nbrDist are parallel to it, and pos[k] is k's index in all four
-	// (-1 when k is not an up neighbor). pos, merged, main and tree.Parent are
-	// sized by the ID space and wait for the first neighbor: a network builds
-	// all its routers before any has one.
+	// (-1 when k is not an up neighbor). pos, pref, merged, main and
+	// tree.Parent are sized by the ID space and wait for the first neighbor: a
+	// network builds all its routers before any has one.
 	nbrs []graph.NodeID
 	pos  []int32
 	// adj[i] is l_ik for k = nbrs[i].
@@ -32,14 +32,18 @@ type Tables struct {
 	// nbrDist[i][j] is D_jk: the distance from k to j in T_k.
 	nbrDist [][]float64
 	// merged is the MTU's merge of the T_k, kept between runs: row j is row j
-	// of T_p for j's preferred neighbor p, row id the adjacent links. tree is
-	// the shortest-path tree over it (tree.Dist[j] is D_j) and main is T, the
-	// links of merged on that tree. stale collects the rows j whose p, row j
-	// of T_p or l_ik may have changed since RunMTU last made merged current.
-	merged, main *Topology
-	tree         dijkstra.Labels
-	stale        DestSet
-	sp           dijkstra.Scratch
+	// of T_p for p = pref[j].k, j's preferred neighbor when the row was last
+	// re-merged, row id the adjacent links. tree is the shortest-path tree
+	// over it (tree.Dist[j] is D_j) and main is T, the links of merged on that
+	// tree. stale collects the rows j whose preferred neighbor, row j of T_p
+	// or l_ik may have changed since RunMTU last made merged current; outside
+	// it pref[j] is PreferredNeighbor(j) and its offer.
+	merged *merge
+	main   *Topology
+	pref   []preference
+	tree   dijkstra.Labels
+	stale  DestSet
+	sp     dijkstra.Scratch
 	// RunMTU's working memory: the tails whose tree link a re-merged row lost
 	// or re-priced, the rows of T to derive again, one row being put
 	// together, the diff's halves; repairs counts the runs past the merge.
@@ -181,6 +185,11 @@ func (t *Tables) NbrDist(j, k graph.NodeID) float64 {
 	return t.nbrDist[i][j]
 }
 
+// NeighborDists returns the D_·k parallel to Neighbors: row i is the
+// distance vector of neighbor Neighbors()[i] (not a copy; callers must not
+// mutate it, and it is valid as long as Neighbors' answer).
+func (t *Tables) NeighborDists() [][]float64 { return t.nbrDist }
+
 // Main exposes the main topology table T (read-only by convention; a RunMTU
 // that reports a difference has edited it in place).
 func (t *Tables) Main() *Topology {
@@ -201,19 +210,29 @@ func (t *Tables) NeighborTopo(k graph.NodeID) *Topology {
 }
 
 // SetAdjacent records that the adjacent link to k is up with cost l_ik
-// (NTU steps 2 and 3).
+// (NTU steps 2 and 3). A new cost for a known link stales the own row and
+// the rows whose preferred neighbor the new D_jk + l_ik can move; a new
+// neighbor stales every row.
 func (t *Tables) SetAdjacent(k graph.NodeID, cost float64) {
-	t.addAll(&t.stale) // l_ik decides every preferred neighbor
 	if i, known := t.index(k); known {
+		was := t.adj[i]
+		if math.Float64bits(was) == math.Float64bits(cost) {
+			return
+		}
 		t.adj[i] = cost
+		t.stale.Add(t.id, t.n)
+		for j, d := range t.nbrDist[i] {
+			t.reconsider(graph.NodeID(j), k, d+was, d+cost)
+		}
 		return
 	}
+	t.addAll(&t.stale)
 	if t.pos == nil {
-		t.pos, t.tree.Parent = make([]int32, t.n), make([]graph.NodeID, t.n)
+		t.pos, t.pref, t.tree.Parent = make([]int32, t.n), make([]preference, t.n), make([]graph.NodeID, t.n)
 		for j := range t.pos {
-			t.pos[j], t.tree.Parent[j] = -1, graph.None
+			t.pos[j], t.pref[j], t.tree.Parent[j] = -1, preference{graph.None, math.Inf(1)}, graph.None
 		}
-		t.merged = NewTopology(t.n)
+		t.merged = &merge{Topology: Topology{rows: make([][]link, t.n)}, into: make([][]inLink, t.n)}
 	}
 	i, _ := slices.BinarySearch(t.nbrs, k)
 	d := infSlice(t.n)
@@ -274,14 +293,13 @@ func (t *Tables) ApplyLSU(k graph.NodeID, entries []lsu.Entry) {
 	budget := (topo.links + 1) / 2 // the nodes a tree with that many links reaches, halved
 	changed := false
 	for x, e := range entries {
-		if !t.inSpace(e.Head) || !t.inSpace(e.Tail) {
-			continue
-		}
-		t.stale.Add(e.Head, t.n)
-		if !topo.Apply(e) {
+		if !t.inSpace(e.Head) || !t.inSpace(e.Tail) || !topo.Apply(e) {
 			continue
 		}
 		changed = true
+		if t.pref[e.Head].k == k { // the merge holds row e.Head of T_k
+			t.stale.Add(e.Head, t.n)
+		}
 		if len(t.roots.List()) > budget {
 			continue // more roots than relabel may label: the walk will do
 		}
@@ -370,7 +388,7 @@ func (t *Tables) relabel(i int, k graph.NodeID, entries []lsu.Entry, budget int)
 	if done {
 		for _, j := range lab.List() {
 			if math.Float64bits(w[j]) != math.Float64bits(old[j]) {
-				t.setDist(old, j, w[j])
+				t.setDist(i, j, w[j])
 			}
 		}
 	}
@@ -383,17 +401,48 @@ func (t *Tables) commit(i int, d []float64) {
 	old := t.nbrDist[i]
 	for j, dj := range d {
 		if math.Float64bits(dj) != math.Float64bits(old[j]) {
-			t.setDist(old, graph.NodeID(j), dj)
+			t.setDist(i, graph.NodeID(j), dj)
 		}
 	}
 }
 
-// setDist writes D_jk = d, bit-wise another value, into old, the neighbor's
-// vector, and marks j.
-func (t *Tables) setDist(old []float64, j graph.NodeID, d float64) {
-	old[j] = d
+// setDist writes D_jk = d, bit-wise another value, for the neighbor k at
+// position i, marks j, and stales row j where j may prefer another neighbor
+// now.
+func (t *Tables) setDist(i int, j graph.NodeID, d float64) {
+	dist, l := t.nbrDist[i], t.adj[i]
+	t.reconsider(j, t.nbrs[i], dist[j]+l, d+l)
+	dist[j] = d
 	t.moved.Add(j, t.n)
-	t.stale.Add(j, t.n) // j may prefer another neighbor now
+}
+
+// preference is the neighbor a row of the merge was taken from, graph.None
+// when it had none, and its offer D_jk + l_ik (+Inf for none).
+type preference struct {
+	k     graph.NodeID
+	offer float64
+}
+
+// reconsider stales row j where neighbor k's offer toward j, D_jk + l_ik,
+// going from was to now can change j's preferred neighbor p: k is p and its
+// offer did not fall, or k is not p and its offer reaches p's (any finite
+// offer, when j has no p). Anywhere else p still wins preferred's
+// comparison — the least offer, lowest address first — so row j of the
+// merge stays current, and p's offer is brought along when it fell.
+func (t *Tables) reconsider(j, k graph.NodeID, was, now float64) {
+	if t.stale.has(j) {
+		return
+	}
+	switch p := &t.pref[j]; {
+	case p.k == k:
+		if now <= was {
+			p.offer = now
+			return
+		}
+	case !(now <= p.offer) || !(now < math.Inf(1)):
+		return
+	}
+	t.stale.Add(j, t.n)
 }
 
 // scratch returns the walks' label vector, grown once.
@@ -455,14 +504,17 @@ func (t *Tables) RunMTU() []lsu.Entry {
 	t.cut = t.cut[:0]
 	for _, j := range t.stale.List() {
 		var src []link
+		p, offer := t.preferred(j)
+		t.pref[j] = preference{graph.None, offer}
+		if p >= 0 {
+			t.pref[j].k, src = t.nbrs[p], t.nbrTopo[p].rows[j]
+		}
 		if j == t.id {
 			t.kept = t.kept[:0]
 			for i, k := range t.nbrs {
 				t.kept = append(t.kept, link{k, t.adj[i]})
 			}
 			src = t.kept
-		} else if p := t.preferred(j); p >= 0 {
-			src = t.nbrTopo[p].rows[j]
 		}
 		if t.remerge(j, src) {
 			t.dirty.Add(j, t.n)
@@ -516,46 +568,112 @@ func (t *Tables) RunMTU() []lsu.Entry {
 	return append(append(make([]lsu.Entry, 0, len(t.adds)+len(t.dels)), t.adds...), t.dels...)
 }
 
-// remerge makes row j of merged a copy of src and reports whether it was not
-// one already; the tails whose link from j was T's and is gone or re-priced
-// go to cut.
+// remerge makes row j of merged a copy of src, and the in-links of its tails
+// agree, and reports whether it was not one already; the tails whose link
+// from j was T's and is gone or re-priced go to cut.
 func (t *Tables) remerge(j graph.NodeID, src []link) bool {
-	row, same := t.merged.rows[j], true
-	i, found := 0, false
-	for _, was := range row {
-		if i, found = seek(src, i, was.tail); !found || math.Float64bits(src[i].cost) != math.Float64bits(was.cost) {
-			same = false
-			if t.tree.Parent[was.tail] == j {
-				t.cut = append(t.cut, was.tail)
+	m, row, same := t.merged, t.merged.rows[j], true
+	for a, b := 0, 0; a < len(row) || b < len(src); {
+		switch {
+		case b == len(src) || a < len(row) && row[a].tail < src[b].tail: // gone
+			m.unlinkIn(j, row[a].tail)
+			t.cutIfTree(j, row[a].tail)
+			a, same = a+1, false
+		case a == len(row) || src[b].tail < row[a].tail: // new
+			m.linkIn(j, src[b])
+			b, same = b+1, false
+		default:
+			if math.Float64bits(src[b].cost) != math.Float64bits(row[a].cost) { // re-priced
+				m.linkIn(j, src[b])
+				t.cutIfTree(j, row[a].tail)
+				same = false
 			}
+			a, b = a+1, b+1
 		}
 	}
-	if same && len(row) == len(src) {
+	if same {
 		return false
 	}
-	t.merged.links += len(src) - len(row)
-	t.merged.rows[j] = append(row[:0], src...)
+	m.links += len(src) - len(row)
+	m.rows[j] = append(row[:0], src...)
 	return true
 }
 
+// merge is the MTU's merge of the T_k beside its transpose: into[v] lists
+// the links into v, ascending by head, which Repair seeds a cut subtree
+// from. remerge is the only writer of its rows, and keeps into with them.
+type merge struct {
+	Topology
+	into [][]inLink
+}
+
+// inLink is a link of the merge as its tail sees it.
+type inLink struct {
+	head graph.NodeID
+	cost float64
+}
+
+// VisitIn implements dijkstra.InView: ascending head ID.
+func (m *merge) VisitIn(v graph.NodeID, visit func(graph.NodeID, float64)) {
+	for _, l := range m.into[v] {
+		visit(l.head, l.cost)
+	}
+}
+
+// linkIn records h→l.tail, at l.cost, among the tail's in-links.
+func (m *merge) linkIn(h graph.NodeID, l link) {
+	in := m.into[l.tail]
+	if i, found := seekHead(in, h); found {
+		in[i].cost = l.cost
+	} else {
+		m.into[l.tail] = slices.Insert(in, i, inLink{h, l.cost})
+	}
+}
+
+// unlinkIn removes h→tail from the tail's in-links.
+func (m *merge) unlinkIn(h, tail graph.NodeID) {
+	in := m.into[tail]
+	if i, found := seekHead(in, h); found {
+		m.into[tail] = slices.Delete(in, i, i+1)
+	}
+}
+
+// seekHead returns the position of h's link in in, or where it would go. A
+// node has few in-links in the merge: while every T_k is a tree, one per
+// neighbor at most and one from the router.
+func seekHead(in []inLink, h graph.NodeID) (int, bool) {
+	i := 0
+	for i < len(in) && in[i].head < h {
+		i++
+	}
+	return i, i < len(in) && in[i].head == h
+}
+
+// cutIfTree puts tail in cut when h→tail is a link of the tree.
+func (t *Tables) cutIfTree(h, tail graph.NodeID) {
+	if t.tree.Parent[tail] == h {
+		t.cut = append(t.cut, tail)
+	}
+}
+
 // preferred returns the position of the neighbor minimizing D_jk + l_ik
-// toward j, lowest address among equals, or -1 when j is unreachable
-// through every neighbor.
-func (t *Tables) preferred(j graph.NodeID) int {
+// toward j, lowest address among equals, and that offer, or -1 and +Inf
+// when j is unreachable through every neighbor.
+func (t *Tables) preferred(j graph.NodeID) (int, float64) {
 	best, p := math.Inf(1), -1
 	for i, l := range t.adj {
 		if d := t.nbrDist[i][j] + l; d < best {
 			best, p = d, i
 		}
 	}
-	return p
+	return p, best
 }
 
 // PreferredNeighbor returns the neighbor minimizing D_jk + l_ik toward j
 // (the next hop single-path routing would use), or graph.None when j is
 // unreachable through every neighbor.
 func (t *Tables) PreferredNeighbor(j graph.NodeID) graph.NodeID {
-	if p := t.preferred(j); p >= 0 {
+	if p, _ := t.preferred(j); p >= 0 {
 		return t.nbrs[p]
 	}
 	return graph.None

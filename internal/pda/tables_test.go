@@ -250,6 +250,42 @@ func fromScratch(tb *Tables) (*Topology, []float64) {
 	return merged, res.Dist
 }
 
+// keptIndexAgrees fails unless what RunMTU keeps beside its merge is what
+// the merge and the tables say: the in-links of every node are the transpose
+// of the merge's rows, heads ascending, costs to the bit, and every row's
+// recorded preferred neighbor is PreferredNeighbor's answer now, with the
+// offer D_jk + l_ik it makes to the bit.
+func keptIndexAgrees(t *testing.T, tb *Tables, what string) {
+	t.Helper()
+	if tb.merged == nil {
+		return // no neighbor yet: nothing merged
+	}
+	transpose := make([][]inLink, tb.NumNodes())
+	for h, row := range tb.merged.rows {
+		for _, l := range row {
+			transpose[l.tail] = append(transpose[l.tail], inLink{graph.NodeID(h), l.cost})
+		}
+	}
+	for v, want := range transpose {
+		got := tb.merged.into[v]
+		if !slices.EqualFunc(got, want, func(a, b inLink) bool {
+			return a.head == b.head && math.Float64bits(a.cost) == math.Float64bits(b.cost)
+		}) {
+			t.Fatalf("%s: links into %d indexed as %v, the merge's rows give %v", what, v, got, want)
+		}
+	}
+	for j := graph.NodeID(0); int(j) < tb.NumNodes(); j++ {
+		got, want := tb.pref[j], preference{tb.PreferredNeighbor(j), math.Inf(1)}
+		if k, ok := tb.index(want.k); ok {
+			want.offer = tb.nbrDist[k][j] + tb.adj[k]
+		}
+		if got.k != want.k || math.Float64bits(got.offer) != math.Float64bits(want.offer) {
+			t.Fatalf("%s: row %d recorded as merged from %d offering %v; its preferred neighbor is %d offering %v",
+				what, j, got.k, got.offer, want.k, want.offer)
+		}
+	}
+}
+
 // TestTablesMatchFreshRebuild is the proof obligation of the incremental
 // rules: T, D and the D_jk are functions of the current l_ik and T_k alone,
 // so after any history of events — the merge redone only at stale rows, the
@@ -261,8 +297,11 @@ func fromScratch(tb *Tables) (*Topology, []float64) {
 // the paper's MTU done from nothing (fromScratch) and fresh tables fed the
 // same inputs (the D_jk a fresh Dijkstra over T_k, bit for bit), T's link
 // count must be a recount, the reported diff must be, entry for entry and
-// in order, what separates the new T from the previous one, and Moved must
-// name every destination whose D_j or D_jk differs from before the event.
+// in order, what separates the new T from the previous one, the merge's
+// in-link index and recorded preferred neighbors must agree with it and the
+// tables (keptIndexAgrees) — so no row the stale rules let be was due a
+// re-merge — and Moved must name every destination whose D_j or D_jk
+// differs from before the event.
 // Costs are small integers so equal-cost paths, and with them every
 // tie-break, are common; every fourth seed adds zero, under which the tree
 // repair must hand over to Dijkstra.
@@ -326,6 +365,7 @@ func TestTablesMatchFreshRebuild(t *testing.T) {
 				if wantDiff := refT.Diff(prev); !slices.Equal(diff, wantDiff) {
 					t.Fatalf("seed %d step %d: diff = %v\nwant %v", seed, step, diff, wantDiff)
 				}
+				keptIndexAgrees(t, tb, fmt.Sprintf("seed %d step %d", seed, step))
 			}
 			moved := tb.Moved().List()
 			slices.Sort(moved)

@@ -7,12 +7,15 @@
 // finite time after the last change (the paper's Theorem 2).
 //
 // An event costs what it moved: the MTU keeps its merge, its tree and T, and
-// brings each up to date from the rows an event made stale; D_·k is labelled
-// again only under the tails whose in-link a neighbor's LSU changed, while
-// T_k is an in-forest rooted at k (a walk of the whole tree when those
-// subtrees are most of it, Dijkstra when T_k is no forest); Tables.Moved
-// names the destinations whose distances changed, for whatever is derived
-// from them (DESIGN.md §17).
+// brings each up to date from the rows an event made stale — a row is stale
+// only where its preferred neighbor's row changed or its preferred neighbor
+// can have, which the recorded preference and its offer D_jk + l_ik decide —
+// and the tree repair finds the links into a cut subtree through the
+// merge's kept in-link index; D_·k is labelled again only under the tails
+// whose in-link a neighbor's LSU changed, while T_k is an in-forest rooted
+// at k (a walk of the whole tree when those subtrees are most of it,
+// Dijkstra when T_k is no forest); Tables.Moved names the destinations whose
+// distances changed, for whatever is derived from them (DESIGN.md §17).
 package pda
 
 import (
@@ -63,11 +66,19 @@ func (t *Topology) VisitOut(u graph.NodeID, visit func(graph.NodeID, float64)) {
 	}
 }
 
-// find returns the position of tail in head's row, or where it would go.
+// find returns the position of tail in head's row, or where it would go:
+// a binary search, written out so that it inlines its comparison.
 func (t *Topology) find(head, tail graph.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(t.rows[head], tail, func(l link, tail graph.NodeID) int {
-		return int(l.tail) - int(tail)
-	})
+	row := t.rows[head]
+	i, j := 0, len(row)
+	for i < j {
+		if h := int(uint(i+j) >> 1); row[h].tail < tail {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(row) && row[i].tail == tail
 }
 
 // Set records link head→tail with the given cost, replacing any previous

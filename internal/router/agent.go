@@ -439,6 +439,7 @@ func (a *Agent) openTlWindow() {
 }
 
 // HandleLSU processes an LSU from a neighbor. A crashed agent ignores it.
+// It borrows m for the call and keeps nothing of it.
 func (a *Agent) HandleLSU(m *lsu.Msg) {
 	if a.down {
 		return

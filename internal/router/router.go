@@ -127,6 +127,9 @@ type Node struct {
 
 	// ecmp is the forwarding path's scratch for the equal-cost set.
 	ecmp []graph.NodeID
+	// rx is the one message HandleControl decodes every LSU into; the agent
+	// borrows it for the call.
+	rx lsu.Msg
 
 	// OnArrive is invoked for every data packet whose destination is this
 	// node (set by the network assembly).
@@ -238,13 +241,12 @@ func (n *Node) HandleControl(pkt *des.Packet) {
 	if !ok {
 		return
 	}
-	m, err := lsu.Unmarshal(buf)
-	if err != nil {
+	if err := lsu.UnmarshalInto(&n.rx, buf); err != nil {
 		// A corrupt LSU would violate the reliable-link assumption; surface
 		// loudly in simulation rather than limping on.
 		panic("router: corrupt LSU: " + err.Error())
 	}
-	n.agent.HandleLSU(m)
+	n.agent.HandleLSU(&n.rx)
 }
 
 // LinkFailed tells the protocol an adjacent link went down.
