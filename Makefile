@@ -46,9 +46,11 @@ test:
 # cross-validation on the routers' exact state encodings, the live boot
 # replayed by TestSteppedMeshDeterministic (NET1 and a 160-router scale-free
 # graph stepped in a seeded order on a virtual clock: one trace per seed at
-# GOMAXPROCS 1 and 2, protonet's hash for every seed), and the routing
+# GOMAXPROCS 1 and 2, protonet's hash for every seed), the routing
 # agent's seam (no simulator import; a hand-written host drives its clocks,
-# pricing and AH): what a refactor runs to show nothing observable moved.
+# pricing and AH) and mdrsim's own outputs (TestOutputsPinned: the bytes of
+# -opt, -topo and -fuzz, so OPT's φ and D_T are pinned here too): what a
+# refactor runs to show nothing observable moved.
 # With them, the state encoding's tests (every field of
 # mpda.Router.AppendState seen, the owed ACK the old text digest missed,
 # and the encoding moving exactly with the router's accessors over
@@ -60,7 +62,7 @@ test:
 # list and the router's weighted pick against the collect-and-sort each
 # replaced). About 35 s on a 2-core host.
 goldens:
-	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule|TestTelemetryArtifactsPinned|TestSteppedMeshDeterministic' ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
+	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule|TestTelemetryArtifactsPinned|TestSteppedMeshDeterministic|TestOutputsPinned' ./cmd/mdrsim ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
 
 race:
 	$(GO) test -race ./...

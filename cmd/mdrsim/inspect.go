@@ -74,9 +74,9 @@ func runOpt(o *options, stdout, _ io.Writer) error {
 		util     float64
 	}
 	var lus []lu
+	prices := fluid.Price(cfg, res)
 	for _, l := range net.Graph.Links() {
-		u := res.Flow(l.From, l.To) / l.Capacity
-		if u > 0 {
+		if u := prices.Links[[2]graph.NodeID{l.From, l.To}].Utilization; u > 0 {
 			lus = append(lus, lu{l.From, l.To, u})
 		}
 	}

@@ -5,11 +5,19 @@
 //	t_ij = r_ij + Σ_k t_kj φ_kji                  (Eq. 1)
 //	f_ik = Σ_j t_ij φ_ijk                          (Eq. 2)
 //
-// and computes the M/M/1 delay quantities: the total expected delay D_T of
-// Eq. 3 and the expected end-to-end delay of each flow. The solver requires
-// the per-destination routing graphs to be acyclic — which every routing
-// scheme in this repository guarantees — and processes them in topological
-// order, so one evaluation is O(N·L).
+// and is the one place a solved φ is priced and traversed:
+//
+//   - Price is the one pricing pass, in g.Links() order: D_T of Eq. 3 and each
+//     link's M/M/1 per-packet delay, marginal delay D′_ik and utilization.
+//   - Prices.Distances is the one backward recursion,
+//     W_ij = Σ_k φ_ijk (w_ik + W_kj), over a per-link weight w. With the
+//     delays it gives the expected delay from i to j (Delays); with the
+//     marginals it gives ∂D_T/∂r_ij of Eq. 5, which drives OPT
+//     (internal/gallager).
+//
+// The solver requires the per-destination routing graphs to be acyclic —
+// which every routing scheme in this repository guarantees — and processes
+// them in topological order, so one evaluation is O(N·L).
 package fluid
 
 import (
@@ -24,7 +32,8 @@ import (
 
 // Routing supplies the routing parameters: Fractions(i, j) returns φ_ij·,
 // the split of router i's traffic for destination j over its successors.
-// An empty result means router i has no route to j.
+// A split with no positive share (empty included) means router i has no
+// route to j.
 type Routing interface {
 	Fractions(i, j graph.NodeID) alloc.Split
 }
@@ -65,7 +74,7 @@ type Result struct {
 	NodeTraffic [][]float64
 	// LinkFlow[from][to] is f_ik.
 	LinkFlow map[[2]graph.NodeID]float64
-	// Lost is offered traffic arriving at a router with no successors.
+	// Lost is offered traffic arriving at a router with no route.
 	Lost float64
 }
 
@@ -84,7 +93,7 @@ func Solve(cfg Config, rt Routing) (*Result, error) {
 	n := g.NumNodes()
 	res := &Result{
 		NodeTraffic: make([][]float64, n),
-		LinkFlow:    make(map[[2]graph.NodeID]float64),
+		LinkFlow:    make(map[[2]graph.NodeID]float64, g.NumLinks()),
 	}
 	for j := 0; j < n; j++ {
 		res.NodeTraffic[j] = make([]float64, n)
@@ -135,7 +144,7 @@ func solveDest(cfg Config, rt Routing, j graph.NodeID, res *Result) error {
 		queue = queue[:len(queue)-1]
 		processed++
 		if i != j && t[i] > 0 {
-			if len(frac[i]) == 0 {
+			if !frac[i].Weighted() {
 				res.Lost += t[i]
 			} else {
 				for _, sh := range frac[i] {
@@ -168,61 +177,63 @@ func solveDest(cfg Config, rt Routing, j graph.NodeID, res *Result) error {
 	return nil
 }
 
-// DelayResult holds the delay metrics for one evaluation.
-type DelayResult struct {
-	// FlowDelay[x] is the expected end-to-end per-packet delay of
-	// cfg.Flows[x] in seconds; +Inf when the flow has no complete route.
-	FlowDelay []float64
-	// NodeDelay[j][i] is W_ij: expected delay from router i to destination j.
-	NodeDelay [][]float64
+// LinkPrice is one link's M/M/1 pricing at its solved flow.
+type LinkPrice struct {
+	// Delay is the expected per-packet delay 1/(μ−λ) + τ in seconds.
+	Delay float64
+	// Marginal is the link cost l_ik = D′_ik(f_ik) = μ/(μ−λ)² + τ.
+	Marginal float64
+	// Utilization is λ/μ.
+	Utilization float64
+}
+
+// Prices is a solved flow priced link by link.
+type Prices struct {
+	// Links[(i, k)] prices link i→k.
+	Links map[[2]graph.NodeID]LinkPrice
 	// TotalDelay is the paper's D_T = Σ_links D_ik(f_ik) with f in
 	// packets/second (a delay-weighted packet rate).
 	TotalDelay float64
 	// MaxUtilization is the highest λ/μ over all links.
 	MaxUtilization float64
+
+	n int
 }
 
-// Delays computes per-flow expected delays and D_T for the solved flows.
-func Delays(cfg Config, rt Routing, res *Result) (*DelayResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// Price prices every link of cfg.Graph at its flow in res, in one pass in
+// g.Links() order, (from, to) ascending, so D_T always sums in that order.
+// The pass reads each router's g.OutLinks, which hold that order already,
+// rather than sorting g.Links() afresh. res must have been solved under cfg.
+func Price(cfg Config, res *Result) *Prices {
 	g := cfg.Graph
 	n := g.NumNodes()
-	out := &DelayResult{
-		FlowDelay: make([]float64, len(cfg.Flows)),
-		NodeDelay: make([][]float64, n),
-	}
-
-	// Per-packet delay of each link under the solved flows.
-	linkDelay := make(map[[2]graph.NodeID]float64, g.NumLinks())
-	for _, l := range g.Links() {
-		lambda := res.Flow(l.From, l.To) / cfg.MeanPacketBits
-		mu := l.Capacity / cfg.MeanPacketBits
-		linkDelay[[2]graph.NodeID{l.From, l.To}] = linkcost.MM1Delay(lambda, mu, l.PropDelay)
-		out.TotalDelay += linkcost.MM1Total(lambda, mu, l.PropDelay)
-		if u := linkcost.Utilization(lambda, mu); u > out.MaxUtilization {
-			out.MaxUtilization = u
+	p := &Prices{Links: make(map[[2]graph.NodeID]LinkPrice, g.NumLinks()), n: n}
+	for i := 0; i < n; i++ {
+		for _, l := range g.OutLinks(graph.NodeID(i)) {
+			lambda := res.Flow(l.From, l.To) / cfg.MeanPacketBits
+			mu := linkcost.KnownMu(l.Capacity, cfg.MeanPacketBits)
+			u := linkcost.Utilization(lambda, mu)
+			p.Links[[2]graph.NodeID{l.From, l.To}] = LinkPrice{
+				Delay:       linkcost.MM1Delay(lambda, mu, l.PropDelay),
+				Marginal:    linkcost.MM1Marginal(lambda, mu, l.PropDelay),
+				Utilization: u,
+			}
+			p.TotalDelay += linkcost.MM1Total(lambda, mu, l.PropDelay)
+			if u > p.MaxUtilization {
+				p.MaxUtilization = u
+			}
 		}
 	}
-
-	for j := 0; j < n; j++ {
-		w, err := nodeDelays(cfg, rt, graph.NodeID(j), linkDelay)
-		if err != nil {
-			return nil, err
-		}
-		out.NodeDelay[j] = w
-	}
-	for x, f := range cfg.Flows {
-		out.FlowDelay[x] = out.NodeDelay[f.Dst][f.Src]
-	}
-	return out, nil
+	return p
 }
 
-// nodeDelays computes W_ij = Σ_k φ_ijk (d_ik + W_kj) in reverse topological
-// order of the destination-j successor graph.
-func nodeDelays(cfg Config, rt Routing, j graph.NodeID, linkDelay map[[2]graph.NodeID]float64) ([]float64, error) {
-	n := cfg.Graph.NumNodes()
+// Distances computes W_ij = Σ_k φ_ijk (w_ik + W_kj), W_jj = 0, for every
+// router i, with w_ik = weight(p.Links[(i, k)]), in reverse topological
+// order of the destination-j routing graph. A router with no route to j,
+// or whose split crosses a link the graph lacks, gets +Inf. It returns an
+// error if the routing graph contains a cycle.
+func (p *Prices) Distances(rt Routing, j graph.NodeID, weight func(LinkPrice) float64) ([]float64, error) {
+	n := p.n
 	w := make([]float64, n)
 	frac := make([]alloc.Split, n)
 	// pending[i] counts successors whose W is not yet known.
@@ -255,29 +266,68 @@ func nodeDelays(cfg Config, rt Routing, j graph.NodeID, linkDelay map[[2]graph.N
 		k := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		done++
-		if k != j && pending[k] == 0 && len(frac[k]) > 0 {
+		if k != j && frac[k].Weighted() {
 			sum := 0.0
 			for _, sh := range frac[k] {
 				if sh.Frac <= 0 {
 					continue
 				}
-				d, ok := linkDelay[[2]graph.NodeID{k, sh.Hop}]
-				if !ok {
-					d = math.Inf(1) // φ over a vanished link
+				d := math.Inf(1) // φ over a vanished link
+				if lp, ok := p.Links[[2]graph.NodeID{k, sh.Hop}]; ok {
+					d = weight(lp)
 				}
 				sum += sh.Frac * (d + w[sh.Hop])
 			}
 			w[k] = sum
 		}
-		for _, p := range preds[k] {
-			pending[p]--
-			if pending[p] == 0 {
-				queue = append(queue, p)
+		for _, q := range preds[k] {
+			pending[q]--
+			if pending[q] == 0 {
+				queue = append(queue, q)
 			}
 		}
 	}
 	if done != n {
-		return nil, fmt.Errorf("fluid: delay recursion found a cycle for destination %d", j)
+		return nil, fmt.Errorf("fluid: recursion found a cycle for destination %d", j)
 	}
 	return w, nil
+}
+
+// DelayResult holds the delay metrics for one evaluation.
+type DelayResult struct {
+	// FlowDelay[x] is the expected end-to-end per-packet delay of
+	// cfg.Flows[x] in seconds; +Inf when the flow has no complete route.
+	FlowDelay []float64
+	// NodeDelay[j][i] is W_ij: expected delay from router i to destination j.
+	NodeDelay [][]float64
+	// TotalDelay is D_T (see Prices).
+	TotalDelay float64
+	// MaxUtilization is the highest λ/μ over all links.
+	MaxUtilization float64
+}
+
+// Delays computes per-flow expected delays and D_T for the solved flows.
+func Delays(cfg Config, rt Routing, res *Result) (*DelayResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	n := cfg.Graph.NumNodes()
+	p := Price(cfg, res)
+	out := &DelayResult{
+		FlowDelay:      make([]float64, len(cfg.Flows)),
+		NodeDelay:      make([][]float64, n),
+		TotalDelay:     p.TotalDelay,
+		MaxUtilization: p.MaxUtilization,
+	}
+	for j := 0; j < n; j++ {
+		w, err := p.Distances(rt, graph.NodeID(j), func(l LinkPrice) float64 { return l.Delay })
+		if err != nil {
+			return nil, err
+		}
+		out.NodeDelay[j] = w
+	}
+	for x, f := range cfg.Flows {
+		out.FlowDelay[x] = out.NodeDelay[f.Dst][f.Src]
+	}
+	return out, nil
 }

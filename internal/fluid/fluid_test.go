@@ -162,6 +162,68 @@ func TestSolveLostTraffic(t *testing.T) {
 	}
 }
 
+// A split whose every share is zero forwards nothing: it is no route, so
+// its traffic counts as Lost and its delay is +Inf, as for an empty split.
+func TestSolveZeroShareSplitIsNoRoute(t *testing.T) {
+	g := graph.New()
+	g.AddNode("a")
+	g.AddNode("b")
+	if err := g.AddDuplex(0, 1, 1e7, 0.001); err != nil {
+		t.Fatal(err)
+	}
+	rt := RoutingFunc(func(i, j graph.NodeID) alloc.Split {
+		if i == 0 && j == 1 {
+			return alloc.Split{{Hop: 1, Frac: 0}}
+		}
+		return nil
+	})
+	cfg := Config{Graph: g, MeanPacketBits: pktBits, Flows: []topo.Flow{{Src: 0, Dst: 1, Rate: 1e6}}}
+	res, err := Solve(cfg, rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lost != 1e6 {
+		t.Fatalf("lost = %v, want 1e6", res.Lost)
+	}
+	if f := res.Flow(0, 1); f != 0 {
+		t.Fatalf("flow on a->b = %v, want 0", f)
+	}
+	d, err := Delays(cfg, rt, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(d.FlowDelay[0], 1) {
+		t.Fatalf("zero-share flow delay = %v, want +Inf", d.FlowDelay[0])
+	}
+}
+
+// The recursion rejects a cyclic routing graph, as Solve does.
+func TestDistancesCycleDetected(t *testing.T) {
+	g := lineGraph(t)
+	cfg := Config{Graph: g, MeanPacketBits: pktBits}
+	res, err := Solve(cfg, spRouting(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := RoutingFunc(func(i, j graph.NodeID) alloc.Split {
+		switch {
+		case j != 3:
+			return nil
+		case i == 1:
+			return alloc.Single(2)
+		case i == 2:
+			return alloc.Single(1) // loop 1<->2
+		}
+		return alloc.Single(i + 1)
+	})
+	if _, err := Price(cfg, res).Distances(loop, 3, func(l LinkPrice) float64 { return l.Marginal }); err == nil {
+		t.Fatal("cycle not detected by the recursion")
+	}
+	if _, err := Delays(cfg, loop, res); err == nil {
+		t.Fatal("cycle not detected by Delays")
+	}
+}
+
 func TestDelaysSingleLinkMatchesTheory(t *testing.T) {
 	g := graph.New()
 	g.AddNode("a")

@@ -5,11 +5,12 @@
 //
 // Each iteration:
 //
-//  1. Solves the flow equations for the current φ (internal/fluid).
-//  2. Computes link marginal delays l_ik = D'_ik(f_ik).
-//  3. Computes marginal distances ∂D_T/∂r_ij by the recursion of Eq. 5:
-//     ∂D/∂r_ij = Σ_k φ_ijk (l_ik + ∂D/∂r_kj), evaluated in reverse
-//     topological order of the (loop-free) routing graph.
+//  1. Solves the flow equations for the current φ (fluid.Solve).
+//  2. Prices the links at those flows (fluid.Price): D_T and the link
+//     marginal delays l_ik = D'_ik(f_ik).
+//  3. Computes marginal distances ∂D_T/∂r_ij by the recursion of Eq. 5,
+//     ∂D/∂r_ij = Σ_k φ_ijk (l_ik + ∂D/∂r_kj): fluid's one backward
+//     recursion (Prices.Distances) weighted by the marginals.
 //  4. Shifts routing fractions away from non-minimal next hops:
 //     Δφ_ijk = min(φ_ijk, η·a_ijk/t_ij), where a_ijk is the excess marginal
 //     distance of k over the best neighbor, and adds the total to the best
@@ -39,37 +40,26 @@ import (
 	"minroute/internal/topo"
 )
 
+const (
+	// eta0 is Gallager's global step size at the start; the line search
+	// scales it up and down from here.
+	eta0 = 1.0
+	// tol is the relative D_T improvement below which an iteration counts
+	// as no progress.
+	tol = 1e-9
+)
+
 // Options tunes the solver. Zero values select sensible defaults.
 type Options struct {
-	// Eta is Gallager's global step size; the line search scales it up and
-	// down from here. Default 1.
-	Eta float64
 	// MaxIters bounds the iteration count. Default 2000.
 	MaxIters int
-	// Tol is the relative D_T improvement below which the iteration is
-	// considered converged. Default 1e-9.
-	Tol float64
 	// MeanPacketBits converts bit rates to packet rates. Default 8000.
 	MeanPacketBits float64
-	// SecondDerivative scales each traffic shift by the curvature of the
-	// delay function (Bertsekas & Gallager's acceleration, which the paper
-	// cites as "us[ing] second derivatives to speed up convergence of
-	// Gallager's algorithm"): Δφ = min(φ, η·a/(t_ij·h)) with h the second
-	// derivative of the link delay along the shifted direction. Steps are
-	// then naturally small on sharply-curved (nearly saturated) links and
-	// large on flat ones.
-	SecondDerivative bool
 }
 
 func (o *Options) setDefaults() {
-	if o.Eta <= 0 {
-		o.Eta = 1
-	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 2000
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
 	}
 	if o.MeanPacketBits <= 0 {
 		o.MeanPacketBits = 8000
@@ -84,8 +74,8 @@ type Result struct {
 	TotalDelay float64
 	// Iterations actually performed.
 	Iterations int
-	// Converged reports whether the relative improvement fell below Tol
-	// before MaxIters.
+	// Converged reports whether the iteration stalled (no relative D_T
+	// improvement above tol for a window of iterations) before MaxIters.
 	Converged bool
 }
 
@@ -99,7 +89,7 @@ func (r *Result) Fractions(i, j graph.NodeID) alloc.Split { return r.Phi[j][i] }
 // does not increase the proposal is accepted (and η doubles after a streak
 // of successes, since Gallager's fixed global η has no natural scale for a
 // given network); otherwise φ is kept and η halves. Iteration stops when a
-// window of iterations brings no relative improvement above Tol.
+// window of iterations brings no relative improvement above tol.
 func Solve(g *graph.Graph, flows []topo.Flow, opt Options) (*Result, error) {
 	opt.setDefaults()
 	n := g.NumNodes()
@@ -113,7 +103,7 @@ func Solve(g *graph.Graph, flows []topo.Flow, opt Options) (*Result, error) {
 	s.initShortestPath()
 
 	res := &Result{}
-	eta := opt.Eta
+	eta := eta0
 	best := math.Inf(1)
 	lastImprovedIter := 0
 	streak := 0
@@ -124,7 +114,7 @@ func Solve(g *graph.Graph, flows []topo.Flow, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if dt < best*(1-opt.Tol) {
+		if dt < best*(1-tol) {
 			lastImprovedIter = iter
 		}
 		if dt < best {
@@ -143,7 +133,7 @@ func Solve(g *graph.Graph, flows []topo.Flow, opt Options) (*Result, error) {
 			// which the fluid solver rejects): keep φ, shrink the step.
 			eta /= 2
 			streak = 0
-			if eta < opt.Eta*1e-12 {
+			if eta < eta0*1e-12 {
 				break
 			}
 		}
@@ -171,13 +161,7 @@ func (s *solver) evaluate(phi [][]alloc.Split) (float64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	dt := 0.0
-	for _, l := range s.g.Links() {
-		lambda := res.Flow(l.From, l.To) / s.opt.MeanPacketBits
-		mu := linkcost.KnownMu(l.Capacity, s.opt.MeanPacketBits)
-		dt += linkcost.MM1Total(lambda, mu, l.PropDelay)
-	}
-	return dt, true
+	return fluid.Price(s.cfg, res).TotalDelay, true
 }
 
 type solver struct {
@@ -231,6 +215,10 @@ func (s *solver) initShortestPath() {
 	}
 }
 
+// marginal weights fluid's recursion by the link marginal delays, so that it
+// computes Eq. 5's marginal distances ∂D_T/∂r_ij.
+func marginal(l fluid.LinkPrice) float64 { return l.Marginal }
+
 // propose computes the gradients at the current φ and returns the current
 // D_T along with a candidate φ produced by one Gallager step of size eta.
 // The current φ is left untouched.
@@ -239,25 +227,7 @@ func (s *solver) propose(eta float64) (float64, [][]alloc.Split, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("gallager: %w", err)
 	}
-	// Link marginal costs (and curvatures, for the second-derivative
-	// acceleration) at the current flows.
-	cost := make(map[[2]graph.NodeID]float64, s.g.NumLinks())
-	var curv map[[2]graph.NodeID]float64
-	if s.opt.SecondDerivative {
-		curv = make(map[[2]graph.NodeID]float64, s.g.NumLinks())
-	}
-	dt := 0.0
-	for _, l := range s.g.Links() {
-		lambda := res.Flow(l.From, l.To) / s.opt.MeanPacketBits
-		mu := linkcost.KnownMu(l.Capacity, s.opt.MeanPacketBits)
-		key := [2]graph.NodeID{l.From, l.To}
-		cost[key] = linkcost.MM1Marginal(lambda, mu, l.PropDelay)
-		if curv != nil {
-			curv[key] = linkcost.MM1Curvature(lambda, mu)
-		}
-		dt += linkcost.MM1Total(lambda, mu, l.PropDelay)
-	}
-
+	p := fluid.Price(s.cfg, res)
 	candidate := make([][]alloc.Split, s.n)
 	for j := range s.phi {
 		candidate[j] = slices.Clone(s.phi[j])
@@ -265,74 +235,20 @@ func (s *solver) propose(eta float64) (float64, [][]alloc.Split, error) {
 		if !s.dest[jid] {
 			continue
 		}
-		lam, err := s.marginalDistances(jid, cost)
+		lam, err := p.Distances(s, jid, marginal)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, fmt.Errorf("gallager: %w", err)
 		}
-		blocked := s.blockedSet(jid, lam, cost)
-		s.updateDest(candidate, jid, lam, cost, curv, blocked, eta, res)
+		s.updateDest(candidate, jid, lam, p, s.blockedSet(jid, lam), eta, res)
 	}
-	return dt, candidate, nil
-}
-
-// marginalDistances computes ∂D_T/∂r_ij for all i by Eq. 5 in reverse
-// topological order of the routing graph for destination j.
-func (s *solver) marginalDistances(j graph.NodeID, cost map[[2]graph.NodeID]float64) ([]float64, error) {
-	lam := make([]float64, s.n)
-	pending := make([]int, s.n)
-	preds := make([][]graph.NodeID, s.n)
-	for i := 0; i < s.n; i++ {
-		lam[i] = math.Inf(1)
-		if graph.NodeID(i) == j {
-			continue
-		}
-		for _, sh := range s.phi[j][i] {
-			if sh.Frac > 0 {
-				pending[i]++
-				preds[sh.Hop] = append(preds[sh.Hop], graph.NodeID(i))
-			}
-		}
-	}
-	lam[j] = 0
-	queue := []graph.NodeID{j}
-	for i := 0; i < s.n; i++ {
-		if graph.NodeID(i) != j && pending[i] == 0 {
-			queue = append(queue, graph.NodeID(i))
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		k := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		if k != j && len(s.phi[j][k]) > 0 {
-			sum := 0.0
-			for _, sh := range s.phi[j][k] {
-				if sh.Frac <= 0 {
-					continue
-				}
-				sum += sh.Frac * (cost[[2]graph.NodeID{k, sh.Hop}] + lam[sh.Hop])
-			}
-			lam[k] = sum
-		}
-		for _, p := range preds[k] {
-			pending[p]--
-			if pending[p] == 0 {
-				queue = append(queue, p)
-			}
-		}
-	}
-	if done != s.n {
-		return nil, fmt.Errorf("gallager: routing graph for destination %d has a cycle", j)
-	}
-	return lam, nil
+	return p.TotalDelay, candidate, nil
 }
 
 // blockedSet implements Gallager's blocking: node k is blocked for
 // destination j when some routing path from k to j traverses an improper
 // link — a link (l, m) with φ_ljm > 0 and ∂D/∂r_mj + l_lm ≥ ∂D/∂r_lj is
 // not strictly downhill. New flow must not be steered toward blocked nodes.
-func (s *solver) blockedSet(j graph.NodeID, lam []float64, cost map[[2]graph.NodeID]float64) []bool {
+func (s *solver) blockedSet(j graph.NodeID, lam []float64) []bool {
 	blocked := make([]bool, s.n)
 	state := make([]byte, s.n) // 0 unknown, 1 visiting, 2 done
 	var visit func(k graph.NodeID) bool
@@ -373,7 +289,7 @@ func (s *solver) blockedSet(j graph.NodeID, lam []float64, cost map[[2]graph.Nod
 // router's updated φ_ij· as a new Split into candidate[j] (gradients were
 // taken at the current φ).
 func (s *solver) updateDest(candidate [][]alloc.Split, j graph.NodeID, lam []float64,
-	cost, curv map[[2]graph.NodeID]float64, blocked []bool, eta float64, flows *fluid.Result) {
+	p *fluid.Prices, blocked []bool, eta float64, flows *fluid.Result) {
 	for i := 0; i < s.n; i++ {
 		iid := graph.NodeID(i)
 		if iid == j {
@@ -393,7 +309,7 @@ func (s *solver) updateDest(candidate [][]alloc.Split, j graph.NodeID, lam []flo
 			if k != j && blocked[k] {
 				continue
 			}
-			d := cost[[2]graph.NodeID{iid, k}] + lam[k]
+			d := p.Links[[2]graph.NodeID{iid, k}].Marginal + lam[k]
 			if d < best {
 				best = d
 				kmin = k
@@ -416,24 +332,13 @@ func (s *solver) updateDest(candidate [][]alloc.Split, j graph.NodeID, lam []flo
 			if v <= 0 {
 				continue
 			}
-			a := cost[[2]graph.NodeID{iid, k}] + lam[k] - best
+			a := p.Links[[2]graph.NodeID{iid, k}].Marginal + lam[k] - best
 			if a <= 0 {
 				next = append(next, sh)
 				continue // k ties the minimum; leave its share in place
 			}
-			var move float64
-			switch {
-			case tij <= 0:
-				move = v // no traffic: jump straight to the best hop
-			case curv != nil:
-				// Second-derivative scaling: curvature of the shifted
-				// direction is the sum over the donor and receiver links.
-				h := curv[[2]graph.NodeID{iid, k}] + curv[[2]graph.NodeID{iid, kmin}]
-				if h <= 0 {
-					h = 1e-12
-				}
-				move = math.Min(v, eta*a/(tij*h))
-			default:
+			move := v // no traffic: jump straight to the best hop
+			if tij > 0 {
 				move = math.Min(v, eta*a/tij)
 			}
 			movedTotal += move
@@ -464,17 +369,11 @@ func Equalization(g *graph.Graph, flows []topo.Flow, r *Result, meanPacketBits f
 	if err != nil {
 		return 0, err
 	}
-	cost := make(map[[2]graph.NodeID]float64)
-	for _, l := range g.Links() {
-		lambda := res.Flow(l.From, l.To) / meanPacketBits
-		mu := linkcost.KnownMu(l.Capacity, meanPacketBits)
-		cost[[2]graph.NodeID{l.From, l.To}] = linkcost.MM1Marginal(lambda, mu, l.PropDelay)
-	}
+	p := fluid.Price(cfg, res)
 	worst := 0.0
 	for j := range r.Phi {
 		jid := graph.NodeID(j)
-		s := &solver{g: g, n: g.NumNodes(), opt: Options{MeanPacketBits: meanPacketBits}, phi: r.Phi}
-		lam, err := s.marginalDistances(jid, cost)
+		lam, err := p.Distances(r, jid, marginal)
 		if err != nil {
 			return 0, err
 		}
@@ -487,7 +386,7 @@ func Equalization(g *graph.Graph, flows []topo.Flow, r *Result, meanPacketBits f
 				if sh.Frac <= 1e-9 {
 					continue
 				}
-				d := cost[[2]graph.NodeID{graph.NodeID(i), sh.Hop}] + lam[sh.Hop]
+				d := p.Links[[2]graph.NodeID{graph.NodeID(i), sh.Hop}].Marginal + lam[sh.Hop]
 				lo = math.Min(lo, d)
 				hi = math.Max(hi, d)
 			}

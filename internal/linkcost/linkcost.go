@@ -200,22 +200,3 @@ func Utilization(lambda, mu float64) float64 {
 	}
 	return lambda / mu
 }
-
-// MM1Curvature returns the second derivative D”(λ) = 2μ/(μ−λ)³ of the
-// M/M/1 total-delay function, linearly clamped above MaxUtilization (where
-// D' is linearly extended, so D” is constant). Used by the Bertsekas-
-// Gallager second-derivative step scaling.
-func MM1Curvature(lambda, mu float64) float64 {
-	if mu <= 0 {
-		panic("linkcost: non-positive service rate")
-	}
-	if lambda < 0 {
-		lambda = 0
-	}
-	lc := MaxUtilization * mu
-	if lambda > lc {
-		lambda = lc
-	}
-	d := mu - lambda
-	return 2 * mu / (d * d * d)
-}

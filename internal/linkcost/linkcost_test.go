@@ -214,33 +214,3 @@ func BenchmarkMM1Marginal(b *testing.B) {
 		_ = MM1Marginal(900, 1250, 0.0005)
 	}
 }
-
-func TestMM1CurvatureAgainstNumericalDerivative(t *testing.T) {
-	const mu = 1250.0
-	for _, lam := range []float64{1, 100, 500, 900, 1200} {
-		h := 1e-3
-		numeric := (MM1Marginal(lam+h, mu, 0) - MM1Marginal(lam-h, mu, 0)) / (2 * h)
-		analytic := MM1Curvature(lam, mu)
-		if rel := math.Abs(numeric-analytic) / analytic; rel > 1e-4 {
-			t.Fatalf("lam=%v: numeric %v vs analytic %v", lam, numeric, analytic)
-		}
-	}
-}
-
-func TestMM1CurvatureClampedFinite(t *testing.T) {
-	if c := MM1Curvature(2000, 1000); math.IsInf(c, 0) || c <= 0 {
-		t.Fatalf("clamped curvature = %v", c)
-	}
-	if MM1Curvature(-5, 1000) != MM1Curvature(0, 1000) {
-		t.Fatal("negative lambda not clamped")
-	}
-}
-
-func TestMM1CurvaturePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-positive mu")
-		}
-	}()
-	MM1Curvature(1, 0)
-}
