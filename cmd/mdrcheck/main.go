@@ -8,10 +8,9 @@
 //
 // With no packages, ./... is checked. -list prints the roster grouped by
 // category: the determinism suite (seed-purity and ownership, DESIGN.md
-// §9) and the concurrency suite (lock order, goroutine lifecycle, atomic
-// discipline, channel ownership — DESIGN.md §13). Exit status: 0 clean,
-// 1 findings, 2 usage or load error (including packages that do not
-// compile).
+// §9) and the concurrency suite (lock order, DESIGN.md §13). Exit status:
+// 0 clean, 1 findings, 2 usage or load error (including packages that do
+// not compile).
 package main
 
 import (

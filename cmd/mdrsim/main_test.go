@@ -44,7 +44,7 @@ func writeScenario(t *testing.T) string {
 }
 
 // TestRunScenarioTelemetryExport exercises the -scenario path with a
-// telemetry directory that does not exist yet: the three artifacts must
+// telemetry directory that does not exist yet: the two artifacts must
 // land under the documented scenario_<mode>_s<seed> prefix, and the run
 // must still succeed without telemetry (the flag is strictly additive).
 func TestRunScenarioTelemetryExport(t *testing.T) {
@@ -56,7 +56,6 @@ func TestRunScenarioTelemetryExport(t *testing.T) {
 	}
 	for _, name := range []string{
 		"scenario_mp_s7.events.jsonl",
-		"scenario_mp_s7.trace.json",
 		"scenario_mp_s7.metrics.txt",
 	} {
 		st, err := os.Stat(filepath.Join(telDir, name))
@@ -126,13 +125,10 @@ func TestRunChaosTelemetryExport(t *testing.T) {
 	}
 	for _, name := range []string{
 		"link-flap_proto.events.jsonl",
-		"link-flap_proto.trace.json",
 		"link-flap_proto.metrics.txt",
 		"link-flap_des.events.jsonl",
-		"link-flap_des.trace.json",
 		"link-flap_des.metrics.txt",
 		"link-flap_des-sharded2.events.jsonl",
-		"link-flap_des-sharded2.trace.json",
 		"link-flap_des-sharded2.metrics.txt",
 	} {
 		if _, err := os.Stat(filepath.Join(telDir, name)); err != nil {

@@ -156,9 +156,8 @@ func (f *Forwarder) SetPeer(id graph.NodeID, addr string, tx *telemetry.Counter)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	old := *f.peers.Load()
-	//lint:atomicmix-ok next is a private copy until its address escapes via Store; mutations happen-before under mu
 	next := append([]peerAddr(nil), old...)
-	next[id] = peerAddr{addr: addr, tx: tx} //lint:atomicmix-ok same: private until Store publishes it
+	next[id] = peerAddr{addr: addr, tx: tx}
 	f.peers.Store(&next)
 }
 

@@ -48,7 +48,7 @@ type outcome struct{ csv, artifacts string }
 // at the host's GOMAXPROCS, one worker and no shards; a TelemetryDir in a
 // row's settings means that the baseline and the cell both export, each
 // into a fresh directory, and their artifacts must match too. Every export
-// must hold the three artifacts of each simulation, and where the ring cap
+// must hold the two artifacts of each simulation, and where the ring cap
 // is raised so that no ring overflows, each metrics snapshot must say so.
 // Which events a full ring drops depends on how emissions split across
 // shard tracers, so at the default cap the artifacts could not match.
@@ -148,7 +148,7 @@ func generate(t *testing.T, id string, set Settings) outcome {
 	}
 	var want []string
 	for _, prefix := range exports[id] {
-		want = append(want, prefix+".events.jsonl", prefix+".metrics.txt", prefix+".trace.json")
+		want = append(want, prefix+".events.jsonl", prefix+".metrics.txt")
 	}
 	slices.Sort(want)
 	entries, err := os.ReadDir(set.TelemetryDir)
@@ -171,7 +171,7 @@ func generate(t *testing.T, id string, set Settings) outcome {
 		}
 	}
 	if !slices.Equal(names, want) {
-		t.Errorf("exported %v, want the three artifacts of each of %v", names, exports[id])
+		t.Errorf("exported %v, want the two artifacts of each of %v", names, exports[id])
 	}
 	out.artifacts = hex.EncodeToString(h.Sum(nil))
 	return out

@@ -6,9 +6,10 @@
 // has a documented stop path (DESIGN.md §13). A test that exits while one
 // of those goroutines is still running has found an ownership bug: a
 // Close that doesn't join, a timer that re-arms after teardown, a session
-// blocked on a conn nobody will close. The static goroutine-lifecycle
-// check proves a stop path *exists*; this package checks at runtime that
-// the test actually *took* it.
+// blocked on a conn nobody will close — or a goroutine with no stop path
+// at all. Every internal package that starts goroutines arms it in its
+// tests (TestGoroutineOwnersArmed pins that, and that `make race-soak`
+// repeats those packages).
 //
 // Usage, first line of a test (or subtest) body:
 //

@@ -16,20 +16,26 @@
 // delay-weighted packet rate exactly as in the paper.
 //
 // Because Eq. (24) "becomes unstable when f approaches C", costs are clamped
-// smoothly above a utilization threshold (linear extension with matching
-// slope, preserving monotonicity and convexity), and an online estimator in
-// the spirit of Cassandras–Abidi–Towsley perturbation analysis is provided
-// that needs no a-priori knowledge of the capacity.
+// smoothly above a utilization threshold: the marginal is extended linearly
+// with matching slope, the total is its integral and the per-packet delay
+// the total over λ, so the three stay one model (monotone and convex) past
+// the clamp. An online estimator in the spirit of Cassandras–Abidi–Towsley
+// perturbation analysis is provided that needs no a-priori knowledge of the
+// capacity.
 package linkcost
 
 import "math"
 
 // MaxUtilization is the utilization beyond which the closed-form M/M/1
-// expressions are linearly extended.
+// expressions are extended (see the package comment). It is one of two
+// pricing rules near saturation; the other is router.utilizationCap (0.9),
+// the utilization at which the routing agent caps a measured link's cost
+// before calling MM1Marginal, so advertised costs never reach this clamp.
+// The fluid model and OPT price at this one alone.
 const MaxUtilization = 0.98
 
 // MM1Delay returns the expected per-packet delay 1/(μ−λ) + τ of an M/M/1
-// link, clamped above MaxUtilization. It panics when mu <= 0.
+// link; above MaxUtilization it is MM1Total/λ. It panics when mu <= 0.
 func MM1Delay(lambda, mu, tau float64) float64 {
 	if mu <= 0 {
 		panic("linkcost: non-positive service rate")
@@ -41,10 +47,9 @@ func MM1Delay(lambda, mu, tau float64) float64 {
 	if lambda <= lc {
 		return 1/(mu-lambda) + tau
 	}
-	// Linear extension with the slope at the clamp point.
-	w := 1 / (mu - lc)
-	slope := 1 / ((mu - lc) * (mu - lc))
-	return w + slope*(lambda-lc) + tau
+	// Past the clamp the per-packet delay is what the extended total
+	// charges each packet, so λ·MM1Delay = MM1Total everywhere.
+	return MM1Total(lambda, mu, tau) / lambda
 }
 
 // MM1Total returns the paper's Eq. (24): D(f) = f/(C−f) + τ·f, clamped.
@@ -60,8 +65,12 @@ func MM1Total(lambda, mu, tau float64) float64 {
 		return lambda/(mu-lambda) + tau*lambda
 	}
 	base := lc/(mu-lc) + tau*lc
-	// Continue with the (clamped) marginal so D stays convex and increasing.
-	return base + MM1Marginal(lambda, mu, tau)*(lambda-lc)
+	// Continue with the integral of MM1Marginal's linear extension, so the
+	// slope of D is MM1Marginal on both sides of the clamp and D stays
+	// convex and increasing: base + M(λc)·x + ½·M′(λc)·x², x = λ−λc.
+	d := mu - lc
+	x := lambda - lc
+	return base + (mu/(d*d)+tau)*x + mu/(d*d*d)*x*x
 }
 
 // MM1Marginal returns the link cost l = D′(f) = μ/(μ−λ)² + τ, linearly

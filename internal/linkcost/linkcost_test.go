@@ -32,14 +32,21 @@ func TestMM1MarginalIdle(t *testing.T) {
 	}
 }
 
+// TestMM1MarginalAgainstNumericalDerivative: on both sides of the clamp
+// the three functions are one model — MM1Marginal is the slope of
+// MM1Total, and λ·MM1Delay is MM1Total.
 func TestMM1MarginalAgainstNumericalDerivative(t *testing.T) {
 	const mu, tau = 1250.0, 0.0005
-	for _, lam := range []float64{1, 100, 500, 900, 1100, 1200} {
-		h := 1e-3
+	const h = 1e-3
+	for lam := 2 * h; lam <= 1.5*mu; lam += 7.5 {
 		numeric := (MM1Total(lam+h, mu, tau) - MM1Total(lam-h, mu, tau)) / (2 * h)
 		analytic := MM1Marginal(lam, mu, tau)
-		if rel := math.Abs(numeric-analytic) / analytic; rel > 1e-4 {
-			t.Fatalf("lam=%v: numeric %v vs analytic %v (rel %v)", lam, numeric, analytic, rel)
+		if rel := math.Abs(numeric-analytic) / analytic; rel > 1e-6 {
+			t.Errorf("lam=%v: slope of MM1Total %v, MM1Marginal %v (rel %v)", lam, numeric, analytic, rel)
+		}
+		total := MM1Total(lam, mu, tau)
+		if rel := math.Abs(lam*MM1Delay(lam, mu, tau)-total) / total; rel > 1e-12 {
+			t.Errorf("lam=%v: lam*MM1Delay %v, MM1Total %v", lam, lam*MM1Delay(lam, mu, tau), total)
 		}
 	}
 }

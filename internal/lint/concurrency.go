@@ -5,19 +5,18 @@ import (
 	"go/types"
 )
 
-// This file holds the AST/type plumbing shared by the concurrency-safety
-// analyzers (lockorder, goroutine-lifecycle, atomicmix, chanown): resolving
-// call targets to in-package bodies, classifying sync-package calls, and
-// naming mutex/channel identities for diagnostics.
+// This file holds the AST/type plumbing of the lockorder analyzer (and
+// calleeOf, which maporder shares): resolving call targets to in-package
+// bodies, classifying sync-package calls, and naming mutex identities for
+// diagnostics.
 //
-// The shared approximation: analysis is per package (the driver runs it
-// over every module package, but call edges into other packages are
-// invisible — only export data exists for dependencies), function values
-// resolve only when they are package functions, methods with in-package
-// declarations, or locals assigned exactly one func literal, and func
-// literals are analyzed as their own entry points rather than inlined at
-// the site that creates them (a closure handed to AfterFunc runs later, on
-// another goroutine, under different locks than its birthplace).
+// The approximation: analysis is per package (the driver runs it over
+// every module package, but call edges into other packages are invisible —
+// only export data exists for dependencies), function values resolve only
+// when they are package functions or methods with in-package declarations,
+// and func literals are analyzed as their own entry points rather than
+// inlined at the site that creates them (a closure handed to AfterFunc runs
+// later, on another goroutine, under different locks than its birthplace).
 
 // funcBodies maps every function and method *declared in this package* to
 // its body, keyed by types object — the resolution table for intra-package
@@ -57,59 +56,20 @@ func calleeOf(p *Pass, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// localFuncLit resolves an identifier used as a call/spawn target to the
-// single func literal assigned to it within scope (the `run := func(...)
-// {...}; go run(...)` idiom). Reassigned or conditionally assigned
-// variables resolve to the last literal seen — an approximation; code that
-// juggles func-typed locals should not expect lifecycle proofs.
-func localFuncLit(p *Pass, file *ast.File, id *ast.Ident) *ast.FuncLit {
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		return nil
-	}
-	if _, ok := obj.(*types.Var); !ok {
-		return nil
-	}
-	var lit *ast.FuncLit
-	ast.Inspect(file, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			lid, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if p.Info.Defs[lid] != obj && p.Info.Uses[lid] != obj {
-				continue
-			}
-			if fl, ok := ast.Unparen(as.Rhs[i]).(*ast.FuncLit); ok {
-				lit = fl
-			}
-		}
-		return true
-	})
-	return lit
-}
-
-// syncCallKind classifies calls into the sync package's blocking and
-// lock-shaped primitives.
+// syncCallKind classifies the sync-package calls lockorder acts on; every
+// other sync call is syncNone.
 type syncCallKind int
 
 const (
 	syncNone      syncCallKind = iota
 	syncLock                   // Mutex.Lock, RWMutex.Lock/RLock
 	syncUnlock                 // Mutex.Unlock, RWMutex.Unlock/RUnlock
-	syncCondWait               // Cond.Wait: releases its Locker while parked
 	syncWaitGroup              // WaitGroup.Wait: blocks until the group drains
-	syncWGAdd                  // WaitGroup.Add
-	syncOnceDo                 // Once.Do
 )
 
-// classifySyncCall identifies sync-package method calls, returning the
-// kind and, for lock/unlock, the identity of the mutex operand (see
-// lockIdentity).
+// classifySyncCall identifies lock, unlock and WaitGroup.Wait calls,
+// returning the kind and, for lock/unlock, the identity of the mutex
+// operand (see lockIdentity).
 func classifySyncCall(p *Pass, call *ast.CallExpr) (syncCallKind, types.Object) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -139,30 +99,19 @@ func classifySyncCall(p *Pass, call *ast.CallExpr) (syncCallKind, types.Object) 
 		case "Unlock", "RUnlock":
 			return syncUnlock, lockIdentity(p, sel.X)
 		}
-	case "Cond":
-		if fn.Name() == "Wait" {
-			return syncCondWait, nil
-		}
 	case "WaitGroup":
-		switch fn.Name() {
-		case "Wait":
-			return syncWaitGroup, lockIdentity(p, sel.X)
-		case "Add":
-			return syncWGAdd, lockIdentity(p, sel.X)
-		}
-	case "Once":
-		if fn.Name() == "Do" {
-			return syncOnceDo, nil
+		if fn.Name() == "Wait" {
+			return syncWaitGroup, nil
 		}
 	}
 	return syncNone, nil
 }
 
-// lockIdentity names a mutex (or WaitGroup) operand by its declaration: a
-// struct field keys every instance of that type to one identity (the lock
-// *role*, which is what an ordering discipline is about), a variable keys
-// itself. Expressions the analysis cannot name (map index, call result)
-// yield nil and are not tracked.
+// lockIdentity names a mutex operand by its declaration: a struct field
+// keys every instance of that type to one identity (the lock *role*, which
+// is what an ordering discipline is about), a variable keys itself.
+// Expressions the analysis cannot name (map index, call result) yield nil
+// and are not tracked.
 func lockIdentity(p *Pass, e ast.Expr) types.Object {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:

@@ -45,16 +45,16 @@ func (d Diag) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Category groups the check for display: "determinism" (the PR 2 suite:
-	// seed-purity and ownership invariants) or "concurrency" (lock order,
-	// goroutine lifecycle, atomic discipline, channel ownership).
+	// Category groups the check for display: "determinism" (seed-purity
+	// and ownership invariants) or "concurrency" (lock order — the one
+	// concurrency defect the runtime gates cannot be relied on to hit).
 	Category string
 	Run      func(*Pass)
 }
 
-// Analyzer categories, in display order: the determinism suite came first
-// and states the repo's core guarantee; the concurrency suite guards the
-// live stack and the parallel-DES work on top of it.
+// Analyzer categories, in display order: the determinism suite states the
+// repo's core guarantee; the concurrency suite guards the live stack's lock
+// order, which -race, leaktest and race-soak (DESIGN.md §13) do not.
 const (
 	CategoryDeterminism = "determinism"
 	CategoryConcurrency = "concurrency"
@@ -67,8 +67,8 @@ func Categories() []string {
 
 // All lists every analyzer in the suite, sorted by name.
 var All = []*Analyzer{
-	AtomicMix, ChanOwn, Exhaustive, FloatEq, GoLifecycle, HandleCopy,
-	LockOrder, MapOrder, NoRand, NoWall, TelemetryAttr,
+	Exhaustive, FloatEq, HandleCopy, LockOrder, MapOrder, NoRand, NoWall,
+	TelemetryAttr,
 }
 
 // ByName returns the analyzers matching the comma-separated list, or All

@@ -116,10 +116,7 @@ func TestExhaustiveFixture(t *testing.T) { runFixture(t, "exhaustive", Exhaustiv
 func TestTelemetryAttrFixture(t *testing.T) {
 	runFixture(t, "telemetryattr", TelemetryAttr)
 }
-func TestLockOrderFixture(t *testing.T)   { runFixture(t, "lockorder", LockOrder) }
-func TestGoLifecycleFixture(t *testing.T) { runFixture(t, "goroutinelifecycle", GoLifecycle) }
-func TestAtomicMixFixture(t *testing.T)   { runFixture(t, "atomicmix", AtomicMix) }
-func TestChanOwnFixture(t *testing.T)     { runFixture(t, "chanown", ChanOwn) }
+func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", LockOrder) }
 
 // TestFixturesFailWithoutAnalyzer is the other half of the golden
 // contract: with the analyzer disabled, the fixtures' want expectations
@@ -128,7 +125,7 @@ func TestChanOwnFixture(t *testing.T)     { runFixture(t, "chanown", ChanOwn) }
 func TestFixturesFailWithoutAnalyzer(t *testing.T) {
 	for _, name := range []string{
 		"maporder", "norand", "nowall", "floateq", "handlecopy", "exhaustive", "telemetryattr",
-		"lockorder", "goroutinelifecycle", "atomicmix", "chanown",
+		"lockorder",
 	} {
 		pkg, err := testLoader(t).CheckDir("minroute/internal/fixture/"+name, filepath.Join("testdata", name))
 		if err != nil {

@@ -560,17 +560,16 @@ func (w *lockWalker) walkCall(call *ast.CallExpr) {
 		// Unlock of a lock the walker does not believe is held: either a
 		// conditional-hold pattern or a bug; the leak check on the lock
 		// side is the authoritative report, so stay quiet here.
-	case syncCondWait, syncWGAdd, syncOnceDo:
-		// Cond.Wait atomically releases its Locker while parked and
-		// re-acquires before returning: holding the lock across it is the
-		// documented protocol, not a blocking-while-locked bug. Add and
-		// Once.Do are non-blocking and lock-neutral.
 	case syncWaitGroup:
 		if len(w.held) > 0 {
 			w.st.p.Reportf(call.Pos(), "WaitGroup.Wait while %s is held may block forever",
 				objDisplay(w.st.p, w.held[len(w.held)-1].obj))
 		}
 	case syncNone:
+		// Everything else in sync is lock-neutral here. Cond.Wait, in
+		// particular, releases its Locker while parked and re-acquires it
+		// before returning: holding the lock across it is the documented
+		// protocol, not a blocking-while-locked bug.
 		if isBuiltin(w.st.p, call.Fun, "panic") && len(w.held) > 0 {
 			for _, h := range w.held {
 				if !containsObj(w.deferred, h.obj) {
@@ -657,6 +656,37 @@ func hasLoopExit(loop *ast.ForStmt) bool {
 	}
 	scan(loop.Body, true)
 	return exit
+}
+
+// childStmtLists returns the statement lists nested directly under a
+// loop/switch/select node, for rescan with unlabeled breaks disarmed.
+func childStmtLists(n ast.Node) [][]ast.Stmt {
+	switch n := n.(type) {
+	case *ast.ForStmt:
+		return [][]ast.Stmt{n.Body.List}
+	case *ast.RangeStmt:
+		return [][]ast.Stmt{n.Body.List}
+	case *ast.SwitchStmt:
+		return clauseBodies(n.Body)
+	case *ast.TypeSwitchStmt:
+		return clauseBodies(n.Body)
+	case *ast.SelectStmt:
+		return clauseBodies(n.Body)
+	}
+	return nil
+}
+
+func clauseBodies(body *ast.BlockStmt) [][]ast.Stmt {
+	var out [][]ast.Stmt
+	for _, c := range body.List {
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			out = append(out, c.Body)
+		case *ast.CommClause:
+			out = append(out, c.Body)
+		}
+	}
+	return out
 }
 
 // reportCycles finds strongly-connected components in the acquired-while-

@@ -41,15 +41,17 @@ func (c *Capture) SyncDropCounters() {
 	c.Metrics.Counter("telemetry.events.dropped").Set(float64(c.Trace.Dropped()))
 }
 
-// Export writes the capture's three artifacts into dir:
+// Export writes the capture's two artifacts into dir:
 //
 //	<prefix>.events.jsonl — the merged event log, one JSON object per line
-//	<prefix>.trace.json   — Chrome trace-viewer (catapult) JSON
 //	<prefix>.metrics.txt  — the sorted metrics snapshot
 //
-// All three are deterministic functions of the simulation, so they can be
+// Both are deterministic functions of the simulation, so they can be
 // hashed and compared across runs and worker counts. Each file is streamed
 // through one reused chunkSize buffer and closed before the next opens.
+// The Chrome trace is a view of the event log, not a third artifact:
+// `mdrtrace -chrome <prefix>.events.jsonl` renders it byte for byte as
+// WriteChromeTrace of these events would.
 //
 // Export first mirrors the event bus's own accounting into the registry —
 // telemetry.events.emitted and telemetry.events.dropped — so a truncated
@@ -67,7 +69,6 @@ func (c *Capture) Export(dir, prefix string) error {
 		enc func(*bufio.Writer) error
 	}{
 		{".events.jsonl", func(bw *bufio.Writer) error { return writeJSONL(bw, events) }},
-		{".trace.json", func(bw *bufio.Writer) error { return writeChromeTrace(bw, events) }},
 		{".metrics.txt", func(bw *bufio.Writer) error {
 			bw.WriteString(c.Metrics.Snapshot()) // bw keeps a write error for Flush
 			return bw.Flush()

@@ -16,14 +16,12 @@ import (
 //
 // Encoding is hand-rolled for the same reason as the JSONL writer: fixed
 // field order and canonical floats keep the artifact byte-deterministic.
+//
+// The trace streams through one chunkSize buffer, which keeps its first
+// write error, so the unchecked WriteStrings report theirs through the
+// final Flush.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	return writeChromeTrace(bufio.NewWriterSize(w, chunkSize), events)
-}
-
-// writeChromeTrace streams the trace through bw. bw keeps its first write
-// error, so the unchecked WriteStrings report theirs through the final
-// Flush.
-func writeChromeTrace(bw *bufio.Writer, events []Event) error {
+	bw := bufio.NewWriterSize(w, chunkSize)
 	maxRouter := graph.NodeID(-1)
 	network := false
 	for i := range events {

@@ -224,11 +224,11 @@ func fillCapture(n int) *Capture {
 	return c
 }
 
-// TestExportMatchesWriters: Export streams each file in chunks through the
-// same appenders the public writers use, so its two event files must equal
-// WriteJSONL and WriteChromeTrace of the same events byte for byte, and
-// the JSONL must equal the events' AppendJSONL lines, with each file long
-// enough to take several chunks.
+// TestExportMatchesWriters: Export streams the event log in chunks through
+// the appender the public writer uses, so its JSONL must equal WriteJSONL
+// of the same events byte for byte and the events' AppendJSONL lines, with
+// the file long enough to take several chunks; and it writes no Chrome
+// trace (TestChromeTraceIsViewOfJSONL).
 func TestExportMatchesWriters(t *testing.T) {
 	leaktest.Check(t)
 	dir := t.TempDir()
@@ -241,34 +241,57 @@ func TestExportMatchesWriters(t *testing.T) {
 	for _, ev := range events {
 		lines = append(AppendJSONL(lines, ev), '\n')
 	}
-	for _, w := range []struct {
-		file  string
-		write func(io.Writer, []Event) error
-	}{
-		{"run.events.jsonl", WriteJSONL},
-		{"run.trace.json", WriteChromeTrace},
-	} {
-		got, err := os.ReadFile(filepath.Join(dir, w.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) < 3*chunkSize {
-			t.Fatalf("%s is %d bytes, want several %d-byte chunks", w.file, len(got), chunkSize)
-		}
-		var want bytes.Buffer
-		if err := w.write(&want, events); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s differs from its writer's output", w.file)
-		}
-		if w.file == "run.events.jsonl" && !bytes.Equal(got, lines) {
-			t.Errorf("%s differs from the events' AppendJSONL lines", w.file)
-		}
+	got, err := os.ReadFile(filepath.Join(dir, "run.events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 3*chunkSize {
+		t.Fatalf("run.events.jsonl is %d bytes, want several %d-byte chunks", len(got), chunkSize)
+	}
+	var want bytes.Buffer
+	if err := WriteJSONL(&want, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Error("run.events.jsonl differs from WriteJSONL's output")
+	}
+	if !bytes.Equal(got, lines) {
+		t.Error("run.events.jsonl differs from the events' AppendJSONL lines")
 	}
 	snap, err := os.ReadFile(filepath.Join(dir, "run.metrics.txt"))
 	if err != nil || string(snap) != c.Metrics.Snapshot() {
 		t.Errorf("run.metrics.txt = %q, err %v; want the registry snapshot", snap, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 2 {
+		t.Errorf("Export wrote %d files (err %v), want the event log and the metrics", len(entries), err)
+	}
+}
+
+// TestChromeTraceIsViewOfJSONL: the Chrome trace of the events read back
+// from their JSONL log equals that of the events themselves, byte for
+// byte, for a capture holding labelled events of every Kind — so
+// `mdrtrace -chrome` on an exported log renders exactly the trace the
+// simulation could have written itself.
+func TestChromeTraceIsViewOfJSONL(t *testing.T) {
+	leaktest.Check(t)
+	events := fillCapture(5000).Trace.Events()
+	var jsonl, direct, viewed bytes.Buffer
+	if err := WriteJSONL(&jsonl, events); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSONL(&jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChromeTrace(&direct, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChromeTrace(&viewed, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.Bytes(), viewed.Bytes()) {
+		t.Error("the Chrome trace of the JSONL round trip differs from the trace of the events")
 	}
 }
 
@@ -283,7 +306,7 @@ func TestExportReportsWriteErrors(t *testing.T) {
 	}
 	if _, err := os.Stat("/dev/full"); err == nil {
 		dir := t.TempDir()
-		if err := os.Symlink("/dev/full", filepath.Join(dir, "run.trace.json")); err != nil {
+		if err := os.Symlink("/dev/full", filepath.Join(dir, "run.metrics.txt")); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Export(dir, "run"); err == nil {

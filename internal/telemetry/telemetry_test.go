@@ -373,7 +373,7 @@ func TestCaptureExport(t *testing.T) {
 	if err := c.Export(dir, "run"); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"run.events.jsonl", "run.trace.json", "run.metrics.txt"} {
+	for _, name := range []string{"run.events.jsonl", "run.metrics.txt"} {
 		if _, err := os.ReadFile(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("missing artifact %s: %v", name, err)
 		}
