@@ -5,14 +5,14 @@ RACE_SOAK_COUNT ?= 3
 
 .PHONY: check vet lint lint-concurrency test goldens race race-soak fuzz chaos bench bench-diff telemetry-guard codec-guard ctrl-guard
 
-# The gate used before every commit: static checks (`lint` runs both the
-# determinism and the concurrency analyzers), the pinned outputs (`goldens`,
-# ahead of the long race run so a moved golden fails fast), the full suite
-# under the race detector (the parallel figure harness and the live stack
-# make -race meaningful), the telemetry, codec and control-plane
+# The gate used before every commit: the pinned outputs (`goldens`, first
+# so a moved golden fails fast, before the long race run), static checks
+# (`lint` runs both the determinism and the concurrency analyzers), the
+# full suite under the race detector (the parallel figure harness and the
+# live stack make -race meaningful), the telemetry, codec and control-plane
 # zero-overhead guards (alloc counts need a non-race run), and a short
 # coverage-guided fuzz of the chaos schedule decoder + oracles.
-check: vet lint goldens race telemetry-guard codec-guard ctrl-guard fuzz
+check: goldens vet lint race telemetry-guard codec-guard ctrl-guard fuzz
 
 vet:
 	$(GO) vet ./...

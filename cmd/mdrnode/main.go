@@ -2,10 +2,11 @@
 // converged routing state as JSON.
 //
 // Mesh mode hosts a full topology in one process, one live node per
-// router, peered over the chosen fabric:
+// router, peered over the chosen fabric — in-memory pipes (inmem, the
+// default) or loopback UDP sockets with fault injection (udp):
 //
 //	mdrnode -topo net1 -fabric udp -loss 0.2 -dup 0.2 -reorder 0.2
-//	mdrnode -topo cairn -fabric tcp -telemetry out/
+//	mdrnode -topo cairn -telemetry out/
 //
 // Node mode hosts a single router that peers with other OS processes
 // over localhost (or LAN) TCP:
@@ -43,7 +44,7 @@ const pollEvery = time.Duration(obs.PollEvery * 1e9)
 func main() {
 	var (
 		topoName     = flag.String("topo", "", "mesh mode: topology (cairn, net1, ring:<n>)")
-		fabric       = flag.String("fabric", "inmem", "mesh mode: transport fabric (inmem, tcp, udp)")
+		fabric       = flag.String("fabric", "inmem", "mesh mode: transport fabric (inmem, udp)")
 		loss         = flag.Float64("loss", 0, "mesh mode, udp fabric: per-datagram loss probability")
 		dup          = flag.Float64("dup", 0, "mesh mode, udp fabric: per-datagram duplication probability")
 		reorder      = flag.Float64("reorder", 0, "mesh mode, udp fabric: per-datagram reorder probability")
@@ -61,7 +62,7 @@ func main() {
 		hb           = flag.Float64("heartbeat", 0.25, "session heartbeat period, seconds")
 		dead         = flag.Float64("dead-after", 5, "declare a silent peer down after this many seconds")
 
-		dataplane  = flag.Bool("dataplane", false, "mesh mode: give every node a live UDP data plane fed by its phi tables")
+		dataplane  = flag.Bool("dataplane", false, "mesh mode: give every node a live data plane on the mesh's fabric, fed by its phi tables")
 		dataLoss   = flag.Float64("data-loss", 0, "mesh mode: per-datagram loss probability on the data plane (requires -dataplane)")
 		dataDup    = flag.Float64("data-dup", 0, "mesh mode: per-datagram duplication probability on the data plane")
 		traffic    = flag.String("traffic", "", "mesh mode: drive the topology's flows through the data plane with this model (cbr, poisson, onoff, adversary)")

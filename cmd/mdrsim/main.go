@@ -108,7 +108,7 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.n, "n", 200, "with -topo scalefree|grid: router count")
 	fs.IntVar(&o.flows, "flows", 64, "with -topo scalefree|grid: flow count")
 
-	fs.StringVar(&o.telemetry, "telemetry", "", "export telemetry artifacts (events JSONL, Chrome trace, metrics) into this directory")
+	fs.StringVar(&o.telemetry, "telemetry", "", "export telemetry artifacts (events JSONL, metrics) into this directory")
 
 	fs.IntVar(&o.shards, "shards", 0, "partition each simulation's routers across this many event-engine shards (0/1 = serial)")
 	fs.IntVar(&o.workers, "workers", 0, "max simulations (or -fuzz scenarios) running concurrently (0 = GOMAXPROCS)")

@@ -257,12 +257,11 @@ func runProto(s *Scenario, tel *telemetry.Capture, host func(*router.Agent) prot
 	}
 
 	log := oracle.NewLog()
-	suite := oracle.NewSuite(log)
-	suite.Add(oracle.CheckLoopFreeName, func() error {
-		return oracle.LoopFree(len(st.agents), st.views)
-	})
 	st.net.OnDeliver = func() {
-		suite.RunAll(int64(st.net.Attempts()), 0)
+		log.Record(oracle.CheckLoopFreeName)
+		if err := oracle.LoopFree(len(st.agents), st.views); err != nil {
+			log.Violate(oracle.CheckLoopFreeName, err.Error(), int64(st.net.Attempts()), 0)
+		}
 	}
 
 	var trace strings.Builder

@@ -604,8 +604,8 @@ func (n *Network) syncTelemetry() {
 	reg.Counter("telemetry.events.dropped").Set(float64(n.tel.Trace.Dropped()))
 }
 
-// ExportTelemetry writes the run's telemetry artifacts (JSONL event log,
-// Chrome trace, metrics snapshot) into dir under the given name prefix.
+// ExportTelemetry writes the run's telemetry artifacts (JSONL event log and
+// metrics snapshot) into dir under the given name prefix.
 // A no-op returning nil when telemetry is off.
 func (n *Network) ExportTelemetry(dir, prefix string) error {
 	if n.tel == nil {

@@ -52,7 +52,7 @@ func TestForwarderAllocBudget(t *testing.T) {
 	}
 
 	// Relay and delivery, on the receive loops of a 0-1-2 line.
-	fs := line3(t, clk, 0.001, 0)
+	fs := line3(t, clk, 0.001)
 	sink := fs[2]
 	await := func(want float64) {
 		for i := 0; sink.delivered.Value() < want; i++ {

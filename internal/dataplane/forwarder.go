@@ -12,9 +12,10 @@ import (
 	"minroute/internal/wire"
 )
 
-// DefaultTTL bounds a data packet's hop budget. MPDA keeps the routing
-// graph loop-free at every instant, so any packet that burns 32 hops on a
-// mesh of tens of nodes is evidence of a bug, not a long path.
+// DefaultTTL is the hop budget stamped on every originated packet. MPDA
+// keeps the routing graph loop-free at every instant, so any packet that
+// burns 32 hops on a mesh of tens of nodes is evidence of a bug, not a
+// long path.
 const DefaultTTL = 32
 
 // Config configures one node's Forwarder.
@@ -26,8 +27,6 @@ type Config struct {
 	Conn transport.Datagram
 	// Clock stamps and measures packet delay.
 	Clock transport.Clock
-	// TTL is the hop budget stamped on originated packets (DefaultTTL if 0).
-	TTL uint8
 	// Metrics receives the forwarding counters (optional).
 	Metrics *telemetry.Registry
 	// LatencyOf returns the emulated one-hop latency for relaying a
@@ -94,7 +93,7 @@ type peerAddr struct {
 // locks.
 type Forwarder struct {
 	cfg   Config
-	ttl   uint8
+	ttl   uint8 // hop budget of originated packets: DefaultTTL
 	table atomic.Pointer[Table]
 	peers atomic.Pointer[[]peerAddr]
 
@@ -124,7 +123,7 @@ func New(cfg Config) *Forwarder {
 	}
 	f := &Forwarder{
 		cfg:         cfg,
-		ttl:         cfg.TTL,
+		ttl:         DefaultTTL,
 		flows:       make(map[uint64]*FlowStat),
 		splits:      make([]int64, cfg.Nodes*cfg.Nodes),
 		origin:      reg.Counter("data.origin"),
@@ -136,9 +135,6 @@ func New(cfg Config) *Forwarder {
 		looped:      reg.Counter("data.drop.loop"),
 		recvErrs:    reg.Counter("data.recv.errors"),
 		done:        make(chan struct{}),
-	}
-	if f.ttl == 0 {
-		f.ttl = DefaultTTL
 	}
 	empty := make([]peerAddr, cfg.Nodes)
 	f.peers.Store(&empty)

@@ -24,13 +24,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // line3 builds a 3-node line 0-1-2 over a MemNet with single-path tables
 // and a constant per-hop latency, returning the forwarders.
-func line3(t *testing.T, clk transport.Clock, hopLatency float64, ttl uint8) []*Forwarder {
+func line3(t *testing.T, clk transport.Clock, hopLatency float64) []*Forwarder {
 	t.Helper()
 	mn := transport.NewMemNet()
 	fs := make([]*Forwarder, 3)
 	for i := range fs {
 		fs[i] = New(Config{
-			Self: graph.NodeID(i), Nodes: 4, Conn: mn.Bind(), Clock: clk, TTL: ttl,
+			Self: graph.NodeID(i), Nodes: 4, Conn: mn.Bind(), Clock: clk,
 			LatencyOf: func(next graph.NodeID, sizeBits uint32) float64 { return hopLatency },
 		})
 		t.Cleanup(func(f *Forwarder) func() { return func() { f.Close() } }(fs[i]))
@@ -56,7 +56,7 @@ func line3(t *testing.T, clk transport.Clock, hopLatency float64, ttl uint8) []*
 func TestForwarderDelivery(t *testing.T) {
 	leaktest.Check(t)
 	clk := transport.NewVirtualClock()
-	fs := line3(t, clk, 0.001, 0)
+	fs := line3(t, clk, 0.001)
 
 	const flow = 42
 	if err := fs[0].Send(2, flow, 8192); err != nil {
@@ -84,7 +84,7 @@ func TestForwarderDelivery(t *testing.T) {
 func TestForwarderSelfDelivery(t *testing.T) {
 	leaktest.Check(t)
 	clk := transport.NewVirtualClock()
-	fs := line3(t, clk, 0.001, 0)
+	fs := line3(t, clk, 0.001)
 	if err := fs[1].Send(1, 7, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,11 @@ func TestForwarderSelfDelivery(t *testing.T) {
 func TestForwarderTTLExpiry(t *testing.T) {
 	leaktest.Check(t)
 	clk := transport.NewVirtualClock()
-	fs := line3(t, clk, 0, 2) // needs 2 hops: TTL 2 dies at node 2? No — dies where TTL<=1 on relay.
-	// TTL=2: node 1 decrements to 1 and forwards; node 2 is the
-	// destination, so this delivers. Route 0->1 with TTL exhausted en
-	// route instead: send to 3 (unreachable beyond 2), path 0->1->2,
-	// node 2 has no route to 3 — that's noroute. For expiry, rebuild
-	// node 2's table to bounce 3 back toward 1 with a fresh TTL check.
+	fs := line3(t, clk, 0)
+	fs[0].ttl = 2 // a budget of two hops
+	// Node 2 relays destination 3 back toward 1, so the packet needs a
+	// third hop there: node 1 takes its TTL from 2 to 1 and forwards, and
+	// node 2 finds it at 1 and expires it.
 	fs[2].Publish([]Entry{
 		{Dst: 0, Hops: []graph.NodeID{1}, Weights: []float64{1}},
 		{Dst: 1, Hops: []graph.NodeID{1}, Weights: []float64{1}},
@@ -128,7 +127,7 @@ func TestForwarderTTLExpiry(t *testing.T) {
 func TestForwarderLoopDetection(t *testing.T) {
 	leaktest.Check(t)
 	clk := transport.NewVirtualClock()
-	fs := line3(t, clk, 0, 0)
+	fs := line3(t, clk, 0)
 	// Sabotage: nodes 0 and 1 both claim the other is the way to 3.
 	fs[0].Publish([]Entry{{Dst: 3, Hops: []graph.NodeID{1}, Weights: []float64{1}}})
 	fs[1].Publish([]Entry{{Dst: 3, Hops: []graph.NodeID{0}, Weights: []float64{1}}})

@@ -20,7 +20,6 @@ package dataplane
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"minroute/internal/graph"
@@ -34,8 +33,10 @@ import (
 const NumBuckets = 256
 
 // Entry describes the desired split for one destination: the successor
-// set and its phi weights. Hops must be sorted ascending and Weights sum
-// to 1 (the alloc invariant); Table building normalizes defensively.
+// set and its phi weights, in the form alloc hands φ_j over (Property 1,
+// which alloc.Validate checks after every IH/AH step): Hops ascending, one
+// weight per hop, and Weights summing to 1. Compile relies on that form
+// and does not check it again.
 type Entry struct {
 	Dst     graph.NodeID
 	Hops    []graph.NodeID
@@ -45,14 +46,14 @@ type Entry struct {
 // route is the compiled per-destination state inside a Table.
 type route struct {
 	hops    []graph.NodeID // successor set, ascending
-	weights []float64      // phi per hop, same order, normalized
+	weights []float64      // phi per hop, same order, scaled to sum 1
 	buckets []uint8        // bucket -> index into hops
 }
 
 // Table is an immutable compiled forwarding snapshot. Build tables with
 // Compile and swap them atomically; never mutate one in place.
 type Table struct {
-	routes map[graph.NodeID]*route
+	routes []*route // indexed by destination; nil where there is no route
 }
 
 // Compile builds a Table from per-destination entries, reusing prev's
@@ -68,7 +69,13 @@ type Table struct {
 // a pure function of (entries, prev) — independent of map order,
 // scheduling, and GOMAXPROCS.
 func Compile(entries []Entry, prev *Table) *Table {
-	t := &Table{routes: make(map[graph.NodeID]*route, len(entries))}
+	n := 0
+	for _, e := range entries {
+		if len(e.Hops) > 0 {
+			n = max(n, int(e.Dst)+1)
+		}
+	}
+	t := &Table{routes: make([]*route, n)}
 	for _, e := range entries {
 		if len(e.Hops) == 0 {
 			continue
@@ -77,59 +84,30 @@ func Compile(entries []Entry, prev *Table) *Table {
 			hops:    append([]graph.NodeID(nil), e.Hops...),
 			weights: append([]float64(nil), e.Weights...),
 		}
-		sortRoute(r)
-		if len(r.weights) != len(r.hops) { // absent weights: uniform
-			r.weights = make([]float64, len(r.hops))
-		}
 		normalize(r.weights)
-		var old *route
-		if prev != nil {
-			old = prev.routes[e.Dst]
-		}
-		r.buckets = assignBuckets(r.hops, quotas(r.weights), old)
+		r.buckets = assignBuckets(r.hops, quotas(r.weights), prev.routeTo(e.Dst))
 		t.routes[e.Dst] = r
 	}
 	return t
 }
 
-// sortRoute orders hops ascending, carrying weights along.
-func sortRoute(r *route) {
-	if sort.SliceIsSorted(r.hops, func(i, j int) bool { return r.hops[i] < r.hops[j] }) {
-		return
+// routeTo returns dst's compiled route, or nil when t (which may be nil)
+// has none. A packet's destination arrives from the network, so one
+// outside the table is simply unrouted.
+func (t *Table) routeTo(dst graph.NodeID) *route {
+	if t == nil || uint(dst) >= uint(len(t.routes)) {
+		return nil
 	}
-	idx := make([]int, len(r.hops))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return r.hops[idx[a]] < r.hops[idx[b]] })
-	hops := make([]graph.NodeID, len(idx))
-	ws := make([]float64, len(idx))
-	for i, j := range idx {
-		hops[i] = r.hops[j]
-		if j < len(r.weights) {
-			ws[i] = r.weights[j]
-		}
-	}
-	r.hops, r.weights = hops, ws
+	return t.routes[dst]
 }
 
-// normalize scales weights to sum 1, falling back to uniform when the sum
-// is unusable (zero, negative, or non-finite entries).
+// normalize divides weights by their sum: alloc hands over a φ that sums
+// to 1, and the division absorbs its floating-point drift before the
+// quotas floor it.
 func normalize(ws []float64) {
 	sum := 0.0
-	ok := true
 	for _, w := range ws {
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			ok = false
-			break
-		}
 		sum += w
-	}
-	if !ok || sum <= 0 {
-		for i := range ws {
-			ws[i] = 1 / float64(len(ws))
-		}
-		return
 	}
 	for i := range ws {
 		ws[i] /= sum
@@ -214,7 +192,7 @@ func assignBuckets(hops []graph.NodeID, quota []int, old *route) []uint8 {
 // Lookup returns the next hop for (dst, flowID), or ok=false when the
 // table holds no route to dst.
 func (t *Table) Lookup(dst graph.NodeID, flowID uint64) (graph.NodeID, bool) {
-	r := t.routes[dst]
+	r := t.routeTo(dst)
 	if r == nil {
 		return 0, false
 	}
@@ -224,7 +202,7 @@ func (t *Table) Lookup(dst graph.NodeID, flowID uint64) (graph.NodeID, bool) {
 // Route returns the successor set and weights for dst (copies), or
 // ok=false. For observability; not on the forwarding path.
 func (t *Table) Route(dst graph.NodeID) (hops []graph.NodeID, weights []float64, ok bool) {
-	r := t.routes[dst]
+	r := t.routeTo(dst)
 	if r == nil {
 		return nil, nil, false
 	}
@@ -234,7 +212,7 @@ func (t *Table) Route(dst graph.NodeID) (hops []graph.NodeID, weights []float64,
 // BucketShares returns, for dst, each successor's share of the bucket
 // ring — the realized long-run split a large flow population sees.
 func (t *Table) BucketShares(dst graph.NodeID) map[graph.NodeID]float64 {
-	r := t.routes[dst]
+	r := t.routeTo(dst)
 	if r == nil {
 		return nil
 	}
@@ -251,12 +229,12 @@ func (t *Table) BucketShares(dst graph.NodeID) map[graph.NodeID]float64 {
 
 // Dests returns the destinations the table routes, ascending.
 func (t *Table) Dests() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(t.routes))
-	//lint:maporder-ok keys are collected then sorted below
-	for j := range t.routes {
-		out = append(out, j)
+	var out []graph.NodeID
+	for j, r := range t.routes {
+		if r != nil {
+			out = append(out, graph.NodeID(j))
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -264,11 +242,7 @@ func (t *Table) Dests() []graph.NodeID {
 // fraction of flows a table swap migrates. Routes absent from either side
 // count as fully moved.
 func (t *Table) Moved(prev *Table, dst graph.NodeID) int {
-	cur := t.routes[dst]
-	var old *route
-	if prev != nil {
-		old = prev.routes[dst]
-	}
+	cur, old := t.routeTo(dst), prev.routeTo(dst)
 	if cur == nil || old == nil {
 		return NumBuckets
 	}

@@ -115,19 +115,15 @@ func TestRebalanceHopRemoval(t *testing.T) {
 }
 
 // TestCompileDeterministic asserts a table is a pure function of its
-// entries: entry order, unsorted hop lists, and GOMAXPROCS perturbations
-// all yield byte-identical renderings.
+// entries: entry order and GOMAXPROCS perturbations yield byte-identical
+// renderings.
 func TestCompileDeterministic(t *testing.T) {
 	a := []Entry{
 		{Dst: 1, Hops: []graph.NodeID{2, 3}, Weights: []float64{0.7, 0.3}},
 		{Dst: 4, Hops: []graph.NodeID{5}, Weights: []float64{1}},
 		{Dst: 6, Hops: []graph.NodeID{7, 8, 9}, Weights: []float64{0.2, 0.5, 0.3}},
 	}
-	b := []Entry{ // shuffled entries, shuffled hops
-		{Dst: 6, Hops: []graph.NodeID{9, 7, 8}, Weights: []float64{0.3, 0.2, 0.5}},
-		{Dst: 4, Hops: []graph.NodeID{5}, Weights: []float64{1}},
-		{Dst: 1, Hops: []graph.NodeID{3, 2}, Weights: []float64{0.3, 0.7}},
-	}
+	b := []Entry{a[2], a[0], a[1]} // shuffled entries
 	want := Compile(a, nil).String()
 	prev := runtime.GOMAXPROCS(0)
 	for _, procs := range []int{1, 2, prev} {
@@ -141,26 +137,31 @@ func TestCompileDeterministic(t *testing.T) {
 	runtime.GOMAXPROCS(prev)
 }
 
-// TestCompileDegenerateWeights: unusable weights fall back to a uniform
-// split instead of panicking or starving hops.
-func TestCompileDegenerateWeights(t *testing.T) {
+// TestLookupWithoutRoute: a destination the table holds no route to —
+// past its end, negative, in a gap between routes, or named by an entry
+// with no successors — misses instead of panicking, and Dests lists only
+// the routed ones, ascending.
+func TestLookupWithoutRoute(t *testing.T) {
 	tab := Compile([]Entry{
-		{Dst: 1, Hops: []graph.NodeID{2, 3}, Weights: []float64{0, 0}},
-		{Dst: 4, Hops: []graph.NodeID{5, 6}, Weights: []float64{math.NaN(), 1}},
-		{Dst: 7, Hops: []graph.NodeID{8, 9}}, // no weights at all
+		{Dst: 4, Hops: []graph.NodeID{5, 6}, Weights: []float64{0.5, 0.5}},
+		{Dst: 1, Hops: []graph.NodeID{2}, Weights: []float64{1}},
+		{Dst: 7}, // no hops: entry skipped
 	}, nil)
-	for _, dst := range []graph.NodeID{1, 4, 7} {
-		for h, s := range tab.BucketShares(dst) {
-			if math.Abs(s-0.5) > 1e-12 {
-				t.Errorf("dst %d hop %d share %.6f, want uniform 0.5", dst, h, s)
-			}
+	for _, dst := range []graph.NodeID{99, 8, 7, 5, 2, 0, graph.None} {
+		if hop, ok := tab.Lookup(dst, 0); ok {
+			t.Errorf("lookup of unrouted destination %d gave hop %d", dst, hop)
+		}
+		if tab.BucketShares(dst) != nil || tab.Moved(tab, dst) != NumBuckets {
+			t.Errorf("destination %d: shares or moved report a route", dst)
+		}
+		if _, _, ok := tab.Route(dst); ok {
+			t.Errorf("Route(%d) reports a route", dst)
 		}
 	}
-	if _, ok := tab.Lookup(99, 0); ok {
-		t.Error("lookup of unrouted destination succeeded")
+	if got := tab.Dests(); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Errorf("Dests = %v, want [1 4]", got)
 	}
-	empty := Compile([]Entry{{Dst: 1}}, nil) // no hops: entry skipped
-	if _, ok := empty.Lookup(1, 0); ok {
-		t.Error("entry with no successors produced a route")
+	if _, ok := Compile(nil, nil).Lookup(0, 0); ok {
+		t.Error("empty table routed destination 0")
 	}
 }

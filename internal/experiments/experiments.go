@@ -56,7 +56,7 @@ type Settings struct {
 	// figures in particular benefit from averaging.
 	Runs int
 	// TelemetryDir, when non-empty, exports each simulation's telemetry
-	// artifacts (JSONL event log, Chrome trace, metrics snapshot) into this
+	// artifacts (JSONL event log and metrics snapshot) into this
 	// directory under the prefix <figid>_<label>_s<seed>. Every artifact is
 	// a deterministic function of the simulation, so the set of files is
 	// byte-identical at any simpool worker count.

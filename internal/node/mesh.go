@@ -12,17 +12,14 @@ import (
 	"minroute/internal/transport"
 )
 
-// Fabric selects the lanes a Mesh wires its links with. Every fabric runs
-// the same session and ARQ over them.
+// Fabric selects the lanes a Mesh wires its links with: one in process,
+// one over sockets. Every fabric runs the same session and ARQ over them.
 type Fabric string
 
 const (
 	// FabricInmem uses in-memory packet pipes — the reference lanes,
 	// fastest and loss-free up to their ring.
 	FabricInmem Fabric = "inmem"
-	// FabricTCP connects one loopback TCP stream per link, each a lane
-	// read one frame at a time.
-	FabricTCP Fabric = "tcp"
 	// FabricUDP binds a loopback UDP socket pair per link;
 	// MeshConfig.Fault perturbs the datagrams beneath the ARQ.
 	FabricUDP Fabric = "udp"
@@ -56,9 +53,9 @@ type MeshConfig struct {
 	// registry that per-link instruments are aliased from into Metrics.
 	ObsAddr string
 	// Data gives every node a forwarder on its own data port (a MemNet
-	// endpoint on the inmem fabric, a UDP socket otherwise), peered with its
-	// topology neighbors and fed φ by its node. Emulated per-hop latency is
-	// the link model's sizeBits/Capacity + PropDelay.
+	// endpoint on the inmem fabric, a UDP socket on the udp one), peered
+	// with its topology neighbors and fed φ by its node. Emulated per-hop
+	// latency is the link model's sizeBits/Capacity + PropDelay.
 	Data bool
 	// DataFault perturbs data-plane datagrams (per-node seeds; requires
 	// Data). No ARQ recovers them: a lost data packet is lost.
@@ -123,7 +120,7 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 		return nil, fmt.Errorf("node: MeshConfig.CostOf is required")
 	}
 	switch cfg.Fabric {
-	case FabricInmem, "", FabricTCP, FabricUDP:
+	case FabricInmem, "", FabricUDP:
 	default:
 		return nil, fmt.Errorf("node: unknown fabric %q", cfg.Fabric)
 	}
@@ -202,22 +199,12 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 		}
 	}
 
-	var tcp *transport.TCPListener
-	if cfg.Fabric == FabricTCP {
-		l, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		defer l.Close()
-		tcp = l
-	}
 	for _, l := range g.Links() {
 		a, b := l.From, l.To
 		if a >= b {
 			continue // one lane pair per duplex link
 		}
-		la, lb, err := lanes(a, b, cfg, tcp)
+		la, lb, err := lanes(a, b, cfg)
 		if err != nil {
 			m.Close()
 			return nil, err
@@ -232,24 +219,11 @@ func NewMesh(g *graph.Graph, cfg MeshConfig) (*Mesh, error) {
 }
 
 // lanes builds the two ends of one duplex link between a and b: an
-// in-memory pipe, a loopback TCP stream accepted on tcp, or a UDP socket
-// pair with per-link per-direction fault seeds derived from the configured
-// base seed, so two meshes with equal MeshConfig see identical
-// perturbation sequences.
-func lanes(a, b graph.NodeID, cfg MeshConfig, tcp *transport.TCPListener) (la, lb transport.Packet, err error) {
-	switch cfg.Fabric {
-	case FabricTCP:
-		c, err := transport.DialTCP(tcp.Addr())
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := tcp.Accept()
-		if err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-		return c, s, nil
-	case FabricInmem, "":
+// in-memory pipe, or a UDP socket pair with per-link per-direction fault
+// seeds derived from the configured base seed, so two meshes with equal
+// MeshConfig see identical perturbation sequences.
+func lanes(a, b graph.NodeID, cfg MeshConfig) (la, lb transport.Packet, err error) {
+	if cfg.Fabric == FabricInmem || cfg.Fabric == "" {
 		la, lb = transport.PacketPipe()
 		return la, lb, nil
 	}

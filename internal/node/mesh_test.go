@@ -70,14 +70,14 @@ func compareStates(t *testing.T, m *node.Mesh, ref []*mpda.Router) {
 	}
 }
 
-// TestMeshFabricsAgreeNET1 converges NET1 on every fabric and checks each
-// against the protonet reference: three different transports and three
+// TestMeshFabricsAgreeNET1 converges NET1 on both fabrics and checks each
+// against the protonet reference: two different transports and two
 // different delivery schedules, one final state.
 func TestMeshFabricsAgreeNET1(t *testing.T) {
 	leaktest.Check(t)
 	g := topo.NET1().Graph
 	ref := protoReference(t, g, nil)
-	for _, fabric := range []node.Fabric{node.FabricInmem, node.FabricTCP, node.FabricUDP} {
+	for _, fabric := range []node.Fabric{node.FabricInmem, node.FabricUDP} {
 		t.Run(string(fabric), func(t *testing.T) {
 			m, err := node.NewMesh(g, node.MeshConfig{
 				Fabric: fabric,

@@ -291,6 +291,30 @@ func TestCloseReapsPendingHandshake(t *testing.T) {
 	// Close reaping ca, not from the far side hanging up.
 }
 
+// TestCloseTwiceThenLock: a second Close takes the already-closed path,
+// which must release the node's lock, so a method that takes it afterwards
+// (Sample) returns. A watchdog fails the test within seconds instead of at
+// the package timeout.
+func TestCloseTwiceThenLock(t *testing.T) {
+	leaktest.Check(t)
+	n, err := node.New(node.Config{ID: 0, Nodes: 2, Clock: transport.NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.Close()
+		n.Sample()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Sample hung after a second Close: the already-closed path kept the node locked")
+	}
+}
+
 // TestAddPeerAfterCloseClosesConn: a lane handed to a closed node must be
 // released immediately, not left to a reader forever.
 func TestAddPeerAfterCloseClosesConn(t *testing.T) {

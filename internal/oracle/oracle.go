@@ -1,9 +1,9 @@
 // Package oracle holds the always-on invariant checkers the chaos harness
 // hooks into the simulation event loops. Each checker is a pure function
 // over read-only views of router/network state, returning a descriptive
-// error on violation; the Suite/Log machinery turns those errors into
-// recorded Violations with event coordinates so a failing run can be
-// located and replayed.
+// error on violation; a runner records each run and each error in a Log,
+// as Violations with event coordinates, so a failing run can be located
+// and replayed.
 //
 // The invariants come straight from the paper:
 //
@@ -33,7 +33,7 @@ import (
 	"minroute/internal/numeric"
 )
 
-// Check names, used as Violation.Check and as Suite registration keys.
+// Check names, used as Violation.Check and as the Log's count keys.
 const (
 	CheckLoopFreeName     = "loop-free"
 	CheckSimplexName      = "phi-simplex"
@@ -96,45 +96,6 @@ func (l *Log) Counts() []CheckCount {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Check < out[j].Check })
 	return out
-}
-
-// Suite is an ordered set of named checkers sharing one Log — the pluggable
-// hook installed at a tap point (des.Engine.OnEvent, protonet.OnDeliver).
-type Suite struct {
-	Log      *Log
-	checkers []checker
-}
-
-type checker struct {
-	name string
-	fn   func() error
-}
-
-// NewSuite returns a suite recording into log (a fresh Log when nil).
-func NewSuite(log *Log) *Suite {
-	if log == nil {
-		log = NewLog()
-	}
-	return &Suite{Log: log}
-}
-
-// Add registers a checker under name. Checkers run in registration order.
-func (s *Suite) Add(name string, fn func() error) {
-	s.checkers = append(s.checkers, checker{name: name, fn: fn})
-}
-
-// RunAll executes every registered checker once, recording executions and
-// violations at coordinates (event, t). It reports whether all passed.
-func (s *Suite) RunAll(event int64, t float64) bool {
-	ok := true
-	for _, c := range s.checkers {
-		s.Log.Record(c.name)
-		if err := c.fn(); err != nil {
-			s.Log.Violate(c.name, err.Error(), event, t)
-			ok = false
-		}
-	}
-	return ok
 }
 
 // LoopFree verifies Theorem 1/3: the successor graph of every destination

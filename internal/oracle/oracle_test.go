@@ -282,36 +282,33 @@ func TestQuiescentCatchesAckStripping(t *testing.T) {
 	}
 }
 
-// TestSuiteRecordsViolations exercises the Log/Suite plumbing: counts per
-// check, ordered counts output, and violation coordinates.
+// TestSuiteRecordsViolations exercises the Log the runners record every
+// oracle run into: counts per check, ordered counts output, and violation
+// coordinates.
 func TestSuiteRecordsViolations(t *testing.T) {
-	s := NewSuite(nil)
-	calls := 0
-	s.Add("always-ok", func() error { return nil })
-	s.Add("fails-once", func() error {
-		calls++
-		if calls == 2 {
-			return Conservation(Ledger{Offered: 1})
+	log := NewLog()
+	for sweep := int64(1); sweep <= 2; sweep++ {
+		// Record in reverse name order: Counts must sort them.
+		log.Record("fails-once")
+		if sweep == 2 {
+			log.Violate("fails-once", Conservation(Ledger{Offered: 1}).Error(), sweep, float64(sweep)-0.5)
 		}
-		return nil
-	})
-	if !s.RunAll(1, 0.5) {
-		t.Fatal("first sweep should pass")
+		log.Record("always-ok")
+		if log.Failed() != (sweep == 2) {
+			t.Fatalf("sweep %d: Failed() = %v", sweep, log.Failed())
+		}
 	}
-	if s.RunAll(2, 1.5) {
-		t.Fatal("second sweep should fail")
+	if len(log.Violations) != 1 {
+		t.Fatalf("violations = %v", log.Violations)
 	}
-	if !s.Log.Failed() || len(s.Log.Violations) != 1 {
-		t.Fatalf("violations = %v", s.Log.Violations)
-	}
-	v := s.Log.Violations[0]
+	v := log.Violations[0]
 	if v.Check != "fails-once" || v.Event != 2 || v.Time != 1.5 {
 		t.Fatalf("violation coordinates wrong: %+v", v)
 	}
 	if !strings.Contains(v.String(), "fails-once") {
 		t.Fatalf("String() = %q", v.String())
 	}
-	counts := s.Log.Counts()
+	counts := log.Counts()
 	if len(counts) != 2 || counts[0].Check != "always-ok" || counts[0].Count != 2 ||
 		counts[1].Check != "fails-once" || counts[1].Count != 2 {
 		t.Fatalf("counts = %v", counts)

@@ -87,7 +87,7 @@ type Config struct {
 	HopLimit int
 	// AHDamping selects the damped AH variant with the given β (see
 	// alloc.AdjustDamped). Zero or negative selects the literal Fig. 7
-	// rule (alloc.Adjust), kept for ablation.
+	// rule (alloc.AH), kept for ablation.
 	AHDamping float64
 	// CostMeasureWindow, when in (0, Tl), measures the long-term flow over
 	// only the trailing window of each Tl period (ARPANET-style: the period

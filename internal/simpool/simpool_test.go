@@ -175,3 +175,43 @@ func TestErrorsAreRealErrors(t *testing.T) {
 		t.Fatalf("Wait = %v, want %v", err, want)
 	}
 }
+
+// TestSaturatedGroupWithFailingTask: with one worker slot and more tasks
+// than slots, tasks queue for the slot while early ones fail. Recording a
+// failure must not wait on anything a queued task holds: Wait returns the
+// error of the lowest failing submission index, and every task ran. A
+// watchdog fails the test within seconds instead of at the package
+// timeout.
+func TestSaturatedGroupWithFailingTask(t *testing.T) {
+	leaktest.Check(t)
+	SetWorkers(1)
+	defer SetWorkers(0)
+	const tasks = 8
+	var ran atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		g := NewGroup()
+		for i := 0; i < tasks; i++ {
+			g.Go(func() error {
+				ran.Add(1)
+				time.Sleep(time.Millisecond) // let the others queue for the slot
+				if i == 1 || i == 3 {
+					return fmt.Errorf("task %d", i)
+				}
+				return nil
+			})
+		}
+		done <- g.Wait()
+	}()
+	select {
+	case err := <-done:
+		if err == nil || err.Error() != "task 1" {
+			t.Fatalf("Wait = %v, want task 1 (lowest failing submission index)", err)
+		}
+		if got := ran.Load(); got != tasks {
+			t.Fatalf("%d of %d tasks ran", got, tasks)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("saturated group deadlocked recording a task's error")
+	}
+}

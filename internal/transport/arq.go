@@ -171,7 +171,7 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 // nothing, while the window is full. The frame is copied; the caller keeps
 // ownership of f.
 func (a *ARQ) Send(f *wire.Frame) error {
-	if f.Type == wire.TypeAck || f.Type == wire.TypeSack {
+	if f.Type == wire.TypeSack {
 		return fmt.Errorf("transport: %s frames are reserved for the ARQ layer", f.Type)
 	}
 	if n := f.EncodedBytes(); n > MaxDatagram {
@@ -327,12 +327,9 @@ func (a *ARQ) Handle(now float64, dgram []byte) []*wire.Frame {
 		if err != nil {
 			break
 		}
-		switch f.Type {
-		case wire.TypeAck:
-			a.handleSack(now, f.Seq, nil)
-		case wire.TypeSack:
+		if f.Type == wire.TypeSack {
 			a.handleSack(now, f.Seq, f.Payload)
-		default:
+		} else {
 			// One stable copy per datagram: payloads alias it, and a frame
 			// delivered or parked keeps it reachable.
 			if stable == nil {

@@ -589,8 +589,8 @@ func TestARQSendAckReserved(t *testing.T) {
 	pa, _ := PacketPipe()
 	a := NewARQ(pa, ARQConfig{}, NewVirtualClock())
 	defer a.Close()
-	if err := a.Send(wire.NewAck(3)); err == nil {
-		t.Fatalf("Send(TypeAck) succeeded, want error")
+	if err := a.Send(&wire.Frame{Type: wire.Type(5), Seq: 3}); err == nil {
+		t.Fatalf("Send of the reserved type 5 succeeded, want error")
 	}
 	if err := a.Send(wire.NewSack(3, nil)); err == nil {
 		t.Fatalf("Send(TypeSack) succeeded, want error")

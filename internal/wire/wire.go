@@ -16,17 +16,17 @@
 //	offset size field
 //	0      2    magic 0x4D52 ("MR")
 //	2      1    version (1)
-//	3      1    type (Hello, Heartbeat, Bye, LSU, Ack, Sack)
+//	3      1    type (Hello 1, Heartbeat 2, Bye 3, LSU 4, Sack 6, Data 7)
 //	4      4    seq — ARQ sequence number (0 outside the ARQ layer)
 //	8      4    payload length (bounded by MaxPayload)
 //	12     n    payload
 //	12+n   4    CRC-32C (Castagnoli) over bytes [0, 12+n)
 //
 // Payload per type: Hello carries the 4-byte sender node ID; LSU carries
-// one lsu.Msg in its existing binary encoding; Heartbeat, Bye, and Ack are
-// empty (Ack's information is its cumulative seq); Sack carries the
-// selective-repeat out-of-order bitmap (cumulative ack in seq, bit i of
-// the payload acknowledging seq cum+1+i, trailing zero bytes trimmed);
+// one lsu.Msg in its existing binary encoding; Heartbeat and Bye are
+// empty; Sack carries the selective-repeat out-of-order bitmap (cumulative
+// ack in seq, bit i of the payload acknowledging seq cum+1+i, trailing
+// zero bytes trimmed; empty when nothing arrived out of order);
 // Data carries one data-plane packet (DataPacket: TTL, flow ID, origin
 // timestamp, accumulated emulated latency) outside the ARQ entirely.
 // Frames may be coalesced back to back inside one datagram; DecodeSome
@@ -52,17 +52,19 @@ type Type uint8
 // Frame types. Hello opens a peer session and names the sender; Heartbeat
 // proves liveness between LSUs; Bye announces a graceful shutdown so the
 // peer can take the link down immediately instead of waiting out the dead
-// timer; LSU carries one link-state update; Ack is the legacy go-back-N
-// cumulative acknowledgment (distinct from the protocol-level ACK flag
-// inside an LSU payload, which acknowledges MPDA flooding); Sack is the
-// selective-repeat acknowledgment — cumulative ack in Seq plus a bitmap of
-// out-of-order receptions in the payload.
+// timer; LSU carries one link-state update; Sack is the ARQ's one
+// acknowledgment — cumulative ack in Seq plus a bitmap of out-of-order
+// receptions in the payload (distinct from the protocol-level ACK flag
+// inside an LSU payload, which acknowledges MPDA flooding).
 const (
 	TypeHello Type = iota + 1
 	TypeHeartbeat
 	TypeBye
 	TypeLSU
-	TypeAck
+	// Code 5 is reserved: it was a go-back-N cumulative acknowledgment,
+	// which a Sack with an empty bitmap now says. A type-5 frame fails to
+	// decode like any other unknown type.
+	_
 	TypeSack
 	// TypeData carries one data-plane packet: fire-and-forget (never
 	// sequenced by the ARQ; Seq stays 0), forwarded hop by hop under the
@@ -82,8 +84,6 @@ func (t Type) String() string {
 		return "bye"
 	case TypeLSU:
 		return "lsu"
-	case TypeAck:
-		return "ack"
 	case TypeSack:
 		return "sack"
 	case TypeData:
@@ -129,9 +129,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Frame is one decoded frame. Payload is owned by the frame.
 type Frame struct {
 	Type Type
-	// Seq is the ARQ sequence number: assigned by the UDP ARQ sender,
-	// zero on transports that are already reliable and in Ack frames it
-	// holds the cumulative acknowledgment.
+	// Seq is the ARQ sequence number: assigned by the ARQ sender, zero on
+	// frames outside the ARQ, and in Sack frames the cumulative
+	// acknowledgment.
 	Seq     uint32
 	Payload []byte
 }
@@ -190,7 +190,7 @@ func validate(t Type, payload []byte) error {
 		if int32(binary.BigEndian.Uint32(payload)) < 0 {
 			return fmt.Errorf("wire: hello names negative node %d", int32(binary.BigEndian.Uint32(payload)))
 		}
-	case TypeHeartbeat, TypeBye, TypeAck:
+	case TypeHeartbeat, TypeBye:
 		if len(payload) != 0 {
 			return fmt.Errorf("wire: %s frame must have empty payload, got %d bytes", t, len(payload))
 		}
@@ -366,9 +366,6 @@ func NewHeartbeat() *Frame { return &Frame{Type: TypeHeartbeat} }
 
 // NewBye builds a graceful-shutdown frame.
 func NewBye() *Frame { return &Frame{Type: TypeBye} }
-
-// NewAck builds a legacy cumulative acknowledgment for sequence cum.
-func NewAck(cum uint32) *Frame { return &Frame{Type: TypeAck, Seq: cum} }
 
 // NewSack builds a selective acknowledgment: cum is the cumulative ack
 // (every sequence ≤ cum received), and bit i of the bitmap — bit i%8 of

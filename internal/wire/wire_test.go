@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -33,7 +32,7 @@ func allFrames(t *testing.T) []*Frame {
 		NewHeartbeat(),
 		NewBye(),
 		f,
-		NewAck(99),
+		NewSack(99, nil),
 	}
 }
 
@@ -146,7 +145,7 @@ func TestValidatePerType(t *testing.T) {
 		{Type: TypeHello, Payload: []byte{0xff, 0, 0, 0}},          // negative node
 		{Type: TypeHeartbeat, Payload: []byte{1}},                  // non-empty
 		{Type: TypeBye, Payload: []byte{1}},                        // non-empty
-		{Type: TypeAck, Payload: []byte{1}},                        // non-empty
+		{Type: Type(5)},                                            // reserved
 		{Type: TypeLSU, Payload: []byte{0, 0}},                     // short lsu
 		{Type: Type(0)},                                            // unknown
 		{Type: Type(200)},                                          // unknown
@@ -159,17 +158,21 @@ func TestValidatePerType(t *testing.T) {
 	}
 	// A hand-built buffer with a valid CRC but an invalid type/payload pair
 	// must still be rejected by Decode.
-	raw := make([]byte, HeaderBytes+1)
-	binary.BigEndian.PutUint16(raw[0:2], Magic)
-	raw[2] = Version
-	raw[3] = byte(TypeHeartbeat)
-	binary.BigEndian.PutUint32(raw[8:12], 1)
-	raw[HeaderBytes] = 0xAB
-	sum := crc32.Checksum(raw, castagnoli)
-	raw = append(raw, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
-	if _, err := Decode(raw); err == nil || !strings.Contains(err.Error(), "empty payload") {
+	if _, err := Decode(rawFrame(TypeHeartbeat, 0, []byte{0xAB})); err == nil || !strings.Contains(err.Error(), "empty payload") {
 		t.Errorf("decode accepted heartbeat with payload: %v", err)
 	}
+	// Code 5, the retired cumulative ACK, decodes like any unknown type.
+	if _, err := Decode(rawFrame(Type(5), 9, nil)); err == nil || !strings.Contains(err.Error(), "unknown frame type 5") {
+		t.Errorf("decode of a type-5 frame: %v, want unknown frame type", err)
+	}
+}
+
+// rawFrame builds a frame's bytes with a valid CRC and no validation, so
+// a test can hand Decode what no encoder would produce.
+func rawFrame(t Type, seq uint32, payload []byte) []byte {
+	raw := appendHeader(nil, t, seq, len(payload))
+	raw = append(raw, payload...)
+	return appendCRC(raw, 0)
 }
 
 func TestHelpers(t *testing.T) {
@@ -195,8 +198,11 @@ func TestHelpers(t *testing.T) {
 	if _, err := LSUMsg(NewHeartbeat()); err == nil {
 		t.Fatal("LSUMsg accepted a heartbeat")
 	}
-	if NewAck(7).Seq != 7 {
-		t.Fatal("NewAck did not store the cumulative seq")
+	if NewSack(7, nil).Seq != 7 {
+		t.Fatal("NewSack did not store the cumulative seq")
+	}
+	if TypeSack != 6 || TypeData != 7 { // 5 stays reserved
+		t.Fatalf("type codes moved: sack %d, data %d", TypeSack, TypeData)
 	}
 	if s := TypeHello.String(); s != "hello" {
 		t.Fatalf("TypeHello.String() = %q", s)
