@@ -39,9 +39,10 @@ test:
 # goldens, the bytes of Quick fig14's telemetry artifacts
 # (internal/experiments/testdata/fig14_artifacts.sha256), every figure's Quick CSV
 # (internal/experiments/testdata/quick_figures.sha256) and the invariance
-# table checked against it (worker, GOMAXPROCS, shard and telemetry knobs),
-# the packet paths rebuilt from the event log at shards 1, 2 and 3, the
-# router's cost trajectory, the fault injector's loss, duplication and
+# table checked against it (worker, GOMAXPROCS and telemetry knobs), the
+# packet paths rebuilt from the event log and the report at shards 1, 2 and
+# 3 (the equality mdrbench's despart.identical row reads), the router's
+# cost trajectory, the fault injector's loss, duplication and
 # reorder positions on both faces of a medium, live-vs-DES
 # cross-validation on the routers' exact state encodings, the live boot
 # replayed by TestSteppedMeshDeterministic (NET1 and a 160-router scale-free
@@ -60,12 +61,16 @@ test:
 # fuzz seed corpus — and the repaired tree against Dijkstra, the maintained T
 # against a rebuild, protonet's candidate
 # list and the router's weighted pick against the collect-and-sort each
-# replaced). About 35 s on a 2-core host.
+# replaced). About 37 s on a 2-core host.
 goldens:
 	$(GO) test -count=1 -run 'TestFixturesReplayByteIdentically|TestGeneratedScenariosPinned|TestTelemetryFixtureGolden|TestFloodGoldenDES|TestFigureDeterminism|TestQuickFiguresPinned|TestCostTrajectoryPinned|TestCrossValidation|TestMovedSetMatchesFullRecompute|TestNeighborDistancesMatchDijkstra|FuzzNeighborDistances|TestRepairMatchesDijkstra|TestTablesMatchFreshRebuild|TestStepMatchesSortedScan|TestWeightedPickMatchesSortedKeys|TestTracedPathsShardInvariant|TestFaultSequencePinned|TestAgentImportsNoSimulator|TestAgentOnFakeHost|TestAppendState|TestSettleRule|TestTelemetryArtifactsPinned|TestSteppedMeshDeterministic|TestOutputsPinned' ./cmd/mdrsim ./internal/chaos ./cmd/mdrtrace ./internal/experiments ./internal/router ./internal/node ./internal/pda ./internal/dijkstra ./internal/protonet ./internal/core ./internal/transport ./internal/mpda ./internal/obs
 
+# The whole suite under the race detector. A deadlock fails it at the
+# package timeout, so that is set near the work rather than at go's 10
+# minutes: 7 m is over twice the slowest package, internal/experiments, at
+# 170–185 s raced beside the others on a 2-core host.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 7m ./...
 
 # Concurrency soak: the packages that own goroutines (lane readers of the
 # ARQ conn and the node sessions, simpool workers, telemetry sinks) repeated under
@@ -76,9 +81,12 @@ race:
 # silent stale reads into loud crashes. Every test in these packages is
 # leaktest-armed, so the soak also hunts teardown leaks across -count
 # repetitions (goroutine IDs are never reused, making repeat runs an
-# accumulating leak trap).
+# accumulating leak trap). The timeout is 90 s per repetition, twice what
+# the slowest package, internal/node, takes per repetition (about 44 s on a
+# 2-core host), so a deadlock fails in minutes, not at go's 10-minute
+# default.
 race-soak:
-	GOMAXPROCS=16 GOGC=5 GODEBUG=clobberfree=1 $(GO) test -race -count=$(RACE_SOAK_COUNT) -timeout 10m ./internal/transport/... ./internal/node ./internal/simpool ./internal/telemetry ./internal/despart ./internal/obs ./internal/dataplane
+	GOMAXPROCS=16 GOGC=5 GODEBUG=clobberfree=1 $(GO) test -race -count=$(RACE_SOAK_COUNT) -timeout $$(( $(RACE_SOAK_COUNT) * 90 ))s ./internal/transport/... ./internal/node ./internal/simpool ./internal/telemetry ./internal/despart ./internal/obs ./internal/dataplane
 
 # Telemetry-overhead guard: with instrumentation disabled (no probes), the
 # DES packet hot loop and all sink methods must cost zero allocations, an

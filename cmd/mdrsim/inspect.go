@@ -115,7 +115,7 @@ func runOpt(o *options, stdout, _ io.Writer) error {
 // full link list — or generates a synthetic scale-free or grid network of
 // -n routers and -flows seed-derived flows in the scenario format, into
 // -out or stdout. A generated file feeds large runs
-// (mdrsim -scenario big.topo -shards N).
+// (mdrsim -scenario big.topo).
 func runTopo(o *options, stdout, stderr io.Writer) error {
 	if o.topo == "scalefree" || o.topo == "grid" {
 		net := generate(o.topo, o.seed, o.n, o.flows)

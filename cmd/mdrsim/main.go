@@ -57,7 +57,7 @@ type options struct {
 	fig, scenario, mode, svg, chaos, telemetry string
 	all, quick, csv, chart, list, compare      bool
 	seed                                       uint64
-	runs, shards, workers                      int
+	runs, workers                              int
 	cpuprofile, memprofile                     string
 
 	fuzz         int
@@ -110,7 +110,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 
 	fs.StringVar(&o.telemetry, "telemetry", "", "export telemetry artifacts (events JSONL, metrics) into this directory")
 
-	fs.IntVar(&o.shards, "shards", 0, "partition each simulation's routers across this many event-engine shards (0/1 = serial)")
 	fs.IntVar(&o.workers, "workers", 0, "max simulations (or -fuzz scenarios) running concurrently (0 = GOMAXPROCS)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -275,7 +274,6 @@ func (o *options) settings() experiments.Settings {
 		set.Runs = o.runs
 	}
 	set.TelemetryDir = o.telemetry
-	set.Shards = o.shards
 	return set
 }
 
@@ -364,10 +362,7 @@ func warnTraceDrops(stderr io.Writer, label string, tel *telemetry.Capture) {
 // through both runners with every invariant oracle armed, and reports the
 // per-oracle counts and trace hashes. `mdrsim -chaos list` prints the
 // registry. A violation makes the replay fail. With -telemetry, each
-// runner's full event timeline is exported as <name>_<runner>.*. With
-// -shards N (N > 1) a third, sharded DES replay runs as well: its oracles
-// fire at conservative-window barriers rather than per event, so its trace
-// hash is its own golden (identical across shard counts, not vs serial).
+// runner's full event timeline is exported as <name>_<runner>.*.
 func runChaos(o *options, stdout, stderr io.Writer) error {
 	if o.chaos == "list" {
 		for _, name := range experiments.ChaosNames() {
@@ -393,14 +388,6 @@ func runChaos(o *options, stdout, stderr io.Writer) error {
 		fn   func(*chaos.Scenario, *telemetry.Capture) (*chaos.Result, error)
 	}
 	runners := []runner{{"proto", chaos.RunProtoWith}, {"des", chaos.RunDESWith}}
-	if o.shards > 1 {
-		runners = append(runners, runner{
-			fmt.Sprintf("des-sharded%d", o.shards),
-			func(s *chaos.Scenario, tel *telemetry.Capture) (*chaos.Result, error) {
-				return chaos.RunDESShardedWith(s, o.shards, tel)
-			},
-		})
-	}
 	failed := false
 	for _, r := range runners {
 		var tel *telemetry.Capture

@@ -115,25 +115,29 @@ func TestScenarioModeRunsTheCompareColumn(t *testing.T) {
 }
 
 // TestRunChaosTelemetryExport exercises the -chaos path with telemetry: one
-// export per runner under the <name>_<runner> prefix, including the sharded
-// DES replay when -shards is set.
+// export per runner under the <name>_<runner> prefix, and nothing else.
 func TestRunChaosTelemetryExport(t *testing.T) {
 	telDir := t.TempDir()
-	out := runOK(t, "-chaos", "link-flap", "-telemetry", telDir, "-shards", "2")
+	out := runOK(t, "-chaos", "link-flap", "-telemetry", telDir)
 	if !strings.HasSuffix(out, "all invariants held\n") {
 		t.Errorf("unexpected output:\n%s", out)
 	}
-	for _, name := range []string{
-		"link-flap_proto.events.jsonl",
-		"link-flap_proto.metrics.txt",
+	entries, err := os.ReadDir(telDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want := []string{
 		"link-flap_des.events.jsonl",
 		"link-flap_des.metrics.txt",
-		"link-flap_des-sharded2.events.jsonl",
-		"link-flap_des-sharded2.metrics.txt",
-	} {
-		if _, err := os.Stat(filepath.Join(telDir, name)); err != nil {
-			t.Fatalf("missing artifact %s: %v", name, err)
-		}
+		"link-flap_proto.events.jsonl",
+		"link-flap_proto.metrics.txt",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported %v, want %v", got, want)
 	}
 }
 
@@ -266,6 +270,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-h"}, 0},
 		{nil, 2},
 		{[]string{"-bogus"}, 2},
+		{[]string{"-fig", "fig12", "-quick", "-shards", "2"}, 2}, // a simulation runs on one engine
 		{[]string{"-fig", "nosuch"}, 2},
 		{[]string{"-fig", "fig9", "-all"}, 2},
 		{[]string{"-opt", "net1", "-topo", "net1"}, 2},

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -12,7 +11,6 @@ import (
 	"minroute/internal/oracle"
 	"minroute/internal/router"
 	"minroute/internal/telemetry"
-	"minroute/internal/topo"
 )
 
 // desConfig is the router configuration chaos runs use: the paper's MP mode
@@ -39,11 +37,18 @@ func RunDES(s *Scenario) (*Result, error) { return RunDESWith(s, nil) }
 // core.Build: the run's full event timeline (control and data planes plus
 // the injected faults) lands in tel for export.
 func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
-	tn, dur, err := desNetwork(s)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	tn, err := s.Network()
 	if err != nil {
 		return nil, err
 	}
-	n := desBuild(tn, s, dur, tel, 0, 0)
+	dur := s.Duration
+	if dur <= 0 {
+		dur = 10 // the scenario names no run length
+	}
+	n := core.Build(tn, core.Options{Router: desConfig(), Seed: s.Seed, Duration: dur, Telemetry: tel})
 
 	log := oracle.NewLog()
 	var trace strings.Builder
@@ -93,163 +98,7 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	return res, nil
 }
 
-// RunDESShardedWith is RunDESWith partitioned across engine shards (see
-// internal/despart). The oracles run at the window barriers, the only
-// moments all shard clocks agree, so its trace hash differs from RunDES's by
-// design. It pins partition-independence instead: the trace and any capture
-// are byte-identical at every shard count, because the barrier cadence comes
-// from the global minimum propagation delay and fault actions apply at
-// barriers with deterministic merged event counts.
-func RunDESShardedWith(s *Scenario, shards int, tel *telemetry.Capture) (*Result, error) {
-	tn, dur, err := desNetwork(s)
-	if err != nil {
-		return nil, err
-	}
-	// The window is the minimum propagation delay over all links, not just
-	// cross-shard ones: a valid lookahead for every partition that makes the
-	// barrier schedule — check counts, apply times — shard-count invariant.
-	window := math.Inf(1)
-	for _, l := range tn.Graph.Links() {
-		if l.PropDelay < window {
-			window = l.PropDelay
-		}
-	}
-	if !(window > 0) || math.IsInf(window, 1) {
-		return nil, fmt.Errorf("chaos: scenario %s has no positive-delay links to derive a shard window", s.Name)
-	}
-	n := desBuild(tn, s, dur, tel, shards, window)
-
-	log := oracle.NewLog()
-	var trace strings.Builder
-	// The header deliberately omits the shard count: hashes must compare
-	// equal across shard counts.
-	fmt.Fprintf(&trace, "scenario %s topo=%s seed=%d des-sharded dur=%g window=%g\n",
-		s.Name, s.Topo, s.Seed, dur, window)
-
-	// The merged event count: every shard's engine events plus the fault
-	// actions (events in the serial runner, applied outside any engine
-	// here). Read only at barriers, where it is deterministic.
-	var actionsFired int64
-	events := func() int64 {
-		t := actionsFired
-		for _, e := range n.Engines() {
-			t += e.EventsFired()
-		}
-		return t
-	}
-
-	// The φ-simplex oracle fires in OnAlloc on the owning shard's goroutine
-	// mid-window, so each router records into its own slot. The barrier
-	// merges the slots into the log in ascending router order, stamping
-	// violations with the router's clock at the time and the merged count.
-	type simplexViol struct {
-		msg string
-		t   float64
-	}
-	numNodes := tn.Graph.NumNodes()
-	simplexRuns := make([]int64, numNodes)
-	simplexViols := make([][]simplexViol, numNodes)
-	dirty := make([]bool, numNodes)
-	for _, id := range tn.Graph.Nodes() {
-		node := n.Nodes[id]
-		slot := int(id)
-		eng := n.EngineOf(id)
-		node.OnAlloc = func(j graph.NodeID, phi alloc.Split, succ []graph.NodeID) {
-			simplexRuns[slot]++
-			dirty[slot] = true
-			if err := oracle.Simplex(phi, succ); err != nil {
-				simplexViols[slot] = append(simplexViols[slot], simplexViol{err.Error(), eng.Now()})
-			}
-		}
-	}
-
-	barrier := func(t float64) {
-		ev := events()
-		for id := 0; id < numNodes; id++ {
-			for ; simplexRuns[id] > 0; simplexRuns[id]-- {
-				log.Record(oracle.CheckSimplexName)
-			}
-			for _, v := range simplexViols[id] {
-				log.Violate(oracle.CheckSimplexName, v.msg, ev, v.t)
-			}
-			simplexViols[id] = simplexViols[id][:0]
-		}
-		checkConservation(n, log, ev, t)
-		wasDirty := false
-		for id := range dirty {
-			if dirty[id] {
-				wasDirty = true
-				dirty[id] = false
-			}
-		}
-		if wasDirty {
-			checkLoopFree(n, log, ev, t)
-		}
-	}
-
-	// Fault schedule: actions apply at the first barrier at or past their At
-	// coordinate, single-threaded with every shard clock equal.
-	acts := dueActions(s, dur, &trace)
-	ai := 0
-	applyDue := func(t float64) {
-		for ai < len(acts) && acts[ai].At <= t {
-			act := acts[ai]
-			ai++
-			actionsFired++
-			fmt.Fprintf(&trace, "apply %s t=%.6f event=%d\n", act, t, events())
-			applyDES(n, act)
-			checkAdjacency(n, log, events(), t)
-		}
-	}
-
-	n.Start()
-	n.BeginMeasurement()
-	for now := 0.0; now < dur; {
-		next := now + window
-		if next > dur {
-			next = dur
-		}
-		n.RunUntil(next)
-		applyDue(next)
-		barrier(next)
-		now = next
-	}
-
-	finalSweep(n, log, events(), dur)
-
-	writeDESReport(&trace, n, events())
-	res := &Result{Log: log, Events: events()}
-	res.Trace, res.TraceHash = finishTrace(&trace, log)
-	return res, nil
-}
-
-// desNetwork validates the scenario and returns its network and run length
-// (10 s when the scenario names none).
-func desNetwork(s *Scenario) (*topo.Network, float64, error) {
-	if err := s.Validate(); err != nil {
-		return nil, 0, err
-	}
-	tn, err := s.Network()
-	if err != nil {
-		return nil, 0, err
-	}
-	dur := s.Duration
-	if dur <= 0 {
-		dur = 10
-	}
-	return tn, dur, nil
-}
-
-// desBuild assembles the scenario's network for either DES runner (serial
-// with shards = 0).
-func desBuild(tn *topo.Network, s *Scenario, dur float64, tel *telemetry.Capture, shards int, window float64) *core.Network {
-	return core.Build(tn, core.Options{
-		Router: desConfig(), Seed: s.Seed, Duration: dur, Telemetry: tel,
-		Shards: shards, ShardWindow: window,
-	})
-}
-
-// finalSweep ends either DES run: the loop-freedom audit regardless of the
+// finalSweep ends the DES run: the loop-freedom audit regardless of the
 // dirty marks, the adjacency audit, and the conservation ledger one last
 // time.
 func finalSweep(n *core.Network, log *oracle.Log, event int64, t float64) {

@@ -98,10 +98,7 @@ func TestScrambledSchedulesAreSafe(t *testing.T) {
 			{Kind: KindRestart, Steps: 40, At: 3, Node: 0},
 		},
 	}
-	runners := map[string]func(*Scenario) (*Result, error){
-		"proto": RunProto, "des": RunDES,
-		"des-sharded": func(s *Scenario) (*Result, error) { return RunDESShardedWith(s, 2, nil) },
-	}
+	runners := map[string]func(*Scenario) (*Result, error){"proto": RunProto, "des": RunDES}
 	for i, actions := range scrambles {
 		s := &Scenario{Name: "scramble", Topo: TopoNET1, Seed: uint64(i + 1), Flows: 3, Duration: 6, Actions: actions}
 		for name, fn := range runners {

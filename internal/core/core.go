@@ -47,17 +47,11 @@ type Options struct {
 	Telemetry *telemetry.Capture
 	// Shards splits the routers across this many event-engine shards
 	// executed in conservative lockstep windows (internal/despart); 0 or 1
-	// runs the classic single-engine simulation. Every artifact — figures,
-	// JSONL event logs, metrics snapshots — is byte-identical at any shard
-	// count.
+	// runs the classic single-engine simulation. The report is identical at
+	// any shard count. Only cmd/mdrbench's des-sf160 workload sets it, for
+	// its despart.identical and despart.speedup_s2 rows; it goes when that
+	// workload drops them (ROADMAP items 2e and 20).
 	Shards int
-	// ShardWindow overrides the conservative window width Δ in seconds
-	// (0 selects the minimum cross-shard propagation delay). Harnesses
-	// that need barrier cadence independent of the partition — the chaos
-	// oracles compare violation counts across shard counts — pass a
-	// partition-independent value such as the global minimum propagation
-	// delay. Values exceeding any cross-shard link's delay panic at build.
-	ShardWindow float64
 }
 
 // DefaultOptions returns the settings of the paper's headline experiments:
@@ -87,8 +81,8 @@ type Network struct {
 	Flows []topo.Flow
 	opt   Options
 
-	// Part coordinates the shards of a sharded run; nil when serial.
-	Part *despart.Coordinator
+	// part coordinates the shards of a sharded run; nil when serial.
+	part *despart.Coordinator
 	// engines[s] is shard s's engine; engines[shardOf[id]] owns router id.
 	engines []*des.Engine
 	shardOf []int
@@ -140,14 +134,9 @@ func (n *Network) ControlBits() float64 {
 }
 
 // Engines returns the per-shard engines (length 1 for a serial run).
-// Harnesses use it to sum EventsFired across shards.
+// cmd/mdrbench sums EventsFired over it; like Options.Shards it stays only
+// until des-sf160 drops its sharded rows.
 func (n *Network) Engines() []*des.Engine { return n.engines }
-
-// EngineOf returns the engine owning router id's shard (the shard-0 engine
-// for serial runs). Harness callbacks that fire on a router's goroutine read
-// its clock through this rather than n.Eng, which may belong to another
-// shard.
-func (n *Network) EngineOf(id graph.NodeID) *des.Engine { return n.engines[n.shardOf[id]] }
 
 // Delivered returns how many of flow x's packets have reached its
 // destination since BeginMeasurement, or since the run began if it has not
@@ -293,14 +282,10 @@ func Build(net *topo.Network, opt Options) *Network {
 	}
 
 	if shards > 1 {
-		window := opt.ShardWindow
-		if window <= 0 {
-			window = minXProp
-		}
-		n.Part = despart.New(n.engines, window)
+		n.part = despart.New(n.engines, minXProp)
 		for _, l := range net.Graph.Links() {
 			if s, r := n.shardOf[l.From], n.shardOf[l.To]; s != r {
-				n.Part.AddInbound(r, n.Ports[[2]graph.NodeID{l.From, l.To}])
+				n.part.AddInbound(r, n.Ports[[2]graph.NodeID{l.From, l.To}])
 			}
 		}
 	}
@@ -451,8 +436,8 @@ func (n *Network) Run() *Report {
 // return every shard clock equals t, so harness-side mutation (faults,
 // measurement boundaries) is safe.
 func (n *Network) RunUntil(t float64) {
-	if n.Part != nil {
-		n.Part.RunUntil(t)
+	if n.part != nil {
+		n.part.RunUntil(t)
 	} else {
 		n.Eng.Run(t)
 	}

@@ -276,19 +276,19 @@ func TestHopCountsBounded(t *testing.T) {
 }
 
 // tracedPaths runs MP on NET1 at the given shard count with telemetry on
-// and returns the packet paths rebuilt from the event log.
-func tracedPaths(t *testing.T, shards int) []telemetry.Path {
+// and returns the packet paths rebuilt from the event log, and the report.
+func tracedPaths(t *testing.T, shards int) ([]telemetry.Path, *Report) {
 	t.Helper()
 	net := topo.NET1()
 	o := quickOptions(router.ModeMP, 41)
 	o.Shards = shards
 	o.Telemetry = telemetry.NewCapture(net.Graph.NumNodes())
-	Build(net, o).Run()
+	rep := Build(net, o).Run()
 	src := make([]graph.NodeID, len(net.Flows))
 	for x, f := range net.Flows {
 		src[x] = f.Src
 	}
-	return telemetry.Paths(o.Telemetry.Trace.Events(), src)
+	return telemetry.Paths(o.Telemetry.Trace.Events(), src), rep
 }
 
 func TestTracedPathsLoopFreeInPractice(t *testing.T) {
@@ -296,7 +296,7 @@ func TestTracedPathsLoopFreeInPractice(t *testing.T) {
 	// MP, with routes changing beneath them, must essentially never revisit
 	// a node. (A transient reroute can in principle cause a revisit across
 	// time; it must be vanishingly rare.)
-	paths := tracedPaths(t, 1)
+	paths, _ := tracedPaths(t, 1)
 	delivered, withRevisit, maxHops := telemetry.Audit(paths)
 	t.Logf("%d paths, %d delivered, %d with a revisit, longest %d hops", len(paths), delivered, withRevisit, maxHops)
 	if delivered < 1000 {
@@ -323,14 +323,40 @@ func TestTracedPathsLoopFreeInPractice(t *testing.T) {
 
 // TestTracedPathsShardInvariant: the merged event log does not depend on
 // the partition, so neither do the paths rebuilt from it — a sharded run
-// audits its packets exactly as a serial one does.
+// audits its packets exactly as a serial one does. The report matches the
+// serial one field for field too, traced or not: that equality is what
+// cmd/mdrbench's despart.identical row checks on des-sf160.
 func TestTracedPathsShardInvariant(t *testing.T) {
-	want := tracedPaths(t, 1)
+	want, wantRep := tracedPaths(t, 1)
 	for _, shards := range []int{2, 3} {
-		if got := tracedPaths(t, shards); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: %d paths differ from the serial run's %d", shards, len(got), len(want))
+		got, rep := tracedPaths(t, shards)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: %d paths differ from the serial run's %d", shards, len(got), len(want))
+		}
+		o := quickOptions(router.ModeMP, 41)
+		o.Shards = shards
+		untraced := Build(topo.NET1(), o).Run()
+		for _, d := range reportDiff(rep, wantRep) {
+			t.Errorf("shards=%d traced: %s", shards, d)
+		}
+		for _, d := range reportDiff(untraced, wantRep) {
+			t.Errorf("shards=%d untraced: %s", shards, d)
 		}
 	}
+}
+
+// reportDiff lists the fields of a that differ from b's. Each field is
+// compared by its printed value, which for a float is the shortest text
+// that round-trips, so equal means bit-equal and NaN matches NaN.
+func reportDiff(a, b *Report) []string {
+	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
+	var diffs []string
+	for i := range va.NumField() {
+		if fa, fb := fmt.Sprint(va.Field(i)), fmt.Sprint(vb.Field(i)); fa != fb {
+			diffs = append(diffs, fmt.Sprintf("%s = %s, serial %s", va.Type().Field(i).Name, fa, fb))
+		}
+	}
+	return diffs
 }
 
 func TestReorderingMetric(t *testing.T) {

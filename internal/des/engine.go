@@ -193,7 +193,8 @@ func (e *Engine) Run(until float64) {
 // pending, and advances the clock to t. It is the shard window primitive:
 // conservative synchronization guarantees no event before the window
 // boundary can still arrive, so a shard may safely commit everything
-// strictly inside the window and park its clock on the boundary.
+// strictly inside the window and park its clock on the boundary. Only
+// internal/despart calls it, and goes with it (ROADMAP item 20).
 func (e *Engine) RunBelow(t float64) {
 	for {
 		ev := e.q.Peek()

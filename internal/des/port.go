@@ -28,6 +28,9 @@ const DefaultQueueBits = 512 * 8 * 1024
 // (DrainInbox, receiver goroutine). Conservative lookahead — Prop is at
 // least the window width — guarantees every mailed arrival lands at or after
 // the window boundary, so the receiver never sees an event in its past.
+// The cross-shard half (xshard, the mailboxes, BindReceiver, FlipMail,
+// DrainInbox) serves only the 2-shard run of cmd/mdrbench's des-sf160
+// workload and goes with it (ROADMAP item 20).
 type Port struct {
 	From, To  graph.NodeID
 	Capacity  float64 // bits per second

@@ -1,6 +1,13 @@
 // Package despart executes one discrete-event simulation across several
 // engine shards with conservative (null-message-free) time windows.
 //
+// It survives only for cmd/mdrbench's des-sf160 workload, whose
+// despart.identical and despart.speedup_s2 rows build a 2-shard network
+// through core.Options.Shards. Two shards ran at 0.6–1.1× of one on a
+// 2-core host, so every other harness runs one serial engine per
+// simulation, and simpool is their only concurrency; the package goes when
+// the benchmark drops those rows (ROADMAP items 2e and 20).
+//
 // The router set is partitioned contiguously into P shards, each owning a
 // private des.Engine, event queue, RNG, and telemetry tracer. Simulated
 // time advances in lockstep windows of width Δ = the minimum propagation
@@ -15,13 +22,10 @@
 //
 // Determinism is absolute, not statistical: the event order each shard
 // executes is a pure function of the model because the event queue orders
-// equal-time events by origin priority (see eventq), mailbox drains happen
-// in ascending global link order at window start, and every barrier-side
-// action (faults, oracles, measurement boundaries) runs single-threaded
-// with all shard clocks equal. A run at P shards replays the exact event
-// schedule of the serial run, which is what makes the telemetry artifacts
-// byte-identical at -shards 1 vs 2 vs 8 (the determinism matrix in
-// internal/experiments pins that).
+// equal-time events by origin priority (see eventq), and mailbox drains
+// happen in ascending global link order at window start. A run at P shards
+// replays the exact event schedule of the serial run, so its core.Report
+// equals the serial one (core.TestTracedPathsShardInvariant pins that).
 //
 // Worker goroutines are drawn from the process-wide simpool budget with
 // TryAcquire: a simulation nested under the experiment pool only uses spare
@@ -51,11 +55,6 @@ type Coordinator struct {
 	// xports lists every cross-shard port once, for the barrier-side
 	// mailbox flip.
 	xports []*des.Port
-
-	// OnBarrier, when set, runs single-threaded at every window boundary
-	// (and after the final inclusive step) with all shard clocks equal to t.
-	// Chaos oracles and fault injection hook here.
-	OnBarrier func(t float64)
 }
 
 // New builds a coordinator over the given shard engines with window width
@@ -135,7 +134,7 @@ func (c *Coordinator) phase(workers int, boundary float64, inclusive bool) {
 // RunUntil advances every shard to time t (inclusive, like des.Engine.Run):
 // whole windows of width Δ with barriers in between, then a final
 // inclusive step that fires events at exactly t. On return all shard
-// clocks equal t and OnBarrier has run at every boundary.
+// clocks equal t.
 func (c *Coordinator) RunUntil(t float64) {
 	tok := simpool.TryAcquire(len(c.engines) - 1)
 	defer tok.Release()
@@ -154,15 +153,9 @@ func (c *Coordinator) RunUntil(t float64) {
 		}
 		c.flipMail()
 		c.phase(workers, boundary, false)
-		if c.OnBarrier != nil {
-			c.OnBarrier(boundary)
-		}
 	}
 	c.flipMail()
 	c.phase(workers, t, true)
-	if c.OnBarrier != nil {
-		c.OnBarrier(t)
-	}
 }
 
 // flipMail publishes every cross-shard mailbox to its receiver. Runs

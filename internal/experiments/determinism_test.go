@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
@@ -45,13 +44,10 @@ type outcome struct{ csv, artifacts string }
 //
 // A row at Quick is checked against testdata/quick_figures.sha256. Any other
 // row is checked against a baseline computed once per figure and settings,
-// at the host's GOMAXPROCS, one worker and no shards; a TelemetryDir in a
-// row's settings means that the baseline and the cell both export, each
-// into a fresh directory, and their artifacts must match too. Every export
-// must hold the two artifacts of each simulation, and where the ring cap
-// is raised so that no ring overflows, each metrics snapshot must say so.
-// Which events a full ring drops depends on how emissions split across
-// shard tracers, so at the default cap the artifacts could not match.
+// at the host's GOMAXPROCS and one worker; a TelemetryDir in a row's
+// settings means that the baseline and the cell both export, each into a
+// fresh directory, and their artifacts must match too. Every export must
+// hold the two artifacts of each simulation.
 func TestFigureDeterminism(t *testing.T) {
 	leaktest.Check(t)
 	procs, workers := runtime.GOMAXPROCS(0), simpool.Workers()
@@ -62,11 +58,10 @@ func TestFigureDeterminism(t *testing.T) {
 
 	// runs2 fans two seeds out per scheme: the pin runs one, so it cannot
 	// see runSeeds' reduction. brief is short enough to run five figures
-	// three times each. artifacts exports fig14's telemetry into rings that
-	// hold a whole run.
+	// twice each. artifacts exports fig14's telemetry.
 	runs2 := Settings{Warmup: 10, Duration: 5, Seed: 1, Runs: 2}
 	brief := Settings{Warmup: 4, Duration: 2, Seed: 1}
-	artifacts := Settings{Warmup: 10, Duration: 5, Seed: 1, TelemetryDir: "export", TelemetryRingCap: 1 << 16}
+	artifacts := Settings{Warmup: 10, Duration: 5, Seed: 1, TelemetryDir: "export"}
 	pinned := []string{"fig14", "abl-est", "fig10", "fig16"}
 	fig14 := []string{"fig14"}
 	briefs := []string{"abl-ah", "jitter", "overhead", "failover", "loadsweep"}
@@ -74,23 +69,16 @@ func TestFigureDeterminism(t *testing.T) {
 		name string
 		set  Settings
 		// procs 0 keeps the host's GOMAXPROCS; workers 0 is GOMAXPROCS.
-		procs, workers, shards int
+		procs, workers int
 		// export turns telemetry export on in the cell but not the baseline.
 		export  bool
 		figures []string
 	}{
-		{"procs1-workers1", Quick, 1, 1, 0, false, pinned},
-		{"procs16-workers8", Quick, 16, 8, 0, false, pinned},
-		{"shards2-procs16", Quick, 16, 0, 2, false, fig14},
-		{"shards3-procs1", Quick, 1, 0, 3, false, fig14},
-		{"shards8-procs16", Quick, 16, 0, 8, false, fig14},
-		{"runs2-workers8", runs2, 0, 8, 0, false, fig14},
-		{"export", brief, 0, 0, 0, true, briefs},
-		{"shards2", brief, 0, 0, 2, false, briefs},
-		{"artifacts-workers8", artifacts, 0, 8, 0, false, fig14},
-		{"artifacts-shards2-procs1", artifacts, 1, 0, 2, false, fig14},
-		{"artifacts-shards3-procs16", artifacts, 16, 0, 3, false, fig14},
-		{"artifacts-shards8-procs1", artifacts, 1, 0, 8, false, fig14},
+		{"procs1-workers1", Quick, 1, 1, false, pinned},
+		{"procs16-workers8", Quick, 16, 8, false, pinned},
+		{"runs2-workers8", runs2, 0, 8, false, fig14},
+		{"export", brief, 0, 0, true, briefs},
+		{"artifacts-workers8", artifacts, 0, 8, false, fig14},
 	}
 
 	pin := readPin(t)
@@ -112,7 +100,6 @@ func TestFigureDeterminism(t *testing.T) {
 						baselines[row.set] = want
 					}
 					cell := row.set
-					cell.Shards = row.shards
 					if row.export {
 						cell.TelemetryDir = "export"
 					}
@@ -165,10 +152,6 @@ func generate(t *testing.T, id string, set Settings) outcome {
 		h.Write([]byte(e.Name() + "\x00"))
 		h.Write(append(data, 0))
 		names = append(names, e.Name())
-		if strings.HasSuffix(e.Name(), ".metrics.txt") && set.TelemetryRingCap > 0 &&
-			!bytes.Contains(data, []byte("\ncounter telemetry.events.dropped 0\n")) {
-			t.Errorf("%s: a ring of capacity %d overflowed", e.Name(), set.TelemetryRingCap)
-		}
 	}
 	if !slices.Equal(names, want) {
 		t.Errorf("exported %v, want the two artifacts of each of %v", names, exports[id])

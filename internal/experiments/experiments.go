@@ -9,20 +9,20 @@
 // The runner's contract. simulate is the only caller of core.Build: it
 // derives the options from the scheme and the Settings (scheme.options, the
 // one statement of the SP/ECMP measurement rule), attaches a telemetry
-// capture when Settings.TelemetryDir is set, builds the network — sharded
-// when Settings.Shards says so — installs the scheme's static φ if it has
-// one, calls the drive function, and exports the capture under
-// <id>_<label>_s<seed>, so every figure honours Shards and TelemetryDir and
-// a figure that runs one scheme on several networks gives each its own id
-// to keep the prefixes unique. The export runs after the simulation has
-// released its worker slot, beside the next simulation, and simulate
-// returns only once every export is written. A drive function receives
-// the network unstarted and may advance it only through Run, Start,
-// RunUntil and BeginMeasurement (a sharded network has no single engine to
-// run), may inject faults between those calls, audits loop-freedom itself,
-// and returns a vector whose length does not depend on the seed: simulate
-// averages it element-wise over Settings.Runs seeds, in seed order, so the
-// figure is bit-identical at any worker or shard count.
+// capture when Settings.TelemetryDir is set, builds one serial network,
+// installs the scheme's static φ if it has one, calls the drive function,
+// and exports the capture under <id>_<label>_s<seed>, so every figure
+// honours TelemetryDir and a figure that runs one scheme on several
+// networks gives each its own id to keep the prefixes unique. The export
+// runs after the simulation has released its worker slot, beside the next
+// simulation, and simulate returns only once every export is written. A
+// drive function receives the network unstarted and may advance it only
+// through Run, Start, RunUntil and BeginMeasurement, may inject faults
+// between those calls, audits loop-freedom itself, and returns a vector
+// whose length does not depend on the seed: simulate averages it
+// element-wise over Settings.Runs seeds, in seed order, so the figure is
+// bit-identical at any worker count. The simpool workers are the harness's
+// only concurrency: each simulation runs on one event engine.
 //
 // See DESIGN.md for the experiment index and EXPERIMENTS.md for measured
 // results and shape comparisons against the paper.
@@ -61,17 +61,6 @@ type Settings struct {
 	// a deterministic function of the simulation, so the set of files is
 	// byte-identical at any simpool worker count.
 	TelemetryDir string
-	// Shards partitions every simulation across this many event-engine
-	// shards (core.Options.Shards); zero or one runs serially. Figures and
-	// telemetry artifacts are byte-identical at any shard count — the
-	// determinism matrix pins that.
-	Shards int
-	// TelemetryRingCap overrides the per-router telemetry ring capacity
-	// (<= 0 selects telemetry.DefaultRingCap). The shard determinism matrix
-	// raises it: which events a full ring drops depends on how emissions
-	// split across shard tracers, so byte-equality across shard counts
-	// requires rings that never overflow.
-	TelemetryRingCap int
 }
 
 func (s Settings) runs() int {
@@ -125,7 +114,6 @@ func (s scheme) options(set Settings) core.Options {
 	opt.Warmup = set.Warmup
 	opt.Duration = set.Duration
 	opt.Source = s.source
-	opt.Shards = set.Shards
 	return opt
 }
 
@@ -194,7 +182,7 @@ func simulate(id string, build func() *topo.Network, schemes []scheme, set Setti
 func (s scheme) run(tn *topo.Network, run Settings, d drive) ([]float64, *core.Network, error) {
 	opt := s.options(run)
 	if run.TelemetryDir != "" {
-		opt.Telemetry = telemetry.NewCaptureSized(tn.Graph.NumNodes(), run.TelemetryRingCap, telemetry.DefaultBucketWidth)
+		opt.Telemetry = telemetry.NewCapture(tn.Graph.NumNodes())
 	}
 	n := core.Build(tn, opt)
 	if s.phi != nil {

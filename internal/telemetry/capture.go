@@ -17,15 +17,9 @@ type Capture struct {
 // NewCapture builds a capture with default ring capacity and histogram
 // bucket width for a network of numRouters routers.
 func NewCapture(numRouters int) *Capture {
-	return NewCaptureSized(numRouters, DefaultRingCap, DefaultBucketWidth)
-}
-
-// NewCaptureSized builds a capture with explicit per-router ring capacity
-// and histogram time-bucket width.
-func NewCaptureSized(numRouters, ringCap int, bucketWidth float64) *Capture {
 	return &Capture{
-		Trace:   NewTracer(numRouters, ringCap),
-		Metrics: NewRegistry(bucketWidth),
+		Trace:   NewTracer(numRouters, DefaultRingCap),
+		Metrics: NewRegistry(DefaultBucketWidth),
 	}
 }
 

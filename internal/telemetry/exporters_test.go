@@ -105,7 +105,7 @@ func TestChromeTracePidRows(t *testing.T) {
 // SyncDropCounters surfaces it as first-class metrics in the snapshot.
 func TestExportRingWrapped(t *testing.T) {
 	leaktest.Check(t)
-	c := NewCaptureSized(1, 4, 1)
+	c := &Capture{Trace: NewTracer(1, 4), Metrics: NewRegistry(1)}
 	for i := 0; i < 10; i++ {
 		c.Trace.Emit(NewEvent(float64(i), KindLSUSend, 0))
 	}
@@ -212,7 +212,7 @@ func TestReadJSONLOversizedLine(t *testing.T) {
 // fillCapture emits n events of every kind over four routers and the
 // network ring, labelling some, into a capture whose rings hold them all.
 func fillCapture(n int) *Capture {
-	c := NewCaptureSized(4, n, 1)
+	c := &Capture{Trace: NewTracer(4, n), Metrics: NewRegistry(1)}
 	labels := []string{"", "", "", "link-fail 0-1", "", "fast", "", "rto"}
 	for i := range n {
 		ev := NewEvent(float64(i)/1000, Kind(i%int(numKinds)), graph.NodeID(i%5)-1)

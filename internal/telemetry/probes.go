@@ -10,7 +10,8 @@ import "minroute/internal/graph"
 // lives on the sender's shard (Enqueue, Transmit, LostTx emit through
 // Tracer) and the delivery half on the receiver's (LostRx emits through
 // RxTracer). The LostPkts counter keeps the sides apart in slots 0 (tx)
-// and 1 (rx).
+// and 1 (rx). The split, like Tracer.Fork, stays only while
+// core.Options.Shards does (ROADMAP item 20).
 type LinkProbe struct {
 	Tracer *Tracer
 	// RxTracer is the receiver-shard tracer for delivery-side events; nil
@@ -61,7 +62,8 @@ func (p *LinkProbe) LostRx(t float64, flow int32, pkt uint32, dst graph.NodeID) 
 // NodeProbes instruments the control plane of router.Nodes. One instance
 // is shared by every node of a serial simulation; a sharded run hands each
 // shard's nodes a WithTracer clone, so the slotted instruments stay shared
-// while events flow through the owning shard's tracer.
+// while events flow through the owning shard's tracer (for as long as
+// core.Options.Shards exists; see Tracer.Fork).
 type NodeProbes struct {
 	Tracer *Tracer
 	// ActiveDur receives each completed ACTIVE phase's duration, slotted by

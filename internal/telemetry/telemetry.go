@@ -15,7 +15,7 @@
 // Seq with the merge rank, making the exported artifacts byte-identical at
 // any shard count. A run's telemetry artifacts are therefore
 // golden-testable — the JSONL of a figure regeneration hashes identically
-// at -workers=1 and -workers=8, and at -shards=1 and -shards=8.
+// at -workers=1 and -workers=8.
 //
 // The disabled path is a first-class citizen: every probe is reachable
 // through a single nil check (nil *Tracer, *Counter, *Histogram, ... are
@@ -349,7 +349,9 @@ func (t *Tracer) SetOrigin(fn func() uint64) {
 
 // Fork creates a sibling tracer with the same ring layout, owned by one
 // shard of a sharded run. The root's Events/Emitted/Dropped aggregate over
-// every sibling; the sibling itself must not be exported directly.
+// every sibling; the sibling itself must not be exported directly. Forks
+// exist only while core.Options.Shards does, which cmd/mdrbench's
+// des-sf160 row still sets (ROADMAP item 20).
 func (t *Tracer) Fork() *Tracer {
 	if t == nil {
 		return nil

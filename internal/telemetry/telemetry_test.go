@@ -367,7 +367,7 @@ func TestChromeTraceWellFormed(t *testing.T) {
 func TestCaptureExport(t *testing.T) {
 	leaktest.Check(t)
 	dir := t.TempDir()
-	c := NewCaptureSized(2, 16, 1)
+	c := &Capture{Trace: NewTracer(2, 16), Metrics: NewRegistry(1)}
 	c.Trace.Emit(NewEvent(0, KindPhaseActive, 0))
 	c.Metrics.Counter("control.msgs").Inc()
 	if err := c.Export(dir, "run"); err != nil {
