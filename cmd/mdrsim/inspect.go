@@ -9,6 +9,7 @@ import (
 	"minroute/internal/fluid"
 	"minroute/internal/gallager"
 	"minroute/internal/graph"
+	"minroute/internal/linkcost"
 	"minroute/internal/topo"
 )
 
@@ -45,14 +46,14 @@ func runOpt(o *options, stdout, _ io.Writer) error {
 	}
 	net.Flows = topo.ScaleFlows(net.Flows, o.scale)
 
-	sol, err := gallager.Solve(net.Graph, net.Flows, gallager.Options{MeanPacketBits: 8000})
+	sol, err := gallager.Solve(net.Graph, net.Flows, gallager.Options{MeanPacketBits: linkcost.MeanPacketBits})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "OPT on %s: D_T=%.6f, %d iterations, converged=%v\n",
 		o.opt, sol.TotalDelay, sol.Iterations, sol.Converged)
 
-	cfg := fluid.Config{Graph: net.Graph, Flows: net.Flows, MeanPacketBits: 8000}
+	cfg := fluid.Config{Graph: net.Graph, Flows: net.Flows, MeanPacketBits: linkcost.MeanPacketBits}
 	res, err := fluid.Solve(cfg, sol)
 	if err != nil {
 		return fmt.Errorf("evaluate: %w", err)

@@ -89,8 +89,8 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.runs, "runs", 0, "average each scheme over this many seeds (0 = setting default)")
 
 	fs.StringVar(&o.scenario, "scenario", "", "simulate a custom network from a topo.Parse file")
-	fs.StringVar(&o.mode, "mode", "mp", "routing mode for -scenario: mp, sp, or ecmp")
-	fs.BoolVar(&o.compare, "compare", false, "with -scenario: compare OPT, MP, SP and ECMP")
+	fs.StringVar(&o.mode, "mode", "mp", "routing mode for -scenario: mp or sp")
+	fs.BoolVar(&o.compare, "compare", false, "with -scenario: compare OPT, MP and SP")
 	fs.StringVar(&o.svg, "svg", "", "also write each figure as an SVG chart into this directory")
 
 	fs.StringVar(&o.chaos, "chaos", "", "replay a chaos scenario: a registry name (see -chaos list) or a JSON file")
@@ -284,8 +284,9 @@ func runList(_ *options, stdout, _ io.Writer) error {
 	return nil
 }
 
-// runFigures generates -fig or every figure for -all.
-func runFigures(o *options, stdout, _ io.Writer) error {
+// runFigures generates -fig or every figure for -all, and warns of each
+// truncated telemetry export.
+func runFigures(o *options, stdout, stderr io.Writer) error {
 	ids := experiments.IDs
 	if !o.all {
 		if experiments.All[o.fig] == nil {
@@ -326,6 +327,7 @@ func runFigures(o *options, stdout, _ io.Writer) error {
 		if res.err != nil {
 			return fmt.Errorf("%s: %w", id, res.err)
 		}
+		warn(stderr, res.fig.Warnings...)
 		if o.csv {
 			fmt.Fprint(stdout, res.fig.CSV())
 		} else {
@@ -350,11 +352,12 @@ func runFigures(o *options, stdout, _ io.Writer) error {
 	return nil
 }
 
-// warnTraceDrops reports ring-buffer evictions so a truncated event log is
-// never mistaken for a complete one.
-func warnTraceDrops(stderr io.Writer, label string, tel *telemetry.Capture) {
-	if n := tel.Trace.Dropped(); n > 0 {
-		fmt.Fprintf(stderr, "mdrsim: warning: %s: telemetry ring dropped %d events (raise ring capacity for a complete log)\n", label, n)
+// warn prints each non-empty warning on stderr.
+func warn(stderr io.Writer, warnings ...string) {
+	for _, w := range warnings {
+		if w != "" {
+			fmt.Fprintf(stderr, "mdrsim: warning: %s\n", w)
+		}
 	}
 }
 
@@ -403,7 +406,7 @@ func runChaos(o *options, stdout, stderr io.Writer) error {
 			if err := tel.Export(o.telemetry, prefix); err != nil {
 				return fmt.Errorf("%s: telemetry export: %w", r.name, err)
 			}
-			warnTraceDrops(stderr, prefix, tel)
+			warn(stderr, tel.Truncation(prefix))
 		}
 		fmt.Fprintf(stdout, "%s %s: %d events, trace sha256 %s\n", s.Name, r.name, res.Events, res.TraceHash)
 		for _, c := range res.Log.Counts() {
@@ -436,6 +439,7 @@ func runScenario(o *options, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		warn(stderr, fig.Warnings...)
 		if o.csv {
 			fmt.Fprint(stdout, fig.CSV())
 		} else {
@@ -443,13 +447,11 @@ func runScenario(o *options, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	sim, err := experiments.Scenario(net, o.mode, set)
+	sim, warnings, err := experiments.Scenario(net, o.mode, set)
 	if err != nil {
 		return err
 	}
-	if tel := sim.Telemetry(); tel != nil {
-		warnTraceDrops(stderr, fmt.Sprintf("scenario_%s_s%d", o.mode, set.Seed), tel)
-	}
+	warn(stderr, warnings...)
 	rep := sim.Report()
 	fmt.Fprintf(stdout, "%s on %s (%d nodes, %d links, %d flows):\n",
 		strings.ToUpper(o.mode), o.scenario, net.Graph.NumNodes(), net.Graph.NumLinks(), len(net.Flows))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,11 +73,51 @@ func TestRunScenarioTelemetryExport(t *testing.T) {
 	}
 }
 
+// TestFigureTelemetryWarnsOfTruncation: Quick fig10 overflows the event
+// rings of both its simulations, and stderr says so once per simulation,
+// OPT then MP, quoting the counts each metrics snapshot records.
+func TestFigureTelemetryWarnsOfTruncation(t *testing.T) {
+	telDir := t.TempDir()
+	args := []string{"-fig", "fig10", "-quick", "-csv", "-telemetry", telDir}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	var want strings.Builder
+	for _, prefix := range []string{"fig10_OPT_s1", "fig10_MP-TL-10-TS-2_s1"} {
+		metrics, err := os.ReadFile(filepath.Join(telDir, prefix+".metrics.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := func(name string) string {
+			for _, line := range strings.Split(string(metrics), "\n") {
+				if v, ok := strings.CutPrefix(line, "counter "+name+" "); ok {
+					return v
+				}
+			}
+			t.Fatalf("%s.metrics.txt has no %s", prefix, name)
+			return ""
+		}
+		dropped := count("telemetry.events.dropped")
+		if dropped == "0" {
+			t.Fatalf("%s dropped no events: the figure no longer overflows its rings", prefix)
+		}
+		fmt.Fprintf(&want, "mdrsim: warning: %s: telemetry ring dropped %s of %s events; the exported log is truncated\n",
+			prefix, dropped, count("telemetry.events.emitted"))
+	}
+	if got := stderr.String(); got != want.String() {
+		t.Errorf("stderr:\n%s\nwant:\n%s", got, want.String())
+	}
+	if plain := runOK(t, "-fig", "fig10", "-quick", "-csv"); plain != stdout.String() {
+		t.Errorf("telemetry changed the CSV:\n%s\nwithout it:\n%s", stdout.String(), plain)
+	}
+}
+
 // TestScenarioModeRunsTheCompareColumn holds `-scenario f -mode m` to the
 // experiment `-scenario f -compare` runs for the same scheme: at one seed,
 // each flow's mean delay is bit-equal to its cell in the column, so the
 // means the two commands print agree. (-mode sp used to set Ts = Tl without
-// the 5 s measurement window, and -mode ecmp neither.)
+// the 5 s measurement window.)
 func TestScenarioModeRunsTheCompareColumn(t *testing.T) {
 	net, err := topo.Parse(strings.NewReader(tinyScenario))
 	if err != nil {
@@ -88,12 +129,12 @@ func TestScenarioModeRunsTheCompareColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mode, label := range map[string]string{"mp": "MP-TL-10-TS-2", "sp": "SP-TL-10", "ecmp": "ECMP-TL-10"} {
+	for mode, label := range map[string]string{"mp": "MP-TL-10-TS-2", "sp": "SP-TL-10"} {
 		col := slices.Index(fig.Columns, label)
 		if col < 0 {
 			t.Fatalf("-compare has no %s column: %v", label, fig.Columns)
 		}
-		sim, err := experiments.Scenario(net, mode, set)
+		sim, _, err := experiments.Scenario(net, mode, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,24 +307,29 @@ func TestExitCodes(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		code int
+		msg  string // what stderr must say, where it matters
 	}{
-		{[]string{"-h"}, 0},
-		{nil, 2},
-		{[]string{"-bogus"}, 2},
-		{[]string{"-fig", "fig12", "-quick", "-shards", "2"}, 2}, // a simulation runs on one engine
-		{[]string{"-fig", "nosuch"}, 2},
-		{[]string{"-fig", "fig9", "-all"}, 2},
-		{[]string{"-opt", "net1", "-topo", "net1"}, 2},
-		{[]string{"-opt", "nosuch"}, 2},
-		{[]string{"-topo", "nosuch"}, 2},
-		{[]string{"-chaos", "nosuch"}, 1},
-		{[]string{"-scenario", missing}, 1},
-		{[]string{"-scenario", missing, "-compare"}, 1},
-		{[]string{"-topo", "grid", "-out", filepath.Join(missing, "x")}, 1},
+		{[]string{"-h"}, 0, ""},
+		{nil, 2, ""},
+		{[]string{"-bogus"}, 2, ""},
+		{[]string{"-fig", "fig12", "-quick", "-shards", "2"}, 2, ""}, // a simulation runs on one engine
+		{[]string{"-fig", "nosuch"}, 2, ""},
+		{[]string{"-fig", "fig9", "-all"}, 2, ""},
+		{[]string{"-opt", "net1", "-topo", "net1"}, 2, ""},
+		{[]string{"-opt", "nosuch"}, 2, ""},
+		{[]string{"-topo", "nosuch"}, 2, ""},
+		{[]string{"-chaos", "nosuch"}, 1, ""},
+		{[]string{"-scenario", missing}, 1, ""},
+		{[]string{"-scenario", missing, "-compare"}, 1, ""},
+		{[]string{"-scenario", writeScenario(t), "-mode", "ecmp"}, 1, `unknown mode "ecmp" (mp, sp)`},
+		{[]string{"-topo", "grid", "-out", filepath.Join(missing, "x")}, 1, ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != c.code {
 			t.Errorf("mdrsim %s: exit %d, want %d\n%s", strings.Join(c.args, " "), code, c.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.msg) {
+			t.Errorf("mdrsim %s: stderr %q does not say %q", strings.Join(c.args, " "), stderr.String(), c.msg)
 		}
 	}
 }

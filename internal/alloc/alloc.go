@@ -279,19 +279,6 @@ func Spread(p Split) float64 {
 	return 1 - maxPhi
 }
 
-// Uniform returns equal fractions over the successor set; used as a
-// baseline in ablation benchmarks.
-func Uniform(succ []graph.NodeID) Split {
-	if len(succ) == 0 {
-		return nil
-	}
-	phi := make(Split, len(succ))
-	for i, k := range succ {
-		phi[i] = Share{Hop: k, Frac: 1 / float64(len(succ))}
-	}
-	return phi
-}
-
 // Single returns all traffic on one successor (SP forwarding).
 func Single(k graph.NodeID) Split { return Split{{Hop: k, Frac: 1}} }
 

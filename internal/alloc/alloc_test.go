@@ -186,18 +186,6 @@ func TestAdjustSeeksEqualization(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	phi := Uniform([]graph.NodeID{1, 2, 3, 4})
-	for _, sh := range phi {
-		if math.Abs(sh.Frac-0.25) > 1e-12 {
-			t.Fatalf("phi = %v", phi)
-		}
-	}
-	if Uniform(nil) != nil {
-		t.Fatal("Uniform(nil) not nil")
-	}
-}
-
 func TestSingle(t *testing.T) {
 	phi := Single(7)
 	if frac(phi, 7) != 1 || len(phi) != 1 {

@@ -3,8 +3,6 @@ package alloc
 import (
 	"math"
 	"testing"
-
-	"minroute/internal/graph"
 )
 
 func TestSpread(t *testing.T) {
@@ -17,8 +15,7 @@ func TestSpread(t *testing.T) {
 	if got := Spread(Single(3)); got != 0 {
 		t.Fatalf("Spread(single-path) = %v, want 0", got)
 	}
-	succ := []graph.NodeID{1, 2, 3, 4}
-	if got := Spread(Uniform(succ)); math.Abs(got-0.75) > 1e-12 {
+	if got := Spread(Split{{1, 0.25}, {2, 0.25}, {3, 0.25}, {4, 0.25}}); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("Spread(uniform over 4) = %v, want 0.75", got)
 	}
 	skew := Split{{1, 0.7}, {2, 0.3}}

@@ -14,6 +14,7 @@ import (
 	"minroute/internal/despart"
 	"minroute/internal/graph"
 	"minroute/internal/lfi"
+	"minroute/internal/linkcost"
 	"minroute/internal/lsu"
 	"minroute/internal/mpda"
 	"minroute/internal/router"
@@ -29,7 +30,7 @@ const framingBits = 24 * 8
 // Options configures a simulation.
 type Options struct {
 	// Router is the per-node configuration (mode, Tl, Ts, ...). The zero
-	// value selects router.Defaults(); anything else must start from it.
+	// value selects router.Defaults(); any other value is used as given.
 	Router router.Config
 	// Seed drives every random choice in the run.
 	Seed uint64
@@ -147,9 +148,6 @@ func (n *Network) Delivered(x int) int64 { return n.flows[x].count }
 func Build(net *topo.Network, opt Options) *Network {
 	if opt.Router == (router.Config{}) {
 		opt.Router = router.Defaults()
-	}
-	if opt.Router.MeanPacketBits <= 0 {
-		panic("core: Options.Router sets some fields but leaves MeanPacketBits at zero; start from router.Defaults() and change what differs")
 	}
 	numNodes := net.Graph.NumNodes()
 	shards := opt.Shards
@@ -358,7 +356,7 @@ func (n *Network) sourceFor(f topo.Flow) traffic.Source {
 	if n.opt.Source != nil {
 		return n.opt.Source(f)
 	}
-	return traffic.Poisson{RateBits: f.Rate, MeanPacketBits: n.opt.Router.MeanPacketBits}
+	return traffic.Poisson{RateBits: f.Rate, MeanPacketBits: linkcost.MeanPacketBits}
 }
 
 // lsuSender builds the mpda.Sender for node id: marshal, frame, and

@@ -201,8 +201,8 @@ func (p *Port) FlipMail() {
 
 // DrainInbox schedules the published mailbox batch on the receiver engine.
 // The receiver's shard goroutine calls it at window start, after the
-// barrier, in ascending link order — so equal-time arrivals across links
-// enqueue in the same relative order a serial run produces. Lookahead
+// barrier, in the order they were mailed, which the FIFO pipe needs;
+// equal-time arrivals across ports order by delivery priority. Lookahead
 // guarantees every entry's arrival time is at or after the receiver's
 // clock; Schedule's past check enforces that loudly.
 func (p *Port) DrainInbox() {

@@ -22,10 +22,11 @@
 //
 // Determinism is absolute, not statistical: the event order each shard
 // executes is a pure function of the model because the event queue orders
-// equal-time events by origin priority (see eventq), and mailbox drains
-// happen in ascending global link order at window start. A run at P shards
-// replays the exact event schedule of the serial run, so its core.Report
-// equals the serial one (core.TestTracedPathsShardInvariant pins that).
+// equal-time events by origin priority (see eventq). Each port's deliveries
+// carry its own priority, so the order a shard drains its mailboxes in is
+// immaterial. A run at P shards replays the exact event schedule of the
+// serial run, so its core.Report equals the serial one
+// (core.TestTracedPathsShardInvariant pins that).
 //
 // Worker goroutines are drawn from the process-wide simpool budget with
 // TryAcquire: a simulation nested under the experiment pool only uses spare
@@ -49,8 +50,8 @@ import (
 type Coordinator struct {
 	engines []*des.Engine
 	window  float64
-	// inbound[s] lists the cross-shard ports delivering INTO shard s, in
-	// ascending global link order; shard s drains them at window start.
+	// inbound[s] lists the cross-shard ports delivering INTO shard s; shard
+	// s drains them at window start, in any order.
 	inbound [][]*des.Port
 	// xports lists every cross-shard port once, for the barrier-side
 	// mailbox flip.
@@ -74,9 +75,9 @@ func New(engines []*des.Engine, window float64) *Coordinator {
 	}
 }
 
-// AddInbound registers a cross-shard port delivering into shard s. Ports
-// must be registered in ascending global link order (the drain order is
-// part of the deterministic schedule). The port's propagation delay must
+// AddInbound registers a cross-shard port delivering into shard s, in any
+// order: origin priorities, not the drain order, order equal-time
+// deliveries across ports. The port's propagation delay must
 // cover the window — that inequality is the whole correctness argument, so
 // a violation panics at wiring time rather than corrupting a run.
 func (c *Coordinator) AddInbound(s int, p *des.Port) {

@@ -9,9 +9,8 @@ import (
 )
 
 // This file holds the ablation studies that back the design choices
-// DESIGN.md calls out: the damped AH variant, the two-timescale cost
-// measurement, the choice of marginal-delay estimator, and the baselines
-// spectrum (OPT / MP / OSPF-style ECMP / SP). It also adds the load sweep
+// DESIGN.md calls out: the damped AH variant and the choice of
+// marginal-delay estimator. It also adds the load sweep
 // the paper describes qualitatively ("When connectivity is low or network
 // load is light, MP routing cannot offer any advantage over SP").
 
@@ -30,19 +29,6 @@ func AblationAH(set Settings) (*report.Figure, error) {
 	fig.Notes = append(fig.Notes,
 		"the literal rule fully drains the binding donor each Ts and oscillates; damped AH converges",
 		"AH-off leaves IH's initial split in place between route updates")
-	return fig, nil
-}
-
-// AblationBaselines compares the full baseline spectrum on NET1: OPT,
-// MP, OSPF-style equal-cost multipath, and single-path.
-func AblationBaselines(set Settings) (*report.Figure, error) {
-	fig, err := compare("abl-base", "Baseline spectrum in NET1", topoNET1, true, 0,
-		[]scheme{mp(10, 2), ecmp(10), sp(10)}, set, nil)
-	if err != nil {
-		return nil, err
-	}
-	fig.Notes = append(fig.Notes,
-		"ECMP splits only over equal-cost paths (OSPF); unequal-cost multipath (MP) does strictly better")
 	return fig, nil
 }
 
@@ -65,13 +51,16 @@ func AblationEstimator(set Settings) (*report.Figure, error) {
 var mpVsSP = []scheme{mp(10, 2), sp(10)}
 
 // sweepRow runs MP and SP on one point of a sweep — its own network, so its
-// own id — and returns each scheme's mean delay over flows.
-func sweepRow(id string, build func() *topo.Network, set Settings) ([]float64, error) {
-	cols, err := simulate(id, build, mpVsSP, set, meanDelays)
+// own id — and adds to fig a row holding each scheme's mean delay over
+// flows, then the extra values, and the simulations' warnings.
+func sweepRow(fig *report.Figure, row, id string, build func() *topo.Network, set Settings, extra ...float64) error {
+	cols, warnings, err := simulate(id, build, mpVsSP, set, meanDelays)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []float64{mean(cols[0]), mean(cols[1])}, nil
+	fig.AddRow(row, append([]float64{mean(cols[0]), mean(cols[1])}, extra...)...)
+	fig.Warnings = append(fig.Warnings, warnings...)
+	return nil
 }
 
 // LoadSweep measures MP and SP mean delays on NET1 across offered-load
@@ -88,11 +77,9 @@ func LoadSweep(set Settings) (*report.Figure, error) {
 			net := topoNET1()
 			return &topo.Network{Graph: net.Graph, Flows: topo.ScaleFlows(net.Flows, scale)}
 		}
-		row, err := sweepRow(fmt.Sprintf("loadsweep-%03.0f", scale*100), build, set)
-		if err != nil {
+		if err := sweepRow(fig, fmt.Sprintf("load x%.1f", scale), fmt.Sprintf("loadsweep-%03.0f", scale*100), build, set); err != nil {
 			return nil, err
 		}
-		fig.AddRow(fmt.Sprintf("load x%.1f", scale), row...)
 	}
 	fig.Notes = append(fig.Notes,
 		"paper: \"When connectivity is low or network load is light, MP routing cannot offer any advantage over SP\"")
@@ -120,7 +107,6 @@ func init() {
 		gen func(Settings) (*report.Figure, error)
 	}{
 		{"abl-ah", AblationAH},
-		{"abl-base", AblationBaselines},
 		{"abl-est", AblationEstimator},
 		{"loadsweep", LoadSweep},
 	} {

@@ -38,13 +38,11 @@ func ConnectivitySweep(set Settings) (*report.Figure, error) {
 			}
 			return net
 		}
-		row, err := sweepRow(fmt.Sprintf("connsweep-%03.0f", frac*100), build, set)
-		if err != nil {
+		g := build().Graph
+		degree := float64(g.NumLinks()) / float64(g.NumNodes())
+		if err := sweepRow(fig, fmt.Sprintf("extra x%.1f", frac), fmt.Sprintf("connsweep-%03.0f", frac*100), build, set, degree); err != nil {
 			return nil, err
 		}
-		g := build().Graph
-		row = append(row, float64(g.NumLinks())/float64(g.NumNodes()))
-		fig.AddRow(fmt.Sprintf("extra x%.1f", frac), row...)
 	}
 	fig.Notes = append(fig.Notes,
 		"paper: MP's advantage requires alternate paths; with tree-like connectivity MP ~= SP")

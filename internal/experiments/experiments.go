@@ -1,19 +1,20 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Section 5) plus the reconstructed dynamic-traffic experiments, the
 // ablations and the sweeps. A figure is a list of schemes — OPT (Gallager),
-// MP (the paper's framework at the stated Tl/Ts), SP (single-path), ECMP,
-// or an ablated variant of one — and a drive function; simulate runs each
+// MP (the paper's framework at the stated Tl/Ts), SP (single-path), or an
+// ablated variant of one — and a drive function; simulate runs each
 // scheme on the same topology, traffic and seeds and hands back one vector
 // per scheme, which the figure lays out as a report.Figure.
 //
 // The runner's contract. simulate is the only caller of core.Build: it
 // derives the options from the scheme and the Settings (scheme.options, the
-// one statement of the SP/ECMP measurement rule), attaches a telemetry
+// one statement of the SP measurement rule), attaches a telemetry
 // capture when Settings.TelemetryDir is set, builds one serial network,
 // installs the scheme's static φ if it has one, calls the drive function,
 // and exports the capture under <id>_<label>_s<seed>, so every figure
 // honours TelemetryDir and a figure that runs one scheme on several
-// networks gives each its own id to keep the prefixes unique. The export
+// networks gives each its own id to keep the prefixes unique; a truncated
+// export comes back as a warning for the figure to carry. The export
 // runs after the simulation has released its worker slot, beside the next
 // simulation, and simulate returns only once every export is written. A
 // drive function receives the network unstarted and may advance it only
@@ -36,6 +37,7 @@ import (
 	"minroute/internal/alloc"
 	"minroute/internal/core"
 	"minroute/internal/gallager"
+	"minroute/internal/linkcost"
 	"minroute/internal/report"
 	"minroute/internal/router"
 	"minroute/internal/simpool"
@@ -99,9 +101,9 @@ func (s scheme) options(set Settings) core.Options {
 	opt.Router.Mode = s.mode
 	opt.Router.Tl = s.tl
 	opt.Router.Ts = s.ts
-	if s.mode == router.ModeSP || s.mode == router.ModeECMP {
-		// SP and ECMP have one clock (ts is MP's), and measure link delay over
-		// a fixed 5 s window regardless of the update period, ARPANET-style,
+	if s.mode == router.ModeSP {
+		// SP has one clock (ts is MP's), and measures link delay over a
+		// fixed 5 s window regardless of the update period, ARPANET-style,
 		// so Tl sweeps vary staleness only (DESIGN.md §6.5). MP keeps the
 		// paper's Tl-window costs.
 		opt.Router.Ts = s.tl
@@ -144,11 +146,12 @@ func meanDelays(n *core.Network, _ Settings) ([]float64, error) {
 // worker slot, so the next simulation runs while the artifacts are
 // written; simulate joins the exports before it returns and reports a
 // failed simulation ahead of a failed export, each kind by (scheme, seed)
-// index.
-func simulate(id string, build func() *topo.Network, schemes []scheme, set Settings, d drive) ([][]float64, error) {
+// index, as it orders the warnings.
+func simulate(id string, build func() *topo.Network, schemes []scheme, set Settings, d drive) ([][]float64, []string, error) {
 	cols := make([][]float64, len(schemes))
 	exports := simpool.Coordinator()
 	exportErrs := make([]error, len(schemes)*set.runs())
+	truncated := make([]string, len(schemes)*set.runs())
 	g := simpool.Coordinator()
 	for i, s := range schemes {
 		g.Go(func() error {
@@ -160,6 +163,7 @@ func simulate(id string, build func() *topo.Network, schemes []scheme, set Setti
 				}
 				if run.TelemetryDir != "" {
 					prefix := fmt.Sprintf("%s_%s_s%d", id, s.label, run.Seed)
+					truncated[i*set.runs()+r] = n.Telemetry().Truncation(prefix)
 					exports.Go(func() error {
 						if err := n.ExportTelemetry(run.TelemetryDir, prefix); err != nil {
 							exportErrs[i*set.runs()+r] = fmt.Errorf("experiments: %s %s: telemetry export: %w", id, s.label, err)
@@ -174,7 +178,8 @@ func simulate(id string, build func() *topo.Network, schemes []scheme, set Setti
 	}
 	err := g.Wait()
 	exports.Wait()
-	return cols, cmp.Or(append([]error{err}, exportErrs...)...)
+	warnings := slices.DeleteFunc(truncated, func(w string) bool { return w == "" })
+	return cols, warnings, cmp.Or(append([]error{err}, exportErrs...)...)
 }
 
 // run is one simulation: the scheme on tn at run's seed, driven by d. It
@@ -248,7 +253,7 @@ func compare(id, title string, build func() *topo.Network, withOPT bool, envelop
 		// Gallager's minimum-delay routing is solved once on the fluid model
 		// and its converged φ measured inside the same packet simulator as MP
 		// and SP, so all schemes are observed identically.
-		sol, err := gallager.Solve(net.Graph, net.Flows, gallager.Options{MeanPacketBits: 8000})
+		sol, err := gallager.Solve(net.Graph, net.Flows, gallager.Options{MeanPacketBits: linkcost.MeanPacketBits})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: OPT solve: %w", err)
 		}
@@ -259,10 +264,11 @@ func compare(id, title string, build func() *topo.Network, withOPT bool, envelop
 		all[i].source = src
 	}
 	fig := &report.Figure{ID: id, Title: title, Columns: labels(all)}
-	cols, err := simulate(id, build, all, set, meanDelays)
+	cols, warnings, err := simulate(id, build, all, set, meanDelays)
 	if err != nil {
 		return nil, err
 	}
+	fig.Warnings = warnings
 	if withOPT && envelope > 0 {
 		env := make([]float64, len(cols[0]))
 		for x, v := range cols[0] {
@@ -301,10 +307,6 @@ func mp(tl, ts float64) scheme {
 
 func sp(tl float64) scheme {
 	return scheme{label: fmt.Sprintf("SP-TL-%.0f", tl), mode: router.ModeSP, tl: tl}
-}
-
-func ecmp(tl float64) scheme {
-	return scheme{label: fmt.Sprintf("ECMP-TL-%.0f", tl), mode: router.ModeECMP, tl: tl}
 }
 
 // as returns s relabelled, with mutate as its configuration edit.
@@ -387,7 +389,7 @@ func Fig14(set Settings) (*report.Figure, error) {
 
 // burstySource builds the on-off sources of the dynamic experiments.
 func burstySource(f topo.Flow) traffic.Source {
-	return traffic.OnOff{RateBits: f.Rate, MeanPacketBits: 8000, PeakFactor: 4, MeanOn: 0.25}
+	return traffic.OnOff{RateBits: f.Rate, MeanPacketBits: linkcost.MeanPacketBits, PeakFactor: 4, MeanOn: 0.25}
 }
 
 // Fig15 — dynamic (bursty) traffic in CAIRN (reconstructed; the provided

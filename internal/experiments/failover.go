@@ -16,10 +16,11 @@ func Failover(set Settings) (*report.Figure, error) {
 		Title:   "Bridge failure and recovery in NET1 (mean over flows, ms)",
 		Columns: labels(mpVsSP),
 	}
-	cols, err := simulate("failover", topoNET1, mpVsSP, set, failoverPhases)
+	cols, warnings, err := simulate("failover", topoNET1, mpVsSP, set, failoverPhases)
 	if err != nil {
 		return nil, err
 	}
+	fig.Warnings = warnings
 	for i, phase := range []string{"baseline", "failed", "recovered"} {
 		fig.AddRow(phase, cols[0][i], cols[1][i])
 	}

@@ -15,13 +15,14 @@ func Jitter(set Settings) (*report.Figure, error) {
 		Title:   "Per-flow delay standard deviation in NET1 (ms)",
 		Columns: labels(mpVsSP),
 	}
-	cols, err := simulate("jitter", topoNET1, mpVsSP, set, func(n *core.Network, _ Settings) ([]float64, error) {
+	cols, warnings, err := simulate("jitter", topoNET1, mpVsSP, set, func(n *core.Network, _ Settings) ([]float64, error) {
 		rep, err := runChecked(n)
 		return rep.StdDevMs, err
 	})
 	if err != nil {
 		return nil, err
 	}
+	fig.Warnings = warnings
 	flowRows(fig, topoNET1(), cols)
 	fig.Notes = append(fig.Notes,
 		"paper: \"because of load-balancing used in MP, the plots of MP are less jagged than those of SP\"")

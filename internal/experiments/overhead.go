@@ -23,7 +23,7 @@ func Overhead(set Settings) (*report.Figure, error) {
 	// Each run reports [delay ms, LSU msgs/s, control kb/s], control traffic
 	// counted over the measurement period only; simulate averages the triple
 	// across seeds like any per-flow column.
-	rows, err := simulate("overhead", topoNET1, schemes, set, func(n *core.Network, run Settings) ([]float64, error) {
+	rows, warnings, err := simulate("overhead", topoNET1, schemes, set, func(n *core.Network, run Settings) ([]float64, error) {
 		n.Start()
 		n.RunUntil(run.Warmup)
 		m0, b0 := n.ControlMessages(), n.ControlBits()
@@ -37,6 +37,7 @@ func Overhead(set Settings) (*report.Figure, error) {
 	if err != nil {
 		return nil, err
 	}
+	fig.Warnings = warnings
 	for i, s := range schemes {
 		fig.AddRow(fmt.Sprintf("Tl=%.0fs", s.tl), rows[i]...)
 	}

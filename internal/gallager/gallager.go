@@ -53,7 +53,8 @@ const (
 type Options struct {
 	// MaxIters bounds the iteration count. Default 2000.
 	MaxIters int
-	// MeanPacketBits converts bit rates to packet rates. Default 8000.
+	// MeanPacketBits converts bit rates to packet rates. Default
+	// linkcost.MeanPacketBits.
 	MeanPacketBits float64
 }
 
@@ -62,7 +63,7 @@ func (o *Options) setDefaults() {
 		o.MaxIters = 2000
 	}
 	if o.MeanPacketBits <= 0 {
-		o.MeanPacketBits = 8000
+		o.MeanPacketBits = linkcost.MeanPacketBits
 	}
 }
 

@@ -190,6 +190,10 @@ func (e *OnlineEstimator) Take() float64 {
 	return est
 }
 
+// MeanPacketBits is the paper's 1000-byte mean packet: the simulated
+// sources draw it, and the routers and OPT convert rates with it.
+const MeanPacketBits = 8000
+
 // KnownMu returns the service rate in packets/s for a link of cap bits/s and
 // mean packet size meanBits. It panics on non-positive arguments.
 func KnownMu(capacityBits, meanPacketBits float64) float64 {

@@ -40,7 +40,7 @@ func runFloatEq(p *Pass) {
 			if be.Op == token.NEQ && sameExpr(p, be.X, be.Y) {
 				return true // x != x: the portable NaN test
 			}
-			p.Reportf(be.OpPos, "floating-point %s comparison; use numeric.Equalish/Closer or annotate //lint:floateq-ok <reason>", be.Op)
+			p.Reportf(be.OpPos, "floating-point %s comparison; use numeric.Closer or annotate //lint:floateq-ok <reason>", be.Op)
 			return true
 		})
 	}

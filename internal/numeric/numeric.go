@@ -14,7 +14,7 @@ package numeric
 
 import "math"
 
-// RelTol is the relative margin used by Closer and Equalish.
+// RelTol is the relative margin used by Closer.
 const RelTol = 1e-9
 
 // Closer reports whether a is strictly less than b by more than the
@@ -28,16 +28,4 @@ func Closer(a, b float64) bool {
 		return !math.IsInf(a, 1)
 	}
 	return b-a > RelTol*(1+math.Abs(b))
-}
-
-// Equalish reports whether a and b differ by no more than the tolerance.
-func Equalish(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return false
-	}
-	scale := 1 + math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= RelTol*scale
 }

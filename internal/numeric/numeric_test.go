@@ -48,21 +48,6 @@ func TestCloserInfinities(t *testing.T) {
 	}
 }
 
-func TestEqualish(t *testing.T) {
-	if !Equalish(0.0031, 0.0031000000000000003) {
-		t.Fatal("ULP tie not Equalish")
-	}
-	if Equalish(1, 1.001) {
-		t.Fatal("distinct values Equalish")
-	}
-	if !Equalish(math.Inf(1), math.Inf(1)) {
-		t.Fatal("equal infinities not Equalish")
-	}
-	if Equalish(math.Inf(1), 5) {
-		t.Fatal("infinity Equalish to finite")
-	}
-}
-
 func TestPropertyCloserAntisymmetricAndIrreflexive(t *testing.T) {
 	check := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {
@@ -72,21 +57,6 @@ func TestPropertyCloserAntisymmetricAndIrreflexive(t *testing.T) {
 			return false
 		}
 		return !(Closer(a, b) && Closer(b, a))
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyCloserConsistentWithEqualish(t *testing.T) {
-	check := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		if Equalish(a, b) && (Closer(a, b) || Closer(b, a)) {
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)

@@ -25,6 +25,9 @@ type Figure struct {
 	Data [][]float64
 	// Notes records observations (e.g. the paper's expected shape).
 	Notes []string
+	// Warnings names each simulation whose telemetry export is truncated,
+	// for the front end to print; Table, CSV and SVG leave them out.
+	Warnings []string
 }
 
 // AddRow appends one flow's values.

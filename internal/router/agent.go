@@ -310,7 +310,7 @@ func (a *Agent) Restart(up func(k graph.NodeID) bool) {
 // utilization capped at utilizationCap: 0 gives idle, +Inf the ceiling.
 func (a *Agent) costAt(k graph.NodeID, lambda float64) float64 {
 	capacity, prop, _ := a.host.Link(k)
-	mu := linkcost.KnownMu(capacity, a.cfg.MeanPacketBits)
+	mu := linkcost.KnownMu(capacity, linkcost.MeanPacketBits)
 	if lambda > utilizationCap*mu {
 		lambda = utilizationCap * mu
 	}

@@ -150,7 +150,7 @@ func TestAgentOnFakeHost(t *testing.T) {
 	if s := r.Successors(3); r.Active() || !slices.Equal(s, []graph.NodeID{1, 2}) {
 		t.Fatalf("after the reports: ACTIVE %v, S_3 = %v; want PASSIVE over [1 2]", r.Active(), s)
 	}
-	mu := linkcost.KnownMu(fakeCapacity, cfg.MeanPacketBits)
+	mu := linkcost.KnownMu(fakeCapacity, linkcost.MeanPacketBits)
 	idle := quantizeCost(linkcost.MM1Marginal(0, mu, fakeProp))
 
 	// A Tl tick over a window in which no link carried a packet: the

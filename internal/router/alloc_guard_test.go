@@ -14,14 +14,14 @@ import (
 // allocation in every mode. On a converged 4-ring, where node 0 reaches
 // node 2 through two equal-cost successors, a data packet leaves node 0,
 // crosses a link, is relayed and is delivered: the pick over φ (MP,
-// STATIC), the best successor (SP) or the equal-cost set (ECMP) runs twice
-// per packet on storage that already exists. The timers are off, so nothing
+// STATIC) or the best successor (SP) runs twice per packet on storage that
+// already exists. The timers are off, so nothing
 // but the packet runs between two counts.
 func TestHandleDataAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under the race detector")
 	}
-	for _, mode := range []Mode{ModeMP, ModeSP, ModeStatic, ModeECMP} {
+	for _, mode := range []Mode{ModeMP, ModeSP, ModeStatic} {
 		cfg := Defaults()
 		cfg.Mode = mode
 		cfg.Tl, cfg.Ts = 0, 0

@@ -11,12 +11,6 @@ import (
 	"minroute/internal/rng"
 )
 
-func TestModeStringECMP(t *testing.T) {
-	if got := ModeECMP.String(); got != "ECMP" {
-		t.Fatalf("ECMP.String() = %q", got)
-	}
-}
-
 // TestCrashAndRestart walks a node through the full outage lifecycle: while
 // down it drops data, ignores control and link events, and reports Down;
 // Restart boots a fresh protocol instance and the network reconverges.
@@ -131,17 +125,6 @@ func TestSPModeForwardsPackets(t *testing.T) {
 	}
 }
 
-func TestECMPFractionsTowardSelfEmpty(t *testing.T) {
-	cfg := Defaults()
-	cfg.Mode = ModeECMP
-	eng, nodes, _ := line3(t, cfg)
-	startAll(eng, nodes, 5)
-	if f := nodes[0].Fractions(0); len(f) != 0 {
-		t.Fatalf("ECMP Fractions toward self = %v", f)
-	}
-	_ = eng
-}
-
 // TestLazyAllocationOnFirstPacket clears a destination's parameters while
 // routes exist: the first data packet must rebuild them in the forwarding
 // path and announce them through OnAlloc.
@@ -200,7 +183,7 @@ func TestShortCostSmoothingAndUtilizationCap(t *testing.T) {
 	startAll(eng, nodes, 1)
 	n0 := nodes[0]
 	l, p := n0.agent.link(1), n0.port(1)
-	mu := linkcost.KnownMu(p.Capacity, n0.agent.cfg.MeanPacketBits)
+	mu := linkcost.KnownMu(p.Capacity, linkcost.MeanPacketBits)
 	ceil := linkcost.MM1Marginal(utilizationCap*mu, mu, p.Prop)
 	// 200 packets/s against a service rate of 125: saturated for 20 s.
 	cbr(eng, n0, 2, 4000, 0.005)

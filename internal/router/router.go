@@ -24,7 +24,6 @@ package router
 
 import (
 	"fmt"
-	"math"
 
 	"minroute/internal/alloc"
 	"minroute/internal/des"
@@ -33,7 +32,6 @@ import (
 	"minroute/internal/linkcost"
 	"minroute/internal/lsu"
 	"minroute/internal/mpda"
-	"minroute/internal/numeric"
 	"minroute/internal/rng"
 	"minroute/internal/telemetry"
 )
@@ -46,12 +44,10 @@ const (
 	ModeMP Mode = iota
 	ModeSP
 	ModeStatic
-	// ModeECMP restricts multipath to equal-cost paths with even splits —
-	// the OSPF behaviour the paper contrasts against ("OSPF permits
-	// multiple paths to a destination only when they have the same
-	// length"). Included as an extra baseline for ablations.
-	ModeECMP
 )
+
+// HopLimit drops a packet that has already taken this many forwarding steps.
+const HopLimit = 64
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
@@ -62,8 +58,6 @@ func (m Mode) String() string {
 		return "SP"
 	case ModeStatic:
 		return "STATIC"
-	case ModeECMP:
-		return "ECMP"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -78,13 +72,9 @@ type Config struct {
 	Tl float64
 	// Ts is the short-term (routing parameter) update interval in seconds.
 	Ts float64
-	// MeanPacketBits calibrates packet-rate conversions for the M/M/1 cost.
-	MeanPacketBits float64
 	// UseOnlineEstimator selects the PA-style estimator (measured sojourn
 	// and service times) instead of the closed-form M/M/1 marginal.
 	UseOnlineEstimator bool
-	// HopLimit drops packets that exceed this many forwarding steps.
-	HopLimit int
 	// AHDamping selects the damped AH variant with the given β (see
 	// alloc.AdjustDamped). Zero or negative selects the literal Fig. 7
 	// rule (alloc.AH), kept for ablation.
@@ -96,15 +86,13 @@ type Config struct {
 }
 
 // Defaults returns the configuration used by the paper's headline runs:
-// MP-TL-10-TS-2 with 1000-byte mean packets.
+// MP-TL-10-TS-2.
 func Defaults() Config {
 	return Config{
-		Mode:           ModeMP,
-		Tl:             10,
-		Ts:             2,
-		MeanPacketBits: 8000,
-		HopLimit:       64,
-		AHDamping:      0.5,
+		Mode:      ModeMP,
+		Tl:        10,
+		Ts:        2,
+		AHDamping: 0.5,
 	}
 }
 
@@ -125,8 +113,6 @@ type Node struct {
 	// staticPhi, in ModeStatic, holds the externally installed parameters.
 	staticPhi []alloc.Split
 
-	// ecmp is the forwarding path's scratch for the equal-cost set.
-	ecmp []graph.NodeID
 	// rx is the one message HandleControl decodes every LSU into; the agent
 	// borrows it for the call.
 	rx lsu.Msg
@@ -173,7 +159,7 @@ func (n *Node) AttachPort(k graph.NodeID, p *des.Port) {
 	i := n.agent.attach(k)
 	n.ports[k] = p
 	if cfg := n.agent.cfg; cfg.UseOnlineEstimator {
-		mu := linkcost.KnownMu(p.Capacity, cfg.MeanPacketBits)
+		mu := linkcost.KnownMu(p.Capacity, linkcost.MeanPacketBits)
 		p.Estimator = linkcost.NewOnlineEstimator(p.Prop, 1/mu)
 		n.agent.links[i].est = p.Estimator
 	}
@@ -270,7 +256,7 @@ func (n *Node) HandleData(pkt *des.Packet) {
 		n.eng.FreePacket(pkt)
 		return
 	}
-	if pkt.Hops >= a.cfg.HopLimit {
+	if pkt.Hops >= HopLimit {
 		n.drop(&n.DroppedHopLimit, telemetry.KindDropHopLimit, pkt)
 		return
 	}
@@ -308,12 +294,6 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 	switch a.cfg.Mode {
 	case ModeSP:
 		return a.proto.BestSuccessor(j)
-	case ModeECMP:
-		n.ecmp = n.equalCostSuccessors(j, n.ecmp[:0])
-		if len(n.ecmp) == 0 {
-			return graph.None
-		}
-		return n.ecmp[a.prng.Intn(len(n.ecmp))]
 	case ModeStatic:
 		if n.staticPhi == nil {
 			return graph.None
@@ -335,25 +315,6 @@ func (n *Node) pickNextHop(j graph.NodeID) graph.NodeID {
 		}
 		return weightedPick(a.prng, phi)
 	}
-}
-
-// equalCostSuccessors appends to out the successors whose marginal distance
-// ties the best one (OSPF-style equal-cost multipath).
-func (n *Node) equalCostSuccessors(j graph.NodeID, out []graph.NodeID) []graph.NodeID {
-	proto := n.agent.proto
-	succ := proto.Successors(j)
-	best := math.Inf(1)
-	for _, k := range succ {
-		if d := proto.SuccessorDistance(j, k); d < best {
-			best = d
-		}
-	}
-	for _, k := range succ {
-		if numeric.Equalish(proto.SuccessorDistance(j, k), best) {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // weightedPick samples a hop in proportion to its fraction, walking phi's
@@ -393,8 +354,6 @@ func (n *Node) Fractions(j graph.NodeID) alloc.Split {
 			return alloc.Single(k)
 		}
 		return nil
-	case ModeECMP:
-		return alloc.Uniform(n.equalCostSuccessors(j, nil))
 	default:
 		return n.agent.Phi(j)
 	}

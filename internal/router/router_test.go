@@ -79,7 +79,7 @@ func TestModeString(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	cfg := Defaults()
-	if cfg.Tl != 10 || cfg.Ts != 2 || cfg.MeanPacketBits != 8000 {
+	if cfg.Mode != ModeMP || cfg.Tl != 10 || cfg.Ts != 2 {
 		t.Fatalf("defaults changed: %+v", cfg)
 	}
 }
@@ -111,14 +111,14 @@ func TestForwardAndDeliver(t *testing.T) {
 	}
 }
 
+// TestHopLimitDrop: a packet that arrives at node 0 one step short of the
+// limit is forwarded once, then dropped at node 1.
 func TestHopLimitDrop(t *testing.T) {
-	cfg := Defaults()
-	cfg.HopLimit = 1
-	eng, nodes, _ := line3(t, cfg)
+	eng, nodes, _ := line3(t, Defaults())
 	startAll(eng, nodes, 5)
 	delivered := 0
 	nodes[2].OnArrive = func(pkt *des.Packet) { delivered++ }
-	nodes[0].HandleData(&des.Packet{FlowID: 0, Src: 0, Dst: 2, Bits: 8000})
+	nodes[0].HandleData(&des.Packet{FlowID: 0, Src: 0, Dst: 2, Bits: 8000, Hops: HopLimit - 1})
 	eng.Run(eng.Now() + 1)
 	if delivered != 0 {
 		t.Fatal("packet exceeded hop limit but was delivered")
@@ -289,34 +289,12 @@ func TestOnlineEstimatorMode(t *testing.T) {
 	}
 }
 
-func TestECMPModeEqualSplit(t *testing.T) {
-	cfg := Defaults()
-	cfg.Mode = ModeECMP
-	g := topo.Ring(4, 1e7, 1e-3).Clone()
-	eng, nodes, _ := wire(t, g, cfg)
-	startAll(eng, nodes, 5)
-	// On a uniform 4-ring, node 0's two paths to node 2 are equal cost:
-	// ECMP must expose both with even fractions.
-	phi := nodes[0].Fractions(2)
-	if len(phi) != 2 {
-		t.Fatalf("ECMP fractions = %v, want two equal-cost successors", phi)
-	}
-	for _, sh := range phi {
-		if math.Abs(sh.Frac-0.5) > 1e-9 {
-			t.Fatalf("ECMP split = %v, want 0.5", sh.Frac)
-		}
-	}
-	// Toward an adjacent node there is a single shortest path.
-	if phi := nodes[0].Fractions(1); len(phi) != 1 {
-		t.Fatalf("ECMP fractions toward neighbor = %v", phi)
-	}
-}
-
-func TestECMPForwardsPackets(t *testing.T) {
-	cfg := Defaults()
-	cfg.Mode = ModeECMP
-	g := topo.Ring(4, 1e7, 1e-3)
-	eng, nodes, _ := wire(t, g, cfg)
+// TestConfigWithoutDefaultsForwards: a Node whose Config sets only the
+// mode and the two clocks prices its links and forwards. The packet size
+// and the hop limit are package constants, not fields a caller can leave
+// at zero.
+func TestConfigWithoutDefaultsForwards(t *testing.T) {
+	eng, nodes, _ := line3(t, Config{Mode: ModeMP, Tl: 10, Ts: 2})
 	startAll(eng, nodes, 5)
 	delivered := 0
 	nodes[2].OnArrive = func(pkt *des.Packet) { delivered++ }
@@ -325,7 +303,12 @@ func TestECMPForwardsPackets(t *testing.T) {
 	}
 	eng.Run(eng.Now() + 2)
 	if delivered != 50 {
-		t.Fatalf("ECMP delivered %d/50", delivered)
+		t.Fatalf("delivered %d/50", delivered)
+	}
+	for i := graph.NodeID(0); i < 3; i++ {
+		if d := nodes[i].DroppedHopLimit; d != 0 {
+			t.Fatalf("node %d dropped %d packets at the hop limit", i, d)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -33,6 +34,15 @@ func (c *Capture) SyncDropCounters() {
 	}
 	c.Metrics.Counter("telemetry.events.emitted").Set(float64(c.Trace.Emitted()))
 	c.Metrics.Counter("telemetry.events.dropped").Set(float64(c.Trace.Dropped()))
+}
+
+// Truncation tells how many events the rings overwrote, naming the export
+// by prefix, or is "" when the log is complete.
+func (c *Capture) Truncation(prefix string) string {
+	if n := c.Trace.Dropped(); n > 0 {
+		return fmt.Sprintf("%s: telemetry ring dropped %d of %d events; the exported log is truncated", prefix, n, c.Trace.Emitted())
+	}
+	return ""
 }
 
 // Export writes the capture's two artifacts into dir:
