@@ -7,17 +7,20 @@ RACE_SOAK_COUNT ?= 3
 
 # The gate used before every commit: the pinned outputs (`goldens`, first
 # so a moved golden fails fast, before the long race run), static checks
-# (`lint` runs both the determinism and the concurrency analyzers), the
-# full suite under the race detector (the parallel figure harness and the
-# live stack make -race meaningful), the telemetry, codec and control-plane
-# zero-overhead guards (alloc counts need a non-race run), and a short
+# (`lint` runs the four analyzers: maporder, nowall, handlecopy and
+# lockorder), the full suite under the race detector (the parallel figure
+# harness and the live stack make -race meaningful), the telemetry, codec
+# and control-plane zero-overhead guards (alloc counts need a non-race
+# run), and a short
 # coverage-guided fuzz of the chaos schedule decoder + oracles.
 check: goldens vet lint race telemetry-guard codec-guard ctrl-guard fuzz
 
 vet:
 	$(GO) vet ./...
 
-# Project-specific determinism and ownership checks (see DESIGN.md §9).
+# The four static checks whose planted defects escaped every runtime gate:
+# maporder, nowall and handlecopy (map iteration order, wall-clock reads and
+# pooled-record ownership, DESIGN.md §9) and lockorder (DESIGN.md §13).
 # Machine-readable findings: go run ./cmd/mdrcheck -json ./...
 lint:
 	$(GO) run ./cmd/mdrcheck ./...
@@ -114,11 +117,12 @@ codec-guard:
 # into converged tables runs NTU, MTU and the successor re-derivation on
 # storage that already exists (one allocation, the ACK), the protonet
 # harness delivering it allocates nothing of its own, a simulated router
-# forwards a data packet in every mode without allocating, and IH and AH
-# rebuild and step φ in the storage it already has. All five skip under
-# -race, so `race` alone never runs them.
+# forwards a data packet in every mode without allocating, IH and AH
+# rebuild and step φ in the storage it already has, and a simulation's
+# traffic sources take their packets from the engine's pool. All six skip
+# under -race, so `race` alone never runs them.
 ctrl-guard:
-	$(GO) test -count=1 -run 'TestTablesAllocBudget|TestHandleLSUAllocBudget|TestStepAllocBudget|TestHandleDataAllocBudget|TestAllocationStepsAllocBudget' ./internal/pda ./internal/mpda ./internal/protonet ./internal/router
+	$(GO) test -count=1 -run 'TestTablesAllocBudget|TestHandleLSUAllocBudget|TestStepAllocBudget|TestHandleDataAllocBudget|TestAllocationStepsAllocBudget|TestDataPacketsComeFromThePool' ./internal/pda ./internal/mpda ./internal/protonet ./internal/router ./internal/core
 
 # Ten seconds of coverage-guided fuzzing over random chaos schedules with
 # every invariant oracle armed, plus ten over the wire-format decoder (the

@@ -1,16 +1,16 @@
-// Command mdrcheck runs the repository's determinism and ownership lint
-// suite (internal/lint) over Go packages. It is part of the commit gate:
-// `make lint` runs it over ./... and any finding fails the build.
+// Command mdrcheck runs the repository's lint suite (internal/lint) over Go
+// packages. It is part of the commit gate: `make lint` runs it over ./...
+// and any finding fails the build.
 //
 // Usage:
 //
-//	mdrcheck [-json] [-checks maporder,norand,...] [-list] [packages]
+//	mdrcheck [-json] [-checks maporder,nowall,...] [-list] [packages]
 //
 // With no packages, ./... is checked. -list prints the roster grouped by
-// category: the determinism suite (seed-purity and ownership, DESIGN.md
-// §9) and the concurrency suite (lock order, DESIGN.md §13). Exit status:
-// 0 clean, 1 findings, 2 usage or load error (including packages that do
-// not compile).
+// category: the determinism suite (map iteration order, wall-clock reads
+// and pooled-record ownership, DESIGN.md §9) and the concurrency suite
+// (lock order, DESIGN.md §13). Exit status: 0 clean, 1 findings, 2 usage
+// or load error (including packages that do not compile).
 package main
 
 import (

@@ -25,7 +25,8 @@
 // experiment index and EXPERIMENTS.md for reference results.
 //
 // Exit status: 0 on success, 1 on an error or an invariant violation, 2 on
-// a usage error (a bad flag, two modes, an unknown figure or topology).
+// a usage error (a bad flag, two modes, an unknown figure, topology or
+// -mode).
 package main
 
 import (
@@ -429,6 +430,11 @@ func runChaos(o *options, stdout, stderr io.Writer) error {
 // -telemetry, a single-mode run's artifacts are exported as
 // scenario_<mode>_s<seed>.*.
 func runScenario(o *options, stdout, stderr io.Writer) error {
+	if !o.compare {
+		if err := experiments.ScenarioMode(o.mode); err != nil {
+			return usageError{err}
+		}
+	}
 	net, err := loadScenario(o.scenario)
 	if err != nil {
 		return err

@@ -321,7 +321,9 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-chaos", "nosuch"}, 1, ""},
 		{[]string{"-scenario", missing}, 1, ""},
 		{[]string{"-scenario", missing, "-compare"}, 1, ""},
-		{[]string{"-scenario", writeScenario(t), "-mode", "ecmp"}, 1, `unknown mode "ecmp" (mp, sp)`},
+		{[]string{"-scenario", writeScenario(t), "-mode", "ecmp"}, 2, `unknown mode "ecmp" (mp, sp)`},
+		{[]string{"-scenario", missing, "-mode", "bogus"}, 2, `unknown mode "bogus" (mp, sp)`}, // before the file is opened
+		{[]string{"-scenario", missing, "-compare", "-mode", "bogus"}, 1, "no such file"},      // -compare ignores -mode
 		{[]string{"-topo", "grid", "-out", filepath.Join(missing, "x")}, 1, ""},
 	} {
 		var stdout, stderr bytes.Buffer

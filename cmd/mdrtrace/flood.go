@@ -75,7 +75,6 @@ type lastArrival struct {
 func buildFlood(events []telemetry.Event, window float64) floodReport {
 	ordered := append([]telemetry.Event(nil), events...)
 	sort.SliceStable(ordered, func(i, j int) bool {
-		//lint:floateq-ok sort comparators need a strict weak order; tolerant equality is not transitive
 		if ordered[i].T != ordered[j].T {
 			return ordered[i].T < ordered[j].T
 		}
@@ -88,7 +87,7 @@ func buildFlood(events []telemetry.Event, window float64) floodReport {
 	roots := make(map[graph.NodeID]*floodTree) // last tree rooted at a router
 
 	for _, ev := range ordered {
-		switch ev.Kind { //lint:exhaustive-ok flood tracing reads only the LSU traffic pair; every other kind is deliberately skipped
+		switch ev.Kind { // flood tracing reads only the LSU traffic pair
 		case telemetry.KindLSUSend:
 			r, to, t := ev.Router, ev.Peer, ev.T
 			var tree *floodTree

@@ -132,7 +132,6 @@ func quotas(ws []float64) []int {
 	// Hand leftover buckets to the largest remainders; tie → lower index
 	// (lower hop ID, since hops are sorted) for determinism.
 	sort.Slice(rem, func(a, b int) bool {
-		//lint:floateq-ok sort comparators need a strict weak order; tolerant equality is not transitive
 		if rem[a].f != rem[b].f {
 			return rem[a].f > rem[b].f
 		}

@@ -137,7 +137,7 @@ func offer(dist []float64, parent []graph.NodeID, to, u graph.NodeID, nd float64
 	case nd < dist[to]:
 		dist[to], parent[to] = nd, u
 		return true
-	//lint:floateq-ok exact FP tie only; a tolerant tie here would re-parent across genuinely different path sums
+	// An exact tie only: a tolerant one would re-parent across different path sums.
 	case nd == dist[to] && u < parent[to]:
 		parent[to] = u
 	}
@@ -195,7 +195,6 @@ func (h *distHeap) len() int { return len(h.items) }
 
 func (h *distHeap) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
-	//lint:floateq-ok heap comparators need a strict weak order; tolerant equality is not transitive
 	if a.dist != b.dist {
 		return a.dist < b.dist
 	}

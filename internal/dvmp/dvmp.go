@@ -284,7 +284,7 @@ func (r *Router) recompute() bool {
 				bestHops = e.hops + 1
 			}
 		}
-		//lint:floateq-ok change detection: any bit-level distance change must trigger an update
+		// Any bit-level distance change triggers an update.
 		if best != r.dist[j] {
 			r.dist[j] = best
 			r.hops[j] = bestHops
@@ -318,7 +318,7 @@ func (r *Router) vectorDiff() []lsu.Entry {
 	var out []lsu.Entry
 	for j := 0; j < r.n; j++ {
 		cur, rep := r.dist[j], r.reported[j]
-		//lint:floateq-ok change detection against the verbatim last-reported value, not arithmetic equality
+		// Compared with the verbatim last-reported value.
 		if cur == rep {
 			continue
 		}

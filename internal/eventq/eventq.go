@@ -160,7 +160,6 @@ func (q *Queue) Recycle(e *Event) {
 
 func (q *Queue) less(i, j int) bool {
 	a, b := q.heap[i], q.heap[j]
-	//lint:floateq-ok heap comparators need a strict weak order; tolerant equality is not transitive
 	if a.time != b.time {
 		return a.time < b.time
 	}

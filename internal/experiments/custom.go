@@ -24,9 +24,9 @@ func CustomComparison(net *topo.Network, set Settings) (*report.Figure, error) {
 // Telemetry, when set asks for it, is exported as scenario_<mode>_s<seed>,
 // warning as simulate does. This is what `mdrsim -scenario x.txt` prints.
 func Scenario(net *topo.Network, mode string, set Settings) (*core.Network, []string, error) {
-	s, ok := map[string]scheme{"mp": mp(10, 2), "sp": sp(10)}[mode]
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown mode %q (mp, sp)", mode)
+	s, err := scenarioScheme(mode)
+	if err != nil {
+		return nil, nil, err
 	}
 	s.label = mode
 	set.Runs = 1
@@ -37,4 +37,20 @@ func Scenario(net *topo.Network, mode string, set Settings) (*core.Network, []st
 			return meanDelays(n, run)
 		})
 	return sim, warnings, err
+}
+
+// ScenarioMode reports an error naming the modes Scenario runs unless mode
+// is one of them, so a caller can check it before reading a network.
+func ScenarioMode(mode string) error {
+	_, err := scenarioScheme(mode)
+	return err
+}
+
+// scenarioScheme is the scheme Scenario runs under mode.
+func scenarioScheme(mode string) (scheme, error) {
+	s, ok := map[string]scheme{"mp": mp(10, 2), "sp": sp(10)}[mode]
+	if !ok {
+		return scheme{}, fmt.Errorf("unknown mode %q (mp, sp)", mode)
+	}
+	return s, nil
 }

@@ -176,3 +176,25 @@ func TestTelemetryExportErrorReported(t *testing.T) {
 		t.Fatalf("Fig14 into a missing directory: err = %v, want the first simulation's telemetry export error", err)
 	}
 }
+
+// TestRunSeedsReducesInSeedOrder: runSeeds sums the seeds' vectors in seed
+// order. The three values are chosen so that float addition gives 1 only
+// when the first two seeds are summed first (1e16 absorbs the 1 otherwise),
+// so a reduction in any order that is not fixed, such as a map walk, fails
+// within a few repetitions. TestFigureDeterminism runs at most two seeds,
+// whose sum commutes, so it cannot see this.
+func TestRunSeedsReducesInSeedOrder(t *testing.T) {
+	vals := []float64{1e16, -1e16, 1}
+	want := 1 / float64(len(vals)) // the seed-order sum, 1, scaled by 1/runs
+	for i := 0; i < 50; i++ {
+		got, err := runSeeds(Settings{Runs: len(vals)}, func(r int, _ Settings) ([]float64, error) {
+			return []float64{vals[r]}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("repetition %d: runSeeds = %v, want [%v]", i, got, want)
+		}
+	}
+}

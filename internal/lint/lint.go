@@ -2,14 +2,20 @@
 // repository, built only on the standard library's go/parser, go/ast, and
 // go/types (the repo takes no external dependencies, including x/tools).
 //
-// The analyzers encode the project-specific invariants the parallel figure
-// harness depends on. PR 1's guarantee — byte-identical figures at any
-// worker count — holds only if every simulation is a pure function of its
-// seed: no Go map iteration order, wall-clock reads, or ambient entropy may
-// reach protocol state or figure output. Likewise the event-queue and
-// packet-pool ownership models (generation-guarded handles, single-owner
-// free chains) are conventions the compiler cannot see. mdrcheck turns both
-// classes of convention into machine-checked diagnostics on every commit.
+// It keeps the four checks whose defects, when planted, escaped every
+// runtime gate (DESIGN.md §9 and §13). maporder and nowall guard the
+// promise behind byte-identical figures at any worker count, that every
+// simulation is a pure function of its seed, and its live counterpart:
+// a map walk whose effect depends on visit order, such as a float sum, can
+// differ run to run in bits that no pinned output prints, and a wall-clock
+// read in the live runtime's session code reaches no pinned output at all.
+// handlecopy guards the pooled DES records: a packet built by value runs
+// bit-identically while the pool grows by one record per delivery.
+// lockorder guards the live stack's lock order, which no test run can be
+// relied on to exercise. The other conventions once checked here (ambient
+// entropy, timers in simulation code, float equality, enum switches,
+// telemetry attribute keys) are enforced by runtime gates — the goldens
+// and the packages' own tests — so their analyzers were deleted.
 //
 // Suppressions are per-line annotations with a mandatory reason:
 //
@@ -45,16 +51,20 @@ func (d Diag) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Category groups the check for display: "determinism" (seed-purity
-	// and ownership invariants) or "concurrency" (lock order — the one
-	// concurrency defect the runtime gates cannot be relied on to hit).
+	// Category groups the check for display: "determinism" (map iteration
+	// order, wall-clock reads and pooled-record ownership) or "concurrency"
+	// (lock order): the defects of each kind the runtime gates cannot be
+	// relied on to hit.
 	Category string
 	Run      func(*Pass)
 }
 
-// Analyzer categories, in display order: the determinism suite states the
-// repo's core guarantee; the concurrency suite guards the live stack's lock
-// order, which -race, leaktest and race-soak (DESIGN.md §13) do not.
+// Analyzer categories, in display order: the determinism suite guards the
+// repo's core guarantee against map iteration order, which the goldens see
+// only when it moves a printed digit, and against wall-clock reads in the
+// live runtime and breaches of the DES pools' ownership, which they do not
+// see at all; the concurrency suite guards the live stack's lock order,
+// which -race, leaktest and race-soak (DESIGN.md §13) do not.
 const (
 	CategoryDeterminism = "determinism"
 	CategoryConcurrency = "concurrency"
@@ -66,10 +76,7 @@ func Categories() []string {
 }
 
 // All lists every analyzer in the suite, sorted by name.
-var All = []*Analyzer{
-	Exhaustive, FloatEq, HandleCopy, LockOrder, MapOrder, NoRand, NoWall,
-	TelemetryAttr,
-}
+var All = []*Analyzer{HandleCopy, LockOrder, MapOrder, NoWall}
 
 // ByName returns the analyzers matching the comma-separated list, or All
 // for an empty list.
@@ -151,10 +158,4 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diag {
 // isModulePath reports whether path belongs to this module.
 func isModulePath(path string) bool {
 	return path == "minroute" || strings.HasPrefix(path, "minroute/")
-}
-
-// pathWithin reports whether path is the given module package or a child
-// of it (e.g. pathWithin("minroute/cmd/mdrsim", "minroute/cmd")).
-func pathWithin(path, root string) bool {
-	return path == root || strings.HasPrefix(path, root+"/")
 }

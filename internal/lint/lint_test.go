@@ -108,25 +108,16 @@ func runFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 }
 
 func TestMapOrderFixture(t *testing.T)   { runFixture(t, "maporder", MapOrder) }
-func TestNoRandFixture(t *testing.T)     { runFixture(t, "norand", NoRand) }
 func TestNoWallFixture(t *testing.T)     { runFixture(t, "nowall", NoWall) }
-func TestFloatEqFixture(t *testing.T)    { runFixture(t, "floateq", FloatEq) }
 func TestHandleCopyFixture(t *testing.T) { runFixture(t, "handlecopy", HandleCopy) }
-func TestExhaustiveFixture(t *testing.T) { runFixture(t, "exhaustive", Exhaustive) }
-func TestTelemetryAttrFixture(t *testing.T) {
-	runFixture(t, "telemetryattr", TelemetryAttr)
-}
-func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", LockOrder) }
+func TestLockOrderFixture(t *testing.T)  { runFixture(t, "lockorder", LockOrder) }
 
 // TestFixturesFailWithoutAnalyzer is the other half of the golden
 // contract: with the analyzer disabled, the fixtures' want expectations
 // must go unmatched. Guards against an analyzer that silently reports
 // nothing (and a harness that silently accepts that).
 func TestFixturesFailWithoutAnalyzer(t *testing.T) {
-	for _, name := range []string{
-		"maporder", "norand", "nowall", "floateq", "handlecopy", "exhaustive", "telemetryattr",
-		"lockorder",
-	} {
+	for _, name := range []string{"maporder", "nowall", "handlecopy", "lockorder"} {
 		pkg, err := testLoader(t).CheckDir("minroute/internal/fixture/"+name, filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -175,9 +166,9 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All))
 	}
-	two, err := ByName("maporder, floateq")
-	if err != nil || len(two) != 2 || two[0].Name != "maporder" || two[1].Name != "floateq" {
-		t.Fatalf("ByName(maporder, floateq) = %v, err %v", two, err)
+	two, err := ByName("maporder, lockorder")
+	if err != nil || len(two) != 2 || two[0].Name != "maporder" || two[1].Name != "lockorder" {
+		t.Fatalf("ByName(maporder, lockorder) = %v, err %v", two, err)
 	}
 	if _, err := ByName("nosuchcheck"); err == nil || !strings.Contains(err.Error(), "nosuchcheck") {
 		t.Fatalf("ByName(nosuchcheck) err = %v; want unknown-check error", err)

@@ -6,26 +6,29 @@ import (
 	"path/filepath"
 )
 
-// NoWall forbids direct wall-clock reads — time.Now and time.Since —
-// everywhere in the module, including the cmd/ and examples/ entry points
-// that norand exempts. The live node runtime must behave identically
-// under a virtual clock in tests and a wall clock in production, which
-// holds only if every timestamp flows through the transport.Clock
-// interface; a stray time.Now in protocol or tooling code is a second,
-// unmockable time source. The single sanctioned reader is
-// internal/node's wallclock.go, where WallClock adapts the real clock to
-// the interface. Timers (time.AfterFunc, time.Sleep) remain legal here —
-// norand polices those in simulation code — because waiting is
-// observable behavior, while reading the clock is hidden state.
+// NoWall forbids direct wall-clock reads — time.Now, time.Since and
+// time.Until — everywhere in the module: simulation code, the live
+// runtime, and the cmd/ and examples/ entry points. A simulation is a pure
+// function of its seed only if every timestamp comes from the DES clock,
+// and the live node runtime behaves identically under a virtual clock in
+// tests and a wall clock in production only if every timestamp flows
+// through the transport.Clock interface; a stray time.Now is a second,
+// unmockable time source. In simulation code such a read reaches a pinned
+// output and the goldens catch it; in the live runtime's session code it
+// reaches none, which is why the check is kept (DESIGN.md §9). The single
+// sanctioned reader is internal/node's wallclock.go, where WallClock
+// adapts the real clock to the interface. Timers (time.AfterFunc,
+// time.Sleep) are not checked: waiting is observable behavior, which the
+// goldens and -race see, while reading the clock is hidden state.
 var NoWall = &Analyzer{
 	Name:     "nowall",
 	Category: CategoryDeterminism,
-	Doc:      "forbids time.Now and time.Since outside internal/node's wall-clock adapter",
+	Doc:      "forbids time.Now, time.Since and time.Until outside internal/node's wall-clock adapter",
 	Run:      runNoWall,
 }
 
 // noWallFuncs are the banned wall-clock readers.
-var noWallFuncs = map[string]bool{"Now": true, "Since": true}
+var noWallFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func runNoWall(p *Pass) {
 	if !isModulePath(p.Path) {

@@ -19,8 +19,9 @@ type suppressionSet struct {
 	all    []*suppression
 }
 
-// The check-name group admits hyphenated names (telemetry-attr); greedy
-// matching with backtracking still peels off the trailing "-ok".
+// The check-name group admits hyphenated names, so a misspelt or deleted
+// check's annotation is parsed and reported; greedy matching with
+// backtracking still peels off the trailing "-ok".
 var suppressionRE = regexp.MustCompile(`^//\s*lint:([a-z]+(?:-[a-z]+)*)-ok(.*)$`)
 
 // collectSuppressions scans every comment in the package. An annotation
@@ -77,7 +78,7 @@ func itoa(n int) string {
 
 // filter drops diagnostics covered by a matching, reasoned suppression.
 // A reasonless annotation suppresses nothing: it will instead surface as a
-// hygiene diagnostic, so a lazy `//lint:floateq-ok` cannot silence a check.
+// hygiene diagnostic, so a lazy `//lint:maporder-ok` cannot silence a check.
 // Nor does any annotation silence a finding reported as always.
 func (set *suppressionSet) filter(diags []Diag) []Diag {
 	out := diags[:0]

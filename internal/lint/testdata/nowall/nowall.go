@@ -1,6 +1,6 @@
 // Package fixture exercises the nowall analyzer: direct wall-clock reads
-// (time.Now, time.Since) are flagged; timers, sleeps, and duration values
-// are not — those belong to norand's jurisdiction in simulation code.
+// (time.Now, time.Since, time.Until) are flagged; timers, sleeps, and
+// duration values are not.
 package fixture
 
 import "time"
@@ -11,6 +11,10 @@ func stamp() time.Time {
 
 func elapsed(since time.Time) time.Duration {
 	return time.Since(since) // want `direct wall-clock read`
+}
+
+func remaining(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want `direct wall-clock read`
 }
 
 func pause() {

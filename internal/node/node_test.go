@@ -101,40 +101,52 @@ func TestHandshakeBringsLinkUp(t *testing.T) {
 }
 
 // TestHeartbeatKeepsSessionAlive: with traffic quiet, heartbeats alone
-// must keep resetting the dead timer across many DeadAfter periods.
+// must keep resetting the dead timer across many DeadAfter periods. The
+// second run starts its virtual clock 1e6 s in, far from the test binary's
+// uptime, so session code that stamped liveness from the wall clock rather
+// than the configured Clock would drop heartbeating peers whatever the
+// test order.
 func TestHeartbeatKeepsSessionAlive(t *testing.T) {
-	leaktest.Check(t)
-	clk := transport.NewVirtualClock()
-	cfg := node.Config{Nodes: 2, Clock: clk, HeartbeatEvery: 0.25, DeadAfter: 1.0}
-	cfg.ID = 0
-	a, err := node.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ID = 1
-	b, err := node.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
+	for _, c := range []struct {
+		name  string
+		start float64
+	}{{"clock-at-0", 0}, {"clock-at-1e6", 1e6}} {
+		t.Run(c.name, func(t *testing.T) {
+			leaktest.Check(t)
+			clk := transport.NewVirtualClock()
+			clk.Advance(c.start)
+			cfg := node.Config{Nodes: 2, Clock: clk, HeartbeatEvery: 0.25, DeadAfter: 1.0}
+			cfg.ID = 0
+			a, err := node.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.ID = 1
+			b, err := node.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			defer b.Close()
 
-	ca, cb := transport.PacketPipe()
-	a.AddPeer(ca, fixedCost(1))
-	b.AddPeer(cb, fixedCost(1))
-	waitUntil(t, "sessions up", func() bool {
-		return a.PeerCount() == 1 && b.PeerCount() == 1
-	})
+			ca, cb := transport.PacketPipe()
+			a.AddPeer(ca, fixedCost(1))
+			b.AddPeer(cb, fixedCost(1))
+			waitUntil(t, "sessions up", func() bool {
+				return a.PeerCount() == 1 && b.PeerCount() == 1
+			})
 
-	// Five virtual seconds — five DeadAfter periods — in heartbeat steps.
-	for i := 0; i < 20; i++ {
-		clk.Advance(0.25)
-		// Let the heartbeat frames propagate and reset the dead timers
-		// before virtual time moves again.
-		time.Sleep(2 * time.Millisecond)
-	}
-	if a.PeerCount() != 1 || b.PeerCount() != 1 {
-		t.Fatalf("sessions died under heartbeats: a=%d b=%d peers", a.PeerCount(), b.PeerCount())
+			// Five virtual seconds — five DeadAfter periods — in heartbeat steps.
+			for i := 0; i < 20; i++ {
+				clk.Advance(0.25)
+				// Let the heartbeat frames propagate and reset the dead timers
+				// before virtual time moves again.
+				time.Sleep(2 * time.Millisecond)
+			}
+			if a.PeerCount() != 1 || b.PeerCount() != 1 {
+				t.Fatalf("sessions died under heartbeats: a=%d b=%d peers", a.PeerCount(), b.PeerCount())
+			}
+		})
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // WallClock implements transport.Clock on the process clock for live
 // runs. This file is the module's single sanctioned wall-time reader: the
-// nowall lint check bans time.Now and time.Since everywhere else, so
-// every simulator and test path stays on virtual time and the live/sim
-// boundary is exactly one file wide.
+// nowall lint check bans time.Now, time.Since and time.Until everywhere
+// else, so every simulator and test path stays on virtual time and the
+// live/sim boundary is exactly one file wide.
 type WallClock struct {
 	start time.Time
 }

@@ -184,8 +184,7 @@ func appendSet(out []lsu.Entry, h graph.NodeID, row, was []link) []lsu.Entry {
 	for _, l := range row {
 		if i, found = seek(was, i, l.tail); !found {
 			out = append(out, lsu.Entry{Op: lsu.OpAdd, Head: h, Tail: l.tail, Cost: l.cost})
-			//lint:floateq-ok change detection: any bit-level cost change must be flooded
-		} else if was[i].cost != l.cost {
+		} else if was[i].cost != l.cost { // any bit-level cost change is flooded
 			out = append(out, lsu.Entry{Op: lsu.OpChange, Head: h, Tail: l.tail, Cost: l.cost})
 		}
 	}

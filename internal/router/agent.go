@@ -415,7 +415,7 @@ func (a *Agent) tlTick() {
 			}
 		}
 		c := quantizeCost(l.long.Value())
-		//lint:floateq-ok change detection between quantized costs; quantization makes equality exact
+		// Quantized costs compare exactly.
 		if cur, ok := a.proto.Tables().AdjCost(l.to); !ok || cur != c {
 			a.proto.LinkCostChange(l.to, c)
 		}

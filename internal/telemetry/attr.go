@@ -1,10 +1,10 @@
 package telemetry
 
 // AttrKey is an event attribute key as it appears on the wire (JSONL field
-// names and Chrome-trace args). Keys form a closed enum: every AttrKey
-// literal in the module must be one of the constants below — the
-// telemetry-attr lint in mdrcheck enforces it, so exporters, readers, and
-// tools cannot drift apart on spelling.
+// names and Chrome-trace args). Keys form a closed enum: the exporters in
+// this package write only the constants below, and the JSONL round-trip and
+// key-order tests and the pinned telemetry artifacts fail on any other
+// spelling.
 type AttrKey string
 
 // The registered attribute keys.

@@ -37,7 +37,6 @@ func referenceEvents(t *Tracer) []Event {
 		}
 	}
 	slices.SortFunc(all, func(a, b tagged) int {
-		//lint:floateq-ok sort comparators need a strict weak order; tolerant equality is not transitive
 		if a.ev.T != b.ev.T {
 			return cmp.Compare(a.ev.T, b.ev.T)
 		}

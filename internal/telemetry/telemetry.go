@@ -244,7 +244,6 @@ type record struct {
 // compareRecords orders records by (T, Seq), the merge key inside one
 // ring; Seq never repeats within a tracer.
 func compareRecords(a, b *record) int {
-	//lint:floateq-ok sort comparators need a strict weak order; tolerant equality is not transitive
 	if a.T != b.T {
 		if a.T < b.T {
 			return -1

@@ -175,7 +175,7 @@ func sameEmissions(a, b []emission) bool {
 		return false
 	}
 	for i := range a {
-		//lint:floateq-ok the seam promises bit-identical schedules, not close ones
+		// The seam promises bit-identical schedules, not close ones.
 		if a[i] != b[i] {
 			return false
 		}

@@ -136,7 +136,7 @@ func exactlyOnceLSU(t *testing.T, f Factory) {
 		if int(m.From) != i {
 			t.Fatalf("LSU %d surfaced with From=%d: duplicate or loss leaked through", i, m.From)
 		}
-		//lint:floateq-ok wire round-trip must preserve the exact bits
+		// The wire round trip must keep the exact bits.
 		if len(m.Entries) != 1 || int(m.Entries[0].Head) != i || m.Entries[0].Cost != float64(i)+0.5 {
 			t.Fatalf("LSU %d payload mangled: %+v", i, m.Entries)
 		}
