@@ -96,11 +96,14 @@ race-soak:
 # Event must stay 64 bytes, and the live ARQ stats callbacks must stay
 # allocation-free even with instruments enabled (they write through
 # precomputed atomic handles). On the enabled path TestExportAllocBudget
-# holds Emit into a grown ring to zero allocations and Export's count flat
-# in the number of events. Runs without -race because AllocsPerRun is
+# holds Emit into a grown ring to zero allocations, a data event the
+# 1-in-32 packet sample skips to zero allocations and no ring slot, and
+# Export's count flat in the number of events; TestTruncationNamesTheBand
+# holds the control band clear of data-band overflow, with drops counted
+# and warned of per band. Runs without -race because AllocsPerRun is
 # unreliable under the race detector.
 telemetry-guard:
-	$(GO) test -count=1 -run 'TestTelemetryDisabledZeroAlloc|TestDisabledProbesZeroAlloc|TestNilSinksAreSafe|TestEventSize|TestExportAllocBudget' ./internal/des ./internal/telemetry
+	$(GO) test -count=1 -run 'TestTelemetryDisabledZeroAlloc|TestDisabledProbesZeroAlloc|TestNilSinksAreSafe|TestEventSize|TestExportAllocBudget|TestTruncationNamesTheBand' ./internal/des ./internal/telemetry
 	$(GO) test -count=1 -run 'TestARQStatsDisabledNil|TestARQStatsEnabledZeroAlloc' ./internal/node
 
 # Codec-overhead guard: frame encode into a reused buffer and scratch

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -73,43 +73,58 @@ func TestRunScenarioTelemetryExport(t *testing.T) {
 	}
 }
 
-// TestFigureTelemetryWarnsOfTruncation: Quick fig10 overflows the event
-// rings of both its simulations, and stderr says so once per simulation,
-// OPT then MP, quoting the counts each metrics snapshot records.
-func TestFigureTelemetryWarnsOfTruncation(t *testing.T) {
+// TestFigureTelemetryHoldsTheControlPlane: Quick fig10's exports keep
+// every control-plane event, so mdrsim prints no truncation warning, each
+// simulation's log holds one lsu_send line per LSU its metrics count
+// (control.msgs) and its control band dropped nothing; and the CSV is the
+// one the run prints without telemetry. (The warning's wording is
+// telemetry's TestTruncationNamesTheBand.)
+func TestFigureTelemetryHoldsTheControlPlane(t *testing.T) {
 	telDir := t.TempDir()
 	args := []string{"-fig", "fig10", "-quick", "-csv", "-telemetry", telDir}
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr.String())
 	}
-	var want strings.Builder
-	for _, prefix := range []string{"fig10_OPT_s1", "fig10_MP-TL-10-TS-2_s1"} {
-		metrics, err := os.ReadFile(filepath.Join(telDir, prefix+".metrics.txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		count := func(name string) string {
-			for _, line := range strings.Split(string(metrics), "\n") {
-				if v, ok := strings.CutPrefix(line, "counter "+name+" "); ok {
-					return v
-				}
-			}
-			t.Fatalf("%s.metrics.txt has no %s", prefix, name)
-			return ""
-		}
-		dropped := count("telemetry.events.dropped")
-		if dropped == "0" {
-			t.Fatalf("%s dropped no events: the figure no longer overflows its rings", prefix)
-		}
-		fmt.Fprintf(&want, "mdrsim: warning: %s: telemetry ring dropped %s of %s events; the exported log is truncated\n",
-			prefix, dropped, count("telemetry.events.emitted"))
+	if stderr.Len() != 0 {
+		t.Errorf("stderr:\n%s\nwant nothing", stderr.String())
 	}
-	if got := stderr.String(); got != want.String() {
-		t.Errorf("stderr:\n%s\nwant:\n%s", got, want.String())
+	for _, prefix := range []string{"fig10_OPT_s1", "fig10_MP-TL-10-TS-2_s1"} {
+		checkControlPlaneExport(t, telDir, prefix)
 	}
 	if plain := runOK(t, "-fig", "fig10", "-quick", "-csv"); plain != stdout.String() {
 		t.Errorf("telemetry changed the CSV:\n%s\nwithout it:\n%s", stdout.String(), plain)
+	}
+}
+
+// checkControlPlaneExport checks that the export under prefix in dir holds
+// its run's whole control plane: the control band dropped nothing, and the
+// log has one lsu_send line per LSU the metrics count (control.msgs).
+func checkControlPlaneExport(t *testing.T, dir, prefix string) {
+	t.Helper()
+	metrics, err := os.ReadFile(filepath.Join(dir, prefix+".metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(name string) string {
+		for _, line := range strings.Split(string(metrics), "\n") {
+			if v, ok := strings.CutPrefix(line, "counter "+name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("%s.metrics.txt has no %s", prefix, name)
+		return ""
+	}
+	if dropped := count("telemetry.events.dropped.control"); dropped != "0" {
+		t.Errorf("%s: the control band dropped %s events", prefix, dropped)
+	}
+	events, err := os.ReadFile(filepath.Join(dir, prefix+".events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := strconv.Itoa(bytes.Count(events, []byte(`"kind":"lsu_send"`)))
+	if msgs := count("control.msgs"); sends != msgs || msgs == "0" {
+		t.Errorf("%s: %s lsu_send events in the log, control.msgs %s", prefix, sends, msgs)
 	}
 }
 
@@ -156,7 +171,8 @@ func TestScenarioModeRunsTheCompareColumn(t *testing.T) {
 }
 
 // TestRunChaosTelemetryExport exercises the -chaos path with telemetry: one
-// export per runner under the <name>_<runner> prefix, and nothing else.
+// export per runner under the <name>_<runner> prefix, and nothing else; the
+// DES run's export holds its whole control plane.
 func TestRunChaosTelemetryExport(t *testing.T) {
 	telDir := t.TempDir()
 	out := runOK(t, "-chaos", "link-flap", "-telemetry", telDir)
@@ -180,6 +196,7 @@ func TestRunChaosTelemetryExport(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("exported %v, want %v", got, want)
 	}
+	checkControlPlaneExport(t, telDir, "link-flap_des")
 }
 
 // TestListModes covers the two registries mdrsim prints.

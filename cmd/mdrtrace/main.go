@@ -14,6 +14,11 @@
 //
 // Filters compose: -summary, -diff, and -chrome all operate on the
 // filtered view. Exit status 1 when -diff finds a divergence.
+//
+// A log holds every control-plane event, but per-hop packet events
+// (pkt_enqueue, pkt_deliver) only for the sampled packets, one in 32 by
+// packet number; losses and drops are there for every packet. So the
+// per-packet views (-flow, the pkt_* kinds) cover the sampled packets.
 package main
 
 import (
@@ -29,7 +34,7 @@ func main() {
 		kinds   = flag.String("kind", "", "comma-separated event kinds to keep (see -kinds)")
 		listK   = flag.Bool("kinds", false, "list the event kinds and exit")
 		router  = flag.Int("router", -2, "keep only events for this router (-1 = network scope)")
-		flowID  = flag.Int("flow", -2, "keep only events for this flow ID")
+		flowID  = flag.Int("flow", -2, "keep only events for this flow ID (its hops and deliveries for the sampled packets, 1 in 32)")
 		since   = flag.Float64("since", 0, "keep only events at sim time >= this")
 		until   = flag.Float64("until", -1, "keep only events at sim time <= this (negative = no bound)")
 		summary = flag.Bool("summary", false, "print per-kind and per-router counts instead of events")

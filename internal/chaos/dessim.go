@@ -34,8 +34,9 @@ func desConfig() router.Config {
 func RunDES(s *Scenario) (*Result, error) { return RunDESWith(s, nil) }
 
 // RunDESWith is RunDES with an optional telemetry capture wired through
-// core.Build: the run's full event timeline (control and data planes plus
-// the injected faults) lands in tel for export.
+// core.Build: the run's event timeline (the control plane whole, the data
+// plane's sampled packets, every loss and drop, and the injected faults)
+// and its control-traffic totals land in tel for export.
 func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -91,6 +92,7 @@ func RunDESWith(s *Scenario, tel *telemetry.Capture) (*Result, error) {
 	n.Eng.Run(dur)
 
 	finalSweep(n, log, n.Eng.EventsFired(), n.Eng.Now())
+	n.SyncTelemetry()
 
 	writeDESReport(&trace, n, n.Eng.EventsFired())
 	res := &Result{Log: log, Events: n.Eng.EventsFired()}

@@ -306,12 +306,7 @@ func Build(net *topo.Network, opt Options) *Network {
 				}
 				if n.tel != nil {
 					n.telDelay.ObserveSlot(int(id), eng.Now(), delay)
-					ev := telemetry.NewEvent(eng.Now(), telemetry.KindPktDeliver, id)
-					ev.Dst = pkt.Dst
-					ev.Flow = int32(pkt.FlowID)
-					ev.Pkt = uint32(pkt.Serial)
-					ev.Value = delay
-					tr.Emit(ev)
+					tr.EmitPkt(eng.Now(), telemetry.KindPktDeliver, id, graph.None, pkt.Dst, int32(pkt.FlowID), uint32(pkt.Serial), delay)
 				}
 			}
 		}
@@ -573,9 +568,12 @@ func (n *Network) MarkFault(start bool, label string) {
 	n.emitFault(k, label, graph.None, graph.None)
 }
 
-// syncTelemetry mirrors totals that live outside the registry — control
-// traffic, ring-drop counts — into snapshot counters.
-func (n *Network) syncTelemetry() {
+// SyncTelemetry mirrors totals that live outside the registry — control
+// traffic, the event bus's per-band drop counts and sample rate — into the
+// metrics snapshot. ExportTelemetry calls it; a caller that exports the
+// capture itself (the chaos DES runner's, through mdrsim) calls it after
+// the run. A no-op when telemetry is off.
+func (n *Network) SyncTelemetry() {
 	if n.tel == nil {
 		return
 	}
@@ -583,8 +581,7 @@ func (n *Network) syncTelemetry() {
 	reg := n.tel.Metrics
 	reg.Counter("control.msgs").Set(float64(n.ControlMessages()))
 	reg.Counter("control.bits").Set(n.ControlBits())
-	reg.Counter("telemetry.events.emitted").Set(float64(n.tel.Trace.Emitted()))
-	reg.Counter("telemetry.events.dropped").Set(float64(n.tel.Trace.Dropped()))
+	n.tel.SyncDropCounters()
 }
 
 // ExportTelemetry writes the run's telemetry artifacts (JSONL event log and
@@ -594,7 +591,7 @@ func (n *Network) ExportTelemetry(dir, prefix string) error {
 	if n.tel == nil {
 		return nil
 	}
-	n.syncTelemetry()
+	n.SyncTelemetry()
 	return n.tel.Export(dir, prefix)
 }
 

@@ -278,6 +278,14 @@ func TestHopCountsBounded(t *testing.T) {
 // and returns the packet paths rebuilt from the event log, and the report.
 func tracedPaths(t *testing.T, shards int) ([]telemetry.Path, *Report) {
 	t.Helper()
+	paths, rep, _ := tracedRun(t, shards)
+	return paths, rep
+}
+
+// tracedRun is tracedPaths with the run's capture, for its event log and
+// metrics.
+func tracedRun(t *testing.T, shards int) ([]telemetry.Path, *Report, *telemetry.Capture) {
+	t.Helper()
 	net := topo.NET1()
 	o := quickOptions(router.ModeMP, 41)
 	o.Shards = shards
@@ -287,7 +295,7 @@ func tracedPaths(t *testing.T, shards int) ([]telemetry.Path, *Report) {
 	for x, f := range net.Flows {
 		src[x] = f.Src
 	}
-	return telemetry.Paths(o.Telemetry.Trace.Events(), src), rep
+	return telemetry.Paths(o.Telemetry.Trace.Events(), src), rep, o.Telemetry
 }
 
 func TestTracedPathsLoopFreeInPractice(t *testing.T) {
@@ -295,7 +303,7 @@ func TestTracedPathsLoopFreeInPractice(t *testing.T) {
 	// MP, with routes changing beneath them, must essentially never revisit
 	// a node. (A transient reroute can in principle cause a revisit across
 	// time; it must be vanishingly rare.)
-	paths, _ := tracedPaths(t, 1)
+	paths, _, capture := tracedRun(t, 1)
 	delivered, withRevisit, maxHops := telemetry.Audit(paths)
 	t.Logf("%d paths, %d delivered, %d with a revisit, longest %d hops", len(paths), delivered, withRevisit, maxHops)
 	if delivered < 1000 {
@@ -317,6 +325,35 @@ func TestTracedPathsLoopFreeInPractice(t *testing.T) {
 		if p.Hops[0].Node != flows[p.Flow].Src || p.Hops[len(p.Hops)-1].Node != p.Dst {
 			t.Fatalf("path endpoints wrong: %+v", p)
 		}
+	}
+	// The log samples whole packets at the rate its metrics state: every
+	// pkt_enqueue and pkt_deliver belongs to a packet whose number is a
+	// multiple of it, and every delivered one of those has a whole path.
+	capture.SyncDropCounters()
+	every := uint32(capture.Metrics.Gauge("telemetry.events.pkt_sample_every").Value())
+	if every == 0 {
+		t.Fatal("the metrics state no packet sample rate")
+	}
+	type key struct {
+		flow int32
+		pkt  uint32
+	}
+	unpathed := map[key]bool{}
+	for _, ev := range capture.Trace.Events() {
+		if (ev.Kind == telemetry.KindPktEnqueue || ev.Kind == telemetry.KindPktDeliver) && ev.Pkt%every != 0 {
+			t.Fatalf("%s of flow %d's packet %d breaks the 1-in-%d sample", ev.Kind, ev.Flow, ev.Pkt, every)
+		}
+		if ev.Kind == telemetry.KindPktDeliver {
+			unpathed[key{ev.Flow, ev.Pkt}] = true
+		}
+	}
+	for _, p := range paths {
+		if p.Delivered() {
+			delete(unpathed, key{p.Flow, p.Pkt})
+		}
+	}
+	if len(unpathed) > 0 {
+		t.Fatalf("%d delivered sampled packets have no whole path from source to destination", len(unpathed))
 	}
 }
 

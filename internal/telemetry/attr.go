@@ -20,8 +20,3 @@ const (
 	AttrLabel  AttrKey = "label"
 	AttrPkt    AttrKey = "pkt"
 )
-
-// Attrs lists every registered key in canonical wire order.
-var Attrs = []AttrKey{
-	AttrT, AttrSeq, AttrKind, AttrRouter, AttrPeer, AttrDst, AttrFlow, AttrValue, AttrLabel, AttrPkt,
-}

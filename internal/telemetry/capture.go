@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Capture bundles one simulation's event bus and metrics registry. Build a
@@ -24,25 +25,38 @@ func NewCapture(numRouters int) *Capture {
 	}
 }
 
-// SyncDropCounters mirrors the event bus's own accounting into registry
-// counters: telemetry.events.emitted and telemetry.events.dropped. It is
-// idempotent (Set, not Add), so callers that already mirror these totals —
-// core.Network.ExportTelemetry does — converge on the same values.
+// SyncDropCounters mirrors the event bus's own accounting into the
+// registry: the counters telemetry.events.emitted and
+// telemetry.events.dropped, the latter also per band
+// (telemetry.events.dropped.control, telemetry.events.dropped.data), and
+// the gauge telemetry.events.pkt_sample_every, the data band's sample
+// rate. It is idempotent (Set, not Add).
 func (c *Capture) SyncDropCounters() {
 	if c == nil || c.Trace == nil || c.Metrics == nil {
 		return
 	}
 	c.Metrics.Counter("telemetry.events.emitted").Set(float64(c.Trace.Emitted()))
 	c.Metrics.Counter("telemetry.events.dropped").Set(float64(c.Trace.Dropped()))
+	for b := range numBands {
+		_, dropped := c.Trace.bandCounts(b)
+		c.Metrics.Counter("telemetry.events.dropped." + bandNames[b]).Set(float64(dropped))
+	}
+	c.Metrics.Gauge("telemetry.events.pkt_sample_every").Set(pktSampleEvery)
 }
 
-// Truncation tells how many events the rings overwrote, naming the export
-// by prefix, or is "" when the log is complete.
+// Truncation tells how many events each band's rings overwrote, naming
+// the export by prefix, or is "" when the log is complete.
 func (c *Capture) Truncation(prefix string) string {
-	if n := c.Trace.Dropped(); n > 0 {
-		return fmt.Sprintf("%s: telemetry ring dropped %d of %d events; the exported log is truncated", prefix, n, c.Trace.Emitted())
+	var parts []string
+	for b := range numBands {
+		if recorded, dropped := c.Trace.bandCounts(b); dropped > 0 {
+			parts = append(parts, fmt.Sprintf("%s band dropped %d of %d events", bandNames[b], dropped, recorded))
+		}
 	}
-	return ""
+	if parts == nil {
+		return ""
+	}
+	return prefix + ": telemetry " + strings.Join(parts, ", ") + "; the exported log is truncated"
 }
 
 // Export writes the capture's two artifacts into dir:

@@ -360,8 +360,9 @@ func TestWritersEncodeUnknownKind(t *testing.T) {
 
 // TestExportAllocBudget is the enabled path's allocation guard (make
 // telemetry-guard): Export allocates per file and per ring, never per
-// event, so ten times the events cost no more allocations; and Emit into
-// a ring that has grown to capacity, labelled or not, allocates nothing.
+// event, so ten times the events cost no more allocations; Emit into a
+// ring that has grown to capacity, labelled or not, allocates nothing; and
+// a data event the sample skips neither allocates nor takes a ring slot.
 func TestExportAllocBudget(t *testing.T) {
 	leaktest.Check(t)
 	if raceEnabled {
@@ -395,5 +396,21 @@ func TestExportAllocBudget(t *testing.T) {
 		tr.Emit(labelled)
 	}); n != 0 {
 		t.Errorf("Emit into a grown ring allocates %v/op, want 0", n)
+	}
+
+	// A data event the sample skips costs a test: no allocation, no ring
+	// slot, no emission count.
+	skipped := NewEvent(2, KindPktDeliver, 1)
+	skipped.Pkt = pktSampleEvery + 1
+	before, ring := tr.Emitted(), *tr.ringOf(1, bandData)
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.Emit(skipped)
+		tr.EmitPkt(2, KindPktEnqueue, 1, 2, 3, 0, pktSampleEvery-1, 8000)
+	}); n != 0 {
+		t.Errorf("a sampled-out data event allocates %v/op, want 0", n)
+	}
+	if after := *tr.ringOf(1, bandData); tr.Emitted() != before || after.head != ring.head || after.dropped != ring.dropped || len(after.buf) != len(ring.buf) {
+		t.Errorf("sampled-out data events were recorded: emitted %d -> %d, ring head %d -> %d, dropped %d -> %d",
+			before, tr.Emitted(), ring.head, after.head, ring.dropped, after.dropped)
 	}
 }

@@ -30,15 +30,18 @@ type LinkProbe struct {
 }
 
 // Enqueue records packet pkt of flow accepted into the data band (one hop
-// of its path); queuedBits is the backlog including the new packet.
+// of its path); queuedBits is the backlog including the new packet. The
+// histogram sees every packet, the event log the sampled ones.
 func (p *LinkProbe) Enqueue(t float64, flow int32, pkt uint32, dst graph.NodeID, queuedBits float64) {
 	p.QueueBits.Observe(t, queuedBits)
-	p.Tracer.Emit(Event{T: t, Kind: KindPktEnqueue, Router: p.From, Peer: p.To, Dst: dst, Flow: flow, Pkt: pkt, Value: queuedBits})
+	p.Tracer.EmitPkt(t, KindPktEnqueue, p.From, p.To, dst, flow, pkt, queuedBits)
 }
 
-// Transmit records a completed data transmission of the given size.
+// Transmit records a completed data transmission of the given size. It
+// adds on the counter's plain slot lane: only the sending side's engine,
+// which is single-threaded, writes it.
 func (p *LinkProbe) Transmit(t, bits float64) {
-	p.TxBits.Add(bits)
+	p.TxBits.AddSlot(0, bits)
 }
 
 // LostTx records a data packet lost on the sender side of a failed link

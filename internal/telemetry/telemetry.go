@@ -17,6 +17,15 @@
 // golden-testable — the JSONL of a figure regeneration hashes identically
 // at -workers=1 and -workers=8.
 //
+// Each router's events go to two bounded rings, one per band: the control
+// band (MPDA phases, LSUs, table commits, IH/AH steps, faults, peer
+// sessions, ARQ) and the data band (packet events). Packet volume therefore
+// never evicts the control plane, and each band counts its own drops. The
+// two kinds every hop of every packet emits, pkt_enqueue and pkt_deliver,
+// are sampled by packet number, one packet in 32, so a traced packet keeps
+// its whole path; losses and drops are always recorded. The metrics
+// snapshot states the rate and both bands' drop counts.
+//
 // The disabled path is a first-class citizen: every probe is reachable
 // through a single nil check (nil *Tracer, *Counter, *Histogram, ... are
 // all safe no-op receivers), so a simulation built without a Capture pays
@@ -218,10 +227,52 @@ func NewEvent(t float64, k Kind, router graph.NodeID) Event {
 	return Event{T: t, Kind: k, Router: router, Peer: graph.None, Dst: graph.None, Flow: -1}
 }
 
-// DefaultRingCap is the per-router ring capacity used by NewCapture:
-// enough for every control-plane event of a figure-scale run; data-plane
-// packet events may wrap on long runs (surfaced via Dropped).
+// DefaultRingCap is the capacity of each of a router's two rings, one per
+// band, used by NewCapture. A Quick figure's routers record a few thousand
+// control-plane events each, so the control band keeps the whole run; the
+// data band holds the sampled packets and may wrap on longer runs
+// (surfaced per band by Truncation and the drop counters).
 const DefaultRingCap = 8192
+
+// band is the ring an event kind lands in. Each router has one ring per
+// band, so packet volume in the data band can never evict a control-plane
+// event (phase, LSU, table commit, IH/AH, fault, peer, ARQ).
+type band uint8
+
+const (
+	bandControl band = iota
+	bandData
+	numBands
+)
+
+// bandNames names each band in truncation warnings and drop counters.
+var bandNames = [numBands]string{bandControl: "control", bandData: "data"}
+
+// kindBands maps each kind to its band: the data category is the data
+// band, every other category the control band.
+var kindBands = func() (b [numKinds]band) {
+	for k := range b {
+		if kindCats[k] == "data" {
+			b[k] = bandData
+		}
+	}
+	return b
+}()
+
+// pktSampleEvery is the data band's sample rate. The two kinds every hop
+// of every packet emits, pkt_enqueue and pkt_deliver, are recorded only for
+// packets whose number within their flow is a multiple of it, so a traced
+// packet keeps its whole path. Losses and drops are never sampled. At 32 a
+// Quick figure's data band stays inside its rings and Quick fig14's MP run
+// still traces over a thousand delivered paths (core's
+// TestTracedPathsLoopFreeInPractice); 64 leaves it under that.
+const pktSampleEvery = 32
+
+// sampledOut reports whether the data-band sample skips event kind k of
+// packet pkt.
+func sampledOut(k Kind, pkt uint32) bool {
+	return (k == KindPktEnqueue || k == KindPktDeliver) && pkt%pktSampleEvery != 0
+}
 
 // record is an Event as a ring holds it: the same fields, except that the
 // label is an index into the emitting tracer's label table (0 for none,
@@ -263,17 +314,21 @@ type ring struct {
 	dropped uint64
 }
 
-func (r *ring) push(rec *record) {
+// slot returns the storage of the next record: a new entry while the ring
+// is filling, else the oldest one, which it counts as dropped. The caller
+// writes every field.
+func (r *ring) slot() *record {
 	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, *rec)
-		return
+		r.buf = append(r.buf, record{})
+		return &r.buf[len(r.buf)-1]
 	}
-	r.buf[r.head] = *rec
+	rec := &r.buf[r.head]
 	r.head++
 	if r.head == r.cap {
 		r.head = 0
 	}
 	r.dropped++
+	return rec
 }
 
 // run returns the retained records in (T, Seq) order, as two segments to
@@ -298,13 +353,15 @@ func (r *ring) run() (a, b []record) {
 // packed ring stamp; the origin priority occupies the bits above it.
 const seqCountBits = 40
 
-// Tracer is the event bus of one simulation shard: one ring per router plus
-// a trailing network-scope ring. A shard is single-threaded, so the rings
-// need no locks ("lock-free" the honest way); concurrency across shards is
-// safe because each owns a private sibling Tracer (Fork), and concurrency
-// across simulations because each owns a private family. A nil *Tracer is a
-// valid no-op sink.
+// Tracer is the event bus of one simulation shard: one ring per band for
+// each router plus a trailing network-scope pair. A shard is
+// single-threaded, so the rings need no locks ("lock-free" the honest way);
+// concurrency across shards is safe because each owns a private sibling
+// Tracer (Fork), and concurrency across simulations because each owns a
+// private family. A nil *Tracer is a valid no-op sink.
 type Tracer struct {
+	// rings holds numBands rings per router, then the network scope's:
+	// router i's ring of band b is rings[i*numBands+b].
 	rings []ring
 	count uint64
 	// labels is the table the rings' label indices point into. Emit fills
@@ -322,7 +379,7 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer for numRouters routers with the given
-// per-router ring capacity (<= 0 selects DefaultRingCap).
+// capacity for each of a router's two rings (<= 0 selects DefaultRingCap).
 func NewTracer(numRouters, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
@@ -330,7 +387,7 @@ func NewTracer(numRouters, ringCap int) *Tracer {
 	if numRouters < 0 {
 		numRouters = 0
 	}
-	t := &Tracer{rings: make([]ring, numRouters+1)}
+	t := &Tracer{rings: make([]ring, (numRouters+1)*int(numBands))}
 	for i := range t.rings {
 		t.rings[i].cap = ringCap
 	}
@@ -363,30 +420,56 @@ func (t *Tracer) Fork() *Tracer {
 	return s
 }
 
-// Emit records ev, stamping the packed (origin << 40 | count) emission
-// serial. Events whose Router is out of range (e.g. graph.None) land in the
-// network-scope ring.
+// Emit records ev in its band's ring, stamping the packed (origin << 40 |
+// count) emission serial, unless the data-band sample skips it. Events
+// whose Router is out of range (e.g. graph.None) land in the network-scope
+// rings.
 func (t *Tracer) Emit(ev Event) {
-	if t == nil {
+	if t == nil || sampledOut(ev.Kind, ev.Pkt) {
 		return
 	}
-	t.count++
-	var pri uint64
-	if t.origin != nil {
-		pri = t.origin()
-	}
-	rec := record{
-		T: ev.T, Seq: pri<<seqCountBits | t.count&(1<<seqCountBits-1), Value: ev.Value,
+	rec := t.ringOf(ev.Router, kindBands[ev.Kind]).slot()
+	*rec = record{
+		T: ev.T, Seq: t.stamp(), Value: ev.Value,
 		Router: ev.Router, Peer: ev.Peer, Dst: ev.Dst, Flow: ev.Flow, Pkt: ev.Pkt, Kind: ev.Kind,
 	}
 	if ev.Label != "" {
 		rec.label = t.intern(ev.Label)
 	}
-	i := len(t.rings) - 1
-	if r := int(ev.Router); r >= 0 && r < i {
+}
+
+// EmitPkt is Emit for the per-hop packet kinds (pkt_enqueue,
+// pkt_deliver), which the data-plane hot loop emits by field: a packet the
+// sample skips costs one test, and a kept one is written straight into its
+// ring slot with no Event built on the way.
+func (t *Tracer) EmitPkt(at float64, k Kind, router, peer, dst graph.NodeID, flow int32, pkt uint32, value float64) {
+	if t == nil || sampledOut(k, pkt) {
+		return
+	}
+	*t.ringOf(router, bandData).slot() = record{
+		T: at, Seq: t.stamp(), Value: value,
+		Router: router, Peer: peer, Dst: dst, Flow: flow, Pkt: pkt, Kind: k,
+	}
+}
+
+// stamp counts one emission and returns its packed serial.
+func (t *Tracer) stamp() uint64 {
+	t.count++
+	var pri uint64
+	if t.origin != nil {
+		pri = t.origin()
+	}
+	return pri<<seqCountBits | t.count&(1<<seqCountBits-1)
+}
+
+// ringOf returns router's ring of band b, the network scope's for a router
+// out of range.
+func (t *Tracer) ringOf(router graph.NodeID, b band) *ring {
+	i := len(t.rings)/int(numBands) - 1
+	if r := int(router); r >= 0 && r < i {
 		i = r
 	}
-	t.rings[i].push(&rec)
+	return &t.rings[i*int(numBands)+int(b)]
 }
 
 // intern returns label's index in the label table plus one, adding it on
@@ -400,8 +483,8 @@ func (t *Tracer) intern(label string) uint32 {
 	return uint32(len(t.labels))
 }
 
-// Emitted returns the total number of events ever emitted across the
-// tracer family.
+// Emitted returns the total number of events ever recorded across the
+// tracer family: every emission but those the data-band sample skipped.
 func (t *Tracer) Emitted() uint64 {
 	if t == nil {
 		return 0
@@ -427,6 +510,19 @@ func (t *Tracer) Dropped() uint64 {
 		n += s.Dropped()
 	}
 	return n
+}
+
+// bandCounts returns how many events band b's rings recorded and how many
+// of them they overwrote, across the tracer family.
+func (t *Tracer) bandCounts(b band) (recorded, dropped uint64) {
+	for _, tr := range append([]*Tracer{t}, t.sibs...) {
+		for i := int(b); i < len(tr.rings); i += int(numBands) {
+			r := &tr.rings[i]
+			recorded += uint64(len(r.buf)) + r.dropped
+			dropped += r.dropped
+		}
+	}
+	return recorded, dropped
 }
 
 // mergeRun is one ring's records in (T, Seq) order, recs then next,

@@ -6,6 +6,7 @@ import (
 	"minroute/internal/leaktest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -92,9 +93,94 @@ func TestTracerOutOfRangeRouter(t *testing.T) {
 	tr := NewTracer(2, 8)
 	tr.Emit(Event{Kind: KindFaultStart, Router: graph.None})
 	tr.Emit(Event{Kind: KindFaultStart, Router: 99})
-	if len(tr.rings[2].buf) != 2 {
-		t.Fatalf("network ring holds %d events, want 2", len(tr.rings[2].buf))
+	if n := len(tr.ringOf(graph.None, bandControl).buf); n != 2 {
+		t.Fatalf("network ring holds %d events, want 2", n)
 	}
+}
+
+// TestTruncationNamesTheBand overflows each band of a 4-slot tracer in
+// turn. Packets flooding the data band evict no control-plane event, each
+// band counts its own drops, and the truncation warning names the band that
+// lost events, with that band's counts.
+func TestTruncationNamesTheBand(t *testing.T) {
+	leaktest.Check(t)
+	c := &Capture{Trace: NewTracer(1, 4), Metrics: NewRegistry(1)}
+	for i := range 3 {
+		c.Trace.Emit(NewEvent(float64(i), KindLSUSend, 0))
+	}
+	for i := range 5 {
+		c.Trace.EmitPkt(float64(3+i), KindPktEnqueue, 0, 1, 1, 0, uint32(i)*pktSampleEvery, 8000)
+		drop := NewEvent(float64(3+i), KindDropQueue, 0)
+		drop.Flow, drop.Pkt = 0, uint32(i)+1
+		c.Trace.Emit(drop)
+	}
+	if got := c.Truncation("run"); got != "run: telemetry data band dropped 6 of 10 events; the exported log is truncated" {
+		t.Errorf("data overflow: Truncation = %q", got)
+	}
+	if got := countKind(c.Trace.Events(), KindLSUSend); got != 3 {
+		t.Errorf("the data band's overflow left %d of 3 lsu_send events", got)
+	}
+
+	for i := range 5 {
+		c.Trace.Emit(NewEvent(float64(20+i), KindTableCommit, 0))
+	}
+	if got, want := c.Truncation("run"), "run: telemetry control band dropped 4 of 8 events, data band dropped 6 of 10 events; the exported log is truncated"; got != want {
+		t.Errorf("both bands overflowed: Truncation = %q, want %q", got, want)
+	}
+	c.SyncDropCounters()
+	snap := c.Metrics.Snapshot()
+	for _, want := range []string{
+		"counter telemetry.events.dropped 10\n",
+		"counter telemetry.events.dropped.control 4\n",
+		"counter telemetry.events.dropped.data 6\n",
+		"counter telemetry.events.emitted 18\n",
+		"gauge telemetry.events.pkt_sample_every 32\n",
+	} {
+		if !strings.Contains(snap, want) {
+			t.Errorf("snapshot missing %q:\n%s", want, snap)
+		}
+	}
+	if got := (&Capture{Trace: NewTracer(1, 4)}).Truncation("run"); got != "" {
+		t.Errorf("empty capture: Truncation = %q, want none", got)
+	}
+}
+
+// TestPacketSample: pkt_enqueue and pkt_deliver are kept only for packets
+// whose number is a multiple of the sample rate, through Emit and EmitPkt
+// alike; losses and drops are kept for every packet.
+func TestPacketSample(t *testing.T) {
+	leaktest.Check(t)
+	tr := NewTracer(2, 0)
+	kinds := []Kind{KindPktEnqueue, KindPktDeliver, KindPktLost, KindDropQueue}
+	for pkt := uint32(1); pkt <= 3*pktSampleEvery; pkt++ {
+		for _, k := range kinds {
+			ev := NewEvent(float64(pkt), k, 0)
+			ev.Flow, ev.Pkt = 0, pkt
+			tr.Emit(ev)
+			tr.EmitPkt(float64(pkt), k, 1, 0, 0, 0, pkt, 0)
+		}
+	}
+	got := map[Kind]int{}
+	for _, ev := range tr.Events() {
+		got[ev.Kind]++
+		if sampledOut(ev.Kind, ev.Pkt) {
+			t.Errorf("kept %s of packet %d", ev.Kind, ev.Pkt)
+		}
+	}
+	want := map[Kind]int{KindPktEnqueue: 6, KindPktDeliver: 6, KindPktLost: 6 * pktSampleEvery, KindDropQueue: 6 * pktSampleEvery}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("kept %v, want %v", got, want)
+	}
+}
+
+func countKind(evs []Event, k Kind) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 func TestNilSinksAreSafe(t *testing.T) {
