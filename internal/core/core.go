@@ -44,7 +44,8 @@ type Options struct {
 	// Telemetry, when non-nil, instruments the whole network — control and
 	// data planes — into the capture's event bus and metrics registry, from
 	// which telemetry.Paths rebuilds packet paths. Nil (the default) costs
-	// one branch per probe site and nothing else.
+	// one branch per probe site and nothing else. A capture has one writer,
+	// the simulation's engine, so Build panics if Shards is above 1 too.
 	Telemetry *telemetry.Capture
 	// Shards splits the routers across this many event-engine shards
 	// executed in conservative lockstep windows (internal/despart); 0 or 1
@@ -95,11 +96,8 @@ type Network struct {
 	controlMsgs []int64
 	controlBits []float64
 	// tel and its derived probes are nil unless Options.Telemetry was set.
-	// tracers[s]/nodeProbes[s] are shard s's event-bus lane; index 0 is the
-	// capture's root tracer, which also carries harness-scope emissions.
 	tel        *telemetry.Capture
-	tracers    []*telemetry.Tracer
-	nodeProbes []*telemetry.NodeProbes
+	nodeProbes *telemetry.NodeProbes
 	telDelay   *telemetry.Histogram
 	warmupDone bool
 	// maxHops[id] is the largest hop count delivered at router id.
@@ -154,6 +152,9 @@ func Build(net *topo.Network, opt Options) *Network {
 	if shards < 1 {
 		shards = 1
 	}
+	if shards > 1 && opt.Telemetry != nil {
+		panic("core: telemetry needs a serial run (Options.Shards > 1 with Options.Telemetry set)")
+	}
 	if shards > numNodes {
 		shards = numNodes
 	}
@@ -193,35 +194,17 @@ func Build(net *topo.Network, opt Options) *Network {
 	}
 	if opt.Telemetry != nil {
 		n.tel = opt.Telemetry
-		n.tracers = make([]*telemetry.Tracer, shards)
-		n.tracers[0] = n.tel.Trace
-		for s := 1; s < shards; s++ {
-			n.tracers[s] = n.tel.Trace.Fork()
-		}
-		for s := 0; s < shards; s++ {
-			n.tracers[s].SetOrigin(n.engines[s].Origin)
-		}
+		n.tel.Trace.SetOrigin(n.Eng.Origin)
 		reg := n.tel.Metrics
-		base := &telemetry.NodeProbes{
-			Tracer:    n.tracers[0],
+		n.nodeProbes = &telemetry.NodeProbes{
+			Tracer:    n.tel.Trace,
 			ActiveDur: reg.Histogram("mpda.active.duration"),
 			Converge: &telemetry.ConvergeMeter{
 				Lag:  reg.Histogram("converge.lag"),
 				Last: reg.Gauge("converge.last"),
 			},
 		}
-		// Pre-size every slotted instrument before any concurrent writer
-		// exists: one lane per router (or per loss side), grown here so the
-		// hot paths never append.
-		base.ActiveDur.Grow(numNodes)
-		base.Converge.GrowSlots(numNodes)
-		n.nodeProbes = make([]*telemetry.NodeProbes, shards)
-		n.nodeProbes[0] = base
-		for s := 1; s < shards; s++ {
-			n.nodeProbes[s] = base.WithTracer(n.tracers[s])
-		}
 		n.telDelay = reg.Histogram("pkt.delay")
-		n.telDelay.Grow(numNodes)
 	}
 
 	// Nodes first (the LSU sender closure reads the port map lazily, so the
@@ -229,7 +212,7 @@ func Build(net *topo.Network, opt Options) *Network {
 	for _, id := range net.Graph.Nodes() {
 		n.Nodes[id] = router.New(n.engines[n.shardOf[id]], id, numNodes, opt.Router, n.lsuSender(id))
 		if n.nodeProbes != nil {
-			n.Nodes[id].SetTelemetry(n.nodeProbes[n.shardOf[id]])
+			n.Nodes[id].SetTelemetry(n.nodeProbes)
 		}
 	}
 
@@ -265,15 +248,13 @@ func Build(net *topo.Network, opt Options) *Network {
 			reg := n.tel.Metrics
 			link := fmt.Sprintf("link.%d-%d", l.From, l.To)
 			port.Probe = &telemetry.LinkProbe{
-				Tracer:    n.tracers[n.shardOf[l.From]],
-				RxTracer:  n.tracers[n.shardOf[l.To]],
+				Tracer:    n.tel.Trace,
 				From:      l.From,
 				To:        l.To,
 				QueueBits: reg.Histogram(link + ".queue.bits"),
 				TxBits:    reg.Counter(link + ".tx.bits"),
 				LostPkts:  reg.Counter(link + ".lost.pkts"),
 			}
-			port.Probe.LostPkts.GrowSlots(2)
 		}
 		n.Ports[[2]graph.NodeID{l.From, l.To}] = port
 		n.Nodes[l.From].AttachPort(l.To, port)
@@ -293,10 +274,6 @@ func Build(net *topo.Network, opt Options) *Network {
 		node := n.Nodes[id]
 		id := id
 		eng := n.engines[n.shardOf[id]]
-		var tr *telemetry.Tracer
-		if n.tel != nil {
-			tr = n.tracers[n.shardOf[id]]
-		}
 		node.OnArrive = func(pkt *des.Packet) {
 			if pkt.FlowID >= 0 && pkt.FlowID < len(n.flows) {
 				delay := eng.Now() - pkt.Created
@@ -305,8 +282,8 @@ func Build(net *topo.Network, opt Options) *Network {
 					n.maxHops[id] = pkt.Hops
 				}
 				if n.tel != nil {
-					n.telDelay.ObserveSlot(int(id), eng.Now(), delay)
-					tr.EmitPkt(eng.Now(), telemetry.KindPktDeliver, id, graph.None, pkt.Dst, int32(pkt.FlowID), uint32(pkt.Serial), delay)
+					n.telDelay.Observe(eng.Now(), delay)
+					n.tel.Trace.EmitPkt(eng.Now(), telemetry.KindPktDeliver, id, graph.None, pkt.Dst, int32(pkt.FlowID), uint32(pkt.Serial), delay)
 				}
 			}
 		}
@@ -374,7 +351,7 @@ func (n *Network) lsuSender(id graph.NodeID) mpda.Sender {
 			ev := telemetry.NewEvent(eng.Now(), telemetry.KindLSUSend, id)
 			ev.Peer = to
 			ev.Value = bits
-			n.tracers[n.shardOf[id]].Emit(ev)
+			n.tel.Trace.Emit(ev)
 		}
 		pkt := eng.NewPacket()
 		*pkt = des.Packet{
@@ -544,7 +521,7 @@ func (n *Network) emitFault(k telemetry.Kind, label string, a, b graph.NodeID) {
 		return
 	}
 	now := n.Eng.Now()
-	n.nodeProbes[0].Converge.TopoEvent(now)
+	n.nodeProbes.Converge.TopoEvent(now)
 	ev := telemetry.NewEvent(now, k, graph.None)
 	ev.Peer = a
 	ev.Dst = b
@@ -568,16 +545,22 @@ func (n *Network) MarkFault(start bool, label string) {
 	n.emitFault(k, label, graph.None, graph.None)
 }
 
-// SyncTelemetry mirrors totals that live outside the registry — control
-// traffic, the event bus's per-band drop counts and sample rate — into the
-// metrics snapshot. ExportTelemetry calls it; a caller that exports the
-// capture itself (the chaos DES runner's, through mdrsim) calls it after
-// the run. A no-op when telemetry is off.
+// SyncTelemetry mirrors totals that live outside the registry — each
+// link's transmitted data bits and lost packets (the port's DataBits and
+// LostData), control traffic, the event bus's per-band drop counts and
+// sample rate — into the metrics snapshot. It is idempotent (Set, not
+// Add). ExportTelemetry calls it; a caller that exports the capture itself
+// (the chaos DES runner's, through mdrsim) calls it after the run. A no-op
+// when telemetry is off.
 func (n *Network) SyncTelemetry() {
 	if n.tel == nil {
 		return
 	}
-	n.nodeProbes[0].Converge.Finalize()
+	for _, l := range n.Graph.Links() {
+		p := n.Ports[[2]graph.NodeID{l.From, l.To}]
+		p.Probe.TxBits.Set(p.DataBits)
+		p.Probe.LostPkts.Set(float64(p.LostData()))
+	}
 	reg := n.tel.Metrics
 	reg.Counter("control.msgs").Set(float64(n.ControlMessages()))
 	reg.Counter("control.bits").Set(n.ControlBits())

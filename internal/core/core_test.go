@@ -274,28 +274,20 @@ func TestHopCountsBounded(t *testing.T) {
 	}
 }
 
-// tracedPaths runs MP on NET1 at the given shard count with telemetry on
-// and returns the packet paths rebuilt from the event log, and the report.
-func tracedPaths(t *testing.T, shards int) ([]telemetry.Path, *Report) {
-	t.Helper()
-	paths, rep, _ := tracedRun(t, shards)
-	return paths, rep
-}
-
-// tracedRun is tracedPaths with the run's capture, for its event log and
+// tracedRun runs MP on NET1 with telemetry on and returns the packet paths
+// rebuilt from the event log and the run's capture, for its event log and
 // metrics.
-func tracedRun(t *testing.T, shards int) ([]telemetry.Path, *Report, *telemetry.Capture) {
+func tracedRun(t *testing.T) ([]telemetry.Path, *telemetry.Capture) {
 	t.Helper()
 	net := topo.NET1()
 	o := quickOptions(router.ModeMP, 41)
-	o.Shards = shards
 	o.Telemetry = telemetry.NewCapture(net.Graph.NumNodes())
-	rep := Build(net, o).Run()
+	Build(net, o).Run()
 	src := make([]graph.NodeID, len(net.Flows))
 	for x, f := range net.Flows {
 		src[x] = f.Src
 	}
-	return telemetry.Paths(o.Telemetry.Trace.Events(), src), rep, o.Telemetry
+	return telemetry.Paths(o.Telemetry.Trace.Events(), src), o.Telemetry
 }
 
 func TestTracedPathsLoopFreeInPractice(t *testing.T) {
@@ -303,7 +295,7 @@ func TestTracedPathsLoopFreeInPractice(t *testing.T) {
 	// MP, with routes changing beneath them, must essentially never revisit
 	// a node. (A transient reroute can in principle cause a revisit across
 	// time; it must be vanishingly rare.)
-	paths, _, capture := tracedRun(t, 1)
+	paths, capture := tracedRun(t)
 	delivered, withRevisit, maxHops := telemetry.Audit(paths)
 	t.Logf("%d paths, %d delivered, %d with a revisit, longest %d hops", len(paths), delivered, withRevisit, maxHops)
 	if delivered < 1000 {
@@ -357,26 +349,16 @@ func TestTracedPathsLoopFreeInPractice(t *testing.T) {
 	}
 }
 
-// TestTracedPathsShardInvariant: the merged event log does not depend on
-// the partition, so neither do the paths rebuilt from it — a sharded run
-// audits its packets exactly as a serial one does. The report matches the
-// serial one field for field too, traced or not: that equality is what
-// cmd/mdrbench's despart.identical row checks on des-sf160.
-func TestTracedPathsShardInvariant(t *testing.T) {
-	want, wantRep := tracedPaths(t, 1)
+// TestShardedReportMatchesSerial: a sharded run's report matches the
+// serial one field for field. That equality is what cmd/mdrbench's
+// despart.identical row checks on des-sf160.
+func TestShardedReportMatchesSerial(t *testing.T) {
+	want := Build(topo.NET1(), quickOptions(router.ModeMP, 41)).Run()
 	for _, shards := range []int{2, 3} {
-		got, rep := tracedPaths(t, shards)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: %d paths differ from the serial run's %d", shards, len(got), len(want))
-		}
 		o := quickOptions(router.ModeMP, 41)
 		o.Shards = shards
-		untraced := Build(topo.NET1(), o).Run()
-		for _, d := range reportDiff(rep, wantRep) {
-			t.Errorf("shards=%d traced: %s", shards, d)
-		}
-		for _, d := range reportDiff(untraced, wantRep) {
-			t.Errorf("shards=%d untraced: %s", shards, d)
+		for _, d := range reportDiff(Build(topo.NET1(), o).Run(), want) {
+			t.Errorf("shards=%d: %s", shards, d)
 		}
 	}
 }

@@ -74,9 +74,11 @@ type Port struct {
 	Estimator *linkcost.OnlineEstimator
 
 	// Probe, when non-nil, instruments the data band: enqueue events plus
-	// queue-depth samples, transmitted bits, and failure losses. Nil (the
-	// default) keeps the hot path at one branch per site and zero
-	// allocations — the telemetry-guard benchmark pins that.
+	// queue-depth samples, and failure losses. Its transmitted-bits and
+	// lost-packet counters are mirrored from DataBits and LostData by the
+	// network, not written here. Nil (the default) keeps the hot path at
+	// one branch per site and zero allocations — the telemetry-guard
+	// benchmark pins that.
 	Probe *telemetry.LinkProbe
 
 	// Counters for validation and reporting. The Data* pair counts only
@@ -275,7 +277,7 @@ func (p *Port) finishTransmission() {
 		if !it.pkt.IsControl() {
 			p.lostTx++
 			if p.Probe != nil {
-				p.Probe.LostTx(p.eng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
+				p.Probe.Lost(p.eng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
 			}
 		}
 		p.eng.FreePacket(it.pkt)
@@ -290,9 +292,6 @@ func (p *Port) finishTransmission() {
 		p.DataBits += pkt.Bits
 		if p.Estimator != nil {
 			p.Estimator.Observe(p.eng.Now()-it.enq, p.txService)
-		}
-		if p.Probe != nil {
-			p.Probe.Transmit(p.eng.Now(), pkt.Bits)
 		}
 	}
 	if p.xshard {
@@ -314,7 +313,7 @@ func (p *Port) deliverNext() {
 		if !it.pkt.IsControl() {
 			p.lostRx++
 			if p.Probe != nil {
-				p.Probe.LostRx(p.rEng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
+				p.Probe.Lost(p.rEng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
 			}
 		}
 		p.rEng.FreePacket(it.pkt)
@@ -343,7 +342,7 @@ func (p *Port) SetDown(down bool) {
 			p.DroppedBits += it.pkt.Bits
 			p.lostTx++
 			if p.Probe != nil {
-				p.Probe.LostTx(p.eng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
+				p.Probe.Lost(p.eng.Now(), int32(it.pkt.FlowID), uint32(it.pkt.Serial), it.pkt.Dst)
 			}
 			p.eng.FreePacket(it.pkt)
 		}

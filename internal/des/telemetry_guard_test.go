@@ -38,7 +38,7 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkLinkPipelineTelemetry is BenchmarkLinkPipeline with a full link
-// probe installed (events plus queue/throughput metrics), quantifying the
+// probe installed (events plus the queue-depth histogram), quantifying the
 // enabled-path cost per packet (mdrbench reports the same difference as
 // telemetry.link_probe_ns).
 func BenchmarkLinkPipelineTelemetry(b *testing.B) {

@@ -26,7 +26,7 @@
 // carry its own priority, so the order a shard drains its mailboxes in is
 // immaterial. A run at P shards replays the exact event schedule of the
 // serial run, so its core.Report equals the serial one
-// (core.TestTracedPathsShardInvariant pins that).
+// (core.TestShardedReportMatchesSerial pins that).
 //
 // Worker goroutines are drawn from the process-wide simpool budget with
 // TryAcquire: a simulation nested under the experiment pool only uses spare

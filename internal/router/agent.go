@@ -134,7 +134,7 @@ type Agent struct {
 
 	// sink, when non-nil, receives phase spans, LSU receive/ack events,
 	// table commits and allocation steps; activeDur and converge take the
-	// ACTIVE durations and table commits slotted by router ID.
+	// ACTIVE durations and table commits.
 	sink        Sink
 	activeDur   *telemetry.Histogram
 	converge    *telemetry.ConvergeMeter
@@ -166,8 +166,8 @@ func (a *Agent) newProto() *mpda.Router {
 }
 
 // Observe sends the agent's control-plane events to sink and, with probes,
-// ACTIVE durations and table commits to their slotted instruments. Call
-// before the first event.
+// ACTIVE durations and table commits to their instruments. Call before the
+// first event.
 func (a *Agent) Observe(sink Sink, probes *telemetry.NodeProbes) {
 	a.sink = sink
 	a.proto.OnPhase, a.proto.OnCommit = a.onPhase, a.onCommit
@@ -223,7 +223,7 @@ func (a *Agent) onPhase(active bool) {
 	ev := telemetry.NewEvent(now, telemetry.KindPhasePassive, a.id)
 	ev.Value = now - a.activeSince
 	a.sink.Emit(ev)
-	a.activeDur.ObserveSlot(int(a.id), now, ev.Value)
+	a.activeDur.Observe(now, ev.Value)
 }
 
 // onCommit reports a main-table commit that changed that many entries.
@@ -232,7 +232,7 @@ func (a *Agent) onCommit(changed int) {
 	ev := telemetry.NewEvent(now, telemetry.KindTableCommit, a.id)
 	ev.Value = float64(changed)
 	a.sink.Emit(ev)
-	a.converge.CommitSlot(int(a.id), now)
+	a.converge.Commit(now)
 }
 
 // allocStep reports an IH build or AH step of φ_j over succ to the host and

@@ -197,7 +197,7 @@ func (n *Node) SetTelemetry(tp *telemetry.NodeProbes) {
 // asRouter runs fn, entered from harness context (boot, restart, fault
 // injection), under the router's own origin priority: the harness's would
 // make equal-time ordering of its emissions and timers depend on the
-// caller and on which shard's tracer recorded it.
+// caller.
 func (n *Node) asRouter(fn func()) { n.eng.WithOrigin(des.PriRouter(uint64(n.agent.id)), fn) }
 
 // Start starts the agent (Agent.Start) over the links whose port is up.

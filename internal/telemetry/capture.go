@@ -75,9 +75,8 @@ func (c *Capture) Truncation(prefix string) string {
 // telemetry.events.emitted and telemetry.events.dropped — so a truncated
 // (ring-wrapped) log is visible as a first-class metric in the snapshot
 // and on any /metrics endpoint, not just as an operator warning. Both
-// totals are schedule-independent: emission counts and per-ring drop
-// counts are functions of what each router emitted, not of how shards or
-// workers were scheduled.
+// totals are functions of what the simulation emitted, not of how many
+// workers ran beside it.
 func (c *Capture) Export(dir, prefix string) error {
 	c.SyncDropCounters()
 	events := c.Trace.Events()

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"minroute/internal/graph"
@@ -143,58 +142,6 @@ func TestExportRingWrapped(t *testing.T) {
 		if !strings.Contains(snap, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, snap)
 		}
-	}
-}
-
-// TestForkMergeConcurrent exercises the sharded-run export path: sibling
-// tracers written from concurrent goroutines (one owner each, the Fork
-// contract) merge into a single timeline ordered by (T, origin serial)
-// with a contiguous re-stamped Seq, and the merged log exports cleanly.
-func TestForkMergeConcurrent(t *testing.T) {
-	leaktest.Check(t)
-	root := NewTracer(4, 64)
-	const shards, perShard = 3, 20
-	tracers := []*Tracer{root}
-	for i := 1; i < shards; i++ {
-		tracers = append(tracers, root.Fork())
-	}
-	var wg sync.WaitGroup
-	for s, tr := range tracers {
-		wg.Add(1)
-		go func(shard int, tr *Tracer) {
-			defer wg.Done()
-			for i := 0; i < perShard; i++ {
-				ev := NewEvent(float64(i), KindLSUSend, graph.NodeID(shard))
-				ev.Peer = graph.NodeID((shard + 1) % shards)
-				tr.Emit(ev)
-			}
-		}(s, tr)
-	}
-	wg.Wait()
-
-	evs := root.Events()
-	if len(evs) != shards*perShard {
-		t.Fatalf("merged %d events, want %d", len(evs), shards*perShard)
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has Seq %d, want contiguous re-stamp %d", i, ev.Seq, i+1)
-		}
-		if i > 0 && ev.T < evs[i-1].T {
-			t.Fatalf("merge out of time order at %d: %g after %g", i, ev.T, evs[i-1].T)
-		}
-	}
-	if root.Emitted() != shards*perShard || root.Dropped() != 0 {
-		t.Fatalf("family accounting: emitted=%d dropped=%d", root.Emitted(), root.Dropped())
-	}
-
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSONL(&buf)
-	if err != nil || len(back) != len(evs) {
-		t.Fatalf("merged log round-trip: %d events, err=%v", len(back), err)
 	}
 }
 

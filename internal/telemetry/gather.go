@@ -30,8 +30,8 @@ func (k InstrumentKind) String() string {
 
 // Metric is one gathered instrument sample. Counters and gauges carry
 // Value; histograms carry Count/Sum/Max plus the time-bucketed windows.
-// Buckets aliases the histogram's internal storage when it has a single
-// writer lane — callers must treat it as read-only.
+// Buckets aliases the histogram's internal storage — callers must treat it
+// as read-only.
 type Metric struct {
 	Name string
 	Inst InstrumentKind

@@ -10,30 +10,26 @@ import (
 	"minroute/internal/leaktest"
 )
 
-// referenceEvents is the merge Events replaced: tag every retained event of
-// the family with its ring ordinal, sort the lot by (T, Seq, ordinal), and
-// restamp Seq with the rank.
+// referenceEvents is the merge Events replaced: tag every retained event
+// with its ring ordinal, sort the lot by (T, Seq, ordinal), and restamp Seq
+// with the rank.
 func referenceEvents(t *Tracer) []Event {
 	type tagged struct {
 		ev  Event
 		ord int
 	}
 	var all []tagged
-	ord := 0
-	for _, tr := range append([]*Tracer{t}, t.sibs...) {
-		for i := range tr.rings {
-			r := &tr.rings[i]
-			for _, rec := range slices.Concat(r.buf[r.head:], r.buf[:r.head]) {
-				ev := Event{
-					T: rec.T, Seq: rec.Seq, Kind: rec.Kind, Router: rec.Router, Peer: rec.Peer,
-					Dst: rec.Dst, Flow: rec.Flow, Pkt: rec.Pkt, Value: rec.Value,
-				}
-				if rec.label != 0 {
-					ev.Label = tr.labels[rec.label-1]
-				}
-				all = append(all, tagged{ev, ord})
+	for ord := range t.rings {
+		r := &t.rings[ord]
+		for _, rec := range slices.Concat(r.buf[r.head:], r.buf[:r.head]) {
+			ev := Event{
+				T: rec.T, Seq: rec.Seq, Kind: rec.Kind, Router: rec.Router, Peer: rec.Peer,
+				Dst: rec.Dst, Flow: rec.Flow, Pkt: rec.Pkt, Value: rec.Value,
 			}
-			ord++
+			if rec.label != 0 {
+				ev.Label = t.labels[rec.label-1]
+			}
+			all = append(all, tagged{ev, ord})
 		}
 	}
 	slices.SortFunc(all, func(a, b tagged) int {
@@ -55,10 +51,9 @@ func referenceEvents(t *Tracer) []Event {
 
 // TestEventsMergeMatchesSort holds the k-way merge to the sort it replaced
 // on the inputs where a merge could go wrong: a ring whose emitter's clock
-// steps back (it must be sorted before merging), sibling tracers whose
-// origin priorities interleave and whose serials collide (the ring ordinal
-// breaks the tie), rings that wrapped, and labels interned in two siblings'
-// separate tables.
+// steps back (it must be sorted before merging), origin priorities that
+// move between emissions at one instant (a ring's stamps then step back
+// too), rings that wrapped, and labels.
 func TestEventsMergeMatchesSort(t *testing.T) {
 	leaktest.Check(t)
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -83,50 +78,42 @@ func TestEventsMergeMatchesSort(t *testing.T) {
 			}
 			return tr
 		}},
-		{"forked-origins", func() *Tracer {
-			root := NewTracer(4, 0)
-			fam := []*Tracer{root, root.Fork(), root.Fork()}
-			pri := make([]uint64, len(fam))
-			for s, tr := range fam {
-				if s > 0 { // the root stamps priority 0, like a single-engine user
-					tr.SetOrigin(func() uint64 { return pri[s] })
-				}
-			}
+		{"origins", func() *Tracer {
+			tr := NewTracer(4, 0)
+			var pri uint64
+			tr.SetOrigin(func() uint64 { return pri })
 			for i := range 900 {
-				s := rng.IntN(len(fam))
-				pri[s] = uint64(rng.IntN(3))*uint64(len(fam)) + uint64(s)
-				fam[s].Emit(ev(float64(i/30), graph.NodeID(rng.IntN(4)), ""))
+				pri = uint64(rng.IntN(9)) // 0 is the harness's, emitting into the network ring
+				r := graph.NodeID(rng.IntN(4))
+				if pri == 0 {
+					r = graph.None
+				}
+				tr.Emit(ev(float64(i/30), r, ""))
 			}
-			return root
+			return tr
 		}},
 		{"wrapped", func() *Tracer {
-			root := NewTracer(2, 8)
-			sib := root.Fork()
-			for i := range 300 {
-				tm := float64(i)
-				if i%7 == 0 {
+			tr := NewTracer(2, 8)
+			for i := range 600 {
+				tm := float64(i / 2)
+				if i%14 == 0 {
 					tm -= 20 // some survivors land out of order across the wrap point
 				}
-				root.Emit(ev(tm, graph.NodeID(rng.IntN(3)), ""))
-				sib.Emit(ev(float64(i), graph.NodeID(rng.IntN(3)), ""))
+				tr.Emit(ev(tm, graph.NodeID(rng.IntN(3)), ""))
 			}
-			return root
+			return tr
 		}},
 		{"labels", func() *Tracer {
-			root := NewTracer(2, 0)
-			sib := root.Fork()
+			tr := NewTracer(2, 0)
 			names := []string{"crash 1", "restart 1", "fast", "rto", "link-fail 0-1"}
 			for i := range 200 {
-				tr, label := root, ""
-				if i%2 == 1 {
-					tr = sib
-				}
+				label := ""
 				if rng.IntN(3) == 0 {
 					label = names[rng.IntN(len(names))]
 				}
 				tr.Emit(ev(float64(i/4), graph.NodeID(rng.IntN(3))-1, label))
 			}
-			return root
+			return tr
 		}},
 	}
 	for _, c := range cases {

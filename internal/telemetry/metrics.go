@@ -7,22 +7,17 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically growing (or explicitly Set) float total. It
-// optionally carries indexed slots so the shards of a parallel run can each
-// accumulate into a private lane without locks; Value folds the slots in
-// ascending index order, so the float result is independent of how work was
-// scheduled. A nil *Counter is a valid no-op sink, which is what gives
-// every probe site its one-branch disabled path.
+// Counter is a monotonically growing (or explicitly Set) float total. A
+// nil *Counter is a valid no-op sink, which is what gives every probe site
+// its one-branch disabled path.
 //
-// The scalar lane (Add/Set/Value) is atomic: the live runtime's ARQ and
-// session goroutines write counters that the obs server scrapes
-// concurrently, and an uncontended CAS costs single-digit nanoseconds —
-// invisible next to the branch the disabled path already pays. The slot
-// lanes stay plain: they belong to the sharded simulator, whose shards are
-// single-threaded and whose readers run at barriers.
+// Add, Set and Value are atomic: the live runtime's ARQ and session
+// goroutines write counters that the obs server scrapes concurrently, and
+// an uncontended CAS costs single-digit nanoseconds — invisible next to
+// the branch the disabled path already pays. A simulation's per-packet
+// totals do not pay it: core mirrors them in with Set at export time.
 type Counter struct {
-	bits  atomic.Uint64 // math.Float64bits of the scalar total
-	slots []float64
+	bits atomic.Uint64 // math.Float64bits of the total
 }
 
 // Add increases the counter by d.
@@ -41,30 +36,6 @@ func (c *Counter) Add(d float64) {
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// AddSlot increases slot i by d. Distinct slots may be written from
-// distinct goroutines, provided GrowSlots pre-sized the slot array (growth
-// is not concurrency-safe).
-func (c *Counter) AddSlot(i int, d float64) {
-	if c == nil {
-		return
-	}
-	for len(c.slots) <= i {
-		c.slots = append(c.slots, 0)
-	}
-	c.slots[i] += d
-}
-
-// GrowSlots pre-sizes the slot array to at least n entries. Call it during
-// single-threaded setup before handing slots to concurrent writers.
-func (c *Counter) GrowSlots(n int) {
-	if c == nil {
-		return
-	}
-	for len(c.slots) < n {
-		c.slots = append(c.slots, 0)
-	}
-}
-
 // Set overwrites the counter (used to mirror externally maintained totals,
 // e.g. ring drop counts, into a snapshot).
 func (c *Counter) Set(v float64) {
@@ -74,17 +45,12 @@ func (c *Counter) Set(v float64) {
 	c.bits.Store(math.Float64bits(v))
 }
 
-// Value returns the current total: the scalar plus every slot, folded in
-// ascending slot order (zero for nil).
+// Value returns the current total (zero for nil).
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	v := math.Float64frombits(c.bits.Load())
-	for _, s := range c.slots {
-		v += s
-	}
-	return v
+	return math.Float64frombits(c.bits.Load())
 }
 
 // Gauge is a last-value-wins instantaneous measurement. Set and Value are
@@ -124,126 +90,59 @@ func (b Bucket) Mean() float64 {
 	return b.Sum / float64(b.N)
 }
 
-// histSlot is one writer lane of a Histogram: its own time buckets and
-// running total.
-type histSlot struct {
+// Histogram aggregates observations into fixed-width simulation-time
+// buckets: Observe(t, v) lands v in bucket floor(t/width). That makes a
+// histogram a compact time series — queue depth per second, ACTIVE-phase
+// duration per second — instead of a value-domain distribution, which is
+// the shape the paper's figures actually need. It has one writer, the
+// simulation that owns it; its sums run in observation order.
+type Histogram struct {
+	width   float64
 	buckets []Bucket
 	total   Bucket
 }
 
-func (s *histSlot) observe(t, v, width float64) {
+// Observe records value v at simulation time t.
+func (h *Histogram) Observe(t, v float64) {
+	if h == nil {
+		return
+	}
 	i := 0
-	if t > 0 && width > 0 {
-		i = int(t / width)
+	if t > 0 && h.width > 0 {
+		i = int(t / h.width)
 	}
-	for len(s.buckets) <= i {
-		s.buckets = append(s.buckets, Bucket{})
+	for len(h.buckets) <= i {
+		h.buckets = append(h.buckets, Bucket{})
 	}
-	b := &s.buckets[i]
+	b := &h.buckets[i]
 	b.N++
 	b.Sum += v
 	if v > b.Max {
 		b.Max = v
 	}
-	s.total.N++
-	s.total.Sum += v
-	if v > s.total.Max {
-		s.total.Max = v
-	}
-}
-
-// Histogram aggregates observations into fixed-width simulation-time
-// buckets: Observe(t, v) lands v in bucket floor(t/width). That makes a
-// histogram a compact time series — queue depth per second, ACTIVE-phase
-// duration per second — instead of a value-domain distribution, which is
-// the shape the paper's figures actually need.
-//
-// Like Counter, a histogram carries indexed slots (writer lanes): a
-// sharded run gives each logical emitter (a router, a flow destination) a
-// fixed slot, so distinct shards never write the same lane, and the
-// read-side accessors fold lanes in ascending slot order — float sums come
-// out identical no matter how the run was scheduled, provided the serial
-// run uses the same per-slot observation calls.
-type Histogram struct {
-	width float64
-	slots []histSlot
-}
-
-// Observe records value v at simulation time t in slot 0.
-func (h *Histogram) Observe(t, v float64) { h.ObserveSlot(0, t, v) }
-
-// ObserveSlot records value v at simulation time t in the given slot.
-// Distinct slots may be written from distinct goroutines, provided Grow
-// pre-sized the slot array (growth is not concurrency-safe).
-func (h *Histogram) ObserveSlot(slot int, t, v float64) {
-	if h == nil {
-		return
-	}
-	for len(h.slots) <= slot {
-		h.slots = append(h.slots, histSlot{})
-	}
-	h.slots[slot].observe(t, v, h.width)
-}
-
-// Grow pre-sizes the slot array to at least n entries. Call it during
-// single-threaded setup before handing slots to concurrent writers.
-func (h *Histogram) Grow(n int) {
-	if h == nil {
-		return
-	}
-	for len(h.slots) < n {
-		h.slots = append(h.slots, histSlot{})
+	h.total.N++
+	h.total.Sum += v
+	if v > h.total.Max {
+		h.total.Max = v
 	}
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.slots {
-		n += h.slots[i].total.N
-	}
-	return n
-}
+func (h *Histogram) Count() int64 { return h.Total().N }
 
-// Total returns the all-time summary bucket: slot totals folded in
-// ascending slot order (N, Sum) with the largest observation as Max.
+// Total returns the all-time summary bucket.
 func (h *Histogram) Total() Bucket {
 	if h == nil {
 		return Bucket{}
 	}
-	var b Bucket
-	for i := range h.slots {
-		b.N += h.slots[i].total.N
-		b.Sum += h.slots[i].total.Sum
-		if h.slots[i].total.Max > b.Max {
-			b.Max = h.slots[i].total.Max
-		}
-	}
-	return b
+	return h.total
 }
 
-// Mean returns the all-time average observation, or 0 with none. Slot sums
-// fold in ascending slot order.
-func (h *Histogram) Mean() float64 {
-	return h.Total().Mean()
-}
+// Mean returns the all-time average observation, or 0 with none.
+func (h *Histogram) Mean() float64 { return h.Total().Mean() }
 
 // Max returns the largest observation seen.
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	var m float64
-	for i := range h.slots {
-		if h.slots[i].total.Max > m {
-			m = h.slots[i].total.Max
-		}
-	}
-	return m
-}
+func (h *Histogram) Max() float64 { return h.Total().Max }
 
 // BucketWidth returns the time-bucket width in seconds.
 func (h *Histogram) BucketWidth() float64 {
@@ -254,34 +153,13 @@ func (h *Histogram) BucketWidth() float64 {
 }
 
 // Buckets returns the per-window summaries, index i covering simulation
-// time [i*width, (i+1)*width), folded across slots in ascending slot
-// order. With a single slot the histogram's own bucket slice is returned;
-// with several the fold allocates a merged copy. Callers must not modify
-// the result.
+// time [i*width, (i+1)*width): the histogram's own slice, which callers
+// must not modify.
 func (h *Histogram) Buckets() []Bucket {
-	if h == nil || len(h.slots) == 0 {
+	if h == nil {
 		return nil
 	}
-	if len(h.slots) == 1 {
-		return h.slots[0].buckets
-	}
-	n := 0
-	for i := range h.slots {
-		if len(h.slots[i].buckets) > n {
-			n = len(h.slots[i].buckets)
-		}
-	}
-	out := make([]Bucket, n)
-	for i := range h.slots {
-		for j, bk := range h.slots[i].buckets {
-			out[j].N += bk.N
-			out[j].Sum += bk.Sum
-			if bk.Max > out[j].Max {
-				out[j].Max = bk.Max
-			}
-		}
-	}
-	return out
+	return h.buckets
 }
 
 // ConvergeMeter approximates per-topology-event convergence time: every
@@ -291,13 +169,6 @@ func (h *Histogram) Buckets() []Bucket {
 // on full Theorem-4 convergence (later commits belong to the same episode)
 // but it is cheap, per-event, and monotone in the quantity the Tl sweeps
 // study: how fast the control plane reacts to change.
-//
-// Commits are recorded per slot (one slot per router) and the episode is
-// closed lazily — at the next topology event or at Finalize — by taking
-// the earliest commit across slots. Because simulation time is
-// nondecreasing within a slot, the earliest commit is exactly the first
-// one, so the recorded lag matches the eager serial semantics while
-// letting the routers of a sharded run report commits without locks.
 type ConvergeMeter struct {
 	// Lag receives one observation per closed episode (at the commit time).
 	Lag *Histogram
@@ -305,74 +176,28 @@ type ConvergeMeter struct {
 	Last  *Gauge
 	at    float64
 	armed bool
-	// commits[slot] is the earliest commit time slot reported this episode,
-	// or -1 with none yet.
-	commits []float64
 }
 
-// TopoEvent marks a topology change at simulation time t, closing any
-// previous episode first. Call only from single-threaded context (faults
-// are injected at barriers).
+// TopoEvent marks a topology change at simulation time t and arms the
+// meter; an episode still open (no commit since the last change) restarts
+// from t.
 func (m *ConvergeMeter) TopoEvent(t float64) {
 	if m == nil {
 		return
 	}
-	m.Finalize()
 	m.at = t
 	m.armed = true
-	for i := range m.commits {
-		m.commits[i] = -1
-	}
 }
 
-// GrowSlots pre-sizes the commit slots to at least n entries. Call it
-// during single-threaded setup before handing slots to concurrent writers.
-func (m *ConvergeMeter) GrowSlots(n int) {
-	if m == nil {
-		return
-	}
-	for len(m.commits) < n {
-		m.commits = append(m.commits, -1)
-	}
-}
-
-// CommitSlot reports a routing-table commit by the given slot at time t.
-// Distinct slots may be written from distinct goroutines.
-func (m *ConvergeMeter) CommitSlot(slot int, t float64) {
+// Commit reports a routing-table commit at time t. The first one after a
+// topology change closes the episode; the rest are ignored until the next.
+func (m *ConvergeMeter) Commit(t float64) {
 	if m == nil || !m.armed {
-		return
-	}
-	for len(m.commits) <= slot {
-		m.commits = append(m.commits, -1)
-	}
-	if m.commits[slot] < 0 {
-		m.commits[slot] = t
-	}
-}
-
-// Commit reports a routing-table commit at time t in slot 0.
-func (m *ConvergeMeter) Commit(t float64) { m.CommitSlot(0, t) }
-
-// Finalize closes the armed episode if any slot has committed, folding the
-// slots in ascending order to find the earliest commit. With no commit yet
-// the episode stays armed. Call only from single-threaded context (a
-// barrier, or export time).
-func (m *ConvergeMeter) Finalize() {
-	if m == nil || !m.armed {
-		return
-	}
-	tmin := -1.0
-	for _, c := range m.commits {
-		if c >= 0 && (tmin < 0 || c < tmin) {
-			tmin = c
-		}
-	}
-	if tmin < 0 {
 		return
 	}
 	m.armed = false
-	lag := tmin - m.at
-	m.Lag.Observe(tmin, lag)
+	lag := t - m.at
+	m.Lag.Observe(t, lag)
 	m.Last.Set(lag)
 }
 

@@ -3,19 +3,18 @@
 // Chrome-trace (catapult), and plain-text exporters.
 //
 // Determinism is the design constraint everything else bends around. The
-// paper harness guarantees byte-identical figures at any worker count and
-// shard count, so telemetry must add no entropy: events are stamped with
-// simulation time and a schedule-independent emission serial (never the
-// wall clock), each simulation owns a private Tracer family (no
-// cross-simulation sharing), and all exporters iterate in sorted orders
-// with canonical float formatting. The serial packs the emitter's origin
-// priority (the des engine's ambient origin) above a per-tracer emission
-// count, so merging the tracers of a sharded run by (time, serial)
-// reproduces exactly the order a serial run emits in; Events then restamps
-// Seq with the merge rank, making the exported artifacts byte-identical at
-// any shard count. A run's telemetry artifacts are therefore
-// golden-testable — the JSONL of a figure regeneration hashes identically
-// at -workers=1 and -workers=8.
+// paper harness guarantees byte-identical figures at any worker count, so
+// telemetry must add no entropy: events are stamped with simulation time
+// and a schedule-independent emission serial (never the wall clock), each
+// simulation owns a private Tracer with one writer, the simulation's event
+// engine (no cross-simulation sharing, no locks), and all exporters iterate
+// in sorted orders with canonical float formatting. The serial packs the
+// emitter's origin priority (the des engine's ambient origin) above the
+// tracer's emission count, so merging the rings by (time, serial) puts a
+// harness marker ahead of every router event at its instant; Events then
+// restamps Seq with the merge rank. A run's telemetry artifacts are
+// therefore golden-testable — the JSONL of a figure regeneration hashes
+// identically at -workers=1 and -workers=8.
 //
 // Each router's events go to two bounded rings, one per band: the control
 // band (MPDA phases, LSUs, table commits, IH/AH steps, faults, peer
@@ -275,7 +274,7 @@ func sampledOut(k Kind, pkt uint32) bool {
 }
 
 // record is an Event as a ring holds it: the same fields, except that the
-// label is an index into the emitting tracer's label table (0 for none,
+// label is an index into the tracer's label table (0 for none,
 // else the table position plus one). Holding no pointer keeps the rings
 // out of the garbage collector's scan; labels are rare (fault names, the
 // ARQ's retransmission causes), so the table stays short.
@@ -349,16 +348,16 @@ func (r *ring) run() (a, b []record) {
 	return a, nil
 }
 
-// seqCountBits is the width of the per-tracer emission count inside the
+// seqCountBits is the width of the tracer's emission count inside the
 // packed ring stamp; the origin priority occupies the bits above it.
 const seqCountBits = 40
 
-// Tracer is the event bus of one simulation shard: one ring per band for
-// each router plus a trailing network-scope pair. A shard is
-// single-threaded, so the rings need no locks ("lock-free" the honest way);
-// concurrency across shards is safe because each owns a private sibling
-// Tracer (Fork), and concurrency across simulations because each owns a
-// private family. A nil *Tracer is a valid no-op sink.
+// Tracer is the event bus of one simulation: one ring per band for each
+// router plus a trailing network-scope pair. It has one writer at a time —
+// a simulation's event engine, or the live runtime's emitters one by one
+// behind node.Trace's mutex — so the rings need no locks of their own, and
+// concurrency across simulations is safe because each owns a private
+// Tracer. A nil *Tracer is a valid no-op sink.
 type Tracer struct {
 	// rings holds numBands rings per router, then the network scope's:
 	// router i's ring of band b is rings[i*numBands+b].
@@ -369,13 +368,8 @@ type Tracer struct {
 	labels []string
 	// origin, when set, supplies the emitter's origin priority (the des
 	// engine's ambient origin) for the packed ring stamp. Nil leaves the
-	// priority at zero, which preserves the legacy pure-emission-order
-	// semantics for single-engine users.
+	// priority at zero: the rings then merge in pure emission order.
 	origin func() uint64
-	// sibs are the forked sibling tracers of a sharded run; Events, Emitted,
-	// and Dropped aggregate over the whole family. Only the root tracer of a
-	// family carries sibs.
-	sibs []*Tracer
 }
 
 // NewTracer builds a tracer for numRouters routers with the given
@@ -395,29 +389,17 @@ func NewTracer(numRouters, ringCap int) *Tracer {
 }
 
 // SetOrigin installs the origin-priority hook used to stamp emissions
-// (typically des.Engine.Origin). Install it before the first Emit.
+// (typically des.Engine.Origin). Install it before the first Emit. With
+// one writer the engine already emits in (time, priority) order, except
+// for a marker the harness emits from outside any event (des.PriHarness,
+// 0) at an instant whose events the engine has run: Events merges the
+// rings by (time, stamp), so such a fault marker still sorts ahead of
+// every event a router or link emitted at that instant.
 func (t *Tracer) SetOrigin(fn func() uint64) {
 	if t == nil {
 		return
 	}
 	t.origin = fn
-}
-
-// Fork creates a sibling tracer with the same ring layout, owned by one
-// shard of a sharded run. The root's Events/Emitted/Dropped aggregate over
-// every sibling; the sibling itself must not be exported directly. Forks
-// exist only while core.Options.Shards does, which cmd/mdrbench's
-// des-sf160 row still sets (ROADMAP item 20).
-func (t *Tracer) Fork() *Tracer {
-	if t == nil {
-		return nil
-	}
-	s := &Tracer{rings: make([]ring, len(t.rings))}
-	for i := range s.rings {
-		s.rings[i].cap = t.rings[i].cap
-	}
-	t.sibs = append(t.sibs, s)
-	return s
 }
 
 // Emit records ev in its band's ring, stamping the packed (origin << 40 |
@@ -483,21 +465,16 @@ func (t *Tracer) intern(label string) uint32 {
 	return uint32(len(t.labels))
 }
 
-// Emitted returns the total number of events ever recorded across the
-// tracer family: every emission but those the data-band sample skipped.
+// Emitted returns the total number of events ever recorded: every
+// emission but those the data-band sample skipped.
 func (t *Tracer) Emitted() uint64 {
 	if t == nil {
 		return 0
 	}
-	n := t.count
-	for _, s := range t.sibs {
-		n += s.count
-	}
-	return n
+	return t.count
 }
 
-// Dropped returns how many events were overwritten across all rings of the
-// tracer family.
+// Dropped returns how many events were overwritten across all rings.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -506,54 +483,43 @@ func (t *Tracer) Dropped() uint64 {
 	for i := range t.rings {
 		n += t.rings[i].dropped
 	}
-	for _, s := range t.sibs {
-		n += s.Dropped()
-	}
 	return n
 }
 
 // bandCounts returns how many events band b's rings recorded and how many
-// of them they overwrote, across the tracer family.
+// of them they overwrote.
 func (t *Tracer) bandCounts(b band) (recorded, dropped uint64) {
-	for _, tr := range append([]*Tracer{t}, t.sibs...) {
-		for i := int(b); i < len(tr.rings); i += int(numBands) {
-			r := &tr.rings[i]
-			recorded += uint64(len(r.buf)) + r.dropped
-			dropped += r.dropped
-		}
+	for i := int(b); i < len(t.rings); i += int(numBands) {
+		r := &t.rings[i]
+		recorded += uint64(len(r.buf)) + r.dropped
+		dropped += r.dropped
 	}
 	return recorded, dropped
 }
 
 // mergeRun is one ring's records in (T, Seq) order, recs then next,
-// consumed from the front by Events' k-way merge; labels is its tracer's
-// label table.
+// consumed from the front by Events' k-way merge.
 type mergeRun struct {
 	recs, next []record
-	labels     []string
 }
 
-// Events merges the rings of the whole tracer family into one slice
-// ordered by (simulation time, packed origin serial) — the order a serial
-// run emits in, regardless of how many shards actually ran — then restamps
-// Seq with the merge rank so consumers see a contiguous 1-based serial.
-// The (T, Seq, ring ordinal) key is a total order: a packed serial never
-// repeats within one tracer, and each origin priority emits through one
-// tracer of the family. Each ring is already a sorted run (ring.run makes
-// sure), so the merge is a k-way heap merge of the runs into an exactly
-// sized slice.
+// Events merges the rings into one slice ordered by (simulation time,
+// packed origin serial) — at one instant, lower origin priorities first,
+// and within a priority the emission order — then restamps Seq with the
+// merge rank so consumers see a contiguous 1-based serial. The (T, Seq,
+// ring ordinal) key is a total order: a packed serial never repeats within
+// the tracer. Each ring is already a sorted run (ring.run makes sure), so
+// the merge is a k-way heap merge of the runs into an exactly sized slice.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	var runs []mergeRun
 	n := 0
-	for _, tr := range append([]*Tracer{t}, t.sibs...) {
-		for i := range tr.rings {
-			if a, b := tr.rings[i].run(); len(a) > 0 {
-				runs = append(runs, mergeRun{recs: a, next: b, labels: tr.labels})
-				n += len(a) + len(b)
-			}
+	for i := range t.rings {
+		if a, b := t.rings[i].run(); len(a) > 0 {
+			runs = append(runs, mergeRun{recs: a, next: b})
+			n += len(a) + len(b)
 		}
 	}
 	// heap is a binary min-heap of the non-empty runs' indices (their
@@ -596,7 +562,7 @@ func (t *Tracer) Events() []Event {
 			Dst: rec.Dst, Flow: rec.Flow, Pkt: rec.Pkt, Value: rec.Value,
 		}
 		if rec.label != 0 {
-			out[k].Label = r.labels[rec.label-1]
+			out[k].Label = t.labels[rec.label-1]
 		}
 		if r.recs = r.recs[1:]; len(r.recs) == 0 {
 			r.recs, r.next = r.next, nil

@@ -290,31 +290,32 @@ func TestConvergeMeter(t *testing.T) {
 	}
 	m.TopoEvent(10)
 	m.TopoEvent(12) // re-arm (no commit yet) restarts the episode
-	m.Commit(12.5)
-	m.Commit(13) // later commit of the episode: ignored by the slot
-	m.Finalize() // closes the episode with the earliest commit
+	m.Commit(12.5)  // the first commit closes it at once
 	if m.Lag.Count() != 1 {
 		t.Fatalf("lag count = %d, want 1", m.Lag.Count())
 	}
 	if got := m.Last.Value(); got != 0.5 {
 		t.Fatalf("last lag = %v, want 0.5", got)
 	}
-	// A fresh topology event closes implicitly; per-slot commits fold to
-	// the earliest across slots.
+	m.Commit(13) // later commit of the closed episode: ignored
+	if m.Lag.Count() != 1 || m.Last.Value() != 0.5 {
+		t.Fatalf("a later commit of a closed episode recorded a lag: count %d, last %v", m.Lag.Count(), m.Last.Value())
+	}
 	m.TopoEvent(20)
-	m.CommitSlot(3, 21.5)
-	m.CommitSlot(1, 21)
-	m.CommitSlot(3, 20.5) // slot already committed this episode: ignored
-	m.TopoEvent(30)       // finalizes with tmin=21
+	m.Commit(21)
+	m.Commit(21.5)
 	if m.Lag.Count() != 2 {
 		t.Fatalf("lag count = %d, want 2", m.Lag.Count())
 	}
 	if got := m.Last.Value(); got != 1 {
 		t.Fatalf("last lag = %v, want 1", got)
 	}
-	m.Finalize() // open episode, no commits: stays armed, records nothing
+	if got := m.Lag.Total().Sum; got != 1.5 {
+		t.Fatalf("lag sum = %v, want 1.5", got)
+	}
+	m.TopoEvent(30) // open episode, no commit: records nothing
 	if m.Lag.Count() != 2 {
-		t.Fatalf("lag count after empty finalize = %d, want 2", m.Lag.Count())
+		t.Fatalf("lag count with an open episode = %d, want 2", m.Lag.Count())
 	}
 }
 
