@@ -377,7 +377,9 @@ func runNode(id, nodes int, listen string, acceptCost float64, await int, timeou
 	if await <= 0 {
 		return fmt.Errorf("node mode needs -peer flags or a positive -await-peers")
 	}
-	capt, trace, err := newCapture(telemetryDir, nodes)
+	// The capture sizes its rings per router, so it counts the one router
+	// this process hosts, not the ID space.
+	capt, trace, err := newCapture(telemetryDir, 1)
 	if err != nil {
 		return err
 	}

@@ -73,33 +73,44 @@ func TestRunScenarioTelemetryExport(t *testing.T) {
 	}
 }
 
-// TestFigureTelemetryHoldsTheControlPlane: Quick fig10's exports keep
-// every control-plane event, so mdrsim prints no truncation warning, each
-// simulation's log holds one lsu_send line per LSU its metrics count
-// (control.msgs) and its control band dropped nothing; and the CSV is the
-// one the run prints without telemetry. (The warning's wording is
-// telemetry's TestTruncationNamesTheBand.)
+// TestFigureTelemetryHoldsTheControlPlane: the exports of Quick fig10 and
+// failover are complete, so mdrsim prints no truncation warning, each
+// simulation dropped no event and its log holds one lsu_send line per LSU
+// its metrics count (control.msgs); and the CSV is the one the run prints
+// without telemetry. (The warning's wording is telemetry's
+// TestTruncationNamesTheBand.)
 func TestFigureTelemetryHoldsTheControlPlane(t *testing.T) {
-	telDir := t.TempDir()
-	args := []string{"-fig", "fig10", "-quick", "-csv", "-telemetry", telDir}
-	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d\n%s", code, stderr.String())
-	}
-	if stderr.Len() != 0 {
-		t.Errorf("stderr:\n%s\nwant nothing", stderr.String())
-	}
-	for _, prefix := range []string{"fig10_OPT_s1", "fig10_MP-TL-10-TS-2_s1"} {
-		checkControlPlaneExport(t, telDir, prefix)
-	}
-	if plain := runOK(t, "-fig", "fig10", "-quick", "-csv"); plain != stdout.String() {
-		t.Errorf("telemetry changed the CSV:\n%s\nwithout it:\n%s", stdout.String(), plain)
+	for _, c := range []struct {
+		fig      string
+		prefixes []string
+	}{
+		{"fig10", []string{"fig10_OPT_s1", "fig10_MP-TL-10-TS-2_s1"}},
+		{"failover", []string{"failover_SP-TL-10_s1", "failover_MP-TL-10-TS-2_s1"}},
+	} {
+		t.Run(c.fig, func(t *testing.T) {
+			telDir := t.TempDir()
+			args := []string{"-fig", c.fig, "-quick", "-csv", "-telemetry", telDir}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d\n%s", code, stderr.String())
+			}
+			if stderr.Len() != 0 {
+				t.Errorf("stderr:\n%s\nwant nothing", stderr.String())
+			}
+			for _, prefix := range c.prefixes {
+				checkControlPlaneExport(t, telDir, prefix)
+			}
+			if plain := runOK(t, "-fig", c.fig, "-quick", "-csv"); plain != stdout.String() {
+				t.Errorf("telemetry changed the CSV:\n%s\nwithout it:\n%s", stdout.String(), plain)
+			}
+		})
 	}
 }
 
-// checkControlPlaneExport checks that the export under prefix in dir holds
-// its run's whole control plane: the control band dropped nothing, and the
-// log has one lsu_send line per LSU the metrics count (control.msgs).
+// checkControlPlaneExport checks that the export under prefix in dir is
+// complete and holds its run's whole control plane: neither band dropped
+// an event, and the log has one lsu_send line per LSU the metrics count
+// (control.msgs).
 func checkControlPlaneExport(t *testing.T, dir, prefix string) {
 	t.Helper()
 	metrics, err := os.ReadFile(filepath.Join(dir, prefix+".metrics.txt"))
@@ -115,8 +126,8 @@ func checkControlPlaneExport(t *testing.T, dir, prefix string) {
 		t.Fatalf("%s.metrics.txt has no %s", prefix, name)
 		return ""
 	}
-	if dropped := count("telemetry.events.dropped.control"); dropped != "0" {
-		t.Errorf("%s: the control band dropped %s events", prefix, dropped)
+	if dropped := count("telemetry.events.dropped"); dropped != "0" {
+		t.Errorf("%s: telemetry dropped %s events", prefix, dropped)
 	}
 	events, err := os.ReadFile(filepath.Join(dir, prefix+".events.jsonl"))
 	if err != nil {

@@ -194,7 +194,6 @@ func Build(net *topo.Network, opt Options) *Network {
 	}
 	if opt.Telemetry != nil {
 		n.tel = opt.Telemetry
-		n.tel.Trace.SetOrigin(n.Eng.Origin)
 		reg := n.tel.Metrics
 		n.nodeProbes = &telemetry.NodeProbes{
 			Tracer:    n.tel.Trace,

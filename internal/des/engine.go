@@ -94,11 +94,6 @@ func (e *Engine) Now() float64 { return e.now }
 // their own streams via Split to stay decorrelated.
 func (e *Engine) RNG() *rng.Source { return e.rng }
 
-// Origin returns the ambient origin priority: the priority of the event
-// currently executing, or PriHarness outside event context. Telemetry uses
-// it to stamp events with a schedule-independent emitter rank.
-func (e *Engine) Origin() uint64 { return e.curPri }
-
 // WithOrigin runs fn with the ambient origin priority set to pri, restoring
 // the previous origin afterwards. Components use it when arming their own
 // timers from harness context (e.g. a router restart) so the rescheduled

@@ -39,30 +39,40 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 
 // BenchmarkLinkPipelineTelemetry is BenchmarkLinkPipeline with a full link
 // probe installed (events plus the queue-depth histogram), quantifying the
-// enabled-path cost per packet (mdrbench reports the same difference as
-// telemetry.link_probe_ns).
+// enabled-path cost per packet. Packets are numbered the way a flow's
+// source numbers them (core.Build): in "kept" every packet's number is one
+// the 1-in-32 packet sample keeps, so each enqueue is recorded; in "mixed"
+// they count from 1, so 31 of 32 take the skip, as in a figure. mdrbench's
+// telemetry.link_probe_ns still prices only kept packets.
 func BenchmarkLinkPipelineTelemetry(b *testing.B) {
-	e := NewEngine(1)
-	l := mkLink(b, 1e9, 0.0001)
-	p := NewPort(e, l, 1e12, func(pkt *Packet) { e.FreePacket(pkt) })
-	reg := telemetry.NewRegistry(telemetry.DefaultBucketWidth)
-	p.Probe = &telemetry.LinkProbe{
-		Tracer:    telemetry.NewTracer(2, telemetry.DefaultRingCap),
-		From:      0,
-		To:        1,
-		QueueBits: reg.Histogram("bench.queue.bits"),
-		TxBits:    reg.Counter("bench.tx.bits"),
-		LostPkts:  reg.Counter("bench.lost.pkts"),
-	}
-	r := e.RNG().Split(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt := e.NewPacket()
-		*pkt = Packet{Bits: r.Exp(8000), Created: e.Now()}
-		p.Send(pkt)
-		for e.Pending() > 0 {
-			e.Step()
-		}
+	for _, c := range []struct {
+		name string
+		step uint64 // distance between consecutive packet numbers
+	}{{"kept", 32}, {"mixed", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := NewEngine(1)
+			l := mkLink(b, 1e9, 0.0001)
+			p := NewPort(e, l, 1e12, func(pkt *Packet) { e.FreePacket(pkt) })
+			reg := telemetry.NewRegistry(telemetry.DefaultBucketWidth)
+			p.Probe = &telemetry.LinkProbe{
+				Tracer:    telemetry.NewTracer(2, telemetry.DefaultRingCap),
+				From:      0,
+				To:        1,
+				QueueBits: reg.Histogram("bench.queue.bits"),
+				TxBits:    reg.Counter("bench.tx.bits"),
+				LostPkts:  reg.Counter("bench.lost.pkts"),
+			}
+			r := e.RNG().Split(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pkt := e.NewPacket()
+				*pkt = Packet{Bits: r.Exp(8000), Created: e.Now(), Serial: 1<<40 | uint64(i+1)*c.step}
+				p.Send(pkt)
+				for e.Pending() > 0 {
+					e.Step()
+				}
+			}
+		})
 	}
 }

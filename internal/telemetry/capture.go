@@ -37,20 +37,19 @@ func (c *Capture) SyncDropCounters() {
 	}
 	c.Metrics.Counter("telemetry.events.emitted").Set(float64(c.Trace.Emitted()))
 	c.Metrics.Counter("telemetry.events.dropped").Set(float64(c.Trace.Dropped()))
-	for b := range numBands {
-		_, dropped := c.Trace.bandCounts(b)
-		c.Metrics.Counter("telemetry.events.dropped." + bandNames[b]).Set(float64(dropped))
+	for b := range c.Trace.rings {
+		c.Metrics.Counter("telemetry.events.dropped." + bandNames[b]).Set(float64(c.Trace.rings[b].dropped))
 	}
 	c.Metrics.Gauge("telemetry.events.pkt_sample_every").Set(pktSampleEvery)
 }
 
-// Truncation tells how many events each band's rings overwrote, naming
+// Truncation tells how many events each band's ring overwrote, naming
 // the export by prefix, or is "" when the log is complete.
 func (c *Capture) Truncation(prefix string) string {
 	var parts []string
-	for b := range numBands {
-		if recorded, dropped := c.Trace.bandCounts(b); dropped > 0 {
-			parts = append(parts, fmt.Sprintf("%s band dropped %d of %d events", bandNames[b], dropped, recorded))
+	for b := range c.Trace.rings {
+		if r := &c.Trace.rings[b]; r.dropped > 0 {
+			parts = append(parts, fmt.Sprintf("%s band dropped %d of %d events", bandNames[b], r.dropped, uint64(len(r.buf))+r.dropped))
 		}
 	}
 	if parts == nil {

@@ -99,12 +99,12 @@ func TestChromeTracePidRows(t *testing.T) {
 }
 
 // TestExportRingWrapped drives a tiny ring past capacity and checks the
-// whole truncation story: Events keeps only the newest ringCap entries
-// per router in Seq order, the loss is visible through Dropped, and
+// whole truncation story: Events keeps only the newest entries the band
+// holds, in Seq order, the loss is visible through Dropped, and
 // SyncDropCounters surfaces it as first-class metrics in the snapshot.
 func TestExportRingWrapped(t *testing.T) {
 	leaktest.Check(t)
-	c := &Capture{Trace: NewTracer(1, 4), Metrics: NewRegistry(1)}
+	c := &Capture{Trace: NewTracer(0, 4), Metrics: NewRegistry(1)}
 	for i := 0; i < 10; i++ {
 		c.Trace.Emit(NewEvent(float64(i), KindLSUSend, 0))
 	}
@@ -330,7 +330,7 @@ func TestExportAllocBudget(t *testing.T) {
 		t.Errorf("Export allocates %v times for 100k events, %v for 10k: the count grows with the events", big, small)
 	}
 
-	tr := NewTracer(4, 64)
+	tr := NewTracer(0, 64)
 	ev := NewEvent(2, KindPktEnqueue, 1)
 	labelled := NewEvent(2, KindFaultStart, graph.None)
 	labelled.Label = "link-fail 0-1"
@@ -349,14 +349,14 @@ func TestExportAllocBudget(t *testing.T) {
 	// slot, no emission count.
 	skipped := NewEvent(2, KindPktDeliver, 1)
 	skipped.Pkt = pktSampleEvery + 1
-	before, ring := tr.Emitted(), *tr.ringOf(1, bandData)
+	before, ring := tr.Emitted(), tr.rings[bandData]
 	if n := testing.AllocsPerRun(1000, func() {
 		tr.Emit(skipped)
 		tr.EmitPkt(2, KindPktEnqueue, 1, 2, 3, 0, pktSampleEvery-1, 8000)
 	}); n != 0 {
 		t.Errorf("a sampled-out data event allocates %v/op, want 0", n)
 	}
-	if after := *tr.ringOf(1, bandData); tr.Emitted() != before || after.head != ring.head || after.dropped != ring.dropped || len(after.buf) != len(ring.buf) {
+	if after := tr.rings[bandData]; tr.Emitted() != before || after.head != ring.head || after.dropped != ring.dropped || len(after.buf) != len(ring.buf) {
 		t.Errorf("sampled-out data events were recorded: emitted %d -> %d, ring head %d -> %d, dropped %d -> %d",
 			before, tr.Emitted(), ring.head, after.head, ring.dropped, after.dropped)
 	}

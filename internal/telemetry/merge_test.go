@@ -10,17 +10,13 @@ import (
 	"minroute/internal/leaktest"
 )
 
-// referenceEvents is the merge Events replaced: tag every retained event
-// with its ring ordinal, sort the lot by (T, Seq, ordinal), and restamp Seq
-// with the rank.
+// referenceEvents is the merge Events replaced: gather every retained
+// event of both rings, sort the lot by (T, Seq), and restamp Seq with the
+// rank.
 func referenceEvents(t *Tracer) []Event {
-	type tagged struct {
-		ev  Event
-		ord int
-	}
-	var all []tagged
-	for ord := range t.rings {
-		r := &t.rings[ord]
+	var all []Event
+	for b := range t.rings {
+		r := &t.rings[b]
 		for _, rec := range slices.Concat(r.buf[r.head:], r.buf[:r.head]) {
 			ev := Event{
 				T: rec.T, Seq: rec.Seq, Kind: rec.Kind, Router: rec.Router, Peer: rec.Peer,
@@ -29,31 +25,25 @@ func referenceEvents(t *Tracer) []Event {
 			if rec.label != 0 {
 				ev.Label = t.labels[rec.label-1]
 			}
-			all = append(all, tagged{ev, ord})
+			all = append(all, ev)
 		}
 	}
-	slices.SortFunc(all, func(a, b tagged) int {
-		if a.ev.T != b.ev.T {
-			return cmp.Compare(a.ev.T, b.ev.T)
+	slices.SortFunc(all, func(a, b Event) int {
+		if a.T != b.T {
+			return cmp.Compare(a.T, b.T)
 		}
-		if c := cmp.Compare(a.ev.Seq, b.ev.Seq); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ord, b.ord)
+		return cmp.Compare(a.Seq, b.Seq)
 	})
-	out := make([]Event, len(all))
 	for i := range all {
-		out[i] = all[i].ev
-		out[i].Seq = uint64(i) + 1
+		all[i].Seq = uint64(i) + 1
 	}
-	return out
+	return all
 }
 
-// TestEventsMergeMatchesSort holds the k-way merge to the sort it replaced
-// on the inputs where a merge could go wrong: a ring whose emitter's clock
-// steps back (it must be sorted before merging), origin priorities that
-// move between emissions at one instant (a ring's stamps then step back
-// too), rings that wrapped, and labels.
+// TestEventsMergeMatchesSort holds the two-way merge to the sort it
+// replaced on the inputs where a merge could go wrong: an emitter whose
+// clock steps back (its ring must be sorted before merging), rings that
+// wrapped, and labels.
 func TestEventsMergeMatchesSort(t *testing.T) {
 	leaktest.Check(t)
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -75,20 +65,6 @@ func TestEventsMergeMatchesSort(t *testing.T) {
 					tm = float64(rng.IntN(20)) // router 1's clock jumps both ways
 				}
 				tr.Emit(ev(tm, r, ""))
-			}
-			return tr
-		}},
-		{"origins", func() *Tracer {
-			tr := NewTracer(4, 0)
-			var pri uint64
-			tr.SetOrigin(func() uint64 { return pri })
-			for i := range 900 {
-				pri = uint64(rng.IntN(9)) // 0 is the harness's, emitting into the network ring
-				r := graph.NodeID(rng.IntN(4))
-				if pri == 0 {
-					r = graph.None
-				}
-				tr.Emit(ev(float64(i/30), r, ""))
 			}
 			return tr
 		}},

@@ -8,18 +8,18 @@
 // and a schedule-independent emission serial (never the wall clock), each
 // simulation owns a private Tracer with one writer, the simulation's event
 // engine (no cross-simulation sharing, no locks), and all exporters iterate
-// in sorted orders with canonical float formatting. The serial packs the
-// emitter's origin priority (the des engine's ambient origin) above the
-// tracer's emission count, so merging the rings by (time, serial) puts a
-// harness marker ahead of every router event at its instant; Events then
-// restamps Seq with the merge rank. A run's telemetry artifacts are
-// therefore golden-testable — the JSONL of a figure regeneration hashes
-// identically at -workers=1 and -workers=8.
+// in sorted orders with canonical float formatting. The serial is the
+// tracer's emission count, so on the DES the exported log is in emission
+// order, which is causal order; Events restamps Seq with the merge rank.
+// A run's telemetry artifacts are therefore golden-testable — the JSONL
+// of a figure regeneration hashes identically at -workers=1 and
+// -workers=8.
 //
-// Each router's events go to two bounded rings, one per band: the control
-// band (MPDA phases, LSUs, table commits, IH/AH steps, faults, peer
+// Events go to one bounded ring per band, shared by every router: the
+// control band (MPDA phases, LSUs, table commits, IH/AH steps, faults, peer
 // sessions, ARQ) and the data band (packet events). Packet volume therefore
-// never evicts the control plane, and each band counts its own drops. The
+// never evicts the control plane, and each band counts its own drops; a
+// band that wraps keeps its newest events overall, not per router. The
 // two kinds every hop of every packet emits, pkt_enqueue and pkt_deliver,
 // are sampled by packet number, one packet in 32, so a traced packet keeps
 // its whole path; losses and drops are always recorded. The metrics
@@ -199,9 +199,9 @@ func KindByName(name string) (Kind, bool) {
 
 // Event is one traced span edge or instant. T is simulation time in
 // seconds; Seq totally orders events sharing a timestamp (many do — the
-// DES fires whole causal chains at one instant). Inside the rings Seq is a
-// packed (origin priority << 40 | emission count) stamp; Events replaces it
-// with the merge rank, so consumers always see Seq contiguous from 1.
+// DES fires whole causal chains at one instant). Inside the rings Seq is
+// the tracer's emission count; Events replaces it with the merge rank, so
+// consumers always see Seq contiguous from 1.
 // Fields that do not apply to a kind hold graph.None / -1.
 type Event struct {
 	T      float64
@@ -226,14 +226,16 @@ func NewEvent(t float64, k Kind, router graph.NodeID) Event {
 	return Event{T: t, Kind: k, Router: router, Peer: graph.None, Dst: graph.None, Flow: -1}
 }
 
-// DefaultRingCap is the capacity of each of a router's two rings, one per
-// band, used by NewCapture. A Quick figure's routers record a few thousand
-// control-plane events each, so the control band keeps the whole run; the
-// data band holds the sampled packets and may wrap on longer runs
-// (surfaced per band by Truncation and the drop counters).
+// DefaultRingCap is each router's share of a band's ring, used by
+// NewCapture: a band of a tracer for n routers holds (n+1)*DefaultRingCap
+// events, however they spread over the routers. A Quick figure's routers
+// record a few thousand control-plane events each, so the control band
+// keeps the whole run; the data band holds the sampled packets and may
+// wrap on longer runs (surfaced per band by Truncation and the drop
+// counters).
 const DefaultRingCap = 8192
 
-// band is the ring an event kind lands in. Each router has one ring per
+// band is the ring an event kind lands in. The tracer has one ring per
 // band, so packet volume in the data band can never evict a control-plane
 // event (phase, LSU, table commit, IH/AH, fault, peer, ARQ).
 type band uint8
@@ -291,8 +293,8 @@ type record struct {
 	Kind   Kind
 }
 
-// compareRecords orders records by (T, Seq), the merge key inside one
-// ring; Seq never repeats within a tracer.
+// compareRecords orders records by (T, Seq), the merge key; Seq never
+// repeats within a tracer.
 func compareRecords(a, b *record) int {
 	if a.T != b.T {
 		if a.T < b.T {
@@ -331,11 +333,11 @@ func (r *ring) slot() *record {
 }
 
 // run returns the retained records in (T, Seq) order, as two segments to
-// read one after the other; a is empty only when the ring is. Emission order is that order whenever the
-// emitter's clock and origin never step back, as on the DES, and then run
-// returns the ring's own storage: the oldest entries up to the end of the
-// buffer, then the wrapped-around rest. Otherwise (a live node's
-// wall-clock stamps) it returns a sorted copy.
+// read one after the other; a is empty only when the ring is. Emission
+// order is that order whenever the emitter's clock never steps back, as on
+// the DES, and then run returns the ring's own storage: the oldest entries
+// up to the end of the buffer, then the wrapped-around rest. Otherwise (a
+// live node's wall-clock stamps) it returns a sorted copy.
 func (r *ring) run() (a, b []record) {
 	a, b = r.buf[r.head:], r.buf[:r.head]
 	byKey := func(x, y record) int { return compareRecords(&x, &y) }
@@ -348,32 +350,25 @@ func (r *ring) run() (a, b []record) {
 	return a, nil
 }
 
-// seqCountBits is the width of the tracer's emission count inside the
-// packed ring stamp; the origin priority occupies the bits above it.
-const seqCountBits = 40
-
-// Tracer is the event bus of one simulation: one ring per band for each
-// router plus a trailing network-scope pair. It has one writer at a time —
-// a simulation's event engine, or the live runtime's emitters one by one
-// behind node.Trace's mutex — so the rings need no locks of their own, and
-// concurrency across simulations is safe because each owns a private
-// Tracer. A nil *Tracer is a valid no-op sink.
+// Tracer is the event bus of one simulation: one bounded ring per band,
+// shared by every router and the network scope. It has one writer at a
+// time — a simulation's event engine, or the live runtime's emitters one
+// by one behind node.Trace's mutex — so the rings need no locks of their
+// own, and concurrency across simulations is safe because each owns a
+// private Tracer. A nil *Tracer is a valid no-op sink.
 type Tracer struct {
-	// rings holds numBands rings per router, then the network scope's:
-	// router i's ring of band b is rings[i*numBands+b].
-	rings []ring
+	rings [numBands]ring
 	count uint64
 	// labels is the table the rings' label indices point into. Emit fills
 	// it, so it shares the rings' single-writer rule.
 	labels []string
-	// origin, when set, supplies the emitter's origin priority (the des
-	// engine's ambient origin) for the packed ring stamp. Nil leaves the
-	// priority at zero: the rings then merge in pure emission order.
-	origin func() uint64
 }
 
-// NewTracer builds a tracer for numRouters routers with the given
-// capacity for each of a router's two rings (<= 0 selects DefaultRingCap).
+// NewTracer builds a tracer for numRouters routers, each band's ring
+// holding (numRouters+1)*ringCap events (ringCap <= 0 selects
+// DefaultRingCap): a share per router and one for the network scope,
+// pooled, so a busy router can use what a quiet one leaves. A ring grows
+// as it fills, up to that cap.
 func NewTracer(numRouters, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
@@ -381,38 +376,23 @@ func NewTracer(numRouters, ringCap int) *Tracer {
 	if numRouters < 0 {
 		numRouters = 0
 	}
-	t := &Tracer{rings: make([]ring, (numRouters+1)*int(numBands))}
-	for i := range t.rings {
-		t.rings[i].cap = ringCap
+	t := &Tracer{}
+	for b := range t.rings {
+		t.rings[b].cap = (numRouters + 1) * ringCap
 	}
 	return t
 }
 
-// SetOrigin installs the origin-priority hook used to stamp emissions
-// (typically des.Engine.Origin). Install it before the first Emit. With
-// one writer the engine already emits in (time, priority) order, except
-// for a marker the harness emits from outside any event (des.PriHarness,
-// 0) at an instant whose events the engine has run: Events merges the
-// rings by (time, stamp), so such a fault marker still sorts ahead of
-// every event a router or link emitted at that instant.
-func (t *Tracer) SetOrigin(fn func() uint64) {
-	if t == nil {
-		return
-	}
-	t.origin = fn
-}
-
-// Emit records ev in its band's ring, stamping the packed (origin << 40 |
-// count) emission serial, unless the data-band sample skips it. Events
-// whose Router is out of range (e.g. graph.None) land in the network-scope
-// rings.
+// Emit records ev in its band's ring, stamped with the emission count,
+// unless the data-band sample skips it.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil || sampledOut(ev.Kind, ev.Pkt) {
 		return
 	}
-	rec := t.ringOf(ev.Router, kindBands[ev.Kind]).slot()
+	t.count++
+	rec := t.rings[kindBands[ev.Kind]].slot()
 	*rec = record{
-		T: ev.T, Seq: t.stamp(), Value: ev.Value,
+		T: ev.T, Seq: t.count, Value: ev.Value,
 		Router: ev.Router, Peer: ev.Peer, Dst: ev.Dst, Flow: ev.Flow, Pkt: ev.Pkt, Kind: ev.Kind,
 	}
 	if ev.Label != "" {
@@ -428,30 +408,11 @@ func (t *Tracer) EmitPkt(at float64, k Kind, router, peer, dst graph.NodeID, flo
 	if t == nil || sampledOut(k, pkt) {
 		return
 	}
-	*t.ringOf(router, bandData).slot() = record{
-		T: at, Seq: t.stamp(), Value: value,
+	t.count++
+	*t.rings[bandData].slot() = record{
+		T: at, Seq: t.count, Value: value,
 		Router: router, Peer: peer, Dst: dst, Flow: flow, Pkt: pkt, Kind: k,
 	}
-}
-
-// stamp counts one emission and returns its packed serial.
-func (t *Tracer) stamp() uint64 {
-	t.count++
-	var pri uint64
-	if t.origin != nil {
-		pri = t.origin()
-	}
-	return pri<<seqCountBits | t.count&(1<<seqCountBits-1)
-}
-
-// ringOf returns router's ring of band b, the network scope's for a router
-// out of range.
-func (t *Tracer) ringOf(router graph.NodeID, b band) *ring {
-	i := len(t.rings)/int(numBands) - 1
-	if r := int(router); r >= 0 && r < i {
-		i = r
-	}
-	return &t.rings[i*int(numBands)+int(b)]
 }
 
 // intern returns label's index in the label table plus one, adding it on
@@ -474,89 +435,40 @@ func (t *Tracer) Emitted() uint64 {
 	return t.count
 }
 
-// Dropped returns how many events were overwritten across all rings.
+// Dropped returns how many events were overwritten across both rings.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	var n uint64
-	for i := range t.rings {
-		n += t.rings[i].dropped
-	}
-	return n
+	return t.rings[bandControl].dropped + t.rings[bandData].dropped
 }
 
-// bandCounts returns how many events band b's rings recorded and how many
-// of them they overwrote.
-func (t *Tracer) bandCounts(b band) (recorded, dropped uint64) {
-	for i := int(b); i < len(t.rings); i += int(numBands) {
-		r := &t.rings[i]
-		recorded += uint64(len(r.buf)) + r.dropped
-		dropped += r.dropped
-	}
-	return recorded, dropped
-}
-
-// mergeRun is one ring's records in (T, Seq) order, recs then next,
-// consumed from the front by Events' k-way merge.
-type mergeRun struct {
-	recs, next []record
-}
-
-// Events merges the rings into one slice ordered by (simulation time,
-// packed origin serial) — at one instant, lower origin priorities first,
-// and within a priority the emission order — then restamps Seq with the
-// merge rank so consumers see a contiguous 1-based serial. The (T, Seq,
-// ring ordinal) key is a total order: a packed serial never repeats within
-// the tracer. Each ring is already a sorted run (ring.run makes sure), so
-// the merge is a k-way heap merge of the runs into an exactly sized slice.
+// Events merges the two bands' rings into one slice ordered by
+// (simulation time, emission count) — on the DES, emission order, which
+// is causal order — then restamps Seq with the merge rank so consumers
+// see a contiguous 1-based serial. Each ring is already a sorted run
+// (ring.run makes sure), so the merge is a two-way merge of the runs into
+// an exactly sized slice; the count never repeats, so no two records tie.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	var runs []mergeRun
+	// runs[b] is band b's run, read runs[b][0] then runs[b][1].
+	var runs [numBands][2][]record
 	n := 0
-	for i := range t.rings {
-		if a, b := t.rings[i].run(); len(a) > 0 {
-			runs = append(runs, mergeRun{recs: a, next: b})
-			n += len(a) + len(b)
-		}
+	for b := range t.rings {
+		a, next := t.rings[b].run()
+		runs[b] = [2][]record{a, next}
+		n += len(a) + len(next)
 	}
-	// heap is a binary min-heap of the non-empty runs' indices (their
-	// ordinals) ordered by (head record, ordinal).
-	heap := make([]int, len(runs))
-	for i := range heap {
-		heap[i] = i
-	}
-	less := func(i, j int) bool {
-		if c := compareRecords(&runs[i].recs[0], &runs[j].recs[0]); c != 0 {
-			return c < 0
-		}
-		return i < j
-	}
-	siftDown := func(i int) {
-		for {
-			m := i
-			if c := 2*i + 1; c < len(heap) && less(heap[c], heap[m]) {
-				m = c
-			}
-			if c := 2*i + 2; c < len(heap) && less(heap[c], heap[m]) {
-				m = c
-			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
+	ctl, data := &runs[bandControl], &runs[bandData]
 	out := make([]Event, n)
 	for k := range out {
-		r := &runs[heap[0]]
-		rec := &r.recs[0]
+		r := ctl
+		if len(r[0]) == 0 || len(data[0]) > 0 && compareRecords(&data[0][0], &r[0][0]) < 0 {
+			r = data
+		}
+		rec := &r[0][0]
 		out[k] = Event{
 			T: rec.T, Seq: uint64(k) + 1, Kind: rec.Kind, Router: rec.Router, Peer: rec.Peer,
 			Dst: rec.Dst, Flow: rec.Flow, Pkt: rec.Pkt, Value: rec.Value,
@@ -564,14 +476,9 @@ func (t *Tracer) Events() []Event {
 		if rec.label != 0 {
 			out[k].Label = t.labels[rec.label-1]
 		}
-		if r.recs = r.recs[1:]; len(r.recs) == 0 {
-			r.recs, r.next = r.next, nil
+		if r[0] = r[0][1:]; len(r[0]) == 0 {
+			r[0], r[1] = r[1], nil
 		}
-		if len(r.recs) == 0 {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
 	}
 	return out
 }

@@ -61,11 +61,36 @@ func TestTracerMergeOrder(t *testing.T) {
 			t.Fatalf("event %d has Router %d, want %d", i, ev.Router, routers[i])
 		}
 	}
+
+	// At one instant, events that alternate between the bands come back in
+	// emission order, and a network-scope marker emitted last at that
+	// instant (a harness marker after the instant's events ran) comes back
+	// last.
+	tr = NewTracer(3, 0)
+	kinds := []Kind{KindLSUSend, KindPktLost, KindTableCommit, KindDropQueue, KindPktLost, KindLSURecv, KindAllocAdjust, KindDropNoRoute}
+	for i, k := range kinds {
+		ev := NewEvent(7, k, graph.NodeID(i%3))
+		ev.Value = float64(i)
+		tr.Emit(ev)
+	}
+	tr.Emit(NewEvent(7, KindFaultStart, graph.None))
+	evs = tr.Events()
+	if len(evs) != len(kinds)+1 {
+		t.Fatalf("Events() returned %d events, want %d", len(evs), len(kinds)+1)
+	}
+	for i, k := range kinds {
+		if evs[i].Kind != k || evs[i].Value != float64(i) {
+			t.Fatalf("event %d at one instant is %s #%v, want %s #%d (emission order)", i, evs[i].Kind, evs[i].Value, k, i)
+		}
+	}
+	if last := evs[len(kinds)]; last.Kind != KindFaultStart || last.Router != graph.None {
+		t.Fatalf("the marker emitted last at its instant came back as %s of router %d, want it last", last.Kind, last.Router)
+	}
 }
 
 func TestTracerRingWrap(t *testing.T) {
 	leaktest.Check(t)
-	tr := NewTracer(1, 4)
+	tr := NewTracer(0, 4)
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{T: float64(i), Kind: KindPktEnqueue, Router: 0})
 	}
@@ -93,18 +118,20 @@ func TestTracerOutOfRangeRouter(t *testing.T) {
 	tr := NewTracer(2, 8)
 	tr.Emit(Event{Kind: KindFaultStart, Router: graph.None})
 	tr.Emit(Event{Kind: KindFaultStart, Router: 99})
-	if n := len(tr.ringOf(graph.None, bandControl).buf); n != 2 {
-		t.Fatalf("network ring holds %d events, want 2", n)
+	evs := tr.Events()
+	if len(evs) != 2 || evs[0].Router != graph.None || evs[1].Router != 99 {
+		t.Fatalf("exported %+v, want the events of routers None and 99 as emitted", evs)
 	}
 }
 
 // TestTruncationNamesTheBand overflows each band of a 4-slot tracer in
 // turn. Packets flooding the data band evict no control-plane event, each
 // band counts its own drops, and the truncation warning names the band that
-// lost events, with that band's counts.
+// lost events, with that band's counts. A band is pooled across routers: one
+// busy router may fill what the others leave.
 func TestTruncationNamesTheBand(t *testing.T) {
 	leaktest.Check(t)
-	c := &Capture{Trace: NewTracer(1, 4), Metrics: NewRegistry(1)}
+	c := &Capture{Trace: NewTracer(0, 4), Metrics: NewRegistry(1)}
 	for i := range 3 {
 		c.Trace.Emit(NewEvent(float64(i), KindLSUSend, 0))
 	}
@@ -140,8 +167,20 @@ func TestTruncationNamesTheBand(t *testing.T) {
 			t.Errorf("snapshot missing %q:\n%s", want, snap)
 		}
 	}
-	if got := (&Capture{Trace: NewTracer(1, 4)}).Truncation("run"); got != "" {
+	if got := (&Capture{Trace: NewTracer(0, 4)}).Truncation("run"); got != "" {
 		t.Errorf("empty capture: Truncation = %q, want none", got)
+	}
+
+	pooled := &Capture{Trace: NewTracer(3, 4), Metrics: NewRegistry(1)}
+	for i := range 12 {
+		pooled.Trace.EmitPkt(float64(i), KindPktEnqueue, 0, 1, 1, 0, uint32(i)*pktSampleEvery, 8000)
+	}
+	pooled.Trace.Emit(NewEvent(12, KindLSUSend, 2))
+	if got, n := pooled.Trace.Dropped(), len(pooled.Trace.Events()); got != 0 || n != 13 {
+		t.Errorf("router 0's 12 data events and router 2's control event in a 3-router tracer: dropped %d, exported %d of 13", got, n)
+	}
+	if got := pooled.Truncation("run"); got != "" {
+		t.Errorf("pooled bands: Truncation = %q, want none", got)
 	}
 }
 
